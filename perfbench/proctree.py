@@ -104,6 +104,18 @@ def cpu_s(root: int) -> float:
     return ticks / _TICKS
 
 
+def reset_peaks(root: int) -> None:
+    """Set the VmHWM of ``root`` and its descendants back to their current
+    resident set (``clear_refs`` code 5), so the next read is the peak
+    since now."""
+    for pid in tree(root):
+        try:
+            with open(f"/proc/{pid}/clear_refs", "w") as f:
+                f.write("5")
+        except OSError:  # the process ended while we walked
+            continue
+
+
 def peak_rss_mb(root: int) -> float:
     """Sum of VmHWM (peak resident set) over ``root`` and its descendants."""
     kb = 0

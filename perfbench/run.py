@@ -13,7 +13,9 @@ extract/offsets/write layers from the same kind of jobs, then a Ray-free pass
 of the kernel over the same turns, untraced and then traced layer by layer.
 
 Every job's output is checked against the expected output of the workload;
-a turn that differs or has ``status=error`` counts as failed. The last line
+a turn that differs or has ``status=error`` counts as failed. The expected
+output is itself checked against the digests pinned in
+``perfbench/digests.json``; if it moved, its sampled turns fail. The last line
 of stdout is ``{"correct", "attempted", "failed", "metrics"}``; the line
 before it holds the run's context (machine, versions, per-job figures).
 """
@@ -55,10 +57,6 @@ SETUPS = 3  # setup_s is the median over this many full set-ups
 MEMCPY_PROBE_S = 0.5
 KINDS = ("pdf", "html", "plain")
 WRITE_COLUMNS = ("extracted_text", "markdown", "spans")
-# AF_UNIX socket paths are capped at 107 bytes and Ray's session dir adds
-# ~62; with a longer checkout path Ray keeps its default temp dir
-RAY_TMP = ROOT / ".perfbench_ray"
-RAY_TMP_MAX_LEN = 42
 
 END_TO_END = {
     "turns_per_s": "1/s",
@@ -137,14 +135,9 @@ def memcpy_gb_s(budget_s: float = MEMCPY_PROBE_S) -> float:
 
 # -- Ray session --------------------------------------------------------------
 
-def ray_temp_dir() -> str | None:
-    return str(RAY_TMP) if len(str(RAY_TMP)) <= RAY_TMP_MAX_LEN else None
-
-
 def ray_start(ncpu: int) -> None:
     ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
-             logging_level="ERROR", object_store_memory=512 * 1024 ** 2,
-             _temp_dir=ray_temp_dir())
+             logging_level="ERROR", object_store_memory=512 * 1024 ** 2)
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
     ctx.print_on_execution_start = False
@@ -157,10 +150,6 @@ def ray_stop() -> None:
     procs = proctree.descendants(PID)
     ray.shutdown()
     proctree.stop(procs)
-    tmp = ray_temp_dir()
-    if tmp:
-        for d in Path(tmp).glob(f"session_*_{PID}"):
-            shutil.rmtree(d, ignore_errors=True)
 
 
 def setup(wl, paths, ncpu: int, scratch: Path) -> float:
@@ -221,16 +210,20 @@ def layer_metrics(out: pa.Table, summary: dict, out_dir: Path, turns: int,
 
 def run_job(wl, paths, expected: pa.Table, out_dir: Path, ncpu: int,
             layers: bool) -> dict:
-    """One timed flagship job, then (untimed) its correctness gate."""
+    """One timed flagship job, then (untimed) its correctness gate. The
+    peak memory is the job's own: peaks are reset before it and read before
+    the gate allocates."""
     turns = expected.num_rows
     job = {"turns": turns}
     try:
+        proctree.reset_peaks(PID)
         cpu0 = proctree.cpu_s(PID)
         t0 = time.perf_counter()
         summary = run_flagship_job(str(paths.input), str(out_dir),
                                    **wl.job_kwargs)
         job["wall_s"] = time.perf_counter() - t0
         job["cpu_s"] = proctree.cpu_s(PID) - cpu0
+        job["peak_rss_mb"] = proctree.peak_rss_mb(PID)
         out = gate.read_output(out_dir)
         job["failed"], diffs = gate.failed_turns(out, expected)
         if diffs:
@@ -265,7 +258,9 @@ def kernel_passes(wl, paths, jobs: list[dict]) -> dict[str, float]:
     """Untraced and traced calls of ``extract_payload`` on every turn of the
     workload, in this process. The two calls on a turn run back to back, in
     alternating order, so both see the same warm caches. Appends the pass
-    to ``jobs``; a turn whose two outputs differ fails."""
+    to ``jobs``; a turn whose two outputs differ fails, and so does the whole
+    pass if a PDF layer shows no calls on a workload with PDF turns, or any
+    call on one without (a layer that escaped its rebinding)."""
     texts = pq.read_table(paths.input, columns=["text"]).column(
         "text").to_pylist()
     wm = wl.want_markdown
@@ -295,9 +290,12 @@ def kernel_passes(wl, paths, jobs: list[dict]) -> dict[str, float]:
     untraced_ns = sum(kind_ns.values())
 
     totals = tr.layer_totals()
-    if sum(ns for ns, _ in totals.values()) != tr.root_ns():
-        print("trace: layer self times do not sum to the root span",
-              file=sys.stderr)
+    pdf_calls = {layer: totals.get(layer, (0, 0))[1]
+                 for layer in trace.PDF_LAYERS}
+    if kind_ns["pdf"] and not all(pdf_calls.values()) \
+            or not kind_ns["pdf"] and any(pdf_calls.values()):
+        print(f"trace: PDF layer calls {pdf_calls} with "
+              f"{kind_bytes['pdf']} bytes of PDF turns", file=sys.stderr)
         differ = len(texts)
     m: dict[str, float] = {}
     for layer in trace.KERNEL_LAYERS:
@@ -327,7 +325,7 @@ def median(values: list[float]) -> float:
     return statistics.median(values) if values else 0.0
 
 
-def end_to_end(jobs: list[dict], setups: list[float], peak_rss: float,
+def end_to_end(jobs: list[dict], setups: list[float],
                input_bytes: int) -> dict[str, float]:
     done = [j for j in jobs if "wall_s" in j]
     attempted = sum(j["turns"] for j in jobs)
@@ -339,35 +337,33 @@ def end_to_end(jobs: list[dict], setups: list[float], peak_rss: float,
         "cpu_s_per_1k_turns": median([j["cpu_s"] / j["turns"] * 1000
                                       for j in done]),
         "setup_s": median(setups),
-        "peak_rss_mb": peak_rss,
+        "peak_rss_mb": median([j["peak_rss_mb"] for j in done]),
         "out_bytes_per_turn": median([j["out_bytes"] / j["turns"]
                                       for j in done]),
         "ok_turn_frac": 1 - failed / attempted,
     }
 
 
-def timed_run(wl, paths, expected, scratch, ncpu, seconds, input_bytes
-              ) -> tuple[dict[str, float], list[dict], list[float]]:
+def timed_run(wl, paths, expected, scratch, ncpu, seconds, input_bytes,
+              jobs: list[dict]) -> tuple[dict[str, float], list[float]]:
     """SETUPS Ray sessions, each set up and then timing its share of the
     jobs, so the timed jobs spread over the whole run rather than one
-    window of it."""
+    window of it. Appends the jobs to ``jobs``."""
     setups: list[float] = []
-    jobs: list[dict] = []
-    peak_rss = 0.0
     for i in range(SETUPS):
         setups.append(setup(wl, paths, ncpu, scratch))
         run_jobs(jobs, wl, paths, expected, scratch, ncpu,
                  seconds * (i + 1) / SETUPS, layers=False)
-        peak_rss = max(peak_rss, proctree.peak_rss_mb(PID))
         ray_stop()
-    return end_to_end(jobs, setups, peak_rss, input_bytes), jobs, setups
+    return end_to_end(jobs, setups, input_bytes), setups
 
 
-def traced_run(wl, paths, expected, scratch, ncpu, seconds
-               ) -> tuple[dict[str, float], list[dict]]:
+def traced_run(wl, paths, expected, scratch, ncpu, seconds,
+               jobs: list[dict]) -> dict[str, float]:
     """One Ray session timing jobs for half of ``seconds`` with the
     offsets call (made in this process) traced, the median per metric over
-    the jobs, then the Ray-free kernel passes."""
+    the jobs, then the Ray-free kernel passes. Appends the jobs to
+    ``jobs``."""
     def offsets_result(tr, args, result):
         tr.counts["convs"] = pc.count_distinct(
             args[0].column("conv_id")).as_py()
@@ -376,7 +372,6 @@ def traced_run(wl, paths, expected, scratch, ncpu, seconds
 
     setup(wl, paths, ncpu, scratch)
     tr = trace.Tracer()
-    jobs: list[dict] = []
     target = (offset_index, "compute_offsets_table",
               "offset_index.compute_offsets_table", offsets_result)
     with tr.patched([target]):
@@ -395,7 +390,7 @@ def traced_run(wl, paths, expected, scratch, ncpu, seconds
     metrics = {k: median([p[k] for p in per_job])
                for k in (per_job[0] if per_job else ())}
     metrics.update(kernel_passes(wl, paths, jobs))
-    return metrics, jobs
+    return metrics
 
 
 def check_names(metrics: dict[str, float], units: dict[str, str],
@@ -427,8 +422,14 @@ def main(argv: list[str] | None = None) -> int:
     wl = workloads.WORKLOADS[args.workload]
     paths = workloads.ensure(wl.name, args.seed)
     expected = pq.read_table(paths.expected)
-    input_bytes = sum(len(t.encode()) for t in pq.read_table(
-        paths.input, columns=["text"]).column("text").to_pylist())
+    input_bytes = json.loads(paths.meta.read_text())["input_bytes"]
+    # a reference that moved with the kernel under test fails its sample
+    problems = workloads.reference_problems(wl.name, args.seed)
+    for problem in problems:
+        print(f"reference: {problem}", file=sys.stderr)
+    sample = workloads.REFERENCE_TURNS
+    jobs: list[dict] = [{"reference_pin": True, "turns": sample,
+                         "failed": sample if problems else 0}]
     ncpu = nproc()
     scratch = workloads.CACHE_DIR / "runs" / str(PID)
     shutil.rmtree(scratch, ignore_errors=True)
@@ -439,20 +440,20 @@ def main(argv: list[str] | None = None) -> int:
         "trace": args.trace, "turns": expected.num_rows,
         "input_mb": input_bytes / 1e6,
         "nproc": ncpu, "affinity": sorted(os.sched_getaffinity(0)),
-        "ray_num_cpus": ncpu, "ray_temp_dir": ray_temp_dir(),
+        "ray_num_cpus": ncpu,
         "python": platform.python_version(), "ray": ray.__version__,
         "pyarrow": pa.__version__, "git_commit": git_commit(),
         "memcpy_gb_s_before": memcpy_gb_s(),
     }
     try:
         if args.trace:
-            metrics, jobs = traced_run(wl, paths, expected, scratch, ncpu,
-                                       args.seconds)
+            metrics = traced_run(wl, paths, expected, scratch, ncpu,
+                                 args.seconds, jobs)
             units, section = per_layer_units(), "per_layer"
         else:
-            metrics, jobs, context["setups_s"] = timed_run(
+            metrics, context["setups_s"] = timed_run(
                 wl, paths, expected, scratch, ncpu, args.seconds,
-                input_bytes)
+                input_bytes, jobs)
             units, section = END_TO_END, "end_to_end"
     finally:
         if ray.is_initialized():

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from pdf_oxide_ray.core import payload  # noqa: E402
-from perfbench import gate, trace, workloads  # noqa: E402
+from perfbench import gate, proctree, trace, workloads  # noqa: E402
 
 SAMPLE_TURNS = 60
 
@@ -151,6 +151,36 @@ def test_expected_output_covers_a_seeded_sample():
     a = workloads.expected_table(table, wl, 8)
     assert a.equals(workloads.expected_table(table, wl, 8))
     assert pc.sum(a.column("sampled")).as_py() == workloads.REFERENCE_TURNS
+
+
+def test_reference_pin_catches_a_moved_reference(tmp_path, monkeypatch):
+    assert workloads.reference_problems("web_text", 11) == []
+    pinned = json.loads(workloads.DIGESTS.read_text())
+    pinned["web_text"]["11"]["output"] = "0" * 16
+    pinned["web_text"][str(workloads.CANARY_SEED)]["input"] = "0" * 16
+    digests = tmp_path / "digests.json"
+    digests.write_text(json.dumps(pinned))
+    monkeypatch.setattr(workloads, "DIGESTS", digests)
+    assert workloads.reference_problems("web_text", 11) == [
+        "the reference output of web_text seed 11 differs from digests.json"]
+    # a seed without digests is judged by the canary seed's
+    assert workloads.reference_problems("web_text", 10 ** 6) == [
+        f"the generated input of web_text seed {workloads.CANARY_SEED} "
+        "differs from digests.json"]
+
+
+def test_reset_peaks_forgets_an_earlier_peak():
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; b = bytearray(200 << 20); "
+         "del b; print(flush=True); sys.stdin.read()"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        child.stdout.readline()
+        before = proctree.peak_rss_mb(child.pid)
+        proctree.reset_peaks(child.pid)
+        assert before - proctree.peak_rss_mb(child.pid) > 150
+    finally:
+        child.communicate("")
 
 
 @pytest.mark.parametrize("trace_flag", [0, 1])

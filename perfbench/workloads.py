@@ -10,6 +10,15 @@ so that its memory never shows in the benchmark process's peak RSS. Results
 are cached under ``.perfbench_cache/`` in the checkout, keyed by workload,
 seed and generator version; the version hashes the sources that decide the
 bytes (this file, the transcript generator and the extraction kernel).
+
+The reference is computed by the kernel under test, so by itself it would
+follow any change to the kernel's output. ``digests.json`` pins it: a sha256
+of each workload's input rows and of its sampled reference output, for the
+seeds in ``DIGEST_SEEDS``, computed at the commit that added the file. A run
+checks its own seed's digests, or those of ``CANARY_SEED`` for a seed
+without any. After a deliberate change to the kernel's output or to the
+generator, rewrite the file with ``python3 perfbench/workloads.py
+--write-digests`` and say why in the change.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import json
 import os
 import random
 import shutil
@@ -38,6 +48,9 @@ from pdf_oxide_ray.gen import transcripts as gen  # noqa: E402
 
 GENERATOR_VERSION = 1
 CACHE_DIR = ROOT / ".perfbench_cache"
+DIGESTS = Path(__file__).resolve().with_name("digests.json")
+DIGEST_SEEDS = range(64)
+CANARY_SEED = 0
 BASE_TS_US = 1_700_000_000_000_000
 WARMUP_ROWS = 32
 # turns per workload whose full output is compared with the reference; the
@@ -76,6 +89,7 @@ class Paths:
     input: Path
     warmup: Path
     expected: Path
+    meta: Path
 
 
 # -- row generators ---------------------------------------------------------
@@ -197,6 +211,21 @@ def expected_table(table: pa.Table, wl: Workload, seed: int) -> pa.Table:
     })
 
 
+def _sha256(rows: list) -> str:
+    return hashlib.sha256(json.dumps(rows, sort_keys=True, default=str)
+                          .encode()).hexdigest()[:16]
+
+
+def digests(table: pa.Table, expected: pa.Table) -> dict[str, str]:
+    """sha256 (first 16 hex digits) of the input rows and of the sampled
+    reference rows, over their JSON, so it does not depend on the Parquet or
+    Arrow version."""
+    sample = expected.filter(expected.column("sampled")).drop_columns(
+        ["sampled"])
+    return {"input": _sha256(table.to_pylist()),
+            "output": _sha256(sample.to_pylist())}
+
+
 # -- cache ------------------------------------------------------------------
 
 def _source_hash() -> str:
@@ -214,16 +243,22 @@ def cache_dir(name: str, seed: int) -> Path:
 
 
 def build(name: str, seed: int, out: Path) -> None:
-    """Write input.parquet, warmup.parquet and expected.parquet to ``out``
-    (atomically: a temp dir renamed into place)."""
+    """Write input.parquet, warmup.parquet, expected.parquet and
+    meta.json (payload bytes and digests) to ``out`` (atomically: a temp
+    dir renamed into place)."""
     wl = WORKLOADS[name]
     tmp = out.with_name(out.name + f".tmp{os.getpid()}")
     shutil.rmtree(tmp, ignore_errors=True)
     tmp.mkdir(parents=True)
     table = transcripts_table(generate_rows(name, seed), seed)
+    expected = expected_table(table, wl, seed)
     pq.write_table(table, tmp / "input.parquet")
     pq.write_table(table.slice(0, WARMUP_ROWS), tmp / "warmup.parquet")
-    pq.write_table(expected_table(table, wl, seed), tmp / "expected.parquet")
+    pq.write_table(expected, tmp / "expected.parquet")
+    meta = {"input_bytes": sum(len(t.encode()) for t in
+                               table.column("text").to_pylist()),
+            **digests(table, expected)}
+    (tmp / "meta.json").write_text(json.dumps(meta))
     try:
         tmp.rename(out)
     except OSError:  # another run finished the same key first
@@ -233,19 +268,46 @@ def build(name: str, seed: int, out: Path) -> None:
 def ensure(name: str, seed: int) -> Paths:
     """Cached workload files, generated in a child process when missing."""
     out = cache_dir(name, seed)
-    if not (out / "expected.parquet").exists():
+    if not (out / "meta.json").exists():
         out.parent.mkdir(parents=True, exist_ok=True)
         subprocess.run([sys.executable, str(Path(__file__).resolve()),
                         "--workload", name, "--seed", str(seed),
                         "--out", str(out)], check=True)
     return Paths(out / "input.parquet", out / "warmup.parquet",
-                 out / "expected.parquet")
+                 out / "expected.parquet", out / "meta.json")
+
+
+def reference_problems(name: str, seed: int) -> list[str]:
+    """How the built input and reference of ``seed`` (or, for a seed with
+    no digests, of CANARY_SEED) differ from ``digests.json``."""
+    pinned = json.loads(DIGESTS.read_text())[name]
+    if str(seed) not in pinned:
+        seed = CANARY_SEED
+    meta = json.loads(ensure(name, seed).meta.read_text())
+    what = {"input": "the generated input", "output": "the reference output"}
+    return [f"{what[k]} of {name} seed {seed} differs from {DIGESTS.name}"
+            for k in what if meta[k] != pinned[str(seed)][k]]
+
+
+def write_digests() -> None:
+    DIGESTS.write_text(json.dumps({
+        name: {str(seed): {k: v for k, v in json.loads(
+            ensure(name, seed).meta.read_text()).items() if k != "input_bytes"}
+            for seed in DIGEST_SEEDS}
+        for name in WORKLOADS}, indent=1) + "\n")
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--write-digests", action="store_true",
+                    help=f"write {DIGESTS.name} for seeds in DIGEST_SEEDS")
+    ap.add_argument("--workload", choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--out", type=Path)
     a = ap.parse_args()
-    build(a.workload, a.seed, a.out)
+    if a.write_digests:
+        write_digests()
+    elif None in (a.workload, a.seed, a.out):
+        ap.error("--workload, --seed and --out are required")
+    else:
+        build(a.workload, a.seed, a.out)
