@@ -7,7 +7,9 @@ Run from the root of a source checkout. The load is a closed loop with one
 client: the next job starts only after the previous job's output is written
 and checked. Ray gets ``num_cpus`` = ``nproc``.
 
-``--trace 0`` times whole jobs and prints the end-to-end metrics.
+``--trace 0`` times whole jobs and prints the end-to-end metrics, with job
+times in reference seconds (see ``calibration_s``); the measured figures
+are in the context line.
 ``--trace 1`` prints the per-layer metrics instead: job phases and the
 extract/offsets/write layers from the same kind of jobs, then a Ray-free pass
 of the kernel over the same turns, untraced and then traced layer by layer.
@@ -27,12 +29,14 @@ import json
 import logging
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import time
 import traceback
+import zlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,13 +59,17 @@ from perfbench import gate, proctree, trace, workloads  # noqa: E402
 PID = os.getpid()
 SETUPS = 3  # setup_s is the median over this many full set-ups
 MEMCPY_PROBE_S = 0.5
+# The calibration loop's time on an idle vCPU of the 4-vCPU VM the bounds
+# were set on; a reference second is a second scaled by this over the
+# loop's time measured around the job (see calibration_s)
+CALIBRATION_REF_S = 0.020
 KINDS = ("pdf", "html", "plain")
 WRITE_COLUMNS = ("extracted_text", "markdown", "spans")
 
 END_TO_END = {
-    "turns_per_s": "1/s",
-    "input_mb_per_s": "MB/s",
-    "cpu_s_per_1k_turns": "s",
+    "turns_per_ref_s": "1/ref_s",
+    "input_mb_per_ref_s": "MB/ref_s",
+    "cpu_ref_s_per_1k_turns": "ref_s",
     "setup_s": "s",
     "peak_rss_mb": "MB",
     "out_bytes_per_turn": "B",
@@ -131,6 +139,47 @@ def memcpy_gb_s(budget_s: float = MEMCPY_PROBE_S) -> float:
         a.copy()
         n += 1
     return n * 0.05 / (time.perf_counter() - t0)
+
+
+_CALIBRATION_TEXT = zlib.compress(
+    bytes(32 + i * 7919 % 90 for i in range(80_000)))
+_CALIBRATION_RX = re.compile(r"(\w+)\s+(\d+)")
+
+
+def _calibration_loop() -> tuple[float, float]:
+    """Wall and thread CPU seconds for a fixed mix of the kinds of work the
+    kernel does: inflate, bytecode over a dict, a regex scan and string
+    building."""
+    t0, c0 = time.perf_counter(), time.thread_time()
+    text = zlib.decompress(_CALIBRATION_TEXT).decode()
+    counts: dict[str, int] = {}
+    for i in range(0, len(text) - 8, 8):
+        counts[text[i:i + 4]] = counts.get(text[i:i + 4], 0) + 1
+    words = [w.upper() + n for w, n in _CALIBRATION_RX.findall(text)]
+    " ".join(sorted(counts)).join(words)
+    return time.perf_counter() - t0, time.thread_time() - c0
+
+
+def calibration_s(loops: int = 12) -> tuple[float, float]:
+    """Host speed probe: the calibration loop's median wall and CPU time on
+    each CPU of the affinity mask, averaged over the CPUs, from about
+    ``loops`` runs of the loop in all. The job's processes move between
+    CPUs, and on a shared host each CPU's speed swings by half with the load
+    its neighbours put on it. CPU time leaves out the time the host ran
+    something else on the vCPU, as the job's CPU time does."""
+    cpus = os.sched_getaffinity(0)
+    reps = max(1, loops // len(cpus))
+    per_cpu = []
+    try:
+        for cpu in sorted(cpus):
+            os.sched_setaffinity(0, {cpu})
+            runs = [_calibration_loop() for _ in range(reps)]
+            per_cpu.append((statistics.median(w for w, _ in runs),
+                            statistics.median(c for _, c in runs)))
+    finally:
+        os.sched_setaffinity(0, cpus)
+    return (statistics.mean(w for w, _ in per_cpu),
+            statistics.mean(c for _, c in per_cpu))
 
 
 # -- Ray session --------------------------------------------------------------
@@ -243,11 +292,19 @@ def run_job(wl, paths, expected: pa.Table, out_dir: Path, ncpu: int,
 def run_jobs(jobs: list[dict], wl, paths, expected, scratch: Path,
              ncpu: int, until_s: float, layers: bool) -> None:
     """Append jobs run back to back until the summed wall time of all of
-    ``jobs`` reaches ``until_s``."""
+    ``jobs`` reaches ``until_s``. The host speed probe runs between jobs;
+    a job's ``calib_s`` and ``calib_cpu_s`` are the means of the probes
+    before and after it."""
+    before = calibration_s()
     while True:
-        jobs.append(run_job(wl, paths, expected, scratch / f"job{len(jobs)}",
-                            ncpu, layers))
-        if "wall_s" not in jobs[-1] \
+        job = run_job(wl, paths, expected, scratch / f"job{len(jobs)}",
+                      ncpu, layers)
+        after = calibration_s()
+        job["calib_s"] = (before[0] + after[0]) / 2
+        job["calib_cpu_s"] = (before[1] + after[1]) / 2
+        before = after
+        jobs.append(job)
+        if "wall_s" not in job \
                 or sum(j.get("wall_s", 0) for j in jobs) >= until_s:
             return
 
@@ -325,17 +382,37 @@ def median(values: list[float]) -> float:
     return statistics.median(values) if values else 0.0
 
 
+def rates(done: list[dict], input_bytes: int, wall_scale: list[float],
+          cpu_scale: list[float]) -> tuple[float, float, float]:
+    """Turns and input MB per second and CPU seconds per 1000 turns, as
+    totals over the jobs of ``done``, with each job's wall and CPU seconds
+    multiplied by its ``wall_scale`` and ``cpu_scale``."""
+    if not done:
+        return 0.0, 0.0, 0.0
+    turns = sum(j["turns"] for j in done)
+    wall = sum(j["wall_s"] * k for j, k in zip(done, wall_scale))
+    cpu = sum(j["cpu_s"] * k for j, k in zip(done, cpu_scale))
+    return (turns / wall, input_bytes * len(done) / 1e6 / wall,
+            cpu / turns * 1000)
+
+
 def end_to_end(jobs: list[dict], setups: list[float],
                input_bytes: int) -> dict[str, float]:
+    """Job times are in reference seconds: measured wall (CPU) seconds
+    times CALIBRATION_REF_S over the job's calibration wall (CPU) time, so
+    a host that runs slower for minutes does not read as a slower
+    program."""
     done = [j for j in jobs if "wall_s" in j]
     attempted = sum(j["turns"] for j in jobs)
     failed = sum(j["failed"] for j in jobs)
+    turns, mb, cpu = rates(
+        done, input_bytes,
+        [CALIBRATION_REF_S / j["calib_s"] for j in done],
+        [CALIBRATION_REF_S / j["calib_cpu_s"] for j in done])
     return {
-        "turns_per_s": median([j["turns"] / j["wall_s"] for j in done]),
-        "input_mb_per_s": median([input_bytes / 1e6 / j["wall_s"]
-                                  for j in done]),
-        "cpu_s_per_1k_turns": median([j["cpu_s"] / j["turns"] * 1000
-                                      for j in done]),
+        "turns_per_ref_s": turns,
+        "input_mb_per_ref_s": mb,
+        "cpu_ref_s_per_1k_turns": cpu,
         "setup_s": median(setups),
         "peak_rss_mb": median([j["peak_rss_mb"] for j in done]),
         "out_bytes_per_turn": median([j["out_bytes"] / j["turns"]
@@ -454,6 +531,11 @@ def main(argv: list[str] | None = None) -> int:
             metrics, context["setups_s"] = timed_run(
                 wl, paths, expected, scratch, ncpu, args.seconds,
                 input_bytes, jobs)
+            done = [j for j in jobs if "wall_s" in j]
+            ones = [1.0] * len(done)
+            context["measured"] = dict(zip(
+                ("turns_per_s", "input_mb_per_s", "cpu_s_per_1k_turns"),
+                rates(done, input_bytes, ones, ones)))
             units, section = END_TO_END, "end_to_end"
     finally:
         if ray.is_initialized():

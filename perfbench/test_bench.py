@@ -4,6 +4,7 @@ checkout root. The last test runs the benchmark itself (about a minute)."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from pdf_oxide_ray.core import payload  # noqa: E402
-from perfbench import gate, proctree, trace, workloads  # noqa: E402
+from perfbench import gate, proctree, run, trace, workloads  # noqa: E402
 
 SAMPLE_TURNS = 60
 
@@ -93,11 +94,11 @@ def test_prefix_offsets_match_a_loop():
 
 
 def test_generation_is_seeded():
-    a = workloads.transcripts_table(workloads.generate_rows("web_text", 5,
+    a = workloads.transcripts_table(workloads.generate_rows("chat_hot", 5,
                                                             50), 5)
-    b = workloads.transcripts_table(workloads.generate_rows("web_text", 5,
+    b = workloads.transcripts_table(workloads.generate_rows("chat_hot", 5,
                                                             50), 5)
-    c = workloads.transcripts_table(workloads.generate_rows("web_text", 6,
+    c = workloads.transcripts_table(workloads.generate_rows("chat_hot", 6,
                                                             50), 6)
     assert a.equals(b)
     assert not a.equals(c)
@@ -154,18 +155,18 @@ def test_expected_output_covers_a_seeded_sample():
 
 
 def test_reference_pin_catches_a_moved_reference(tmp_path, monkeypatch):
-    assert workloads.reference_problems("web_text", 11) == []
+    assert workloads.reference_problems("chat_hot", 11) == []
     pinned = json.loads(workloads.DIGESTS.read_text())
-    pinned["web_text"]["11"]["output"] = "0" * 16
-    pinned["web_text"][str(workloads.CANARY_SEED)]["input"] = "0" * 16
+    pinned["chat_hot"]["11"]["output"] = "0" * 16
+    pinned["chat_hot"][str(workloads.CANARY_SEED)]["input"] = "0" * 16
     digests = tmp_path / "digests.json"
     digests.write_text(json.dumps(pinned))
     monkeypatch.setattr(workloads, "DIGESTS", digests)
-    assert workloads.reference_problems("web_text", 11) == [
-        "the reference output of web_text seed 11 differs from digests.json"]
+    assert workloads.reference_problems("chat_hot", 11) == [
+        "the reference output of chat_hot seed 11 differs from digests.json"]
     # a seed without digests is judged by the canary seed's
-    assert workloads.reference_problems("web_text", 10 ** 6) == [
-        f"the generated input of web_text seed {workloads.CANARY_SEED} "
+    assert workloads.reference_problems("chat_hot", 10 ** 6) == [
+        f"the generated input of chat_hot seed {workloads.CANARY_SEED} "
         "differs from digests.json"]
 
 
@@ -183,11 +184,28 @@ def test_reset_peaks_forgets_an_earlier_peak():
         child.communicate("")
 
 
+def test_calibration_probe_restores_the_affinity_mask():
+    cpus = os.sched_getaffinity(0)
+    assert min(run.calibration_s(loops=1)) > 0
+    assert os.sched_getaffinity(0) == cpus
+
+
+def test_a_host_twice_as_slow_halves_the_reference_seconds():
+    # wall time scales by the calibration's wall time, CPU by its CPU time
+    ref = run.CALIBRATION_REF_S
+    jobs = [{"turns": 1000, "failed": 0, "wall_s": 2.0, "cpu_s": 3.0,
+             "calib_s": 2 * ref, "calib_cpu_s": 1.5 * ref,
+             "peak_rss_mb": 1.0, "out_bytes": 5000}]
+    m = run.end_to_end(jobs, [1.0], input_bytes=4_000_000)
+    assert m["turns_per_ref_s"] == pytest.approx(1000)
+    assert m["input_mb_per_ref_s"] == pytest.approx(4.0)
+    assert m["cpu_ref_s_per_1k_turns"] == pytest.approx(2.0)
+
 @pytest.mark.parametrize("trace_flag", [0, 1])
 def test_a_run_emits_exactly_the_benchmark_names(trace_flag):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "web_text",
+        [sys.executable, "perfbench/run.py", "--workload", "chat_hot",
          "--seed", "11", "--seconds", "1", "--trace", str(trace_flag)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

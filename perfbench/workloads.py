@@ -77,8 +77,6 @@ class Workload:
 WORKLOADS = {
     "mix_full": Workload("mix_full", 2400, keep_spans=True,
                          want_markdown=True),
-    "web_text": Workload("web_text", 6000, keep_spans=False,
-                         want_markdown=False),
     "chat_hot": Workload("chat_hot", 40000, keep_spans=True,
                          want_markdown=True),
 }
@@ -109,20 +107,6 @@ def _mix_full(seed: int, turns: int):
         yield from gen.conv_rows(i, seed)
 
 
-def _web_text(seed: int, turns: int):
-    """HTML and plain turns only (about 75/25), ordinary conversations."""
-    rng = random.Random(f"web_text:{seed}")
-    i = 0
-    while True:
-        for t in range(max(1, int(rng.gauss(6, 2)))):
-            if rng.random() < 0.75:
-                text = gen.make_html_payload(rng)
-            else:
-                text = gen.make_plain_payload(rng)
-            yield _row(i, t, text)
-        i += 1
-
-
 def _chat_hot(seed: int, turns: int):
     """One-sentence chat turns; three conversations hold thousands of turns
     each (about a quarter of all turns) and the rest are short."""
@@ -137,8 +121,7 @@ def _chat_hot(seed: int, turns: int):
         i += 1
 
 
-_ROWS = {"mix_full": _mix_full, "web_text": _web_text,
-         "chat_hot": _chat_hot}
+_ROWS = {"mix_full": _mix_full, "chat_hot": _chat_hot}
 
 
 def generate_rows(name: str, seed: int, turns: int | None = None) -> list:
