@@ -1,23 +1,35 @@
-"""Flagship pipeline (north rule):
+"""Flagship pipeline (north rule): read transcripts, extract every turn,
+annotate each turn with its conversation offsets, write or return the rows.
 
-``read_parquet(transcripts) -> map_batches(ExtractTurns actor pool,
-batch_format="pyarrow") -> groupby(conv_id) / in-group sort(turn_idx) ->
-per-turn rows with offsets -> write_parquet(out/part_id=N/) + per-partition
-_manifest.json``.
+One plan serves both entry points (``_flagship_plan``):
+
+``read_transcripts -> map_batches(ExtractTurns, tasks) -> materialize() ->
+gather (conv_id, turn_idx, n_chars) on the driver ->
+offset_index.compute_offsets_table -> ray.put ->
+map_batches(AnnotateOffsetsBroadcast)``.
+
+``run_flagship_job`` writes the annotated rows to parquet and returns the
+phase timings; ``run_flagship`` returns them lazily, sorted by
+``(conv_id, turn_idx)`` so turns keep their in-conversation order.
 
 The Ray-Data re-expression of the reference's EP3 batch loop
-(``/root/reference/src/bin/benchmark_all_pdfs.rs:41-230``): directory walk ->
-``read_parquet``; sequential per-file body -> actor-pool ``map_batches``;
-stats fold -> ``groupby().aggregate()``; JSON summary -> partition manifests.
+(``src/bin/benchmark_all_pdfs.rs:41-230``): directory walk ->
+``read_parquet``; sequential per-file body -> task ``map_batches``;
+JSON summary -> the job summary and partition manifests.
 
-Scale notes (100 TB design):
-* extraction is stateless-per-row behind a warm actor pool; no shuffle;
-* the ONLY all-to-all exchange is the conv_id groupby in ``assemble``;
-* resumability: the extract phase is sharded by input file groups; each
-  shard writes ``part_id=N`` + an atomic manifest; reruns skip complete
-  shards (``state/manifest.py``);
-* nothing materializes the full dataset: outputs stream to parquet; the
-  driver only ever sees small aggregates.
+Scale notes:
+* extraction is stateless per row on Ray's shared task pool; no shuffle;
+* the fat rows (text, markdown, spans) never cross an exchange: only the
+  ~24 B/turn skinny table reaches the driver, and the offsets lookup goes
+  back to the workers as one ``ray.put``;
+* the driver holds the skinny table and its lookup. On a 1-CPU host
+  ``compute_offsets_table`` took 2.2 s and +50 MB peak at 1M turns, and
+  17 s and +250 MB at 5M turns. A corpus beyond driver memory needs a new
+  distributed plan, which should come with a benchmark workload of that
+  size (SCALE.md);
+* resumability: ``run_extraction_partitioned`` shards the extract phase by
+  input file groups; each shard writes ``part_id=N`` + an atomic manifest
+  and reruns skip complete shards (``state/manifest.py``).
 """
 
 from __future__ import annotations
@@ -32,8 +44,9 @@ import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
-from ..stages.assembly import assemble
+from ..stages.assembly import TURN_SEPARATOR
 from ..stages.extract import ExtractTurns
+from ..state import offset_index
 from ..state.manifest import is_partition_complete, write_manifest
 
 DEFAULT_BATCH_SIZE = 128  # rows per batch: payloads are ~1-4 KB documents
@@ -41,10 +54,11 @@ TARGET_BLOCK_BYTES = 64 * 1024 * 1024  # cap block size at scale
 
 
 def tune_for_pipeline() -> None:
-    """Session-level knobs measured on this workload (sf0.1, 32 cpus):
-    push-based sort shuffle cut the conv_id groupby exchange from ~50s to
-    ~6s self-time (the pull-based exchange drowned in per-object overhead
-    at 256 blocks x 256 partitions)."""
+    """Session-level knobs for the shuffles downstream of extraction
+    (``run_flagship``'s sort, the ingest dedup groupby). Measured at sf0.1
+    on 32 cpus: push-based sort shuffle cut a conv_id groupby exchange
+    from ~50s to ~6s self-time (the pull-based exchange drowned in
+    per-object overhead at 256 blocks x 256 partitions)."""
     from ray.data import DataContext
     from ray.data.context import ShuffleStrategy
 
@@ -54,7 +68,7 @@ def tune_for_pipeline() -> None:
 
 def _plan_num_blocks(paths: list[str]) -> int:
     """Blocks ~ max(2-3x cores, input/64MB): enough waves to pipeline the
-    actor pool without flooding the shuffle with tiny blocks (measured:
+    extract tasks without flooding the shuffle with tiny blocks (measured:
     64-96 blocks optimal at 32 cpus / 132k turns; 192 blocks 2x slower)."""
     import ray
 
@@ -123,39 +137,17 @@ def _cast_transcript_types(batch: pa.Table) -> pa.Table:
 
 
 def extract_dataset(ds, *, want_markdown: bool = True, keep_spans: bool = True,
-                    concurrency: int | tuple[int, int] | None = None,
-                    batch_size: int = DEFAULT_BATCH_SIZE,
-                    use_actor_pool: bool = False):
+                    batch_size: int = DEFAULT_BATCH_SIZE):
     """transcripts Dataset -> extracted Dataset (zero-copy Arrow batches).
 
-    Default is TASK-based ``map_batches`` with a callable-instance UDF:
+    TASK-based ``map_batches`` with a callable-instance UDF:
     the warm tokenizer/font-cache state lives in module-level per-worker
     caches (built on first import in each worker process, reused across
     every batch that worker runs), and Ray's shared task-worker pool gives
     perfect work-stealing over skewed payloads. Measured at sf0.1/32 cpus:
     tasks 9.7s vs actor pool 18s — the pool's fixed spawn cost plus
     per-actor dispatch (no stealing) dominates for a cheap-state stage.
-
-    ``use_actor_pool=True`` (or an explicit ``concurrency``) switches to an
-    explicit actor pool — the right shape when per-worker state is
-    EXPENSIVE (a model, a GPU); the multimodal stages use that mode.
     """
-    if use_actor_pool or concurrency is not None:
-        if concurrency is None:
-            import ray
-
-            total = int(ray.cluster_resources().get("CPU", 8)) if \
-                ray.is_initialized() else 8
-            concurrency = max(1, total - 2)
-        return ds.map_batches(
-            ExtractTurns,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            fn_constructor_kwargs={"want_markdown": want_markdown,
-                                   "keep_spans": keep_spans},
-            num_cpus=1,
-            concurrency=concurrency,
-        )
     return ds.map_batches(
         ExtractTurns(want_markdown=want_markdown, keep_spans=keep_spans),
         batch_format="pyarrow",
@@ -164,67 +156,31 @@ def extract_dataset(ds, *, want_markdown: bool = True, keep_spans: bool = True,
     )
 
 
-def run_flagship(input_path: str, *, want_markdown: bool = True,
-                 keep_spans: bool = True,
-                 concurrency: int | tuple[int, int] | None = None,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
-                 assemble_conversations: bool = True):
-    """Lazy end-to-end Dataset (consume with write_parquet/iter_batches)."""
-    tune_for_pipeline()
-    ds = read_transcripts(input_path)
-    ds = extract_dataset(ds, want_markdown=want_markdown,
-                         keep_spans=keep_spans, concurrency=concurrency,
-                         batch_size=batch_size)
-    if assemble_conversations:
-        ds = assemble(ds)
-    return ds
+def _flagship_plan(input_path: str, want_markdown: bool, keep_spans: bool,
+                   batch_size: int):
+    """The one flagship plan: extract, then annotate every turn with its
+    conversation offsets. Returns the lazy annotated Dataset and a summary
+    of the first two phases:
 
+    1. read -> extract (tasks) -> ``materialize()`` — the one checkpoint,
+       read twice below (without it Ray Data would re-run extraction for
+       each consumer);
+    2. gather the skinny ``(conv_id, turn_idx, n_chars)`` columns on the
+       driver, prefix-sum each conversation in turn order
+       (``compute_offsets_table``) and ``ray.put`` the lookup;
+    3. (lazy) ``map_batches(AnnotateOffsetsBroadcast)`` over the fat
+       blocks — an in-place lookup, no exchange.
 
-# ---------------------------------------------------------------------------
-# phased production job: skinny shuffle, fat bytes never cross an exchange
-# ---------------------------------------------------------------------------
-
-def run_flagship_job(input_path: str, out_dir: str, *,
-                     want_markdown: bool = True, keep_spans: bool = True,
-                     concurrency: int | tuple[int, int] | None = None,
-                     batch_size: int = DEFAULT_BATCH_SIZE,
-                     broadcast_threshold_rows: int = 5_000_000) -> dict:
-    """Production flagship: same output as ``run_flagship`` but the
-    conversation-assembly exchange moves ONLY skinny columns.
-
-    Phases (each streams; the checkpoint is the object store):
-
-    1. read -> extract (actor pool) -> ``materialize()``  — the one
-       checkpoint, shared by both downstream consumers (without it Ray
-       Data would re-execute extraction per consumer);
-    2. skinny push: ``select_columns(conv_id, turn_idx, n_chars)`` ->
-       conv-hash-routed into sharded index actors
-       (``state/offset_index.py``) — the hash routing IS the
-       groupby(conv_id) partition step, ~2% of the bytes;
-    3. ``finalize_index``: per-conversation sort(turn_idx) + prefix sum
-       inside each shard (vectorized, no per-group task overhead);
-    4. fat blocks -> ``map_batches(AnnotateOffsets)`` -> ``write_parquet``
-       — annotation is an in-place lookup, no exchange.
-
-    vs the fat ``groupby``: the all-to-all moves ~24 B/turn instead of
-    ~1.7 KB/turn, and the non-extract share shrinks, which is what the
-    N->4N scaling efficiency target needs. Returns a summary dict.
+    ``compute_offsets_table`` is looked up in ``offset_index`` at call
+    time so that a tracer can rebind it there.
     """
-    import pyarrow as _pa
     import ray
-
-    from ..stages.assembly import TURN_SEPARATOR
-    from ..state.offset_index import (AnnotateOffsets,
-                                      AnnotateOffsetsBroadcast,
-                                      PushTurnSizes, compute_offsets_table,
-                                      create_index, finalize_index)
 
     tune_for_pipeline()
     t0 = time.perf_counter()
-    ds = read_transcripts(input_path)
     extracted = extract_dataset(
-        ds, want_markdown=want_markdown, keep_spans=keep_spans,
-        concurrency=concurrency, batch_size=batch_size).materialize()
+        read_transcripts(input_path), want_markdown=want_markdown,
+        keep_spans=keep_spans, batch_size=batch_size).materialize()
     rows = extracted.count()
     errors = extracted.select_columns(["status"]).map_batches(
         lambda b: pa.table({"e": pa.array(
@@ -233,41 +189,48 @@ def run_flagship_job(input_path: str, out_dir: str, *,
         batch_format="pyarrow").sum("e")
     t_extract = time.perf_counter() - t0
 
-    # Offsets phase: below the threshold the skinny table fits the driver
-    # comfortably — compute the segmented prefix sum locally and broadcast
-    # the lookup (one ray.put, no RPCs). Above it, hash-sharded index
-    # actors hold the map across the cluster (the 10^9+-turn path).
     t1 = time.perf_counter()
     skinny = extracted.select_columns(["conv_id", "turn_idx", "n_chars"])
-    if rows <= broadcast_threshold_rows:
-        skinny_tbl = _pa.concat_tables(
-            ray.get(skinny.to_arrow_refs()), promote_options="default")
-        lookup = compute_offsets_table(skinny_tbl, len(TURN_SEPARATOR))
-        annotate = AnnotateOffsetsBroadcast(ray.put(lookup))
-    else:
-        total_cpus = int(ray.cluster_resources().get("CPU", 8))
-        shards = create_index(min(16, max(2, total_cpus // 2)),
-                              len(TURN_SEPARATOR))
-        skinny.map_batches(PushTurnSizes(shards), batch_format="pyarrow",
-                           batch_size=16384).sum("pushed")
-        finalize_index(shards)
-        annotate = AnnotateOffsets(shards)
+    skinny_tbl = pa.concat_tables(ray.get(skinny.to_arrow_refs()),
+                                  promote_options="default")
+    lookup = offset_index.compute_offsets_table(skinny_tbl,
+                                                len(TURN_SEPARATOR))
+    annotate = offset_index.AnnotateOffsetsBroadcast(ray.put(lookup))
     t_offsets = time.perf_counter() - t1
 
+    annotated = extracted.map_batches(annotate, batch_format="pyarrow",
+                                      batch_size=4096)
+    return annotated, {"rows": rows, "errors": errors,
+                       "sec_extract": round(t_extract, 3),
+                       "sec_offsets": round(t_offsets, 3)}
+
+
+def run_flagship(input_path: str, *, want_markdown: bool = True,
+                 keep_spans: bool = True,
+                 batch_size: int = DEFAULT_BATCH_SIZE):
+    """Annotated per-turn Dataset sorted by ``(conv_id, turn_idx)``.
+    Extraction and offsets run now; the annotate and sort steps stay lazy
+    (consume with write_parquet/iter_batches)."""
+    annotated, _ = _flagship_plan(input_path, want_markdown, keep_spans,
+                                  batch_size)
+    return annotated.sort(["conv_id", "turn_idx"])
+
+
+def run_flagship_job(input_path: str, out_dir: str, *,
+                     want_markdown: bool = True, keep_spans: bool = True,
+                     batch_size: int = DEFAULT_BATCH_SIZE) -> dict:
+    """Production flagship: the annotated rows of ``run_flagship``, written
+    to ``out_dir`` as parquet in block order. Returns a summary dict with
+    the row and error counts and the seconds of each phase."""
+    t0 = time.perf_counter()
+    annotated, phases = _flagship_plan(input_path, want_markdown,
+                                       keep_spans, batch_size)
     t2 = time.perf_counter()
-    final = extracted.map_batches(annotate, batch_format="pyarrow",
-                                  batch_size=4096)
-    final.write_parquet(out_dir)
+    annotated.write_parquet(out_dir)
     t_write = time.perf_counter() - t2
-    return {
-        "rows": rows,
-        "errors": errors,
-        "out_dir": out_dir,
-        "sec_extract": round(t_extract, 3),
-        "sec_offsets": round(t_offsets, 3),
-        "sec_annotate_write": round(t_write, 3),
-        "sec_total": round(time.perf_counter() - t0, 3),
-    }
+    return {**phases, "out_dir": out_dir,
+            "sec_annotate_write": round(t_write, 3),
+            "sec_total": round(time.perf_counter() - t0, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +277,6 @@ def run_extraction_partitioned(input_path: str, out_dir: str, *,
                                num_shards: int = 8,
                                want_markdown: bool = True,
                                keep_spans: bool = True,
-                               concurrency: int | tuple[int, int] | None = None,
                                batch_size: int = DEFAULT_BATCH_SIZE) -> dict:
     """Resumable extract phase: per-shard parquet + manifest; skip complete
     shards on rerun. Returns summary with per-shard stats."""
@@ -337,8 +299,7 @@ def run_extraction_partitioned(input_path: str, out_dir: str, *,
 
             ds = ds.map_batches(_filter, batch_format="pyarrow")
         ds = extract_dataset(ds, want_markdown=want_markdown,
-                             keep_spans=keep_spans, concurrency=concurrency,
-                             batch_size=batch_size)
+                             keep_spans=keep_spans, batch_size=batch_size)
         ds = ds.map_batches(_add_row_hash, batch_format="pyarrow")
         part_path = os.path.join(out_dir, f"part_id={pid}")
         # stale partial output from a crashed/invalidated run must not leak

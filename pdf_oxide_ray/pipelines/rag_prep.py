@@ -15,7 +15,8 @@ Design (Ray-Data-first, 100 TB notes):
 
 * ONE streamed pass chunks + carries text (chunking is doc-local;
   chunk_id = doc_id·2^16 + chunk_idx keeps ids stable under any
-  partitioning — docs with ≥ 2^16 chunks are rejected loudly);
+  partitioning — docs with ≥ 2^16 chunks, and doc_ids outside
+  [0, 2^47), are rejected loudly);
 * the embedder is a CALLABLE CLASS on an actor pool (setup once per
   actor, the stateful-stage doctrine) emitting fixed-width
   list<float> vectors;
@@ -40,6 +41,7 @@ import numpy as np
 import pandas as pd
 
 _CHUNK_ID_BITS = 16
+_DOC_ID_LIMIT = 1 << (63 - _CHUNK_ID_BITS)  # chunk_id must fit int64
 
 
 def build_rag_index(docs_path: str, out_dir: str, *,
@@ -51,7 +53,7 @@ def build_rag_index(docs_path: str, out_dir: str, *,
     import ray.data as rd
 
     from ..functions.similarity import HashingEmbedder
-    from .ann_index import build_ivf_index
+    from .ann_index import _strip_pandas_meta, build_ivf_index
 
     man_path = os.path.join(out_dir, "_rag_manifest.json")
     if os.path.exists(man_path):
@@ -65,8 +67,15 @@ def build_rag_index(docs_path: str, out_dir: str, *,
     ds = rd.read_parquet(docs_path, columns=["doc_id", "text"])
 
     def chunk(b: pd.DataFrame) -> pd.DataFrame:
+        doc_ids = b["doc_id"].to_numpy(np.int64)
+        bad = (doc_ids < 0) | (doc_ids >= _DOC_ID_LIMIT)
+        if bad.any():
+            raise ValueError(
+                f"doc_id {doc_ids[bad][0]} outside [0, 2^"
+                f"{63 - _CHUNK_ID_BITS}): chunk_id = doc_id << "
+                f"{_CHUNK_ID_BITS} would overflow int64")
         ids, cidx, texts = [], [], []
-        for doc_id, text in zip(b["doc_id"].to_numpy(np.int64),
+        for doc_id, text in zip(doc_ids,
                                 b["text"].fillna("").to_numpy(object)):
             toks = text.split()
             if not toks:
@@ -115,7 +124,8 @@ def build_rag_index(docs_path: str, out_dir: str, *,
                                             "text_col": "text"},
                      concurrency=concurrency,
                      batch_format="pandas", batch_size=256) \
-        .map_batches(relabel, batch_format="pandas")
+        .map_batches(relabel, batch_format="pandas") \
+        .map_batches(_strip_pandas_meta, batch_format="pyarrow")
     emb_path = os.path.join(out_dir, "chunk_embeddings")
     emb.write_parquet(emb_path)
 

@@ -1397,8 +1397,8 @@ def q_pack_blocks(sf_dir: str) -> pd.DataFrame:
     broadcast back, and each range's docs colocate once
     (groupby(range).map_groups) for the in-range sort + cumsum. Two
     skinny shuffles, no global sort, driver state = O(#ranges). The
-    reference flagship's offsets exchange (stages/assembly.py) is this
-    same shape keyed by conversation."""
+    flagship's conversation offsets (state/offset_index.py) are the same
+    prefix sum keyed by conversation, computed on the driver."""
     import ray
 
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])

@@ -16,9 +16,9 @@ Design (Ray-Data-first, mirrors ``sources/pdf_files.py``):
   job is the wrong failure mode.
 * Field mapping: ``text`` (required; missing -> error row), ``lang``
   / ``source`` (optional, default ``''``), ``doc_id`` (optional
-  int; when absent, a STABLE 63-bit id derives from
-  blake2b(source, '\\x1f', text) so reruns and re-partitions assign
-  identical ids — no counter crosses blocks).
+  int64; a bool or an int outside int64 -> error row; when absent, a
+  STABLE 63-bit id derives from blake2b(source, '\\x1f', text) so reruns
+  and re-partitions assign identical ids — no counter crosses blocks).
 * ``ingest_jsonl_dir`` writes the standard documents parquet layout
   (sharded ``write_parquet``, resumable like every sink here).
 
@@ -54,9 +54,12 @@ def _parse_lines(batch: pd.DataFrame) -> pd.DataFrame:
                 raise ValueError("missing/non-string 'text' field")
             lang = str(obj.get("lang") or "")
             source = str(obj.get("source") or "")
-            if isinstance(obj.get("doc_id"), int):
-                doc_id = int(obj["doc_id"])
-            else:
+            doc_id = obj.get("doc_id")
+            if isinstance(doc_id, bool) or (
+                    isinstance(doc_id, int)
+                    and not -(1 << 63) <= doc_id < (1 << 63)):
+                raise ValueError(f"'doc_id' {doc_id!r} is not an int64")
+            if not isinstance(doc_id, int):
                 h = hashlib.blake2b(
                     (source + "\x1f" + text).encode("utf-8"),
                     digest_size=8).digest()

@@ -1,196 +1,11 @@
-"""Conversation assembly: the only required shuffle (SURVEY.md §2.7).
+"""Conversation assembly constant.
 
-Restores stable ``(conv_id, turn_idx)`` ordering after the embarrassingly
-parallel extract stage and computes per-turn character offsets into the
-concatenated conversation text — the distributed analogue of the reference's
-multi-page concat in page order (``to_markdown_all`` / ``to_plain_text_all``,
-``/root/reference/src/document.rs:2317-2333,2366-2382``).
-
-Shuffle plan: ``groupby("conv_id")`` hash-partitions by conversation (the
-ONE partitioning key reused across stages); within each group an Arrow-level
-sort by ``turn_idx`` restores order — no global sort. Skew note: extraction
-is per-turn so hot conversations cost nothing there; in assembly a group is
-one conversation (bounded by turns-per-conv, not corpus size). For
-pathological conversations (millions of turns) the group fits because only
-(turn_idx, n_chars)-sized state is needed to compute offsets — text stays in
-the rows. TURN_SEPARATOR joins turns when a caller materializes full
-conversation text.
+A conversation's text is its turns' ``extracted_text`` in ``turn_idx``
+order joined by ``TURN_SEPARATOR`` — the distributed analogue of the
+reference's multi-page concat in page order (``to_markdown_all`` /
+``to_plain_text_all``, ``src/document.rs:2317-2333,2366-2382``). Each
+flagship row carries ``turn_offset``, its text's character offset in that
+joined text, and ``conv_turns`` (``state/offset_index.py``).
 """
 
-from __future__ import annotations
-
-import numpy as np
-import pandas as pd
-import pyarrow as pa
-
 TURN_SEPARATOR = "\n\n"
-
-
-def assemble_conversation(group: pa.Table) -> pa.Table:
-    """Per-group (one conversation): sort by turn_idx, compute offsets.
-
-    Stays in Arrow end-to-end — the wide ``spans`` list<struct> column does
-    not survive a pandas round-trip (object-dtype ndarrays), and zero-copy
-    Arrow sort is cheaper anyway.
-
-    Adds ``turn_offset`` (char offset of this turn's text within the
-    ``TURN_SEPARATOR``-joined conversation text) and ``conv_turns``.
-    """
-    group = group.sort_by("turn_idx")
-    n_chars = group.column("n_chars").to_numpy().astype(np.int64)
-    sep = len(TURN_SEPARATOR)
-    ends = np.cumsum(n_chars + sep)
-    offsets = np.concatenate(([0], ends[:-1]))
-    group = group.append_column("turn_offset", pa.array(offsets, pa.int64()))
-    return group.append_column(
-        "conv_turns",
-        pa.array(np.full(len(n_chars), len(n_chars), dtype=np.int32)))
-
-
-def assemble(ds, batch_format: str = "pyarrow"):
-    """``extracted`` Dataset -> per-turn rows in stable conversation order."""
-    return ds.groupby("conv_id").map_groups(
-        assemble_conversation, batch_format=batch_format)
-
-
-def compute_offsets_skinny(group: pa.Table) -> pa.Table:
-    """Per-conversation offsets from SKINNY columns only (conv_id,
-    turn_idx, n_chars) — the cheap half of assembly used by the phased
-    production job (see ``state/offset_index.py``). Same offset math as
-    ``assemble_conversation``."""
-    group = group.sort_by("turn_idx")
-    n_chars = group.column("n_chars").to_numpy().astype(np.int64)
-    sep = len(TURN_SEPARATOR)
-    ends = np.cumsum(n_chars + sep)
-    offsets = np.concatenate(([0], ends[:-1]))
-    return pa.table({
-        "conv_id": group.column("conv_id"),
-        "turn_idx": group.column("turn_idx"),
-        "turn_offset": pa.array(offsets, pa.int64()),
-        "conv_turns": pa.array(
-            np.full(len(n_chars), len(n_chars), dtype=np.int32)),
-    })
-
-
-# ---------------------------------------------------------------------------
-# salted assembly for skewed conversations (north rule: "explicit salting
-# of skewed conversations")
-# ---------------------------------------------------------------------------
-
-def assemble_salted(extracted_ds, hot_turns_threshold: int = 1000,
-                    salt_span: int | None = None):
-    """Two-stage assembly that splits HOT conversations across the shuffle.
-
-    A conversation with millions of turns would land whole in one
-    ``groupby(conv_id)`` group — one straggler task and one giant block.
-    Salting splits it: group by ``(conv_id, salt)`` where
-    ``salt = turn_idx // salt_span`` for hot conversations (0 otherwise),
-    compute within-salt offsets + per-salt totals, then rebase each salt
-    group by the prefix sum of the preceding salts' totals (a tiny
-    driver-side table — one row per (conv, salt), broadcast back).
-
-    Requires a MATERIALIZED input (it is consumed twice: a skinny count
-    pass and the salted shuffle); ``run_flagship_job`` is the production
-    path — this is the salting strategy for the pure-Dataset pipeline.
-
-    Driver footprint: only the HOT conversations (count >= threshold,
-    bounded by corpus_turns/threshold) ever reach the driver — the count
-    aggregate is filtered distributed-side first, and cold conversations
-    (exactly one salt group) compute base=0 / conv_turns locally.
-    """
-    import ray
-
-    # pass 0 (skinny): distributed per-conv counts, filter to the hot set
-    # BEFORE anything is pulled to the driver (one row per hot conv only)
-    hot_counts = extracted_ds.select_columns(["conv_id"]) \
-        .groupby("conv_id").count() \
-        .map_batches(lambda b: b[b["count()"] >= hot_turns_threshold],
-                     batch_format="pandas").to_pandas()
-    hot = frozenset(hot_counts["conv_id"])
-    span = salt_span or max(hot_turns_threshold // 4, 1)
-    hot_ref = ray.put(hot)
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        from .joins import _get_broadcast
-
-        hot_set = _get_broadcast(hot_ref)
-        conv = batch.column("conv_id").to_pylist()
-        tidx = batch.column("turn_idx").to_numpy()
-        salt = np.where(
-            np.fromiter((c in hot_set for c in conv), dtype=bool,
-                        count=len(conv)),
-            tidx // span, 0).astype(np.int32)
-        return batch.append_column("salt", pa.array(salt, pa.int32()))
-
-    def per_salt_group(group: pa.Table) -> pa.Table:
-        group = group.sort_by("turn_idx")
-        n_chars = group.column("n_chars").to_numpy().astype(np.int64)
-        sizes = n_chars + len(TURN_SEPARATOR)
-        local = np.concatenate(([0], np.cumsum(sizes[:-1])))
-        group = group.append_column("local_offset",
-                                    pa.array(local, pa.int64()))
-        group = group.append_column(
-            "salt_chars",
-            pa.array(np.full(len(sizes), int(sizes.sum()), dtype=np.int64)))
-        return group.append_column(
-            "salt_turns",
-            pa.array(np.full(len(sizes), len(sizes), dtype=np.int32)))
-
-    salted = extracted_ds.map_batches(add_salt, batch_format="pyarrow") \
-        .groupby(["conv_id", "salt"]) \
-        .map_groups(per_salt_group, batch_format="pyarrow")
-    salted = salted.materialize()
-
-    # rebase table for HOT convs only: (conv, salt) char totals -> exclusive
-    # prefix over salts + per-conv turn totals. Tiny by construction.
-    if hot:
-        totals = salted.select_columns(["conv_id", "salt", "salt_chars",
-                                        "salt_turns"]) \
-            .map_batches(lambda b: b[b["conv_id"].isin(hot)],
-                         batch_format="pandas") \
-            .groupby(["conv_id", "salt"]) \
-            .max(["salt_chars", "salt_turns"]).to_pandas() \
-            .sort_values(["conv_id", "salt"], kind="mergesort")
-        totals["base"] = (totals.groupby("conv_id")["max(salt_chars)"]
-                          .cumsum() - totals["max(salt_chars)"])
-        turns_tot = totals.groupby("conv_id")["max(salt_turns)"].sum()
-        base_map = {(c, s): int(b) for c, s, b in
-                    zip(totals["conv_id"], totals["salt"], totals["base"])}
-        turns_map = {c: int(t) for c, t in turns_tot.items()}
-    else:
-        base_map, turns_map = {}, {}
-    maps_ref = ray.put((base_map, turns_map))
-
-    def rebase(batch: pa.Table) -> pa.Table:
-        from .joins import _get_broadcast
-
-        bases, turns_tot_map = _get_broadcast(maps_ref)
-        conv = batch.column("conv_id").to_pylist()
-        salt = batch.column("salt").to_pylist()
-        local = batch.column("local_offset").to_numpy()
-        salt_turns = batch.column("salt_turns").to_numpy()
-        # cold convs: single salt group -> base 0, conv_turns = salt_turns
-        offs = np.fromiter(
-            (bases.get((c, s), 0) for c, s in zip(conv, salt)),
-            dtype=np.int64, count=len(conv)) + local
-        cturns = np.fromiter(
-            (turns_tot_map.get(c, int(st))
-             for c, st in zip(conv, salt_turns)),
-            dtype=np.int32, count=len(conv))
-        batch = batch.append_column("turn_offset", pa.array(offs, pa.int64()))
-        batch = batch.append_column("conv_turns", pa.array(cturns, pa.int32()))
-        return batch.drop_columns(["salt", "local_offset", "salt_chars",
-                                   "salt_turns"])
-
-    return salted.map_batches(rebase, batch_format="pyarrow")
-
-
-def conversation_text(group: pd.DataFrame) -> pd.DataFrame:
-    """Optional rollup: one row per conversation with the joined text
-    (used by tests / small exports, not the 100 TB path)."""
-    group = group.sort_values("turn_idx", kind="mergesort")
-    return pd.DataFrame({
-        "conv_id": [group["conv_id"].iloc[0]],
-        "n_turns": [len(group)],
-        "conversation_text": [TURN_SEPARATOR.join(group["extracted_text"])],
-    })

@@ -1,5 +1,5 @@
-"""Ray Data extraction stage: the reference's per-document body as an
-actor-pool ``map_batches`` over zero-copy Arrow batches.
+"""Ray Data extraction stage: the reference's per-document body as a
+task-based ``map_batches`` over zero-copy Arrow batches.
 
 Reference parity: this stage computes, per row, exactly what
 ``PdfDocument::open`` + ``extract_text``/``to_markdown`` compute per file in
@@ -9,9 +9,9 @@ files becomes the Dataset, the per-file body becomes ``__call__``.
 
 Design (SURVEY.md §4):
 
-* callable CLASS -> actor pool: static encoding tables / compiled regexes /
-  the AGL subset are imported once per worker (module import in
-  ``__init__``), mirroring the reference's per-document caches promoted to
+* callable instance on Ray's task workers: static encoding tables /
+  compiled regexes / the AGL subset are imported once per worker process
+  (module import), mirroring the reference's per-document caches promoted to
   per-worker warm state (``document.rs:50``, ``text.rs:446-458``);
 * ``batch_format="pyarrow"``: zero-copy in; output built via
   ``pa.Table.from_arrays`` (no pandas round-trip for the wide ``spans``
@@ -62,10 +62,10 @@ EXTRACTED_FIELDS = [
 
 
 class ExtractTurns:
-    """Actor-pool stage: transcripts batch -> extracted batch.
+    """Extract stage: transcripts batch -> extracted batch.
 
-    Use as ``ds.map_batches(ExtractTurns, batch_format="pyarrow",
-    concurrency=N, batch_size=B, fn_constructor_kwargs={...})``.
+    Use as ``ds.map_batches(ExtractTurns(...), batch_format="pyarrow",
+    batch_size=B, num_cpus=1)`` (``pipelines.flagship.extract_dataset``).
     """
 
     def __init__(self, want_markdown: bool = True, keep_text: bool = False,

@@ -1,172 +1,31 @@
-"""Sharded conversation-offset index: the shared-state piece the Dataset
-API can't express (SURVEY.md §4 actor-pool guidance; raw actors are used
-ONLY here, for a distributed lookup table).
+"""Conversation offsets: every flagship row gets ``turn_offset``, its
+text's character offset in the ``TURN_SEPARATOR``-joined conversation text,
+and ``conv_turns``.
 
-Why it exists: conversation assembly needs every fat row annotated with
-``(turn_offset, conv_turns)``. A ``groupby(conv_id)`` of the fat rows
-moves ALL extracted bytes (text+markdown+spans, ~95% of the data) through
-an all-to-all exchange. But the offsets are computable from the SKINNY
-columns alone (conv_id, turn_idx, n_chars): shuffle those (~2% of bytes),
-park the result in hash-sharded index actors, and annotate the fat rows
-in place with a per-batch lookup. Fat bytes never cross an exchange.
+The offsets need only the skinny columns ``(conv_id, turn_idx, n_chars)``,
+~24 B/turn, so the driver gathers them, sorts by ``(conv_id, turn_idx)``
+and takes one segmented prefix sum (``compute_offsets_table``). The lookup
+goes back to the workers as one ``ray.put``, and
+``AnnotateOffsetsBroadcast`` annotates the fat rows in place: the extracted
+text, markdown and spans never cross an exchange. A hot conversation costs
+its turn count, not its payload bytes.
 
-Scale notes (100 TB): index size is O(total turns) — ~24 B/turn sharded
-across the cluster (10^10 turns ≈ 240 GB cluster-wide; beyond that, swap
-the in-memory dict for the parquet-backed offsets table + a hash join of
-fat x skinny, which shuffles the fat side once). Skew: a hot conversation
-lands whole on one shard but costs only its turn count in entries, not
-its payload bytes.
+The driver's time and memory bound the corpus this serves; the measured
+cost and what lies beyond it are in SCALE.md.
 """
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 import pyarrow as pa
 import ray
 
 
-def _shard_of(conv_id: str, n_shards: int) -> int:
-    return zlib.crc32(conv_id.encode()) % n_shards
-
-
-@ray.remote(num_cpus=0)
-class OffsetShard:
-    """One shard of the (conv_id, turn_idx) -> (turn_offset, conv_turns)
-    map. num_cpus=0: lookup actors are I/O-ish and must not steal pool
-    slots from the extract/write stages.
-
-    The shard IS the groupby: conv-hash routing co-locates a conversation's
-    turns here (hash partition), and ``finalize`` sorts each conversation
-    by ``turn_idx`` and prefix-sums ``n_chars + sep`` — the reference's
-    page-order concat (document.rs:2317-2333) as a segmented cumsum."""
-
-    def __init__(self, sep_len: int) -> None:
-        self._sep = sep_len
-        # accumulation state: conv -> ([turn_idx...], [n_chars...])
-        self._acc: dict[str, tuple[list[int], list[int]]] = {}
-        # finalized: conv -> (dict turn_idx -> offset, n_turns)
-        self._off: dict[str, tuple[dict[int, int], int]] = {}
-
-    def put_turns(self, conv_ids: list[str], turn_idxs: list[int],
-                  n_chars: list[int]) -> int:
-        acc = self._acc
-        for c, t, n in zip(conv_ids, turn_idxs, n_chars):
-            entry = acc.get(c)
-            if entry is None:
-                acc[c] = ([t], [n])
-            else:
-                entry[0].append(t)
-                entry[1].append(n)
-        return len(conv_ids)
-
-    def finalize(self) -> int:
-        """Per-conv sort(turn_idx) + prefix sum. Returns conv count."""
-        sep = self._sep
-        off = self._off
-        for conv, (tidx, nch) in self._acc.items():
-            order = np.argsort(np.asarray(tidx, dtype=np.int64),
-                               kind="stable")
-            sizes = np.asarray(nch, dtype=np.int64)[order] + sep
-            starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-            ti = np.asarray(tidx, dtype=np.int64)[order]
-            off[conv] = (dict(zip(ti.tolist(), starts.tolist())), len(ti))
-        self._acc.clear()
-        return len(off)
-
-    def get(self, conv_ids: list[str],
-            turn_idxs: list[int]) -> tuple[list[int], list[int]]:
-        off = self._off
-        empty: tuple[dict, int] = ({}, 0)
-        offsets = []
-        turns = []
-        for c, t in zip(conv_ids, turn_idxs):
-            m, n = off.get(c, empty)
-            offsets.append(m.get(t, -1))
-            turns.append(n)
-        return offsets, turns
-
-    def stats(self) -> dict:
-        return {"convs": len(self._off)}
-
-
-def create_index(n_shards: int, sep_len: int) -> list:
-    return [OffsetShard.remote(sep_len) for _ in range(n_shards)]
-
-
-def finalize_index(shards: list) -> int:
-    """Barrier: all shards sort+prefix-sum their conversations."""
-    return sum(ray.get([s.finalize.remote() for s in shards]))
-
-
-class PushTurnSizes:
-    """map_batches task fn: route each (conv_id, turn_idx, n_chars) row to
-    its conv shard and block until the shard ack's (the phase's sum() is
-    then a barrier). This replaces a Dataset groupby: the hash routing is
-    the partition step; the shard's finalize is the per-group sort."""
-
-    def __init__(self, shards: list):
-        self.shards = shards
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = len(self.shards)
-        conv = batch.column("conv_id").to_pylist()
-        tidx = batch.column("turn_idx").to_pylist()
-        nch = batch.column("n_chars").to_pylist()
-        by_shard: dict[int, list[int]] = {}
-        for i, c in enumerate(conv):
-            by_shard.setdefault(_shard_of(c, n), []).append(i)
-        refs = []
-        for sid, rows in by_shard.items():
-            refs.append(self.shards[sid].put_turns.remote(
-                [conv[i] for i in rows], [tidx[i] for i in rows],
-                [nch[i] for i in rows]))
-        pushed = sum(ray.get(refs)) if refs else 0
-        return pa.table({"pushed": pa.array([pushed], pa.int64())})
-
-
-class AnnotateOffsets:
-    """map_batches task fn: attach (turn_offset, conv_turns) to fat rows by
-    querying the conv-hash shards present in this batch (one RPC per shard
-    per batch)."""
-
-    def __init__(self, shards: list):
-        self.shards = shards
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = len(self.shards)
-        conv = batch.column("conv_id").to_pylist()
-        tidx = batch.column("turn_idx").to_pylist()
-        by_shard: dict[int, list[int]] = {}
-        for i, c in enumerate(conv):
-            by_shard.setdefault(_shard_of(c, n), []).append(i)
-        offsets = np.empty(len(conv), dtype=np.int64)
-        conv_turns = np.empty(len(conv), dtype=np.int32)
-        refs = {sid: self.shards[sid].get.remote(
-                    [conv[i] for i in rows], [tidx[i] for i in rows])
-                for sid, rows in by_shard.items()}
-        for sid, rows in by_shard.items():
-            offs, turns = ray.get(refs[sid])
-            offsets[rows] = offs
-            conv_turns[rows] = turns
-        batch = batch.append_column("turn_offset",
-                                    pa.array(offsets, pa.int64()))
-        return batch.append_column("conv_turns",
-                                   pa.array(conv_turns, pa.int32()))
-
-
-# ---------------------------------------------------------------------------
-# broadcast variant: small-corpus fast path (no RPCs)
-# ---------------------------------------------------------------------------
-
-
 def _row_keys(conv, tidx) -> np.ndarray:
     """Vectorized 64-bit (conv_id, turn_idx) key: pandas' SipHash-based
     string hash (fixed default key -> identical across processes) mixed
-    with the turn index. Collision bound: n^2 / 2^64 pairs — ~1e-9 at the
-    5M-row broadcast threshold; above it the sharded index (exact keys)
-    is used instead."""
+    with the turn index. Collision bound: n^2 / 2^64 pairs — ~1e-6 at 5M
+    turns."""
     import pandas as pd
 
     conv_h = pd.util.hash_array(np.asarray(conv, dtype=object))
@@ -205,8 +64,8 @@ def compute_offsets_table(skinny: pa.Table, sep_len: int) -> dict:
 
 
 class AnnotateOffsetsBroadcast:
-    """map_batches task fn: the broadcast twin of AnnotateOffsets. The
-    numpy lookup arrays ride a ``ray.put`` ObjectRef — zero-copy plasma
+    """map_batches task fn: attach (turn_offset, conv_turns) to fat rows.
+    The numpy lookup arrays ride a ``ray.put`` ObjectRef — zero-copy plasma
     read per worker; per-batch lookup is a vectorized searchsorted."""
 
     def __init__(self, lookup_ref):
@@ -219,15 +78,6 @@ class AnnotateOffsetsBroadcast:
         lk = self._lookup
         conv = np.asarray(batch.column("conv_id").to_pandas())
         tidx = batch.column("turn_idx").to_numpy()
-        if len(lk["keys"]) == 0:
-            # an all-filtered shard yields an empty lookup table: emit the
-            # not-found sentinels for the whole batch instead of indexing
-            # an empty array with pos - 1 == -1
-            n = len(batch)
-            batch = batch.append_column(
-                "turn_offset", pa.array(np.full(n, -1, np.int64)))
-            return batch.append_column(
-                "conv_turns", pa.array(np.zeros(n, np.int32)))
         keys = _row_keys(conv, tidx)
         pos = np.searchsorted(lk["keys"], keys)
         pos = np.minimum(pos, len(lk["keys"]) - 1)

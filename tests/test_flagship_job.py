@@ -1,48 +1,41 @@
-"""Phased production job (run_flagship_job): parity with the lazy
-groupby pipeline and with the golden oracle, for BOTH offsets paths
-(driver-broadcast and sharded index actors)."""
+"""Production flagship job (run_flagship_job): golden text parity,
+offsets against an independent prefix sum, error accounting, and the
+incremental ingest job."""
 
 import shutil
 
 import pyarrow.dataset as pads
-import pytest
+import pyarrow.parquet as pq
 
-from pdf_oxide_ray.gen.cache import transcripts_path
-from pdf_oxide_ray.pipelines.flagship import run_flagship, run_flagship_job
-
-CMP_COLS = ["conv_id", "turn_idx", "extracted_text", "markdown", "n_chars",
-            "turn_offset", "conv_turns", "status"]
+from pdf_oxide_ray.gen.cache import golden_path, transcripts_path
+from pdf_oxide_ray.pipelines.flagship import run_flagship_job
+from pdf_oxide_ray.stages.assembly import TURN_SEPARATOR
 
 
 def _normalize(df):
     return df.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
 
 
-@pytest.fixture(scope="module")
-def lazy_result(ray_session):
-    path = transcripts_path("sf0.001", with_golden=False)
-    return _normalize(run_flagship(path).to_pandas())
-
-
-@pytest.mark.parametrize("threshold,label", [
-    (5_000_000, "broadcast"),
-    (0, "index_actors"),
-])
-def test_job_matches_lazy_pipeline(ray_session, tmp_path, lazy_result,
-                                   threshold, label):
-    path = transcripts_path("sf0.001", with_golden=False)
-    out = str(tmp_path / f"job_{label}")
+def test_job_matches_golden_and_prefix_sum(ray_session, tmp_path):
+    path = transcripts_path("sf0.001", with_golden=True)
+    out = str(tmp_path / "job")
     shutil.rmtree(out, ignore_errors=True)
-    summary = run_flagship_job(path, out,
-                               broadcast_threshold_rows=threshold)
-    assert summary["rows"] == len(lazy_result)
+    summary = run_flagship_job(path, out)
     job = _normalize(pads.dataset(out).to_table().to_pandas())
-    assert len(job) == len(lazy_result)
-    for col in CMP_COLS:
-        assert (job[col] == lazy_result[col]).all(), f"{label}: {col}"
-    # every row annotated (no -1 leftovers from a missed lookup)
-    assert (job["turn_offset"] >= 0).all()
-    assert (job["conv_turns"] > 0).all()
+    golden = _normalize(pq.read_table(golden_path("sf0.001")).to_pandas())
+    assert summary["rows"] == len(job) == len(golden)
+    assert summary["errors"] == 0
+    for col in ("conv_id", "turn_idx", "extracted_text", "markdown"):
+        assert (job[col] == golden[col]).all(), col
+    assert (job["status"] == "ok").all()
+    assert (job["n_chars"] == job["extracted_text"].str.len()).all()
+
+    # offsets: per-conversation exclusive prefix sum of n_chars + separator
+    sizes = job["n_chars"] + len(TURN_SEPARATOR)
+    want_offset = sizes.groupby(job["conv_id"]).cumsum() - sizes
+    want_turns = job.groupby("conv_id")["turn_idx"].transform("size")
+    assert (job["turn_offset"] == want_offset).all()
+    assert (job["conv_turns"] == want_turns).all()
 
 
 def test_job_counts_poison_rows_without_failing(ray_session, tmp_path):

@@ -88,3 +88,17 @@ def test_cli_ingest_jsonl(tmp_path):
     assert r.returncode == 0, r.stderr[-2000:]
     summary = json.loads(r.stdout.strip().splitlines()[-1])
     assert summary["rows"] == 3 and summary["errors"] == 1
+
+
+def test_out_of_range_and_bool_ids_become_error_rows():
+    """An id outside int64 or a JSON bool is one error row; the other
+    rows of the batch survive."""
+    from pdf_oxide_ray.sources.jsonl_docs import _parse_lines
+
+    lines = [json.dumps({"text": "too wide", "doc_id": 2 ** 70}),
+             json.dumps({"text": "a bool", "doc_id": True}),
+             json.dumps({"text": "valid", "doc_id": 5})]
+    out = _parse_lines(pd.DataFrame({"text": lines}))
+    assert out["status"].tolist() == ["error", "error", "ok"]
+    assert out["doc_id"].tolist() == [-1, -1, 5]
+    assert out["error"].iloc[0] and out["error"].iloc[1]

@@ -19,7 +19,7 @@ def corpus(ray_session):
 def test_flagship_parity_and_ordering(ray_session, corpus):
     from pdf_oxide_ray.pipelines.flagship import run_flagship
 
-    out = run_flagship(corpus, concurrency=2).to_pandas()
+    out = run_flagship(corpus).to_pandas()
     golden = pq.read_table(golden_path("sf0.001")).to_pandas()
     assert len(out) == len(golden)
     assert (out["status"] == "ok").all()
@@ -47,7 +47,7 @@ def test_flagship_parity_and_ordering(ray_session, corpus):
 def test_spans_parity(ray_session, corpus):
     from pdf_oxide_ray.pipelines.flagship import extract_dataset, read_transcripts
 
-    out = extract_dataset(read_transcripts(corpus), concurrency=2).to_pandas()
+    out = extract_dataset(read_transcripts(corpus)).to_pandas()
     golden = pq.read_table(golden_path("sf0.001")).to_pandas()
     gmap = {(r.conv_id, r.turn_idx): r.spans for r in golden.itertuples()}
     checked = 0
@@ -66,7 +66,7 @@ def test_partitioned_extraction_resume(ray_session, corpus, tmp_path):
 
     out_dir = str(tmp_path / "extracted")
     s1 = run_extraction_partitioned(corpus, out_dir, num_shards=4,
-                                    concurrency=2, keep_spans=False)
+                                    keep_spans=False)
     assert s1["skipped"] == 0
     assert s1["rows"] == 888
     manifests = read_manifests(out_dir)
@@ -76,7 +76,7 @@ def test_partitioned_extraction_resume(ray_session, corpus, tmp_path):
 
     # rerun skips everything
     s2 = run_extraction_partitioned(corpus, out_dir, num_shards=4,
-                                    concurrency=2, keep_spans=False)
+                                    keep_spans=False)
     assert s2["skipped"] == 4
     assert s2["rows"] == 0
 
@@ -84,7 +84,7 @@ def test_partitioned_extraction_resume(ray_session, corpus, tmp_path):
     old = json.load(open(os.path.join(out_dir, "part_id=2", "_manifest.json")))
     os.remove(os.path.join(out_dir, "part_id=2", "_manifest.json"))
     s3 = run_extraction_partitioned(corpus, out_dir, num_shards=4,
-                                    concurrency=2, keep_spans=False)
+                                    keep_spans=False)
     assert s3["skipped"] == 3
     new = [m for m in s3["shards"] if m["part_id"] == 2][0]
     assert new["content_hash"] == old["content_hash"]
@@ -112,7 +112,7 @@ def test_poison_rows_do_not_fail_job(ray_session, tmp_path):
         "tool": [""] * 3,
         "ts": pa.array([0, 1, 2], pa.timestamp("us")),
     })
-    out = extract_dataset(rd.from_arrow(bad), concurrency=1).to_pandas()
+    out = extract_dataset(rd.from_arrow(bad)).to_pandas()
     assert len(out) == 3
     assert (out["status"] == "error").sum() <= 1  # garbage pdf may error
     assert (out[out["conv_id"] == "c2"]["status"] == "ok").all()
@@ -141,12 +141,12 @@ def test_jsonl_source_parity(ray_session, corpus, tmp_path):
     assert str(schema.base_schema.field("ts").type) == "timestamp[us]"
 
     cols = ["conv_id", "turn_idx", "extracted_text", "markdown", "n_chars"]
-    got = (extract_dataset(ds, concurrency=2).to_pandas()[cols]
+    got = (extract_dataset(ds).to_pandas()[cols]
            .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
 
     import ray.data as rd
     ref_ds = rd.from_arrow(pq.read_table(corpus).slice(0, 200))
-    want = (extract_dataset(ref_ds, concurrency=2).to_pandas()[cols]
+    want = (extract_dataset(ref_ds).to_pandas()[cols]
             .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(got, want)
 

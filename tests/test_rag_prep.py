@@ -75,3 +75,43 @@ def test_cli_rag_build_and_search(tmp_path):
     assert r2.returncode == 0, r2.stderr[-2000:]
     rows = json.loads(r2.stdout.strip().splitlines()[-1])
     assert rows and rows[0]["score"] == 1.0
+
+
+def _write_docs(path, doc_ids, texts):
+    pd.DataFrame({"doc_id": pd.Series(doc_ids, dtype="int64"),
+                  "text": texts}).to_parquet(path)
+    return str(path)
+
+
+def test_embeddings_written_without_pandas_metadata(ray_session, tmp_path):
+    """A reader in a fresh worker must not need Ray's pandas tensor
+    extension to parse the embeddings file's schema."""
+    import pyarrow.parquet as pq
+
+    docs = _write_docs(tmp_path / "docs.parquet", range(40),
+                       [f"doc {i} " + "word " * (i % 7 + 3)
+                        for i in range(40)])
+    out = str(tmp_path / "rag")
+    build_rag_index(docs, out, n_lists=4)
+    emb_dir = os.path.join(out, "chunk_embeddings")
+    files = [f for f in os.listdir(emb_dir) if f.endswith(".parquet")]
+    assert files
+    for f in files:
+        meta = pq.read_schema(os.path.join(emb_dir, f)).metadata or {}
+        assert b"pandas" not in meta, f
+
+
+def test_derived_63_bit_doc_id_is_rejected(ray_session, tmp_path):
+    """jsonl_docs derives 63-bit doc ids; doc_id << 16 would wrap int64,
+    so chunking must refuse instead of writing negative chunk ids."""
+    from pdf_oxide_ray.sources.jsonl_docs import read_jsonl_docs
+
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps({"text": "a document without an id"}) + "\n")
+    parsed = read_jsonl_docs(str(src)).to_pandas()
+    assert parsed["doc_id"].iloc[0] >= 1 << 47
+    docs = _write_docs(tmp_path / "docs.parquet", parsed["doc_id"],
+                       parsed["text"])
+    # Ray Data re-raises the task's ValueError wrapped; its text survives
+    with pytest.raises(Exception, match=r"ValueError: doc_id \d+ outside"):
+        build_rag_index(docs, str(tmp_path / "rag"))
