@@ -71,34 +71,9 @@ def _flagship_queries() -> dict[str, Callable[[str], Any]]:
             "golden_parity": golden_parity}
 
 
-# The driver certifies exactly the FIRST 50 registry entries per round.
-# Round 1+2 certified the 50 round-1-family queries; round 3 certified
-# the 48 relational/analytic session-2+3 names (48/50 green; the 2
-# non-green were no_oracle rows-only entries, expected). Round 4
-# front-loads the 49 queries with NO driver row through r3: the TPC-H
-# tail shapes, the whole queries_corpus.py diagnostics family, the
-# never-checked rows-only entries (compression_ratio, heading_stats,
-# image_thumbnails, value_quantile_sketch) and the post-r3 additions
-# (hourly_autocorr, daily_trend_test, source_length_ks,
-# daily_changepoint, label_centroid_sim); turn_counts (round-1, oldest
-# green row) tops the list up to 50. After r4 every pre-r4 registry
-# entry has a driver row; the r5 window should front-load the queries
-# ADDED in round 4 (queries_curation.py: mixture_weights,
-# novelty_curve, chunk_plan, hapax_stats, promo_part_suppliers,
-# interarrival_rate, contamination_by_source, dedup_cluster_sizes,
-# template_prefixes, length_quality_grid, token_budget_epochs,
-# dup_canonical, embedding_norm_stats, ivf_recall;
-# queries_curation2.py: split_contamination, rfm_segments,
-# hourly_top_event, heaps_law_curve, lineitem_value_corr,
-# session_overlap_peak — all sweep-verified bit-exact at
-# sf0.001/0.01/0.1) plus any red r4-window rows, topped up with the
-# then-oldest green names (the round-1 family certified in r1/r2).
-# Round-5 active window (swapped in at the r5 session start, per the
-# r4 verdict): the round-4-added names with no driver row through r4.
-# CORRECTNESS_r04 had no red rows (4 expected no_oracle rows-only), so
-# no substitutions were needed.
+# The driver certifies the first 50 entries of queries(), so these
+# names go first.
 _DRIVER_WINDOW_R5 = [
-    # round-4 additions (never in any driver window)
     "mixture_weights", "novelty_curve", "chunk_plan", "hapax_stats",
     "promo_part_suppliers", "interarrival_rate",
     "contamination_by_source", "dedup_cluster_sizes",
@@ -116,51 +91,7 @@ _DRIVER_WINDOW_R5 = [
     "boilerplate_ngrams", "prefix_containment", "good_turing",
     "weighted_median_price",
     "subsample_weights", "char_coverage", "vocab_coverage",
-    "order_backlog",
-    # top-up: oldest (r1-certified) green. Any red CORRECTNESS_r04
-    # rows replace entries from THIS END (top-up first, then the
-    # newest families above — those stay judge-sweep-verified even
-    # without a driver row).
-    "category_stats",
-]
-# Precomputed round-6 rotation (swap for _DRIVER_WINDOW_R5 at the r6
-# session start, if an r6 exists): the 56 queries of rounds 4l-4af
-# (curation11-31) still never driver-certified after the r5 swap, in
-# registry order. All are dual-scale sweep-green
-# (tools/correctness_sweep.py at sf0.01 AND sf0.1). The list exceeds
-# the 50-cap by 6 — take the FIRST 50; any RED rows in
-# CORRECTNESS_r05.json substitute for names from the TAIL of this list
-# (the tail 6 stay judge-sweep-verified either way). The 22 round-5
-# additions (repetition_census, ccnet_buckets, substring_dup_pairs,
-# winnow_threshold_curve, anchor_stride_recall, join_size_estimate,
-# heldout_perplexity, pq_distortion, pq_adc_recall,
-# ngram_coverage_curve, unicode_nfc_census, semantic_decontam,
-# norm_label_auc, welch_ttest, mmr_rerank, winnow_param_grid,
-# rrf_fusion, dedup_lm_ab, session_gap_grid, decontam_lm_ab,
-# quality_lm_ab, jackknife_variance — all dual-scale sweep-green)
-# queue behind these for an r7 window.
-_DRIVER_WINDOW_R6_PRECOMPUTED = [
-    "knn_label_consistency", "embedding_margin", "geo_mean_by_type",
-    "bpe_train_steps", "kcenter_coreset", "exchange_skew_census",
-    "debounce_census", "dup_coverage", "interarrival_percentiles",
-    "split_balance", "user_event_entropy", "decayed_event_popularity",
-    "dedup_method_agreement", "readability_scores",
-    "supplier_reliability", "token_heavy_hitters",
-    "near_dup_split_safety", "dedup_prf", "dup_transitivity_gap",
-    "activity_tier_migration", "user_acquisition_curve",
-    "corpus_datacard", "nation_value_percentiles",
-    "top_decile_share_by_source", "source_fp_overlap",
-    "user_activity_gini", "embedding_pca_evr", "theil_sen_daily_trend",
-    "spearman_qty_price", "fuzzy_decontam_rate", "reorder_survival",
-    "tokens_chars_ols", "source_js_matrix", "candidate_jaccard_hist",
-    "split_embedding_drift", "hubness_census", "shuffle_autocorr",
-    "dp_source_counts", "quality_dup_lift", "value_psi_weekly",
-    "glove_cooc_topk", "dow_seasonality", "lineitem_fanout_hist",
-    "event_markov_stationary", "source_length_wasserstein",
-    "cluster_silhouette", "median_user_value_by_type",
-    "revenue_drawdown", "markov_entropy_rate", "bounce_rate",
-    "negative_sampling_table", "funnel_latency", "casefold_dup_gain",
-    "bow_dup_census", "audience_overlap", "sentence_length_profile",
+    "order_backlog", "category_stats",
 ]
 
 

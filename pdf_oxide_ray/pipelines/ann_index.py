@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -90,15 +91,23 @@ def build_ivf_index(input_path: str, out_dir: str, *,
         .rename(columns={"ivf_list": "list_id"}),
         batch_format="pandas") \
         .map_batches(_strip_pandas_meta, batch_format="pyarrow")
-    assigned.write_parquet(os.path.join(out_dir, "assignments"),
-                           partition_cols=["list_id"])
+    # write to a temp dir and swap it in (the run_extraction_partitioned
+    # recipe): files a crashed earlier build left in assignments/ would
+    # otherwise be counted and read as part of this build
+    adir = os.path.join(out_dir, "assignments")
+    tmp_dir = os.path.join(out_dir, ".assignments.tmp")
+    if os.path.isdir(tmp_dir):
+        shutil.rmtree(tmp_dir)
+    assigned.write_parquet(tmp_dir, partition_cols=["list_id"])
+    if os.path.isdir(adir):
+        shutil.rmtree(adir)
+    os.replace(tmp_dir, adir)
 
     # list sizes from parquet METADATA (no data re-read)
     import pyarrow.dataset as pads
 
     sizes = {}
     n_total = 0
-    adir = os.path.join(out_dir, "assignments")
     for name in sorted(os.listdir(adir)):
         if not name.startswith("list_id="):
             continue

@@ -24,6 +24,7 @@ from ray.data.aggregate import Count, Max, Sum
 from .functions import dedup as fdedup
 from .functions import similarity as fsim
 from .functions import textops as ftext
+from .ops.quantile import disc_pick, disc_rank
 from .stages.joins import _get_broadcast, broadcast_join, bucketed_hash_join
 
 
@@ -1335,8 +1336,7 @@ def q_length_deciles(sf_dir: str) -> pd.DataFrame:
     vals = hist["v"].to_numpy()
     rows = []
     for p in _DECILE_PS:
-        idx = min(max(int(np.ceil(n * np.float64(p))) - 1, 0), n - 1)
-        rows.append((p, int(vals[np.searchsorted(cum, idx + 1)])))
+        rows.append((p, int(disc_pick(vals, cum, disc_rank(n, p)))))
     return pd.DataFrame(rows, columns=["p", "n_chars"]) \
         .astype({"p": "float64", "n_chars": "int64"})
 
@@ -3011,8 +3011,7 @@ def _quality_threshold(ds, p: float) -> float | None:
     n = int(cum[-1]) if len(cum) else 0
     if n == 0:
         return None
-    idx = min(max(int(np.ceil(n * p)) - 1, 0), n - 1)
-    return float(h["q"].to_numpy()[np.searchsorted(cum, idx + 1)])
+    return float(disc_pick(h["q"].to_numpy(), cum, disc_rank(n, p)))
 
 
 def q_quality_filter(sf_dir: str) -> pd.DataFrame:
@@ -3695,6 +3694,18 @@ ORACLE_SQL = {
         SELECT query_id, vec_id, score FROM scored WHERE rn <= {_KNN_K}""",
 }
 
+
+def register(name: str, fn, oracle_sql: str | None = None) -> None:
+    """Add query ``name`` (and its DuckDB twin, if SQL-expressible) to
+    the registry. Every query family calls this on import; a name that
+    is already registered raises instead of silently replacing an
+    (often driver-certified) query."""
+    if name in QUERIES:
+        raise ValueError(f"query {name!r} is already registered")
+    QUERIES[name] = fn
+    if oracle_sql is not None:
+        ORACLE_SQL[name] = oracle_sql
+
 # Probing every IVF list is brute force by construction, so the exhaustive
 # IVF configuration shares the cosine-top-k oracle verbatim.
 ORACLE_SQL["embedding_ivf_exhaustive"] = ORACLE_SQL["embedding_knn"]
@@ -3951,12 +3962,9 @@ ORACLE_SQL["label_centroid_sim"] = """
 # Iterative distributed k-means: Lloyd's rounds unrolled into CTEs
 # (exact by the integer-anchored centroid chain — see _kmeans_cte_chain).
 ORACLE_SQL["kmeans_assign"] = _kmeans_twin_sql()
-QUERIES["semantic_dedup"] = q_semantic_dedup
-ORACLE_SQL["semantic_dedup"] = _semantic_dedup_twin_sql()
-QUERIES["cluster_topics"] = q_cluster_topics
-ORACLE_SQL["cluster_topics"] = _cluster_topics_twin_sql()
-QUERIES["cluster_purity"] = q_cluster_purity
-ORACLE_SQL["cluster_purity"] = _cluster_purity_twin_sql()
+register("semantic_dedup", q_semantic_dedup, _semantic_dedup_twin_sql())
+register("cluster_topics", q_cluster_topics, _cluster_topics_twin_sql())
+register("cluster_purity", q_cluster_purity, _cluster_purity_twin_sql())
 
 # End-to-end curation chain: score -> median filter -> exact dedup ->
 # token count, mirrored stage-for-stage.
@@ -4077,8 +4085,7 @@ def q_ivf_recall(sf_dir: str) -> pd.DataFrame:
         "recall": hit.astype(np.float64) / k.astype(np.float64)})
 
 
-QUERIES["embedding_norm_stats"] = q_embedding_norm_stats
-ORACLE_SQL["embedding_norm_stats"] = """
+register("embedding_norm_stats", q_embedding_norm_stats, """
     WITH m AS (
       SELECT vec_id, label, embedding,
              list_max(list_transform(embedding,
@@ -4100,8 +4107,8 @@ ORACLE_SQL["embedding_norm_stats"] = """
            CAST(SUM(norm2) AS BIGINT) AS sum_norm2,
            CAST(SUM(norm2) AS DOUBLE) / CAST(COUNT(*) AS DOUBLE)
              AS mean_norm2
-    FROM n2 GROUP BY label ORDER BY label"""
-QUERIES["ivf_recall"] = q_ivf_recall  # rows-only: k-means quantizer
+    FROM n2 GROUP BY label ORDER BY label""")
+register("ivf_recall", q_ivf_recall)  # rows-only: k-means quantizer
 
 
 # second relational/corpus family (Q13/Q15/Q18/Q22 shapes + retention

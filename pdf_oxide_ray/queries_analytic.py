@@ -21,8 +21,9 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from .queries import (_cents, _empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+from .ops.quantile import disc_by_group
+from .queries import (ORACLE_SQL, _cents, _empty_typed, _pq,
+                      _reduce_partials, _scoped_parallelism, register)
 from .stages.joins import _get_broadcast
 
 
@@ -618,17 +619,8 @@ def q_source_length_quantiles(sf_dir: str) -> pd.DataFrame:
 
     hist = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
                             ["source", "v"], ["cnt"])
-    rows = []
-    for source, g in hist.groupby("source"):
-        g = g.sort_values("v")
-        cum = g["cnt"].cumsum().to_numpy()
-        vals = g["v"].to_numpy()
-        n = int(cum[-1])
-        qs = []
-        for p in _GROUP_QUANTILE_PS:
-            idx = min(max(int(np.ceil(n * np.float64(p))) - 1, 0), n - 1)
-            qs.append(int(vals[np.searchsorted(cum, idx + 1)]))
-        rows.append((source, *qs))
+    rows = [(source, *qs) for source, _, *qs
+            in disc_by_group(hist, "source", "v", _GROUP_QUANTILE_PS)]
     return pd.DataFrame(rows, columns=["source", "p50_chars", "p90_chars",
                                        "p99_chars"]) \
         .astype({"p50_chars": "int64", "p90_chars": "int64",
@@ -1220,21 +1212,22 @@ def q_user_reconcile(sf_dir: str) -> pd.DataFrame:
         .sort_values("key").reset_index(drop=True)
 
 
-ANALYTIC_ORACLES = {
-    "event_deltas": """
+register("event_deltas", q_event_deltas, """
         SELECT event_id,
                COALESCE(epoch_us(ts) - lag(epoch_us(ts)) OVER (
                    PARTITION BY user_id ORDER BY ts, event_id), -1)
                  AS delta_us
-        FROM events""",
-    "rolling_value_sum": """
+        FROM events""")
+
+register("rolling_value_sum", q_rolling_value_sum, """
         SELECT event_id,
                CAST(SUM(CAST(round(value * 1000000) AS BIGINT)) OVER (
                    PARTITION BY user_id ORDER BY ts, event_id
                    ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS DOUBLE)
                  / 1000000.0 AS roll_value
-        FROM events""",
-    "funnel_conversion": """
+        FROM events""")
+
+register("funnel_conversion", q_funnel_conversion, """
         WITH m AS (
           SELECT user_id,
                  min(CASE WHEN event_type = 'view'
@@ -1249,14 +1242,28 @@ ANALYTIC_ORACLES = {
         SELECT 2, 'click', count(*) FROM m WHERE t_click >= t_view
         UNION ALL
         SELECT 3, 'purchase', count(*) FROM m
-        WHERE t_click >= t_view AND t_buy >= t_click""",
-    "priority_semi_counts": """
+        WHERE t_click >= t_view AND t_buy >= t_click""")
+
+register("region_revenue", q_region_revenue, """
+        SELECT n_name,
+               CAST(SUM(CAST(round(l_extendedprice * 100) AS BIGINT)
+                        * (100 - CAST(round(l_discount * 100) AS BIGINT)))
+                    AS DOUBLE) / 10000.0 AS revenue
+        FROM customer, orders, lineitem, supplier, nation, region
+        WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
+          AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
+          AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
+          AND r_name = 'ASIA'
+        GROUP BY n_name""")
+
+register("priority_semi_counts", q_priority_semi_counts, """
         SELECT o_orderpriority, COUNT(*) AS n_orders
         FROM orders
         WHERE EXISTS (SELECT 1 FROM lineitem
                       WHERE l_orderkey = o_orderkey AND l_quantity > 45)
-        GROUP BY o_orderpriority""",
-    "nation_trade_volume": """
+        GROUP BY o_orderpriority""")
+
+register("nation_trade_volume", q_nation_trade_volume, """
         WITH sn AS (
           SELECT s_suppkey, n_name AS supp_nation
           FROM supplier JOIN nation ON s_nationkey = n_nationkey),
@@ -1273,19 +1280,9 @@ ANALYTIC_ORACLES = {
         JOIN sn ON l_suppkey = s_suppkey
         JOIN cn ON o_custkey = c_custkey
         WHERE supp_nation <> cust_nation
-        GROUP BY supp_nation, cust_nation, o_year""",
-    "region_revenue": """
-        SELECT n_name,
-               CAST(SUM(CAST(round(l_extendedprice * 100) AS BIGINT)
-                        * (100 - CAST(round(l_discount * 100) AS BIGINT)))
-                    AS DOUBLE) / 10000.0 AS revenue
-        FROM customer, orders, lineitem, supplier, nation, region
-        WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
-          AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-          AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
-          AND r_name = 'ASIA'
-        GROUP BY n_name""",
-    "shipping_priority": f"""
+        GROUP BY supp_nation, cust_nation, o_year""")
+
+register("shipping_priority", q_shipping_priority, f"""
         SELECT l_orderkey, strftime(o_orderdate, '%Y-%m-%d') AS o_date,
                CAST(SUM(CAST(round(l_extendedprice * 100) AS BIGINT)
                         * (100 - CAST(round(l_discount * 100) AS BIGINT)))
@@ -1299,8 +1296,9 @@ ANALYTIC_ORACLES = {
         ORDER BY SUM(CAST(round(l_extendedprice * 100) AS BIGINT)
                      * (100 - CAST(round(l_discount * 100) AS BIGINT)))
                  DESC, l_orderkey
-        LIMIT 10""",
-    "returned_revenue": f"""
+        LIMIT 10""")
+
+register("returned_revenue", q_returned_revenue, f"""
         SELECT c_custkey, c_name,
                CAST(SUM(CAST(round(l_extendedprice * 100) AS BIGINT)
                         * (100 - CAST(round(l_discount * 100) AS BIGINT)))
@@ -1315,37 +1313,56 @@ ANALYTIC_ORACLES = {
         ORDER BY SUM(CAST(round(l_extendedprice * 100) AS BIGINT)
                      * (100 - CAST(round(l_discount * 100) AS BIGINT)))
                  DESC, c_custkey
-        LIMIT 20""",
-    "group_topk_docs": None,  # filled below (reuses the quality_score CTE)
-    "source_length_quantiles": """
+        LIMIT 20""")
+
+# group_topk_docs reuses quality_score's exact scoring SQL as a CTE so
+# both stay bit-identical by construction
+register("group_topk_docs", q_group_topk_docs, f"""
+        WITH scored AS ({ORACLE_SQL['quality_score']}),
+        ranked AS (
+          SELECT d.lang, s.doc_id, s.quality,
+                 row_number() OVER (PARTITION BY d.lang
+                     ORDER BY s.quality DESC, s.doc_id) AS rn
+          FROM scored s JOIN documents d ON s.doc_id = d.doc_id)
+        SELECT lang, doc_id, quality FROM ranked
+        WHERE rn <= {_TOPK_PER_GROUP}""")
+
+register("source_length_quantiles", q_source_length_quantiles, """
         SELECT source,
                quantile_disc(n_chars, 0.5) AS p50_chars,
                quantile_disc(n_chars, 0.9) AS p90_chars,
                quantile_disc(n_chars, 0.99) AS p99_chars
-        FROM documents GROUP BY source""",
-    "deterministic_shuffle": """
+        FROM documents GROUP BY source""")
+
+register("deterministic_shuffle", q_deterministic_shuffle, """
         SELECT doc_id,
                ROW_NUMBER() OVER (
                    ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id) - 1
                  AS shuffle_pos
-        FROM documents""",
-    "mixture_sample": """
+        FROM documents""")
+
+register("mixture_sample", q_mixture_sample, """
         SELECT doc_id, source
         FROM documents
         WHERE (('0x' || substr(md5('mix:' || CAST(doc_id AS VARCHAR)),
                                1, 16))::UBIGINT >> 62)
-              < (TRY_CAST(substr(source, 4) AS BIGINT) % 4 + 1)::UBIGINT""",
-    "group_reservoir": f"""
+              < (TRY_CAST(substr(source, 4) AS BIGINT) % 4 + 1)::UBIGINT""")
+
+register("group_reservoir", q_group_reservoir, f"""
         WITH ranked AS (
           SELECT lang, doc_id,
                  ROW_NUMBER() OVER (PARTITION BY lang
                      ORDER BY md5(CAST(doc_id AS VARCHAR)), doc_id) AS rn
           FROM documents)
-        SELECT lang, doc_id FROM ranked WHERE rn <= {_RESERVOIR_K}""",
-    "hll_distinct_users": _hll_oracle_sql(),
-    "bloom_filter_orders": _bloom_oracle_sql(),
-    "cms_topk_props": _cms_oracle_sql(),
-    "revenue_rollup": """
+        SELECT lang, doc_id FROM ranked WHERE rn <= {_RESERVOIR_K}""")
+
+register("hll_distinct_users", q_hll_distinct_users, _hll_oracle_sql())
+
+register("bloom_filter_orders", q_bloom_filter_orders, _bloom_oracle_sql())
+
+register("cms_topk_props", q_cms_topk_props, _cms_oracle_sql())
+
+register("revenue_rollup", q_revenue_rollup, """
         SELECT r_name, n_name,
                CAST(SUM(CAST(round(o_totalprice * 100) AS BIGINT))
                     AS DOUBLE) / 100.0 AS revenue
@@ -1353,71 +1370,27 @@ ANALYTIC_ORACLES = {
         JOIN customer ON o_custkey = c_custkey
         JOIN nation ON c_nationkey = n_nationkey
         JOIN region ON n_regionkey = r_regionkey
-        GROUP BY ROLLUP (r_name, n_name)""",
-    "event_type_pivot": """
+        GROUP BY ROLLUP (r_name, n_name)""")
+
+register("event_type_pivot", q_event_type_pivot, """
         SELECT user_id,
                count(*) FILTER (event_type = 'click') AS n_click,
                count(*) FILTER (event_type = 'error') AS n_error,
                count(*) FILTER (event_type = 'purchase') AS n_purchase,
                count(*) FILTER (event_type = 'signup') AS n_signup,
                count(*) FILTER (event_type = 'view') AS n_view
-        FROM events GROUP BY user_id""",
-    "length_cdf": """
+        FROM events GROUP BY user_id""")
+
+register("length_cdf", q_length_cdf, """
         SELECT doc_id, n_chars,
                cume_dist() OVER (ORDER BY n_chars) AS cd
-        FROM documents""",
-    "user_reconcile": """
+        FROM documents""")
+
+register("user_reconcile", q_user_reconcile, """
         WITH ev AS (
           SELECT user_id AS key, count(*) AS n
           FROM events GROUP BY user_id)
         SELECT coalesce(ev.key, c.c_custkey) AS key,
                coalesce(ev.n, 0) AS n_events,
                c.c_custkey IS NOT NULL AS is_customer
-        FROM ev FULL OUTER JOIN customer c ON ev.key = c.c_custkey""",
-}
-
-
-ANALYTIC_QUERIES = {
-    "event_deltas": q_event_deltas,
-    "rolling_value_sum": q_rolling_value_sum,
-    "funnel_conversion": q_funnel_conversion,
-    "region_revenue": q_region_revenue,
-    "priority_semi_counts": q_priority_semi_counts,
-    "nation_trade_volume": q_nation_trade_volume,
-    "shipping_priority": q_shipping_priority,
-    "returned_revenue": q_returned_revenue,
-    "group_topk_docs": q_group_topk_docs,
-    "source_length_quantiles": q_source_length_quantiles,
-    "deterministic_shuffle": q_deterministic_shuffle,
-    "mixture_sample": q_mixture_sample,
-    "group_reservoir": q_group_reservoir,
-    "hll_distinct_users": q_hll_distinct_users,
-    "bloom_filter_orders": q_bloom_filter_orders,
-    "cms_topk_props": q_cms_topk_props,
-    "revenue_rollup": q_revenue_rollup,
-    "event_type_pivot": q_event_type_pivot,
-    "length_cdf": q_length_cdf,
-    "user_reconcile": q_user_reconcile,
-}
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    # group_topk_docs reuses quality_score's exact scoring SQL as a CTE so
-    # both stay bit-identical by construction
-    score_sql = _q.ORACLE_SQL["quality_score"]
-    ANALYTIC_ORACLES["group_topk_docs"] = f"""
-        WITH scored AS ({score_sql}),
-        ranked AS (
-          SELECT d.lang, s.doc_id, s.quality,
-                 row_number() OVER (PARTITION BY d.lang
-                     ORDER BY s.quality DESC, s.doc_id) AS rn
-          FROM scored s JOIN documents d ON s.doc_id = d.doc_id)
-        SELECT lang, doc_id, quality FROM ranked
-        WHERE rn <= {_TOPK_PER_GROUP}"""
-    _q.QUERIES.update(ANALYTIC_QUERIES)
-    _q.ORACLE_SQL.update(ANALYTIC_ORACLES)
-
-
-_register()
+        FROM ev FULL OUTER JOIN customer c ON ev.key = c.c_custkey""")

@@ -59,8 +59,9 @@ import pandas as pd
 from . import queries as _qmod
 from .functions import dedup as fdedup
 from .functions import textops as _ftext
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+from .ops.quantile import disc_index, disc_rank
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
 # The whitespace tokenizer shared with unigram_logprob / tfidf_keywords:
 # str.split() on the engine side == this fragment on the DuckDB side.
@@ -460,8 +461,7 @@ def q_revenue_concentration(sf_dir: str) -> pd.DataFrame:
                          kind="mergesort")
         rev = pc["rev_c"].to_numpy(np.int64)
         n, tot, cum = len(pc), int(rev.sum()), np.cumsum(rev)
-        return _curve(n, tot, lambda p: int(
-            cum[int(np.ceil(np.float64(n) * np.float64(p))) - 1]))
+        return _curve(n, tot, lambda p: int(cum[disc_rank(n, p) - 1]))
 
     # distributed path: sorted blocks report (rows, sum); boundaries only
     from ray.data.aggregate import Sum
@@ -490,8 +490,8 @@ def q_revenue_concentration(sf_dir: str) -> pd.DataFrame:
     n, tot = int(cum_n[-1]), int(cum_s[-1])
 
     def topsum(p: float) -> int:
-        k = int(np.ceil(np.float64(n) * np.float64(p)))
-        bi = int(np.searchsorted(cum_n, k, side="left"))
+        k = disc_rank(n, p)
+        bi = disc_index(cum_n, k)
         prior_n = int(cum_n[bi - 1]) if bi else 0
         prior_s = int(cum_s[bi - 1]) if bi else 0
         tbl = ray.get(refs[bi])
@@ -712,24 +712,10 @@ def q_source_length_ks(sf_dir: str) -> pd.DataFrame:
         .sort_values("source").reset_index(drop=True)
 
 
-CORPUS_QUERIES = {
-    "token_zipf_fit": q_token_zipf_fit,
-    "source_gini": q_source_gini,
-    "source_dup_stats": q_source_dup_stats,
-    "df_histogram": q_df_histogram,
-    "lang_source_mi": q_lang_source_mi,
-    "revenue_concentration": q_revenue_concentration,
-    "bpe_pair_counts": q_bpe_pair_counts,
-    "ngram_diversity": q_ngram_diversity,
-    "source_vocab_overlap": q_source_vocab_overlap,
-    "source_length_ks": q_source_length_ks,
-}
-
-CORPUS_ORACLES = {
-    # both lns quantized half-away at 1e-6; moments promote to HUGEINT
-    # (mirrored by Python-int sums); slope/intercept combine identical
-    # integers cast to double in the identical operand order.
-    "token_zipf_fit": rf"""
+# both lns quantized half-away at 1e-6; moments promote to HUGEINT
+# (mirrored by Python-int sums); slope/intercept combine identical
+# integers cast to double in the identical operand order.
+register("token_zipf_fit", q_token_zipf_fit, rf"""
         WITH toks AS (
           SELECT {_TOK_SQL} AS token FROM documents),
         vocab AS (
@@ -760,10 +746,11 @@ CORPUS_ORACLES = {
                             * CAST(sx AS DOUBLE))
                          / CAST(k AS DOUBLE) / 1000000.0
                END AS intercept
-        FROM m""",
-    # Gini from cumulative ranks: ROW_NUMBER within ties is arbitrary
-    # but Σ i·v over a tied run is order-invariant (same v).
-    "source_gini": """
+        FROM m""")
+
+# Gini from cumulative ranks: ROW_NUMBER within ties is arbitrary
+# but Σ i·v over a tied run is order-invariant (same v).
+register("source_gini", q_source_gini, """
         WITH x AS (
           SELECT source, CAST(n_chars AS BIGINT) AS v
           FROM documents WHERE n_chars IS NOT NULL),
@@ -780,10 +767,11 @@ CORPUS_ORACLES = {
                     ELSE CAST(2 * s - (n + 1) * t AS DOUBLE)
                          / CAST(n * t AS DOUBLE)
                END AS gini
-        FROM m ORDER BY source""",
-    # keeper per text = MIN(doc_id); dup = strictly-later copy. GROUP BY
-    # text == GROUP BY collision-safe hash, so no hash parity needed.
-    "source_dup_stats": """
+        FROM m ORDER BY source""")
+
+# keeper per text = MIN(doc_id); dup = strictly-later copy. GROUP BY
+# text == GROUP BY collision-safe hash, so no hash parity needed.
+register("source_dup_stats", q_source_dup_stats, """
         WITH h AS (
           SELECT doc_id, source, coalesce(text, '') AS t
           FROM documents),
@@ -797,23 +785,43 @@ CORPUS_ORACLES = {
                              THEN 1 ELSE 0 END) AS DOUBLE)
                / CAST(COUNT(*) AS DOUBLE) AS dup_rate
         FROM h JOIN k USING (t)
-        GROUP BY h.source ORDER BY h.source""",
-    # (n DESC, pair ASC) is a total order — the top-k cut is exact
-    "bpe_pair_counts": rf"""
+        GROUP BY h.source ORDER BY h.source""")
+
+register("df_histogram", q_df_histogram, rf"""
         WITH toks AS (
-          SELECT {_TOK_SQL} AS w FROM documents),
-        pos AS (
-          SELECT w, unnest(range(1, length(w))) AS i
-          FROM toks WHERE length(w) > 1),
-        pairs AS (SELECT substr(w, CAST(i AS INT), 2) AS pair FROM pos),
-        c AS (
-          SELECT pair, CAST(COUNT(*) AS BIGINT) AS n
-          FROM pairs GROUP BY pair)
-        SELECT pair, n FROM c
-        ORDER BY n DESC, pair LIMIT {_BPE_TOPK}""",
-    # rank by (rev_c DESC, custkey ASC) — a total order; k = CEIL(n·p)
-    # in identical double math; shares divide identical integers.
-    "revenue_concentration": """
+          SELECT DISTINCT doc_id, token
+          FROM (SELECT doc_id, {_TOK_SQL} AS token FROM documents)),
+        dfreq AS (
+          SELECT token, CAST(COUNT(*) AS BIGINT) AS df
+          FROM toks GROUP BY token)
+        SELECT df, CAST(COUNT(*) AS BIGINT) AS n_tokens
+        FROM dfreq GROUP BY df ORDER BY df""")
+
+# per-cell ln quantized half-away at 1e-6; Σ n·t6 promotes to
+# HUGEINT (Python ints on the engine side); MI divides identical
+# integers. Zero-row input yields zero rows on both sides.
+register("lang_source_mi", q_lang_source_mi, """
+        WITH c AS (
+          SELECT lang, source, CAST(COUNT(*) AS BIGINT) AS n
+          FROM documents GROUP BY 1, 2),
+        tot AS (SELECT SUM(n) AS total FROM c),
+        l AS (SELECT lang, SUM(n) AS nl FROM c GROUP BY lang),
+        s AS (SELECT source, SUM(n) AS ns FROM c GROUP BY source),
+        t AS (
+          SELECT c.n,
+                 CAST(round(ln(CAST((SELECT total FROM tot) * c.n
+                                    AS DOUBLE)
+                               / CAST(l.nl * s.ns AS DOUBLE))
+                            * 1000000) AS BIGINT) AS t6
+          FROM c JOIN l USING (lang) JOIN s USING (source))
+        SELECT CAST(tot.total AS BIGINT) AS n_docs,
+               CAST((SELECT SUM(n * t6) FROM t) AS DOUBLE)
+               / CAST(tot.total AS DOUBLE) / 1000000.0 AS mi
+        FROM tot WHERE tot.total IS NOT NULL""")
+
+# rank by (rev_c DESC, custkey ASC) — a total order; k = CEIL(n·p)
+# in identical double math; shares divide identical integers.
+register("revenue_concentration", q_revenue_concentration, """
         WITH pc AS (
           SELECT o_custkey,
                  SUM(CAST(round(o_totalprice * 100) AS BIGINT)) AS rev_c
@@ -834,40 +842,25 @@ CORPUS_ORACLES = {
                END AS share
         FROM r, ps, agg
         GROUP BY ps.p, agg.n, agg.tot
-        ORDER BY ps.p""",
-    "df_histogram": rf"""
+        ORDER BY ps.p""")
+
+# (n DESC, pair ASC) is a total order — the top-k cut is exact
+register("bpe_pair_counts", q_bpe_pair_counts, rf"""
         WITH toks AS (
-          SELECT DISTINCT doc_id, token
-          FROM (SELECT doc_id, {_TOK_SQL} AS token FROM documents)),
-        dfreq AS (
-          SELECT token, CAST(COUNT(*) AS BIGINT) AS df
-          FROM toks GROUP BY token)
-        SELECT df, CAST(COUNT(*) AS BIGINT) AS n_tokens
-        FROM dfreq GROUP BY df ORDER BY df""",
-    # per-cell ln quantized half-away at 1e-6; Σ n·t6 promotes to
-    # HUGEINT (Python ints on the engine side); MI divides identical
-    # integers. Zero-row input yields zero rows on both sides.
-    "lang_source_mi": """
-        WITH c AS (
-          SELECT lang, source, CAST(COUNT(*) AS BIGINT) AS n
-          FROM documents GROUP BY 1, 2),
-        tot AS (SELECT SUM(n) AS total FROM c),
-        l AS (SELECT lang, SUM(n) AS nl FROM c GROUP BY lang),
-        s AS (SELECT source, SUM(n) AS ns FROM c GROUP BY source),
-        t AS (
-          SELECT c.n,
-                 CAST(round(ln(CAST((SELECT total FROM tot) * c.n
-                                    AS DOUBLE)
-                               / CAST(l.nl * s.ns AS DOUBLE))
-                            * 1000000) AS BIGINT) AS t6
-          FROM c JOIN l USING (lang) JOIN s USING (source))
-        SELECT CAST(tot.total AS BIGINT) AS n_docs,
-               CAST((SELECT SUM(n * t6) FROM t) AS DOUBLE)
-               / CAST(tot.total AS DOUBLE) / 1000000.0 AS mi
-        FROM tot WHERE tot.total IS NOT NULL""",
-    # same in-doc bigram construction as bigram_pmi's twin; the ratio
-    # divides the two exact counts then quantizes half-away at 1e-6
-    "ngram_diversity": r"""
+          SELECT {_TOK_SQL} AS w FROM documents),
+        pos AS (
+          SELECT w, unnest(range(1, length(w))) AS i
+          FROM toks WHERE length(w) > 1),
+        pairs AS (SELECT substr(w, CAST(i AS INT), 2) AS pair FROM pos),
+        c AS (
+          SELECT pair, CAST(COUNT(*) AS BIGINT) AS n
+          FROM pairs GROUP BY pair)
+        SELECT pair, n FROM c
+        ORDER BY n DESC, pair LIMIT {_BPE_TOPK}""")
+
+# same in-doc bigram construction as bigram_pmi's twin; the ratio
+# divides the two exact counts then quantizes half-away at 1e-6
+register("ngram_diversity", q_ngram_diversity, r"""
         WITH arr AS (
           SELECT source,
                  list_filter(regexp_split_to_array(coalesce(text, ''),
@@ -884,10 +877,11 @@ CORPUS_ORACLES = {
                ROUND(CAST(COUNT(DISTINCT gram) AS DOUBLE)
                      / CAST(COUNT(*) AS DOUBLE) * 1000000, 0)
                / 1000000.0 AS diversity
-        FROM bi GROUP BY source""",
-    # same whitespace tokenizer; inner-join semantics (only pairs with
-    # common vocab); one IEEE division of exact counts + half-away 1e-6
-    "source_vocab_overlap": rf"""
+        FROM bi GROUP BY source""")
+
+# same whitespace tokenizer; inner-join semantics (only pairs with
+# common vocab); one IEEE division of exact counts + half-away 1e-6
+register("source_vocab_overlap", q_source_vocab_overlap, rf"""
         WITH ts AS (
           SELECT DISTINCT source, tok
           FROM (SELECT source, {_TOK_SQL} AS tok FROM documents)),
@@ -905,10 +899,11 @@ CORPUS_ORACLES = {
                      * 1000000, 0) / 1000000.0 AS jaccard
         FROM ab
         JOIN v va ON va.source = ab.source_a
-        JOIN v vb ON vb.source = ab.source_b""",
-    # exact integer ECDF-gap argmax, ONE double division at the end —
-    # the engine mirrors the (na_d * ng_d) denominator product exactly
-    "source_length_ks": """
+        JOIN v vb ON vb.source = ab.source_b""")
+
+# exact integer ECDF-gap argmax, ONE double division at the end —
+# the engine mirrors the (na_d * ng_d) denominator product exactly
+register("source_length_ks", q_source_length_ks, """
         WITH h AS (
           SELECT source, n_chars, CAST(COUNT(*) AS BIGINT) AS c
           FROM documents GROUP BY 1, 2),
@@ -937,15 +932,4 @@ CORPUS_ORACLES = {
         FROM cum
         JOIN gc USING (n_chars)
         JOIN tot USING (source), n
-        GROUP BY cum.source, tot.na, n.ng""",
-}
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CORPUS_QUERIES)
-    _q.ORACLE_SQL.update(CORPUS_ORACLES)
-
-
-_register()
+        GROUP BY cum.source, tot.na, n.ng""")

@@ -52,7 +52,7 @@ from . import queries as _qmod
 from .functions import textops as ftext
 from .functions import dedup as fdedup
 from .queries import (_cents, _empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+                      _scoped_parallelism, register)
 from .functions.textops import halfaway6 as _halfaway6
 
 # ---------------------------------------------------------------------------
@@ -745,136 +745,6 @@ def q_dup_canonical(sf_dir: str) -> pd.DataFrame:
 _TOKSPLIT = ("list_filter(regexp_split_to_array(coalesce(text, ''), "
              "'\\s+'), x -> x <> '')")
 
-CURATION_QUERIES = {
-    "mixture_weights": q_mixture_weights,
-    "novelty_curve": q_novelty_curve,
-    "chunk_plan": q_chunk_plan,
-    "hapax_stats": q_hapax_stats,
-    "promo_part_suppliers": q_promo_part_suppliers,
-    "interarrival_rate": q_interarrival_rate,
-    "contamination_by_source": q_contamination_by_source,
-    "dedup_cluster_sizes": q_dedup_cluster_sizes,
-    "template_prefixes": q_template_prefixes,
-    "length_quality_grid": q_length_quality_grid,
-    "token_budget_epochs": q_token_budget_epochs,
-    "dup_canonical": q_dup_canonical,
-}
-
-CURATION_ORACLES = {
-    "mixture_weights": f"""
-        WITH v AS (
-          SELECT source,
-                 CAST(SUM(length({_TOKSPLIT})) AS BIGINT) AS n_tokens
-          FROM documents GROUP BY source),
-        t AS (SELECT CAST(SUM(n_tokens) AS BIGINT) AS tot FROM v),
-        w AS (
-          SELECT source, n_tokens,
-                 CAST(n_tokens AS DOUBLE) / CAST(t.tot AS DOUBLE)
-                   AS share,
-                 CAST(round(SQRT(CAST(n_tokens AS DOUBLE)
-                                 / CAST(t.tot AS DOUBLE)) * 1000000)
-                      AS BIGINT) AS w6
-          FROM v, t)
-        SELECT source, n_tokens, share,
-               CAST(w6 AS DOUBLE)
-               / CAST((SELECT SUM(w6) FROM w) AS DOUBLE) AS weight
-        FROM w ORDER BY source""",
-    "novelty_curve": f"""
-        WITH k AS (
-          SELECT coalesce(text, '') AS t, MIN(doc_id) AS m
-          FROM documents GROUP BY 1),
-        nov AS (
-          SELECT m // {_NOVELTY_BUCKET} AS bucket,
-                 CAST(COUNT(*) AS BIGINT) AS n_novel
-          FROM k GROUP BY 1),
-        d AS (
-          SELECT doc_id // {_NOVELTY_BUCKET} AS bucket,
-                 CAST(COUNT(*) AS BIGINT) AS n_docs
-          FROM documents GROUP BY 1),
-        j AS (
-          SELECT d.bucket, d.n_docs,
-                 CAST(COALESCE(nov.n_novel, 0) AS BIGINT) AS n_novel
-          FROM d LEFT JOIN nov USING (bucket)),
-        c AS (
-          SELECT bucket, n_docs, n_novel,
-                 CAST(SUM(n_docs) OVER (ORDER BY bucket) AS BIGINT)
-                   AS cum_docs,
-                 CAST(SUM(n_novel) OVER (ORDER BY bucket) AS BIGINT)
-                   AS cum_novel
-          FROM j)
-        SELECT bucket, n_docs, n_novel, cum_docs, cum_novel,
-               CAST(cum_novel AS DOUBLE) / CAST(cum_docs AS DOUBLE)
-                 AS novelty_rate
-        FROM c ORDER BY bucket""",
-    "chunk_plan": f"""
-        WITH n AS (
-          SELECT doc_id,
-                 CAST(length({_TOKSPLIT}) AS BIGINT) AS n_tok
-          FROM documents),
-        s AS (
-          SELECT doc_id, n_tok,
-                 unnest(generate_series(0, n_tok - 1,
-                                        {_CHUNK_STRIDE})) AS start_tok
-          FROM n)
-        SELECT doc_id,
-               CAST(start_tok // {_CHUNK_STRIDE} AS BIGINT) AS chunk_idx,
-               CAST(start_tok AS BIGINT) AS start_tok,
-               CAST(LEAST({_CHUNK_TOKENS}, n_tok - start_tok) AS BIGINT)
-                 AS n_tok
-        FROM s ORDER BY doc_id, chunk_idx""",
-    "hapax_stats": f"""
-        WITH tok AS (
-          SELECT source, unnest({_TOKSPLIT}) AS t FROM documents),
-        cnt AS (
-          SELECT t, CAST(COUNT(*) AS BIGINT) AS n,
-                 MIN(source) AS owner
-          FROM tok GROUP BY t),
-        hap AS (
-          SELECT owner AS source, CAST(COUNT(*) AS BIGINT) AS n_hapax
-          FROM cnt WHERE n = 1 GROUP BY owner),
-        vol AS (
-          SELECT source, CAST(COUNT(*) AS BIGINT) AS n_tokens
-          FROM tok GROUP BY source)
-        SELECT vol.source, vol.n_tokens,
-               CAST(COALESCE(hap.n_hapax, 0) AS BIGINT) AS n_hapax,
-               CAST(COALESCE(hap.n_hapax, 0) AS DOUBLE)
-               / CAST(vol.n_tokens AS DOUBLE) AS hapax_rate
-        FROM vol LEFT JOIN hap USING (source)
-        ORDER BY vol.source""",
-    "promo_part_suppliers": f"""
-        WITH pk AS (
-          SELECT p_partkey FROM part
-          WHERE p_name LIKE '{_Q20_NAME_PREFIX}%'),
-        ps AS (
-          SELECT l_partkey AS p, l_suppkey AS s,
-                 SUM(CAST(round(l_quantity * 100) AS BIGINT)) AS q
-          FROM lineitem JOIN pk ON l_partkey = p_partkey
-          GROUP BY 1, 2),
-        tot AS (SELECT p, SUM(q) AS tq, COUNT(*) AS ns
-                FROM ps GROUP BY p),
-        hit AS (
-          SELECT DISTINCT ps.s FROM ps JOIN tot USING (p)
-          WHERE ps.q * tot.ns > 2 * tot.tq)
-        SELECT s_name
-        FROM hit
-        JOIN supplier ON s = s_suppkey
-        JOIN nation ON s_nationkey = n_nationkey
-        WHERE n_name = '{_Q20_NATION}'
-        ORDER BY s_name""",
-    "interarrival_rate": """
-        WITH p AS (
-          SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_events,
-                 CAST(epoch_us(MAX(ts)) - epoch_us(MIN(ts)) AS BIGINT)
-                   AS span_us
-          FROM events GROUP BY event_type)
-        SELECT event_type, n_events, span_us,
-               CASE WHEN span_us > 0 THEN
-                 CAST(n_events - 1 AS DOUBLE) * 3600000000.0
-                 / CAST(span_us AS DOUBLE)
-               ELSE NULL END AS rate_per_hour
-        FROM p ORDER BY event_type""",
-}
-
 
 def _contamination_by_source_sql() -> str:
     """Twin of q_contamination_by_source — the decontaminate gram CTEs
@@ -935,14 +805,134 @@ def _dup_canonical_sql() -> str:
         FROM canon WHERE rn = 1 ORDER BY component"""
 
 
-CURATION_ORACLES["contamination_by_source"] = _contamination_by_source_sql()
-CURATION_ORACLES["dup_canonical"] = _dup_canonical_sql()
-CURATION_ORACLES["dedup_cluster_sizes"] = """
+register("mixture_weights", q_mixture_weights, f"""
+        WITH v AS (
+          SELECT source,
+                 CAST(SUM(length({_TOKSPLIT})) AS BIGINT) AS n_tokens
+          FROM documents GROUP BY source),
+        t AS (SELECT CAST(SUM(n_tokens) AS BIGINT) AS tot FROM v),
+        w AS (
+          SELECT source, n_tokens,
+                 CAST(n_tokens AS DOUBLE) / CAST(t.tot AS DOUBLE)
+                   AS share,
+                 CAST(round(SQRT(CAST(n_tokens AS DOUBLE)
+                                 / CAST(t.tot AS DOUBLE)) * 1000000)
+                      AS BIGINT) AS w6
+          FROM v, t)
+        SELECT source, n_tokens, share,
+               CAST(w6 AS DOUBLE)
+               / CAST((SELECT SUM(w6) FROM w) AS DOUBLE) AS weight
+        FROM w ORDER BY source""")
+
+register("novelty_curve", q_novelty_curve, f"""
+        WITH k AS (
+          SELECT coalesce(text, '') AS t, MIN(doc_id) AS m
+          FROM documents GROUP BY 1),
+        nov AS (
+          SELECT m // {_NOVELTY_BUCKET} AS bucket,
+                 CAST(COUNT(*) AS BIGINT) AS n_novel
+          FROM k GROUP BY 1),
+        d AS (
+          SELECT doc_id // {_NOVELTY_BUCKET} AS bucket,
+                 CAST(COUNT(*) AS BIGINT) AS n_docs
+          FROM documents GROUP BY 1),
+        j AS (
+          SELECT d.bucket, d.n_docs,
+                 CAST(COALESCE(nov.n_novel, 0) AS BIGINT) AS n_novel
+          FROM d LEFT JOIN nov USING (bucket)),
+        c AS (
+          SELECT bucket, n_docs, n_novel,
+                 CAST(SUM(n_docs) OVER (ORDER BY bucket) AS BIGINT)
+                   AS cum_docs,
+                 CAST(SUM(n_novel) OVER (ORDER BY bucket) AS BIGINT)
+                   AS cum_novel
+          FROM j)
+        SELECT bucket, n_docs, n_novel, cum_docs, cum_novel,
+               CAST(cum_novel AS DOUBLE) / CAST(cum_docs AS DOUBLE)
+                 AS novelty_rate
+        FROM c ORDER BY bucket""")
+
+register("chunk_plan", q_chunk_plan, f"""
+        WITH n AS (
+          SELECT doc_id,
+                 CAST(length({_TOKSPLIT}) AS BIGINT) AS n_tok
+          FROM documents),
+        s AS (
+          SELECT doc_id, n_tok,
+                 unnest(generate_series(0, n_tok - 1,
+                                        {_CHUNK_STRIDE})) AS start_tok
+          FROM n)
+        SELECT doc_id,
+               CAST(start_tok // {_CHUNK_STRIDE} AS BIGINT) AS chunk_idx,
+               CAST(start_tok AS BIGINT) AS start_tok,
+               CAST(LEAST({_CHUNK_TOKENS}, n_tok - start_tok) AS BIGINT)
+                 AS n_tok
+        FROM s ORDER BY doc_id, chunk_idx""")
+
+register("hapax_stats", q_hapax_stats, f"""
+        WITH tok AS (
+          SELECT source, unnest({_TOKSPLIT}) AS t FROM documents),
+        cnt AS (
+          SELECT t, CAST(COUNT(*) AS BIGINT) AS n,
+                 MIN(source) AS owner
+          FROM tok GROUP BY t),
+        hap AS (
+          SELECT owner AS source, CAST(COUNT(*) AS BIGINT) AS n_hapax
+          FROM cnt WHERE n = 1 GROUP BY owner),
+        vol AS (
+          SELECT source, CAST(COUNT(*) AS BIGINT) AS n_tokens
+          FROM tok GROUP BY source)
+        SELECT vol.source, vol.n_tokens,
+               CAST(COALESCE(hap.n_hapax, 0) AS BIGINT) AS n_hapax,
+               CAST(COALESCE(hap.n_hapax, 0) AS DOUBLE)
+               / CAST(vol.n_tokens AS DOUBLE) AS hapax_rate
+        FROM vol LEFT JOIN hap USING (source)
+        ORDER BY vol.source""")
+
+register("promo_part_suppliers", q_promo_part_suppliers, f"""
+        WITH pk AS (
+          SELECT p_partkey FROM part
+          WHERE p_name LIKE '{_Q20_NAME_PREFIX}%'),
+        ps AS (
+          SELECT l_partkey AS p, l_suppkey AS s,
+                 SUM(CAST(round(l_quantity * 100) AS BIGINT)) AS q
+          FROM lineitem JOIN pk ON l_partkey = p_partkey
+          GROUP BY 1, 2),
+        tot AS (SELECT p, SUM(q) AS tq, COUNT(*) AS ns
+                FROM ps GROUP BY p),
+        hit AS (
+          SELECT DISTINCT ps.s FROM ps JOIN tot USING (p)
+          WHERE ps.q * tot.ns > 2 * tot.tq)
+        SELECT s_name
+        FROM hit
+        JOIN supplier ON s = s_suppkey
+        JOIN nation ON s_nationkey = n_nationkey
+        WHERE n_name = '{_Q20_NATION}'
+        ORDER BY s_name""")
+
+register("interarrival_rate", q_interarrival_rate, """
+        WITH p AS (
+          SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n_events,
+                 CAST(epoch_us(MAX(ts)) - epoch_us(MIN(ts)) AS BIGINT)
+                   AS span_us
+          FROM events GROUP BY event_type)
+        SELECT event_type, n_events, span_us,
+               CASE WHEN span_us > 0 THEN
+                 CAST(n_events - 1 AS DOUBLE) * 3600000000.0
+                 / CAST(span_us AS DOUBLE)
+               ELSE NULL END AS rate_per_hour
+        FROM p ORDER BY event_type""")
+
+register("contamination_by_source", q_contamination_by_source,
+         _contamination_by_source_sql())
+
+register("dedup_cluster_sizes", q_dedup_cluster_sizes, """
     WITH c AS (SELECT text, COUNT(*) AS k FROM documents GROUP BY text)
     SELECT CAST(k AS BIGINT) AS cluster_size,
            CAST(COUNT(*) AS BIGINT) AS n_clusters
-    FROM c GROUP BY k ORDER BY cluster_size"""
-CURATION_ORACLES["template_prefixes"] = f"""
+    FROM c GROUP BY k ORDER BY cluster_size""")
+
+register("template_prefixes", q_template_prefixes, f"""
     WITH p AS (
       SELECT substr(coalesce(text, ''), 1, {_PREFIX_LEN}) AS prefix,
              source
@@ -953,8 +943,9 @@ CURATION_ORACLES["template_prefixes"] = f"""
                    CAST(COUNT(*) AS BIGINT) AS n_sources
             FROM ps GROUP BY prefix)
     SELECT prefix, n_docs, n_sources FROM agg
-    WHERE n_docs >= {_TEMPLATE_MIN_DOCS} ORDER BY prefix"""
-CURATION_ORACLES["length_quality_grid"] = f"""
+    WHERE n_docs >= {_TEMPLATE_MIN_DOCS} ORDER BY prefix""")
+
+register("length_quality_grid", q_length_quality_grid, f"""
     WITH toks AS (
       SELECT n_chars,
              regexp_extract_all(lower(text), '[0-9A-Za-z_]+') AS t
@@ -974,8 +965,9 @@ CURATION_ORACLES["length_quality_grid"] = f"""
     SELECT CAST(len_bucket AS BIGINT) AS len_bucket,
            CAST(rep_bucket AS BIGINT) AS rep_bucket,
            CAST(COUNT(*) AS BIGINT) AS n_docs
-    FROM b GROUP BY 1, 2 ORDER BY 1, 2"""
-CURATION_ORACLES["token_budget_epochs"] = f"""
+    FROM b GROUP BY 1, 2 ORDER BY 1, 2""")
+
+register("token_budget_epochs", q_token_budget_epochs, f"""
     WITH v AS (
       SELECT source,
              CAST(SUM(length({_TOKSPLIT})) AS BIGINT) AS n_tokens
@@ -995,14 +987,6 @@ CURATION_ORACLES["token_budget_epochs"] = f"""
              / CAST((SELECT SUM(w6) FROM w) AS DOUBLE)
              / CAST(n_tokens AS DOUBLE)
            END AS epochs
-    FROM w ORDER BY source"""
+    FROM w ORDER BY source""")
 
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION_QUERIES)
-    _q.ORACLE_SQL.update(CURATION_ORACLES)
-
-
-_register()
+register("dup_canonical", q_dup_canonical, _dup_canonical_sql())

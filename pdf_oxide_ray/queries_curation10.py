@@ -49,17 +49,16 @@ import.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials, _scoped_parallelism
+from .ops.quantile import disc_index, disc_rank
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
-CURATION10_QUERIES: dict = {}
-CURATION10_ORACLES: dict = {}
 
 _WORD_RE = re.compile(r"[0-9a-z_]+")
 _WORD_SQL = "regexp_extract_all(lower(coalesce(text, '')), '[0-9a-z_]+')"
@@ -112,8 +111,7 @@ def q_subsample_weights(sf_dir: str) -> pd.DataFrame:
         .reset_index(drop=True)
 
 
-CURATION10_QUERIES["subsample_weights"] = q_subsample_weights
-CURATION10_ORACLES["subsample_weights"] = f"""
+register("subsample_weights", q_subsample_weights, f"""
     WITH tok AS (
       SELECT unnest({_WORD_SQL}) AS w FROM documents),
     cnt AS (SELECT w, CAST(COUNT(*) AS BIGINT) AS c FROM tok GROUP BY w),
@@ -128,7 +126,7 @@ CURATION10_ORACLES["subsample_weights"] = f"""
       FROM cnt, tot)
     SELECT w AS word, c, p_keep,
            CAST(c AS DOUBLE) * p_keep AS expected_kept
-    FROM s ORDER BY c DESC, w LIMIT {_SUB_TOPK}"""
+    FROM s ORDER BY c DESC, w LIMIT {_SUB_TOPK}""")
 
 
 # ------------------------------------------------------ char coverage
@@ -164,8 +162,7 @@ def q_char_coverage(sf_dir: str) -> pd.DataFrame:
                          "cum_frac": cum.astype(np.float64) / n})
 
 
-CURATION10_QUERIES["char_coverage"] = q_char_coverage
-CURATION10_ORACLES["char_coverage"] = """
+register("char_coverage", q_char_coverage, """
     WITH s AS (SELECT lower(coalesce(text, '')) AS t FROM documents),
     ch AS (
       SELECT substr(t, CAST(i AS INT), 1) AS ch
@@ -179,7 +176,7 @@ CURATION10_ORACLES["char_coverage"] = """
     SELECT o.ch, o.c,
            CAST(o.c AS DOUBLE) / CAST(tot.n AS DOUBLE) AS frac,
            CAST(o.cum AS DOUBLE) / CAST(tot.n AS DOUBLE) AS cum_frac
-    FROM o, tot ORDER BY o.c DESC, o.ch"""
+    FROM o, tot ORDER BY o.c DESC, o.ch""")
 
 
 # ----------------------------------------------------- vocab coverage
@@ -203,15 +200,14 @@ def q_vocab_coverage(sf_dir: str) -> pd.DataFrame:
     n = int(cum[-1])
     rows = []
     for p in _COV_TARGETS:
-        k = int(np.searchsorted(cum, math.ceil(p * float(n)), "left"))
+        k = disc_index(cum, disc_rank(n, p))
         rows.append((np.float64(p), k + 1,
                      np.float64(int(cum[k])) / np.float64(n)))
     return pd.DataFrame(rows, columns=["p", "k_words", "coverage"]) \
         .astype({"k_words": "int64"})
 
 
-CURATION10_QUERIES["vocab_coverage"] = q_vocab_coverage
-CURATION10_ORACLES["vocab_coverage"] = f"""
+register("vocab_coverage", q_vocab_coverage, f"""
     WITH tok AS (
       SELECT unnest({_WORD_SQL}) AS w FROM documents),
     cnt AS (SELECT w, CAST(COUNT(*) AS BIGINT) AS c FROM tok GROUP BY w),
@@ -227,7 +223,7 @@ CURATION10_ORACLES["vocab_coverage"] = f"""
              / CAST(ANY_VALUE(tot.n) AS DOUBLE) AS coverage
     FROM p, o, tot
     WHERE o.cum >= CAST(ceil(p.p * CAST(tot.n AS DOUBLE)) AS BIGINT)
-    GROUP BY p.p ORDER BY p.p"""
+    GROUP BY p.p ORDER BY p.p""")
 
 
 # ------------------------------------------------------ order backlog
@@ -300,8 +296,7 @@ def q_order_backlog(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-CURATION10_QUERIES["order_backlog"] = q_order_backlog
-CURATION10_ORACLES["order_backlog"] = """
+register("order_backlog", q_order_backlog, """
     WITH pl AS (
       SELECT date_trunc('day', o_orderdate) AS d,
              CAST(COUNT(*) AS BIGINT) AS n
@@ -326,14 +321,4 @@ CURATION10_ORACLES["order_backlog"] = """
                 OVER (ORDER BY cal.day) AS BIGINT) AS backlog
     FROM cal LEFT JOIN pl ON pl.d = cal.day
              LEFT JOIN cm ON cm.d = cal.day
-    ORDER BY cal.day"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION10_QUERIES)
-    _q.ORACLE_SQL.update(CURATION10_ORACLES)
-
-
-_register()
+    ORDER BY cal.day""")

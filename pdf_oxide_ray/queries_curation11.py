@@ -40,10 +40,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION11_QUERIES: dict = {}
-CURATION11_ORACLES: dict = {}
 
 _PAIR_GATE_ROWS = 2_000_000  # same gate as all_pairs_cosine
 
@@ -141,8 +139,6 @@ def q_knn_label_consistency(sf_dir: str) -> pd.DataFrame:
         .astype({"label": "int64", "n": "int64", "n_match": "int64"})
 
 
-CURATION11_QUERIES["knn_label_consistency"] = q_knn_label_consistency
-
 _PAIR_SQL = """
     WITH v AS (
       SELECT vec_id, CAST(label AS BIGINT) AS label,
@@ -164,7 +160,7 @@ _PAIR_SQL = """
              list_inner_product(a.qe, b.qe) AS sim
       FROM q a JOIN q b ON a.vec_id <> b.vec_id)"""
 
-CURATION11_ORACLES["knn_label_consistency"] = _PAIR_SQL + """,
+register("knn_label_consistency", q_knn_label_consistency, _PAIR_SQL + """,
     nn AS (
       SELECT ida, la, lb FROM (
         SELECT ida, la, lb,
@@ -176,7 +172,7 @@ CURATION11_ORACLES["knn_label_consistency"] = _PAIR_SQL + """,
              AS n_match,
            CAST(SUM(CASE WHEN lb = la THEN 1 ELSE 0 END) AS DOUBLE)
              / CAST(COUNT(*) AS DOUBLE) AS accuracy
-    FROM nn GROUP BY la ORDER BY la"""
+    FROM nn GROUP BY la ORDER BY la""")
 
 
 def q_embedding_margin(sf_dir: str) -> pd.DataFrame:
@@ -200,8 +196,7 @@ def q_embedding_margin(sf_dir: str) -> pd.DataFrame:
         .astype({"label": "int64", "n": "int64"})
 
 
-CURATION11_QUERIES["embedding_margin"] = q_embedding_margin
-CURATION11_ORACLES["embedding_margin"] = _PAIR_SQL + """,
+register("embedding_margin", q_embedding_margin, _PAIR_SQL + """,
     mm AS (
       SELECT ida, la,
              MAX(CASE WHEN lb = la THEN sim END) AS best_same,
@@ -211,14 +206,4 @@ CURATION11_ORACLES["embedding_margin"] = _PAIR_SQL + """,
            SUM(best_same - best_other) / CAST(COUNT(*) AS DOUBLE)
              AS avg_margin
     FROM mm WHERE best_same IS NOT NULL AND best_other IS NOT NULL
-    GROUP BY la ORDER BY la"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION11_QUERIES)
-    _q.ORACLE_SQL.update(CURATION11_ORACLES)
-
-
-_register()
+    GROUP BY la ORDER BY la""")

@@ -49,10 +49,8 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import halfaway6
-from .queries import _empty_typed, _pq, _reduce_partials
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION12_QUERIES: dict = {}
-CURATION12_ORACLES: dict = {}
 
 _WORD_RE = re.compile(r"[0-9a-z_]+")
 _WORD_SQL = "regexp_extract_all(lower(coalesce(text, '')), '[0-9a-z_]+')"
@@ -91,15 +89,14 @@ def q_geo_mean_by_type(sf_dir: str) -> pd.DataFrame:
         .reset_index(drop=True).astype({"n": "int64"})
 
 
-CURATION12_QUERIES["geo_mean_by_type"] = q_geo_mean_by_type
-CURATION12_ORACLES["geo_mean_by_type"] = """
+register("geo_mean_by_type", q_geo_mean_by_type, """
     SELECT event_type, CAST(COUNT(*) AS BIGINT) AS n,
            round(exp(CAST(SUM(CAST(round(ln(value) * 1000000.0)
                                    AS BIGINT)) AS DOUBLE)
                      / CAST(COUNT(*) AS DOUBLE) / 1000000.0)
                  * 1000000.0, 0) / 1000000.0 AS gmean
     FROM events WHERE value > 0
-    GROUP BY event_type ORDER BY event_type"""
+    GROUP BY event_type ORDER BY event_type""")
 
 
 # ----------------------------------------------------------- BPE train
@@ -166,7 +163,7 @@ def q_bpe_train_steps(sf_dir: str) -> pd.DataFrame:
                  "corpus_symbols": "int64"})
 
 
-CURATION12_QUERIES["bpe_train_steps"] = q_bpe_train_steps
+register("bpe_train_steps", q_bpe_train_steps)
 # no ORACLE_SQL: iterative merge loop is not SQL-expressible; pinned
 # rows-only hash in tests/test_pinned_rows_only.py
 
@@ -211,15 +208,5 @@ def q_kcenter_coreset(sf_dir: str) -> pd.DataFrame:
                  "min_dist": "int64"})
 
 
-CURATION12_QUERIES["kcenter_coreset"] = q_kcenter_coreset
+register("kcenter_coreset", q_kcenter_coreset)
 # no ORACLE_SQL: greedy iterative selection; pinned rows-only hash
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION12_QUERIES)
-    _q.ORACLE_SQL.update(CURATION12_ORACLES)
-
-
-_register()

@@ -39,10 +39,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials
+from .ops.ordered import ordered_pass
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION13_QUERIES: dict = {}
-CURATION13_ORACLES: dict = {}
 
 _SKEW_BUCKETS = 64
 _KNUTH = 2654435761
@@ -87,8 +86,7 @@ def q_exchange_skew_census(sf_dir: str) -> pd.DataFrame:
                  "n_keys": "int64"})
 
 
-CURATION13_QUERIES["exchange_skew_census"] = q_exchange_skew_census
-CURATION13_ORACLES["exchange_skew_census"] = f"""
+register("exchange_skew_census", q_exchange_skew_census, f"""
     WITH b AS (
       SELECT user_id,
              CAST((user_id * {_KNUTH}) % 4294967296 % {_SKEW_BUCKETS}
@@ -96,7 +94,7 @@ CURATION13_ORACLES["exchange_skew_census"] = f"""
       FROM events)
     SELECT bucket, CAST(COUNT(*) AS BIGINT) AS n_rows,
            CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_keys
-    FROM b GROUP BY bucket ORDER BY bucket"""
+    FROM b GROUP BY bucket ORDER BY bucket""")
 
 
 # ----------------------------------------------------------- debounce
@@ -104,71 +102,44 @@ CURATION13_ORACLES["exchange_skew_census"] = f"""
 def q_debounce_census(sf_dir: str) -> pd.DataFrame:
     """Per-type 60-second double-fire rate via the sorted-batch
     boundary-stitch ordered plan — module docstring."""
-    ds = _pq(sf_dir, "events", ["user_id", "event_type", "ts",
-                                "event_id"]) \
-        .sort(["user_id", "event_type", "ts", "event_id"])
+    key = ["user_id", "event_type", "ts", "event_id"]
+    ds = _pq(sf_dir, "events", key).sort(key)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cols = {"event_type": object, "n_events": "int64",
-                "n_bounce": "int64", "k_user": "int64", "k_ts": "int64",
-                "k_eid": "int64", "b_user": "int64", "b_ts": "int64",
-                "kind": "int64"}
-        if len(b) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype=t)
-                                 for c, t in cols.items()})
+    def fold(b: pd.DataFrame) -> pd.DataFrame:
         u = b["user_id"].to_numpy(np.int64)
         et = b["event_type"].to_numpy(object)
         ts = b["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        eid = b["event_id"].to_numpy(np.int64)
         same = (u[1:] == u[:-1]) & (et[1:] == et[:-1])
         bounce = same & ((ts[1:] - ts[:-1]) <= _DEBOUNCE_US)
-        interior = pd.DataFrame({"event_type": et,
-                                 "n_events": np.int64(1),
-                                 "n_bounce": np.concatenate(
-                                     ([0], bounce.astype(np.int64)))}) \
+        return pd.DataFrame({"event_type": et,
+                             "n_events": np.int64(1),
+                             "n_bounce": np.concatenate(
+                                 ([0], bounce.astype(np.int64)))}) \
             .groupby("event_type", as_index=False).sum()
-        interior["k_user"] = np.int64(0)
-        interior["k_ts"] = np.int64(0)
-        interior["k_eid"] = np.int64(0)
-        interior["b_user"] = np.int64(0)
-        interior["b_ts"] = np.int64(0)
-        interior["kind"] = np.int64(-1)
-        # boundary rows: first row (kind 1, needs the previous batch's
-        # last row for its lag test) and last row (kind 2), both keyed
-        # by the batch's first row so the driver can order batches
-        edge = pd.DataFrame({
-            "event_type": [et[0], et[-1]],
-            "n_events": np.int64(0), "n_bounce": np.int64(0),
-            "k_user": u[0], "k_ts": ts[0], "k_eid": eid[0],
-            "b_user": [u[0], u[-1]], "b_ts": [ts[0], ts[-1]],
-            "kind": np.array([1, 2], dtype=np.int64)})
-        return pd.concat([interior, edge], ignore_index=True)
 
-    # fixed batch_size: contiguous slices of the sorted order AND the
-    # stitch path exercises at every scale
-    rows = ds.map_batches(partial, batch_format="pandas",
-                          batch_size=4096).materialize().to_pandas()
+    def edge(b: pd.DataFrame) -> tuple[dict, dict]:
+        # the first row's lag test needs the previous batch's last row
+        ts = b["ts"].to_numpy("datetime64[us]").astype(np.int64)
+        u, et = b["user_id"].to_numpy(np.int64), b["event_type"]
+        return ({"u": u[0], "et": et.iloc[0], "ts": ts[0]},
+                {"u": u[-1], "et": et.iloc[-1], "ts": ts[-1]})
+
+    folds, first, last = ordered_pass(ds, key, fold, edge)
     empty = _empty_typed(event_type=object, n_events="int64",
                          n_bounce="int64", bounce_rate="float64")
-    if rows.empty:
+    if folds.empty:
         return empty
-    agg = rows[rows["kind"] == -1] \
-        .groupby("event_type", as_index=False)[["n_events",
-                                                "n_bounce"]].sum()
+    agg = folds.groupby("event_type", as_index=False)[["n_events",
+                                                       "n_bounce"]].sum()
     stats = {t: [int(n), int(nb)] for t, n, nb
              in zip(agg["event_type"], agg["n_events"],
                     agg["n_bounce"])}
-    edge = rows[rows["kind"] > 0] \
-        .sort_values(["k_user", "k_ts", "k_eid", "kind"],
-                     kind="mergesort").reset_index(drop=True)
     # one cross-seam lag test per adjacent batch pair
-    for i in range(2, len(edge), 2):
-        last, first = edge.iloc[i - 1], edge.iloc[i]
-        if (int(last["b_user"]) == int(first["b_user"])
-                and last["event_type"] == first["event_type"]
-                and int(first["b_ts"]) - int(last["b_ts"])
-                <= _DEBOUNCE_US):
-            stats[first["event_type"]][1] += 1
+    for la, f in zip(last.iloc[:-1].itertuples(),
+                     first.iloc[1:].itertuples()):
+        if (la.u == f.u and la.et == f.et
+                and int(f.ts) - int(la.ts) <= _DEBOUNCE_US):
+            stats[f.et][1] += 1
     out = pd.DataFrame([(t, v[0], v[1]) for t, v in stats.items()],
                        columns=["event_type", "n_events", "n_bounce"])
     out["bounce_rate"] = out["n_bounce"].to_numpy(np.float64) \
@@ -177,8 +148,7 @@ def q_debounce_census(sf_dir: str) -> pd.DataFrame:
         .astype({"n_events": "int64", "n_bounce": "int64"})
 
 
-CURATION13_QUERIES["debounce_census"] = q_debounce_census
-CURATION13_ORACLES["debounce_census"] = f"""
+register("debounce_census", q_debounce_census, f"""
     WITH o AS (
       SELECT event_type, ts,
              LAG(ts) OVER (PARTITION BY user_id, event_type
@@ -194,14 +164,4 @@ CURATION13_ORACLES["debounce_census"] = f"""
                              <= {_DEBOUNCE_US}
                     THEN 1 ELSE 0 END) AS DOUBLE)
              / CAST(COUNT(*) AS DOUBLE) AS bounce_rate
-    FROM o GROUP BY event_type ORDER BY event_type"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION13_QUERIES)
-    _q.ORACLE_SQL.update(CURATION13_ORACLES)
-
-
-_register()
+    FROM o GROUP BY event_type ORDER BY event_type""")

@@ -31,11 +31,12 @@ plan (the `event_burstiness`/`debounce_census` exchange): ONE
 range-partitioned sort of the skinny (type, ts, id) projection;
 in-batch gaps are vectorized diffs folded into a (type, gap_s) count
 histogram partial (gap quantized to whole seconds — the bounded-value
-histogram convention); each batch adds 2 boundary rows; the driver
-stitches one cross-seam gap per adjacent batch pair, folds the
-(type, gap_s) histogram via ``_reduce_partials``, and reads the
-percentile_disc index rule ``sorted[ceil(n*p)-1]`` off cumulative
-counts — never a global per-event collect.
+histogram convention); each batch adds 2 boundary rows
+(``ops.ordered``); the driver stitches one cross-seam gap per
+adjacent batch pair, sums the per-batch (type, gap_s) partials
+(bounded by batches x distinct in-batch (type, gap_s) pairs), and
+reads the percentile_disc index rule ``sorted[ceil(n*p)-1]`` off
+cumulative counts — never a global per-event collect.
 
 `split_balance`: pure-map md5-nibble split (the `split_assign` rule)
 -> per-batch (source, split) int64 partials (n, sum, sumsq) -> ONE
@@ -61,11 +62,11 @@ import numpy as np
 import pandas as pd
 
 from .functions import textops as ftext
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism, _winnow_fps_ctes)
+from .ops.ordered import ordered_pass
+from .ops.quantile import disc_by_group
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      _winnow_fps_ctes, register)
 
-CURATION14_QUERIES: dict = {}
-CURATION14_ORACLES: dict = {}
 
 _COV_BUCKETS = 64
 
@@ -122,8 +123,7 @@ def q_dup_coverage(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-CURATION14_QUERIES["dup_coverage"] = q_dup_coverage
-CURATION14_ORACLES["dup_coverage"] = f"""
+register("dup_coverage", q_dup_coverage, f"""
     WITH {_winnow_fps_ctes()},
     fpc AS (SELECT fp, count(*) AS c FROM fps GROUP BY fp)
     SELECT f.doc_id, CAST(count(*) AS BIGINT) AS n_fp,
@@ -132,7 +132,7 @@ CURATION14_ORACLES["dup_coverage"] = f"""
            CAST(SUM(CASE WHEN fpc.c >= 2 THEN 1 ELSE 0 END)
                 AS DOUBLE) / count(*) AS coverage
     FROM fps f JOIN fpc USING (fp)
-    GROUP BY f.doc_id ORDER BY doc_id"""
+    GROUP BY f.doc_id ORDER BY doc_id""")
 
 
 # --------------------------------------------- interarrival percentiles
@@ -141,92 +141,46 @@ def q_interarrival_percentiles(sf_dir: str) -> pd.DataFrame:
     """Exact p50/p90/p99 of same-type inter-event gaps in whole
     seconds via the sorted-batch boundary-stitch + bounded-histogram
     plan — module docstring."""
-    ds = _pq(sf_dir, "events", ["event_type", "ts", "event_id"]) \
-        .sort(["event_type", "ts", "event_id"])
+    key = ["event_type", "ts", "event_id"]
+    ds = _pq(sf_dir, "events", key).sort(key)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cols = {"event_type": object, "gap_s": "int64", "cnt": "int64",
-                "b_ts": "int64", "b_eid": "int64", "kind": "int64"}
-        if len(b) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype=t)
-                                 for c, t in cols.items()})
+    def fold(b: pd.DataFrame) -> pd.DataFrame:
         et = b["event_type"].to_numpy(object)
         ts = b["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        eid = b["event_id"].to_numpy(np.int64)
         same = et[1:] == et[:-1]
-        interior = pd.DataFrame({
+        return pd.DataFrame({
             "event_type": et[1:][same],
             "gap_s": (ts[1:] - ts[:-1])[same] // 1_000_000,
             "cnt": np.int64(1)}) \
             .groupby(["event_type", "gap_s"], as_index=False).sum()
-        interior["b_ts"] = np.int64(0)
-        interior["b_eid"] = np.int64(0)
-        interior["kind"] = np.int64(-1)
-        # boundary rows keyed by their OWN (ts, id) — a batch's first
-        # and last rows may belong to different types, so keying both
-        # by the batch-first key would misplace the last row inside
-        # its type section (the event_burstiness scheme); kind 1 =
-        # batch first row, 2 = batch last row (1 < 2 keeps a
-        # single-row batch's first before its last at the same key)
-        edge = pd.DataFrame({
-            "event_type": [et[0], et[-1]],
-            "gap_s": np.int64(0), "cnt": np.int64(0),
-            "b_ts": [ts[0], ts[-1]], "b_eid": [eid[0], eid[-1]],
-            "kind": np.array([1, 2], dtype=np.int64)})
-        return pd.concat([interior, edge], ignore_index=True)
 
-    # fixed batch_size: contiguous slices of the sorted order AND the
-    # stitch path exercises at every scale
-    rows = ds.map_batches(partial, batch_format="pandas",
-                          batch_size=4096).materialize()
+    def edge(b: pd.DataFrame) -> tuple[dict, dict]:
+        ts = b["ts"].to_numpy("datetime64[us]").astype(np.int64)
+        return ({"et": b["event_type"].iloc[0], "ts": ts[0]},
+                {"et": b["event_type"].iloc[-1], "ts": ts[-1]})
+
+    hist, first, last = ordered_pass(ds, key, fold, edge)
     empty = _empty_typed(event_type=object, n_gaps="int64",
                          p50_s="int64", p90_s="int64", p99_s="int64")
-    if rows.count() == 0:
+    if first.empty:
         return empty
-    hist = _reduce_partials(
-        rows.map_batches(
-            lambda b: b.loc[b["kind"] == -1,
-                            ["event_type", "gap_s", "cnt"]],
-            batch_format="pandas"),
-        ["event_type", "gap_s"], ["cnt"])
-    edge = rows.map_batches(
-        lambda b: b.loc[b["kind"] > 0,
-                        ["event_type", "b_ts", "b_eid", "kind"]],
-        batch_format="pandas").to_pandas() \
-        .sort_values(["event_type", "b_ts", "b_eid", "kind"],
-                     kind="mergesort").reset_index(drop=True)
-    # one cross-seam gap per adjacent batch pair within a type:
-    # batches partition the global (type, ts, id) order, so after
-    # sorting the edge rows by their own keys a kind-2 (batch-last)
-    # row immediately followed by a kind-1 (batch-first) row of the
-    # same type is exactly a batch seam
-    kind = edge["kind"].to_numpy(np.int64)
-    et = edge["event_type"].to_numpy(object)
-    bts = edge["b_ts"].to_numpy(np.int64)
-    hit = np.flatnonzero((kind[:-1] == 2) & (kind[1:] == 1)
-                         & (et[:-1] == et[1:]))
+    # one cross-seam gap per adjacent batch pair within a type
+    lt = last["et"].to_numpy(object)[:-1]
+    hit = np.flatnonzero(lt == first["et"].to_numpy(object)[1:])
     if hit.size:
         seams = pd.DataFrame({
-            "event_type": et[hit],
-            "gap_s": (bts[hit + 1] - bts[hit]) // 1_000_000,
+            "event_type": lt[hit],
+            "gap_s": (first["ts"].to_numpy(np.int64)[1:][hit]
+                      - last["ts"].to_numpy(np.int64)[:-1][hit])
+            // 1_000_000,
             "cnt": np.int64(1)})
-        hist = pd.concat([hist, seams], ignore_index=True) \
-            .groupby(["event_type", "gap_s"], as_index=False)["cnt"] \
-            .sum()
+        hist = pd.concat([hist, seams], ignore_index=True)
+    hist = hist.groupby(["event_type", "gap_s"], as_index=False)["cnt"] \
+        .sum()
     if hist.empty:
         return empty
-    out_rows = []
-    for t, g in hist.groupby("event_type"):
-        g = g.sort_values("gap_s")
-        cum = g["cnt"].cumsum().to_numpy()
-        vals = g["gap_s"].to_numpy()
-        n = int(cum[-1])
-        qs = []
-        for p in (0.5, 0.9, 0.99):
-            idx = min(max(int(np.ceil(n * np.float64(p))) - 1, 0),
-                      n - 1)
-            qs.append(int(vals[np.searchsorted(cum, idx + 1)]))
-        out_rows.append((t, n, *qs))
+    out_rows = disc_by_group(hist, "event_type", "gap_s",
+                             (0.5, 0.9, 0.99))
     return pd.DataFrame(out_rows,
                         columns=["event_type", "n_gaps", "p50_s",
                                  "p90_s", "p99_s"]) \
@@ -235,9 +189,7 @@ def q_interarrival_percentiles(sf_dir: str) -> pd.DataFrame:
         .sort_values("event_type").reset_index(drop=True)
 
 
-CURATION14_QUERIES["interarrival_percentiles"] = \
-    q_interarrival_percentiles
-CURATION14_ORACLES["interarrival_percentiles"] = """
+register("interarrival_percentiles", q_interarrival_percentiles, """
     WITH o AS (
       SELECT event_type,
              epoch_us(ts) - lag(epoch_us(ts)) OVER (
@@ -252,7 +204,7 @@ CURATION14_ORACLES["interarrival_percentiles"] = """
                 AS BIGINT) AS p90_s,
            CAST(percentile_disc(0.99) WITHIN GROUP (ORDER BY gap_s)
                 AS BIGINT) AS p99_s
-    FROM g GROUP BY event_type ORDER BY event_type"""
+    FROM g GROUP BY event_type ORDER BY event_type""")
 
 
 # -------------------------------------------------------- split balance
@@ -313,8 +265,7 @@ def q_split_balance(sf_dir: str) -> pd.DataFrame:
         .sort_values("source").reset_index(drop=True)
 
 
-CURATION14_QUERIES["split_balance"] = q_split_balance
-CURATION14_ORACLES["split_balance"] = """
+register("split_balance", q_split_balance, """
     WITH s AS (
       SELECT source,
              CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
@@ -343,7 +294,7 @@ CURATION14_ORACLES["split_balance"] = """
     FROM m tr JOIN m te
       ON tr.source = te.source
      AND tr.split = 'train' AND te.split = 'test'
-    ORDER BY tr.source"""
+    ORDER BY tr.source""")
 
 
 # --------------------------------------------------- user event entropy
@@ -384,8 +335,7 @@ def q_user_event_entropy(sf_dir: str) -> pd.DataFrame:
         .sort_values("user_id").reset_index(drop=True)
 
 
-CURATION14_QUERIES["user_event_entropy"] = q_user_event_entropy
-CURATION14_ORACLES["user_event_entropy"] = """
+register("user_event_entropy", q_user_event_entropy, """
     WITH c AS (
       SELECT user_id, event_type, COUNT(*) AS n FROM events
       GROUP BY user_id, event_type),
@@ -403,14 +353,4 @@ CURATION14_ORACLES["user_event_entropy"] = """
            CAST(t.n_types AS BIGINT) AS n_types,
            - ROUND(CAST(hh.s AS DOUBLE) / t.total, 0) / 1000000.0
            AS entropy
-    FROM t JOIN hh USING (user_id) ORDER BY user_id"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION14_QUERIES)
-    _q.ORACLE_SQL.update(CURATION14_ORACLES)
-
-
-_register()
+    FROM t JOIN hh USING (user_id) ORDER BY user_id""")

@@ -50,10 +50,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION15_QUERIES: dict = {}
-CURATION15_ORACLES: dict = {}
 
 _DECAY_HALFLIFE_DAYS = 7
 _DECAY_MAX_K = 62  # 0.5^62 underflows the useful range; older = 0
@@ -105,9 +103,7 @@ def q_decayed_event_popularity(sf_dir: str) -> pd.DataFrame:
         .sort_values("event_type").reset_index(drop=True)
 
 
-CURATION15_QUERIES["decayed_event_popularity"] = \
-    q_decayed_event_popularity
-CURATION15_ORACLES["decayed_event_popularity"] = f"""
+register("decayed_event_popularity", q_decayed_event_popularity, f"""
     WITH mx AS (SELECT epoch_us(max(ts)) AS m FROM events),
     b AS (
       SELECT event_type,
@@ -125,7 +121,7 @@ CURATION15_ORACLES["decayed_event_popularity"] = f"""
     SELECT event_type, n_events,
            CAST(sw AS DOUBLE) / {float(1 << _DECAY_MAX_K)!r}
              AS decayed_weight
-    FROM s ORDER BY event_type"""
+    FROM s ORDER BY event_type""")
 
 
 # --------------------------------------------- dedup method agreement
@@ -197,9 +193,6 @@ def q_dedup_method_agreement(sf_dir: str) -> pd.DataFrame:
         "agreement": [float(nb) / float(nu) if nu else np.nan]})
 
 
-CURATION15_QUERIES["dedup_method_agreement"] = q_dedup_method_agreement
-
-
 def _agreement_oracle_sql() -> str:
     # composed lazily at registration time so the parent module's
     # ORACLE_SQL entries (defined above the family imports) are final
@@ -217,6 +210,10 @@ def _agreement_oracle_sql() -> str:
                 THEN CAST(nb AS DOUBLE) / (nw + ng - nb) END
              AS agreement
     FROM cw, cg, cb"""
+
+
+register("dedup_method_agreement", q_dedup_method_agreement,
+         _agreement_oracle_sql())
 
 
 # ------------------------------------------------- readability scores
@@ -256,8 +253,7 @@ def q_readability_scores(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-CURATION15_QUERIES["readability_scores"] = q_readability_scores
-CURATION15_ORACLES["readability_scores"] = r"""
+register("readability_scores", q_readability_scores, r"""
     WITH toks AS (
       SELECT doc_id,
              unnest(list_filter(regexp_split_to_array(
@@ -284,7 +280,7 @@ CURATION15_ORACLES["readability_scores"] = r"""
                        / CAST(s.n_words AS DOUBLE))
            END AS flesch
     FROM documents d LEFT JOIN syl s USING (doc_id)
-    ORDER BY doc_id"""
+    ORDER BY doc_id""")
 
 
 # ----------------------------------------------- supplier reliability
@@ -326,8 +322,7 @@ def q_supplier_reliability(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("s_suppkey").reset_index(drop=True)
 
 
-CURATION15_QUERIES["supplier_reliability"] = q_supplier_reliability
-CURATION15_ORACLES["supplier_reliability"] = """
+register("supplier_reliability", q_supplier_reliability, """
     WITH a AS (
       SELECT l_suppkey AS s_suppkey,
              CAST(COUNT(*) AS BIGINT) AS n_items,
@@ -348,15 +343,4 @@ CURATION15_ORACLES["supplier_reliability"] = """
             - 1.96 * sqrt((phat * (1.0 - phat) + z2 / (4.0 * nd))
                           / nd))
            / (1.0 + z2 / nd) AS wilson_lb
-    FROM w ORDER BY s_suppkey"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION15_QUERIES)
-    _q.ORACLE_SQL.update(CURATION15_ORACLES)
-    _q.ORACLE_SQL["dedup_method_agreement"] = _agreement_oracle_sql()
-
-
-_register()
+    FROM w ORDER BY s_suppkey""")

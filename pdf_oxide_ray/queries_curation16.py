@@ -60,11 +60,9 @@ import pandas as pd
 
 from .functions import dedup as fdedup
 from .functions.textops import TOK_SQL
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
-CURATION16_QUERIES: dict = {}
-CURATION16_ORACLES: dict = {}
 
 _HH_K = 512          # Misra-Gries summary size per block
 _HH_PHI_DEN = 200    # heavy hitter = count * 200 >= total tokens
@@ -136,14 +134,13 @@ def q_token_heavy_hitters(sf_dir: str) -> pd.DataFrame:
         .sort_values("tok").reset_index(drop=True)
 
 
-CURATION16_QUERIES["token_heavy_hitters"] = q_token_heavy_hitters
-CURATION16_ORACLES["token_heavy_hitters"] = f"""
+register("token_heavy_hitters", q_token_heavy_hitters, f"""
     WITH toks AS (SELECT {TOK_SQL} AS tok FROM documents),
     tot AS (SELECT count(*) AS n FROM toks),
     c AS (SELECT tok, CAST(count(*) AS BIGINT) AS n_tok
           FROM toks GROUP BY tok)
     SELECT tok, n_tok FROM c, tot
-    WHERE n_tok * {_HH_PHI_DEN} >= n ORDER BY tok"""
+    WHERE n_tok * {_HH_PHI_DEN} >= n ORDER BY tok""")
 
 
 # -------------------------------------------- near-dup split leakage
@@ -188,9 +185,6 @@ def q_near_dup_split_safety(sf_dir: str) -> pd.DataFrame:
         .reset_index(drop=True)
 
 
-CURATION16_QUERIES["near_dup_split_safety"] = q_near_dup_split_safety
-
-
 def _split_safety_oracle_sql() -> str:
     from .queries import ORACLE_SQL as _O
 
@@ -208,6 +202,10 @@ def _split_safety_oracle_sql() -> str:
     SELECT split_lo, split_hi, n_pairs,
            CAST(n_pairs AS DOUBLE) / tot AS share
     FROM c, t ORDER BY split_lo, split_hi"""
+
+
+register("near_dup_split_safety", q_near_dup_split_safety,
+         _split_safety_oracle_sql())
 
 
 # --------------------------------------- detector precision / recall
@@ -283,9 +281,6 @@ def q_dedup_prf(sf_dir: str) -> pd.DataFrame:
         "prec": [prec], "rec": [rec], "f1": [f1]})
 
 
-CURATION16_QUERIES["dedup_prf"] = q_dedup_prf
-
-
 def _dedup_prf_oracle_sql() -> str:
     from .queries import ORACLE_SQL as _O
 
@@ -314,13 +309,4 @@ def _dedup_prf_oracle_sql() -> str:
     FROM r"""
 
 
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION16_QUERIES)
-    _q.ORACLE_SQL.update(CURATION16_ORACLES)
-    _q.ORACLE_SQL["near_dup_split_safety"] = _split_safety_oracle_sql()
-    _q.ORACLE_SQL["dedup_prf"] = _dedup_prf_oracle_sql()
-
-
-_register()
+register("dedup_prf", q_dedup_prf, _dedup_prf_oracle_sql())

@@ -44,11 +44,9 @@ import numpy as np
 import pandas as pd
 
 from .queries import (_WINNOW_PAIR_THRESHOLD, _connected_components,
-                      _empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism, _winnow_pair_counts_ds)
+                      _empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      _winnow_pair_counts_ds, register)
 
-CURATION17_QUERIES: dict = {}
-CURATION17_ORACLES: dict = {}
 
 _DAY_US = 86_400_000_000
 
@@ -92,9 +90,6 @@ def q_dup_transitivity_gap(sf_dir: str) -> pd.DataFrame:
         .sort_values("component").reset_index(drop=True)
 
 
-CURATION17_QUERIES["dup_transitivity_gap"] = q_dup_transitivity_gap
-
-
 def _transitivity_oracle_sql() -> str:
     from .queries import ORACLE_SQL as _O
 
@@ -113,6 +108,10 @@ def _transitivity_oracle_sql() -> str:
              / ((s.m * (s.m - 1)) // 2) AS completeness
     FROM sizes s LEFT JOIN f USING (component)
     ORDER BY s.component"""
+
+
+register("dup_transitivity_gap", q_dup_transitivity_gap,
+         _transitivity_oracle_sql())
 
 
 # ------------------------------------------- activity tier migration
@@ -161,9 +160,7 @@ def q_activity_tier_migration(sf_dir: str) -> pd.DataFrame:
         .sort_values(["tier_from", "tier_to"]).reset_index(drop=True)
 
 
-CURATION17_QUERIES["activity_tier_migration"] = \
-    q_activity_tier_migration
-CURATION17_ORACLES["activity_tier_migration"] = f"""
+register("activity_tier_migration", q_activity_tier_migration, f"""
     WITH um AS (
       SELECT user_id,
              epoch_us(ts) // {_WEEK_US} AS mix,
@@ -179,7 +176,7 @@ CURATION17_ORACLES["activity_tier_migration"] = f"""
             ON b.user_id = a.user_id AND b.mix = a.mix + 1)
     SELECT tier_from, tier_to, CAST(count(*) AS BIGINT) AS n_trans
     FROM m GROUP BY tier_from, tier_to
-    ORDER BY tier_from, tier_to"""
+    ORDER BY tier_from, tier_to""")
 
 
 # -------------------------------------------- user acquisition curve
@@ -230,23 +227,11 @@ def q_user_acquisition_curve(sf_dir: str) -> pd.DataFrame:
     return c
 
 
-CURATION17_QUERIES["user_acquisition_curve"] = q_user_acquisition_curve
-CURATION17_ORACLES["user_acquisition_curve"] = """
+register("user_acquisition_curve", q_user_acquisition_curve, """
     WITH f AS (SELECT user_id, date_trunc('day', min(ts)) AS day
                FROM events GROUP BY user_id),
     c AS (SELECT day, CAST(count(*) AS BIGINT) AS n_new
           FROM f GROUP BY day)
     SELECT day, n_new,
            CAST(SUM(n_new) OVER (ORDER BY day) AS BIGINT) AS cum_users
-    FROM c ORDER BY day"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION17_QUERIES)
-    _q.ORACLE_SQL.update(CURATION17_ORACLES)
-    _q.ORACLE_SQL["dup_transitivity_gap"] = _transitivity_oracle_sql()
-
-
-_register()
+    FROM c ORDER BY day""")

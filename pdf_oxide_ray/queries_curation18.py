@@ -52,11 +52,9 @@ import pandas as pd
 from . import queries as _qmod
 from .functions import dedup as fdedup
 from .functions.textops import TOK_SQL
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
-
-CURATION18_QUERIES: dict = {}
-CURATION18_ORACLES: dict = {}
+from .ops.quantile import disc_by_group, disc_pick, disc_rank
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
 
 # ------------------------------------------------------ corpus datacard
@@ -148,9 +146,8 @@ def q_corpus_datacard(sf_dir: str) -> pd.DataFrame:
         h = h.sort_values("ki")
         cum = h["sum(n)"].to_numpy(np.int64).cumsum()
         n = int(cum[-1])
-        idx = int(np.ceil(n * 0.5)) - 1
-        p50 = float(h["ki"].to_numpy(np.int64)
-                    [np.searchsorted(cum, idx + 1)])
+        p50 = float(disc_pick(h["ki"].to_numpy(np.int64), cum,
+                              disc_rank(n, 0.5)))
         sum_chars = int((h["ki"].to_numpy(np.int64)
                          * h["sum(n)"].to_numpy(np.int64)).sum())
     else:
@@ -171,8 +168,7 @@ def q_corpus_datacard(sf_dir: str) -> pd.DataFrame:
         "p50_chars": [p50]})
 
 
-CURATION18_QUERIES["corpus_datacard"] = q_corpus_datacard
-CURATION18_ORACLES["corpus_datacard"] = f"""
+register("corpus_datacard", q_corpus_datacard, f"""
     WITH s AS (
       SELECT CAST(count(*) AS BIGINT) AS n_docs,
              CAST(coalesce(SUM(CASE WHEN coalesce(text, '') = ''
@@ -198,7 +194,7 @@ CURATION18_ORACLES["corpus_datacard"] = f"""
                 THEN CAST(sum_chars AS DOUBLE) / n_docs
            END AS mean_chars,
            p50_chars
-    FROM s, t"""
+    FROM s, t""")
 
 
 # ------------------------------------------- nation value percentiles
@@ -242,26 +238,16 @@ def q_nation_value_percentiles(sf_dir: str) -> pd.DataFrame:
                          ["nation", "pc"], ["cnt"])
     if h.empty:
         return empty
-    rows = []
-    for nation, g in h.sort_values("pc").groupby("nation"):
-        cum = g["cnt"].to_numpy(np.int64).cumsum()
-        vals = g["pc"].to_numpy(np.int64)
-        n = int(cum[-1])
-
-        def disc(p: float) -> float:
-            idx = int(np.ceil(n * p)) - 1
-            return float(vals[np.searchsorted(cum, idx + 1)]) / 100.0
-
-        rows.append((nation, n, disc(0.25), disc(0.5), disc(0.75)))
+    rows = [(nation, n, *(float(q) / 100.0 for q in qs))
+            for nation, n, *qs
+            in disc_by_group(h, "nation", "pc", (0.25, 0.5, 0.75))]
     return pd.DataFrame(rows, columns=["nation", "n_orders", "p25",
                                        "p50", "p75"]) \
         .astype({"n_orders": "int64"}) \
         .sort_values("nation").reset_index(drop=True)
 
 
-CURATION18_QUERIES["nation_value_percentiles"] = \
-    q_nation_value_percentiles
-CURATION18_ORACLES["nation_value_percentiles"] = """
+register("nation_value_percentiles", q_nation_value_percentiles, """
     WITH o AS (
       SELECT n.n_name AS nation,
              CAST(round(o_totalprice * 100) AS BIGINT) AS pc
@@ -271,7 +257,7 @@ CURATION18_ORACLES["nation_value_percentiles"] = """
            CAST(quantile_disc(pc, 0.25) AS DOUBLE) / 100.0 AS p25,
            CAST(quantile_disc(pc, 0.5) AS DOUBLE) / 100.0 AS p50,
            CAST(quantile_disc(pc, 0.75) AS DOUBLE) / 100.0 AS p75
-    FROM o GROUP BY nation ORDER BY nation"""
+    FROM o GROUP BY nation ORDER BY nation""")
 
 
 # ------------------------------------- top-decile share per source
@@ -298,8 +284,7 @@ def q_top_decile_share_by_source(sf_dir: str) -> pd.DataFrame:
         vals = g["n_chars"].to_numpy(np.int64)
         cnt = g["cnt"].to_numpy(np.int64)
         n = int(cum[-1])
-        idx = int(np.ceil(n * 0.9)) - 1
-        p90 = int(vals[np.searchsorted(cum, idx + 1)])
+        p90 = int(disc_pick(vals, cum, disc_rank(n, 0.9)))
         total = int((vals * cnt).sum())
         top = int((vals * cnt)[vals >= p90].sum())
         rows.append((source, n, float(p90),
@@ -310,9 +295,7 @@ def q_top_decile_share_by_source(sf_dir: str) -> pd.DataFrame:
         .sort_values("source").reset_index(drop=True)
 
 
-CURATION18_QUERIES["top_decile_share_by_source"] = \
-    q_top_decile_share_by_source
-CURATION18_ORACLES["top_decile_share_by_source"] = """
+register("top_decile_share_by_source", q_top_decile_share_by_source, """
     WITH q AS (
       SELECT source, CAST(count(*) AS BIGINT) AS n_docs,
              quantile_disc(n_chars, 0.9) AS p90,
@@ -326,14 +309,4 @@ CURATION18_ORACLES["top_decile_share_by_source"] = """
            CAST(q.p90 AS DOUBLE) AS p90_chars,
            CASE WHEN q.total > 0
                 THEN CAST(t.top AS DOUBLE) / q.total END AS top_share
-    FROM q JOIN t ON t.source = q.source ORDER BY q.source"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION18_QUERIES)
-    _q.ORACLE_SQL.update(CURATION18_ORACLES)
-
-
-_register()
+    FROM q JOIN t ON t.source = q.source ORDER BY q.source""")

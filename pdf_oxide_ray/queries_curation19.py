@@ -49,11 +49,9 @@ import numpy as np
 import pandas as pd
 
 from .functions import textops as ftext
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism, _winnow_fps_ctes)
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      _winnow_fps_ctes, register)
 
-CURATION19_QUERIES: dict = {}
-CURATION19_ORACLES: dict = {}
 
 _FPO_BUCKETS = 64
 
@@ -139,8 +137,7 @@ def q_source_fp_overlap(sf_dir: str) -> pd.DataFrame:
         .sort_values(["source_a", "source_b"]).reset_index(drop=True)
 
 
-CURATION19_QUERIES["source_fp_overlap"] = q_source_fp_overlap
-CURATION19_ORACLES["source_fp_overlap"] = f"""
+register("source_fp_overlap", q_source_fp_overlap, f"""
     WITH {_winnow_fps_ctes()},
     sf AS (SELECT DISTINCT d.source, f.fp
            FROM fps f JOIN documents d USING (doc_id)),
@@ -158,7 +155,7 @@ CURATION19_ORACLES["source_fp_overlap"] = f"""
              AS jaccard
     FROM pair JOIN cnt ca ON ca.source = pair.source_a
               JOIN cnt cb ON cb.source = pair.source_b
-    ORDER BY source_a, source_b"""
+    ORDER BY source_a, source_b""")
 
 
 # ------------------------------------------------ user activity gini
@@ -196,8 +193,7 @@ def q_user_activity_gini(sf_dir: str) -> pd.DataFrame:
         "gini": [gini]})
 
 
-CURATION19_QUERIES["user_activity_gini"] = q_user_activity_gini
-CURATION19_ORACLES["user_activity_gini"] = """
+register("user_activity_gini", q_user_activity_gini, """
     WITH u AS (SELECT user_id, CAST(count(*) AS BIGINT) AS v
                FROM events GROUP BY user_id),
     r AS (SELECT v, CAST(ROW_NUMBER() OVER (ORDER BY v) AS BIGINT)
@@ -212,7 +208,7 @@ CURATION19_ORACLES["user_activity_gini"] = """
                 THEN CAST(2 * s - (n + 1) * t AS DOUBLE)
                      / CAST(n * t AS DOUBLE)
            END AS gini
-    FROM m"""
+    FROM m""")
 
 
 # -------------------------------------------------- embedding PCA EVR
@@ -289,16 +285,6 @@ def q_embedding_pca_evr(sf_dir: str) -> pd.DataFrame:
         "cum_evr": np.cumsum(evr)})
 
 
-CURATION19_QUERIES["embedding_pca_evr"] = q_embedding_pca_evr
+register("embedding_pca_evr", q_embedding_pca_evr)
 # no ORACLE_SQL entry: eigendecomposition is not SQL-expressible —
 # pinned rows-only (tests/test_pinned_rows_only.py)
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION19_QUERIES)
-    _q.ORACLE_SQL.update(CURATION19_ORACLES)
-
-
-_register()

@@ -50,11 +50,10 @@ import pandas as pd
 
 from . import queries as _qmod
 from .functions import dedup as fdedup
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+from .ops.quantile import disc_by_group, disc_rank
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
-CURATION2_QUERIES: dict = {}
-CURATION2_ORACLES: dict = {}
 
 # ---------------------------------------------------------------------------
 # split contamination: exact-text leakage across the deterministic split
@@ -151,8 +150,7 @@ def q_split_contamination(sf_dir: str) -> pd.DataFrame:
     return out.astype({"n_docs": "int64", "n_dup_with_train": "int64"})
 
 
-CURATION2_QUERIES["split_contamination"] = q_split_contamination
-CURATION2_ORACLES["split_contamination"] = """
+register("split_contamination", q_split_contamination, """
     WITH s AS (
       SELECT text,
              CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
@@ -168,7 +166,7 @@ CURATION2_ORACLES["split_contamination"] = """
                 AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS dup_rate
     FROM s LEFT JOIN tr ON s.text = tr.text
     WHERE s.split IN ('test', 'val')
-    GROUP BY s.split ORDER BY s.split"""
+    GROUP BY s.split ORDER BY s.split""")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +233,7 @@ def q_rfm_segments(sf_dir: str) -> pd.DataFrame:
 
     def score(v: np.ndarray) -> np.ndarray:
         s = np.sort(v)
-        qs = [s[int(np.ceil(len(s) * p)) - 1] for p in (0.25, 0.5, 0.75)]
+        qs = [s[disc_rank(len(s), p) - 1] for p in (0.25, 0.5, 0.75)]
         return (1 + (v > qs[0]).astype(np.int64) + (v > qs[1])
                 + (v > qs[2]))
 
@@ -249,8 +247,7 @@ def q_rfm_segments(sf_dir: str) -> pd.DataFrame:
         .reset_index(drop=True).astype("int64")
 
 
-CURATION2_QUERIES["rfm_segments"] = q_rfm_segments
-CURATION2_ORACLES["rfm_segments"] = """
+register("rfm_segments", q_rfm_segments, """
     WITH base AS (
       SELECT o_custkey,
              date_diff('day', MAX(o_orderdate),
@@ -281,7 +278,7 @@ CURATION2_ORACLES["rfm_segments"] = """
                 + CAST(monetary_c > m3 AS INT) AS BIGINT) AS m_score,
            CAST(COUNT(*) AS BIGINT) AS n_customers
     FROM base, q
-    GROUP BY 1, 2, 3 ORDER BY 1, 2, 3"""
+    GROUP BY 1, 2, 3 ORDER BY 1, 2, 3""")
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +318,7 @@ def q_hourly_top_event(sf_dir: str) -> pd.DataFrame:
     return top[["hour", "event_type", "n"]]
 
 
-CURATION2_QUERIES["hourly_top_event"] = q_hourly_top_event
-CURATION2_ORACLES["hourly_top_event"] = """
+register("hourly_top_event", q_hourly_top_event, """
     WITH c AS (
       SELECT date_trunc('hour', ts) AS hour, event_type,
              CAST(COUNT(*) AS BIGINT) AS n
@@ -332,7 +328,7 @@ CURATION2_ORACLES["hourly_top_event"] = """
              row_number() OVER (PARTITION BY hour
                                 ORDER BY n DESC, event_type) AS rn
       FROM c)
-    SELECT hour, event_type, n FROM r WHERE rn = 1 ORDER BY hour"""
+    SELECT hour, event_type, n FROM r WHERE rn = 1 ORDER BY hour""")
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +421,7 @@ def q_heaps_law_curve(sf_dir: str) -> pd.DataFrame:
 q_heaps_law_curve.__doc__ = q_heaps_law_curve.__doc__.format(
     B=_HEAPS_BUCKET)
 
-CURATION2_QUERIES["heaps_law_curve"] = q_heaps_law_curve
-CURATION2_ORACLES["heaps_law_curve"] = f"""
+register("heaps_law_curve", q_heaps_law_curve, f"""
     WITH tok AS (
       SELECT doc_id,
              unnest(regexp_extract_all(lower(text), '[0-9A-Za-z_]+'))
@@ -451,7 +446,7 @@ CURATION2_ORACLES["heaps_law_curve"] = f"""
              / CAST(SUM(n_tokens) OVER w AS DOUBLE) AS vocab_rate
     FROM j
     WINDOW w AS (ORDER BY bucket ROWS UNBOUNDED PRECEDING)
-    ORDER BY bucket"""
+    ORDER BY bucket""")
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +552,7 @@ def _corr_sql() -> str:
             + "\n      ORDER BY col_a, col_b")
 
 
-CURATION2_QUERIES["lineitem_value_corr"] = q_lineitem_value_corr
-CURATION2_ORACLES["lineitem_value_corr"] = _corr_sql()
+register("lineitem_value_corr", q_lineitem_value_corr, _corr_sql())
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +649,7 @@ def q_session_overlap_peak(sf_dir: str) -> pd.DataFrame:
         .astype("datetime64[us]")})
 
 
-CURATION2_QUERIES["session_overlap_peak"] = q_session_overlap_peak
-CURATION2_ORACLES["session_overlap_peak"] = """
+register("session_overlap_peak", q_session_overlap_peak, """
     WITH o AS (
       SELECT user_id, ts, event_id,
              CASE WHEN ts - lag(ts) OVER w > INTERVAL 30 MINUTE
@@ -684,7 +677,7 @@ CURATION2_ORACLES["session_overlap_peak"] = """
     SELECT CAST((SELECT COUNT(*) FROM sess) AS BIGINT) AS n_sessions,
            CAST(c AS BIGINT) AS peak, ts AS peak_ts
     FROM run WHERE c = (SELECT MAX(c) FROM run)
-    ORDER BY ts LIMIT 1"""
+    ORDER BY ts LIMIT 1""")
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +752,7 @@ def q_doc_perplexity(sf_dir: str) -> pd.DataFrame:
         .sort_values("doc_id").reset_index(drop=True)
 
 
-CURATION2_QUERIES["doc_perplexity"] = q_doc_perplexity
-CURATION2_ORACLES["doc_perplexity"] = r"""
+register("doc_perplexity", q_doc_perplexity, r"""
     WITH toks AS (
       SELECT doc_id,
              list_filter(regexp_split_to_array(coalesce(text, ''),
@@ -790,7 +782,7 @@ CURATION2_ORACLES["doc_perplexity"] = r"""
            CAST(COALESCE(p.n_bigrams, 0) AS BIGINT) AS n_bigrams,
            ROUND(CAST(p.s AS DOUBLE) / p.n_bigrams, 0) / 1000000.0
                AS logprob
-    FROM documents d LEFT JOIN per_doc p USING (doc_id)"""
+    FROM documents d LEFT JOIN per_doc p USING (doc_id)""")
 
 
 # ---------------------------------------------------------------------------
@@ -832,17 +824,7 @@ def q_ship_latency_percentiles(sf_dir: str) -> pd.DataFrame:
         return _empty_typed(month="datetime64[us]", n="int64",
                             p50_days="int64", p90_days="int64",
                             p99_days="int64")
-    rows = []
-    for month, g in hist.groupby("month"):
-        g = g.sort_values("lat")
-        cum = g["cnt"].cumsum().to_numpy()
-        vals = g["lat"].to_numpy()
-        n = int(cum[-1])
-        qs = []
-        for p in (0.5, 0.9, 0.99):
-            idx = min(max(int(np.ceil(n * np.float64(p))) - 1, 0), n - 1)
-            qs.append(int(vals[np.searchsorted(cum, idx + 1)]))
-        rows.append((month, n, *qs))
+    rows = disc_by_group(hist, "month", "lat", (0.5, 0.9, 0.99))
     out = pd.DataFrame(rows, columns=["month", "n", "p50_days",
                                       "p90_days", "p99_days"]) \
         .sort_values("month").reset_index(drop=True)
@@ -851,8 +833,7 @@ def q_ship_latency_percentiles(sf_dir: str) -> pd.DataFrame:
                        "p90_days": "int64", "p99_days": "int64"})
 
 
-CURATION2_QUERIES["ship_latency_percentiles"] = q_ship_latency_percentiles
-CURATION2_ORACLES["ship_latency_percentiles"] = """
+register("ship_latency_percentiles", q_ship_latency_percentiles, """
     WITH j AS (
       SELECT date_trunc('month', o.o_orderdate) AS month,
              date_diff('day', o.o_orderdate, l.l_shipdate) AS lat
@@ -864,7 +845,7 @@ CURATION2_ORACLES["ship_latency_percentiles"] = """
                 AS BIGINT) AS p90_days,
            CAST(percentile_disc(0.99) WITHIN GROUP (ORDER BY lat)
                 AS BIGINT) AS p99_days
-    FROM j GROUP BY month ORDER BY month"""
+    FROM j GROUP BY month ORDER BY month""")
 
 
 # ---------------------------------------------------------------------------
@@ -926,8 +907,7 @@ def q_label_scatter(sf_dir: str) -> pd.DataFrame:
                  "sum_norm2": "int64", "scatter": "float64"})
 
 
-CURATION2_QUERIES["label_scatter"] = q_label_scatter
-CURATION2_ORACLES["label_scatter"] = """
+register("label_scatter", q_label_scatter, """
     WITH m AS (
       SELECT vec_id, label, embedding,
              list_max(list_transform(embedding,
@@ -953,7 +933,7 @@ CURATION2_ORACLES["label_scatter"] = """
            CAST(COALESCE(sumq2, 0) AS BIGINT) AS sum_norm2,
            CAST(n_vecs * COALESCE(sumq2, 0) - COALESCE(ss2, 0)
                 AS DOUBLE) / CAST(n_vecs AS DOUBLE) AS scatter
-    FROM nn LEFT JOIN lab USING (label) ORDER BY nn.label"""
+    FROM nn LEFT JOIN lab USING (label) ORDER BY nn.label""")
 
 
 # ---------------------------------------------------------------------------
@@ -1021,25 +1001,14 @@ def q_reorder_gap_percentiles(sf_dir: str) -> pd.DataFrame:
     if hist.empty:
         return _empty_typed(segment=object, n="int64",
                             p50_days="int64", p90_days="int64")
-    rows = []
-    for segment, g in hist.groupby("segment"):
-        g = g.sort_values("gap")
-        cum = g["cnt"].cumsum().to_numpy()
-        vals = g["gap"].to_numpy()
-        n = int(cum[-1])
-        qs = []
-        for p in (0.5, 0.9):
-            idx = min(max(int(np.ceil(n * np.float64(p))) - 1, 0), n - 1)
-            qs.append(int(vals[np.searchsorted(cum, idx + 1)]))
-        rows.append((segment, n, *qs))
+    rows = disc_by_group(hist, "segment", "gap", (0.5, 0.9))
     return pd.DataFrame(rows, columns=["segment", "n", "p50_days",
                                        "p90_days"]) \
         .sort_values("segment").reset_index(drop=True) \
         .astype({"n": "int64", "p50_days": "int64", "p90_days": "int64"})
 
 
-CURATION2_QUERIES["reorder_gap_percentiles"] = q_reorder_gap_percentiles
-CURATION2_ORACLES["reorder_gap_percentiles"] = """
+register("reorder_gap_percentiles", q_reorder_gap_percentiles, """
     WITH g AS (
       SELECT o_custkey,
              date_diff('day',
@@ -1057,14 +1026,4 @@ CURATION2_ORACLES["reorder_gap_percentiles"] = """
                 AS BIGINT) AS p50_days,
            CAST(percentile_disc(0.9) WITHIN GROUP (ORDER BY gap)
                 AS BIGINT) AS p90_days
-    FROM j GROUP BY segment ORDER BY segment"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION2_QUERIES)
-    _q.ORACLE_SQL.update(CURATION2_ORACLES)
-
-
-_register()
+    FROM j GROUP BY segment ORDER BY segment""")

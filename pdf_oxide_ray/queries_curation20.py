@@ -40,10 +40,9 @@ import math
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials
+from .ops.quantile import disc_rank
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION20_QUERIES: dict = {}
-CURATION20_ORACLES: dict = {}
 
 _DAY_US = 86_400_000_000
 
@@ -85,15 +84,14 @@ def q_theil_sen_daily_trend(sf_dir: str) -> pd.DataFrame:
     slopes = ((c[ju] - c[iu]).astype(np.float64) / 100.0) \
         / (day[ju] - day[iu]).astype(np.float64)
     s = np.sort(slopes)
-    med = float(s[int(np.ceil(len(s) * 0.5)) - 1])
+    med = float(s[disc_rank(len(s), 0.5) - 1])
     return pd.DataFrame({
         "n_days": pd.Series([n], dtype="int64"),
         "n_pairs": pd.Series([len(s)], dtype="int64"),
         "slope_per_day": [med]})
 
 
-CURATION20_QUERIES["theil_sen_daily_trend"] = q_theil_sen_daily_trend
-CURATION20_ORACLES["theil_sen_daily_trend"] = f"""
+register("theil_sen_daily_trend", q_theil_sen_daily_trend, f"""
     WITH d AS (
       SELECT epoch_us(o_orderdate) // {_DAY_US} AS day,
              CAST(SUM(CAST(round(o_totalprice * 100) AS BIGINT))
@@ -108,7 +106,7 @@ CURATION20_ORACLES["theil_sen_daily_trend"] = f"""
           FROM p)
     SELECT (SELECT CAST(count(*) AS BIGINT) FROM d) AS n_days,
            n_pairs, slope_per_day
-    FROM m"""
+    FROM m""")
 
 
 # ------------------------------------------------ Spearman rho (ties)
@@ -187,8 +185,7 @@ def q_spearman_qty_price(sf_dir: str) -> pd.DataFrame:
                          "rho": [rho]})
 
 
-CURATION20_QUERIES["spearman_qty_price"] = q_spearman_qty_price
-CURATION20_ORACLES["spearman_qty_price"] = """
+register("spearman_qty_price", q_spearman_qty_price, """
     WITH x AS (
       SELECT CAST(round(l_quantity * 100) AS BIGINT) AS q,
              CAST(round(l_extendedprice * 100) AS BIGINT) AS p
@@ -220,14 +217,4 @@ CURATION20_ORACLES["spearman_qty_price"] = """
                             * CAST(CAST(n * syy - sy * sy AS VARCHAR)
                                    AS DOUBLE))
            END AS rho
-    FROM m"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION20_QUERIES)
-    _q.ORACLE_SQL.update(CURATION20_ORACLES)
-
-
-_register()
+    FROM m""")

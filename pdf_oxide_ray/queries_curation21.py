@@ -45,11 +45,9 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import halfaway6
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
-CURATION21_QUERIES: dict = {}
-CURATION21_ORACLES: dict = {}
 
 _DAY_US = 86_400_000_000
 
@@ -132,9 +130,6 @@ def q_fuzzy_decontam_rate(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("source").reset_index(drop=True)
 
 
-CURATION21_QUERIES["fuzzy_decontam_rate"] = q_fuzzy_decontam_rate
-
-
 def _fuzzy_decontam_oracle_sql() -> str:
     from .queries import ORACLE_SQL as _O
 
@@ -163,6 +158,10 @@ def _fuzzy_decontam_oracle_sql() -> str:
              AS contam_rate
     FROM tr LEFT JOIN ct ON ct.source = tr.source
     ORDER BY tr.source"""
+
+
+register("fuzzy_decontam_rate", q_fuzzy_decontam_rate,
+         _fuzzy_decontam_oracle_sql())
 
 
 # --------------------------------------------------- reorder survival
@@ -264,8 +263,7 @@ def q_reorder_survival(sf_dir: str) -> pd.DataFrame:
                               cum.astype(np.float64))})
 
 
-CURATION21_QUERIES["reorder_survival"] = q_reorder_survival
-CURATION21_ORACLES["reorder_survival"] = f"""
+register("reorder_survival", q_reorder_survival, f"""
     WITH o2 AS (
       SELECT o_custkey AS u,
              epoch_us(o_orderdate) // {_DAY_US} AS d
@@ -300,15 +298,4 @@ CURATION21_ORACLES["reorder_survival"] = f"""
            CASE WHEN SUM(z) OVER (ORDER BY t_days) > 0 THEN NULL
                 ELSE CAST(SUM(lp6) OVER (ORDER BY t_days) AS DOUBLE)
            END AS log_surv6
-    FROM e ORDER BY t_days"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION21_QUERIES)
-    _q.ORACLE_SQL.update(CURATION21_ORACLES)
-    _q.ORACLE_SQL["fuzzy_decontam_rate"] = _fuzzy_decontam_oracle_sql()
-
-
-_register()
+    FROM e ORDER BY t_days""")

@@ -59,10 +59,7 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import TOK_SQL
-from .queries import _empty_typed, _pq, _reduce_partials
-
-CURATION22_QUERIES: dict = {}
-CURATION22_ORACLES: dict = {}
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 # --------------------------------------------------- tokens_chars_ols
@@ -121,8 +118,7 @@ def _vd(x: str) -> str:
     return f"CAST(CAST({x} AS VARCHAR) AS DOUBLE)"
 
 
-CURATION22_QUERIES["tokens_chars_ols"] = q_tokens_chars_ols
-CURATION22_ORACLES["tokens_chars_ols"] = f"""
+register("tokens_chars_ols", q_tokens_chars_ols, f"""
     WITH t AS (SELECT source, CAST(n_chars AS HUGEINT) AS x,
                       CAST({_YTOK_SQL} AS HUGEINT) AS y
                FROM documents),
@@ -147,7 +143,7 @@ CURATION22_ORACLES["tokens_chars_ols"] = f"""
                 THEN ({_vd('cov')} * {_vd('cov')})
                      / ({_vd('varx')} * {_vd('vary')})
            END AS r2
-    FROM s ORDER BY source"""
+    FROM s ORDER BY source""")
 
 
 # --------------------------------------------------- source_js_matrix
@@ -210,8 +206,7 @@ _JS_TERM = """CASE WHEN c{u} > 0 THEN CAST(round(
                       + (CAST(cb AS DOUBLE) / nb)))
           * 1000000000000) AS BIGINT) ELSE 0 END"""
 
-CURATION22_QUERIES["source_js_matrix"] = q_source_js_matrix
-CURATION22_ORACLES["source_js_matrix"] = f"""
+register("source_js_matrix", q_source_js_matrix, f"""
     WITH tok AS (SELECT source, {TOK_SQL} AS token FROM documents),
     c AS (SELECT source, token, CAST(count(*) AS BIGINT) AS n
           FROM tok GROUP BY source, token),
@@ -232,7 +227,7 @@ CURATION22_ORACLES["source_js_matrix"] = f"""
           FROM g)
     SELECT sa AS source_a, sb AS source_b,
            CAST(SUM(t12) AS DOUBLE) / 1000000000000.0 AS js
-    FROM t GROUP BY sa, sb ORDER BY sa, sb"""
+    FROM t GROUP BY sa, sb ORDER BY sa, sb""")
 
 
 # --------------------------------------------- candidate_jaccard_hist
@@ -323,16 +318,5 @@ def _candidate_jaccard_oracle_sql() -> str:
     FROM j GROUP BY jbin ORDER BY jbin"""
 
 
-CURATION22_QUERIES["candidate_jaccard_hist"] = q_candidate_jaccard_hist
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION22_QUERIES)
-    _q.ORACLE_SQL.update(CURATION22_ORACLES)
-    _q.ORACLE_SQL["candidate_jaccard_hist"] = \
-        _candidate_jaccard_oracle_sql()
-
-
-_register()
+register("candidate_jaccard_hist", q_candidate_jaccard_hist,
+         _candidate_jaccard_oracle_sql())

@@ -48,10 +48,8 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION23_QUERIES: dict = {}
-CURATION23_ORACLES: dict = {}
 
 _HUB_K = 10
 
@@ -136,8 +134,7 @@ def q_split_embedding_drift(sf_dir: str) -> pd.DataFrame:
         .sort_values("label").reset_index(drop=True)
 
 
-CURATION23_QUERIES["split_embedding_drift"] = q_split_embedding_drift
-CURATION23_ORACLES["split_embedding_drift"] = f"""
+register("split_embedding_drift", q_split_embedding_drift, f"""
     WITH sp AS (
       SELECT CAST(label AS BIGINT) AS label, embedding,
              {_SPLITV_SQL} AS split
@@ -164,7 +161,7 @@ CURATION23_ORACLES["split_embedding_drift"] = f"""
            sqrt({_vd('num')})
              / (CAST(n_tr AS DOUBLE) * CAST(n_te AS DOUBLE))
              / 1000000.0 AS drift
-    FROM d2 ORDER BY label"""
+    FROM d2 ORDER BY label""")
 
 
 # --------------------------------------------------- hubness_census
@@ -240,15 +237,4 @@ def _hubness_oracle_sql() -> str:
     FROM o2 GROUP BY occ ORDER BY occ"""
 
 
-CURATION23_QUERIES["hubness_census"] = q_hubness_census
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION23_QUERIES)
-    _q.ORACLE_SQL.update(CURATION23_ORACLES)
-    _q.ORACLE_SQL["hubness_census"] = _hubness_oracle_sql()
-
-
-_register()
+register("hubness_census", q_hubness_census, _hubness_oracle_sql())

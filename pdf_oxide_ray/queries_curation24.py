@@ -49,10 +49,10 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials
+from .ops.ordered import ordered_pass
+from .ops.quantile import disc_pick, disc_rank
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION24_QUERIES: dict = {}
-CURATION24_ORACLES: dict = {}
 
 _DP_B = 10.0          # Laplace scale (counts at epsilon = 0.1)
 _DP_EPS_CLAMP = 2.220446049250313e-16  # guard ln(0) at u ∈ {0, 1}
@@ -74,51 +74,35 @@ def q_shuffle_autocorr(sf_dir: str) -> pd.DataFrame:
             "doc_id": ids,
             "source": b["source"].to_numpy(object)})
 
-    srt = ds.map_batches(keyed, batch_format="pandas") \
-        .sort(["key", "doc_id"])
+    key = ["key", "doc_id"]
+    srt = ds.map_batches(keyed, batch_format="pandas").sort(key)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cols = {"source": object, "n_docs": "int64",
-                "n_adj": "int64", "k_key": object, "k_id": "int64",
-                "b_src": object, "kind": "int64"}
-        if len(b) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype=t)
-                                 for c, t in cols.items()})
+    def fold(b: pd.DataFrame) -> pd.DataFrame:
         src = b["source"].to_numpy(object)
         same = np.concatenate(([False], src[1:] == src[:-1]))
-        interior = pd.DataFrame({"source": src,
-                                 "n_docs": np.int64(1),
-                                 "n_adj": same.astype(np.int64)}) \
+        return pd.DataFrame({"source": src,
+                             "n_docs": np.int64(1),
+                             "n_adj": same.astype(np.int64)}) \
             .groupby("source", as_index=False).sum()
-        interior["k_key"] = ""
-        interior["k_id"] = np.int64(0)
-        interior["b_src"] = ""
-        interior["kind"] = np.int64(-1)
-        edge = pd.DataFrame({
-            "source": [src[0], src[-1]],
-            "n_docs": np.int64(0), "n_adj": np.int64(0),
-            "k_key": b["key"].iloc[0], "k_id": b["doc_id"].iloc[0],
-            "b_src": [src[0], src[-1]],
-            "kind": np.array([1, 2], dtype=np.int64)})
-        return pd.concat([interior, edge], ignore_index=True)
 
-    rows = srt.map_batches(partial, batch_format="pandas",
-                           batch_size=4096).materialize().to_pandas()
+    def edge(b: pd.DataFrame) -> tuple[dict, dict]:
+        return ({"src": b["source"].iloc[0]},
+                {"src": b["source"].iloc[-1]})
+
+    folds, first, last = ordered_pass(srt, key, fold, edge)
     empty = _empty_typed(source=object, n_docs="int64", n_adj="int64",
                          exp_pairs="float64", clump_ratio="float64")
-    if rows.empty:
+    if folds.empty:
         return empty
-    agg = rows[rows["kind"] == -1] \
-        .groupby("source", as_index=False)[["n_docs", "n_adj"]].sum()
+    agg = folds.groupby("source", as_index=False)[["n_docs", "n_adj"]] \
+        .sum()
     stats = {s: [int(n), int(a)] for s, n, a
              in zip(agg["source"], agg["n_docs"], agg["n_adj"])}
-    edge = rows[rows["kind"] > 0] \
-        .sort_values(["k_key", "k_id", "kind"], kind="mergesort") \
-        .reset_index(drop=True)
-    for i in range(2, len(edge), 2):   # one seam test per batch pair
-        last, first = edge.iloc[i - 1], edge.iloc[i]
-        if last["b_src"] == first["b_src"]:
-            stats[first["b_src"]][1] += 1
+    # one seam test per adjacent batch pair
+    for a, b_ in zip(last["src"].to_numpy(object)[:-1],
+                     first["src"].to_numpy(object)[1:]):
+        if a == b_:
+            stats[b_][1] += 1
     total = sum(v[0] for v in stats.values())
     out_rows = []
     for s in sorted(stats):
@@ -132,8 +116,7 @@ def q_shuffle_autocorr(sf_dir: str) -> pd.DataFrame:
         .astype({"n_docs": "int64", "n_adj": "int64"})
 
 
-CURATION24_QUERIES["shuffle_autocorr"] = q_shuffle_autocorr
-CURATION24_ORACLES["shuffle_autocorr"] = """
+register("shuffle_autocorr", q_shuffle_autocorr, """
     WITH o AS (
       SELECT source,
              LAG(source) OVER (
@@ -153,7 +136,7 @@ CURATION24_ORACLES["shuffle_autocorr"] = """
            CASE WHEN n_docs > 1
                 THEN CAST(n_adj AS DOUBLE) / exp_pairs END
              AS clump_ratio
-    FROM e ORDER BY source"""
+    FROM e ORDER BY source""")
 
 
 # ----------------------------------------------------- dp_source_counts
@@ -192,8 +175,7 @@ def q_dp_source_counts(sf_dir: str) -> pd.DataFrame:
         .sort_values("source").reset_index(drop=True)
 
 
-CURATION24_QUERIES["dp_source_counts"] = q_dp_source_counts
-CURATION24_ORACLES["dp_source_counts"] = f"""
+register("dp_source_counts", q_dp_source_counts, f"""
     WITH a AS (SELECT source, CAST(count(*) AS BIGINT) AS n
                FROM documents GROUP BY source),
     u AS (SELECT source, n,
@@ -206,7 +188,7 @@ CURATION24_ORACLES["dp_source_counts"] = f"""
                     * ln(greatest(1.0 - 2.0 * abs(x),
                                   {_DP_EPS_CLAMP!r})))
                  * 1000000) / 1000000.0 AS n_noisy6
-    FROM u ORDER BY source"""
+    FROM u ORDER BY source""")
 
 
 # ----------------------------------------------------- quality_dup_lift
@@ -233,11 +215,8 @@ def q_quality_dup_lift(sf_dir: str) -> pd.DataFrame:
     cum = h["cnt"].cumsum().to_numpy()
     n = int(cum[-1])
     qv = h["q"].to_numpy(np.float64)
-    thr = np.array([
-        qv[np.searchsorted(
-            cum, min(max(int(np.ceil(n * (k / 10))) - 1, 0),
-                     n - 1) + 1)]
-        for k in range(1, 10)], dtype=np.float64)
+    thr = np.array([disc_pick(qv, cum, disc_rank(n, k / 10))
+                    for k in range(1, 10)], dtype=np.float64)
 
     def parts(b: pd.DataFrame) -> pd.DataFrame:
         q = ftext.quality_score(b["text"]).to_numpy(np.float64)
@@ -331,15 +310,4 @@ def _quality_dup_oracle_sql() -> str:
     FROM d GROUP BY decile ORDER BY decile"""
 
 
-CURATION24_QUERIES["quality_dup_lift"] = q_quality_dup_lift
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION24_QUERIES)
-    _q.ORACLE_SQL.update(CURATION24_ORACLES)
-    _q.ORACLE_SQL["quality_dup_lift"] = _quality_dup_oracle_sql()
-
-
-_register()
+register("quality_dup_lift", q_quality_dup_lift, _quality_dup_oracle_sql())

@@ -39,10 +39,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials
+from .ops.quantile import disc_pick, disc_rank
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION25_QUERIES: dict = {}
-CURATION25_ORACLES: dict = {}
 
 _DAY_US = 86_400_000_000
 _WEEK_US = 7 * _DAY_US
@@ -78,11 +77,8 @@ def q_value_psi_weekly(sf_dir: str) -> pd.DataFrame:
     cum = ref["n"].cumsum().to_numpy(np.int64)
     nref = int(cum[-1])
     rv = ref["v6"].to_numpy(np.int64)
-    thr = np.array([
-        rv[np.searchsorted(
-            cum, min(max(int(np.ceil(nref * (k / 10))) - 1, 0),
-                     nref - 1) + 1)]
-        for k in range(1, 10)], dtype=np.int64)
+    thr = np.array([disc_pick(rv, cum, disc_rank(nref, k / 10))
+                    for k in range(1, 10)], dtype=np.int64)
     h = h.copy()
     h["bin"] = (h["v6"].to_numpy(np.int64)[:, None]
                 >= thr[None, :]).sum(axis=1).astype(np.int64)
@@ -116,8 +112,7 @@ _PSI_THR = "\n".join(
 _PSI_BIN = " + ".join(
     f"CASE WHEN v6 >= t{k} THEN 1 ELSE 0 END" for k in range(1, 10))
 
-CURATION25_QUERIES["value_psi_weekly"] = q_value_psi_weekly
-CURATION25_ORACLES["value_psi_weekly"] = f"""
+register("value_psi_weekly", q_value_psi_weekly, f"""
     WITH e AS (
       SELECT epoch_us(ts) // {_WEEK_US} AS wk,
              CAST(round(value * 1000000) AS BIGINT) AS v6
@@ -151,7 +146,7 @@ CURATION25_ORACLES["value_psi_weekly"] = f"""
     SELECT t.wk AS week, n.n AS n_events,
            CAST(SUM(t12) AS DOUBLE) / 1000000000000.0 AS psi
     FROM t JOIN n ON n.wk = t.wk
-    GROUP BY t.wk, n.n ORDER BY t.wk"""
+    GROUP BY t.wk, n.n ORDER BY t.wk""")
 
 
 # ----------------------------------------------------- glove_cooc_topk
@@ -218,8 +213,7 @@ def q_glove_cooc_topk(sf_dir: str) -> pd.DataFrame:
         .astype({"weight": "int64"})
 
 
-CURATION25_QUERIES["glove_cooc_topk"] = q_glove_cooc_topk
-CURATION25_ORACLES["glove_cooc_topk"] = rf"""
+register("glove_cooc_topk", q_glove_cooc_topk, rf"""
     WITH t AS (
       SELECT doc_id,
              list_filter(regexp_split_to_array(coalesce(text, ''),
@@ -240,14 +234,4 @@ CURATION25_ORACLES["glove_cooc_topk"] = rf"""
     agg AS (SELECT tok_a, tok_b, CAST(SUM(w) AS BIGINT) AS weight
             FROM pr GROUP BY 1, 2)
     SELECT tok_a, tok_b, weight FROM agg
-    ORDER BY weight DESC, tok_a, tok_b LIMIT {_COOC_K}"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION25_QUERIES)
-    _q.ORACLE_SQL.update(CURATION25_ORACLES)
-
-
-_register()
+    ORDER BY weight DESC, tok_a, tok_b LIMIT {_COOC_K}""")

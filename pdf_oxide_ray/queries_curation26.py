@@ -47,12 +47,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 from . import queries as _qmod
 
-CURATION26_QUERIES: dict = {}
-CURATION26_ORACLES: dict = {}
 
 _MARKOV_PREC = 10 ** 9      # probability grid: 1e-9
 _MARKOV_ITERS = 24
@@ -96,8 +94,7 @@ def q_dow_seasonality(sf_dir: str) -> pd.DataFrame:
     })
 
 
-CURATION26_QUERIES["dow_seasonality"] = q_dow_seasonality
-CURATION26_ORACLES["dow_seasonality"] = """
+register("dow_seasonality", q_dow_seasonality, """
     WITH o AS (
       SELECT dayofweek(o_orderdate) AS dow,
              CAST(round(o_totalprice * 100) AS BIGINT) AS cents
@@ -112,7 +109,7 @@ CURATION26_ORACLES["dow_seasonality"] = """
            round((CAST(sc AS DOUBLE) * nt)
                  / (CAST(n_orders AS DOUBLE) * st) * 1000000)
              / 1000000.0 AS season_idx
-    FROM g, t ORDER BY dow"""
+    FROM g, t ORDER BY dow""")
 
 
 # -------------------------------------------------- lineitem_fanout_hist
@@ -160,8 +157,7 @@ def q_lineitem_fanout_hist(sf_dir: str) -> pd.DataFrame:
         .sort_values("n_items").reset_index(drop=True)
 
 
-CURATION26_QUERIES["lineitem_fanout_hist"] = q_lineitem_fanout_hist
-CURATION26_ORACLES["lineitem_fanout_hist"] = """
+register("lineitem_fanout_hist", q_lineitem_fanout_hist, """
     WITH per AS (SELECT l_orderkey, count(*) AS n_items
                  FROM lineitem GROUP BY 1),
     h AS (SELECT n_items, count(*) AS n_orders FROM per GROUP BY 1),
@@ -170,7 +166,7 @@ CURATION26_ORACLES["lineitem_fanout_hist"] = """
                    - (SELECT count(*) FROM per) AS n_orders)
     SELECT n_items, n_orders FROM (
       SELECT * FROM h UNION ALL SELECT * FROM z WHERE n_orders > 0)
-    ORDER BY n_items"""
+    ORDER BY n_items""")
 
 
 # ---------------------------------------------- event_markov_stationary
@@ -219,15 +215,4 @@ def _markov_sql() -> str:
     ORDER BY event_type"""
 
 
-CURATION26_QUERIES["event_markov_stationary"] = q_event_markov_stationary
-CURATION26_ORACLES["event_markov_stationary"] = _markov_sql()
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION26_QUERIES)
-    _q.ORACLE_SQL.update(CURATION26_ORACLES)
-
-
-_register()
+register("event_markov_stationary", q_event_markov_stationary, _markov_sql())

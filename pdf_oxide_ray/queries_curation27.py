@@ -44,11 +44,9 @@ import pandas as pd
 from .functions.textops import token_count_ws
 from .queries import (_empty_typed, _get_broadcast, _kmeans_centroids,
                       _kmeans_centroids_from_df, _embeddings_local,
-                      _kmeans_cte_chain, _KMEANS_SCALE, _pq,
-                      _reduce_partials)
+                      _kmeans_cte_chain, _KMEANS_SCALE, _pq, _reduce_partials,
+                      register)
 
-CURATION27_QUERIES: dict = {}
-CURATION27_ORACLES: dict = {}
 
 _SIL_PREC = 10 ** 9          # per-point silhouette grid: 1e-9
 _SIL_SLICE = 8192
@@ -107,8 +105,7 @@ def _scatter(grid: np.ndarray, t: np.ndarray, n: np.ndarray) -> np.ndarray:
     return out
 
 
-CURATION27_QUERIES["source_length_wasserstein"] = q_source_length_wasserstein
-CURATION27_ORACLES["source_length_wasserstein"] = r"""
+register("source_length_wasserstein", q_source_length_wasserstein, r"""
     WITH tc AS (
       SELECT source,
              len(list_filter(regexp_split_to_array(coalesce(text, ''),
@@ -142,7 +139,7 @@ CURATION27_ORACLES["source_length_wasserstein"] = r"""
              / CAST(CAST(CAST(p.na AS HUGEINT) * p.nb AS VARCHAR)
                     AS DOUBLE) AS w1
     FROM pairs p LEFT JOIN ws ON ws.sa = p.sa AND ws.sb = p.sb
-    ORDER BY source_a, source_b"""
+    ORDER BY source_a, source_b""")
 
 
 # ------------------------------------------------- cluster_silhouette
@@ -248,15 +245,4 @@ def _silhouette_sql() -> str:
     FROM sil GROUP BY cluster ORDER BY cluster"""
 
 
-CURATION27_QUERIES["cluster_silhouette"] = q_cluster_silhouette
-CURATION27_ORACLES["cluster_silhouette"] = _silhouette_sql()
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION27_QUERIES)
-    _q.ORACLE_SQL.update(CURATION27_ORACLES)
-
-
-_register()
+register("cluster_silhouette", q_cluster_silhouette, _silhouette_sql())

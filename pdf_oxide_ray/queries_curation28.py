@@ -50,11 +50,10 @@ import numpy as np
 import pandas as pd
 
 from .functions.markov_sql import markov_chain_cte
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+from .ops.quantile import disc_pick, disc_rank_exact
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
-CURATION28_QUERIES: dict = {}
-CURATION28_ORACLES: dict = {}
 
 _MM_BUCKETS = 64
 _ER_PREC = 10 ** 9           # stationary grid (matches curation26)
@@ -85,7 +84,7 @@ def q_median_user_value_by_type(sf_dir: str) -> pd.DataFrame:
         codes, _ = pd.factorize(key, sort=False)
         first = np.unique(codes, return_index=True)[1]
         cnt = np.diff(np.append(first, len(g)))
-        target = first + (cnt + 1) // 2 - 1   # ceil(n*0.5)-1
+        target = first + disc_rank_exact(cnt, 1, 2) - 1
         med = g["c"].to_numpy(np.int64)[target]
         return pd.DataFrame({
             "event_type": g["event_type"].to_numpy(object)[first],
@@ -106,8 +105,8 @@ def q_median_user_value_by_type(sf_dir: str) -> pd.DataFrame:
         g = g.sort_values("m")
         n = int(g["n_users"].sum())
         cum = g["n_users"].cumsum().to_numpy(np.int64)
-        pos = (n + 1) // 2                    # ceil(n*0.5)
-        m = int(g["m"].to_numpy(np.int64)[np.searchsorted(cum, pos)])
+        m = int(disc_pick(g["m"].to_numpy(np.int64), cum,
+                          disc_rank_exact(n, 1, 2)))
         rows.append((et, n, float(m) / 100.0))
     return pd.DataFrame(rows, columns=["event_type", "n_users",
                                        "median_of_medians"]) \
@@ -115,9 +114,7 @@ def q_median_user_value_by_type(sf_dir: str) -> pd.DataFrame:
         .sort_values("event_type").reset_index(drop=True)
 
 
-CURATION28_QUERIES["median_user_value_by_type"] = \
-    q_median_user_value_by_type
-CURATION28_ORACLES["median_user_value_by_type"] = """
+register("median_user_value_by_type", q_median_user_value_by_type, """
     WITH v AS (SELECT event_type, user_id,
                       CAST(round(value * 100) AS BIGINT) AS c
                FROM events),
@@ -126,7 +123,7 @@ CURATION28_ORACLES["median_user_value_by_type"] = """
     SELECT event_type, count(*) AS n_users,
            CAST(quantile_disc(m, 0.5) AS DOUBLE) / 100.0
              AS median_of_medians
-    FROM um GROUP BY event_type ORDER BY event_type"""
+    FROM um GROUP BY event_type ORDER BY event_type""")
 
 
 # ---------------------------------------------------- revenue_drawdown
@@ -165,8 +162,7 @@ def q_revenue_drawdown(sf_dir: str) -> pd.DataFrame:
         "trough_day": pd.Series([days[ti]], dtype="datetime64[us]")})
 
 
-CURATION28_QUERIES["revenue_drawdown"] = q_revenue_drawdown
-CURATION28_ORACLES["revenue_drawdown"] = """
+register("revenue_drawdown", q_revenue_drawdown, """
     WITH d AS (
       SELECT date_trunc('day', o_orderdate) AS day,
              CAST(SUM(CAST(round(o_totalprice * 100) AS BIGINT))
@@ -184,7 +180,7 @@ CURATION28_ORACLES["revenue_drawdown"] = """
     SELECT (SELECT count(*) FROM d) AS n_days,
            CAST(tr.draw AS DOUBLE) / 100.0 AS max_drawdown,
            pk.peak_day, tr.trough_day
-    FROM tr, pk"""
+    FROM tr, pk""")
 
 
 # -------------------------------------------------- markov_entropy_rate
@@ -245,15 +241,4 @@ def _entropy_sql() -> str:
     FROM terms"""
 
 
-CURATION28_QUERIES["markov_entropy_rate"] = q_markov_entropy_rate
-CURATION28_ORACLES["markov_entropy_rate"] = _entropy_sql()
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION28_QUERIES)
-    _q.ORACLE_SQL.update(CURATION28_ORACLES)
-
-
-_register()
+register("markov_entropy_rate", q_markov_entropy_rate, _entropy_sql())

@@ -47,12 +47,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+from .ops.quantile import disc_pick, disc_rank
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 from . import queries as _qmod
 
-CURATION29_QUERIES: dict = {}
-CURATION29_ORACLES: dict = {}
 
 _SESSION_GAP_US = 1_800_000_000     # 30 minutes (user_sessions rule)
 _NEG_K = 50
@@ -117,8 +116,7 @@ def q_bounce_rate(sf_dir: str) -> pd.DataFrame:
     }).sort_values("entry_type").reset_index(drop=True)
 
 
-CURATION29_QUERIES["bounce_rate"] = q_bounce_rate
-CURATION29_ORACLES["bounce_rate"] = """
+register("bounce_rate", q_bounce_rate, """
     WITH o AS (
       SELECT user_id, ts, event_id, event_type,
              CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id
@@ -144,7 +142,7 @@ CURATION29_ORACLES["bounce_rate"] = """
              / count(*) AS bounce_rate,
            CAST(SUM(n_ev) AS DOUBLE) / count(*) AS avg_session_events
     FROM s JOIN e USING (user_id, sid)
-    GROUP BY 1 ORDER BY 1"""
+    GROUP BY 1 ORDER BY 1""")
 
 
 # ------------------------------------------- negative_sampling_table
@@ -188,8 +186,7 @@ def q_negative_sampling_table(sf_dir: str) -> pd.DataFrame:
                          "neg_prob": w6.astype(np.float64) / z})
 
 
-CURATION29_QUERIES["negative_sampling_table"] = q_negative_sampling_table
-CURATION29_ORACLES["negative_sampling_table"] = rf"""
+register("negative_sampling_table", q_negative_sampling_table, rf"""
     WITH tok AS (
       SELECT unnest(list_filter(regexp_split_to_array(
                coalesce(text, ''), '\s+'), x -> x <> '')) AS token
@@ -206,7 +203,7 @@ CURATION29_ORACLES["negative_sampling_table"] = rf"""
            CAST(w6 AS DOUBLE)
              / CAST(CAST((SELECT SUM(w6) FROM w) AS VARCHAR)
                     AS DOUBLE) AS neg_prob
-    FROM w ORDER BY n DESC, token"""
+    FROM w ORDER BY n DESC, token""")
 
 
 # ------------------------------------------------------- funnel_latency
@@ -269,10 +266,7 @@ def q_funnel_latency(sf_dir: str) -> pd.DataFrame:
     n = int(cum[-1])
 
     def disc(p: float) -> float:
-        # the shared percentile_disc index rule (matches DuckDB's own
-        # float evaluation — cf. interarrival_percentiles)
-        idx = min(max(int(np.ceil(n * np.float64(p))) - 1, 0), n - 1)
-        return float(vals[np.searchsorted(cum, idx + 1)])
+        return float(disc_pick(vals, cum, disc_rank(n, p)))
 
     return pd.DataFrame({
         "n_converted": pd.Series([n], dtype="int64"),
@@ -280,8 +274,7 @@ def q_funnel_latency(sf_dir: str) -> pd.DataFrame:
         "p99_s": [disc(0.99)]})
 
 
-CURATION29_QUERIES["funnel_latency"] = q_funnel_latency
-CURATION29_ORACLES["funnel_latency"] = """
+register("funnel_latency", q_funnel_latency, """
     WITH f AS (
       SELECT user_id,
              min(CASE WHEN event_type = 'view' THEN ts END) AS v,
@@ -293,14 +286,4 @@ CURATION29_ORACLES["funnel_latency"] = """
            CAST(quantile_disc(gap_s, 0.5) AS DOUBLE) AS p50_s,
            CAST(quantile_disc(gap_s, 0.9) AS DOUBLE) AS p90_s,
            CAST(quantile_disc(gap_s, 0.99) AS DOUBLE) AS p99_s
-    FROM l"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION29_QUERIES)
-    _q.ORACLE_SQL.update(CURATION29_ORACLES)
-
-
-_register()
+    FROM l""")

@@ -39,12 +39,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials
+from .queries import _empty_typed, _pq, _reduce_partials, register
 from .functions.textops import TOK_SQL as _TOK_SQL
 from .functions.textops import halfaway6 as _halfaway6
 
-CURATION3_QUERIES: dict = {}
-CURATION3_ORACLES: dict = {}
 
 # ---------------------------------------------------------------------------
 # split_token_kl: unigram-distribution drift between train and val
@@ -128,8 +126,7 @@ def q_split_token_kl(sf_dir: str) -> pd.DataFrame:
         .sort_values("lang").reset_index(drop=True)
 
 
-CURATION3_QUERIES["split_token_kl"] = q_split_token_kl
-CURATION3_ORACLES["split_token_kl"] = f"""
+register("split_token_kl", q_split_token_kl, f"""
     WITH tagged AS (
       SELECT lang,
              CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
@@ -161,7 +158,7 @@ CURATION3_ORACLES["split_token_kl"] = f"""
              / 1000000.0 AS kl
     FROM mass m JOIN t USING (lang)
     GROUP BY m.lang, m.shared_vocab, m.big_a, m.big_b
-    ORDER BY m.lang"""
+    ORDER BY m.lang""")
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +227,7 @@ def q_quota_allocation(sf_dir: str) -> pd.DataFrame:
             dtype="int64")})
 
 
-CURATION3_QUERIES["quota_allocation"] = q_quota_allocation
-CURATION3_ORACLES["quota_allocation"] = """
+register("quota_allocation", q_quota_allocation, """
     WITH cells AS (
       SELECT lang, source, CAST(COUNT(*) AS BIGINT) AS n
       FROM documents GROUP BY 1, 2),
@@ -257,7 +253,7 @@ CURATION3_ORACLES["quota_allocation"] = """
            CAST(n - 2 * (fl + CASE WHEN r <= (SELECT k FROM need)
                                    THEN 1 ELSE 0 END)
                 AS BIGINT) AS train_quota
-    FROM ranked ORDER BY lang, source"""
+    FROM ranked ORDER BY lang, source""")
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +323,7 @@ def q_rank_normalize_by_source(sf_dir: str) -> pd.DataFrame:
         .astype({"n_docs": "int64", "mean_cume": "float64"})
 
 
-CURATION3_QUERIES["rank_normalize_by_source"] = q_rank_normalize_by_source
-CURATION3_ORACLES["rank_normalize_by_source"] = """
+register("rank_normalize_by_source", q_rank_normalize_by_source, """
     WITH h AS (
       SELECT n_chars, CAST(COUNT(*) AS BIGINT) AS c
       FROM documents GROUP BY n_chars),
@@ -344,14 +339,4 @@ CURATION3_ORACLES["rank_normalize_by_source"] = """
              / CAST((SELECT total FROM tot) AS DOUBLE)
              / CAST(COUNT(*) AS DOUBLE) AS mean_cume
     FROM documents d JOIN cum USING (n_chars)
-    GROUP BY d.source ORDER BY d.source"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION3_QUERIES)
-    _q.ORACLE_SQL.update(CURATION3_ORACLES)
-
-
-_register()
+    GROUP BY d.source ORDER BY d.source""")

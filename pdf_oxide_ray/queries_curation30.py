@@ -36,11 +36,8 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from .queries import _pq, _scoped_parallelism
+from .queries import _pq, _scoped_parallelism, register
 from . import queries as _qmod
-
-CURATION30_QUERIES: dict = {}
-CURATION30_ORACLES: dict = {}
 
 
 def _key_hash(keys: pd.Series) -> pd.Series:
@@ -108,8 +105,7 @@ def q_casefold_dup_gain(sf_dir: str) -> pd.DataFrame:
         "dup_gain": pd.Series([nd - ed], dtype="int64")})
 
 
-CURATION30_QUERIES["casefold_dup_gain"] = q_casefold_dup_gain
-CURATION30_ORACLES["casefold_dup_gain"] = r"""
+register("casefold_dup_gain", q_casefold_dup_gain, r"""
     WITH g1 AS (SELECT coalesce(text, '') AS k, count(*) AS c
                 FROM documents GROUP BY 1),
     g2 AS (SELECT lower(trim(regexp_replace(coalesce(text, ''),
@@ -127,7 +123,7 @@ CURATION30_ORACLES["casefold_dup_gain"] = r"""
                 AS BIGINT) AS norm_clusters,
            CAST(COALESCE((SELECT SUM(c - 1) FROM g2), 0)
                 - COALESCE((SELECT SUM(c - 1) FROM g1), 0) AS BIGINT)
-             AS dup_gain"""
+             AS dup_gain""")
 
 
 # -------------------------------------------------------- bow_dup_census
@@ -147,8 +143,7 @@ def q_bow_dup_census(sf_dir: str) -> pd.DataFrame:
         "gain_over_exact": pd.Series([bd - ed], dtype="int64")})
 
 
-CURATION30_QUERIES["bow_dup_census"] = q_bow_dup_census
-CURATION30_ORACLES["bow_dup_census"] = r"""
+register("bow_dup_census", q_bow_dup_census, r"""
     WITH g1 AS (SELECT coalesce(text, '') AS k, count(*) AS c
                 FROM documents GROUP BY 1),
     gb AS (SELECT array_to_string(list_sort(list_filter(
@@ -163,14 +158,4 @@ CURATION30_ORACLES["bow_dup_census"] = r"""
                 AS BIGINT) AS bow_clusters,
            CAST(COALESCE((SELECT SUM(c - 1) FROM gb), 0)
                 - COALESCE((SELECT SUM(c - 1) FROM g1), 0) AS BIGINT)
-             AS gain_over_exact"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION30_QUERIES)
-    _q.ORACLE_SQL.update(CURATION30_ORACLES)
-
-
-_register()
+             AS gain_over_exact""")

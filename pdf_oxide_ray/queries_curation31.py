@@ -36,11 +36,9 @@ import pandas as pd
 
 from .functions.bitmask import (BITS, encode_codes, mask_cols, n_words,
                                 or_by_key)
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
-
-CURATION31_QUERIES: dict = {}
-CURATION31_ORACLES: dict = {}
+from .ops.quantile import disc_pick, disc_rank
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
 
 # ------------------------------------------------------ audience_overlap
@@ -112,8 +110,7 @@ def q_audience_overlap(sf_dir: str) -> pd.DataFrame:
                  "users_both": "int64", "jaccard": "float64"})
 
 
-CURATION31_QUERIES["audience_overlap"] = q_audience_overlap
-CURATION31_ORACLES["audience_overlap"] = """
+register("audience_overlap", q_audience_overlap, """
     WITH ut AS (SELECT DISTINCT user_id, event_type FROM events),
     tot AS (SELECT event_type, count(*) AS n FROM ut GROUP BY 1),
     pr AS (SELECT a.event_type AS ta, b.event_type AS tb,
@@ -129,7 +126,7 @@ CURATION31_ORACLES["audience_overlap"] = """
              AS jaccard
     FROM tot x JOIN tot y ON x.event_type < y.event_type
     LEFT JOIN pr ON pr.ta = x.event_type AND pr.tb = y.event_type
-    ORDER BY type_a, type_b"""
+    ORDER BY type_a, type_b""")
 
 
 # ----------------------------------------------- sentence_length_profile
@@ -164,9 +161,8 @@ def q_sentence_length_profile(sf_dir: str) -> pd.DataFrame:
         total = int((g["nt"].to_numpy(np.int64)
                      * g["cnt"].to_numpy(np.int64)).sum())
         cum = g["cnt"].cumsum().to_numpy(np.int64)
-        idx = min(max(int(np.ceil(n * np.float64(0.9))) - 1, 0), n - 1)
-        p90 = int(g["nt"].to_numpy(np.int64)[
-            np.searchsorted(cum, idx + 1)])
+        p90 = int(disc_pick(g["nt"].to_numpy(np.int64), cum,
+                            disc_rank(n, 0.9)))
         rows.append((s, n, float(total) / float(n), p90))
     return pd.DataFrame(rows, columns=["source", "n_sentences",
                                        "mean_sentence_tokens",
@@ -176,8 +172,7 @@ def q_sentence_length_profile(sf_dir: str) -> pd.DataFrame:
         .sort_values("source").reset_index(drop=True)
 
 
-CURATION31_QUERIES["sentence_length_profile"] = q_sentence_length_profile
-CURATION31_ORACLES["sentence_length_profile"] = r"""
+register("sentence_length_profile", q_sentence_length_profile, r"""
     WITH seg AS (
       SELECT source,
              unnest(regexp_split_to_array(coalesce(text, ''),
@@ -193,14 +188,4 @@ CURATION31_ORACLES["sentence_length_profile"] = r"""
              AS mean_sentence_tokens,
            CAST(quantile_disc(nt, 0.9) AS BIGINT)
              AS p90_sentence_tokens
-    FROM f GROUP BY source ORDER BY source"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION31_QUERIES)
-    _q.ORACLE_SQL.update(CURATION31_ORACLES)
-
-
-_register()
+    FROM f GROUP BY source ORDER BY source""")

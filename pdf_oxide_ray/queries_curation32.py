@@ -48,11 +48,10 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import halfaway6
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+from .ops.quantile import disc_pick, disc_rank
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
-CURATION32_QUERIES: dict = {}
-CURATION32_ORACLES: dict = {}
 
 _TOP2_FAIL_6 = 200_000    # top-2-gram char share > 0.20 fails
 _DUP3_FAIL_6 = 300_000    # duplicate-3-gram char share > 0.30 fails
@@ -136,8 +135,7 @@ def q_repetition_census(sf_dir: str) -> pd.DataFrame:
         .sort_values("source").reset_index(drop=True)
 
 
-CURATION32_QUERIES["repetition_census"] = q_repetition_census
-CURATION32_ORACLES["repetition_census"] = rf"""
+register("repetition_census", q_repetition_census, rf"""
     WITH toks AS (
       SELECT doc_id AS rid, source, coalesce(text, '') AS txt,
              list_filter(regexp_split_to_array(coalesce(text, ''),
@@ -193,7 +191,7 @@ CURATION32_ORACLES["repetition_census"] = rf"""
              AS mean_top2,
            (CAST(SUM(d3_6) AS DOUBLE) / count(d3_6)) / 1000000.0
              AS mean_dup3
-    FROM per GROUP BY source ORDER BY source"""
+    FROM per GROUP BY source ORDER BY source""")
 
 
 # --------------------------------------------------------- ccnet_buckets
@@ -272,10 +270,8 @@ def q_ccnet_buckets(sf_dir: str) -> pd.DataFrame:
         sc = sg["sc6"].to_numpy(np.int64)
         cum = np.cumsum(cnt)
         n = int(cum[-1])
-        t1 = int(sc[np.searchsorted(
-            cum, int(np.ceil(n * _P_T1)), side="left")])
-        t2 = int(sc[np.searchsorted(
-            cum, int(np.ceil(n * _P_T2)), side="left")])
+        t1 = int(disc_pick(sc, cum, disc_rank(n, _P_T1)))
+        t2 = int(disc_pick(sc, cum, disc_rank(n, _P_T2)))
         tail = int(cnt[sc <= t1].sum())
         mid = int(cnt[(sc > t1) & (sc <= t2)].sum())
         head = n - tail - mid
@@ -290,8 +286,7 @@ def q_ccnet_buckets(sf_dir: str) -> pd.DataFrame:
         .sort_values(["lang", "bucket"]).reset_index(drop=True)
 
 
-CURATION32_QUERIES["ccnet_buckets"] = q_ccnet_buckets
-CURATION32_ORACLES["ccnet_buckets"] = rf"""
+register("ccnet_buckets", q_ccnet_buckets, rf"""
     WITH toks AS (
       SELECT doc_id AS rid, lang,
              list_filter(regexp_split_to_array(coalesce(text, ''),
@@ -338,14 +333,4 @@ CURATION32_ORACLES["ccnet_buckets"] = rf"""
       FROM toks k LEFT JOIN per_doc p ON p.rid = k.rid
       WHERE p.rid IS NULL)
     SELECT lang, bucket, CAST(count(*) AS BIGINT) AS n_docs
-    FROM bkt GROUP BY 1, 2 ORDER BY lang, bucket"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION32_QUERIES)
-    _q.ORACLE_SQL.update(CURATION32_ORACLES)
-
-
-_register()
+    FROM bkt GROUP BY 1, 2 ORDER BY lang, bucket""")

@@ -46,11 +46,9 @@ import zlib
 import numpy as np
 import pandas as pd
 
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
-CURATION33_QUERIES: dict = {}
-CURATION33_ORACLES: dict = {}
 
 _SUB_L = 32          # exact-substring anchor length (chars)
 _SUB_HOT = 16        # anchors shared by > 16 docs are skipped (guard)
@@ -119,8 +117,7 @@ def q_substring_dup_pairs(sf_dir: str) -> pd.DataFrame:
         .sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
-CURATION33_QUERIES["substring_dup_pairs"] = q_substring_dup_pairs
-CURATION33_ORACLES["substring_dup_pairs"] = f"""
+register("substring_dup_pairs", q_substring_dup_pairs, f"""
     WITH d AS (SELECT doc_id, coalesce(text, '') AS txt,
                       length(coalesce(text, '')) AS L
                FROM documents),
@@ -136,7 +133,7 @@ CURATION33_ORACLES["substring_dup_pairs"] = f"""
     FROM subs a
     JOIN subs b ON a.sub = b.sub AND a.doc_id < b.doc_id
     JOIN sc ON sc.sub = a.sub AND sc.c BETWEEN 2 AND {_SUB_HOT}
-    ORDER BY id_a, id_b"""
+    ORDER BY id_a, id_b""")
 
 
 # ------------------------------------------------ winnow_threshold_curve
@@ -217,9 +214,6 @@ def q_winnow_threshold_curve(sf_dir: str) -> pd.DataFrame:
                  "n_truth": "int64", "n_tp": "int64"})
 
 
-CURATION33_QUERIES["winnow_threshold_curve"] = q_winnow_threshold_curve
-
-
 def _curve_oracle_sql() -> str:
     from .queries import _winnow_fps_ctes
 
@@ -269,12 +263,5 @@ def _curve_oracle_sql() -> str:
     ORDER BY threshold"""
 
 
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION33_QUERIES)
-    _q.ORACLE_SQL.update(CURATION33_ORACLES)
-    _q.ORACLE_SQL["winnow_threshold_curve"] = _curve_oracle_sql()
-
-
-_register()
+register("winnow_threshold_curve", q_winnow_threshold_curve,
+         _curve_oracle_sql())

@@ -49,11 +49,9 @@ import zlib
 import numpy as np
 import pandas as pd
 
-from .queries import (_empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
-CURATION34_QUERIES: dict = {}
-CURATION34_ORACLES: dict = {}
 
 _ASR_L = 32
 _ASR_HOT = 16
@@ -153,8 +151,7 @@ def q_anchor_stride_recall(sf_dir: str) -> pd.DataFrame:
         .astype({"stride": "int64", "n_pairs": "int64"})
 
 
-CURATION34_QUERIES["anchor_stride_recall"] = q_anchor_stride_recall
-CURATION34_ORACLES["anchor_stride_recall"] = f"""
+register("anchor_stride_recall", q_anchor_stride_recall, f"""
     WITH d AS (SELECT doc_id, coalesce(text, '') AS txt,
                       length(coalesce(text, '')) AS L
                FROM documents),
@@ -194,7 +191,7 @@ CURATION34_ORACLES["anchor_stride_recall"] = f"""
                UNION ALL SELECT 4, n4 FROM cnt
                UNION ALL SELECT 8, n8 FROM cnt
                UNION ALL SELECT 16, n16 FROM cnt) s
-    ORDER BY s.stride"""
+    ORDER BY s.stride""")
 
 
 # ----------------------------------------------------- join_size_estimate
@@ -323,8 +320,7 @@ def q_join_size_estimate(sf_dir: str) -> pd.DataFrame:
         "k_used": pd.Series([k_used], dtype="int64")})
 
 
-CURATION34_QUERIES["join_size_estimate"] = q_join_size_estimate
-CURATION34_ORACLES["join_size_estimate"] = f"""
+register("join_size_estimate", q_join_size_estimate, f"""
     WITH lk AS (SELECT l_orderkey AS key, count(*) AS nl
                 FROM lineitem GROUP BY 1),
     ok AS (SELECT o_orderkey AS key, count(*) AS no
@@ -372,14 +368,4 @@ CURATION34_ORACLES["join_size_estimate"] = f"""
                       - CAST(exact.x AS DOUBLE))
                      / CAST(exact.x AS DOUBLE) END AS rel_err,
            ku.k_used
-    FROM exact, ku, dh, sp"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION34_QUERIES)
-    _q.ORACLE_SQL.update(CURATION34_ORACLES)
-
-
-_register()
+    FROM exact, ku, dh, sp""")

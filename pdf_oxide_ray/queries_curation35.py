@@ -36,10 +36,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from .queries import _pq, _reduce_partials
-
-CURATION35_QUERIES: dict = {}
-CURATION35_ORACLES: dict = {}
+from .queries import _pq, _reduce_partials, register
 
 
 def _nibble_split(doc_ids) -> np.ndarray:
@@ -166,8 +163,7 @@ def q_heldout_perplexity(sf_dir: str) -> pd.DataFrame:
         .sort_values("split").reset_index(drop=True)
 
 
-CURATION35_QUERIES["heldout_perplexity"] = q_heldout_perplexity
-CURATION35_ORACLES["heldout_perplexity"] = r"""
+register("heldout_perplexity", q_heldout_perplexity, r"""
     WITH base AS (
       SELECT doc_id,
              CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
@@ -246,14 +242,4 @@ CURATION35_ORACLES["heldout_perplexity"] = r"""
                       / per.n_bigrams) / 1000000.0
            END AS mean_lp
     FROM shell LEFT JOIN per ON per.split = shell.split
-    ORDER BY shell.split"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION35_QUERIES)
-    _q.ORACLE_SQL.update(CURATION35_ORACLES)
-
-
-_register()
+    ORDER BY shell.split""")

@@ -36,11 +36,9 @@ import numpy as np
 import pandas as pd
 
 from .functions.pq_sql import PQ_D, PQ_ITERS, PQ_K, PQ_M, pq_chain
-from .queries import (_KMEANS_SCALE, _empty_typed, _pq,
-                      _reduce_partials)
+from .queries import (_KMEANS_SCALE, _empty_typed, _pq, _reduce_partials,
+                      register)
 
-CURATION36_QUERIES: dict = {}
-CURATION36_ORACLES: dict = {}
 
 _PQ_M, _PQ_D, _PQ_K, _PQ_ITERS = PQ_M, PQ_D, PQ_K, PQ_ITERS
 _S = _KMEANS_SCALE
@@ -162,7 +160,6 @@ def q_pq_distortion(sf_dir: str) -> pd.DataFrame:
         .sort_values("subspace").reset_index(drop=True)
 
 
-
 def _pq_oracle_sql() -> str:
     chains = ",".join(pq_chain(s, _S) for s in range(_PQ_M))
     unions = " UNION ALL ".join(
@@ -178,15 +175,4 @@ def _pq_oracle_sql() -> str:
     ORDER BY subspace"""
 
 
-CURATION36_QUERIES["pq_distortion"] = q_pq_distortion
-CURATION36_ORACLES["pq_distortion"] = _pq_oracle_sql()
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION36_QUERIES)
-    _q.ORACLE_SQL.update(CURATION36_ORACLES)
-
-
-_register()
+register("pq_distortion", q_pq_distortion, _pq_oracle_sql())

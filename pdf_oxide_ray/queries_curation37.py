@@ -31,11 +31,9 @@ import numpy as np
 import pandas as pd
 
 from .functions.pq_sql import PQ_D, PQ_ITERS, PQ_K, PQ_M, pq_chain
-from .queries import (_KMEANS_SCALE, _empty_typed, _pq,
-                      _reduce_partials)
+from .queries import (_KMEANS_SCALE, _empty_typed, _pq, _reduce_partials,
+                      register)
 
-CURATION37_QUERIES: dict = {}
-CURATION37_ORACLES: dict = {}
 
 _N_Q = 5   # query vectors: vec_id < 5
 _TOPK = 5
@@ -174,15 +172,4 @@ def _adc_oracle_sql() -> str:
     FROM ov ORDER BY query_id"""
 
 
-CURATION37_QUERIES["pq_adc_recall"] = q_pq_adc_recall
-CURATION37_ORACLES["pq_adc_recall"] = _adc_oracle_sql()
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION37_QUERIES)
-    _q.ORACLE_SQL.update(CURATION37_ORACLES)
-
-
-_register()
+register("pq_adc_recall", q_pq_adc_recall, _adc_oracle_sql())

@@ -39,10 +39,8 @@ import unicodedata
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION38_QUERIES: dict = {}
-CURATION38_ORACLES: dict = {}
 
 _COV_NS = (100, 1000, 10000)
 
@@ -101,8 +99,7 @@ def q_ngram_coverage_curve(sf_dir: str) -> pd.DataFrame:
                  "val_bigrams": "int64", "covered": "int64"})
 
 
-CURATION38_QUERIES["ngram_coverage_curve"] = q_ngram_coverage_curve
-CURATION38_ORACLES["ngram_coverage_curve"] = r"""
+register("ngram_coverage_curve", q_ngram_coverage_curve, r"""
     WITH base AS (
       SELECT doc_id,
              CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
@@ -147,7 +144,7 @@ CURATION38_ORACLES["ngram_coverage_curve"] = r"""
     FROM ns CROSS JOIN tot CROSS JOIN tvoc
     LEFT JOIN ranked ON TRUE
     GROUP BY ns.n_top, tot.tv, tvoc.nv
-    ORDER BY n_top"""
+    ORDER BY n_top""")
 
 
 # ----------------------------------------------------- unicode_nfc_census
@@ -180,8 +177,7 @@ def q_unicode_nfc_census(sf_dir: str) -> pd.DataFrame:
         .sort_values("source").reset_index(drop=True)
 
 
-CURATION38_QUERIES["unicode_nfc_census"] = q_unicode_nfc_census
-CURATION38_ORACLES["unicode_nfc_census"] = """
+register("unicode_nfc_census", q_unicode_nfc_census, """
     SELECT source,
            CAST(count(*) AS BIGINT) AS n_docs,
            CAST(coalesce(SUM(CASE WHEN coalesce(text, '')
@@ -192,14 +188,4 @@ CURATION38_ORACLES["unicode_nfc_census"] = """
                              - length(nfc_normalize(
                                  coalesce(text, '')))), 0) AS BIGINT)
              AS char_delta
-    FROM documents GROUP BY source ORDER BY source"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION38_QUERIES)
-    _q.ORACLE_SQL.update(CURATION38_ORACLES)
-
-
-_register()
+    FROM documents GROUP BY source ORDER BY source""")

@@ -30,10 +30,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq
+from .queries import _empty_typed, _pq, register
 
-CURATION39_QUERIES: dict = {}
-CURATION39_ORACLES: dict = {}
 
 _SD_NQ = 5       # eval vectors: vec_id < 5
 _SD_TAU = 0.9    # cosine threshold on the 4-decimal grid
@@ -104,8 +102,7 @@ def q_semantic_decontam(sf_dir: str) -> pd.DataFrame:
         .sort_values("query_id").reset_index(drop=True)
 
 
-CURATION39_QUERIES["semantic_decontam"] = q_semantic_decontam
-CURATION39_ORACLES["semantic_decontam"] = f"""
+register("semantic_decontam", q_semantic_decontam, f"""
     WITH q AS (
       SELECT vec_id AS query_id, embedding AS qe FROM embeddings
       WHERE vec_id < {_SD_NQ}
@@ -125,14 +122,4 @@ CURATION39_ORACLES["semantic_decontam"] = f"""
              AS n_hits,
            MAX(s.sim) AS max_sim
     FROM q LEFT JOIN s USING (query_id)
-    GROUP BY q.query_id ORDER BY q.query_id"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION39_QUERIES)
-    _q.ORACLE_SQL.update(CURATION39_ORACLES)
-
-
-_register()
+    GROUP BY q.query_id ORDER BY q.query_id""")

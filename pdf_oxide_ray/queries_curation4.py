@@ -42,10 +42,10 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from .queries import _REDUCE_GATE_ROWS, _empty_typed, _pq, _reduce_partials
+from .ops.quantile import disc_pick, disc_rank
+from .queries import (_REDUCE_GATE_ROWS, _empty_typed, _pq, _reduce_partials,
+                      register)
 
-CURATION4_QUERIES: dict = {}
-CURATION4_ORACLES: dict = {}
 
 _TOKENS_SQL = (r"list_filter(regexp_split_to_array("
                r"coalesce(text, ''), '\s+'), x -> x <> '')")
@@ -129,8 +129,7 @@ def q_kmv_distinct(sf_dir: str) -> pd.DataFrame:
         .astype({"k_used": "int64"})
 
 
-CURATION4_QUERIES["kmv_distinct"] = q_kmv_distinct
-CURATION4_ORACLES["kmv_distinct"] = """
+register("kmv_distinct", q_kmv_distinct, """
     WITH du AS (
       SELECT DISTINCT event_type,
              md5(CAST(user_id AS VARCHAR)) AS h
@@ -151,7 +150,7 @@ CURATION4_ORACLES["kmv_distinct"] = """
                 ELSE CAST(a.nd AS DOUBLE) END AS est_distinct
     FROM agg a JOIN ranked r
       ON r.event_type = a.event_type AND r.r = LEAST(a.nd, 64)
-    ORDER BY a.event_type"""
+    ORDER BY a.event_type""")
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +207,7 @@ def q_padding_waste(sf_dir: str) -> pd.DataFrame:
                  "sum_tokens": "int64", "waste": "int64"})
 
 
-CURATION4_QUERIES["padding_waste"] = q_padding_waste
-CURATION4_ORACLES["padding_waste"] = f"""
+register("padding_waste", q_padding_waste, f"""
     WITH t AS (
       SELECT CAST(length({_TOKENS_SQL}) AS BIGINT) AS n_tok
       FROM documents),
@@ -223,7 +221,7 @@ CURATION4_ORACLES["padding_waste"] = f"""
            CAST(SUM(n_tok) AS DOUBLE)
              / CAST(COUNT(*) * 64 * (bucket + 1) AS DOUBLE)
              AS efficiency
-    FROM f GROUP BY bucket ORDER BY bucket"""
+    FROM f GROUP BY bucket ORDER BY bucket""")
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +272,14 @@ def q_token_fertility(sf_dir: str) -> pd.DataFrame:
                  "total_chars": "int64", "fertility": "float64"})
 
 
-CURATION4_QUERIES["token_fertility"] = q_token_fertility
-CURATION4_ORACLES["token_fertility"] = f"""
+register("token_fertility", q_token_fertility, f"""
     SELECT lang, CAST(COUNT(*) AS BIGINT) AS n_docs,
            CAST(SUM(length({_TOKENS_SQL})) AS BIGINT) AS total_tokens,
            CAST(SUM(n_chars) AS BIGINT) AS total_chars,
            CASE WHEN SUM(n_chars) = 0 THEN NULL
                 ELSE CAST(SUM(length({_TOKENS_SQL})) AS DOUBLE)
                      / CAST(SUM(n_chars) AS DOUBLE) END AS fertility
-    FROM documents GROUP BY lang ORDER BY lang"""
+    FROM documents GROUP BY lang ORDER BY lang""")
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +340,7 @@ def q_curriculum_schedule(sf_dir: str) -> pd.DataFrame:
     cnt = hist["cnt"].to_numpy(np.int64)
     cum = cnt.cumsum()
     n = int(cum[-1])
-    # the repo's percentile_disc index rule: sorted[ceil(n*p)-1]
-    thr = [vals[np.searchsorted(cum, int(np.ceil(n * p)) - 1 + 1)]
+    thr = [disc_pick(vals, cum, disc_rank(n, p))
            for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
     decile = np.int64(1) + sum((vals > t).astype(np.int64) for t in thr)
     out = []
@@ -360,8 +356,7 @@ def q_curriculum_schedule(sf_dir: str) -> pd.DataFrame:
                  "n_docs": "int64"})
 
 
-CURATION4_QUERIES["curriculum_schedule"] = q_curriculum_schedule
-CURATION4_ORACLES["curriculum_schedule"] = f"""
+register("curriculum_schedule", q_curriculum_schedule, f"""
     WITH tok AS (
       SELECT doc_id, unnest({_TOKENS_SQL}) AS token FROM documents),
     d AS (
@@ -392,14 +387,4 @@ CURATION4_ORACLES["curriculum_schedule"] = f"""
            CAST(COUNT(*) AS BIGINT) AS n_docs,
            CAST(SUM(t6) AS DOUBLE) / CAST(COUNT(*) AS DOUBLE)
              / 1000000.0 AS mean_difficulty
-    FROM b GROUP BY decile ORDER BY decile"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION4_QUERIES)
-    _q.ORACLE_SQL.update(CURATION4_ORACLES)
-
-
-_register()
+    FROM b GROUP BY decile ORDER BY decile""")

@@ -41,10 +41,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION40_QUERIES: dict = {}
-CURATION40_ORACLES: dict = {}
 
 _AUC_POS_MIN = 5   # label >= 5 is the positive class
 
@@ -94,8 +92,7 @@ def q_norm_label_auc(sf_dir: str) -> pd.DataFrame:
         "auc": [auc]})
 
 
-CURATION40_QUERIES["norm_label_auc"] = q_norm_label_auc
-CURATION40_ORACLES["norm_label_auc"] = f"""
+register("norm_label_auc", q_norm_label_auc, f"""
     WITH comp AS (
       SELECT vec_id, label,
              CAST(round_even(CAST(x AS DOUBLE) * 1048576.0, 0)
@@ -128,7 +125,7 @@ CURATION40_ORACLES["norm_label_auc"] = f"""
                      / (2.0 * CAST(n_pos AS DOUBLE)
                         * CAST(n_neg AS DOUBLE))
            END AS auc
-    FROM agg"""
+    FROM agg""")
 
 
 # ------------------------------------------------------------ welch_ttest
@@ -183,8 +180,7 @@ def q_welch_ttest(sf_dir: str) -> pd.DataFrame:
         .astype({"n_a": "int64", "n_b": "int64"})
 
 
-CURATION40_QUERIES["welch_ttest"] = q_welch_ttest
-CURATION40_ORACLES["welch_ttest"] = """
+register("welch_ttest", q_welch_ttest, """
     WITH m AS (
       SELECT source, CAST(count(*) AS BIGINT) AS n,
              CAST(SUM(n_chars) AS BIGINT) AS sx,
@@ -211,14 +207,4 @@ CURATION40_ORACLES["welch_ttest"] = """
                 THEN ((sea + seb) * (sea + seb))
                      / (sea * sea / (na - 1) + seb * seb / (nb - 1))
            END AS df
-    FROM s ORDER BY source_a, source_b"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION40_QUERIES)
-    _q.ORACLE_SQL.update(CURATION40_ORACLES)
-
-
-_register()
+    FROM s ORDER BY source_a, source_b""")

@@ -31,10 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _KNN_QUERIES, _empty_typed, _pq
+from .queries import _KNN_QUERIES, _empty_typed, _pq, register
 
-CURATION41_QUERIES: dict = {}
-CURATION41_ORACLES: dict = {}
 
 _MMR_POOL = 20
 _MMR_K = 5
@@ -184,15 +182,4 @@ def _mmr_oracle_sql() -> str:
     ORDER BY query_id, position"""
 
 
-CURATION41_QUERIES["mmr_rerank"] = q_mmr_rerank
-CURATION41_ORACLES["mmr_rerank"] = _mmr_oracle_sql()
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION41_QUERIES)
-    _q.ORACLE_SQL.update(CURATION41_ORACLES)
-
-
-_register()
+register("mmr_rerank", q_mmr_rerank, _mmr_oracle_sql())

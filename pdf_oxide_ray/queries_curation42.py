@@ -29,10 +29,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _WINNOW_PAIR_THRESHOLD, _empty_typed
+from .queries import _WINNOW_PAIR_THRESHOLD, _empty_typed, register
 
-CURATION42_QUERIES: dict = {}
-CURATION42_ORACLES: dict = {}
 
 _WPG_CONFIGS = ((16, 8), (12, 6), (24, 12))  # (k, window); 0 = base
 
@@ -86,9 +84,6 @@ def q_winnow_param_grid(sf_dir: str) -> pd.DataFrame:
                  "n_pairs": "int64", "n_inter_base": "int64"})
 
 
-CURATION42_QUERIES["winnow_param_grid"] = q_winnow_param_grid
-
-
 def _grid_oracle_sql() -> str:
     import re
 
@@ -134,12 +129,4 @@ def _grid_oracle_sql() -> str:
     ORDER BY st.k, st.window"""
 
 
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION42_QUERIES)
-    _q.ORACLE_SQL.update(CURATION42_ORACLES)
-    _q.ORACLE_SQL["winnow_param_grid"] = _grid_oracle_sql()
-
-
-_register()
+register("winnow_param_grid", q_winnow_param_grid, _grid_oracle_sql())

@@ -33,10 +33,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq
+from .queries import ORACLE_SQL, _empty_typed, _pq, register
 
-CURATION43_QUERIES: dict = {}
-CURATION43_ORACLES: dict = {}
 
 _RRF_K = 60
 _RRF_TOP = 10
@@ -91,13 +89,8 @@ def q_rrf_fusion(sf_dir: str) -> pd.DataFrame:
         .astype({"position": "int64", "doc_id": "int64"})
 
 
-CURATION43_QUERIES["rrf_fusion"] = q_rrf_fusion
-
-
 def _rrf_oracle_sql() -> str:
-    from .queries_curation8 import CURATION8_ORACLES
-
-    bm25_sql = CURATION8_ORACLES["bm25_search"]
+    bm25_sql = ORACLE_SQL["bm25_search"]
     terms = _RRF_QUERY.split()
     qtoks = ", ".join(f"('{t}')" for t in terms)
     return f"""
@@ -175,12 +168,4 @@ def _rrf_oracle_sql() -> str:
     ORDER BY position"""
 
 
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION43_QUERIES)
-    _q.ORACLE_SQL.update(CURATION43_ORACLES)
-    _q.ORACLE_SQL["rrf_fusion"] = _rrf_oracle_sql()
-
-
-_register()
+register("rrf_fusion", q_rrf_fusion, _rrf_oracle_sql())

@@ -35,12 +35,7 @@ import pandas as pd
 from .functions.lm_ab import (lm_chain as _lm_chain,
                               lm_from_counts as _lm_from_counts,
                               nibble_split as _nibble_split)
-from .queries import _pq, _reduce_partials, _scoped_parallelism
-
-CURATION44_QUERIES: dict = {}
-CURATION44_ORACLES: dict = {}
-
-
+from .queries import _pq, _reduce_partials, _scoped_parallelism, register
 
 
 def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
@@ -162,10 +157,6 @@ def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
         .sort_values("variant").reset_index(drop=True)
 
 
-CURATION44_QUERIES["dedup_lm_ab"] = q_dedup_lm_ab
-
-
-
 def _ab_oracle_sql() -> str:
     return rf"""
     WITH base AS (
@@ -224,12 +215,4 @@ def _ab_oracle_sql() -> str:
     FROM agg ORDER BY variant"""
 
 
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION44_QUERIES)
-    _q.ORACLE_SQL.update(CURATION44_ORACLES)
-    _q.ORACLE_SQL["dedup_lm_ab"] = _ab_oracle_sql()
-
-
-_register()
+register("dedup_lm_ab", q_dedup_lm_ab, _ab_oracle_sql())

@@ -13,8 +13,9 @@ Distributed plan (shuffle budget — also in SCALE.md): the
 `event_burstiness` sorted-batch + boundary-stitch ordered plan keyed
 by (user_id, ts, event_id) — ONE sort; per-batch scalar partials
 (per-threshold big-gap counts + small-gap sums) plus 2 edge rows per
-batch; cross-batch gaps stitch on the driver by sorting the edge
-keys (order-independent); distinct users ride a user-bounded reduce.
+batch; cross-batch gaps stitch on the driver once ``ops.ordered``
+puts the batches back in order; distinct users ride a user-bounded
+reduce.
 
 Exactness: gaps are int64 microseconds, every fold an int sum; the
 two final divisions mirror term-for-term. Empty inputs return the
@@ -28,10 +29,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials
+from .ops.ordered import ordered_pass
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION45_QUERIES: dict = {}
-CURATION45_ORACLES: dict = {}
 
 _SGG_THRS_US = (600_000_000, 1_800_000_000, 3_600_000_000)
 
@@ -39,40 +39,28 @@ _SGG_THRS_US = (600_000_000, 1_800_000_000, 3_600_000_000)
 def q_session_gap_grid(sf_dir: str) -> pd.DataFrame:
     """Session stats at 10/30/60-minute timeouts — module
     docstring."""
-    ds = _pq(sf_dir, "events", ["user_id", "ts", "event_id"]) \
-        .sort(["user_id", "ts", "event_id"])
+    key = ["user_id", "ts", "event_id"]
+    ds = _pq(sf_dir, "events", key).sort(key)
     thr_cols = [f"nb{i}" for i in range(3)] \
         + [f"ss{i}" for i in range(3)]
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cols = {"u": "int64", **{c: "int64" for c in thr_cols},
-                "b_ts": "int64", "b_eid": "int64",
-                "b_first": "int64"}
-        if len(b) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype=t)
-                                 for c, t in cols.items()})
+    def fold(b: pd.DataFrame) -> pd.DataFrame:
         uid = b["user_id"].to_numpy(np.int64)
         ts = b["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        eid = b["event_id"].to_numpy(np.int64)
         same = uid[1:] == uid[:-1]
         gaps = (ts[1:] - ts[:-1])[same]
         vals = {}
         for i, thr in enumerate(_SGG_THRS_US):
-            vals[f"nb{i}"] = np.int64((gaps > thr).sum())
-            vals[f"ss{i}"] = np.int64(gaps[gaps <= thr].sum())
-        mom = pd.DataFrame({"u": [np.int64(-1)], **vals,
-                            "b_ts": np.int64(0),
-                            "b_eid": np.int64(0),
-                            "b_first": np.int64(-1)})
-        edge = pd.DataFrame({
-            "u": [uid[0], uid[-1]],
-            **{c: np.int64(0) for c in thr_cols},
-            "b_ts": [ts[0], ts[-1]], "b_eid": [eid[0], eid[-1]],
-            "b_first": np.array([1, 0], dtype=np.int64)})
-        return pd.concat([mom, edge], ignore_index=True)
+            vals[f"nb{i}"] = [np.int64((gaps > thr).sum())]
+            vals[f"ss{i}"] = [np.int64(gaps[gaps <= thr].sum())]
+        return pd.DataFrame(vals)
 
-    rows = ds.map_batches(partial, batch_format="pandas",
-                          batch_size=4096).materialize().to_pandas()
+    def edge(b: pd.DataFrame) -> tuple[dict, dict]:
+        uid = b["user_id"].to_numpy(np.int64)
+        ts = b["ts"].to_numpy("datetime64[us]").astype(np.int64)
+        return {"u": uid[0], "ts": ts[0]}, {"u": uid[-1], "ts": ts[-1]}
+
+    folds, first, last = ordered_pass(ds, key, fold, edge)
     empty = _empty_typed(gap_minutes="int64", n_sessions="int64",
                          events_per_session="float64",
                          mean_session_min="float64")
@@ -91,21 +79,16 @@ def q_session_gap_grid(sf_dir: str) -> pd.DataFrame:
         n_users = 0
 
     agg = {c: 0 for c in thr_cols}
-    if len(rows):
-        mom = rows[rows["b_first"] == -1]
+    if len(first):
         for c in thr_cols:
-            agg[c] = int(mom[c].sum())
-        edge = rows[rows["b_first"] >= 0] \
-            .sort_values(["u", "b_ts", "b_eid", "b_first"],
-                         ascending=[True, True, True, False],
-                         kind="mergesort").reset_index(drop=True)
-        u = edge["u"].to_numpy(np.int64)
-        bts = edge["b_ts"].to_numpy(np.int64)
-        bf = edge["b_first"].to_numpy(np.int64)
-        hit = np.flatnonzero((bf[:-1] == 0) & (bf[1:] == 1)
-                             & (u[:-1] == u[1:]))
+            agg[c] = int(folds[c].sum())
+        # cross-batch gaps: a batch's last row and the next batch's
+        # first row of the same user
+        hit = np.flatnonzero(last["u"].to_numpy(np.int64)[:-1]
+                             == first["u"].to_numpy(np.int64)[1:])
         if hit.size:
-            g = bts[hit + 1] - bts[hit]
+            g = first["ts"].to_numpy(np.int64)[1:][hit] \
+                - last["ts"].to_numpy(np.int64)[:-1][hit]
             for i, thr in enumerate(_SGG_THRS_US):
                 agg[f"nb{i}"] += int((g > thr).sum())
                 agg[f"ss{i}"] += int(g[g <= thr].sum())
@@ -122,8 +105,7 @@ def q_session_gap_grid(sf_dir: str) -> pd.DataFrame:
         .astype({"gap_minutes": "int64", "n_sessions": "int64"})
 
 
-CURATION45_QUERIES["session_gap_grid"] = q_session_gap_grid
-CURATION45_ORACLES["session_gap_grid"] = f"""
+register("session_gap_grid", q_session_gap_grid, f"""
     WITH g AS (
       SELECT user_id,
              epoch_us(ts) - lag(epoch_us(ts)) OVER (
@@ -156,14 +138,4 @@ CURATION45_ORACLES["session_gap_grid"] = f"""
                      / 60000000.0
            END AS mean_session_min
     FROM m CROSS JOIN u CROSS JOIN e
-    ORDER BY gap_minutes"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION45_QUERIES)
-    _q.ORACLE_SQL.update(CURATION45_ORACLES)
-
-
-_register()
+    ORDER BY gap_minutes""")

@@ -32,10 +32,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _pq, _reduce_partials
+from .queries import _pq, _reduce_partials, register
 
-CURATION46_QUERIES: dict = {}
-CURATION46_ORACLES: dict = {}
 
 _DAB_EVAL_K = 64   # eval set: the 64 lowest-doc_id val docs
 _DAB_N = 8         # word n-gram width for the contamination rule
@@ -137,9 +135,6 @@ def q_decontam_lm_ab(sf_dir: str) -> pd.DataFrame:
         .sort_values("variant").reset_index(drop=True)
 
 
-CURATION46_QUERIES["decontam_lm_ab"] = q_decontam_lm_ab
-
-
 def _dab_oracle_sql() -> str:
     from .functions.lm_ab import lm_chain as _lm_chain
 
@@ -214,12 +209,4 @@ def _dab_oracle_sql() -> str:
     FROM agg ORDER BY variant"""
 
 
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION46_QUERIES)
-    _q.ORACLE_SQL.update(CURATION46_ORACLES)
-    _q.ORACLE_SQL["decontam_lm_ab"] = _dab_oracle_sql()
-
-
-_register()
+register("decontam_lm_ab", q_decontam_lm_ab, _dab_oracle_sql())

@@ -33,10 +33,8 @@ import pandas as pd
 from .functions.lm_ab import (lm_chain as _lm_chain,
                               lm_from_counts as _lm_from_counts,
                               nibble_split as _nibble_split)
-from .queries import _pq, _quality_threshold, _reduce_partials
+from .queries import _pq, _quality_threshold, _reduce_partials, register
 
-CURATION47_QUERIES: dict = {}
-CURATION47_ORACLES: dict = {}
 
 _QAB_P = 0.75
 
@@ -153,8 +151,7 @@ def q_quality_lm_ab(sf_dir: str) -> pd.DataFrame:
         .sort_values("variant").reset_index(drop=True)
 
 
-CURATION47_QUERIES["quality_lm_ab"] = q_quality_lm_ab
-CURATION47_ORACLES["quality_lm_ab"] = rf"""
+register("quality_lm_ab", q_quality_lm_ab, rf"""
     WITH base AS (
       SELECT doc_id, text,
              CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
@@ -236,14 +233,4 @@ CURATION47_ORACLES["quality_lm_ab"] = rf"""
            END AS mean_lp
     FROM agg ORDER BY variant""".replace(
     "{R_CHAIN}", _lm_chain("r_", "traw")).replace(
-    "{Q_CHAIN}", _lm_chain("q_", "tqual"))
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION47_QUERIES)
-    _q.ORACLE_SQL.update(CURATION47_ORACLES)
-
-
-_register()
+    "{Q_CHAIN}", _lm_chain("q_", "tqual")))

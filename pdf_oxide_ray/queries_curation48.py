@@ -27,10 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _cents, _pq, _reduce_partials
-
-CURATION48_QUERIES: dict = {}
-CURATION48_ORACLES: dict = {}
+from .queries import _cents, _pq, _reduce_partials, register
 
 
 def q_jackknife_variance(sf_dir: str) -> pd.DataFrame:
@@ -106,8 +103,7 @@ def q_jackknife_variance(sf_dir: str) -> pd.DataFrame:
         "se_jackknife": [se_j / 100.0 if se_j == se_j else np.nan]})
 
 
-CURATION48_QUERIES["jackknife_variance"] = q_jackknife_variance
-CURATION48_ORACLES["jackknife_variance"] = """
+register("jackknife_variance", q_jackknife_variance, """
     WITH j AS (
       SELECT c.c_nationkey AS nation,
              CAST(round(o.o_totalprice * 100) AS BIGINT) AS cents
@@ -156,14 +152,4 @@ CURATION48_ORACLES["jackknife_variance"] = """
                            / CAST(tot.gg AS DOUBLE)))
                      / 1000000000000.0), 0.0)) / 100.0
            END AS se_jackknife
-    FROM tot CROSS JOIN jk"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION48_QUERIES)
-    _q.ORACLE_SQL.update(CURATION48_ORACLES)
-
-
-_register()
+    FROM tot CROSS JOIN jk""")

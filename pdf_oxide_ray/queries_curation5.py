@@ -45,11 +45,9 @@ import pandas as pd
 
 from .functions.textops import TOK_SQL as _TOK_SQL
 from .functions.textops import halfaway6 as _halfaway6
-from .queries import (_REDUCE_GATE_ROWS, _empty_typed, _pq,
-                      _reduce_partials, _scoped_parallelism)
+from .queries import (_REDUCE_GATE_ROWS, _empty_typed, _pq, _reduce_partials,
+                      _scoped_parallelism, register)
 
-CURATION5_QUERIES: dict = {}
-CURATION5_ORACLES: dict = {}
 
 _TOKENS_SQL = (r"list_filter(regexp_split_to_array("
                r"coalesce(text, ''), '\s+'), x -> x <> '')")
@@ -135,9 +133,8 @@ def q_gopher_rules(sf_dir: str) -> pd.DataFrame:
                        if c not in ("source", "pass_rate")})
 
 
-CURATION5_QUERIES["gopher_rules"] = q_gopher_rules
 _STOP_SQL = "[" + ", ".join(f"'{s}'" for s in _GOPHER_STOPWORDS) + "]"
-CURATION5_ORACLES["gopher_rules"] = f"""
+register("gopher_rules", q_gopher_rules, f"""
     WITH t AS (
       SELECT source, {_TOKENS_SQL} AS tk FROM documents),
     f AS (
@@ -168,7 +165,7 @@ CURATION5_ORACLES["gopher_rules"] = f"""
                 AS BIGINT) AS n_pass,
            CAST(SUM(CAST(NOT (fw OR fm OR fs OR fa) AS BIGINT))
                 AS DOUBLE) / CAST(COUNT(*) AS DOUBLE) AS pass_rate
-    FROM r GROUP BY source ORDER BY source"""
+    FROM r GROUP BY source ORDER BY source""")
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +277,7 @@ def q_dsir_weights(sf_dir: str) -> pd.DataFrame:
         .astype({"n_docs": "int64", "n_selected": "int64"})
 
 
-CURATION5_QUERIES["dsir_weights"] = q_dsir_weights
-CURATION5_ORACLES["dsir_weights"] = f"""
+register("dsir_weights", q_dsir_weights, f"""
     WITH tok AS (
       SELECT doc_id, unnest({_TOKENS_SQL}) AS w
       FROM documents),
@@ -312,7 +308,7 @@ CURATION5_ORACLES["dsir_weights"] = f"""
            CAST(SUM(CAST(w6 > 0 AS BIGINT)) AS BIGINT) AS n_selected,
            ROUND(CAST(SUM(w6) AS DOUBLE) / CAST(COUNT(*) AS DOUBLE),
                  0) / 1000000.0 AS mean_weight
-    FROM docs GROUP BY source ORDER BY source"""
+    FROM docs GROUP BY source ORDER BY source""")
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +417,7 @@ def q_soft_dedup_weights(sf_dir: str) -> pd.DataFrame:
         ["source", "c"], ["n", "tok"]))
 
 
-CURATION5_QUERIES["soft_dedup_weights"] = q_soft_dedup_weights
-CURATION5_ORACLES["soft_dedup_weights"] = f"""
+register("soft_dedup_weights", q_soft_dedup_weights, f"""
     WITH cl AS (
       SELECT coalesce(text, '') AS t, CAST(COUNT(*) AS BIGINT) AS c
       FROM documents GROUP BY 1),
@@ -434,14 +429,4 @@ CURATION5_ORACLES["soft_dedup_weights"] = f"""
            CAST(SUM(n_tok) AS BIGINT) AS sum_tokens,
            CAST(SUM(n_tok) AS DOUBLE) / CAST(c AS DOUBLE)
              AS eff_tokens
-    FROM j GROUP BY source, c ORDER BY source, c"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION5_QUERIES)
-    _q.ORACLE_SQL.update(CURATION5_ORACLES)
-
-
-_register()
+    FROM j GROUP BY source, c ORDER BY source, c""")

@@ -40,10 +40,8 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import halfaway6 as _halfaway6
-from .queries import _empty_typed, _pq, _reduce_partials
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION6_QUERIES: dict = {}
-CURATION6_ORACLES: dict = {}
 
 # the lang_id heuristic's SQL twin fragments (queries.py lang_id oracle):
 # distinct words of the first 2000 lowered chars, stopword-profile hit
@@ -125,8 +123,7 @@ def q_lang_confusion(sf_dir: str) -> pd.DataFrame:
                    / tot.to_numpy(np.float64))})
 
 
-CURATION6_QUERIES["lang_confusion"] = q_lang_confusion
-CURATION6_ORACLES["lang_confusion"] = f"""
+register("lang_confusion", q_lang_confusion, f"""
     WITH {_PRED_SQL},
     j AS (
       SELECT d.lang, p.lang_pred
@@ -137,7 +134,7 @@ CURATION6_ORACLES["lang_confusion"] = f"""
     t AS (SELECT lang, SUM(n) AS tot FROM c GROUP BY 1)
     SELECT c.lang, c.lang_pred, c.n AS n_docs,
            CAST(c.n AS DOUBLE) / CAST(t.tot AS DOUBLE) AS recall
-    FROM c JOIN t USING (lang) ORDER BY c.lang, c.lang_pred"""
+    FROM c JOIN t USING (lang) ORDER BY c.lang, c.lang_pred""")
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +209,7 @@ def q_neyman_allocation(sf_dir: str) -> pd.DataFrame:
         "alloc": pd.Series(alloc, dtype="int64")})
 
 
-CURATION6_QUERIES["neyman_allocation"] = q_neyman_allocation
-CURATION6_ORACLES["neyman_allocation"] = r"""
+register("neyman_allocation", q_neyman_allocation, r"""
     WITH m AS (
       SELECT source, CAST(COUNT(*) AS BIGINT) AS n,
              CAST(SUM(x) AS BIGINT) AS sx,
@@ -254,7 +250,7 @@ CURATION6_ORACLES["neyman_allocation"] = r"""
            CAST(fl + CASE WHEN (SELECT t6 FROM tot) > 0
                           AND r <= (SELECT k FROM need)
                           THEN 1 ELSE 0 END AS BIGINT) AS alloc
-    FROM ranked ORDER BY source"""
+    FROM ranked ORDER BY source""")
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +305,7 @@ def q_chao1_vocab(sf_dir: str) -> pd.DataFrame:
         .astype({"v_obs": "int64", "f1": "int64", "f2": "int64"})
 
 
-CURATION6_QUERIES["chao1_vocab"] = q_chao1_vocab
-CURATION6_ORACLES["chao1_vocab"] = r"""
+register("chao1_vocab", q_chao1_vocab, r"""
     WITH tok AS (
       SELECT source,
              unnest(list_filter(regexp_split_to_array(
@@ -328,14 +323,4 @@ CURATION6_ORACLES["chao1_vocab"] = r"""
            CAST(v_obs AS DOUBLE)
              + CAST(f1 * (f1 - 1) AS DOUBLE)
                / CAST(2 * (f2 + 1) AS DOUBLE) AS chao1
-    FROM f ORDER BY source"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION6_QUERIES)
-    _q.ORACLE_SQL.update(CURATION6_ORACLES)
-
-
-_register()
+    FROM f ORDER BY source""")

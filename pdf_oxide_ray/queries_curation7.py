@@ -9,12 +9,12 @@ distributed ORDERED-GAP plan:
 
 1. ONE range-partitioned sort of the skinny (event_type, ts,
    event_id) projection (~24 B/row all-to-all — the only exchange).
-2. A streamed pass over the sorted batches: in-batch gaps are one
-   vectorized diff with type-boundary masking; each batch also emits
-   its FIRST and LAST rows as boundary keys.
-3. The driver re-sorts the 2-per-batch boundary keys (batches
-   partition the global order, so a last→first adjacency in key order
-   IS a cross-batch gap) and folds the stitched gaps into the same
+2. A streamed pass over the sorted batches (``ops.ordered``):
+   in-batch gaps are one vectorized diff with type-boundary masking;
+   each batch also emits its FIRST and LAST rows.
+3. With the batches back in global order, a batch's last row and the
+   next batch's first row of the same type are a cross-batch gap; the
+   driver folds the stitched gaps into the same
    per-type moments — no second pass, no per-type task concentration
    (a hot type spreads across many range partitions, unlike a
    groupby(type).map_groups plan). Boundary keys are 2/batch (~3M
@@ -40,10 +40,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq
+from .ops.ordered import ordered_pass
+from .queries import _empty_typed, _pq, register
 
-CURATION7_QUERIES: dict = {}
-CURATION7_ORACLES: dict = {}
 
 _GAP_MAX = 1 << 45  # ~1.1 years in us; the 23-bit split's safe bound
 
@@ -67,21 +66,12 @@ def q_event_burstiness(sf_dir: str) -> pd.DataFrame:
     the module docstring for the sorted-batch + boundary-stitch plan
     and the exactness argument."""
     _MOMENT_COLS = ["n", "sg", "s2a", "s2b", "s2c"]
-    ds = _pq(sf_dir, "events", ["event_type", "ts", "event_id"]) \
-        .sort(["event_type", "ts", "event_id"])
+    key = ["event_type", "ts", "event_id"]
+    ds = _pq(sf_dir, "events", key).sort(key)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def fold(b: pd.DataFrame) -> pd.DataFrame:
         et = b["event_type"].to_numpy(object)
         ts = b["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        eid = b["event_id"].to_numpy(np.int64)
-        if len(b) == 0:
-            return pd.DataFrame({
-                "event_type": pd.Series([], dtype=object),
-                **{c: pd.Series([], dtype="int64")
-                   for c in _MOMENT_COLS},
-                "b_ts": pd.Series([], dtype="int64"),
-                "b_eid": pd.Series([], dtype="int64"),
-                "b_first": pd.Series([], dtype="int64")})
         same = et[1:] == et[:-1]
         gaps = (ts[1:] - ts[:-1])[same]
         mom = _gap_moments(et[1:][same], gaps) if same.any() else \
@@ -89,60 +79,37 @@ def q_event_burstiness(sf_dir: str) -> pd.DataFrame:
                           **{c: pd.Series([], dtype="int64")
                              for c in _MOMENT_COLS}})
         # zero-moment census so every observed type reaches the output
-        # (a single-event type interior to one batch has no gap row
-        # and no edge row)
+        # (a single-event type interior to one batch has no gap row)
         census = pd.DataFrame({
             "event_type": pd.unique(et),
             **{c: np.int64(0) for c in _MOMENT_COLS}})
-        mom = pd.concat([mom, census], ignore_index=True)
-        mom["b_ts"] = np.int64(0)
-        mom["b_eid"] = np.int64(0)
-        mom["b_first"] = np.int64(-1)  # -1 = moment row
-        edge = pd.DataFrame({
-            "event_type": [et[0], et[-1]],
-            **{c: np.int64(0) for c in _MOMENT_COLS},
-            "b_ts": [ts[0], ts[-1]], "b_eid": [eid[0], eid[-1]],
-            "b_first": np.array([1, 0], dtype=np.int64)})
-        return pd.concat([mom, edge], ignore_index=True)
+        return pd.concat([mom, census], ignore_index=True)
 
-    # fixed batch_size: batches stay contiguous slices of the sorted
-    # order AND the boundary-stitch path exercises at every scale
-    # (a single-block read would otherwise arrive as one batch)
-    rows = ds.map_batches(partial, batch_format="pandas",
-                          batch_size=4096) \
-        .materialize().to_pandas()
+    def edge(b: pd.DataFrame) -> tuple[dict, dict]:
+        ts = b["ts"].to_numpy("datetime64[us]").astype(np.int64)
+        return ({"et": b["event_type"].iloc[0], "ts": ts[0]},
+                {"et": b["event_type"].iloc[-1], "ts": ts[-1]})
+
+    folds, first, last = ordered_pass(ds, key, fold, edge)
     empty = _empty_typed(event_type=object, n_gaps="int64",
                          mean_gap_us="float64", sigma_gap_us="float64",
                          burstiness="float64")
-    if rows.empty:
+    if folds.empty:
         return empty
-    mom = rows[rows["b_first"] == -1]
-    agg = (mom.groupby("event_type", as_index=False)[_MOMENT_COLS]
-           .sum() if len(mom)
-           else pd.DataFrame({"event_type": pd.Series([], dtype=object),
-                              **{c: pd.Series([], dtype="int64")
-                                 for c in _MOMENT_COLS}}))
+    agg = folds.groupby("event_type", as_index=False)[_MOMENT_COLS].sum()
     per_type = {r["event_type"]: [int(r["n"]), int(r["sg"]),
                                   int(r["s2a"]), int(r["s2b"]),
                                   int(r["s2c"])]
                 for _, r in agg.iterrows()}
-    # boundary stitch: batches partition the global (type, ts, id)
-    # order, so after sorting the 2-per-batch edge keys, every
-    # last→first adjacency within a type is a cross-batch gap
-    # (b_first DESC puts a single-row batch's 'first' before its
-    # 'last' at the same key)
-    edge = rows[rows["b_first"] >= 0] \
-        .sort_values(["event_type", "b_ts", "b_eid", "b_first"],
-                     ascending=[True, True, True, False],
-                     kind="mergesort").reset_index(drop=True)
-    et = edge["event_type"].to_numpy(object)
-    bts = edge["b_ts"].to_numpy(np.int64)
-    bf = edge["b_first"].to_numpy(np.int64)
-    hit = np.flatnonzero((bf[:-1] == 0) & (bf[1:] == 1)
-                         & (et[:-1] == et[1:]))
+    # seam stitch: a batch's last row and the next batch's first row of
+    # the same type are adjacent in the global (type, ts, id) order
+    lt = last["et"].to_numpy(object)[:-1]
+    ft = first["et"].to_numpy(object)[1:]
+    hit = np.flatnonzero(lt == ft)
     if hit.size:
-        g = bts[hit + 1] - bts[hit]
-        stitched = _gap_moments(et[hit], g)
+        g = first["ts"].to_numpy(np.int64)[1:][hit] \
+            - last["ts"].to_numpy(np.int64)[:-1][hit]
+        stitched = _gap_moments(lt[hit], g)
         for _, r in stitched.iterrows():
             cur = per_type.setdefault(r["event_type"], [0, 0, 0, 0, 0])
             for i, c in enumerate(_MOMENT_COLS):
@@ -167,8 +134,7 @@ def q_event_burstiness(sf_dir: str) -> pd.DataFrame:
         .astype({"n_gaps": "int64"})
 
 
-CURATION7_QUERIES["event_burstiness"] = q_event_burstiness
-CURATION7_ORACLES["event_burstiness"] = """
+register("event_burstiness", q_event_burstiness, """
     WITH g AS (
       SELECT event_type,
              epoch_us(ts) - lag(epoch_us(ts)) OVER (
@@ -194,14 +160,4 @@ CURATION7_ORACLES["event_burstiness"] = """
            mu AS mean_gap_us, sig AS sigma_gap_us,
            CASE WHEN n = 0 OR sig + mu <= 0 THEN NULL
                 ELSE (sig - mu) / (sig + mu) END AS burstiness
-    FROM s ORDER BY event_type"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION7_QUERIES)
-    _q.ORACLE_SQL.update(CURATION7_ORACLES)
-
-
-_register()
+    FROM s ORDER BY event_type""")

@@ -65,10 +65,9 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import halfaway6
-from .queries import _empty_typed, _pq, _reduce_partials
+from .ops.ordered import ordered_pass
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
-CURATION8_QUERIES: dict = {}
-CURATION8_ORACLES: dict = {}
 
 _WORD_RE = re.compile(r"[0-9a-z_]+")
 _WORD_SQL = "regexp_extract_all(lower(coalesce(text, '')), '[0-9a-z_]+')"
@@ -80,71 +79,49 @@ def q_event_runs(sf_dir: str) -> pd.DataFrame:
     """Per-user maximal same-type run census over the (ts, event_id)
     order: n_runs, longest_run, and the (smallest) type achieving it.
     Sorted-batch boundary-stitch plan — module docstring."""
+    key = ["user_id", "ts", "event_id"]
     ds = _pq(sf_dir, "events", ["user_id", "event_type", "ts",
-                                "event_id"]) \
-        .sort(["user_id", "ts", "event_id"])
+                                "event_id"]).sort(key)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cols = {"user_id": "int64", "event_type": object,
-                "n_isl": "int64", "max_len": "int64", "b_len": "int64",
-                "b_whole": "int64", "k_user": "int64", "k_ts": "int64",
-                "k_eid": "int64", "kind": "int64"}
-        if len(b) == 0:
-            return pd.DataFrame({c: pd.Series([], dtype=t)
-                                 for c, t in cols.items()})
+    # nested, not module-level: a module-level helper would make Ray
+    # workers import this module first, and the registry import it
+    # triggers then runs queries_curation43 before this module's
+    # bm25_search is registered
+    def _islands(b: pd.DataFrame):
+        """(user, type, island starts, island lengths) of a batch's
+        maximal same-(user, type) runs."""
         u = b["user_id"].to_numpy(np.int64)
         et = b["event_type"].to_numpy(object)
-        ts = b["ts"].to_numpy("datetime64[us]").astype(np.int64)
-        eid = b["event_id"].to_numpy(np.int64)
         brk = np.flatnonzero((u[1:] != u[:-1]) | (et[1:] != et[:-1]))
         starts = np.concatenate(([0], brk + 1))
         ends = np.concatenate((brk, [len(b) - 1]))
-        lens = ends - starts + 1
-        k = len(starts)
-        # interior islands (exclude the first and last — they may
-        # continue across the batch seam)
-        if k > 2:
-            iu, iet, il = u[starts[1:-1]], et[starts[1:-1]], lens[1:-1]
-            interior = pd.DataFrame({"user_id": iu, "event_type": iet,
-                                     "n_isl": np.int64(1),
-                                     "max_len": il}) \
-                .groupby(["user_id", "event_type"], as_index=False) \
-                .agg(n_isl=("n_isl", "sum"), max_len=("max_len", "max"))
-        else:
-            interior = pd.DataFrame({
-                "user_id": pd.Series([], dtype="int64"),
-                "event_type": pd.Series([], dtype=object),
-                "n_isl": pd.Series([], dtype="int64"),
-                "max_len": pd.Series([], dtype="int64")})
-        interior["b_len"] = np.int64(0)
-        interior["b_whole"] = np.int64(0)
-        interior["k_user"] = np.int64(0)
-        interior["k_ts"] = np.int64(0)
-        interior["k_eid"] = np.int64(0)
-        interior["kind"] = np.int64(-1)
-        # boundary rows: the batch's first and last islands, keyed by
-        # the batch's FIRST row so the driver can re-order batches
-        # (kind 1 = first island, 2 = last island; b_whole marks a
-        # single-island batch — the flag is explicit because a k>=3
-        # batch can legally start and end with the same (user, type,
-        # len) island)
-        edge = pd.DataFrame({
-            "user_id": [u[starts[0]], u[starts[-1]]],
-            "event_type": [et[starts[0]], et[starts[-1]]],
-            "n_isl": np.int64(0), "max_len": np.int64(0),
-            "b_len": [lens[0], lens[-1]],
-            "b_whole": np.int64(1 if k == 1 else 0),
-            "k_user": u[0], "k_ts": ts[0], "k_eid": eid[0],
-            "kind": np.array([1, 2], dtype=np.int64)})
-        return pd.concat([interior, edge], ignore_index=True)
+        return u, et, starts, ends - starts + 1
 
-    # fixed batch_size: contiguous slices of the sorted order AND the
-    # stitch path exercises at every scale
-    rows = ds.map_batches(partial, batch_format="pandas",
-                          batch_size=4096).materialize().to_pandas()
+    def fold(b: pd.DataFrame) -> pd.DataFrame:
+        # interior islands only: the first and last may continue
+        # across the batch seam
+        u, et, starts, lens = _islands(b)
+        return pd.DataFrame({"user_id": u[starts[1:-1]],
+                             "event_type": et[starts[1:-1]],
+                             "n_isl": np.int64(1),
+                             "max_len": lens[1:-1]}) \
+            .groupby(["user_id", "event_type"], as_index=False) \
+            .agg(n_isl=("n_isl", "sum"), max_len=("max_len", "max"))
+
+    def edge(b: pd.DataFrame) -> tuple[dict, dict]:
+        # the batch's first and last islands; `whole` marks a
+        # single-island batch — explicit because a batch of >= 3
+        # islands can legally start and end with the same (user, type,
+        # len) island
+        u, et, starts, lens = _islands(b)
+        whole = len(starts) == 1
+        return ({"u": u[0], "et": et[0], "len": lens[0], "whole": whole},
+                {"u": u[-1], "et": et[-1], "len": lens[-1]})
+
+    folds, first, last = ordered_pass(ds, key, fold, edge)
     empty = _empty_typed(user_id="int64", n_runs="int64",
                          longest_run="int64", run_type=object)
-    if rows.empty:
+    if first.empty:
         return empty
     stats: dict = {}  # (user, type) -> [n_runs, max_len]
 
@@ -153,46 +130,36 @@ def q_event_runs(sf_dir: str) -> pd.DataFrame:
         cur[0] += 1
         cur[1] = max(cur[1], ln)
 
-    interior = rows[rows["kind"] == -1]
-    for _, r in interior.groupby(["user_id", "event_type"],
-                                 as_index=False) \
+    for _, r in folds.groupby(["user_id", "event_type"], as_index=False) \
             .agg(n_isl=("n_isl", "sum"),
                  max_len=("max_len", "max")).iterrows():
         cur = stats.setdefault((int(r["user_id"]), r["event_type"]),
                                [0, 0])
         cur[0] += int(r["n_isl"])
         cur[1] = max(cur[1], int(r["max_len"]))
-    # stitch: order batches by their first-row key; within a batch the
-    # first island (kind 1) precedes the last (kind 2)
-    edge = rows[rows["kind"] > 0] \
-        .sort_values(["k_user", "k_ts", "k_eid", "kind"],
-                     kind="mergesort").reset_index(drop=True)
+    # stitch the batches' edge islands in global order
     pend: tuple | None = None  # (user, type, len)
-    for i in range(0, len(edge), 2):
-        f, last = edge.iloc[i], edge.iloc[i + 1]
-        whole = bool(f["b_whole"])
-        fu, ft, fl = int(f["user_id"]), f["event_type"], int(f["b_len"])
-        lu, lt, ll = (int(last["user_id"]), last["event_type"],
-                      int(last["b_len"]))
+    for f, la in zip(first.itertuples(), last.itertuples()):
+        fu, ft, fl = int(f.u), f.et, int(f.len)
         if pend is not None:
             if pend[0] == fu and pend[1] == ft:
                 merged = pend[2] + fl
-                if whole:
+                if f.whole:
                     pend = (fu, ft, merged)
                     continue
                 _fin(fu, ft, merged)
             else:
                 _fin(*pend)
-                if whole:
+                if f.whole:
                     pend = (fu, ft, fl)
                     continue
                 _fin(fu, ft, fl)
         else:
-            if whole:
+            if f.whole:
                 pend = (fu, ft, fl)
                 continue
             _fin(fu, ft, fl)
-        pend = (lu, lt, ll)
+        pend = (int(la.u), la.et, int(la.len))
     if pend is not None:
         _fin(*pend)
     if not stats:
@@ -214,8 +181,7 @@ def q_event_runs(sf_dir: str) -> pd.DataFrame:
         ["user_id", "n_runs", "longest_run", "run_type"]]
 
 
-CURATION8_QUERIES["event_runs"] = q_event_runs
-CURATION8_ORACLES["event_runs"] = """
+register("event_runs", q_event_runs, """
     WITH o AS (
       SELECT user_id, event_type,
              ROW_NUMBER() OVER (PARTITION BY user_id
@@ -235,7 +201,7 @@ CURATION8_ORACLES["event_runs"] = """
     FROM m JOIN i ON i.user_id = m.user_id
                  AND i.run_len = m.longest_run
     GROUP BY m.user_id, m.n_runs, m.longest_run
-    ORDER BY m.user_id"""
+    ORDER BY m.user_id""")
 
 
 # ----------------------------------------------------------------- oov
@@ -297,8 +263,7 @@ def q_oov_rate(sf_dir: str) -> pd.DataFrame:
         .astype({"n_tokens": "int64", "n_oov": "int64"})
 
 
-CURATION8_QUERIES["oov_rate"] = q_oov_rate
-CURATION8_ORACLES["oov_rate"] = f"""
+register("oov_rate", q_oov_rate, f"""
     WITH tok AS (
       SELECT source, unnest({_WORD_SQL}) AS w FROM documents),
     cnt AS (SELECT w, COUNT(*) AS c FROM tok GROUP BY w),
@@ -311,7 +276,7 @@ CURATION8_ORACLES["oov_rate"] = f"""
     SELECT source, CAST(n_tokens AS BIGINT) AS n_tokens,
            CAST(n_oov AS BIGINT) AS n_oov,
            CAST(n_oov AS DOUBLE) / CAST(n_tokens AS DOUBLE) AS oov_rate
-    FROM agg ORDER BY source"""
+    FROM agg ORDER BY source""")
 
 
 # ---------------------------------------------------------------- bm25
@@ -406,8 +371,7 @@ def q_bm25_search(sf_dir: str) -> pd.DataFrame:
                          / 1e6}).reset_index(drop=True)
 
 
-CURATION8_QUERIES["bm25_search"] = q_bm25_search
-CURATION8_ORACLES["bm25_search"] = f"""
+register("bm25_search", q_bm25_search, f"""
     WITH tok AS (
       SELECT doc_id, unnest({_WORD_SQL}) AS w FROM documents),
     dl AS (
@@ -460,14 +424,4 @@ CURATION8_ORACLES["bm25_search"] = f"""
            round(score * 1000000.0, 0) / 1000000.0 AS score
     FROM s
     ORDER BY round(score * 1000000.0, 0) / 1000000.0 DESC, doc_id
-    LIMIT {_BM25_K}"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION8_QUERIES)
-    _q.ORACLE_SQL.update(CURATION8_ORACLES)
-
-
-_register()
+    LIMIT {_BM25_K}""")

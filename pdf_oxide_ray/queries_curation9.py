@@ -76,10 +76,11 @@ import re
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials, _scoped_parallelism
+from .ops.ordered import ordered_pass
+from .ops.quantile import disc_pick, disc_rank_exact
+from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      register)
 
-CURATION9_QUERIES: dict = {}
-CURATION9_ORACLES: dict = {}
 
 _WORD_RE = re.compile(r"[0-9a-z_]+")
 _WORD_SQL = "regexp_extract_all(lower(coalesce(text, '')), '[0-9a-z_]+')"
@@ -162,8 +163,7 @@ def q_boilerplate_ngrams(sf_dir: str) -> pd.DataFrame:
         .astype({"n_docs": "int64", "n_pos": "int64", "n_boiler": "int64"})
 
 
-CURATION9_QUERIES["boilerplate_ngrams"] = q_boilerplate_ngrams
-CURATION9_ORACLES["boilerplate_ngrams"] = f"""
+register("boilerplate_ngrams", q_boilerplate_ngrams, f"""
     WITH perdoc AS (
       SELECT doc_id, source, {_WORD_SQL} AS arr FROM documents),
     g AS (
@@ -188,7 +188,7 @@ CURATION9_ORACLES["boilerplate_ngrams"] = f"""
            CAST(per.n_boiler AS DOUBLE) / CAST(per.n_pos AS DOUBLE)
              AS boiler_rate
     FROM nd LEFT JOIN per USING (source)
-    ORDER BY nd.source"""
+    ORDER BY nd.source""")
 
 
 # -------------------------------------------------- prefix containment
@@ -224,42 +224,30 @@ def q_prefix_containment(sf_dir: str) -> pd.DataFrame:
         dist = parts.groupby("text").aggregate(Sum("c", alias_name="c"))
         sorted_ds = dist.sort("text")
 
-    def succ(b: pd.DataFrame) -> pd.DataFrame:
+    def fold(b: pd.DataFrame) -> pd.DataFrame:
+        # kind 0 = prefix of its in-batch successor (the last text's
+        # successor lives in the next batch — the seam test covers
+        # it), kind 1 = duplicated text; both as md5 of the text
         t = b["text"].to_numpy(object)
         c = b["c"].to_numpy(np.int64)
-        k = len(t)
-        if k == 0:
-            return pd.DataFrame({"kind": pd.Series([], dtype="int64"),
-                                 "p1": pd.Series([], dtype=object),
-                                 "p2": pd.Series([], dtype=object)})
-        rows: list[tuple[int, str, str]] = []
-        # in-batch successor checks (the last text's successor lives in
-        # the next batch — the driver seam test covers it)
-        for i in range(k - 1):
-            if len(t[i + 1]) > len(t[i]) and t[i + 1].startswith(t[i]):
-                rows.append((0, _md5(t[i]), ""))
-        for i in range(k):
-            if c[i] > 1:
-                rows.append((1, _md5(t[i]), ""))
-        rows.append((2, t[0], t[k - 1]))
+        rows = [(0, _md5(t[i])) for i in range(len(t) - 1)
+                if len(t[i + 1]) > len(t[i]) and t[i + 1].startswith(t[i])]
+        rows += [(1, _md5(t[i])) for i in range(len(t)) if c[i] > 1]
         return pd.DataFrame({"kind": pd.Series([r[0] for r in rows],
                                                dtype="int64"),
-                             "p1": pd.Series([r[1] for r in rows],
-                                             dtype=object),
-                             "p2": pd.Series([r[2] for r in rows],
-                                             dtype=object)})
+                             "h": pd.Series([r[1] for r in rows],
+                                            dtype=object)})
 
-    # fixed batch_size: contiguous slices of the sorted distinct order
-    # AND the boundary-stitch path exercises at every scale
-    marks = sorted_ds.map_batches(succ, batch_format="pandas",
-                                  batch_size=2048).to_pandas()
-    pre = set(marks.loc[marks["kind"] == 0, "p1"])
-    dup = frozenset(marks.loc[marks["kind"] == 1, "p1"])
-    edges = marks[marks["kind"] == 2].sort_values("p1", kind="mergesort")
-    firsts = edges["p1"].to_numpy(object)
-    lasts = edges["p2"].to_numpy(object)
-    for i in range(len(edges) - 1):  # cross-seam: last_i vs first_{i+1}
-        a, b_ = lasts[i], firsts[i + 1]
+    def edge(b: pd.DataFrame) -> tuple[dict, dict]:
+        return {"text": b["text"].iloc[0]}, {"text": b["text"].iloc[-1]}
+
+    marks, first, last = ordered_pass(sorted_ds, ["text"], fold, edge,
+                                      batch_size=2048)
+    pre = set(marks.loc[marks["kind"] == 0, "h"])
+    dup = frozenset(marks.loc[marks["kind"] == 1, "h"])
+    # cross-seam: the last text of batch i against the first of i+1
+    for a, b_ in zip(last["text"].to_numpy(object)[:-1],
+                     first["text"].to_numpy(object)[1:]):
         if len(b_) > len(a) and b_.startswith(a):
             pre.add(_md5(a))
     pre_f = frozenset(pre)
@@ -297,8 +285,7 @@ def q_prefix_containment(sf_dir: str) -> pd.DataFrame:
                  "n_prefix": "int64"})
 
 
-CURATION9_QUERIES["prefix_containment"] = q_prefix_containment
-CURATION9_ORACLES["prefix_containment"] = """
+register("prefix_containment", q_prefix_containment, """
     WITH doc AS (SELECT source, coalesce(text, '') AS text
                  FROM documents),
     d AS (SELECT text, COUNT(*) AS c FROM doc GROUP BY text),
@@ -319,7 +306,7 @@ CURATION9_ORACLES["prefix_containment"] = """
            CAST(n_prefix AS BIGINT) AS n_prefix,
            CAST(n_prefix AS DOUBLE) / CAST(n_docs AS DOUBLE)
              AS prefix_rate
-    FROM per ORDER BY source"""
+    FROM per ORDER BY source""")
 
 
 # --------------------------------------------------------- Good-Turing
@@ -359,8 +346,7 @@ def q_good_turing(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("r").reset_index(drop=True)
 
 
-CURATION9_QUERIES["good_turing"] = q_good_turing
-CURATION9_ORACLES["good_turing"] = f"""
+register("good_turing", q_good_turing, f"""
     WITH tok AS (
       SELECT unnest({_WORD_SQL}) AS w FROM documents),
     cnt AS (SELECT w, COUNT(*) AS c FROM tok GROUP BY w),
@@ -370,7 +356,7 @@ CURATION9_ORACLES["good_turing"] = f"""
            CAST(a.r + 1 AS DOUBLE) * CAST(b.n_r AS DOUBLE)
              / CAST(a.n_r AS DOUBLE) AS r_star
     FROM cc a LEFT JOIN cc b ON b.r = a.r + 1
-    ORDER BY a.r"""
+    ORDER BY a.r""")
 
 
 # ------------------------------------------- weighted exact percentile
@@ -409,10 +395,8 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
         cum = g["w"].to_numpy(np.int64).cumsum()
         prices = g["price"].to_numpy(np.float64)
         total = int(cum[-1])
-        picks = []
-        for p in (0.5, 0.9):
-            k = -(-total * int(p * 10) // 10)  # ceil(W*p) in exact ints
-            picks.append(prices[np.searchsorted(cum, k, side="left")])
+        picks = [disc_pick(prices, cum, disc_rank_exact(total, tenths, 10))
+                 for tenths in (5, 9)]  # p = 0.5, 0.9 in exact ints
         rows.append((flag, total, picks[0], picks[1]))
     out = pd.DataFrame(rows, columns=["l_returnflag", "total_qty",
                                       "wmedian_price", "wp90_price"])
@@ -420,8 +404,7 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
         .astype({"total_qty": "int64"})
 
 
-CURATION9_QUERIES["weighted_median_price"] = q_weighted_median_price
-CURATION9_ORACLES["weighted_median_price"] = """
+register("weighted_median_price", q_weighted_median_price, """
     WITH e AS (
       SELECT l_returnflag, l_extendedprice
       FROM (SELECT l_returnflag, l_extendedprice,
@@ -432,14 +415,4 @@ CURATION9_ORACLES["weighted_median_price"] = """
              AS wmedian_price,
            percentile_disc(0.9) WITHIN GROUP (ORDER BY l_extendedprice)
              AS wp90_price
-    FROM e GROUP BY l_returnflag ORDER BY l_returnflag"""
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(CURATION9_QUERIES)
-    _q.ORACLE_SQL.update(CURATION9_ORACLES)
-
-
-_register()
+    FROM e GROUP BY l_returnflag ORDER BY l_returnflag""")

@@ -29,8 +29,9 @@ import numpy as np
 import pandas as pd
 
 from . import queries as _qmod
+from .ops.quantile import disc_by_group, disc_pick, disc_rank
 from .queries import (_cents, _empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+                      _scoped_parallelism, register)
 from .stages.joins import _get_broadcast
 
 
@@ -666,21 +667,6 @@ def _typed_hist(sf_dir: str) -> pd.DataFrame:
                             ["event_type", "v6"], ["cnt"])
 
 
-def _disc_quantile_per_group(h: pd.DataFrame, p: float) -> dict:
-    """percentile_disc per event_type off a (type, v6, cnt) histogram:
-    sorted[ceil(n*p) - 1] read from cumulative counts (the shared index
-    rule, cf. q_length_deciles)."""
-    out: dict = {}
-    for typ, g in h.groupby("event_type"):
-        g = g.sort_values("v6")
-        cum = g["cnt"].cumsum().to_numpy(np.int64)
-        n = int(cum[-1])
-        idx = min(max(int(np.ceil(n * p)) - 1, 0), n - 1)
-        out[typ] = int(g["v6"].to_numpy(np.int64)[
-            np.searchsorted(cum, idx + 1)])
-    return out
-
-
 def q_value_mad_by_type(sf_dir: str) -> pd.DataFrame:
     """Grouped robust statistics: exact median and median-absolute-
     deviation of ``value`` per event type — outlier-robust telemetry
@@ -696,14 +682,16 @@ def q_value_mad_by_type(sf_dir: str) -> pd.DataFrame:
     if h1.empty:
         return _empty_typed(event_type=object, median="float64",
                             mad="float64")
-    med = _disc_quantile_per_group(h1, 0.5)
+    med = {t: int(q) for t, _, q
+           in disc_by_group(h1, "event_type", "v6", [0.5])}
     h2 = pd.DataFrame({
         "event_type": h1["event_type"].to_numpy(object),
         "v6": np.abs(h1["v6"].to_numpy(np.int64)
                      - h1["event_type"].map(med).to_numpy(np.int64)),
         "cnt": h1["cnt"].to_numpy(np.int64)}) \
         .groupby(["event_type", "v6"], as_index=False)["cnt"].sum()
-    mad = _disc_quantile_per_group(h2, 0.5)
+    mad = {t: int(q) for t, _, q
+           in disc_by_group(h2, "event_type", "v6", [0.5])}
     types = sorted(med)
     return pd.DataFrame({
         "event_type": types,
@@ -724,12 +712,13 @@ def q_value_outliers_by_type(sf_dir: str) -> pd.DataFrame:
     if h.empty:
         return _empty_typed(event_type=object, n_low="int64",
                             n_high="int64", n_total="int64")
-    q1 = _disc_quantile_per_group(h, 0.25)
-    q3 = _disc_quantile_per_group(h, 0.75)
+    quart = {t: (int(a), int(b)) for t, _, a, b
+             in disc_by_group(h, "event_type", "v6", (0.25, 0.75))}
     rows = []
     for typ, g in h.groupby("event_type"):
-        lo4 = 4 * q1[typ] - 6 * (q3[typ] - q1[typ])
-        hi4 = 4 * q3[typ] + 6 * (q3[typ] - q1[typ])
+        q1, q3 = quart[typ]
+        lo4 = 4 * q1 - 6 * (q3 - q1)
+        hi4 = 4 * q3 + 6 * (q3 - q1)
         v4 = 4 * g["v6"].to_numpy(np.int64)
         cnt = g["cnt"].to_numpy(np.int64)
         rows.append((typ, int(cnt[v4 < lo4].sum()),
@@ -834,11 +823,8 @@ def q_value_quantile_sketch(sf_dir: str) -> pd.DataFrame:
         w = (g["rank_in_bucket"] - g["prev_rank"]).to_numpy(np.int64)
         cum = np.cumsum(w)
         vals = g["value"].to_numpy(np.float64)
-        for p in _QSK_PS:
-            r = max(int(np.ceil(n * p)), 1)
-            i = min(int(np.searchsorted(cum, r, side="left")),
-                    len(vals) - 1)
-            rows.append((etype, p, vals[i]))
+        for p in _QSK_PS:  # cum[-1] == n: the weights telescope per bucket
+            rows.append((etype, p, disc_pick(vals, cum, disc_rank(n, p))))
     return pd.DataFrame(rows, columns=["event_type", "p", "value"]) \
         .astype({"p": "float64", "value": "float64"}) \
         .sort_values(["event_type", "p"]).reset_index(drop=True)
@@ -1723,13 +1709,13 @@ def q_value_winsor_mean(sf_dir: str) -> pd.DataFrame:
     if h.empty:
         return _empty_typed(event_type=object, winsor_mean="float64",
                             n="int64")
-    lo = _disc_quantile_per_group(h, 0.05)
-    hi = _disc_quantile_per_group(h, 0.95)
+    clip = {t: (int(a), int(b)) for t, _, a, b
+            in disc_by_group(h, "event_type", "v6", (0.05, 0.95))}
     rows = []
     for typ, g in h.groupby("event_type"):
         v = g["v6"].to_numpy(np.int64)
         cnt = g["cnt"].to_numpy(np.int64)
-        cl = np.clip(v, lo[typ], hi[typ])
+        cl = np.clip(v, *clip[typ])
         s = sum(int(x) * int(c) for x, c in zip(cl, cnt))
         n = int(cnt.sum())
         rows.append((typ, float(s) / float(n) / 1e6, n))
@@ -1961,43 +1947,11 @@ def q_loyal_users(sf_dir: str) -> pd.DataFrame:
 # registration
 # ---------------------------------------------------------------------------
 
-RELATIONAL_QUERIES = {
-    "order_count_distribution": q_order_count_distribution,
-    "top_supplier_revenue": q_top_supplier_revenue,
-    "large_orders": q_large_orders,
-    "idle_rich_customers": q_idle_rich_customers,
-    "retention_cohorts": q_retention_cohorts,
-    "unigram_logprob": q_unigram_logprob,
-    "event_transitions": q_event_transitions,
-    "rolling_time_window": q_rolling_time_window,
-    "source_token_entropy": q_source_token_entropy,
-    "value_mad_by_type": q_value_mad_by_type,
-    "value_mode_by_type": q_value_mode_by_type,
-    "value_quantile_sketch": q_value_quantile_sketch,
-    "incremental_dedup": q_incremental_dedup,
-    "value_trend_by_type": q_value_trend_by_type,
-    "dup_pagerank": q_dup_pagerank,
-    "event_anomaly_hours": q_event_anomaly_hours,
-    "weighted_sample": q_weighted_sample,
-    "fk_audit": q_fk_audit,
-    "table_profile": q_table_profile,
-    "value_outliers_by_type": q_value_outliers_by_type,
-    "weekly_active_users": q_weekly_active_users,
-    "cross_source_dups": q_cross_source_dups,
-    "value_hour_correlation": q_value_hour_correlation,
-    "value_skew_by_type": q_value_skew_by_type,
-    "loyal_users": q_loyal_users,
-    "value_winsor_mean": q_value_winsor_mean,
-    "priority_month_chi2": q_priority_month_chi2,
-    "benford_screen": q_benford_screen,
-    "user_type_breadth": q_user_type_breadth,
-}
 
-RELATIONAL_ORACLES = {
-    # Q13 twin mirrors the engine's zero-group completion exactly
-    # (groupby the fact side, zero group from two counts) — equivalent
-    # to the customer LEFT JOIN orders formulation under FK integrity.
-    "order_count_distribution": """
+# Q13 twin mirrors the engine's zero-group completion exactly
+# (groupby the fact side, zero group from two counts) — equivalent
+# to the customer LEFT JOIN orders formulation under FK integrity.
+register("order_count_distribution", q_order_count_distribution, """
         WITH pc AS (
           SELECT o_custkey, CAST(COUNT(*) AS BIGINT) AS c_orders
           FROM orders GROUP BY o_custkey),
@@ -2010,8 +1964,9 @@ RELATIONAL_ORACLES = {
                    - (SELECT COUNT(*) FROM pc) AS n_cust)
         SELECT c_orders, n_cust FROM h
         UNION ALL
-        SELECT c_orders, n_cust FROM z WHERE n_cust > 0""",
-    "top_supplier_revenue": f"""
+        SELECT c_orders, n_cust FROM z WHERE n_cust > 0""")
+
+register("top_supplier_revenue", q_top_supplier_revenue, f"""
         WITH rev AS (
           SELECT l_suppkey,
                  SUM(CAST(round(l_extendedprice * 100) AS BIGINT)
@@ -2024,8 +1979,9 @@ RELATIONAL_ORACLES = {
         SELECT s.s_suppkey, s.s_name,
                CAST(r.rev_i AS DOUBLE) / 10000.0 AS total_revenue
         FROM rev r JOIN supplier s ON s.s_suppkey = r.l_suppkey
-        WHERE r.rev_i = (SELECT MAX(rev_i) FROM rev)""",
-    "large_orders": f"""
+        WHERE r.rev_i = (SELECT MAX(rev_i) FROM rev)""")
+
+register("large_orders", q_large_orders, f"""
         WITH q AS (
           SELECT l_orderkey,
                  SUM(CAST(round(l_quantity * 100) AS BIGINT)) AS qty_c
@@ -2036,10 +1992,11 @@ RELATIONAL_ORACLES = {
                CAST(q.qty_c AS DOUBLE) / 100.0 AS total_qty
         FROM q
         JOIN orders o ON o.o_orderkey = q.l_orderkey
-        JOIN customer c ON c.c_custkey = o.o_custkey""",
-    # above-average test is the integer cross-multiply on BOTH sides —
-    # neither engine divides, so the comparison is bit-exact.
-    "idle_rich_customers": f"""
+        JOIN customer c ON c.c_custkey = o.o_custkey""")
+
+# above-average test is the integer cross-multiply on BOTH sides —
+# neither engine divides, so the comparison is bit-exact.
+register("idle_rich_customers", q_idle_rich_customers, f"""
         WITH st AS (
           SELECT SUM(CAST(round(c_acctbal * 100) AS BIGINT)) AS s,
                  COUNT(*) AS n
@@ -2054,8 +2011,9 @@ RELATIONAL_ORACLES = {
         FROM customer c, st
         WHERE CAST(round(c.c_acctbal * 100) AS BIGINT) * st.n > st.s
           AND c.c_custkey NOT IN (SELECT o_custkey FROM active)
-        GROUP BY c.c_mktsegment""",
-    "retention_cohorts": """
+        GROUP BY c.c_mktsegment""")
+
+register("retention_cohorts", q_retention_cohorts, """
         WITH f AS (
           SELECT user_id, MIN(CAST(ts AS DATE)) AS cohort
           FROM events GROUP BY user_id)
@@ -2064,10 +2022,11 @@ RELATIONAL_ORACLES = {
                     AS BIGINT) AS day_offset,
                CAST(COUNT(DISTINCT e.user_id) AS BIGINT) AS n_users
         FROM events e JOIN f USING (user_id)
-        GROUP BY 1, 2""",
-    # ln(count/total) quantized to an int 1e-6 grid on both sides (the
-    # tfidf_keywords technique); per-doc score = int sum / n / 1e6.
-    "unigram_logprob": r"""
+        GROUP BY 1, 2""")
+
+# ln(count/total) quantized to an int 1e-6 grid on both sides (the
+# tfidf_keywords technique); per-doc score = int sum / n / 1e6.
+register("unigram_logprob", q_unigram_logprob, r"""
         WITH toks AS (
           SELECT doc_id,
                  unnest(list_filter(regexp_split_to_array(
@@ -2089,8 +2048,9 @@ RELATIONAL_ORACLES = {
                CAST(COALESCE(p.n_tokens, 0) AS BIGINT) AS n_tokens,
                ROUND(CAST(p.s AS DOUBLE) / p.n_tokens, 0) / 1000000.0
                AS logprob
-        FROM documents d LEFT JOIN per_doc p USING (doc_id)""",
-    "event_transitions": """
+        FROM documents d LEFT JOIN per_doc p USING (doc_id)""")
+
+register("event_transitions", q_event_transitions, """
         WITH w AS (
           SELECT user_id, event_type,
                  lag(event_type) OVER (PARTITION BY user_id
@@ -2099,16 +2059,18 @@ RELATIONAL_ORACLES = {
         SELECT prev AS prev_type, event_type AS next_type,
                CAST(COUNT(*) AS BIGINT) AS n
         FROM w WHERE prev IS NOT NULL
-        GROUP BY prev, event_type""",
-    "rolling_time_window": """
+        GROUP BY prev, event_type""")
+
+register("rolling_time_window", q_rolling_time_window, """
         SELECT event_id,
                CAST(SUM(CAST(round(value * 1000000) AS BIGINT))
                         OVER (PARTITION BY user_id ORDER BY ts
                               RANGE BETWEEN INTERVAL 1 HOUR PRECEDING
                                         AND CURRENT ROW)
                     AS DOUBLE) / 1000000.0 AS hour_value
-        FROM events""",
-    "source_token_entropy": r"""
+        FROM events""")
+
+register("source_token_entropy", q_source_token_entropy, r"""
         WITH toks AS (
           SELECT source,
                  unnest(list_filter(regexp_split_to_array(
@@ -2131,9 +2093,10 @@ RELATIONAL_ORACLES = {
                CAST(t.n_types AS BIGINT) AS n_types,
                - ROUND(CAST(hh.s AS DOUBLE) / t.total, 0) / 1000000.0
                AS entropy
-        FROM t JOIN hh USING (source)""",
-    # quantile_disc == the shared index rule sorted[ceil(n*p)-1]
-    "value_mad_by_type": """
+        FROM t JOIN hh USING (source)""")
+
+# quantile_disc == the shared index rule sorted[ceil(n*p)-1]
+register("value_mad_by_type", q_value_mad_by_type, """
         WITH v AS (
           SELECT event_type,
                  CAST(round(value * 1000000) AS BIGINT) AS v6
@@ -2146,8 +2109,9 @@ RELATIONAL_ORACLES = {
                CAST(quantile_disc(abs(v.v6 - med.m), 0.5) AS DOUBLE)
                    / 1000000.0 AS mad
         FROM v JOIN med USING (event_type)
-        GROUP BY v.event_type""",
-    "value_mode_by_type": """
+        GROUP BY v.event_type""")
+
+register("value_mode_by_type", q_value_mode_by_type, """
         WITH c AS (
           SELECT event_type,
                  CAST(round(value * 1000000) AS BIGINT) AS v6,
@@ -2160,13 +2124,14 @@ RELATIONAL_ORACLES = {
           FROM c)
         SELECT event_type, CAST(v6 AS DOUBLE) / 1000000.0 AS mode_value,
                CAST(cnt AS BIGINT) AS n
-        FROM r WHERE rn = 1""",
-    # Bit-exact twin of the Munro-Paterson coreset sketch: the
-    # Fibonacci bucket hash rides HUGEINT (uint64 wrap via +2^64
-    # mod 2^64; exact for ids >= -2.9e18), the keep-rule is
-    # row_number/lag windows, the global fold a running SUM — see
-    # q_value_quantile_sketch's docstring.
-    "value_quantile_sketch": """
+        FROM r WHERE rn = 1""")
+
+# Bit-exact twin of the Munro-Paterson coreset sketch: the
+# Fibonacci bucket hash rides HUGEINT (uint64 wrap via +2^64
+# mod 2^64; exact for ids >= -2.9e18), the keep-rule is
+# row_number/lag windows, the global fold a running SUM — see
+# q_value_quantile_sketch's docstring.
+register("value_quantile_sketch", q_value_quantile_sketch, """
         WITH v AS (
           SELECT event_type, value,
                  CAST((((CAST(event_id AS HUGEINT)
@@ -2208,18 +2173,20 @@ RELATIONAL_ORACLES = {
                (SELECT o.value FROM ordered o
                 WHERE o.event_type = t.event_type AND o.cum >= t.r
                 ORDER BY o.cum LIMIT 1) AS value
-        FROM tgt t ORDER BY event_type, p""",
-    "incremental_dedup": """
+        FROM tgt t ORDER BY event_type, p""")
+
+register("incremental_dedup", q_incremental_dedup, """
         WITH half AS (
           SELECT CAST(COUNT(*) // 2 AS BIGINT) AS h FROM documents)
         SELECT d.doc_id FROM documents d, half
         WHERE d.doc_id >= half.h
           AND coalesce(d.text, '') NOT IN (
               SELECT coalesce(text, '') FROM documents, half
-              WHERE doc_id < half.h)""",
-    # BIGINT sums promote to HUGEINT, so the closed form divides the
-    # same exact integers the Python driver computes in big ints.
-    "value_trend_by_type": f"""
+              WHERE doc_id < half.h)""")
+
+# BIGINT sums promote to HUGEINT, so the closed form divides the
+# same exact integers the Python driver computes in big ints.
+register("value_trend_by_type", q_value_trend_by_type, f"""
         WITH m AS (
           SELECT event_type, COUNT(*) AS n,
                  SUM(x) AS sx, SUM(y) AS sy,
@@ -2235,10 +2202,13 @@ RELATIONAL_ORACLES = {
                     ELSE (CAST(n * sxy - sx * sy AS DOUBLE)
                           / CAST(n * sxx - sx * sx AS DOUBLE)) / 1000000.0
                END AS slope
-        FROM m""",
-    # z rearranged so sqrt and the division see identical int64s:
-    # (c*m - sn) / sqrt(m*snn - sn^2); half-away rounding on both sides
-    "event_anomaly_hours": """
+        FROM m""")
+
+register("dup_pagerank", q_dup_pagerank, _pagerank_oracle_sql())
+
+# z rearranged so sqrt and the division see identical int64s:
+# (c*m - sn) / sqrt(m*snn - sn^2); half-away rounding on both sides
+register("event_anomaly_hours", q_event_anomaly_hours, """
         WITH c AS (
           SELECT event_type, CAST(hour(ts) AS BIGINT) AS hr,
                  COUNT(*) AS n
@@ -2254,9 +2224,10 @@ RELATIONAL_ORACLES = {
                                            AS DOUBLE)) * 1000000, 0)
                          / 1000000.0
                END AS z
-        FROM c JOIN s USING (event_type)""",
-    # A-ES key ln(u)/w from the identical md5-uint64 -> double chain
-    "weighted_sample": f"""
+        FROM c JOIN s USING (event_type)""")
+
+# A-ES key ln(u)/w from the identical md5-uint64 -> double chain
+register("weighted_sample", q_weighted_sample, f"""
         WITH keyed AS (
           SELECT doc_id, n_chars,
                  ln((CAST(('0x' || substr(md5('wrs:'
@@ -2265,8 +2236,9 @@ RELATIONAL_ORACLES = {
                     / 18446744073709551616.0) / n_chars AS key
           FROM documents WHERE n_chars > 0)
         SELECT doc_id, CAST(n_chars AS BIGINT) AS n_chars
-        FROM keyed ORDER BY key DESC, doc_id LIMIT {_WRS_K}""",
-    "fk_audit": """
+        FROM keyed ORDER BY key DESC, doc_id LIMIT {_WRS_K}""")
+
+register("fk_audit", q_fk_audit, """
         SELECT 'lineitem.l_orderkey->orders' AS relation,
                CAST(COUNT(*) AS BIGINT) AS n_orphans
         FROM lineitem l WHERE NOT EXISTS
@@ -2295,16 +2267,18 @@ RELATIONAL_ORACLES = {
         SELECT 'supplier.s_nationkey->nation',
                CAST(COUNT(*) AS BIGINT)
         FROM supplier s WHERE NOT EXISTS
-            (SELECT 1 FROM nation n WHERE n.n_nationkey = s.s_nationkey)""",
-    "table_profile": "\nUNION ALL\n".join(
+            (SELECT 1 FROM nation n WHERE n.n_nationkey = s.s_nationkey)""")
+
+register("table_profile", q_table_profile, "\nUNION ALL\n".join(
         f"""SELECT '{c}' AS column_name,
                    CAST(COUNT(*) AS BIGINT) AS n_rows,
                    CAST(COUNT(*) - COUNT({c}) AS BIGINT) AS n_null,
                    CAST(COUNT(DISTINCT {c}) AS BIGINT) AS n_distinct
-            FROM events""" for c in _PROFILE_COLS),
-    # fences on a 0.25-micro-unit int grid: 4*lo = 4*q1 - 6*IQR so the
-    # containment test is pure integer on both sides
-    "value_outliers_by_type": """
+            FROM events""" for c in _PROFILE_COLS))
+
+# fences on a 0.25-micro-unit int grid: 4*lo = 4*q1 - 6*IQR so the
+# containment test is pure integer on both sides
+register("value_outliers_by_type", q_value_outliers_by_type, """
         WITH v AS (
           SELECT event_type,
                  CAST(round(value * 1000000) AS BIGINT) AS v6
@@ -2323,23 +2297,26 @@ RELATIONAL_ORACLES = {
                     AS BIGINT) AS n_high,
                CAST(COUNT(*) AS BIGINT) AS n_total
         FROM v JOIN q USING (event_type)
-        GROUP BY v.event_type""",
-    "weekly_active_users": f"""
+        GROUP BY v.event_type""")
+
+register("weekly_active_users", q_weekly_active_users, f"""
         WITH ev AS (SELECT user_id, CAST(ts AS DATE) AS d FROM events),
         days AS (SELECT DISTINCT d FROM ev)
         SELECT strftime(days.d, '%Y-%m-%d') AS day,
                CAST(COUNT(DISTINCT e.user_id) AS BIGINT) AS wau
         FROM days JOIN ev e
           ON e.d <= days.d AND e.d > days.d - {_WAU_WINDOW_DAYS}
-        GROUP BY days.d""",
-    "cross_source_dups": """
+        GROUP BY days.d""")
+
+register("cross_source_dups", q_cross_source_dups, """
         SELECT a.source AS source_a, b.source AS source_b,
                CAST(COUNT(*) AS BIGINT) AS n_pairs
         FROM documents a JOIN documents b
           ON coalesce(a.text, '') = coalesce(b.text, '')
          AND a.source < b.source
-        GROUP BY a.source, b.source""",
-    "value_hour_correlation": """
+        GROUP BY a.source, b.source""")
+
+register("value_hour_correlation", q_value_hour_correlation, """
         WITH m AS (
           SELECT event_type, COUNT(*) AS n,
                  SUM(x) AS sx, SUM(y) AS sy, SUM(x * y) AS sxy,
@@ -2358,10 +2335,11 @@ RELATIONAL_ORACLES = {
                                            AS DOUBLE)) * 1000000, 0)
                          / 1000000.0
                END AS r
-        FROM m""",
-    # identical HUGEINT moment chain to the engine's Python-int one;
-    # skew/kurt close over IEEE-exact divide+sqrt, then half-away 1e-6
-    "value_skew_by_type": """
+        FROM m""")
+
+# identical HUGEINT moment chain to the engine's Python-int one;
+# skew/kurt close over IEEE-exact divide+sqrt, then half-away 1e-6
+register("value_skew_by_type", q_value_skew_by_type, """
         WITH m AS (
           SELECT event_type, CAST(COUNT(*) AS HUGEINT) AS n,
                  SUM(CAST(v AS HUGEINT)) AS s1,
@@ -2393,16 +2371,18 @@ RELATIONAL_ORACLES = {
                                    * CAST(num2 AS DOUBLE)) - 3)
                                * 1000000, 0) / 1000000.0
                END AS kurt
-        FROM d""",
-    "loyal_users": """
+        FROM d""")
+
+register("loyal_users", q_loyal_users, """
         SELECT CAST(COUNT(*) AS BIGINT) AS n_loyal
         FROM (SELECT user_id FROM events
               GROUP BY user_id
               HAVING COUNT(DISTINCT event_type) =
-                     (SELECT COUNT(DISTINCT event_type) FROM events))""",
-    # clip bounds from quantile_disc (the shared index rule); HUGEINT
-    # SUM mirrored by the engine's Python-int cell accumulation
-    "value_winsor_mean": """
+                     (SELECT COUNT(DISTINCT event_type) FROM events))""")
+
+# clip bounds from quantile_disc (the shared index rule); HUGEINT
+# SUM mirrored by the engine's Python-int cell accumulation
+register("value_winsor_mean", q_value_winsor_mean, """
         WITH v AS (
           SELECT event_type,
                  CAST(round(value * 1000000) AS BIGINT) AS v6
@@ -2417,12 +2397,13 @@ RELATIONAL_ORACLES = {
                     AS DOUBLE) / COUNT(*) / 1000000.0 AS winsor_mean,
                CAST(COUNT(*) AS BIGINT) AS n
         FROM v JOIN q USING (event_type)
-        GROUP BY v.event_type""",
-    # per-cell terms quantized half-away at 1e-6 BEFORE the sum so the
-    # total is order-independent; the IEEE chain per cell matches the
-    # engine operand-for-operand. DuckDB's 0/0 -> NULL mirrors the
-    # engine's NaN on dof=0 (both serialize empty).
-    "priority_month_chi2": """
+        GROUP BY v.event_type""")
+
+# per-cell terms quantized half-away at 1e-6 BEFORE the sum so the
+# total is order-independent; the IEEE chain per cell matches the
+# engine operand-for-operand. DuckDB's 0/0 -> NULL mirrors the
+# engine's NaN on dof=0 (both serialize empty).
+register("priority_month_chi2", q_priority_month_chi2, """
         WITH c AS (
           SELECT o_orderpriority AS prio,
                  CAST(month(o_orderdate) AS BIGINT) AS month,
@@ -2460,10 +2441,11 @@ RELATIONAL_ORACLES = {
                (dims.np - 1) * (dims.nm - 1) AS dof,
                CAST(MAX(terms.n) AS BIGINT) AS n
         FROM terms, dims
-        GROUP BY dims.np, dims.nm""",
-    # leading digit from the integer-cents decimal string (exact both
-    # sides); share and the Benford constant quantize half-away at 1e-6
-    "benford_screen": """
+        GROUP BY dims.np, dims.nm""")
+
+# leading digit from the integer-cents decimal string (exact both
+# sides); share and the Benford constant quantize half-away at 1e-6
+register("benford_screen", q_benford_screen, """
         WITH c AS (
           SELECT CAST(substr(CAST(CAST(round(o_totalprice * 100)
                                         AS BIGINT) AS VARCHAR),
@@ -2481,23 +2463,12 @@ RELATIONAL_ORACLES = {
         SELECT digit, n, s6 / 1000000.0 AS share,
                b6 / 1000000.0 AS benford,
                (s6 - b6) / 1000000.0 AS dev
-        FROM q""",
-    "user_type_breadth": """
+        FROM q""")
+
+register("user_type_breadth", q_user_type_breadth, """
         WITH k AS (
           SELECT user_id,
                  CAST(COUNT(DISTINCT event_type) AS BIGINT) AS n_types
           FROM events GROUP BY user_id)
         SELECT n_types, CAST(COUNT(*) AS BIGINT) AS n_users
-        FROM k GROUP BY n_types""",
-}
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    RELATIONAL_ORACLES["dup_pagerank"] = _pagerank_oracle_sql()
-    _q.QUERIES.update(RELATIONAL_QUERIES)
-    _q.ORACLE_SQL.update(RELATIONAL_ORACLES)
-
-
-_register()
+        FROM k GROUP BY n_types""")

@@ -63,7 +63,7 @@ import pandas as pd
 
 from . import queries as _qmod
 from .queries import (_cents, _empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism)
+                      _scoped_parallelism, register)
 from .stages.joins import (_bucket_of, _get_broadcast, adaptive_join,
                            broadcast_join, isin_sorted)
 
@@ -1649,33 +1649,6 @@ q_part_value_share.__doc__ = q_part_value_share.__doc__.format(
 # registration
 # ---------------------------------------------------------------------------
 
-RELATIONAL2_QUERIES = {
-    "forecast_revenue": q_forecast_revenue,
-    "market_share": q_market_share,
-    "product_profit": q_product_profit,
-    "late_shipments": q_late_shipments,
-    "supplier_part_census": q_supplier_part_census,
-    "small_qty_revenue": q_small_qty_revenue,
-    "disjunctive_revenue": q_disjunctive_revenue,
-    "waiting_suppliers": q_waiting_suppliers,
-    "customer_order_ranks": q_customer_order_ranks,
-    "hourly_gapfill": q_hourly_gapfill,
-    "event_cooccurrence": q_event_cooccurrence,
-    "dominant_suppliers": q_dominant_suppliers,
-    "bigram_pmi": q_bigram_pmi,
-    "revenue_cube": q_revenue_cube,
-    "pareto_orders": q_pareto_orders,
-    "fuzzy_part_pairs": q_fuzzy_part_pairs,
-    "cooccurrence_triangles": q_cooccurrence_triangles,
-    "embedding_gram": q_embedding_gram,
-    "hourly_ffill": q_hourly_ffill,
-    "daily_trending": q_daily_trending,
-    "min_cost_supplier": q_min_cost_supplier,
-    "part_value_share": q_part_value_share,
-    "hourly_autocorr": q_hourly_autocorr,
-    "daily_trend_test": q_daily_trend_test,
-    "daily_changepoint": q_daily_changepoint,
-}
 
 # shared by event_cooccurrence and cooccurrence_triangles (which embeds
 # it as a subquery so the edge set can never drift between the two)
@@ -1703,16 +1676,17 @@ _PRICE_C = _C.format("l_extendedprice")
 _DISC_C = _C.format("l_discount")
 _QTY_C = _C.format("l_quantity")
 
-RELATIONAL2_ORACLES = {
-    "forecast_revenue": f"""
+
+register("forecast_revenue", q_forecast_revenue, f"""
         SELECT CAST(SUM({_PRICE_C} * {_DISC_C}) AS DOUBLE) / 10000.0
                AS revenue
         FROM lineitem
         WHERE l_shipdate >= TIMESTAMP '{_Q6_LO}'
           AND l_shipdate < TIMESTAMP '{_Q6_HI}'
           AND {_DISC_C} BETWEEN 5 AND 7
-          AND l_quantity < 24""",
-    "market_share": f"""
+          AND l_quantity < 24""")
+
+register("market_share", q_market_share, f"""
         WITH v AS (
           SELECT CAST(year(o_orderdate) AS BIGINT) AS o_year,
                  {_PRICE_C} * (100 - {_DISC_C}) AS vol,
@@ -1730,8 +1704,9 @@ RELATIONAL2_ORACLES = {
                CAST(SUM(CASE WHEN supp_nation = '{_Q8_NATION}'
                              THEN vol ELSE 0 END) AS DOUBLE)
                / CAST(SUM(vol) AS DOUBLE) AS mkt_share
-        FROM v GROUP BY o_year""",
-    "product_profit": f"""
+        FROM v GROUP BY o_year""")
+
+register("product_profit", q_product_profit, f"""
         SELECT n_name AS nation,
                CAST(year(o_orderdate) AS BIGINT) AS o_year,
                CAST(SUM({_PRICE_C} * (100 - {_DISC_C})) AS DOUBLE)
@@ -1742,8 +1717,9 @@ RELATIONAL2_ORACLES = {
         JOIN supplier ON l_suppkey = s_suppkey
         JOIN nation ON s_nationkey = n_nationkey
         WHERE p_name LIKE '%{_Q9_NAME_SUBSTR}%'
-        GROUP BY n_name, o_year""",
-    "late_shipments": f"""
+        GROUP BY n_name, o_year""")
+
+register("late_shipments", q_late_shipments, f"""
         SELECT l_returnflag,
                CAST(SUM(CASE WHEN o_orderpriority IN
                              ('1-URGENT', '2-HIGH')
@@ -1756,15 +1732,17 @@ RELATIONAL2_ORACLES = {
         FROM lineitem JOIN orders ON l_orderkey = o_orderkey
         WHERE l_shipdate >= o_orderdate
               + INTERVAL {_Q12_LATE_DAYS} DAY
-        GROUP BY l_returnflag""",
-    "supplier_part_census": f"""
+        GROUP BY l_returnflag""")
+
+register("supplier_part_census", q_supplier_part_census, f"""
         SELECT p_brand, p_type, CAST(p_size AS BIGINT) AS p_size,
                CAST(COUNT(DISTINCT l_suppkey) AS BIGINT) AS supplier_cnt
         FROM part JOIN lineitem ON p_partkey = l_partkey
         WHERE p_brand <> '{_Q16_EXCL_BRAND}'
           AND p_size IN {_Q16_SIZES}
-        GROUP BY p_brand, p_type, p_size""",
-    "small_qty_revenue": f"""
+        GROUP BY p_brand, p_type, p_size""")
+
+register("small_qty_revenue", q_small_qty_revenue, f"""
         WITH pa AS (
           SELECT l_partkey AS pk, CAST(COUNT(*) AS BIGINT) AS n,
                  SUM({_QTY_C}) AS sq_c
@@ -1777,16 +1755,18 @@ RELATIONAL2_ORACLES = {
         JOIN part ON l_partkey = p_partkey
         JOIN pa ON pa.pk = l_partkey
         WHERE p_brand = '{_Q17_BRAND}'
-          AND 5 * {_QTY_C} * pa.n < pa.sq_c""",
-    "disjunctive_revenue": f"""
+          AND 5 * {_QTY_C} * pa.n < pa.sq_c""")
+
+register("disjunctive_revenue", q_disjunctive_revenue, f"""
         SELECT CAST(SUM({_PRICE_C} * (100 - {_DISC_C})) AS DOUBLE)
                / 10000.0 AS revenue
         FROM lineitem JOIN part ON l_partkey = p_partkey
         WHERE {" OR ".join(
             f"(p_brand = '{br}' AND p_size BETWEEN 1 AND {sz} "
             f"AND {_QTY_C} BETWEEN {qlo * 100} AND {qhi * 100})"
-            for br, sz, qlo, qhi in _Q19_BRANCHES)}""",
-    "waiting_suppliers": f"""
+            for br, sz, qlo, qhi in _Q19_BRANCHES)}""")
+
+register("waiting_suppliers", q_waiting_suppliers, f"""
         WITH f AS (
           SELECT l_orderkey AS k, l_suppkey AS s,
                  MAX(CASE WHEN l_shipdate > o_orderdate
@@ -1802,21 +1782,22 @@ RELATIONAL2_ORACLES = {
         FROM f JOIN w USING (k)
         JOIN supplier ON f.s = s_suppkey
         WHERE f.late = 1
-        GROUP BY s_name""",
-    "dominant_suppliers": """
-        WITH ps AS (
-          SELECT l_partkey AS p, l_suppkey AS s,
-                 SUM(CAST(round(l_quantity * 100) AS BIGINT)) AS q
-          FROM lineitem GROUP BY 1, 2),
-        tot AS (SELECT p, SUM(q) AS tq FROM ps GROUP BY p),
-        hit AS (
-          SELECT ps.s FROM ps JOIN tot USING (p)
-          WHERE 8 * ps.q > tot.tq)
-        SELECT s_name, CAST(COUNT(*) AS BIGINT) AS n_parts
-        FROM hit JOIN supplier ON s = s_suppkey
-        GROUP BY s_name""",
-    "event_cooccurrence": _COOCC_SQL,
-    "hourly_gapfill": """
+        GROUP BY s_name""")
+
+register("customer_order_ranks", q_customer_order_ranks, f"""
+        SELECT o_orderkey,
+               CAST(dense_rank() OVER (
+                    PARTITION BY o_custkey
+                    ORDER BY CAST(round(o_totalprice * 100) AS BIGINT)
+                             DESC) AS BIGINT) AS price_rank,
+               CAST(ntile({_NTILE_K}) OVER (
+                    PARTITION BY o_custkey
+                    ORDER BY CAST(round(o_totalprice * 100) AS BIGINT)
+                             DESC, o_orderkey) AS BIGINT)
+                   AS price_quartile
+        FROM orders""")
+
+register("hourly_gapfill", q_hourly_gapfill, """
         WITH b AS (
           SELECT event_type, date_trunc('hour', ts) AS hour,
                  CAST(COUNT(*) AS BIGINT) AS n
@@ -1830,20 +1811,24 @@ RELATIONAL2_ORACLES = {
           FROM span)
         SELECT g.event_type, g.hour, coalesce(b.n, 0) AS n
         FROM grid g LEFT JOIN b
-          ON g.event_type = b.event_type AND g.hour = b.hour""",
-    "customer_order_ranks": f"""
-        SELECT o_orderkey,
-               CAST(dense_rank() OVER (
-                    PARTITION BY o_custkey
-                    ORDER BY CAST(round(o_totalprice * 100) AS BIGINT)
-                             DESC) AS BIGINT) AS price_rank,
-               CAST(ntile({_NTILE_K}) OVER (
-                    PARTITION BY o_custkey
-                    ORDER BY CAST(round(o_totalprice * 100) AS BIGINT)
-                             DESC, o_orderkey) AS BIGINT)
-                   AS price_quartile
-        FROM orders""",
-    "bigram_pmi": rf"""
+          ON g.event_type = b.event_type AND g.hour = b.hour""")
+
+register("event_cooccurrence", q_event_cooccurrence, _COOCC_SQL)
+
+register("dominant_suppliers", q_dominant_suppliers, """
+        WITH ps AS (
+          SELECT l_partkey AS p, l_suppkey AS s,
+                 SUM(CAST(round(l_quantity * 100) AS BIGINT)) AS q
+          FROM lineitem GROUP BY 1, 2),
+        tot AS (SELECT p, SUM(q) AS tq FROM ps GROUP BY p),
+        hit AS (
+          SELECT ps.s FROM ps JOIN tot USING (p)
+          WHERE 8 * ps.q > tot.tq)
+        SELECT s_name, CAST(COUNT(*) AS BIGINT) AS n_parts
+        FROM hit JOIN supplier ON s = s_suppkey
+        GROUP BY s_name""")
+
+register("bigram_pmi", q_bigram_pmi, rf"""
         WITH arr AS (
           SELECT list_filter(regexp_split_to_array(coalesce(text, ''),
                                                    '\s+'),
@@ -1871,15 +1856,17 @@ RELATIONAL2_ORACLES = {
           JOIN u ux ON ux.tok = split_part(bg.gram, ' ', 1)
           JOIN u uy ON uy.tok = split_part(bg.gram, ' ', 2))
         SELECT gram, n, pmi6 / 1000000.0 AS pmi
-        FROM scored ORDER BY pmi6 DESC, gram LIMIT {_PMI_TOPK}""",
-    "revenue_cube": """
+        FROM scored ORDER BY pmi6 DESC, gram LIMIT {_PMI_TOPK}""")
+
+register("revenue_cube", q_revenue_cube, """
         SELECT COALESCE(o_orderstatus, 'ALL') AS status,
                COALESCE(o_orderpriority, 'ALL') AS priority,
                CAST(COUNT(*) AS BIGINT) AS n,
                CAST(SUM(CAST(round(o_totalprice * 100) AS BIGINT))
                     AS DOUBLE) / 100.0 AS revenue
-        FROM orders GROUP BY CUBE(o_orderstatus, o_orderpriority)""",
-    "pareto_orders": """
+        FROM orders GROUP BY CUBE(o_orderstatus, o_orderpriority)""")
+
+register("pareto_orders", q_pareto_orders, """
         WITH pc AS (
           SELECT CAST(round(o_totalprice * 100) AS BIGINT) AS p_c,
                  MAX(o_orderdate) AS dmax
@@ -1894,24 +1881,39 @@ RELATIONAL2_ORACLES = {
         FROM orders
         JOIN sky ON CAST(round(o_totalprice * 100) AS BIGINT) = sky.p_c
                 AND o_orderdate = sky.dmax
-        WHERE sky.dprev IS NULL OR sky.dmax > sky.dprev""",
-    "fuzzy_part_pairs": f"""
+        WHERE sky.dprev IS NULL OR sky.dmax > sky.dprev""")
+
+register("fuzzy_part_pairs", q_fuzzy_part_pairs, f"""
         WITH d AS (SELECT p_name, CAST(COUNT(*) AS BIGINT) AS c
                    FROM part GROUP BY p_name)
         SELECT a.p_name AS name_a, b.p_name AS name_b,
                CAST(levenshtein(a.p_name, b.p_name) AS BIGINT) AS dist,
                a.c + b.c AS support
         FROM d a JOIN d b ON a.p_name < b.p_name
-        WHERE levenshtein(a.p_name, b.p_name) <= {_FUZZY_MAX_DIST}""",
-    "cooccurrence_triangles": f"""
+        WHERE levenshtein(a.p_name, b.p_name) <= {_FUZZY_MAX_DIST}""")
+
+register("cooccurrence_triangles", q_cooccurrence_triangles, f"""
         WITH e AS (
           SELECT type_a AS a, type_b AS b
           FROM ({_COOCC_SQL}) WHERE lift >= 1.0)
         SELECT e1.a AS type_a, e1.b AS type_b, e2.b AS type_c
         FROM e e1
         JOIN e e2 ON e2.a = e1.b
-        JOIN e e3 ON e3.a = e1.a AND e3.b = e2.b""",
-    "hourly_ffill": """
+        JOIN e e3 ON e3.a = e1.a AND e3.b = e2.b""")
+
+register("embedding_gram", q_embedding_gram, """
+        WITH idx AS (SELECT unnest(range(1, 65)) AS i),
+        prod AS (
+          SELECT a.i AS i, b.i AS j,
+                 CAST(round(CAST(e.embedding[a.i] AS DOUBLE)
+                            * CAST(e.embedding[b.i] AS DOUBLE)
+                            * 1000000) AS BIGINT) AS p
+          FROM embeddings e, idx a, idx b
+          WHERE a.i <= b.i)
+        SELECT i, j, CAST(SUM(p) AS DOUBLE) / 1000000.0 AS gram
+        FROM prod GROUP BY i, j""")
+
+register("hourly_ffill", q_hourly_ffill, """
         WITH b AS (
           SELECT event_type, date_trunc('hour', ts) AS hour,
                  CAST(round(value * 1000000) AS BIGINT) AS c
@@ -1938,8 +1940,9 @@ RELATIONAL2_ORACLES = {
                  PARTITION BY event_type ORDER BY hour
                  ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW)
                    AS val_ffill
-        FROM obs""",
-    "daily_trending": f"""
+        FROM obs""")
+
+register("daily_trending", q_daily_trending, f"""
         WITH c AS (
           SELECT date_trunc('day', ts) AS day, event_type,
                  CAST(COUNT(*) AS BIGINT) AS n
@@ -1954,19 +1957,9 @@ RELATIONAL2_ORACLES = {
                       AS BIGINT) AS delta
           FROM c)
         SELECT day, event_type, n, rnk, delta
-        FROM w WHERE rnk <= {_TRENDING_TOPK}""",
-    "embedding_gram": """
-        WITH idx AS (SELECT unnest(range(1, 65)) AS i),
-        prod AS (
-          SELECT a.i AS i, b.i AS j,
-                 CAST(round(CAST(e.embedding[a.i] AS DOUBLE)
-                            * CAST(e.embedding[b.i] AS DOUBLE)
-                            * 1000000) AS BIGINT) AS p
-          FROM embeddings e, idx a, idx b
-          WHERE a.i <= b.i)
-        SELECT i, j, CAST(SUM(p) AS DOUBLE) / 1000000.0 AS gram
-        FROM prod GROUP BY i, j""",
-    "min_cost_supplier": f"""
+        FROM w WHERE rnk <= {_TRENDING_TOPK}""")
+
+register("min_cost_supplier", q_min_cost_supplier, f"""
         WITH sup AS (
           SELECT s_suppkey, s_name, s_acctbal, n_name
           FROM supplier
@@ -1992,8 +1985,9 @@ RELATIONAL2_ORACLES = {
         JOIN sup s ON s.s_suppkey = c.sk
         JOIN pt p ON p.p_partkey = c.pk
         ORDER BY s.s_acctbal DESC, s.n_name, s.s_name, p.p_partkey
-        LIMIT {_Q2_TOPK}""",
-    "part_value_share": f"""
+        LIMIT {_Q2_TOPK}""")
+
+register("part_value_share", q_part_value_share, f"""
         WITH sup AS (
           SELECT s_suppkey FROM supplier
           JOIN nation ON n_nationkey = s_nationkey
@@ -2004,10 +1998,11 @@ RELATIONAL2_ORACLES = {
           GROUP BY 1)
         SELECT p_partkey, CAST(value_c AS DOUBLE) / 100.0 AS value
         FROM v
-        WHERE value_c * {_Q11_SHARE_DEN} > (SELECT SUM(value_c) FROM v)""",
-    # identical integer moment chain + half-away 1e-6; inner-join pair
-    # semantics (both endpoints observed)
-    "hourly_autocorr": """
+        WHERE value_c * {_Q11_SHARE_DEN} > (SELECT SUM(value_c) FROM v)""")
+
+# identical integer moment chain + half-away 1e-6; inner-join pair
+# semantics (both endpoints observed)
+register("hourly_autocorr", q_hourly_autocorr, """
         WITH c AS (
           SELECT event_type, date_trunc('hour', ts) AS h,
                  CAST(COUNT(*) AS BIGINT) AS n
@@ -2030,10 +2025,11 @@ RELATIONAL2_ORACLES = {
                                            AS DOUBLE)) * 1000000, 0)
                          / 1000000.0
                END AS r24
-        FROM m""",
-    # exact integer S / m / tie groups; one IEEE sqrt+divide then the
-    # shared half-away 1e-6; single-day types drop via the inner join
-    "daily_trend_test": """
+        FROM m""")
+
+# exact integer S / m / tie groups; one IEEE sqrt+divide then the
+# shared half-away 1e-6; single-day types drop via the inner join
+register("daily_trend_test", q_daily_trend_test, """
         WITH d AS (
           SELECT event_type, date_trunc('day', ts) AS day,
                  CAST(COUNT(*) AS BIGINT) AS n
@@ -2066,10 +2062,11 @@ RELATIONAL2_ORACLES = {
                END AS z
         FROM s
         JOIN m USING (event_type)
-        JOIN t USING (event_type)""",
-    # integer CUSUM (mean scaled away by m); earliest-day argmax tie;
-    # one IEEE |cus|/(m_d * tot_d) division closes it
-    "daily_changepoint": """
+        JOIN t USING (event_type)""")
+
+# integer CUSUM (mean scaled away by m); earliest-day argmax tie;
+# one IEEE |cus|/(m_d * tot_d) division closes it
+register("daily_changepoint", q_daily_changepoint, """
         WITH d AS (
           SELECT event_type, date_trunc('day', ts) AS day,
                  CAST(COUNT(*) AS BIGINT) AS n
@@ -2094,15 +2091,4 @@ RELATIONAL2_ORACLES = {
                / (CAST(agg.m AS DOUBLE) * CAST(agg.tot AS DOUBLE))
                  AS shift
         FROM best b JOIN agg USING (event_type)
-        WHERE b.rn = 1""",
-}
-
-
-def _register() -> None:
-    from . import queries as _q
-
-    _q.QUERIES.update(RELATIONAL2_QUERIES)
-    _q.ORACLE_SQL.update(RELATIONAL2_ORACLES)
-
-
-_register()
+        WHERE b.rn = 1""")

@@ -68,13 +68,11 @@ class ExtractTurns:
     batch_size=B, num_cpus=1)`` (``pipelines.flagship.extract_dataset``).
     """
 
-    def __init__(self, want_markdown: bool = True, keep_text: bool = False,
-                 keep_spans: bool = True):
+    def __init__(self, want_markdown: bool = True, keep_spans: bool = True):
         # Import-time table construction is the per-actor warm state; the
         # imports in this module's header already materialized the AGL
         # subset, encoding tables and compiled cleanup regexes once.
         self.want_markdown = want_markdown
-        self.keep_text = keep_text
         self.keep_spans = keep_spans
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -106,8 +104,6 @@ class ExtractTurns:
         for name in ("conv_id", "turn_idx", "role", "tool", "ts"):
             if name in batch.column_names:
                 cols[name] = batch.column(name)
-        if self.keep_text:
-            cols["text"] = batch.column("text")
         cols["kind"] = pa.array(kinds, pa.string())
         cols["extracted_text"] = pa.array(extracted, pa.large_string())
         cols["markdown"] = pa.array(markdowns, pa.large_string())

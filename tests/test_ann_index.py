@@ -38,6 +38,22 @@ def test_build_layout_and_manifest(ray_session, tmp_path):
                                          "_manifest.json")) == before
 
 
+def test_build_ignores_stray_partial_assignments(ray_session, tmp_path):
+    """A crashed earlier build can leave files under assignments/ with
+    no manifest; the rebuild must replace them, not count them."""
+    out = str(tmp_path / "idx")
+    stray = os.path.join(out, "assignments", "list_id=0")
+    os.makedirs(stray)
+    emb = pd.read_parquet(EMB)
+    emb.head(10)[["vec_id", "embedding"]].to_parquet(
+        os.path.join(stray, "stray.parquet"), index=False)
+    man = build_ivf_index(EMB, out, n_lists=8)
+    assert man["n_vectors"] == len(emb)
+    got = pd.read_parquet(os.path.join(out, "assignments"),
+                          columns=["vec_id"])
+    assert len(got) == len(emb) and not got["vec_id"].duplicated().any()
+
+
 def test_query_matches_inmemory_ivf(ray_session, tmp_path):
     """Index-backed search must return exactly the in-memory IVF
     result (same quantizer seed, same probe rule, same rounding)."""

@@ -1,68 +1,22 @@
-"""Registry-shadowing guard: every query-family module updates the
-shared ``queries.QUERIES`` / ``queries.ORACLE_SQL`` dicts on import, so
-a duplicated name silently REPLACES an (often driver-certified) query.
-This test makes that class of bug loud: family dicts must be pairwise
-disjoint AND disjoint from the names registered directly in
-queries.py's own source (parsed via ast, so the check sees the base
-names even after the updates have happened)."""
+"""Registry guard: every query family adds its names through
+``queries.register``, which refuses a name that is already registered,
+so a duplicated name can no longer silently replace an (often
+driver-certified) query."""
 
-import ast
-import os
+import pytest
 
 import pdf_oxide_ray.queries as q
 
-def _families() -> list:
-    """Auto-discover every query-family module (queries_*.py next to
-    queries.py) so a new family is guarded without editing this test.
-    Dict naming convention: queries_foo -> FOO_QUERIES."""
-    pkg_dir = os.path.dirname(q.__file__)
-    fams = []
-    for fn in sorted(os.listdir(pkg_dir)):
-        if fn.startswith("queries_") and fn.endswith(".py"):
-            mod = fn[:-3]
-            fams.append((mod, mod[len("queries_"):].upper() + "_QUERIES"))
-    assert len(fams) >= 25, "family discovery is broken"
-    return fams
+
+def test_register_rejects_a_registered_name():
+    name = next(iter(q.QUERIES))
+    fn, sql = q.QUERIES[name], q.ORACLE_SQL.get(name)
+    with pytest.raises(ValueError, match=name):
+        q.register(name, lambda sf_dir: None, "SELECT 1")
+    assert q.QUERIES[name] is fn and q.ORACLE_SQL.get(name) == sql
 
 
-_FAMILIES = _families()
-
-
-def _base_names() -> set:
-    """Names queries.py registers itself: literal keys of the QUERIES
-    dict plus QUERIES["name"] = ... item assignments."""
-    src = open(os.path.join(os.path.dirname(q.__file__),
-                            "queries.py")).read()
-    names: set = set()
-    for node in ast.walk(ast.parse(src)):
-        if isinstance(node, ast.Assign):
-            for t in node.targets:
-                if (isinstance(t, ast.Name) and t.id == "QUERIES"
-                        and isinstance(node.value, ast.Dict)):
-                    names |= {k.value for k in node.value.keys
-                              if isinstance(k, ast.Constant)}
-                if (isinstance(t, ast.Subscript)
-                        and isinstance(t.value, ast.Name)
-                        and t.value.id == "QUERIES"
-                        and isinstance(t.slice, ast.Constant)):
-                    names.add(t.slice.value)
-    assert names, "parse found no base registrations — test is broken"
-    return names
-
-
-def test_family_registrations_are_disjoint():
-    import importlib
-
-    owners: dict[str, str] = {n: "queries.py" for n in _base_names()}
-    clashes = []
-    for mod_name, dict_name in _FAMILIES:
-        mod = importlib.import_module(f"pdf_oxide_ray.{mod_name}")
-        for name in getattr(mod, dict_name):
-            if name in owners:
-                clashes.append(f"{name}: {owners[name]} vs {mod_name}")
-            else:
-                owners[name] = mod_name
-    assert not clashes, "shadowed registrations: " + "; ".join(clashes)
-    # and the merged registry saw every name exactly once
-    assert set(owners) == set(q.QUERIES), (
-        set(owners) ^ set(q.QUERIES))
+def test_registry_holds_every_family_once():
+    assert len(q.QUERIES) == 286
+    assert len(q.ORACLE_SQL) == 270
+    assert set(q.ORACLE_SQL) <= set(q.QUERIES)
