@@ -90,14 +90,6 @@ class ParseError(ValueError):
     pass
 
 
-def _is_ws(b: int) -> bool:
-    return b in WHITESPACE
-
-
-def _is_delim(b: int) -> bool:
-    return b in DELIMITERS
-
-
 def _is_regular(b: int) -> bool:
     return _REGULAR_TABLE[b]
 

@@ -4,19 +4,18 @@ queries (``loyal_users``, ``user_type_breadth``, ``source_vocab_overlap``).
 A small categorical DOMAIN (event types, sources) maps onto bit
 positions; each entity's coverage set is then a fixed-width bitmask
 that rides the ONE keyed exchange as plain int64 columns and combines
-with bitwise OR (associative + commutative — exactly Ray's
-combine/aggregate contract). Domains wider than 63 use ``ceil(n/63)``
-words (``mask_0..mask_{w-1}``) — one OR ``AggregateFn`` per word — so
-the same vectorized plan holds for ANY domain size: the old
-``NotImplementedError`` >63 guards are gone. 63 (not 64) bits per word
+with bitwise OR (associative + commutative, so per-batch pre-ORs
+re-fold exactly in the keyed combine). Domains wider than 63 use
+``ceil(n/63)`` words (``mask_0..mask_{w-1}``), so the same vectorized
+plan holds for ANY domain size. 63 (not 64) bits per word
 keeps every mask non-negative in int64, so pandas/Arrow round-trips
 never reinterpret the sign bit.
 
 Scale shape (SCALE.md): the exchange carries (key, w x int64) rows —
 a 1000-type domain is 16 words = 128 bytes/row, still skinny; the
-per-block folds (popcount histogram, full-mask count, bit matmul) are
-vectorized numpy over block rows and reduce to dimension-sized
-partials on the driver.
+per-key-set folds (popcount histogram, full-mask count, bit matmul)
+are vectorized numpy and reduce to dimension-sized partials on the
+driver.
 """
 
 from __future__ import annotations
@@ -64,50 +63,12 @@ def or_by_key(keys: np.ndarray, masks: dict[str, np.ndarray],
 
 
 def fold_or(df: pd.DataFrame, key_name: str, nw: int) -> pd.DataFrame:
-    """Driver-side final OR fold over concatenated per-batch partials:
-    one row per key, each word OR-combined via ``or_by_key``'s sorted
-    ``reduceat`` (no per-group Python)."""
+    """Final OR fold over concatenated per-batch partials (the
+    keyed combine's ``fn``): one row per key, each word OR-combined via
+    ``or_by_key``'s sorted ``reduceat`` (no per-group Python)."""
     return or_by_key(df[key_name].to_numpy(),
                      {c: df[c].to_numpy(np.int64) for c in mask_cols(nw)},
                      key_name)
-
-
-def or_reduce_gated(masked_ds, key_name: str, nw: int, gate: int):
-    """Gated keyed OR-reduce over per-batch pre-OR'd (key, mask words)
-    partials — the `_reduce_partials` convention for bitmask exchanges:
-    a Ray keyed ``AggregateFn`` exchange costs seconds of pure overhead
-    on kilorow partials (measured ~12s on the sf0.1 events masks), so
-    below ``gate`` partial rows the fold runs on the driver. Returns
-    ``(materialized_partials, folded_df_or_None)`` — ``None`` means the
-    caller must run the distributed per-word OR exchange on the
-    returned dataset (huge key cardinality; the driver never sees the
-    key space)."""
-    m = masked_ds.materialize()
-    n = m.count()
-    if n == 0:
-        return m, pd.DataFrame(
-            {key_name: [], **{c: pd.Series([], dtype="int64")
-                              for c in mask_cols(nw)}})
-    if n <= gate:
-        return m, fold_or(m.to_pandas(), key_name, nw)
-    return m, None
-
-
-def or_agg_fns(nw: int) -> list:
-    """One bitwise-OR ``AggregateFn`` per mask word (the keyed-exchange
-    combiner)."""
-    from ray.data.aggregate import AggregateFn
-
-    def make(col: str):
-        return AggregateFn(
-            init=lambda k: 0,
-            accumulate_block=lambda a, blk, c=col: a | int(
-                np.bitwise_or.reduce(
-                    np.asarray(blk[c], np.int64), initial=0)),
-            merge=lambda a1, a2: a1 | a2,
-            name=col)
-
-    return [make(c) for c in mask_cols(nw)]
 
 
 def unpack_bits(b: pd.DataFrame, nw: int, n_domain: int) -> np.ndarray:

@@ -136,31 +136,6 @@ def fingerprint_md5(texts: pd.Series) -> pd.Series:
         lambda t: hashlib.md5(t.encode("utf-8")).hexdigest())
 
 
-_ROLL_BASE = np.uint64(1099511628211)
-_ROLL_OFF = np.uint64(14695981039346656037)
-
-
-def fingerprint_rolling(texts: pd.Series, window: int = 16) -> pd.Series:
-    """64-bit FNV-style rolling-window fingerprint: xor of all window hashes
-    (order-insensitive content signature robust to reordering of chunks)."""
-
-    def _fp(t: str) -> int:
-        data = t.encode("utf-8")
-        if not data:
-            return 0
-        arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-        h = _ROLL_OFF
-        acc = np.uint64(0)
-        with np.errstate(over="ignore"):
-            for i, b in enumerate(arr):
-                h = (h ^ b) * _ROLL_BASE
-                if i >= window - 1:
-                    acc ^= h
-        return int(acc if len(arr) >= window else h)
-
-    return texts.fillna("").map(_fp)
-
-
 _WINNOW_P = np.uint64(1000003)
 
 

@@ -4,7 +4,7 @@ annotate each turn with its conversation offsets, write or return the rows.
 One plan serves both entry points (``_flagship_plan``):
 
 ``read_transcripts -> map_batches(ExtractTurns, tasks) -> materialize() ->
-gather (conv_id, turn_idx, n_chars) on the driver ->
+gather (conv_id, turn_idx, n_chars, status) on the driver ->
 offset_index.compute_offsets_table -> ray.put ->
 map_batches(AnnotateOffsetsBroadcast)``.
 
@@ -20,8 +20,8 @@ JSON summary -> the job summary and partition manifests.
 Scale notes:
 * extraction is stateless per row on Ray's shared task pool; no shuffle;
 * the fat rows (text, markdown, spans) never cross an exchange: only the
-  ~24 B/turn skinny table reaches the driver, and the offsets lookup goes
-  back to the workers as one ``ray.put``;
+  skinny (conv_id, turn_idx, n_chars, status) table reaches the driver,
+  and the offsets lookup goes back to the workers as one ``ray.put``;
 * the driver holds the skinny table and its lookup. On a 1-CPU host
   ``compute_offsets_table`` took 2.2 s and +50 MB peak at 1M turns, and
   17 s and +250 MB at 5M turns. A corpus beyond driver memory needs a new
@@ -42,6 +42,7 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 from ..stages.assembly import TURN_SEPARATOR
@@ -165,9 +166,10 @@ def _flagship_plan(input_path: str, want_markdown: bool, keep_spans: bool,
     1. read -> extract (tasks) -> ``materialize()`` — the one checkpoint,
        read twice below (without it Ray Data would re-run extraction for
        each consumer);
-    2. gather the skinny ``(conv_id, turn_idx, n_chars)`` columns on the
-       driver, prefix-sum each conversation in turn order
-       (``compute_offsets_table``) and ``ray.put`` the lookup;
+    2. gather the skinny ``(conv_id, turn_idx, n_chars, status)`` columns
+       on the driver, count the error rows, prefix-sum each conversation
+       in turn order (``compute_offsets_table``) and ``ray.put`` the
+       lookup;
     3. (lazy) ``map_batches(AnnotateOffsetsBroadcast)`` over the fat
        blocks — an in-place lookup, no exchange.
 
@@ -182,17 +184,16 @@ def _flagship_plan(input_path: str, want_markdown: bool, keep_spans: bool,
         read_transcripts(input_path), want_markdown=want_markdown,
         keep_spans=keep_spans, batch_size=batch_size).materialize()
     rows = extracted.count()
-    errors = extracted.select_columns(["status"]).map_batches(
-        lambda b: pa.table({"e": pa.array(
-            [int(np.sum(np.asarray(b.column("status")) == "error"))],
-            pa.int64())}),
-        batch_format="pyarrow").sum("e")
     t_extract = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    skinny = extracted.select_columns(["conv_id", "turn_idx", "n_chars"])
+    skinny = extracted.select_columns(["conv_id", "turn_idx", "n_chars",
+                                       "status"])
     skinny_tbl = pa.concat_tables(ray.get(skinny.to_arrow_refs()),
                                   promote_options="default")
+    # zero rows: None, like a Dataset.sum over no blocks
+    errors = pc.sum(pc.equal(skinny_tbl.column("status"), "error")) \
+        .as_py() if rows else None
     lookup = offset_index.compute_offsets_table(skinny_tbl,
                                                 len(TURN_SEPARATOR))
     annotate = offset_index.AnnotateOffsetsBroadcast(ray.put(lookup))

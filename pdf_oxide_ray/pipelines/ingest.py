@@ -28,7 +28,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.dedup import content_hash
-from ..stages.joins import _bucket_of
+from ..ops.exchange import _bucket_of
 from ..state.manifest import write_manifest
 from .flagship import (DEFAULT_BATCH_SIZE, extract_dataset,
                        read_transcripts, tune_for_pipeline)

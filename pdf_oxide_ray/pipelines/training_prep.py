@@ -51,6 +51,7 @@ def run_training_prep(input_path: str, out_dir: str, *,
     from .. import queries as Q
     from ..functions import dedup as fdedup
     from ..functions import textops as ftext
+    from ..ops.exchange import _scoped_parallelism
 
     p = Q._QUALITY_FILTER_P if quality_p is None else quality_p
 
@@ -126,7 +127,7 @@ def run_training_prep(input_path: str, out_dir: str, *,
                       != g["content_hash"].to_numpy(object)[:-1]]
         return g[first].drop(columns=["__bucket"])
 
-    with Q._scoped_parallelism(num_buckets):
+    with _scoped_parallelism(num_buckets):
         unique = feat.groupby("__bucket") \
             .map_groups(dedup_bucket, batch_format="pandas") \
             .materialize()

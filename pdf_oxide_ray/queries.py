@@ -19,11 +19,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Sum
+from ray.data.aggregate import Sum
 
 from .functions import dedup as fdedup
 from .functions import similarity as fsim
 from .functions import textops as ftext
+from .ops import exchange as _xc
+from .ops.exchange import _bucket_of, _scoped_parallelism, combine_by_key
 from .ops.quantile import disc_pick, disc_rank
 from .stages.joins import _get_broadcast, broadcast_join, bucketed_hash_join
 
@@ -58,9 +60,6 @@ def _cents(s: pd.Series) -> pd.Series:
                      .astype(np.int64), index=s.index)
 
 
-import contextlib  # noqa: E402
-
-
 def _empty_typed(**schema: str) -> pd.DataFrame:
     """Typed zero-row frame. A fully-empty input yields zero blocks, and
     ``Dataset.to_pandas()`` then returns a COLUMN-LESS frame — any astype/
@@ -71,42 +70,17 @@ def _empty_typed(**schema: str) -> pd.DataFrame:
                          for c, t in schema.items()})
 
 
-_REDUCE_GATE_ROWS = 5_000_000
-
-
 def _reduce_partials(partials, by: list[str],
                      sum_cols: list[str]) -> pd.DataFrame:
-    """Final reduce over per-batch PARTIAL aggregates. Below the gate the
-    partials (one row per key per batch — tiny by construction) combine
-    on the driver: a Ray groupby costs seconds of pure exchange overhead
-    on kilorow inputs (measured ~4s on 15k rows). Above the gate (huge
-    key cardinality x blocks) the reduce stays a distributed shuffle."""
-    m = partials.materialize()
-    n = m.count()
-    if n == 0:  # zero blocks -> a column-less frame; groupby would raise
+    """Final reduce over per-batch PARTIAL aggregates: sum ``sum_cols``
+    per ``by`` key through the gated keyed combine (driver below the
+    gate, bucketed above)."""
+    out = combine_by_key(
+        partials, by,
+        lambda d: d.groupby(by, as_index=False)[sum_cols].sum())
+    if not len(out.columns):  # zero rows: groupby would raise
         return pd.DataFrame({c: [] for c in by + sum_cols})
-    if n <= _REDUCE_GATE_ROWS:
-        return m.to_pandas().groupby(by, as_index=False)[sum_cols].sum()
-    with _scoped_parallelism(32):
-        return m.groupby(by).aggregate(
-            *[Sum(c, alias_name=c) for c in sum_cols]).to_pandas()
-
-
-@contextlib.contextmanager
-def _scoped_parallelism(n: int):
-    """Temporarily cap DataContext.min_parallelism for a shuffle-heavy
-    query: the default 200 partitions drown small-to-medium groupbys in
-    per-partition overhead (measured 2x on the sliding window at sf0.1).
-    Always restored — the driver owns the session."""
-    from ray.data import DataContext
-
-    ctx = DataContext.get_current()
-    old = ctx.min_parallelism
-    ctx.min_parallelism = n
-    try:
-        yield
-    finally:
-        ctx.min_parallelism = old
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,38 +282,27 @@ def q_top_events(sf_dir: str) -> pd.DataFrame:
 
 
 def q_top_customers(sf_dir: str) -> pd.DataFrame:
-    """Grouped sum then top-10. Below the reduce gate the per-batch
-    (custkey, cents) partials combine on the driver and the top-10 is
-    a local nlargest — the two Ray all-to-alls (groupby + sort) cost
-    seconds of pure exchange overhead on kilorow partials (the
-    `_reduce_partials` lesson). Above the gate (huge key cardinality)
-    the distributed groupby + sort + limit path stands."""
+    """Grouped sum then top-10: the per-batch (custkey, cents) partials
+    meet in the gated keyed combine, where each key set's sums yield
+    their local top-10; the global top-10 is among those rows."""
     ds = _pq(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     partial = ds.map_batches(
         lambda b: b.assign(spent_c=_cents(b["o_totalprice"]))
         .groupby("o_custkey", as_index=False).agg(spent_c=("spent_c", "sum")),
-        batch_format="pandas").materialize()
-    npart = partial.count()
-    if npart == 0:
+        batch_format="pandas")
+
+    def top10(d: pd.DataFrame) -> pd.DataFrame:
+        agg = d.groupby("o_custkey", as_index=False)["spent_c"].sum()
+        return agg.sort_values(["spent_c", "o_custkey"],
+                               ascending=[False, True],
+                               kind="mergesort").head(10)
+
+    agg = combine_by_key(partial, ["o_custkey"], top10)
+    if agg.empty:
         return _empty_typed(o_custkey="int64", total_spent="float64")
-    if npart <= _REDUCE_GATE_ROWS:
-        agg = partial.to_pandas().groupby("o_custkey", as_index=False) \
-            ["spent_c"].sum()
-        agg = agg.sort_values(["spent_c", "o_custkey"],
-                              ascending=[False, True],
-                              kind="mergesort").head(10) \
-            .reset_index(drop=True)
-        agg["total_spent"] = agg["spent_c"].astype(np.float64) / 100.0
-        return agg.drop(columns=["spent_c"])
-    with _scoped_parallelism(32):
-        agg = partial.groupby("o_custkey").aggregate(
-            Sum("spent_c", alias_name="spent_c"))
-        out = agg.sort(["spent_c", "o_custkey"],
-                       descending=[True, False]).limit(10).to_pandas()
-    if out.empty:
-        return _empty_typed(o_custkey="int64", total_spent="float64")
-    out["total_spent"] = out["spent_c"].astype(np.float64) / 100.0
-    return out.drop(columns=["spent_c"])
+    agg = top10(agg).reset_index(drop=True)
+    agg["total_spent"] = agg["spent_c"].astype(np.float64) / 100.0
+    return agg.drop(columns=["spent_c"])
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +726,7 @@ def _winnow_pair_counts_ds(sf_dir: str, k: int = 16,
     # driver combine replaces a whole Ray exchange (returned as a
     # one-block Dataset so both consumers keep their Dataset flow)
     n = per_bucket.count()
-    if n <= _REDUCE_GATE_ROWS:
+    if n <= _xc.GATE_ROWS:
         df = (per_bucket.to_pandas()
               .groupby(["id_a", "id_b"], as_index=False)["n"].sum()
               .rename(columns={"n": "sum(n)"})
@@ -826,14 +789,12 @@ def _connected_components(edges) -> pd.DataFrame:
     """Distributed min-label propagation over a Dataset of int64 edges
     (a, b). Returns (doc_id, component) sorted by doc_id — see
     q_dup_components for the per-iteration shuffle budget."""
-    from .stages.joins import _bucket_of
-
     _CC_BUCKETS = 64
 
     n_edges = edges.count()
     if n_edges == 0:
         return _empty_typed(doc_id="int64", component="int64")
-    if n_edges <= _REDUCE_GATE_ROWS:
+    if n_edges <= _xc.GATE_ROWS:
         # Below the reduce gate the edge list is driver-sized (the same
         # philosophy as _reduce_partials): per-iteration Ray exchanges
         # cost seconds each and a CHAIN-shaped component needs diameter
@@ -1204,11 +1165,10 @@ def q_ngram_topk(sf_dir: str) -> pd.DataFrame:
     discipline: each batch counts its own bigrams (vectorized
     explode + in-doc shift, no Python per-token loop), so the shuffle
     carries one row per DISTINCT gram per batch, not one per token; the
-    final reduce is over those partials (distributed above the
-    `_REDUCE_GATE_ROWS` gate — bigram cardinality grows with corpus
-    size, so at 100 TB the reduce stays a Ray groupby followed by
-    per-block local top-20s; only those constant-size partials reach
-    the driver, never the vocabulary)."""
+    final reduce is the gated keyed combine over those partials, each
+    key set summed and cut to its local top-20 — bigram cardinality
+    grows with corpus size, so above the gate only those constant-size
+    cuts reach the driver, never the vocabulary."""
     ds = _pq(sf_dir, "documents", ["text"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -1223,15 +1183,11 @@ def q_ngram_topk(sf_dir: str) -> pd.DataFrame:
         return b.sort_values(["n", "gram"], ascending=[False, True],
                              kind="mergesort").head(20)
 
-    m = ds.map_batches(partial, batch_format="pandas").materialize()
-    if m.count() == 0:
+    out = combine_by_key(
+        ds.map_batches(partial, batch_format="pandas"), ["gram"],
+        lambda d: topk(d.groupby("gram", as_index=False)["n"].sum()))
+    if out.empty:
         return _empty_typed(gram=object, n="int64")
-    if m.count() <= _REDUCE_GATE_ROWS:
-        out = m.to_pandas().groupby("gram", as_index=False)["n"].sum()
-    else:  # distributed reduce + per-block top-k; driver sees <=20/block
-        with _scoped_parallelism(32):
-            out = m.groupby("gram").aggregate(Sum("n", alias_name="n")) \
-                .map_batches(topk, batch_format="pandas").to_pandas()
     out = topk(out).reset_index(drop=True)
     return out.astype({"n": "int64"})
 
@@ -1468,27 +1424,12 @@ def q_latest_order_per_customer(sf_dir: str) -> pd.DataFrame:
                           ascending=[True, False, False], kind="mergesort")
         return b.drop_duplicates("o_custkey", keep="first")
 
-    partials = ds.map_batches(best, batch_format="pandas")
-    m = partials.materialize()
-    if m.count() == 0:
+    out = combine_by_key(ds.map_batches(best, batch_format="pandas"),
+                         ["o_custkey"], best)
+    if out.empty:
         return _empty_typed(o_custkey="int64", o_orderkey="int64",
                             o_orderdate="datetime64[us]",
                             last_price="float64")
-    if m.count() <= _REDUCE_GATE_ROWS:
-        out = best(m.to_pandas())
-    else:  # bucketed re-reduce (custkey % 64): one vectorized best()
-        # per bucket, not one Python map_groups call per customer —
-        # the same pattern as q_running_revenue
-        def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["__bucket"] = (b["o_custkey"] % 64).astype(np.int64)
-            return b
-
-        with _scoped_parallelism(32):
-            out = m.map_batches(add_bucket, batch_format="pandas") \
-                .groupby("__bucket").map_groups(
-                    lambda g: best(g.drop(columns="__bucket")),
-                    batch_format="pandas").to_pandas()
     out = out.rename(columns={"o_totalprice": "last_price"})
     out["last_price"] = np.round(out["last_price"].astype(np.float64), 6)
     return out[["o_custkey", "o_orderkey", "o_orderdate", "last_price"]] \
@@ -1508,28 +1449,16 @@ def q_distinct_users_per_type(sf_dir: str) -> pd.DataFrame:
     def pairs(b: pd.DataFrame) -> pd.DataFrame:
         return b.drop_duplicates()
 
-    m = ds.map_batches(pairs, batch_format="pandas").materialize()
-    if m.count() == 0:
-        return _empty_typed(event_type=object, n_users="int64")
-    if m.count() <= _REDUCE_GATE_ROWS:
-        dd = m.to_pandas().drop_duplicates()
-        out = dd.groupby("event_type", as_index=False) \
+    def per_type(d: pd.DataFrame) -> pd.DataFrame:
+        return d.drop_duplicates().groupby("event_type", as_index=False) \
             .agg(n_users=("user_id", "size"))
-    else:  # distinct pairs never reach the driver: vectorized keyed
-        # dedup via groupby().aggregate (NOT map_groups — one Python
-        # call per near-singleton pair group would be minutes of pure
-        # overhead at this branch's scale), then count per type
-        # distributed-side and reduce tiny partials
-        from ray.data.aggregate import Count
 
-        with _scoped_parallelism(32):
-            counts = m.groupby(["event_type", "user_id"]) \
-                .aggregate(Count()) \
-                .map_batches(
-                    lambda b: b.groupby("event_type", as_index=False)
-                    .agg(n_users=("user_id", "size")),
-                    batch_format="pandas")
-            out = _reduce_partials(counts, ["event_type"], ["n_users"])
+    # a (type, user) pair lands in one key set, so per-set counts sum
+    out = combine_by_key(ds.map_batches(pairs, batch_format="pandas"),
+                         ["event_type", "user_id"], per_type)
+    if out.empty:
+        return _empty_typed(event_type=object, n_users="int64")
+    out = out.groupby("event_type", as_index=False)["n_users"].sum()
     return out.astype({"n_users": "int64"})
 
 

@@ -22,8 +22,9 @@ import numpy as np
 import pandas as pd
 
 from .ops.quantile import disc_by_group
-from .queries import (ORACLE_SQL, _cents, _empty_typed, _pq,
-                      _reduce_partials, _scoped_parallelism, register)
+from .ops.exchange import _scoped_parallelism, combine_by_key
+from .queries import (ORACLE_SQL, _cents, _empty_typed, _pq, _reduce_partials,
+                      register)
 from .stages.joins import _get_broadcast
 
 
@@ -238,7 +239,7 @@ def q_priority_semi_counts(sf_dir: str) -> pd.DataFrame:
     qualifying l_orderkeys are deduped per batch (skinny partial), both
     sides ride one bucketed exchange, membership is tested per bucket,
     and only per-priority partial counts leave the groups."""
-    from .stages.joins import _bucket_of
+    from .ops.exchange import _bucket_of
 
     _SEMI_BUCKETS = 32
     qual = _pq(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
@@ -359,7 +360,7 @@ def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
     import pyarrow.parquet as pq
     import ray
 
-    from .stages.joins import _bucket_of
+    from .ops.exchange import _bucket_of
 
     _BUCKETS = 32
     cutoff = np.datetime64(_Q3_CUTOFF)
@@ -448,17 +449,17 @@ def q_returned_revenue(sf_dir: str) -> pd.DataFrame:
 
     Scale shape: two skinny exchanges — (1) qualifying line revenue
     meets the order window on orderkey (tagged union, per-bucket
-    custkey partials out), (2) per-customer rollup on custkey with
-    per-bucket exact sums and local top-20, driver reduces 32 x 20
-    rows. Customer details attach at the END to just the 20 winners
-    via a pushed-down parquet row filter — the big dimension table is
-    never broadcast or shuffled."""
+    custkey partials out), (2) per-customer rollup on custkey through
+    the gated keyed combine, exact sums and a local top-20 per key set.
+    Customer details attach at the END to just the 20 winners via a
+    pushed-down parquet row filter — the big dimension table is never
+    broadcast or shuffled."""
     import os
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from .stages.joins import _bucket_of
+    from .ops.exchange import _bucket_of
 
     _BUCKETS = 32
     lo = np.datetime64(_Q10_FROM, "us")
@@ -504,46 +505,25 @@ def q_returned_revenue(sf_dir: str) -> pd.DataFrame:
         # custkey partials out of the bucket (one row per cust per bucket)
         return hit.groupby("cust", as_index=False)["rev_c"].sum()
 
-    def bucket_cust(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = _bucket_of(b["cust"], _BUCKETS)
-        return b
-
-    def per_cust_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def top20(g: pd.DataFrame) -> pd.DataFrame:
         rev = g.groupby("cust", as_index=False)["rev_c"].sum()
         return rev.sort_values(["rev_c", "cust"],
                                ascending=[False, True],
                                kind="mergesort").head(20)
 
-    from . import queries as _qm
-
     with _scoped_parallelism(_BUCKETS):
         cust_parts = tagged \
             .map_batches(bucket_orderkey, batch_format="pandas") \
             .groupby("__bucket").map_groups(per_order_bucket,
-                                            batch_format="pandas") \
-            .materialize()
-        n_parts = cust_parts.count()
-        if n_parts and n_parts <= _qm._REDUCE_GATE_ROWS:
-            # per-cust partials are customer-dimension-bounded: the
-            # driver combine replaces a whole groupby exchange that
-            # costs seconds of pure overhead on kilorow inputs
-            parts = cust_parts.to_pandas() \
-                .groupby("cust", as_index=False)["rev_c"].sum()
-        elif n_parts:  # distributed second exchange, local top-20 per
-            # bucket: only 32 x 20 rows ever reach the driver
-            parts = cust_parts \
-                .map_batches(bucket_cust, batch_format="pandas") \
-                .groupby("__bucket").map_groups(per_cust_bucket,
-                                                batch_format="pandas") \
-                .to_pandas()
-        else:
-            parts = pd.DataFrame()
+                                            batch_format="pandas")
+        # the per-cust partials meet in the gated keyed combine; each
+        # key set keeps its local top-20
+        parts = combine_by_key(cust_parts, ["cust"], top20)
     if parts.empty:  # zero-block column-less frame: twin returns 0 rows
         return _empty_typed(c_custkey="int64", c_name=object,
                             revenue="float64", c_acctbal="float64",
                             n_name=object)
-    top = parts.sort_values(["rev_c", "cust"], ascending=[False, True],
-                            kind="mergesort").head(20)
+    top = top20(parts)
 
     keys = top["cust"].astype(np.int64).tolist()
     cust = pq.read_table(
@@ -1171,7 +1151,7 @@ def q_user_reconcile(sf_dir: str) -> pd.DataFrame:
     reduce, no driver combine. Left-only keys (activity without a
     customer record) report is_customer=false; right-only keys report
     n_events=0. Bucket count is the usual skew knob."""
-    from .stages.joins import _bucket_of
+    from .ops.exchange import _bucket_of
 
     ev = _pq(sf_dir, "events", ["user_id"])
     cust = _pq(sf_dir, "customer", ["c_custkey"])

@@ -22,7 +22,7 @@ over the `documents` table:
   diversity): the repetitiveness screen that flags template-heavy
   sources before tokenizer training.
 * `source_vocab_overlap` — pairwise vocabulary Jaccard between
-  sources (token-keyed bitmask OR + per-block boolean matmul): the
+  sources (token-keyed bitmask OR + per-key-set boolean matmul): the
   lineage diagnostic one level above doc-exact duplication.
 
 Shuffle budget (SCALE.md doctrine): every query pre-aggregates inside
@@ -56,12 +56,12 @@ import os
 import numpy as np
 import pandas as pd
 
-from . import queries as _qmod
 from .functions import dedup as fdedup
 from .functions import textops as _ftext
+from .ops import exchange as _xc
+from .ops.exchange import _scoped_parallelism, combine_by_key
 from .ops.quantile import disc_index, disc_rank
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 # The whitespace tokenizer shared with unigram_logprob / tfidf_keywords:
 # str.split() on the engine side == this fragment on the DuckDB side.
@@ -218,7 +218,7 @@ def q_source_dup_stats(sf_dir: str) -> pd.DataFrame:
             [["source", "n_docs", "n_dups", "dup_rate"]] \
             .sort_values("source").reset_index(drop=True)
 
-    if npart <= _qmod._REDUCE_GATE_ROWS:
+    if npart <= _xc.GATE_ROWS:
         a = m.to_pandas().groupby("h", as_index=False) \
             .agg(min_id=("min_id", "min"), cnt=("cnt", "sum"))
         dup = a[a["cnt"] > 1]
@@ -454,7 +454,7 @@ def q_revenue_concentration(sf_dir: str) -> pd.DataFrame:
             .astype({"p": "float64", "n_cust": "int64",
                      "share": "float64"})
 
-    if npart <= _qmod._REDUCE_GATE_ROWS:
+    if npart <= _xc.GATE_ROWS:
         pc = parts.to_pandas().groupby("o_custkey", as_index=False) \
             ["rev_c"].sum() \
             .sort_values(["rev_c", "o_custkey"], ascending=[False, True],
@@ -507,11 +507,10 @@ def q_ngram_diversity(sf_dir: str) -> pd.DataFrame:
     whose ratio collapses is template/boilerplate-heavy and a dedup or
     repetition-filter target. ONE streamed pass emits per-batch
     (source, gram, n) partial counts (the ``bigram_pmi`` in-doc shift
-    combiner); below the gate the driver combines, above it the
-    bigram-vocab reduce STAYS a distributed groupby and per-block
-    (source, n_distinct, n_bigrams) partials reduce — the driver only
-    ever holds #sources rows, never a bigram vocabulary (the
-    ``supplier_part_census`` two-level distinct shape). The final
+    combiner); the gated keyed combine turns each (source, gram) key
+    set into (source, n_distinct, n_bigrams) partials that sum per
+    source — above the gate the driver only ever holds #sources rows
+    per bucket, never a bigram vocabulary. The final
     ratio divides the two exact int64 counts (one IEEE division, then
     the shared half-away 1e-6 quantization — twin identical).
     Sources whose docs have no bigrams (<2 tokens) are absent on both
@@ -535,29 +534,18 @@ def q_ngram_diversity(sf_dir: str) -> pd.DataFrame:
             "n": np.int64(1)}) \
             .groupby(["source", "gram"], as_index=False).sum()
 
-    m = ds.map_batches(partial, batch_format="pandas").materialize()
-    npart = m.count()
-    if npart == 0:
+    def per_source(d: pd.DataFrame) -> pd.DataFrame:
+        return d.groupby(["source", "gram"], as_index=False)["n"].sum() \
+            .groupby("source", as_index=False) \
+            .agg(n_bigrams=("n", "sum"), n_distinct=("n", "size"))
+
+    out = combine_by_key(ds.map_batches(partial, batch_format="pandas"),
+                         ["source", "gram"], per_source)
+    if out.empty:
         return _empty_typed(source=object, n_bigrams="int64",
                             n_distinct="int64", diversity="float64")
-    if npart <= _qmod._REDUCE_GATE_ROWS:
-        pairs = m.to_pandas().groupby(["source", "gram"],
-                                      as_index=False)["n"].sum()
-        out = pairs.groupby("source", as_index=False) \
-            .agg(n_bigrams=("n", "sum"), n_distinct=("n", "size"))
-    else:  # bigram vocab too big for the driver: keyed dedup stays
-        # distributed; the driver reduce sees #sources x #blocks rows
-        from ray.data.aggregate import Sum
-
-        with _scoped_parallelism(32):
-            red = m.groupby(["source", "gram"]) \
-                .aggregate(Sum("n", alias_name="n"))
-            per_src = red.map_batches(
-                lambda b: b.groupby("source", as_index=False)
-                .agg(n_bigrams=("n", "sum"), n_distinct=("n", "size")),
-                batch_format="pandas")
-            out = _reduce_partials(per_src, ["source"],
-                                   ["n_bigrams", "n_distinct"])
+    out = out.groupby("source", as_index=False)[
+        ["n_bigrams", "n_distinct"]].sum()
     nd = out["n_distinct"].to_numpy(np.int64)
     nb = out["n_bigrams"].to_numpy(np.int64)
     return pd.DataFrame({
@@ -575,12 +563,12 @@ def q_source_vocab_overlap(sf_dir: str) -> pd.DataFrame:
     even when no document is byte-identical. Distributed shape:
     per-batch distinct (token, source) pairs; ONE token-keyed exchange
     combines each token's source set as a fixed-width BITMASK
-    (``functions.bitmask``: ``ceil(#sources/63)`` int64 words with one
-    OR ``AggregateFn`` per word, so ANY source count rides the same
-    plan); per-block pair counts are ONE boolean matmul ``B.T @ B``
-    over the unpacked mask bits (#sources² cells), and the driver
-    reduces #sources² partials — the vocabulary itself NEVER reaches
-    the driver. Jaccard divides exact int64 counts once (IEEE), then
+    (``functions.bitmask``: ``ceil(#sources/63)`` int64 words, so ANY
+    source count rides the same plan) in the gated keyed combine; per
+    key set the pair counts are ONE boolean matmul ``B.T @ B`` over
+    the unpacked mask bits (#sources² cells), and the driver reduces
+    #sources² partials — above the gate the vocabulary itself NEVER
+    reaches the driver. Jaccard divides exact int64 counts once (IEEE), then
     the shared half-away 1e-6 quantization; only pairs with common
     vocab appear (the twin's inner-join semantics)."""
     from .functions import bitmask as bm
@@ -631,20 +619,12 @@ def q_source_vocab_overlap(sf_dir: str) -> pd.DataFrame:
                              "j": j.astype(np.int64),
                              "n": mat[i, j].astype(np.int64)})
 
-    m, folded = bm.or_reduce_gated(
-        ds.map_batches(pairs, batch_format="pandas"), "token", nw,
-        _qmod._REDUCE_GATE_ROWS)
-    if folded is not None:
-        agg = (block_counts(folded) if len(folded)
-               else _empty_typed(i="int64", j="int64", n="int64"))
-    else:
-        with _scoped_parallelism(32):
-            per_tok = m.groupby("token").aggregate(*bm.or_agg_fns(nw))
-            agg = _reduce_partials(
-                per_tok.map_batches(block_counts, batch_format="pandas"),
-                ["i", "j"], ["n"])
+    agg = combine_by_key(
+        ds.map_batches(pairs, batch_format="pandas"), ["token"],
+        lambda d: block_counts(bm.fold_or(d, "token", nw)))
     if agg.empty:
         return empty
+    agg = agg.groupby(["i", "j"], as_index=False)["n"].sum()
     diag = {int(r["i"]): int(r["n"]) for _, r in agg.iterrows()
             if r["i"] == r["j"]}
     off = agg[(agg["i"] != agg["j"]) & (agg["n"] > 0)]

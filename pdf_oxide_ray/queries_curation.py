@@ -51,8 +51,8 @@ import pandas as pd
 from . import queries as _qmod
 from .functions import textops as ftext
 from .functions import dedup as fdedup
-from .queries import (_cents, _empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism, register)
+from .ops.exchange import _scoped_parallelism, combine_by_key
+from .queries import _cents, _empty_typed, _pq, _reduce_partials, register
 from .functions.textops import halfaway6 as _halfaway6
 
 # ---------------------------------------------------------------------------
@@ -109,12 +109,12 @@ def q_novelty_curve(sf_dir: str) -> pd.DataFrame:
     their exact text anywhere, by smallest doc_id), and the cumulative
     novelty rate — the saturation curve that decides when a feed stops
     adding information. Distributed shape: per-batch (hash, min_id)
-    partials; below the reduce gate the driver combines them, above it
-    ONE hash-keyed distributed min + per-block bucket histograms (the
-    ``source_dup_stats`` plan); per-bucket doc counts are a second
-    skinny partial reduce. The driver sees #buckets rows; cum ratios
-    divide identical int64 pairs. The twin groups by raw text
-    (equality on text == equality on the collision-safe hash)."""
+    partials meet in the gated keyed combine, which turns each hash
+    set's first ids into an ingestion-bucket histogram; per-bucket doc
+    counts are a second skinny partial reduce. The driver sees
+    #buckets rows; cum ratios divide identical int64 pairs. The twin
+    groups by raw text (equality on text == equality on the
+    collision-safe hash)."""
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 
     def hpart(b: pd.DataFrame) -> pd.DataFrame:
@@ -126,28 +126,17 @@ def q_novelty_curve(sf_dir: str) -> pd.DataFrame:
     empty = _empty_typed(bucket="int64", n_docs="int64", n_novel="int64",
                          cum_docs="int64", cum_novel="int64",
                          novelty_rate="float64")
-    m = ds.map_batches(hpart, batch_format="pandas").materialize()
-    npart = m.count()
-    if npart == 0:
-        return empty
-    if npart <= _qmod._REDUCE_GATE_ROWS:
-        first = m.to_pandas().groupby("h", as_index=False)["min_id"].min()
-        nov = pd.DataFrame({"bucket": first["min_id"].to_numpy(np.int64)
-                            // _NOVELTY_BUCKET}) \
+    def novel_hist(d: pd.DataFrame) -> pd.DataFrame:
+        first = d.groupby("h")["min_id"].min().to_numpy(np.int64)
+        return pd.DataFrame({"bucket": first // _NOVELTY_BUCKET}) \
             .groupby("bucket", as_index=False).agg(n_novel=("bucket",
                                                             "size"))
-    else:  # huge distinct-content cardinality: min + histogram stay out
-        with _scoped_parallelism(32):
-            red = m.groupby("h").min("min_id")
-            nov = _reduce_partials(
-                red.map_batches(
-                    lambda b: pd.DataFrame(
-                        {"bucket": b["min(min_id)"].to_numpy(np.int64)
-                         // _NOVELTY_BUCKET,
-                         "n_novel": np.int64(1)})
-                    .groupby("bucket", as_index=False).sum(),
-                    batch_format="pandas"),
-                ["bucket"], ["n_novel"])
+
+    nov = combine_by_key(ds.map_batches(hpart, batch_format="pandas"),
+                         ["h"], novel_hist)
+    if nov.empty:
+        return empty
+    nov = nov.groupby("bucket", as_index=False)["n_novel"].sum()
     docs = _reduce_partials(
         ds.map_batches(
             lambda b: pd.DataFrame(
@@ -542,12 +531,10 @@ def q_template_prefixes(sf_dir: str) -> pd.DataFrame:
     across many sources is a mirror/template, not content). Prefix
     cardinality is corpus-sized, so NOTHING per-prefix reaches the
     driver before the HAVING gate: per-batch (prefix, source, n)
-    partials -> below the gate one driver combine; above it a
-    distributed groupby(prefix, source) sum, per-block per-prefix
-    rollups (each (prefix, source) pair lives in exactly one
-    post-groupby block, so SUM/COUNT partials add), ONE more
-    groupby(prefix) sum, and the >= {M} filter runs distributed so
-    only qualifying templates (a hot SET, not the corpus) come back.
+    partials meet in the gated keyed combine on prefix, and each
+    prefix set runs its rollup and the >= {M} filter there, so above
+    the gate only qualifying templates (a hot SET, not the corpus)
+    come back.
     All-int counts — hash-exact by construction."""
     ds = _pq(sf_dir, "documents", ["text", "source"])
 
@@ -559,32 +546,14 @@ def q_template_prefixes(sf_dir: str) -> pd.DataFrame:
             "n": np.int64(1)}) \
             .groupby(["prefix", "source"], as_index=False).sum()
 
-    m = ds.map_batches(partial, batch_format="pandas").materialize()
-    if m.count() == 0:
-        return _empty_typed(prefix=object, n_docs="int64",
-                            n_sources="int64")
-    if m.count() <= _qmod._REDUCE_GATE_ROWS:
-        pairs = m.to_pandas().groupby(["prefix", "source"],
-                                      as_index=False)["n"].sum()
-        agg = pairs.groupby("prefix", as_index=False) \
+    def templates(d: pd.DataFrame) -> pd.DataFrame:
+        agg = d.groupby(["prefix", "source"], as_index=False)["n"].sum() \
+            .groupby("prefix", as_index=False) \
             .agg(n_docs=("n", "sum"), n_sources=("n", "size"))
-        out = agg[agg["n_docs"] >= _TEMPLATE_MIN_DOCS]
-    else:  # prefix vocabulary too big for the driver
-        from ray.data.aggregate import Sum
+        return agg[agg["n_docs"] >= _TEMPLATE_MIN_DOCS]
 
-        with _scoped_parallelism(32):
-            red = m.groupby(["prefix", "source"]).aggregate(
-                Sum("n", alias_name="n"))
-            per_pref = red.map_batches(
-                lambda b: b.groupby("prefix", as_index=False)
-                .agg(n_docs=("n", "sum"), n_sources=("n", "size")),
-                batch_format="pandas")
-            red2 = per_pref.groupby("prefix").aggregate(
-                Sum("n_docs", alias_name="n_docs"),
-                Sum("n_sources", alias_name="n_sources"))
-            out = red2.map_batches(
-                lambda b: b[b["n_docs"] >= _TEMPLATE_MIN_DOCS],
-                batch_format="pandas").to_pandas()
+    out = combine_by_key(ds.map_batches(partial, batch_format="pandas"),
+                         ["prefix"], templates)
     if out.empty:
         return _empty_typed(prefix=object, n_docs="int64",
                             n_sources="int64")

@@ -31,10 +31,10 @@ charset cardinality is alphabet-sized at any corpus size; cumulative
 coverage rides int64 cumsums divided once at the end (association-free
 on both engines).
 
-`order_backlog`: exchange 1 = the per-order MAX(shipdate) groupby
-(orderkey-bounded, distributed — `_scoped_parallelism(32)`), folded
-immediately into day-bounded (day, n) partials; exchange 2 = the two
-day-bounded count reduces. The dense calendar, the gap-fill and the
+`order_backlog`: exchange 1 = the per-order MAX(shipdate) reduce in the
+gated keyed combine on orderkey, each key set folded immediately into
+day-bounded (day, n) partials; exchange 2 = the two day-bounded count
+reduces. The dense calendar, the gap-fill and the
 running int64 backlog are generated DRIVER-side on the day-bounded
 table (3 years ≈ 1.1k rows at any corpus size), touching no fact rows.
 
@@ -55,9 +55,9 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 
+from .ops.exchange import combine_by_key
 from .ops.quantile import disc_index, disc_rank
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 _WORD_RE = re.compile(r"[0-9a-z_]+")
@@ -183,8 +183,6 @@ register("char_coverage", q_char_coverage, """
 
 _COV_TARGETS = (0.5, 0.9, 0.95, 0.99)
 
-_OB_GATE_ROWS = 5_000_000  # order-key partial-row gate (order_backlog)
-
 
 def q_vocab_coverage(sf_dir: str) -> pd.DataFrame:
     """Minimal vocab size reaching each target token coverage — module
@@ -231,8 +229,6 @@ register("vocab_coverage", q_vocab_coverage, f"""
 def q_order_backlog(sf_dir: str) -> pd.DataFrame:
     """Gap-filled daily placed/completed/backlog curve — module
     docstring."""
-    from ray.data.aggregate import Max
-
     orders = _pq(sf_dir, "orders", ["o_orderdate"])
 
     def placed(b: pd.DataFrame) -> pd.DataFrame:
@@ -254,31 +250,18 @@ def q_order_backlog(sf_dir: str) -> pd.DataFrame:
         return b.groupby("l_orderkey", as_index=False) \
             .agg(md=("l_shipdate", "max"))
 
-    def cdays(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"day": b["md"].dt.floor("D").to_numpy(),
+    def cdays(d: pd.DataFrame) -> pd.DataFrame:
+        md = d.groupby("l_orderkey")["md"].max()
+        return pd.DataFrame({"day": md.dt.floor("D").to_numpy(),
                              "n": np.int64(1)}) \
             .groupby("day", as_index=False).sum()
 
-    # per-order MAX partials ride the same gate discipline as
-    # _reduce_partials: below the gate the orderkey-bounded partials
-    # (one row per key per batch) max-combine on the driver (a Ray
-    # groupby costs seconds of pure exchange overhead on kilorow
-    # inputs); above it the reduce stays a distributed groupby whose
-    # output folds straight into day-bounded count partials.
-    parts = li.map_batches(omax, batch_format="pandas").materialize()
-    if parts.count() <= _OB_GATE_ROWS:
-        pc = parts.to_pandas()
-        cm = pd.DataFrame({"day": pc.groupby("l_orderkey")["md"].max()
-                           .dt.floor("D").to_numpy(), "n": np.int64(1)}) \
-            .groupby("day", as_index=False).sum() if len(pc) else \
-            _empty_typed(day="datetime64[us]", n="int64")
-    else:
-        with _scoped_parallelism(32):
-            comp = parts.groupby("l_orderkey") \
-                .aggregate(Max("md", alias_name="md"))
-        cm = _reduce_partials(comp.map_batches(cdays,
-                                               batch_format="pandas"),
-                              ["day"], ["n"])
+    # per-order MAX partials (one row per key per batch) fold straight
+    # into day-bounded count partials inside the keyed combine
+    cm = combine_by_key(li.map_batches(omax, batch_format="pandas"),
+                        ["l_orderkey"], cdays)
+    cm = cm.groupby("day", as_index=False)["n"].sum() if len(cm) else \
+        _empty_typed(day="datetime64[us]", n="int64")
     lo = pl["day"].min()
     hi = pl["day"].max()
     if not cm.empty:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .functions.retrieval_sql import PAIR_SQL
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
@@ -139,28 +140,7 @@ def q_knn_label_consistency(sf_dir: str) -> pd.DataFrame:
         .astype({"label": "int64", "n": "int64", "n_match": "int64"})
 
 
-_PAIR_SQL = """
-    WITH v AS (
-      SELECT vec_id, CAST(label AS BIGINT) AS label,
-             list_transform(embedding, x -> CAST(x AS DOUBLE)) AS ve
-      FROM embeddings),
-    q AS (
-      SELECT vec_id, label,
-             CASE WHEN ma = 0
-                  THEN list_transform(ve, x -> CAST(0 AS BIGINT))
-                  ELSE list_transform(
-                         ve, x -> CAST(round(x * 127.0 / ma) AS BIGINT))
-             END AS qe
-      FROM (SELECT vec_id, label, ve,
-                   list_max(list_transform(ve, x -> abs(x))) AS ma
-            FROM v)),
-    p AS (
-      SELECT a.vec_id AS ida, a.label AS la,
-             b.vec_id AS idb, b.label AS lb,
-             list_inner_product(a.qe, b.qe) AS sim
-      FROM q a JOIN q b ON a.vec_id <> b.vec_id)"""
-
-register("knn_label_consistency", q_knn_label_consistency, _PAIR_SQL + """,
+register("knn_label_consistency", q_knn_label_consistency, PAIR_SQL + """,
     nn AS (
       SELECT ida, la, lb FROM (
         SELECT ida, la, lb,
@@ -196,7 +176,7 @@ def q_embedding_margin(sf_dir: str) -> pd.DataFrame:
         .astype({"label": "int64", "n": "int64"})
 
 
-register("embedding_margin", q_embedding_margin, _PAIR_SQL + """,
+register("embedding_margin", q_embedding_margin, PAIR_SQL + """,
     mm AS (
       SELECT ida, la,
              MAX(CASE WHEN lb = la THEN sim END) AS best_same,

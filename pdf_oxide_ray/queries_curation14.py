@@ -64,8 +64,9 @@ import pandas as pd
 from .functions import textops as ftext
 from .ops.ordered import ordered_pass
 from .ops.quantile import disc_by_group
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      _winnow_fps_ctes, register)
+from .ops.exchange import _scoped_parallelism
+from .queries import (_empty_typed, _pq, _reduce_partials, _winnow_fps_ctes,
+                      register)
 
 
 _COV_BUCKETS = 64

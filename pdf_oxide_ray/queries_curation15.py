@@ -134,8 +134,9 @@ def q_dedup_method_agreement(sf_dir: str) -> pd.DataFrame:
     bucket emits only three scalar counts — the full pair sets never
     reach the driver (a dup-heavy corpus's pair list is not
     driver-sized)."""
+    from .ops.exchange import _scoped_parallelism
     from .queries import (_WINNOW_PAIR_THRESHOLD, _ngram_dup_pairs_ds,
-                          _scoped_parallelism, _winnow_pair_counts_ds)
+                          _winnow_pair_counts_ds)
 
     cols = {"id_a": "int64", "id_b": "int64", "w": "int64",
             "g": "int64"}

@@ -60,8 +60,8 @@ import pandas as pd
 
 from .functions import dedup as fdedup
 from .functions.textops import TOK_SQL
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
+from .ops.exchange import _scoped_parallelism
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 _HH_K = 512          # Misra-Gries summary size per block

@@ -29,9 +29,9 @@ weeks only); the output key space is <= 9 cells. Past the partial-row
 gate the reduce and scan co-locate per user bucket (a user lives in
 exactly one bucket — the `rfm_segments` fallback shape).
 
-`user_acquisition_curve`: per-batch (user, min-ts) partials with an
-associative MIN re-reduce (the `latest_order_per_customer` plan, min
-instead of max); day counts and the running sum fold on the
+`user_acquisition_curve`: per-batch (user, min-ts) partials meet in
+the gated keyed combine, where each user set folds to its first-day
+histogram; the day counts sum and the running sum folds on the
 day-bounded final.
 
 Empty inputs return the twins' empty shapes. Self-registers into
@@ -43,8 +43,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .ops.exchange import _scoped_parallelism, combine_by_key
 from .queries import (_WINNOW_PAIR_THRESHOLD, _connected_components,
-                      _empty_typed, _pq, _reduce_partials, _scoped_parallelism,
+                      _empty_typed, _pq, _reduce_partials,
                       _winnow_pair_counts_ds, register)
 
 
@@ -183,8 +184,6 @@ register("activity_tier_migration", q_activity_tier_migration, f"""
 
 def q_user_acquisition_curve(sf_dir: str) -> pd.DataFrame:
     """First-seen-day cohorts + cumulative users — module docstring."""
-    from . import queries as _qmod
-
     ds = _pq(sf_dir, "events", ["user_id", "ts"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -194,34 +193,21 @@ def q_user_acquisition_curve(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)}) \
             .groupby("user_id", as_index=False).min()
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("user_id", as_index=False).min()
+    def new_per_day(df: pd.DataFrame) -> pd.DataFrame:
+        first = df.groupby("user_id")["first_us"].min().to_numpy(np.int64)
+        return pd.DataFrame({"day_us": first // _DAY_US * _DAY_US,
+                             "n_new": np.int64(1)}) \
+            .groupby("day_us", as_index=False).sum()
 
-    m = ds.map_batches(partial, batch_format="pandas").materialize()
-    npart = m.count()
-    empty = _empty_typed(day="datetime64[us]", n_new="int64",
-                         cum_users="int64")
-    if npart == 0:
-        return empty
-    if npart <= _qmod._REDUCE_GATE_ROWS:
-        base = combine(m.to_pandas())
-    else:  # co-locate per user bucket (the rfm_segments fallback)
-        def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["__bucket"] = (b["user_id"] % 64).astype(np.int64)
-            return b
-
-        with _scoped_parallelism(32):
-            base = m.map_batches(add_bucket, batch_format="pandas") \
-                .groupby("__bucket").map_groups(
-                    lambda g: combine(g.drop(columns="__bucket")),
-                    batch_format="pandas").to_pandas()
-    day_us = (base["first_us"].to_numpy(np.int64)
-              // _DAY_US) * _DAY_US
-    c = pd.DataFrame({"day": day_us.astype("datetime64[us]"),
-                      "n_new": np.int64(1)}) \
-        .groupby("day", as_index=False).sum() \
-        .sort_values("day").reset_index(drop=True)
+    c = combine_by_key(ds.map_batches(partial, batch_format="pandas"),
+                       ["user_id"], new_per_day)
+    if c.empty:
+        return _empty_typed(day="datetime64[us]", n_new="int64",
+                            cum_users="int64")
+    c = c.groupby("day_us", as_index=False)["n_new"].sum() \
+        .sort_values("day_us").reset_index(drop=True)
+    c.insert(0, "day", c.pop("day_us").to_numpy(np.int64)
+             .astype("datetime64[us]"))
     c["n_new"] = c["n_new"].astype("int64")
     c["cum_users"] = c["n_new"].cumsum().astype("int64")
     return c

@@ -20,12 +20,11 @@ Distributed plans (shuffle budgets — also in SCALE.md):
 `corpus_datacard`: ONE column-pruned streamed scan emitting a tagged
 union of partials (scalar counters, (hash, n) counts, distinct
 sources/langs, the bounded n_chars histogram) on one shared
-(kind, k1, ki, n) schema -> ONE keyed reduce. Below the gate the
-combine runs on the driver; above it the reduce is a distributed
-groupby whose blocks collapse hash/source/lang rows to per-block
-COUNTS before the driver sees anything — the hash vocabulary never
-lands on the driver, and the release-summary job reads the corpus
-exactly once instead of four times.
+(kind, k1, ki, n) schema -> ONE gated keyed combine whose key sets
+collapse hash/source/lang rows to COUNTS before the driver sees
+anything — above the gate the hash vocabulary never lands on the
+driver, and the release-summary job reads the corpus exactly once
+instead of four times.
 
 `nation_value_percentiles`: customer (custkey -> nationkey) rides
 `adaptive_join` (broadcast under its byte+row gate, bucketed above);
@@ -49,12 +48,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from . import queries as _qmod
 from .functions import dedup as fdedup
 from .functions.textops import TOK_SQL
+from .ops.exchange import combine_by_key
 from .ops.quantile import disc_by_group, disc_pick, disc_rank
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 # ------------------------------------------------------ corpus datacard
@@ -63,10 +61,9 @@ def q_corpus_datacard(sf_dir: str) -> pd.DataFrame:
     """One-row corpus release summary — module docstring. ONE scan:
     every batch emits a tagged union of partials (scalar counters,
     content-hash counts, distinct sources/langs, length histogram) on
-    a shared (kind, k1, ki, n) schema; ONE keyed reduce (driver-combine
-    below the gate, distributed above — the hash vocabulary is
-    corpus-sized, so above the gate it collapses to per-block counts
-    before anything reaches the driver)."""
+    a shared (kind, k1, ki, n) schema; ONE gated keyed combine — the
+    hash vocabulary is corpus-sized, so each key set collapses it to
+    counts before anything reaches the driver."""
     ds = _pq(sf_dir, "documents",
              ["text", "source", "lang", "n_chars"])
 
@@ -102,10 +99,10 @@ def q_corpus_datacard(sf_dir: str) -> pd.DataFrame:
                          ignore_index=True)
 
     def collapse(b: pd.DataFrame) -> pd.DataFrame:
-        """Per-block: distinct-key kinds (hash / source / lang) become
-        counts; scalar + length-histogram rows pass through. After the
-        keyed reduce every key is globally unique, so per-block counts
-        sum exactly on the driver."""
+        """Per key set: distinct-key kinds (hash / source / lang)
+        become counts; scalar + length-histogram rows pass through.
+        Every key lives in one key set, so the per-set counts sum
+        exactly on the driver."""
         big = b["kind"].isin(("h", "ds", "dl"))
         keep = b.loc[~big, ["kind", "ki", "sum(n)"]]
         vc = b.loc[big, "kind"].value_counts()
@@ -116,24 +113,15 @@ def q_corpus_datacard(sf_dir: str) -> pd.DataFrame:
                                 vc.get("dl", 0)], np.int64)})
         return pd.concat([keep, extra], ignore_index=True)
 
-    with _scoped_parallelism(32):
-        tagged = ds.map_batches(tag_part,
-                                batch_format="pandas").materialize()
-        ntag = tagged.count()
-        if ntag == 0:  # zero blocks: column-less frame; groupby raises
-            parts = pd.DataFrame({"kind": pd.Series([], dtype=object),
-                                  "ki": pd.Series([], dtype="int64"),
-                                  "sum(n)": pd.Series([],
-                                                      dtype="int64")})
-        elif ntag <= _qmod._REDUCE_GATE_ROWS:
-            parts = collapse(
-                tagged.to_pandas()
-                .groupby(["kind", "k1", "ki"], as_index=False)["n"]
-                .sum().rename(columns={"n": "sum(n)"}))
-        else:
-            parts = tagged.groupby(["kind", "k1", "ki"]).sum("n") \
-                .map_batches(collapse, batch_format="pandas") \
-                .to_pandas()
+    parts = combine_by_key(
+        ds.map_batches(tag_part, batch_format="pandas"),
+        ["kind", "k1", "ki"],
+        lambda d: collapse(d.groupby(["kind", "k1", "ki"], as_index=False)
+                           ["n"].sum().rename(columns={"n": "sum(n)"})))
+    if parts.empty:  # zero rows: column-less frame
+        parts = pd.DataFrame({"kind": pd.Series([], dtype=object),
+                              "ki": pd.Series([], dtype="int64"),
+                              "sum(n)": pd.Series([], dtype="int64")})
 
     def tot(kind: str) -> int:
         return int(parts.loc[parts["kind"] == kind, "sum(n)"].sum())

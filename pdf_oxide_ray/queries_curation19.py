@@ -49,8 +49,9 @@ import numpy as np
 import pandas as pd
 
 from .functions import textops as ftext
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      _winnow_fps_ctes, register)
+from .ops.exchange import _scoped_parallelism
+from .queries import (_empty_typed, _pq, _reduce_partials, _winnow_fps_ctes,
+                      register)
 
 
 _FPO_BUCKETS = 64

@@ -22,12 +22,11 @@ web-scale pipeline shapes a 100 TB pretraining run leans on:
   sessionization -> interval sweep-line), the classic interval-overlap
   shape, parallelized with the textbook two-level prefix-sum split.
 
-Shuffle budget (SCALE.md doctrine): split_contamination is ONE
-hash-bucketed exchange above the reduce gate (the `cross_source_dups`
-plan) — below it, skinny (hash, split, n) partials combine on the
-driver; rfm_segments / hourly_top_event / lineitem_value_corr reduce
+Shuffle budget (SCALE.md doctrine): split_contamination's skinny
+(hash, split, n) partials meet in the gated keyed combine on the hash;
+rfm_segments / hourly_top_event / lineitem_value_corr reduce
 per-batch partials to customer- / hour- / constant-sized frames;
-heaps_law_curve is ONE vocabulary-keyed exchange (the `unigram_logprob`
+heaps_law_curve is ONE vocabulary-keyed combine (the `unigram_logprob`
 scale) folded to a bounded bucket histogram; session_overlap_peak is
 TWO bucketed exchanges (user_id % 64 sessionize, then ts-day sweep
 buckets) with only per-bucket (delta, max-prefix) triples reaching the
@@ -48,11 +47,10 @@ import os
 import numpy as np
 import pandas as pd
 
-from . import queries as _qmod
 from .functions import dedup as fdedup
+from .ops.exchange import _scoped_parallelism, combine_by_key
 from .ops.quantile import disc_by_group, disc_rank
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +72,10 @@ def q_split_contamination(sf_dir: str) -> pd.DataFrame:
     """Eval-integrity gate: per held-out split (test/val), the count of
     docs whose EXACT text also appears in the train split — run before
     any data release. Distributed shape: per-batch (content-hash,
-    split, n) partials; below the reduce gate the skinny partials
-    combine on the driver; above it ONE hash-bucketed exchange (the
-    ``cross_source_dups`` plan) where each bucket emits per-split
-    (n_docs-with-a-train-dup) partials, so only #splits-sized rows
-    reach the driver. Equality on the 128-bit hash == equality on text
+    split, n) partials meet in the gated keyed combine on the hash,
+    where each hash set emits per-split (n_docs-with-a-train-dup)
+    partials, so above the gate only #splits-sized rows reach the
+    driver. Equality on the 128-bit hash == equality on text
     (the ``dedup_exact`` convention); the twin joins on raw text."""
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 
@@ -115,36 +112,14 @@ def q_split_contamination(sf_dir: str) -> pd.DataFrame:
                                 n_dup_with_train="int64")
         return pd.DataFrame(rows)
 
-    m = ds.map_batches(partial, batch_format="pandas").materialize()
-    npart = m.count()
-    if npart == 0:
+    parts = combine_by_key(
+        ds.map_batches(partial, batch_format="pandas"), ["h"],
+        lambda d: contam(d.groupby(["h", "split"], as_index=False)
+                         ["n"].sum()))
+    if parts.empty:
         return empty
-    if npart <= _qmod._REDUCE_GATE_ROWS:
-        per_split = contam(
-            m.to_pandas().groupby(["h", "split"], as_index=False)
-            ["n"].sum())
-    else:  # corpus-scale distinct-text cardinality: bucket the hash
-        from .stages.joins import _bucket_of
-
-        def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["__bucket"] = _bucket_of(b["h"], 64)
-            return b
-
-        with _scoped_parallelism(32):
-            parts = m.map_batches(add_bucket, batch_format="pandas") \
-                .groupby("__bucket").map_groups(
-                    lambda g: contam(
-                        g.drop(columns="__bucket")
-                        .groupby(["h", "split"], as_index=False)
-                        ["n"].sum()),
-                    batch_format="pandas").to_pandas()
-        if parts.empty:
-            return empty
-        per_split = parts.groupby("split", as_index=False).sum()
-    if per_split.empty:
-        return empty
-    out = per_split.sort_values("split").reset_index(drop=True)
+    out = parts.groupby("split", as_index=False).sum() \
+        .sort_values("split").reset_index(drop=True)
     out["dup_rate"] = out["n_dup_with_train"].to_numpy(np.float64) \
         / out["n_docs"].to_numpy(np.float64)
     return out.astype({"n_docs": "int64", "n_dup_with_train": "int64"})
@@ -208,25 +183,11 @@ def q_rfm_segments(sf_dir: str) -> pd.DataFrame:
                  frequency=("frequency", "sum"),
                  monetary_c=("monetary_c", "sum"))
 
-    m = ds.map_batches(partial, batch_format="pandas").materialize()
-    npart = m.count()
-    empty = _empty_typed(r_score="int64", f_score="int64",
-                         m_score="int64", n_customers="int64")
-    if npart == 0:
-        return empty
-    if npart <= _qmod._REDUCE_GATE_ROWS:
-        base = combine(m.to_pandas())
-    else:  # bucketed re-reduce, the latest_order_per_customer fallback
-        def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["__bucket"] = (b["o_custkey"] % 64).astype(np.int64)
-            return b
-
-        with _scoped_parallelism(32):
-            base = m.map_batches(add_bucket, batch_format="pandas") \
-                .groupby("__bucket").map_groups(
-                    lambda g: combine(g.drop(columns="__bucket")),
-                    batch_format="pandas").to_pandas()
+    base = combine_by_key(ds.map_batches(partial, batch_format="pandas"),
+                          ["o_custkey"], combine)
+    if base.empty:
+        return _empty_typed(r_score="int64", f_score="int64",
+                            m_score="int64", n_customers="int64")
     day = 86_400_000_000
     recency = (int(base["last_us"].max()) // day
                - base["last_us"].to_numpy(np.int64) // day)
@@ -344,10 +305,10 @@ def q_heaps_law_curve(sf_dir: str) -> pd.DataFrame:
     whose global first occurrence, by min doc_id, lands in the bucket),
     plus cumulative type/token ratio. Distributed shape: token counts
     are skinny (bucket, n) partials; first-occurrence rides per-batch
-    (token, min_doc_id) partials through the ``novelty_curve`` gate —
-    driver combine below it, ONE vocabulary-keyed distributed min above
-    it (the ``unigram_logprob`` exchange scale); the driver sees only
-    the bounded bucket histogram. Tokens are the corpus-wide ASCII
+    (token, min_doc_id) partials through the gated keyed combine (the
+    ``novelty_curve`` plan), each vocabulary set folded to its bucket
+    histogram; above the gate the driver sees only those bounded
+    histograms. Tokens are the corpus-wide ASCII
     ``\\w+`` convention on lowered text (the `decontaminate` twin's
     regexp)."""
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
@@ -386,26 +347,16 @@ def q_heaps_law_curve(sf_dir: str) -> pd.DataFrame:
         ["bucket"], ["n_tokens"])
     if tc.empty:
         return empty
-    m = ds.map_batches(first_partial, batch_format="pandas") \
-        .materialize()
-    if m.count() <= _qmod._REDUCE_GATE_ROWS:
-        first = m.to_pandas().groupby("tok", as_index=False)[
-            "min_id"].min()
-        nv = pd.DataFrame({"bucket": first["min_id"].to_numpy(np.int64)
-                           // B}) \
+    def new_vocab(d: pd.DataFrame) -> pd.DataFrame:
+        first = d.groupby("tok")["min_id"].min().to_numpy(np.int64)
+        return pd.DataFrame({"bucket": first // B}) \
             .groupby("bucket", as_index=False) \
             .agg(n_new_vocab=("bucket", "size"))
-    else:  # corpus-scale vocabulary: the distinct-min stays distributed
-        with _scoped_parallelism(32):
-            red = m.groupby("tok").min("min_id")
-            nv = _reduce_partials(
-                red.map_batches(
-                    lambda b: pd.DataFrame(
-                        {"bucket": b["min(min_id)"].to_numpy(np.int64)
-                         // B, "n_new_vocab": np.int64(1)})
-                    .groupby("bucket", as_index=False).sum(),
-                    batch_format="pandas"),
-                ["bucket"], ["n_new_vocab"])
+
+    # tc holds a token, so the first-id partials are not empty
+    nv = combine_by_key(
+        ds.map_batches(first_partial, batch_format="pandas"), ["tok"],
+        new_vocab).groupby("bucket", as_index=False)["n_new_vocab"].sum()
     out = tc.merge(nv, on="bucket", how="left") \
         .fillna({"n_new_vocab": 0}) \
         .astype({"bucket": "int64", "n_tokens": "int64",

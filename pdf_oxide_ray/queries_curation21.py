@@ -25,9 +25,8 @@ id array; per-source train totals are (source, split) int partials ->
 ONE dimension-bounded reduce.
 
 `reorder_survival`: per-batch per-user two smallest DISTINCT order
-days (<= 2 rows per user per batch) -> below the gate a driver
-combine, above it the per-user-bucket map_groups (the `rfm_segments`
-fallback; a user lives in one bucket); the KM table is day-span
+days (<= 2 rows per user per batch) -> the gated keyed combine on
+the user (a user lives in one key set); the KM table is day-span
 bounded; risk sets are one reverse cumsum; every survival factor is
 lp6 = round(ln((n-d)/n)*1e6) summed in int64 — bit-identical in any
 order. Times after the curve hits zero carry NULL log-survival on
@@ -45,8 +44,8 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import halfaway6
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
+from .ops.exchange import combine_by_key
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 _DAY_US = 86_400_000_000
@@ -169,8 +168,6 @@ register("fuzzy_decontam_rate", q_fuzzy_decontam_rate,
 def q_reorder_survival(sf_dir: str) -> pd.DataFrame:
     """Kaplan-Meier first->second order gap with censoring — module
     docstring."""
-    from . import queries as _qmod
-
     ds = _pq(sf_dir, "orders", ["o_custkey", "o_orderdate"])
 
     def two_smallest(b: pd.DataFrame) -> pd.DataFrame:
@@ -193,33 +190,20 @@ def q_reorder_survival(sf_dir: str) -> pd.DataFrame:
         out = df[df["u"] != -1].drop_duplicates() \
             .sort_values(["u", "d"], kind="mergesort") \
             .groupby("u").head(2)
-        if sent.empty:  # bucketed path: only one bucket holds them
+        if sent.empty:  # above the gate one key set holds them
             return out
         return pd.concat(
             [out, pd.DataFrame({"u": [np.int64(-1)],
                                 "d": [sent["d"].max()]})],
             ignore_index=True)
 
-    m = ds.map_batches(two_smallest, batch_format="pandas") \
-        .materialize()
-    npart = m.count()
     empty = _empty_typed(t_days="int64", n_risk="int64",
                          n_events="int64", log_surv6="float64")
-    if npart == 0:
+    base = combine_by_key(
+        ds.map_batches(two_smallest, batch_format="pandas"), ["u"],
+        combine)
+    if base.empty:
         return empty
-    if npart <= _qmod._REDUCE_GATE_ROWS:
-        base = combine(m.to_pandas())
-    else:  # co-locate per user bucket (the rfm_segments fallback)
-        def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["__bucket"] = (b["u"] % 64).astype(np.int64)
-            return b
-
-        with _scoped_parallelism(32):
-            base = m.map_batches(add_bucket, batch_format="pandas") \
-                .groupby("__bucket").map_groups(
-                    lambda g: combine(g.drop(columns="__bucket")),
-                    batch_format="pandas").to_pandas()
     maxday = int(base.loc[base["u"] == -1, "d"].max())
     base = base[base["u"] != -1]
     if base.empty:

@@ -48,6 +48,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 
+from .functions.retrieval_sql import PAIR_SQL
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
@@ -221,9 +222,7 @@ def q_hubness_census(sf_dir: str) -> pd.DataFrame:
 
 
 def _hubness_oracle_sql() -> str:
-    from .queries_curation11 import _PAIR_SQL
-
-    return _PAIR_SQL + f""",
+    return PAIR_SQL + f""",
     topk AS (
       SELECT idb FROM (
         SELECT idb, ROW_NUMBER() OVER (PARTITION BY ida

@@ -24,11 +24,10 @@ driver math over the histogram frame, never over events.
 
 `glove_cooc_topk`: per-batch vectorized pair counting (doc-boundary
 masked shifts for distances 1..4 — no per-token Python loop) emits
-one row per DISTINCT pair per batch; the final reduce rides the
-`ngram_topk` gate — below it a driver combine, above it a
-distributed groupby + per-block local top-50s, so only
-constant-size candidates reach the driver, never the pair
-vocabulary.
+one row per DISTINCT pair per batch; the final reduce is the gated
+keyed combine (`ops/exchange.py`) with a local top-50 per key set,
+so above the gate only constant-size candidates reach the driver,
+never the pair vocabulary.
 
 Empty inputs return the twins' empty shapes. Self-registers into
 ``queries.QUERIES`` / ``queries.ORACLE_SQL`` on import.
@@ -39,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .ops.exchange import combine_by_key
 from .ops.quantile import disc_pick, disc_rank
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
@@ -154,8 +154,6 @@ register("value_psi_weekly", q_value_psi_weekly, f"""
 def q_glove_cooc_topk(sf_dir: str) -> pd.DataFrame:
     """Top-50 harmonic-weighted window-4 co-occurrence pairs — module
     docstring."""
-    from .queries import _REDUCE_GATE_ROWS, _scoped_parallelism
-
     ds = _pq(sf_dir, "documents", ["text"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -191,24 +189,12 @@ def q_glove_cooc_topk(sf_dir: str) -> pd.DataFrame:
                              ascending=[False, True, True],
                              kind="mergesort").head(_COOC_K)
 
-    m = ds.map_batches(partial, batch_format="pandas").materialize()
-    empty = _empty_typed(tok_a=object, tok_b=object, weight="int64")
-    n = m.count()
-    if n == 0:
-        return empty
-    if n <= _REDUCE_GATE_ROWS:
-        out = m.to_pandas() \
-            .groupby(["tok_a", "tok_b"], as_index=False)["weight"] \
-            .sum()
-    else:  # distributed reduce + per-block top-50 candidates
-        from ray.data.aggregate import Sum
-
-        with _scoped_parallelism(32):
-            out = m.groupby(["tok_a", "tok_b"]) \
-                .aggregate(Sum("weight", alias_name="weight")) \
-                .map_batches(topk, batch_format="pandas").to_pandas()
+    out = combine_by_key(
+        ds.map_batches(partial, batch_format="pandas"), ["tok_a", "tok_b"],
+        lambda d: topk(d.groupby(["tok_a", "tok_b"], as_index=False)
+                       ["weight"].sum()))
     if out.empty:
-        return empty
+        return _empty_typed(tok_a=object, tok_b=object, weight="int64")
     return topk(out).reset_index(drop=True) \
         .astype({"weight": "int64"})
 

@@ -28,9 +28,10 @@ Distributed plans (shuffle budgets — also in SCALE.md):
 `dow_seasonality`: per-batch (dow, n, cents) partials -> one 7-row
 reduce; driver finals only.
 
-`lineitem_fanout_hist`: per-batch per-orderkey partial counts (one
-skinny keyed exchange), per-order totals stay distributed above the
-reduce gate, only bounded histogram partials reach the driver; the
+`lineitem_fanout_hist`: per-batch per-orderkey partial counts meet
+in the gated keyed combine, where each orderkey set folds its
+per-order totals to a histogram, so above the gate only bounded
+histogram partials reach the driver; the
 zero group is `count(orders) - count(distinct filled keys)` — the
 100 TB version never ships the orders table.
 
@@ -47,9 +48,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
-from . import queries as _qmod
+from .ops.exchange import combine_by_key
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 _MARKOV_PREC = 10 ** 9      # probability grid: 1e-9
@@ -123,31 +123,19 @@ def q_lineitem_fanout_hist(sf_dir: str) -> pd.DataFrame:
     part = li.map_batches(
         lambda b: b.groupby("l_orderkey", as_index=False)
         .agg(n=("l_orderkey", "size")), batch_format="pandas")
-    m = part.materialize()
-    npart = m.count()
-    empty = _empty_typed(n_items="int64", n_orders="int64")
-    if npart == 0:
+
+    def fanout(d: pd.DataFrame) -> pd.DataFrame:
+        per = d.groupby("l_orderkey")["n"].sum()
+        return per.value_counts(sort=False).rename_axis("n_items") \
+            .reset_index(name="n_orders")
+
+    hist = combine_by_key(part, ["l_orderkey"], fanout)
+    if hist.empty:
         if n_total_orders == 0:
-            return empty
+            return _empty_typed(n_items="int64", n_orders="int64")
         return pd.DataFrame({"n_items": [0],
                              "n_orders": [n_total_orders]}, dtype="int64")
-    if npart <= _qmod._REDUCE_GATE_ROWS:
-        per = m.to_pandas().groupby("l_orderkey", as_index=False)["n"].sum()
-        hist = per.groupby("n", as_index=False) \
-            .agg(n_orders=("l_orderkey", "size")) \
-            .rename(columns={"n": "n_items"})
-    else:  # per-order totals stay distributed; histogram partials only
-        from ray.data.aggregate import Sum
-
-        with _scoped_parallelism(64):
-            per_ds = m.groupby("l_orderkey").aggregate(
-                Sum("n", alias_name="n"))
-            hist_part = per_ds.map_batches(
-                lambda b: b.groupby("n", as_index=False)
-                .agg(n_orders=("l_orderkey", "size"))
-                .rename(columns={"n": "n_items"}),
-                batch_format="pandas")
-            hist = _reduce_partials(hist_part, ["n_items"], ["n_orders"])
+    hist = hist.groupby("n_items", as_index=False)["n_orders"].sum()
     n_zero = int(n_total_orders) - int(hist["n_orders"].sum())
     if n_zero > 0:
         hist = pd.concat(

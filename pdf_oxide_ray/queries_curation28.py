@@ -51,8 +51,8 @@ import pandas as pd
 
 from .functions.markov_sql import markov_chain_cte
 from .ops.quantile import disc_pick, disc_rank_exact
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
+from .ops.exchange import _scoped_parallelism
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 _MM_BUCKETS = 64

@@ -28,15 +28,15 @@ n_bounces, n_events) — #types rows per bucket; driver does two
 divisions.
 
 `negative_sampling_table`: per-batch token value_counts (one row per
-DISTINCT token per batch); the reduce rides the `ngram_topk` gate —
-distributed groupby + per-block local top-50 above it, so only
-constant-size candidates reach the driver, never the vocabulary.
+DISTINCT token per batch); the reduce is the gated keyed combine with
+a local top-50 per token set, so above the gate only constant-size
+candidates reach the driver, never the vocabulary.
 
 `funnel_latency`: per-batch per-user (min view ts, min purchase ts)
-partials with an int64-max sentinel -> keyed min-reduce (distributed
-`Min` aggregate above the gate); latencies fold into a bounded
-(second, count) histogram; the disc-rule percentile pick is driver
-math over that histogram.
+partials with an int64-max sentinel -> the gated keyed combine, where
+each user set's min-reduced latencies fold into a bounded (second,
+count) histogram; the disc-rule percentile pick is driver math over
+the summed histogram.
 
 Empty inputs return the twins' empty shapes. Self-registers into
 ``queries.QUERIES`` / ``queries.ORACLE_SQL`` on import.
@@ -47,10 +47,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .ops.exchange import _scoped_parallelism, combine_by_key
 from .ops.quantile import disc_pick, disc_rank
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
-from . import queries as _qmod
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 _SESSION_GAP_US = 1_800_000_000     # 30 minutes (user_sessions rule)
@@ -150,8 +149,6 @@ register("bounce_rate", q_bounce_rate, """
 def q_negative_sampling_table(sf_dir: str) -> pd.DataFrame:
     """word2vec noise distribution over the exact top-50 tokens —
     module docstring."""
-    from ray.data.aggregate import Sum
-
     ds = _pq(sf_dir, "documents", ["text"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -164,19 +161,12 @@ def q_negative_sampling_table(sf_dir: str) -> pd.DataFrame:
         return b.sort_values(["n", "token"], ascending=[False, True],
                              kind="mergesort").head(_NEG_K)
 
-    m = ds.map_batches(partial, batch_format="pandas").materialize()
-    empty = _empty_typed(token=object, n="int64", neg_prob="float64")
-    if m.count() == 0:
-        return empty
-    if m.count() <= _qmod._REDUCE_GATE_ROWS:
-        out = m.to_pandas().groupby("token", as_index=False)["n"].sum()
-    else:  # distributed reduce + per-block top-k candidates
-        with _scoped_parallelism(32):
-            out = m.groupby("token").aggregate(Sum("n", alias_name="n")) \
-                .map_batches(topk, batch_format="pandas").to_pandas()
-    out = topk(out).reset_index(drop=True)
+    out = combine_by_key(
+        ds.map_batches(partial, batch_format="pandas"), ["token"],
+        lambda d: topk(d.groupby("token", as_index=False)["n"].sum()))
     if out.empty:
-        return empty
+        return _empty_typed(token=object, n="int64", neg_prob="float64")
+    out = topk(out).reset_index(drop=True)
     n = out["n"].to_numpy(np.int64).astype(np.float64)
     raw = np.sqrt(n * np.sqrt(n)) * 1e6        # n^0.75, sqrt-composed
     w6 = np.copysign(np.floor(np.abs(raw) + 0.5), raw).astype(np.int64)
@@ -211,8 +201,6 @@ register("negative_sampling_table", q_negative_sampling_table, rf"""
 def q_funnel_latency(sf_dir: str) -> pd.DataFrame:
     """Exact disc-rule percentiles of first-view -> first-purchase
     latency — module docstring."""
-    from ray.data.aggregate import Min
-
     ds = _pq(sf_dir, "events", ["user_id", "ts", "event_type"])
 
     def part(b: pd.DataFrame) -> pd.DataFrame:
@@ -224,43 +212,25 @@ def q_funnel_latency(sf_dir: str) -> pd.DataFrame:
             "b": np.where(et == "purchase", ts, _TS_SENTINEL)}) \
             .groupby("user_id", as_index=False).min()
 
-    m = ds.map_batches(part, batch_format="pandas").materialize()
+    def hist(d: pd.DataFrame) -> pd.DataFrame:
+        per = d.groupby("user_id")[["v", "b"]].min()
+        keep = (per["v"] < _TS_SENTINEL) \
+            & (per["b"] < _TS_SENTINEL) & (per["b"] >= per["v"])
+        gaps = (per.loc[keep, "b"].to_numpy(np.int64)
+                - per.loc[keep, "v"].to_numpy(np.int64)) // 1_000_000
+        return pd.DataFrame({"gap_s": gaps, "cnt": np.int64(1)}) \
+            .groupby("gap_s", as_index=False).sum()
+
+    h = combine_by_key(ds.map_batches(part, batch_format="pandas"),
+                       ["user_id"], hist)
     none_row = pd.DataFrame({
         "n_converted": pd.Series([0], dtype="int64"),
         "p50_s": pd.Series([np.nan], dtype="float64"),
         "p90_s": pd.Series([np.nan], dtype="float64"),
         "p99_s": pd.Series([np.nan], dtype="float64")})
-    if m.count() == 0:
+    if h.empty:
         return none_row
-    if m.count() <= _qmod._REDUCE_GATE_ROWS:
-        per = m.to_pandas().groupby("user_id", as_index=False) \
-            [["v", "b"]].min()
-        conv = per[(per["v"] < _TS_SENTINEL)
-                   & (per["b"] < _TS_SENTINEL) & (per["b"] >= per["v"])]
-        gaps = (conv["b"].to_numpy(np.int64)
-                - conv["v"].to_numpy(np.int64)) // 1_000_000
-        h = pd.DataFrame({"gap_s": gaps, "cnt": np.int64(1)}) \
-            .groupby("gap_s", as_index=False).sum()
-    else:  # per-user mins stay distributed; histogram partials only
-        with _scoped_parallelism(64):
-            per_ds = m.groupby("user_id").aggregate(
-                Min("v", alias_name="v"), Min("b", alias_name="b"))
-
-            def hist(b: pd.DataFrame) -> pd.DataFrame:
-                keep = (b["v"] < _TS_SENTINEL) \
-                    & (b["b"] < _TS_SENTINEL) & (b["b"] >= b["v"])
-                gaps = (b.loc[keep, "b"].to_numpy(np.int64)
-                        - b.loc[keep, "v"].to_numpy(np.int64)) \
-                    // 1_000_000
-                return pd.DataFrame({"gap_s": gaps,
-                                     "cnt": np.int64(1)}) \
-                    .groupby("gap_s", as_index=False).sum()
-
-            h = _reduce_partials(per_ds.map_batches(
-                hist, batch_format="pandas"), ["gap_s"], ["cnt"])
-    if h.empty or int(h["cnt"].sum()) == 0:
-        return none_row
-    h = h.sort_values("gap_s")
+    h = h.groupby("gap_s", as_index=False)["cnt"].sum().sort_values("gap_s")
     vals = h["gap_s"].to_numpy(np.int64)
     cum = h["cnt"].cumsum().to_numpy(np.int64)
     n = int(cum[-1])

@@ -18,12 +18,11 @@ collation on both sides — no locale-dependent ops).
 
 Distributed plans (shuffle budgets — also in SCALE.md):
 
-Both queries ship (key-hash, 1) partials — text never crosses the
-exchange (the `dedup_exact` discipline; sha256/16B per doc). Below
-the reduce gate the census is driver math; above it the per-key
-counts stay in a distributed groupby and each block emits ONE
-(n_keys, dup_docs, clusters) partial row, so the driver sees
-#blocks rows, never the key table.
+Both queries ship per-batch (key-hash, n) counts — text never crosses
+the exchange (the `dedup_exact` discipline; sha256/16B per key). They
+meet in the gated keyed combine, where each key set emits ONE
+(n_docs, dup_docs, clusters) partial row, so above the gate the
+driver sees one row per bucket, never the key table.
 
 Empty inputs return the twins' single all-zero row. Self-registers
 into ``queries.QUERIES`` / ``queries.ORACLE_SQL`` on import.
@@ -36,55 +35,51 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from .queries import _pq, _scoped_parallelism, register
-from . import queries as _qmod
+from .ops.exchange import combine_by_key
+from .queries import _pq, register
 
 
-def _key_hash(keys: pd.Series) -> pd.Series:
-    return keys.map(
-        lambda t: hashlib.sha256(t.encode("utf-8")).hexdigest()[:32])
+def _key_counts(keys: pd.Series) -> pd.DataFrame:
+    """Per-batch (h, n): the key hash of each distinct key and its
+    document count in the batch."""
+    vc = keys.map(
+        lambda t: hashlib.sha256(t.encode("utf-8")).hexdigest()[:32]) \
+        .value_counts(sort=False)
+    return pd.DataFrame({"h": vc.index.to_numpy(object),
+                         "n": vc.to_numpy(np.int64)})
+
+
+def _census(d: pd.DataFrame) -> pd.DataFrame:
+    c = d.groupby("h")["n"].sum().to_numpy(np.int64)
+    return pd.DataFrame({"n_docs": [int(c.sum())],
+                         "dup_docs": [int((c - 1).sum())],
+                         "clusters": [int((c > 1).sum())]})
 
 
 def _dup_census(ds_keys) -> tuple[int, int, int]:
-    """(n_docs, dup_docs, clusters) for a Dataset of one 'h' column —
-    gated: driver value_counts below `_REDUCE_GATE_ROWS`, else a
-    distributed per-key count whose blocks emit one census partial."""
-    m = ds_keys.materialize()
-    n_docs = m.count()
-    if n_docs == 0:
+    """(n_docs, dup_docs, clusters) for a Dataset of (h, n) per-batch
+    key counts, through the gated keyed combine."""
+    parts = combine_by_key(ds_keys, ["h"], _census)
+    if parts.empty:
         return 0, 0, 0
-    if n_docs <= _qmod._REDUCE_GATE_ROWS:
-        vc = m.to_pandas()["h"].value_counts().to_numpy()
-        return (int(n_docs), int((vc - 1).sum()),
-                int((vc > 1).sum()))
-    from ray.data.aggregate import Count
-
-    def census(b: pd.DataFrame) -> pd.DataFrame:
-        c = b["count()"].to_numpy(np.int64)
-        return pd.DataFrame({"dup_docs": [int((c - 1).sum())],
-                             "clusters": [int((c > 1).sum())]})
-
-    with _scoped_parallelism(64):
-        parts = m.groupby("h").aggregate(Count()) \
-            .map_batches(census, batch_format="pandas").to_pandas()
-    return (int(n_docs), int(parts["dup_docs"].sum()),
+    return (int(parts["n_docs"].sum()), int(parts["dup_docs"].sum()),
             int(parts["clusters"].sum()))
 
 
 def _exact_keys(b: pd.DataFrame) -> pd.DataFrame:
-    return pd.DataFrame({"h": _key_hash(b["text"].fillna(""))})
+    return _key_counts(b["text"].fillna(""))
 
 
 def _norm_keys(b: pd.DataFrame) -> pd.DataFrame:
     norm = b["text"].fillna("") \
         .str.replace(r"\s+", " ", regex=True).str.strip().str.lower()
-    return pd.DataFrame({"h": _key_hash(norm)})
+    return _key_counts(norm)
 
 
 def _bow_keys(b: pd.DataFrame) -> pd.DataFrame:
     bow = b["text"].fillna("").str.split() \
         .map(lambda toks: " ".join(sorted(toks)))
-    return pd.DataFrame({"h": _key_hash(bow)})
+    return _key_counts(bow)
 
 
 # ------------------------------------------------------ casefold_dup_gain

@@ -37,8 +37,8 @@ import pandas as pd
 from .functions.bitmask import (BITS, encode_codes, mask_cols, n_words,
                                 or_by_key)
 from .ops.quantile import disc_pick, disc_rank
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
+from .ops.exchange import _scoped_parallelism
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 # ------------------------------------------------------ audience_overlap

@@ -49,8 +49,8 @@ import pandas as pd
 
 from .functions.textops import halfaway6
 from .ops.quantile import disc_pick, disc_rank
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
+from .ops.exchange import _scoped_parallelism
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 _TOP2_FAIL_6 = 200_000    # top-2-gram char share > 0.20 fails

@@ -49,8 +49,8 @@ import zlib
 import numpy as np
 import pandas as pd
 
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
+from .ops.exchange import _scoped_parallelism
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 _ASR_L = 32
@@ -205,7 +205,8 @@ def q_join_size_estimate(sf_dir: str) -> pd.DataFrame:
     """KMV join-cardinality estimate vs exact — module docstring."""
     import ray
 
-    from .stages.joins import _bucket_of, _get_broadcast
+    from .ops.exchange import _bucket_of
+    from .stages.joins import _get_broadcast
 
     lineitem = _pq(sf_dir, "lineitem", ["l_orderkey"])
     orders = _pq(sf_dir, "orders", ["o_orderkey"])

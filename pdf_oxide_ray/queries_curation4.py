@@ -42,9 +42,9 @@ import hashlib
 import numpy as np
 import pandas as pd
 
+from .ops import exchange as _xc
 from .ops.quantile import disc_pick, disc_rank
-from .queries import (_REDUCE_GATE_ROWS, _empty_typed, _pq, _reduce_partials,
-                      register)
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 _TOKENS_SQL = (r"list_filter(regexp_split_to_array("
@@ -107,7 +107,7 @@ def q_kmv_distinct(sf_dir: str) -> pd.DataFrame:
                          kth_hash=object, est_distinct="float64")
     if n == 0:
         return empty
-    if n > _REDUCE_GATE_ROWS:
+    if n > _xc.GATE_ROWS:
         # two-level combiner: concatenate partial blocks and pre-fold,
         # so the driver sees <= 64·types rows per folded block
         parts = parts.repartition(32).map_batches(

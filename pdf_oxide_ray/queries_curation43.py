@@ -33,7 +33,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import ORACLE_SQL, _empty_typed, _pq, register
+from .functions.retrieval_sql import BM25_SQL
+from .queries import _empty_typed, _pq, register
 
 
 _RRF_K = 60
@@ -90,14 +91,13 @@ def q_rrf_fusion(sf_dir: str) -> pd.DataFrame:
 
 
 def _rrf_oracle_sql() -> str:
-    bm25_sql = ORACLE_SQL["bm25_search"]
     terms = _RRF_QUERY.split()
     qtoks = ", ".join(f"('{t}')" for t in terms)
     return f"""
     WITH blist AS (
       SELECT doc_id,
              row_number() OVER (ORDER BY score DESC, doc_id) AS r
-      FROM ({bm25_sql})),
+      FROM ({BM25_SQL})),
     etoks AS (
       SELECT doc_id,
              unnest(regexp_extract_all(lower(text), '[0-9A-Za-z_]+'))

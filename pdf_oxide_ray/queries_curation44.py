@@ -35,7 +35,8 @@ import pandas as pd
 from .functions.lm_ab import (lm_chain as _lm_chain,
                               lm_from_counts as _lm_from_counts,
                               nibble_split as _nibble_split)
-from .queries import _pq, _reduce_partials, _scoped_parallelism, register
+from .ops.exchange import _scoped_parallelism
+from .queries import _pq, _reduce_partials, register
 
 
 def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
@@ -44,7 +45,8 @@ def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
     import ray
 
     from .functions import dedup as fdedup
-    from .stages.joins import _bucket_of, _get_broadcast
+    from .ops.exchange import _bucket_of
+    from .stages.joins import _get_broadcast
 
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 

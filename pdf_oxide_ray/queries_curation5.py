@@ -45,8 +45,9 @@ import pandas as pd
 
 from .functions.textops import TOK_SQL as _TOK_SQL
 from .functions.textops import halfaway6 as _halfaway6
-from .queries import (_REDUCE_GATE_ROWS, _empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism, register)
+from .ops import exchange as _xc
+from .ops.exchange import _scoped_parallelism
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 _TOKENS_SQL = (r"list_filter(regexp_split_to_array("
@@ -364,7 +365,7 @@ def q_soft_dedup_weights(sf_dir: str) -> pd.DataFrame:
             "sum_tokens": agg["tok"].astype("int64"),
             "eff_tokens": agg["eff_tokens"]})
 
-    if npart <= _REDUCE_GATE_ROWS:
+    if npart <= _xc.GATE_ROWS:
         a = m.to_pandas().groupby("h", as_index=False)["cnt"].sum()
         dup = a[a["cnt"] > 1]
         cmap_ref = ray.put(

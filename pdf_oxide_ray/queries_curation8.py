@@ -64,6 +64,7 @@ import re
 import numpy as np
 import pandas as pd
 
+from .functions.retrieval_sql import BM25_K, BM25_SQL, BM25_TERMS
 from .functions.textops import halfaway6
 from .ops.ordered import ordered_pass
 from .queries import _empty_typed, _pq, _reduce_partials, register
@@ -281,10 +282,6 @@ register("oov_rate", q_oov_rate, f"""
 
 # ---------------------------------------------------------------- bm25
 
-_BM25_TERMS = ("join", "spark", "window")  # fixed 3-term query
-_BM25_K = 20
-
-
 def q_bm25_search(sf_dir: str) -> pd.DataFrame:
     """Okapi BM25 (k1=1.2, b=0.75) top-20 for the fixed query
     {join, spark, window}: skinny (dl, tf_t) table materialized once,
@@ -292,7 +289,7 @@ def q_bm25_search(sf_dir: str) -> pd.DataFrame:
     partials. Scores round half-away to the 1e-6 grid on BOTH sides
     and the ORDER BY uses the rounded score — module docstring."""
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    t1, t2, t3 = _BM25_TERMS
+    t1, t2, t3 = BM25_TERMS
 
     def tf_dl(b: pd.DataFrame) -> pd.DataFrame:
         n = len(b)
@@ -357,71 +354,18 @@ def q_bm25_search(sf_dir: str) -> pd.DataFrame:
                             "score_r6": halfaway6(s)})
         return out.sort_values(["score_r6", "doc_id"],
                                ascending=[False, True],
-                               kind="mergesort").head(_BM25_K)
+                               kind="mergesort").head(BM25_K)
 
     top = skinny.map_batches(score, batch_format="pandas").to_pandas()
     if top.empty:
         return empty
     top = top.sort_values(["score_r6", "doc_id"],
                           ascending=[False, True],
-                          kind="mergesort").head(_BM25_K)
+                          kind="mergesort").head(BM25_K)
     return pd.DataFrame({"doc_id": top["doc_id"].astype("int64"),
                          "dl": top["dl"].astype("int64"),
                          "score": top["score_r6"].to_numpy(np.float64)
                          / 1e6}).reset_index(drop=True)
 
 
-register("bm25_search", q_bm25_search, f"""
-    WITH tok AS (
-      SELECT doc_id, unnest({_WORD_SQL}) AS w FROM documents),
-    dl AS (
-      SELECT d.doc_id,
-             COALESCE(t.dl, 0) AS dl,
-             COALESCE(t.tf1, 0) AS tf1,
-             COALESCE(t.tf2, 0) AS tf2,
-             COALESCE(t.tf3, 0) AS tf3
-      FROM documents d LEFT JOIN (
-        SELECT doc_id, COUNT(*) AS dl,
-               SUM(CASE WHEN w = '{_BM25_TERMS[0]}' THEN 1 ELSE 0 END)
-                 AS tf1,
-               SUM(CASE WHEN w = '{_BM25_TERMS[1]}' THEN 1 ELSE 0 END)
-                 AS tf2,
-               SUM(CASE WHEN w = '{_BM25_TERMS[2]}' THEN 1 ELSE 0 END)
-                 AS tf3
-        FROM tok GROUP BY doc_id) t USING (doc_id)),
-    g AS (
-      SELECT COUNT(*) AS n,
-             CAST(SUM(dl) AS DOUBLE) / CAST(COUNT(*) AS DOUBLE)
-               AS avgdl,
-             SUM(CASE WHEN tf1 > 0 THEN 1 ELSE 0 END) AS df1,
-             SUM(CASE WHEN tf2 > 0 THEN 1 ELSE 0 END) AS df2,
-             SUM(CASE WHEN tf3 > 0 THEN 1 ELSE 0 END) AS df3
-      FROM dl),
-    s AS (
-      SELECT d.doc_id, d.dl,
-             ((ln((CAST(g.n - g.df1 AS DOUBLE) + 0.5)
-                  / (CAST(g.df1 AS DOUBLE) + 0.5) + 1.0)
-               * ((CAST(d.tf1 AS DOUBLE) * 2.2)
-                  / (CAST(d.tf1 AS DOUBLE)
-                     + 1.2 * (0.25 + 0.75 * (CAST(d.dl AS DOUBLE)
-                                             / g.avgdl)))))
-              + (ln((CAST(g.n - g.df2 AS DOUBLE) + 0.5)
-                    / (CAST(g.df2 AS DOUBLE) + 0.5) + 1.0)
-                 * ((CAST(d.tf2 AS DOUBLE) * 2.2)
-                    / (CAST(d.tf2 AS DOUBLE)
-                       + 1.2 * (0.25 + 0.75 * (CAST(d.dl AS DOUBLE)
-                                               / g.avgdl))))))
-             + (ln((CAST(g.n - g.df3 AS DOUBLE) + 0.5)
-                   / (CAST(g.df3 AS DOUBLE) + 0.5) + 1.0)
-                * ((CAST(d.tf3 AS DOUBLE) * 2.2)
-                   / (CAST(d.tf3 AS DOUBLE)
-                      + 1.2 * (0.25 + 0.75 * (CAST(d.dl AS DOUBLE)
-                                              / g.avgdl)))))
-               AS score
-      FROM dl d, g
-      WHERE d.tf1 + d.tf2 + d.tf3 > 0)
-    SELECT doc_id, dl,
-           round(score * 1000000.0, 0) / 1000000.0 AS score
-    FROM s
-    ORDER BY round(score * 1000000.0, 0) / 1000000.0 DESC, doc_id
-    LIMIT {_BM25_K}""")
+register("bm25_search", q_bm25_search, BM25_SQL)

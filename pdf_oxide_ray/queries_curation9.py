@@ -78,8 +78,8 @@ import pandas as pd
 
 from .ops.ordered import ordered_pass
 from .ops.quantile import disc_pick, disc_rank_exact
-from .queries import (_empty_typed, _pq, _reduce_partials, _scoped_parallelism,
-                      register)
+from .ops.exchange import _scoped_parallelism
+from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
 _WORD_RE = re.compile(r"[0-9a-z_]+")

@@ -15,10 +15,11 @@ Every query has a bit-exact DuckDB twin (money/quantity rollups ride
 int64 cents; comparisons against a global average are integer
 cross-multiplies so neither side ever divides). Shuffle discipline
 matches ``queries.py``: per-batch partial aggregates before any wide
-groupby, broadcast hot/dimension sides, the `_REDUCE_GATE_ROWS` gate
-keeps driver finals bounded to dimension-sized or hot-set-sized frames
-(documented per query). Self-registers into ``queries.QUERIES`` /
-``queries.ORACLE_SQL`` on import, like ``queries_analytic``.
+groupby, broadcast hot/dimension sides, the gated keyed combine
+(`ops/exchange.py`) keeps driver finals bounded to dimension-sized or
+hot-set-sized frames (documented per query). Self-registers into
+``queries.QUERIES`` / ``queries.ORACLE_SQL`` on import, like
+``queries_analytic``.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ import os
 import numpy as np
 import pandas as pd
 
-from . import queries as _qmod
+from .ops import exchange as _xc
+from .ops.exchange import _scoped_parallelism, combine_by_key
 from .ops.quantile import disc_by_group, disc_pick, disc_rank
-from .queries import (_cents, _empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism, register)
+from .queries import _cents, _empty_typed, _pq, _reduce_partials, register
 from .stages.joins import _get_broadcast
 
 
@@ -54,31 +55,21 @@ def q_order_count_distribution(sf_dir: str) -> pd.DataFrame:
     part = orders.map_batches(
         lambda b: b.groupby("o_custkey", as_index=False)
         .agg(n=("o_custkey", "size")), batch_format="pandas")
-    m = part.materialize()
-    npart = m.count()
-    if npart == 0:
+
+    def order_hist(d: pd.DataFrame) -> pd.DataFrame:
+        per = d.groupby("o_custkey")["n"].sum()
+        return per.value_counts(sort=False).rename_axis("c_orders") \
+            .reset_index(name="n_cust")
+
+    # each customer set folds its totals to a histogram partial
+    # (<= #distinct-N rows), so above the gate only those reach the driver
+    hist = combine_by_key(part, ["o_custkey"], order_hist)
+    if hist.empty:
         if n_customers == 0:
             return _empty_typed(c_orders="int64", n_cust="int64")
         return pd.DataFrame({"c_orders": [0], "n_cust": [n_customers]},
                             dtype="int64")
-    if npart <= _qmod._REDUCE_GATE_ROWS:
-        per = m.to_pandas().groupby("o_custkey", as_index=False)["n"].sum()
-        hist = per.groupby("n", as_index=False) \
-            .agg(n_cust=("o_custkey", "size")) \
-            .rename(columns={"n": "c_orders"})
-    else:  # per-customer totals stay distributed; only the histogram
-        # partials (<= #distinct-N rows per block) reach the driver
-        from ray.data.aggregate import Sum
-
-        with _scoped_parallelism(64):
-            per_ds = m.groupby("o_custkey").aggregate(
-                Sum("n", alias_name="n"))
-            hist_part = per_ds.map_batches(
-                lambda b: b.groupby("n", as_index=False)
-                .agg(n_cust=("o_custkey", "size"))
-                .rename(columns={"n": "c_orders"}),
-                batch_format="pandas")
-            hist = _reduce_partials(hist_part, ["c_orders"], ["n_cust"])
+    hist = hist.groupby("c_orders", as_index=False)["n_cust"].sum()
     n_with_orders = int(hist["n_cust"].sum())
     n_zero = int(n_customers) - n_with_orders
     if n_zero > 0:
@@ -149,9 +140,10 @@ def q_large_orders(sf_dir: str) -> pd.DataFrame:
     shape): per-order quantity rollup with a HAVING filter, then the
     surviving HOT SET (top ~0.1% of orders by construction) broadcasts
     back into orders as a semi-join filter and merges with the customer
-    dimension on the driver. Above the reduce gate the per-order totals
-    stay distributed and ONLY filtered survivors reach the driver —
-    never one row per order. Quantity rides int64 cents."""
+    dimension on the driver. The per-order totals and the filter run
+    in the gated keyed combine, so above the gate ONLY filtered
+    survivors reach the driver — never one row per order. Quantity
+    rides int64 cents."""
     import pyarrow.parquet as pq
     import ray
 
@@ -162,27 +154,17 @@ def q_large_orders(sf_dir: str) -> pd.DataFrame:
             "qty_c": _cents(b["l_quantity"]).to_numpy()})
         .groupby("l_orderkey", as_index=False).sum(),
         batch_format="pandas")
-    m = part.materialize()
-    n = m.count()
     empty = _empty_typed(c_name=object, c_custkey="int64",
                          o_orderkey="int64",
                          o_orderdate="datetime64[us]",
                          o_totalprice="float64", total_qty="float64")
-    if n == 0:
-        return empty
     thr = _Q18_MIN_QTY * 100
-    if n <= _qmod._REDUCE_GATE_ROWS:
-        per = m.to_pandas().groupby("l_orderkey", as_index=False)[
-            "qty_c"].sum()
-        hot = per[per["qty_c"] > thr]
-    else:
-        from ray.data.aggregate import Sum
 
-        with _scoped_parallelism(64):
-            hot = m.groupby("l_orderkey").aggregate(
-                Sum("qty_c", alias_name="qty_c")) \
-                .map_batches(lambda b: b[b["qty_c"] > thr],
-                             batch_format="pandas").to_pandas()
+    def over_thr(d: pd.DataFrame) -> pd.DataFrame:
+        per = d.groupby("l_orderkey", as_index=False)["qty_c"].sum()
+        return per[per["qty_c"] > thr]
+
+    hot = combine_by_key(part, ["l_orderkey"], over_thr)
     if hot.empty:
         return empty
     from .stages.joins import isin_sorted
@@ -306,7 +288,7 @@ def q_retention_cohorts(sf_dir: str) -> pd.DataFrame:
     if n == 0:
         return _empty_typed(cohort_day=object, day_offset="int64",
                             n_users="int64")
-    if n <= min(_qmod._REDUCE_GATE_ROWS, _COHORT_BROADCAST_MAX):
+    if n <= min(_xc.GATE_ROWS, _COHORT_BROADCAST_MAX):
         # per-user first-day table is driver-bounded: combine + broadcast
         import ray
 
@@ -323,25 +305,14 @@ def q_retention_cohorts(sf_dir: str) -> pd.DataFrame:
             return pd.DataFrame({"cohort": cohort, "off": day - cohort,
                                  "user_id": user}).drop_duplicates()
 
-        t = ev.map_batches(triples, batch_format="pandas").materialize()
-        if t.count() <= _qmod._REDUCE_GATE_ROWS:
-            dd = t.to_pandas().drop_duplicates()
-            out = dd.groupby(["cohort", "off"], as_index=False) \
-                .agg(n_users=("user_id", "size"))
-        else:  # distinct triples never reach the driver (cf.
-            # q_distinct_users_per_type's big path)
-            from ray.data.aggregate import Count
-
-            with _scoped_parallelism(64):
-                cells = t.groupby(["cohort", "off", "user_id"]) \
-                    .aggregate(Count()) \
-                    .map_batches(
-                        lambda b: b.groupby(["cohort", "off"],
-                                            as_index=False)
-                        .agg(n_users=("user_id", "size")),
-                        batch_format="pandas")
-                out = _reduce_partials(cells, ["cohort", "off"],
-                                      ["n_users"])
+        # a user's triples land in one key set, so per-set cell
+        # counts sum (the q_distinct_users_per_type plan)
+        out = combine_by_key(
+            ev.map_batches(triples, batch_format="pandas"), ["user_id"],
+            lambda d: d.drop_duplicates()
+            .groupby(["cohort", "off"], as_index=False)
+            .agg(n_users=("user_id", "size"))) \
+            .groupby(["cohort", "off"], as_index=False)["n_users"].sum()
     else:
         # bucketed user_id exchange: first-day partials and raw events
         # co-locate per user bucket; the per-user first day, the
@@ -349,7 +320,7 @@ def q_retention_cohorts(sf_dir: str) -> pd.DataFrame:
         # user counts all resolve inside the bucket (a user lives in
         # exactly ONE bucket, so per-bucket cell counts sum without
         # double-counting). The driver only ever sees cell partials.
-        from .stages.joins import _bucket_of
+        from .ops.exchange import _bucket_of
 
         nb = 64
 
@@ -781,7 +752,7 @@ def q_value_quantile_sketch(sf_dir: str) -> pd.DataFrame:
     reproduces the sketch bit-for-bit. Also pinned in
     tests/test_pinned_rows_only.py plus the error-bound property
     test in tests/test_queries.py."""
-    from .stages.joins import _bucket_of
+    from .ops.exchange import _bucket_of
 
     ds = _pq(sf_dir, "events", ["event_id", "event_type", "value"])
 
@@ -901,7 +872,7 @@ def q_incremental_dedup(sf_dir: str) -> pd.DataFrame:
     twin anti-joins on the raw text (same relation on any corpus
     without hash collisions, like ``dedup_exact``)."""
     from .functions import dedup as fdedup
-    from .stages.joins import _bucket_of
+    from .ops.exchange import _bucket_of
 
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
     half = ds.count() // 2
@@ -1019,7 +990,7 @@ def q_cross_source_dups(sf_dir: str) -> pd.DataFrame:
             .groupby(["h", "source"], as_index=False) \
             .size().rename(columns={"size": "n"})
 
-    from .stages.joins import _bucket_of
+    from .ops.exchange import _bucket_of
 
     empty = _empty_typed(source_a=object, source_b=object,
                          n_pairs="int64")
@@ -1111,26 +1082,14 @@ def q_weekly_active_users(sf_dir: str) -> pd.DataFrame:
     event_days = _reduce_partials(
         ev.map_batches(day_partial, batch_format="pandas"),
         ["day"], ["one"])
-    t = ev.map_batches(explode, batch_format="pandas").materialize()
-    n = t.count()
-    if n == 0:
+    # a user's pairs land in one key set, so per-set day counts sum
+    out = combine_by_key(
+        ev.map_batches(explode, batch_format="pandas"), ["user_id"],
+        lambda d: d.drop_duplicates().groupby("wday", as_index=False)
+        .agg(wau=("user_id", "size")))
+    if out.empty:
         return _empty_typed(day=object, wau="int64")
-    if n <= _qmod._REDUCE_GATE_ROWS:
-        dd = t.to_pandas().drop_duplicates()
-        out = dd.groupby("wday", as_index=False).agg(
-            wau=("user_id", "size"))
-    else:  # distinct pairs never reach the driver
-        from ray.data.aggregate import Count
-
-        with _scoped_parallelism(64):
-            pairs = t.groupby(["wday", "user_id"]).aggregate(Count())
-            parts = pairs.map_batches(
-                lambda b: b.groupby("wday", as_index=False).agg(
-                    wau=("user_id", "size")),
-                batch_format="pandas")
-            m2 = parts.materialize().to_pandas()
-            out = m2.groupby("wday", as_index=False).agg(
-                wau=("wau", "sum"))
+    out = out.groupby("wday", as_index=False)["wau"].sum()
     out = out[out["wday"].isin(set(event_days["day"]))]
     out["day"] = np.datetime_as_string(
         out["wday"].to_numpy(np.int64).astype("datetime64[D]"), unit="D")
@@ -1179,18 +1138,11 @@ def q_table_profile(sf_dir: str) -> pd.DataFrame:
         def dedup(b: pd.DataFrame, c=c) -> pd.DataFrame:
             return b[[c]].dropna().drop_duplicates()
 
-        m = _pq(sf_dir, "events", [c]) \
-            .map_batches(dedup, batch_format="pandas").materialize()
-        cnt = m.count()
-        if cnt == 0:
-            n_distinct = 0
-        elif cnt <= _qmod._REDUCE_GATE_ROWS:
-            n_distinct = int(m.to_pandas()[c].nunique())
-        else:  # distinct values never reach the driver
-            from ray.data.aggregate import Count
-
-            with _scoped_parallelism(32):
-                n_distinct = m.groupby(c).aggregate(Count()).count()
+        parts = combine_by_key(
+            _pq(sf_dir, "events", [c])
+            .map_batches(dedup, batch_format="pandas"), [c],
+            lambda d, c=c: pd.DataFrame({"n": [d[c].nunique()]}))
+        n_distinct = int(parts["n"].sum()) if len(parts.columns) else 0
         rows.append((c, n_rows, n_null, n_distinct))
     return pd.DataFrame(rows, columns=["column_name", "n_rows", "n_null",
                                        "n_distinct"]) \
@@ -1235,9 +1187,9 @@ def q_fk_audit(sf_dir: str, *,
     import pyarrow.parquet as pq
     import ray
 
-    from .stages.joins import _bucket_of
+    from .ops.exchange import _bucket_of
 
-    gate = (_qmod._REDUCE_GATE_ROWS if fact_broadcast_max is None
+    gate = (_xc.GATE_ROWS if fact_broadcast_max is None
             else fact_broadcast_max)
 
     def sorted_keys(table: str, col: str):
@@ -1479,7 +1431,7 @@ def q_dup_pagerank(sf_dir: str) -> pd.DataFrame:
     messages -> new state. Nodes/edges are the skinny dup tail of the
     corpus, never the documents table."""
     from .queries import (_WINNOW_PAIR_THRESHOLD, _winnow_pair_counts_ds)
-    from .stages.joins import _bucket_of
+    from .ops.exchange import _bucket_of
     import ray.data as rd
 
     def edges_of(b: pd.DataFrame) -> pd.DataFrame:
@@ -1506,7 +1458,7 @@ def q_dup_pagerank(sf_dir: str) -> pd.DataFrame:
     n_nodes = len(deg)
     base = (15 * _PR_Q) // (100 * n_nodes)
 
-    if n_nodes <= _qmod._REDUCE_GATE_ROWS:
+    if n_nodes <= _xc.GATE_ROWS:
         # the dup graph fits the driver (the common case — dup nodes
         # are the skinny tail of the corpus): identical int64 power
         # iteration in numpy, zero per-iteration exchanges
@@ -1730,10 +1682,9 @@ def q_user_type_breadth(sf_dir: str) -> pd.DataFrame:
     generalization of ``q_loyal_users``' division (k = #types is the
     loyal bucket). Same bitmask machinery (``functions.bitmask``,
     multi-word so ANY #types works): per-batch (user, OR-mask)
-    partials, ONE user-keyed ``AggregateFn`` OR exchange, then
-    per-block POPCOUNT histograms (k is bounded by #types) reduce to
-    #types rows on the driver — per-user rows never leave the
-    cluster."""
+    partials meet in the gated keyed combine, where each user set's
+    folded masks become a POPCOUNT histogram (k is bounded by #types)
+    — above the gate per-user rows never leave the cluster."""
     from .functions import bitmask as bm
 
     types_ds = _pq(sf_dir, "events", ["event_type"])
@@ -1762,19 +1713,12 @@ def q_user_type_breadth(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"n_types": h.index.to_numpy(np.int64),
                              "n_users": h.to_numpy(np.int64)})
 
-    masked = ds.map_batches(mask_partial, batch_format="pandas")
-    m, folded = bm.or_reduce_gated(masked, "user_id", nw,
-                                   _qmod._REDUCE_GATE_ROWS)
-    if folded is not None:
-        out = (popcount_hist(folded).groupby("n_types", as_index=False)
-               ["n_users"].sum() if len(folded)
-               else _empty_typed(n_types="int64", n_users="int64"))
-    else:
-        with _scoped_parallelism(32):
-            per_user = m.groupby("user_id").aggregate(*bm.or_agg_fns(nw))
-            out = _reduce_partials(
-                per_user.map_batches(popcount_hist, batch_format="pandas"),
-                ["n_types"], ["n_users"])
+    out = combine_by_key(
+        ds.map_batches(mask_partial, batch_format="pandas"), ["user_id"],
+        lambda d: popcount_hist(bm.fold_or(d, "user_id", nw)))
+    if out.empty:
+        return _empty_typed(n_types="int64", n_users="int64")
+    out = out.groupby("n_types", as_index=False)["n_users"].sum()
     return out.astype({"n_types": "int64", "n_users": "int64"}) \
         .sort_values("n_types").reset_index(drop=True)
 
@@ -1891,14 +1835,11 @@ def q_loyal_users(sf_dir: str) -> pd.DataFrame:
     BITMASK (``functions.bitmask``: ``ceil(#types/63)`` int64 words, so
     ANY domain size rides the same plan): per batch, (user,
     OR-of-type-bits) partials (vectorized ``np.bitwise_or.reduceat``
-    over the batch sorted by user), then the GATED keyed OR-reduce
-    (`bm.or_reduce_gated`): kilorow partials fold on the driver (a Ray
-    keyed AggregateFn exchange costs ~12s of pure overhead there);
-    above the gate ONE user-keyed distributed exchange combines masks
-    with per-word OR ``AggregateFn``s (bitwise-OR is associative +
-    commutative — exactly what Ray's combine/aggregate contract
-    needs), and per-block full-mask counts reduce to a driver-side
-    scalar — the full corpus never leaves the cluster. Type->bit
+    over the batch sorted by user), then the gated keyed combine:
+    each user set OR-folds its masks (``bm.fold_or``; bitwise-OR is
+    associative + commutative) and counts its full masks, and the
+    per-set counts sum to a driver-side scalar — above the gate the
+    full corpus never leaves the cluster. Type->bit
     assignment is computed from a first pruned pass over the distinct
     types (broadcast)."""
     from .functions import bitmask as bm
@@ -1930,17 +1871,11 @@ def q_loyal_users(sf_dir: str) -> pd.DataFrame:
             ok &= b[f"mask_{w}"].to_numpy(np.int64) == f
         return pd.DataFrame({"c": [int(ok.sum())]})
 
-    masked = ds.map_batches(mask_partial, batch_format="pandas")
-    m, folded = bm.or_reduce_gated(masked, "user_id", nw,
-                                   _qmod._REDUCE_GATE_ROWS)
-    if folded is not None:
-        n = int(full_count(folded)["c"].iloc[0]) if len(folded) else 0
-        return pd.DataFrame({"n_loyal": pd.Series([n], dtype="int64")})
-    with _scoped_parallelism(32):
-        per_user = m.groupby("user_id").aggregate(*bm.or_agg_fns(nw))
-        n = per_user.map_batches(full_count, batch_format="pandas").sum("c")
-    return pd.DataFrame({"n_loyal": pd.Series([int(n or 0)],
-                                              dtype="int64")})
+    parts = combine_by_key(
+        ds.map_batches(mask_partial, batch_format="pandas"), ["user_id"],
+        lambda d: full_count(bm.fold_or(d, "user_id", nw)))
+    n = int(parts["c"].sum()) if len(parts.columns) else 0
+    return pd.DataFrame({"n_loyal": pd.Series([n], dtype="int64")})
 
 
 # ---------------------------------------------------------------------------

@@ -61,11 +61,11 @@ import os
 import numpy as np
 import pandas as pd
 
-from . import queries as _qmod
-from .queries import (_cents, _empty_typed, _pq, _reduce_partials,
-                      _scoped_parallelism, register)
-from .stages.joins import (_bucket_of, _get_broadcast, adaptive_join,
-                           broadcast_join, isin_sorted)
+from .ops import exchange as _xc
+from .ops.exchange import _bucket_of, _scoped_parallelism, combine_by_key
+from .queries import _cents, _empty_typed, _pq, _reduce_partials, register
+from .stages.joins import (_get_broadcast, adaptive_join, broadcast_join,
+                           isin_sorted)
 
 # ---------------------------------------------------------------------------
 # TPC-H Q6: forecast revenue change (filter + global sum, zero joins)
@@ -316,9 +316,9 @@ def q_supplier_part_census(sf_dir: str) -> pd.DataFrame:
     from lineitem (no partsupp table). The qualifying part catalog
     broadcasts once (dimension); per-batch ``drop_duplicates`` is the
     distinct combiner (the exchange carries distinct 4-tuples per
-    batch, never raw lineitems), a second distinct above the gate runs
-    as a distributed keyed count (same two-level shape as
-    ``q_distinct_users_per_type``)."""
+    batch, never raw lineitems); the second distinct and the per-bucket
+    supplier counts run in the gated keyed combine on the supplier
+    (same two-level shape as ``q_distinct_users_per_type``)."""
     import pyarrow.parquet as pq
 
     part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
@@ -336,26 +336,14 @@ def q_supplier_part_census(sf_dir: str) -> pd.DataFrame:
     def pairs(b: pd.DataFrame) -> pd.DataFrame:
         return b[keys + ["l_suppkey"]].drop_duplicates()
 
-    m = joined.map_batches(pairs, batch_format="pandas").materialize()
-    n = m.count()
-    if n == 0:
+    out = combine_by_key(
+        joined.map_batches(pairs, batch_format="pandas"), ["l_suppkey"],
+        lambda d: d.drop_duplicates().groupby(keys, as_index=False)
+        .agg(supplier_cnt=("l_suppkey", "size")))
+    if out.empty:
         return _empty_typed(p_brand=object, p_type=object, p_size="int64",
                             supplier_cnt="int64")
-    if n <= _qmod._REDUCE_GATE_ROWS:
-        dd = m.to_pandas().drop_duplicates()
-        out = dd.groupby(keys, as_index=False) \
-            .agg(supplier_cnt=("l_suppkey", "size"))
-    else:  # distinct 4-tuples stay distributed: keyed dedup via a
-        # vectorized groupby().aggregate, then tiny per-bucket counts
-        from ray.data.aggregate import Count
-
-        with _scoped_parallelism(32):
-            counts = m.groupby(keys + ["l_suppkey"]).aggregate(Count()) \
-                .map_batches(
-                    lambda b: b.groupby(keys, as_index=False)
-                    .agg(supplier_cnt=("l_suppkey", "size")),
-                    batch_format="pandas")
-            out = _reduce_partials(counts, keys, ["supplier_cnt"])
+    out = out.groupby(keys, as_index=False)["supplier_cnt"].sum()
     return out.astype({"p_size": "int64", "supplier_cnt": "int64"}) \
         .sort_values(keys).reset_index(drop=True)
 
@@ -712,7 +700,7 @@ def q_bigram_pmi(sf_dir: str) -> pd.DataFrame:
     npart = m.count()
     if npart == 0:
         return empty
-    if npart <= _qmod._REDUCE_GATE_ROWS:
+    if npart <= _xc.GATE_ROWS:
         counts = m.to_pandas().groupby(["kind", "gram"],
                                        as_index=False)["n"].sum()
         uni = counts[counts["kind"] == 0]
@@ -837,10 +825,11 @@ def q_event_cooccurrence(sf_dir: str) -> pd.DataFrame:
     the lift ``n_ab * N / (n_a * n_b)`` — the market-basket op behind
     feature co-occurrence audits. Combiner discipline: per-batch
     distinct (user, type) pairs (the ``distinct_users_per_type``
-    combiner) ride a bounded reduce — the item vocabulary is the event-
-    type dimension, so the distinct exchange carries at most
-    #users x #types rows and pair expansion happens AFTER the per-user
-    dedup, bounded by C(#types, 2) per user. Lift divides identical
+    combiner) meet in the gated keyed combine on the user — a user's
+    basket lives in one key set, whose pair, per-type and user counts
+    come back as C(#types,2)-, #types- and scalar-sized partials that
+    sum exactly; pair expansion happens AFTER the per-user dedup,
+    bounded by C(#types, 2) per user. Lift divides identical
     int64 counts on both sides, rounded to the shared half-away 1e-6
     grid."""
     ds = _pq(sf_dir, "events", ["user_id", "event_type"])
@@ -848,11 +837,8 @@ def q_event_cooccurrence(sf_dir: str) -> pd.DataFrame:
     def pairs(b: pd.DataFrame) -> pd.DataFrame:
         return b.drop_duplicates()
 
-    m = ds.map_batches(pairs, batch_format="pandas").materialize()
     empty = _empty_typed(type_a=object, type_b=object, n_ab="int64",
                          lift="float64")
-    if m.count() == 0:
-        return empty
 
     def expand(ut: pd.DataFrame) -> pd.DataFrame:
         j = ut.merge(ut, on="user_id")
@@ -863,49 +849,29 @@ def q_event_cooccurrence(sf_dir: str) -> pd.DataFrame:
             .rename(columns={"event_type_x": "type_a",
                              "event_type_y": "type_b"})
 
-    if m.count() <= _qmod._REDUCE_GATE_ROWS:
-        ut = m.to_pandas().drop_duplicates()
-        n_users = int(ut["user_id"].nunique())
-        per_type = ut.groupby("event_type")["user_id"].size()
-        ab = expand(ut)
-    else:  # the (user, type) distinct table is corpus-scale: every
-        # per-user computation stays distributed — ONE bucketed
-        # hash(user_id) groupby co-locates a user's basket (a user
-        # lives in exactly one bucket, so pair/type/user partials sum
-        # exactly); the driver folds C(#types,2)-, #types- and
-        # scalar-sized partials only
-        _CO_BUCKETS = 32
+    def per_users(g: pd.DataFrame) -> pd.DataFrame:
+        ut = g.drop_duplicates()
+        p = expand(ut).rename(columns={"n_ab": "n"})
+        t = ut.groupby("event_type", as_index=False) \
+            .agg(n=("user_id", "size")) \
+            .rename(columns={"event_type": "type_a"})
+        t["type_b"] = "\x00type"  # sentinel kind: per-type counts
+        u = pd.DataFrame({"type_a": ["\x00users"],
+                          "type_b": ["\x00users"],
+                          "n": [ut["user_id"].nunique()]})
+        return pd.concat([p, t, u], ignore_index=True)
 
-        def tag(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.drop_duplicates()
-            b = b.assign(__bucket=_bucket_of(b["user_id"], _CO_BUCKETS))
-            return b
-
-        def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-            ut = g[["user_id", "event_type"]].drop_duplicates()
-            p = expand(ut)
-            t = ut.groupby("event_type", as_index=False) \
-                .agg(n=("user_id", "size")) \
-                .rename(columns={"event_type": "type_a"})
-            t["type_b"] = "\x00type"  # sentinel kind: per-type counts
-            u = pd.DataFrame({"type_a": ["\x00users"],
-                              "type_b": ["\x00users"],
-                              "n": [ut["user_id"].nunique()]})
-            p = p.rename(columns={"n_ab": "n"})
-            return pd.concat([p, t, u], ignore_index=True)
-
-        with _scoped_parallelism(_CO_BUCKETS):
-            partials = m.map_batches(tag, batch_format="pandas") \
-                .groupby("__bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
-            red = _reduce_partials(partials, ["type_a", "type_b"], ["n"])
-        n_users = int(red.loc[red["type_a"] == "\x00users", "n"].sum())
-        tc = red[red["type_b"] == "\x00type"]
-        per_type = pd.Series(tc["n"].to_numpy(np.int64),
-                             index=tc["type_a"])
-        ab = red[~red["type_b"].str.startswith("\x00")
-                 & ~red["type_a"].str.startswith("\x00")] \
-            .rename(columns={"n": "n_ab"}).copy()
+    red = combine_by_key(ds.map_batches(pairs, batch_format="pandas"),
+                         ["user_id"], per_users)
+    if red.empty:
+        return empty
+    red = red.groupby(["type_a", "type_b"], as_index=False)["n"].sum()
+    n_users = int(red.loc[red["type_a"] == "\x00users", "n"].sum())
+    tc = red[red["type_b"] == "\x00type"]
+    per_type = pd.Series(tc["n"].to_numpy(np.int64), index=tc["type_a"])
+    ab = red[~red["type_b"].str.startswith("\x00")
+             & ~red["type_a"].str.startswith("\x00")] \
+        .rename(columns={"n": "n_ab"}).copy()
     if ab.empty:
         return empty
     na = ab["type_a"].map(per_type).to_numpy(np.float64)
@@ -1488,17 +1454,16 @@ def q_min_cost_supplier(sf_dir: str) -> pd.DataFrame:
     Scale shape: region suppliers and qualifying parts collapse to two
     broadcast sorted-int64 key arrays (dimension-side, ``ray.put``
     once); lineitem streams through ONE per-batch (part, supp) MIN
-    pre-aggregation, and the reduce over pair partials rides the
-    ``_reduce_partials`` gate (driver-combine below, distributed
-    ``Min`` groupby above — pair cardinality is bounded by catalog x
-    suppliers, never by corpus rows). The argmin re-join, detail
-    attach, and top-k then run on that bounded table. Ties on min
+    pre-aggregation, and the gated keyed combine on the part reduces
+    the pair partials and keeps each part's argmin suppliers (pair
+    cardinality is bounded by catalog x suppliers, never by corpus
+    rows). The detail attach and top-k then run on that bounded
+    table. Ties on min
     cost keep ALL winning suppliers (exactly the SQL twin); the
     LIMIT's order key (acctbal DESC, n_name, s_name, p_partkey) is a
     total order because (s_name, p_partkey) is unique per winner row."""
     import pyarrow.parquet as pq
     import ray
-    from ray.data.aggregate import Min
 
     nation = pq.read_table(os.path.join(sf_dir, "nation.parquet")) \
         .to_pandas()
@@ -1538,20 +1503,15 @@ def q_min_cost_supplier(sf_dir: str) -> pd.DataFrame:
                              .to_numpy()[keep]}) \
             .groupby(["pk", "sk"], as_index=False).min()
 
-    m = li.map_batches(pair_min, batch_format="pandas").materialize()
-    n = m.count()
-    if n == 0:
+    def argmin(d: pd.DataFrame) -> pd.DataFrame:
+        pair = d.groupby(["pk", "sk"], as_index=False)["cost_c"].min()
+        best = pair.groupby("pk")["cost_c"].transform("min")
+        return pair[pair["cost_c"].to_numpy() == best.to_numpy()]
+
+    w = combine_by_key(li.map_batches(pair_min, batch_format="pandas"),
+                       ["pk"], argmin)
+    if w.empty:
         return empty
-    if n <= _qmod._REDUCE_GATE_ROWS:
-        pair = m.to_pandas().groupby(["pk", "sk"], as_index=False).min()
-    else:
-        with _scoped_parallelism(32):
-            pair = m.groupby(["pk", "sk"]).aggregate(
-                Min("cost_c", alias_name="cost_c")).to_pandas()
-    best = pair.groupby("pk", as_index=False)["cost_c"].min() \
-        .rename(columns={"cost_c": "min_c"})
-    w = pair.merge(best, on="pk")
-    w = w[w["cost_c"].to_numpy() == w["min_c"].to_numpy()]
     w = w.merge(sup[["s_suppkey", "s_name", "s_acctbal", "n_name"]],
                 left_on="sk", right_on="s_suppkey") \
         .merge(pt, left_on="pk", right_on="p_partkey")

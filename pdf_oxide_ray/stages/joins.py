@@ -12,10 +12,10 @@
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
+
+from ..ops.exchange import _bucket_of
 
 
 # per-worker-process cache of fetched broadcast sides; ray.get of the same
@@ -95,25 +95,6 @@ def isin_sorted(vals: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return (idx < keys.size) & (keys[np.minimum(idx, keys.size - 1)] == v)
 
 
-def _bucket_of(keys: pd.Series, num_buckets: int) -> np.ndarray:
-    arr = keys.to_numpy()
-    if arr.dtype.kind == "f":
-        # integral floats (int keys NaN-promoted by an upstream union
-        # reindex) must hash like the ints they are, or a chained join's
-        # two sides land in different buckets
-        as_int = arr.astype(np.int64, copy=False) \
-            if not np.isnan(arr).any() else None
-        if as_int is not None and np.array_equal(
-                as_int.astype(arr.dtype), arr):
-            arr = as_int
-    if arr.dtype.kind in "iu":
-        return (arr.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                >> np.uint64(32)).astype(np.int64) % num_buckets
-    return np.fromiter(
-        (zlib.crc32(str(k).encode()) for k in arr),
-        dtype=np.uint32, count=len(arr)).astype(np.int64) % num_buckets
-
-
 def bucketed_hash_join(left_ds, right_ds, left_on: str, right_on: str,
                        num_buckets: int = 32, how: str = "inner"):
     """Partitioned hash join of two Datasets.
@@ -190,10 +171,7 @@ def bucketed_hash_join(left_ds, right_ds, left_on: str, right_on: str,
 # both implementations co-locate rows by the equi-key via ONE
 # groupby(key) shuffle of tagged skinny projections; within a group the
 # time logic is a vectorized searchsorted over the sorted right side.
-# Skew: a hot key lands whole in one group — use ``salted_asof_join`` /
-# ``salted_range_count_join`` (below) when a single key's rows can
-# exceed a worker's heap: they sub-key the shuffle by time bucket and
-# stitch exactness at the bucket boundary.
+# Skew: a hot key lands whole in one group.
 
 
 _ADAPTIVE_BROADCAST_MAX_ROWS = 5_000_000
@@ -210,9 +188,10 @@ def adaptive_join(left_ds, right_ds, left_on: str, right_on: str,
     otherwise fall back to the partitioned ``bucketed_hash_join``. Both
     strategies produce the identical inner-join relation, so the choice
     is pure physics — the same decision a cost-based optimizer makes
-    from table stats. The gate mirrors `_REDUCE_GATE_ROWS`' philosophy:
-    a skinny dimension or key-map side (rows × few columns) under ~5M
-    rows is cheaper to replicate than to shuffle both sides. Rows alone
+    from table stats. The gate mirrors the keyed combine's `GATE_ROWS`
+    (`ops/exchange.py`): a skinny dimension or key-map side (rows × few
+    columns) under ~5M rows is cheaper to replicate than to shuffle both
+    sides. Rows alone
     lie about WIDE sides (5M wide rows = tens of driver-side GB), so a
     byte gate (``size_bytes()`` — parquet metadata for un-executed
     reads, exact for materialized data) must pass as well."""
@@ -429,185 +408,8 @@ def range_count_join(left_ds, right_ds, on: str, left_ts: str,
                                                batch_format="pandas")
 
 
-# ---------------------------------------------------------------------------
-# hot-key salting for the temporal joins
-# ---------------------------------------------------------------------------
-#
-# groupby(key) lands every row of one key in ONE group: a pathological hot
-# key (the reference's hot-conversation skew, SURVEY §4) OOMs that worker.
-# The salted variants sub-key by TIME BUCKET so a hot key splits across
-# buckets, and stitch correctness at the bucket boundary:
-#
-# * asof: a left row whose match lives in an EARLIER bucket is covered by
-#   injecting per-(key, left-bucket) "carry" rows — the latest right row
-#   from any earlier bucket — computed from skinny per-bucket summaries
-#   (one groupby(key) over <= #buckets-per-key rows, never the raw data).
-# * range-count: the band [ts+lower, ts+upper) spans a BOUNDED time range,
-#   so each right row replicates into the <= ceil(span/width)+1 buckets
-#   whose left rows can see it — exact, no second pass.
-#
-# Only skinny tagged projections ride the exchanges, same as the unsalted
-# forms; the salted shuffle key is (key, bucket).
-
-
 def _ts_int(arr: np.ndarray) -> np.ndarray:
     """Timestamps (datetime64 or integral) -> int64 for bucket math."""
     if np.issubdtype(arr.dtype, np.datetime64):
         return arr.astype("datetime64[us]").astype(np.int64)
     return arr.astype(np.int64)
-
-
-def salted_asof_join(left_ds, right_ds, on: str, left_ts: str,
-                     right_ts: str, left_cols: list[str],
-                     right_cols: list[str], suffix: str = "_right",
-                     bucket_width_us: int = 86_400_000_000):
-    """``asof_join`` with time-bucket salting: the shuffle key is
-    (key, ts // bucket_width_us), so one hot key spreads over its time
-    range instead of landing whole in a single group. Exact DuckDB ASOF
-    semantics via boundary carries (see module comment)."""
-
-    def tag(side: str, ts_col: str, cols: list[str]):
-        def _tag(batch: pd.DataFrame) -> pd.DataFrame:
-            out = batch[[on, ts_col] + cols].copy()
-            out.columns = [on, "__ts"] + [f"__{side}_{c}" for c in cols]
-            out["__side"] = side
-            out["__bkt"] = _ts_int(out["__ts"].to_numpy()) \
-                // bucket_width_us
-            return out
-        return _tag
-
-    lt = left_ds.map_batches(tag("l", left_ts, left_cols),
-                             batch_format="pandas")
-    rt = right_ds.map_batches(tag("r", right_ts, right_cols),
-                              batch_format="pandas")
-    l_out = [f"__l_{c}" for c in left_cols]
-    r_out = [f"__r_{c}" for c in right_cols]
-    all_cols = [on, "__ts", "__side", "__bkt"] + l_out + r_out
-
-    def align(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.reindex(columns=all_cols)
-
-    lt = lt.map_batches(align, batch_format="pandas").materialize()
-    rt = rt.map_batches(align, batch_format="pandas").materialize()
-
-    # skinny per-(key, bucket) summaries: latest right row per bucket,
-    # plus the distinct buckets the left side occupies
-    def rsumm(b: pd.DataFrame) -> pd.DataFrame:
-        # last ROW per (key, bucket) — not GroupBy.last(), whose
-        # per-column last-non-null could stitch two different rows
-        b = b.sort_values("__ts", kind="mergesort")
-        return b.drop_duplicates([on, "__bkt"], keep="last")
-
-    def lbkts(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[[on, "__bkt"]].drop_duplicates().copy()
-        out["__side"] = "L"
-        return out.reindex(columns=all_cols)
-
-    summ = rt.map_batches(rsumm, batch_format="pandas")
-    need = lt.map_batches(lbkts, batch_format="pandas")
-
-    def carries(g: pd.DataFrame) -> pd.DataFrame:
-        """Per key: for each left bucket, emit the latest right row from
-        any STRICTLY earlier bucket (the boundary stitch)."""
-        rs = g[g["__side"] == "r"].sort_values(["__bkt", "__ts"],
-                                               kind="mergesort")
-        lb = np.unique(g.loc[g["__side"] == "L", "__bkt"]
-                       .to_numpy(np.int64))
-        if rs.empty or lb.size == 0:
-            return g.iloc[0:0][all_cols]
-        rbkt = rs["__bkt"].to_numpy(np.int64)
-        # index of the last right row with bucket < each left bucket
-        idx = np.searchsorted(rbkt, lb, side="left") - 1
-        keep = idx >= 0
-        if not keep.any():
-            return g.iloc[0:0][all_cols]
-        out = rs.iloc[idx[keep]].copy()
-        out["__bkt"] = lb[keep]  # re-home the carry into the left bucket
-        return out[all_cols]
-
-    carry = summ.union(need).groupby(on) \
-        .map_groups(carries, batch_format="pandas")
-
-    right_ts_out = right_ts + suffix if right_ts == left_ts else right_ts
-
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "l"].sort_values("__ts", kind="mergesort")
-        rg = g[g["__side"] == "r"].sort_values("__ts", kind="mergesort")
-        if lg.empty or rg.empty:
-            return pd.DataFrame(
-                columns=[on, left_ts, right_ts_out] + left_cols
-                + [c + suffix for c in right_cols])
-        idx = np.searchsorted(rg["__ts"].to_numpy(),
-                              lg["__ts"].to_numpy(), side="right") - 1
-        keep = idx >= 0
-        lg = lg[keep]
-        matched = rg.iloc[idx[keep]]
-        out = pd.DataFrame({on: lg[on].to_numpy(),
-                            left_ts: lg["__ts"].to_numpy(),
-                            right_ts_out: matched["__ts"].to_numpy()})
-        for c in left_cols:
-            out[c] = lg[f"__l_{c}"].to_numpy()
-        for c in right_cols:
-            out[c + suffix] = matched[f"__r_{c}"].to_numpy()
-        return out
-
-    return lt.union(rt).union(carry).groupby([on, "__bkt"]) \
-        .map_groups(per_group, batch_format="pandas")
-
-
-def salted_range_count_join(left_ds, right_ds, on: str, left_ts: str,
-                            right_ts: str, left_id: str, lower, upper,
-                            count_name: str = "n_in_range",
-                            bucket_width_us: int | None = None):
-    """``range_count_join`` with time-bucket salting. The band spans a
-    bounded range, so each right row replicates into every bucket whose
-    left rows can see it (<= ceil(span/width) + 1 copies) — exact with
-    no boundary pass. ``bucket_width_us`` defaults to the band span."""
-
-    def _dur_us(x) -> int:
-        if isinstance(x, pd.Timedelta):
-            return int(x / pd.Timedelta(microseconds=1))
-        return int(x)
-
-    lower_i, upper_i = _dur_us(lower), _dur_us(upper)
-    width = bucket_width_us or max(upper_i - lower_i, 1)
-
-    def ltag(b: pd.DataFrame) -> pd.DataFrame:
-        ts = b[left_ts]
-        return pd.DataFrame({
-            on: b[on], "__ts": ts, "__side": "l", "__id": b[left_id],
-            "__bkt": _ts_int(ts.to_numpy()) // width})
-
-    def rtag(b: pd.DataFrame) -> pd.DataFrame:
-        ts = b[right_ts]
-        ti = _ts_int(ts.to_numpy())
-        # left rows that can see right row r have ts in
-        # (r.ts - upper, r.ts - lower] -> replicate r to those buckets
-        b0 = (ti - upper_i) // width
-        b1 = (ti - lower_i) // width
-        reps = (b1 - b0 + 1).astype(np.int64)
-        idx = np.repeat(np.arange(len(b), dtype=np.int64), reps)
-        cum = np.concatenate([[0], np.cumsum(reps)])[:-1]
-        offs = np.arange(int(reps.sum()), dtype=np.int64) - \
-            np.repeat(cum, reps)
-        return pd.DataFrame({
-            on: b[on].to_numpy()[idx], "__ts": ts.to_numpy()[idx],
-            "__side": "r", "__id": -1,
-            "__bkt": b0.to_numpy()[idx] + offs
-            if hasattr(b0, "to_numpy") else b0[idx] + offs})
-
-    lt = left_ds.map_batches(ltag, batch_format="pandas")
-    rt = right_ds.map_batches(rtag, batch_format="pandas")
-
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "l"]
-        rts = np.sort(g.loc[g["__side"] == "r", "__ts"].to_numpy())
-        ts = lg["__ts"].to_numpy()
-        lo = np.searchsorted(rts, ts + lower, side="left")
-        hi = np.searchsorted(rts, ts + upper, side="left")
-        return pd.DataFrame({on: lg[on].to_numpy(),
-                             left_id: lg["__id"].to_numpy(),
-                             count_name: (hi - lo).astype(np.int64)})
-
-    return lt.union(rt).groupby([on, "__bkt"]) \
-        .map_groups(per_group, batch_format="pandas")

@@ -144,16 +144,16 @@ def test_single_word_domain_unchanged(ray_session):
 
 
 def test_bitmask_above_gate_distributed_path(ray_session, monkeypatch):
-    """Force the above-gate branch of ``bm.or_reduce_gated`` (the
-    distributed per-word OR AggregateFn exchange) and require the same
-    frames as the driver-fold path / the oracle."""
-    import pdf_oxide_ray.queries as Q
+    """Force the above-gate branch of the keyed combine (bucketed
+    ``bm.fold_or`` per key set) and require the same frames as the
+    driver-fold path / the oracle."""
+    from pdf_oxide_ray.ops import exchange
 
     sf = "/root/testdata/sf0.001"
     small = {n: QUERIES[n](sf)
              for n in ("loyal_users", "user_type_breadth",
                        "source_vocab_overlap")}
-    monkeypatch.setattr(Q, "_REDUCE_GATE_ROWS", 1)
+    monkeypatch.setattr(exchange, "GATE_ROWS", 1)
     for name, want in small.items():
         got = QUERIES[name](sf)
         _assert_equal(got, want, f"{name} above-gate")

@@ -13,6 +13,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_docs(tmp_path, seed: int, n_doc: int) -> str:
@@ -80,23 +81,6 @@ def _oracle(sf_dir: str, sql: str, tables: list) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 9])
 def test_tokenizer_family_matches_oracle_random(ray_session, tmp_path,
                                                 seed):
@@ -105,7 +89,7 @@ def test_tokenizer_family_matches_oracle_random(ray_session, tmp_path,
                  "vocab_coverage"):
         mine = QUERIES[name](d)
         gold = _oracle(d, ORACLE_SQL[name], ["documents"])
-        _assert_equal(mine, gold, name)
+        assert_frames_equal(mine, gold, name)
 
 
 def test_tokenizer_family_invariants(ray_session, tmp_path):
@@ -129,7 +113,7 @@ def test_order_backlog_matches_oracle_random(ray_session, tmp_path,
     mine = QUERIES["order_backlog"](d)
     gold = _oracle(d, ORACLE_SQL["order_backlog"],
                    ["orders", "lineitem"])
-    _assert_equal(mine, gold, "order_backlog")
+    assert_frames_equal(mine, gold, "order_backlog")
     # never-completing orders leave a terminal backlog
     assert int(mine["backlog"].iloc[-1]) > 0
 
@@ -137,16 +121,16 @@ def test_order_backlog_matches_oracle_random(ray_session, tmp_path,
 def test_order_backlog_above_gate_distributed_path(ray_session,
                                                    tmp_path,
                                                    monkeypatch):
-    """Force the distributed groupby-Max branch (gate -> 1) and
+    """Force the bucketed branch of the keyed combine (gate -> 1) and
     verify it is hash-identical to the oracle on the same input."""
-    import pdf_oxide_ray.queries_curation10 as c10
+    from pdf_oxide_ray.ops import exchange
 
     d = _write_orderbook(tmp_path, 21, 500)
-    monkeypatch.setattr(c10, "_OB_GATE_ROWS", 1)
+    monkeypatch.setattr(exchange, "GATE_ROWS", 1)
     mine = QUERIES["order_backlog"](d)
     gold = _oracle(d, ORACLE_SQL["order_backlog"],
                    ["orders", "lineitem"])
-    _assert_equal(mine, gold, "order_backlog[above-gate]")
+    assert_frames_equal(mine, gold, "order_backlog[above-gate]")
 
 
 def test_empty_input_parity_curation_r4k(ray_session, tmp_path):

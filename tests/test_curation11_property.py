@@ -14,6 +14,7 @@ import pytest
 
 import pdf_oxide_ray.queries_curation11 as c11
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_emb(tmp_path, seed: int, n: int, dim: int = 8,
@@ -41,23 +42,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 8])
 def test_nn_family_matches_oracle_with_ties(ray_session, tmp_path,
                                             seed):
@@ -65,7 +49,7 @@ def test_nn_family_matches_oracle_with_ties(ray_session, tmp_path,
     for name in ("knn_label_consistency", "embedding_margin"):
         mine = QUERIES[name](d)
         gold = _oracle(d, ORACLE_SQL[name])
-        _assert_equal(mine, gold, name)
+        assert_frames_equal(mine, gold, name)
 
 
 def test_single_label_margin_empty(ray_session, tmp_path):

@@ -13,6 +13,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_events(tmp_path, seed: int, n_ev: int,
@@ -51,30 +52,13 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 5])
 def test_family_matches_oracle_random(ray_session, tmp_path, seed):
     d = _write_events(tmp_path, seed, 4000)
     for name in ("exchange_skew_census", "debounce_census"):
         mine = QUERIES[name](d)
         gold = _oracle(d, ORACLE_SQL[name])
-        _assert_equal(mine, gold, name)
+        assert_frames_equal(mine, gold, name)
 
 
 def test_debounce_burst_spans_sorted_batches(ray_session, tmp_path):
@@ -85,7 +69,7 @@ def test_debounce_burst_spans_sorted_batches(ray_session, tmp_path):
     d = _write_events(tmp_path, 3, 10_000, burst=True)
     mine = QUERIES["debounce_census"](d)
     gold = _oracle(d, ORACLE_SQL["debounce_census"])
-    _assert_equal(mine, gold, "debounce_census")
+    assert_frames_equal(mine, gold, "debounce_census")
     view = mine[mine["event_type"] == "view"].iloc[0]
     assert int(view["n_bounce"]) >= 5000  # the burst is all bounces
 

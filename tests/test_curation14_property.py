@@ -14,6 +14,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_docs(tmp_path, seed: int, n_docs: int) -> str:
@@ -81,30 +82,13 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 5])
 def test_doc_ops_match_oracle_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, seed, 120)
     for name in ("dup_coverage", "split_balance"):
         mine = QUERIES[name](d)
         gold = _oracle(d, ORACLE_SQL[name])
-        _assert_equal(mine, gold, name)
+        assert_frames_equal(mine, gold, name)
 
 
 @pytest.mark.parametrize("seed", [1, 6])
@@ -113,7 +97,7 @@ def test_event_ops_match_oracle_random(ray_session, tmp_path, seed):
     for name in ("interarrival_percentiles", "user_event_entropy"):
         mine = QUERIES[name](d)
         gold = _oracle(d, ORACLE_SQL[name])
-        _assert_equal(mine, gold, name)
+        assert_frames_equal(mine, gold, name)
 
 
 def test_dup_coverage_invariants(ray_session, tmp_path):
@@ -139,7 +123,7 @@ def test_interarrival_burst_spans_sorted_batches(ray_session, tmp_path):
     d = _write_events(tmp_path, 3, 10_000, burst=True)
     mine = QUERIES["interarrival_percentiles"](d)
     gold = _oracle(d, ORACLE_SQL["interarrival_percentiles"])
-    _assert_equal(mine, gold, "interarrival_percentiles")
+    assert_frames_equal(mine, gold, "interarrival_percentiles")
     view = mine[mine["event_type"] == "view"].iloc[0]
     assert int(view["p50_s"]) == 0
 

@@ -14,6 +14,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_events(tmp_path, seed: int, n_ev: int,
@@ -99,29 +100,12 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed,ancient", [(0, False), (4, True)])
 def test_decay_matches_oracle(ray_session, tmp_path, seed, ancient):
     d = _write_events(tmp_path, seed, 3000, ancient=ancient)
     mine = QUERIES["decayed_event_popularity"](d)
     gold = _oracle(d, ORACLE_SQL["decayed_event_popularity"])
-    _assert_equal(mine, gold, "decayed_event_popularity")
+    assert_frames_equal(mine, gold, "decayed_event_popularity")
     # decayed weight can never exceed the raw count
     assert (mine["decayed_weight"]
             <= mine["n_events"].astype(np.float64)).all()
@@ -133,7 +117,7 @@ def test_doc_ops_match_oracle(ray_session, tmp_path, seed):
     for name in ("readability_scores", "dedup_method_agreement"):
         mine = QUERIES[name](d)
         gold = _oracle(d, ORACLE_SQL[name])
-        _assert_equal(mine, gold, name)
+        assert_frames_equal(mine, gold, name)
 
 
 def test_agreement_elevated_dup_rate(ray_session, tmp_path):
@@ -156,7 +140,7 @@ def test_agreement_elevated_dup_rate(ray_session, tmp_path):
     }).to_parquet(d / "documents.parquet", index=False)
     mine = QUERIES["dedup_method_agreement"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["dedup_method_agreement"])
-    _assert_equal(mine, gold, "dedup_method_agreement-dupheavy")
+    assert_frames_equal(mine, gold, "dedup_method_agreement-dupheavy")
     assert int(mine["n_both"].iloc[0]) >= 50  # detectors both fire
 
 
@@ -175,7 +159,7 @@ def test_readability_edge_docs(ray_session, tmp_path):
         .to_parquet(d / "documents.parquet", index=False)
     mine = QUERIES["readability_scores"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["readability_scores"])
-    _assert_equal(mine, gold, "readability_scores")
+    assert_frames_equal(mine, gold, "readability_scores")
     assert np.isnan(mine.loc[mine["doc_id"] == 0, "flesch"]).all()
     assert (mine["n_syllables"] >= mine["n_words"]).all()
 
@@ -186,7 +170,7 @@ def test_supplier_reliability_matches_oracle(ray_session, tmp_path,
     d = _write_lineitem(tmp_path, seed, 2500)
     mine = QUERIES["supplier_reliability"](d)
     gold = _oracle(d, ORACLE_SQL["supplier_reliability"])
-    _assert_equal(mine, gold, "supplier_reliability")
+    assert_frames_equal(mine, gold, "supplier_reliability")
     # Wilson LB is a strict shrink toward 0 from the raw rate
     assert (mine["wilson_lb"] <= mine["return_rate"] + 1e-12).all()
     assert (mine["wilson_lb"] >= 0).all()

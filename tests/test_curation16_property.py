@@ -14,6 +14,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_docs(tmp_path, seed: int, n_docs: int, vocab: int,
@@ -54,23 +55,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed,vocab", [(0, 2000), (5, 30)])
 def test_heavy_hitters_match_oracle(ray_session, tmp_path, seed,
                                     vocab):
@@ -79,7 +63,7 @@ def test_heavy_hitters_match_oracle(ray_session, tmp_path, seed,
     d = _write_docs(tmp_path, seed, 400, vocab, f"hh{vocab}")
     mine = QUERIES["token_heavy_hitters"](d)
     gold = _oracle(d, ORACLE_SQL["token_heavy_hitters"])
-    _assert_equal(mine, gold, "token_heavy_hitters")
+    assert_frames_equal(mine, gold, "token_heavy_hitters")
     # the guarantee the plan rides on: brute-force recount agrees
     docs = pd.read_parquet(os.path.join(d, "documents.parquet"))
     vc = docs["text"].str.split().explode().value_counts()
@@ -97,7 +81,7 @@ def test_split_safety_matches_oracle(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, seed, 120, 12, "ss", dup_every=12)
     mine = QUERIES["near_dup_split_safety"](d)
     gold = _oracle(d, ORACLE_SQL["near_dup_split_safety"])
-    _assert_equal(mine, gold, "near_dup_split_safety")
+    assert_frames_equal(mine, gold, "near_dup_split_safety")
     assert len(mine) > 0  # dups every 6 docs guarantee pairs
     assert abs(mine["share"].sum() - 1.0) < 1e-12
     assert (mine["split_lo"] <= mine["split_hi"]).all()
@@ -109,7 +93,7 @@ def test_dedup_prf_matches_oracle(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, seed, 150, 12, "prf", dup_every=12)
     mine = QUERIES["dedup_prf"](d)
     gold = _oracle(d, ORACLE_SQL["dedup_prf"])
-    _assert_equal(mine, gold, "dedup_prf")
+    assert_frames_equal(mine, gold, "dedup_prf")
     r = mine.iloc[0]
     assert r["n_both"] <= min(r["n_pred"], r["n_truth"])
     assert r["n_truth"] >= 13 * 12 // 2  # 13 copies of doc 0
@@ -138,4 +122,4 @@ def test_empty_input_parity_curation_r4q(ray_session, tmp_path):
     assert np.isnan(r["prec"]) and np.isnan(r["rec"]) \
         and np.isnan(r["f1"])
     gold = _oracle(str(d), ORACLE_SQL["dedup_prf"])
-    _assert_equal(prf, gold, "dedup_prf-empty")
+    assert_frames_equal(prf, gold, "dedup_prf-empty")

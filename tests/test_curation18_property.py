@@ -13,6 +13,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_docs(tmp_path, seed: int, n_docs: int) -> str:
@@ -88,29 +89,12 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 5])
 def test_datacard_matches_oracle(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, seed, 140)
     mine = QUERIES["corpus_datacard"](d)
     gold = _oracle(d, ORACLE_SQL["corpus_datacard"])
-    _assert_equal(mine, gold, "corpus_datacard")
+    assert_frames_equal(mine, gold, "corpus_datacard")
     r = mine.iloc[0]
     assert int(r["n_docs"]) == 140
     assert int(r["n_distinct"]) < 140  # dup family collapses
@@ -119,16 +103,16 @@ def test_datacard_matches_oracle(ray_session, tmp_path, seed):
 
 def test_datacard_above_gate_branch(ray_session, tmp_path,
                                     monkeypatch):
-    """Force the distributed keyed reduce + per-block collapse path
+    """Force the bucketed keyed combine + per-bucket collapse path
     (the 100 TB branch where the hash vocabulary must never land on
     the driver)."""
-    import pdf_oxide_ray.queries as Q
+    from pdf_oxide_ray.ops import exchange
 
-    monkeypatch.setattr(Q, "_REDUCE_GATE_ROWS", 1)
+    monkeypatch.setattr(exchange, "GATE_ROWS", 1)
     d = _write_docs(tmp_path, 3, 90)
     mine = QUERIES["corpus_datacard"](d)
     gold = _oracle(d, ORACLE_SQL["corpus_datacard"])
-    _assert_equal(mine, gold, "corpus_datacard-gate")
+    assert_frames_equal(mine, gold, "corpus_datacard-gate")
 
 
 @pytest.mark.parametrize("seed", [1, 8])
@@ -136,7 +120,7 @@ def test_source_decile_matches_oracle(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, seed, 140)
     mine = QUERIES["top_decile_share_by_source"](d)
     gold = _oracle(d, ORACLE_SQL["top_decile_share_by_source"])
-    _assert_equal(mine, gold, "top_decile_share_by_source")
+    assert_frames_equal(mine, gold, "top_decile_share_by_source")
     lone = mine[mine["source"] == "lonely"]
     assert len(lone) == 1 and int(lone["n_docs"].iloc[0]) == 1
     ok = mine["top_share"].dropna()
@@ -148,7 +132,7 @@ def test_nation_percentiles_match_oracle(ray_session, tmp_path, seed):
     d = _write_tpch(tmp_path, seed, 3000, 200, 9)
     mine = QUERIES["nation_value_percentiles"](d)
     gold = _oracle(d, ORACLE_SQL["nation_value_percentiles"])
-    _assert_equal(mine, gold, "nation_value_percentiles")
+    assert_frames_equal(mine, gold, "nation_value_percentiles")
     assert (mine["p25"] <= mine["p50"]).all()
     assert (mine["p50"] <= mine["p75"]).all()
 
@@ -164,7 +148,7 @@ def test_empty_input_parity_curation_r4s(ray_session, tmp_path):
         .to_parquet(d / "documents.parquet", index=False)
     card = QUERIES["corpus_datacard"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["corpus_datacard"])
-    _assert_equal(card, gold, "corpus_datacard-empty")
+    assert_frames_equal(card, gold, "corpus_datacard-empty")
     assert int(card["n_docs"].iloc[0]) == 0
     assert np.isnan(card["dup_rate"].iloc[0])
     assert len(QUERIES["top_decile_share_by_source"](str(d))) == 0

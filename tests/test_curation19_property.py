@@ -13,6 +13,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_docs(tmp_path, seed: int, n_docs: int) -> str:
@@ -94,29 +95,12 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 6])
 def test_fp_overlap_matches_oracle(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, seed, 120)
     mine = QUERIES["source_fp_overlap"](d)
     gold = _oracle(d, ORACLE_SQL["source_fp_overlap"])
-    _assert_equal(mine, gold, "source_fp_overlap")
+    assert_frames_equal(mine, gold, "source_fp_overlap")
     m = mine.set_index(["source_a", "source_b"])
     assert ("s0", "s1") in m.index  # the injected mirroring
     assert m.loc[("s0", "s1"), "jaccard"] > 0
@@ -130,7 +114,7 @@ def test_activity_gini_matches_oracle(ray_session, tmp_path, seed):
     d = _write_events(tmp_path, seed, 120)
     mine = QUERIES["user_activity_gini"](d)
     gold = _oracle(d, ORACLE_SQL["user_activity_gini"])
-    _assert_equal(mine, gold, "user_activity_gini")
+    assert_frames_equal(mine, gold, "user_activity_gini")
     g = mine["gini"].iloc[0]
     assert 0.0 < g < 1.0  # mega-user guarantees inequality
     assert int(mine["n_users"].iloc[0]) == 120
@@ -191,6 +175,6 @@ def test_empty_input_parity_curation_r4t(ray_session, tmp_path):
     assert len(QUERIES["embedding_pca_evr"](str(d))) == 0
     g = QUERIES["user_activity_gini"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["user_activity_gini"])
-    _assert_equal(g, gold, "user_activity_gini-empty")
+    assert_frames_equal(g, gold, "user_activity_gini-empty")
     assert int(g["n_users"].iloc[0]) == 0
     assert np.isnan(g["gini"].iloc[0])

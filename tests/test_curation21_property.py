@@ -12,6 +12,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_docs(tmp_path, seed: int, n_docs: int) -> str:
@@ -81,29 +82,12 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 6])
 def test_fuzzy_decontam_matches_oracle(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, seed, 130)
     mine = QUERIES["fuzzy_decontam_rate"](d)
     gold = _oracle(d, ORACLE_SQL["fuzzy_decontam_rate"])
-    _assert_equal(mine, gold, "fuzzy_decontam_rate")
+    assert_frames_equal(mine, gold, "fuzzy_decontam_rate")
     assert (mine["n_contam"] <= mine["n_train"]).all()
     assert ((mine["contam_rate"] >= 0)
             & (mine["contam_rate"] <= 1)).all()
@@ -114,7 +98,7 @@ def test_reorder_survival_matches_oracle(ray_session, tmp_path, seed):
     d = _write_orders(tmp_path, seed, 240)
     mine = QUERIES["reorder_survival"](d)
     gold = _oracle(d, ORACLE_SQL["reorder_survival"])
-    _assert_equal(mine, gold, "reorder_survival")
+    assert_frames_equal(mine, gold, "reorder_survival")
     assert len(mine) > 0
     # risk sets shrink over time; log-survival is non-increasing
     assert (np.diff(mine["n_risk"].to_numpy(np.int64)) < 0).all()
@@ -145,7 +129,7 @@ def test_reorder_survival_curve_hits_zero(ray_session, tmp_path):
     out.to_parquet(d / "orders.parquet", index=False)
     mine = QUERIES["reorder_survival"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["reorder_survival"])
-    _assert_equal(mine, gold, "reorder_survival-zero")
+    assert_frames_equal(mine, gold, "reorder_survival-zero")
     assert np.isnan(mine["log_surv6"].iloc[-1])
 
 
@@ -172,7 +156,7 @@ def test_reorder_survival_third_order_carries_max_day(ray_session,
     out.to_parquet(d / "orders.parquet", index=False)
     mine = QUERIES["reorder_survival"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["reorder_survival"])
-    _assert_equal(mine, gold, "reorder_survival-maxday")
+    assert_frames_equal(mine, gold, "reorder_survival-maxday")
     # user 1 (censored at 90-2=88) must still be at risk at t=5
     assert int(mine.loc[mine["t_days"] == 5, "n_risk"].iloc[0]) == 2
 

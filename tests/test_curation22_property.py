@@ -13,6 +13,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_docs(tmp_path, tag: str, df: pd.DataFrame) -> str:
@@ -50,29 +51,12 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 7])
 def test_tokens_chars_ols_matches_oracle(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, f"ols{seed}", _rand_docs(seed, 160))
     mine = QUERIES["tokens_chars_ols"](d)
     gold = _oracle(d, ORACLE_SQL["tokens_chars_ols"])
-    _assert_equal(mine, gold, "tokens_chars_ols")
+    assert_frames_equal(mine, gold, "tokens_chars_ols")
     # tokens grow with chars on word-salad text: positive fits
     assert (mine["slope"].dropna() > 0).all()
     r2 = mine["r2"].dropna()
@@ -89,7 +73,7 @@ def test_tokens_chars_ols_degenerate_groups(ray_session, tmp_path):
     d = _write_docs(tmp_path, "olsdeg", _docs_frame(texts, sources))
     mine = QUERIES["tokens_chars_ols"](d)
     gold = _oracle(d, ORACLE_SQL["tokens_chars_ols"])
-    _assert_equal(mine, gold, "tokens_chars_ols-degenerate")
+    assert_frames_equal(mine, gold, "tokens_chars_ols-degenerate")
     sx = mine.set_index("source")
     assert np.isnan(sx.loc["sX", "slope"])
     assert np.isnan(sx.loc["sX", "r2"])
@@ -100,7 +84,7 @@ def test_source_js_matrix_matches_oracle(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, f"js{seed}", _rand_docs(seed, 120))
     mine = QUERIES["source_js_matrix"](d)
     gold = _oracle(d, ORACLE_SQL["source_js_matrix"])
-    _assert_equal(mine, gold, "source_js_matrix")
+    assert_frames_equal(mine, gold, "source_js_matrix")
     # JS is bounded by ln 2 and non-negative (up to the 1e-12 grid)
     assert ((mine["js"] >= -1e-9)
             & (mine["js"] <= np.log(2) + 1e-9)).all()
@@ -117,7 +101,7 @@ def test_source_js_matrix_identical_and_disjoint(ray_session,
     d = _write_docs(tmp_path, "jsedge", _docs_frame(texts, sources))
     mine = QUERIES["source_js_matrix"](d)
     gold = _oracle(d, ORACLE_SQL["source_js_matrix"])
-    _assert_equal(mine, gold, "source_js_matrix-edge")
+    assert_frames_equal(mine, gold, "source_js_matrix-edge")
     m = mine.set_index(["source_a", "source_b"])["js"]
     assert m.loc[("sA", "sB")] == 0.0
     assert abs(m.loc[("sA", "sC")] - np.log(2)) < 1e-6
@@ -147,7 +131,7 @@ def test_candidate_jaccard_hist_matches_oracle(ray_session, tmp_path,
                     _docs_frame(texts, ["s0"] * 90))
     mine = QUERIES["candidate_jaccard_hist"](d)
     gold = _oracle(d, ORACLE_SQL["candidate_jaccard_hist"])
-    _assert_equal(mine, gold, "candidate_jaccard_hist")
+    assert_frames_equal(mine, gold, "candidate_jaccard_hist")
     assert len(mine) > 0
     assert mine["jbin"].max() == 9      # the exact copies land in 9
     assert ((mine["mean_j"] > 0) & (mine["mean_j"] <= 1.0)).all()

@@ -12,6 +12,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_emb(tmp_path, tag: str, mat: np.ndarray,
@@ -42,23 +43,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 5])
 def test_split_embedding_drift_matches_oracle(ray_session, tmp_path,
                                               seed):
@@ -66,7 +50,7 @@ def test_split_embedding_drift_matches_oracle(ray_session, tmp_path,
     d = _write_emb(tmp_path, f"drift{seed}", mat, labels)
     mine = QUERIES["split_embedding_drift"](d)
     gold = _oracle(d, ORACLE_SQL["split_embedding_drift"])
-    _assert_equal(mine, gold, "split_embedding_drift")
+    assert_frames_equal(mine, gold, "split_embedding_drift")
     assert (mine["drift"] >= 0).all()
     # a random split of the same cluster drifts far less than the
     # inter-center distance scale
@@ -97,7 +81,7 @@ def test_split_drift_one_sided_label_excluded(ray_session, tmp_path):
         .to_parquet(d / "embeddings.parquet", index=False)
     mine = QUERIES["split_embedding_drift"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["split_embedding_drift"])
-    _assert_equal(mine, gold, "split_embedding_drift-oneside")
+    assert_frames_equal(mine, gold, "split_embedding_drift-oneside")
     assert set(mine["label"]) == {1}
 
 
@@ -107,7 +91,7 @@ def test_hubness_census_matches_oracle(ray_session, tmp_path, seed):
     d = _write_emb(tmp_path, f"hub{seed}", mat, labels)
     mine = QUERIES["hubness_census"](d)
     gold = _oracle(d, ORACLE_SQL["hubness_census"])
-    _assert_equal(mine, gold, "hubness_census")
+    assert_frames_equal(mine, gold, "hubness_census")
     n = 120
     assert int(mine["n_vecs"].sum()) == n
     assert int((mine["occ"] * mine["n_vecs"]).sum()) == n * 10
@@ -127,7 +111,7 @@ def test_hubness_forced_hub(ray_session, tmp_path):
                    np.zeros(40, dtype=np.int64))
     mine = QUERIES["hubness_census"](d)
     gold = _oracle(d, ORACLE_SQL["hubness_census"])
-    _assert_equal(mine, gold, "hubness_census-forced")
+    assert_frames_equal(mine, gold, "hubness_census-forced")
     assert int(mine["occ"].max()) == 39
 
 
@@ -139,7 +123,7 @@ def test_hubness_small_n(ray_session, tmp_path):
                    np.zeros(3, dtype=np.int64))
     mine = QUERIES["hubness_census"](d)
     gold = _oracle(d, ORACLE_SQL["hubness_census"])
-    _assert_equal(mine, gold, "hubness_census-small")
+    assert_frames_equal(mine, gold, "hubness_census-small")
     assert mine["occ"].tolist() == [2]
     assert mine["n_vecs"].tolist() == [3]
 

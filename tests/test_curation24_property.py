@@ -13,6 +13,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_docs(tmp_path, tag: str, texts, sources) -> str:
@@ -45,30 +46,13 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 6])
 def test_shuffle_autocorr_matches_oracle(ray_session, tmp_path, seed):
     texts, sources = _rand_docs(seed, 300)
     d = _write_docs(tmp_path, f"shuf{seed}", texts, sources)
     mine = QUERIES["shuffle_autocorr"](d)
     gold = _oracle(d, ORACLE_SQL["shuffle_autocorr"])
-    _assert_equal(mine, gold, "shuffle_autocorr")
+    assert_frames_equal(mine, gold, "shuffle_autocorr")
     # adjacency mass conservation: total adjacent-same pairs < N
     assert int(mine["n_adj"].sum()) < int(mine["n_docs"].sum())
 
@@ -80,7 +64,7 @@ def test_shuffle_autocorr_single_source(ray_session, tmp_path):
     d = _write_docs(tmp_path, "onesrc", texts, ["only"] * 120)
     mine = QUERIES["shuffle_autocorr"](d)
     gold = _oracle(d, ORACLE_SQL["shuffle_autocorr"])
-    _assert_equal(mine, gold, "shuffle_autocorr-onesrc")
+    assert_frames_equal(mine, gold, "shuffle_autocorr-onesrc")
     assert int(mine["n_adj"].iloc[0]) == 119
 
 
@@ -91,7 +75,7 @@ def test_shuffle_autocorr_singleton_source(ray_session, tmp_path):
     d = _write_docs(tmp_path, "lone", texts, sources)
     mine = QUERIES["shuffle_autocorr"](d)
     gold = _oracle(d, ORACLE_SQL["shuffle_autocorr"])
-    _assert_equal(mine, gold, "shuffle_autocorr-lone")
+    assert_frames_equal(mine, gold, "shuffle_autocorr-lone")
     lone = mine.set_index("source").loc["lone"]
     assert lone["exp_pairs"] == 0.0 and np.isnan(lone["clump_ratio"])
 
@@ -102,7 +86,7 @@ def test_dp_source_counts_matches_oracle(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, f"dp{seed}", texts, sources)
     mine = QUERIES["dp_source_counts"](d)
     gold = _oracle(d, ORACLE_SQL["dp_source_counts"])
-    _assert_equal(mine, gold, "dp_source_counts")
+    assert_frames_equal(mine, gold, "dp_source_counts")
     # noise is Laplace(b=10): all noisy counts within ~40 of truth
     # for any u in md5's range at these sizes (|noise| = b|ln(eps)|
     # worst case, but md5 uniforms are never that extreme here)
@@ -123,7 +107,7 @@ def test_quality_dup_lift_matches_oracle(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, f"lift{seed}", texts, sources)
     mine = QUERIES["quality_dup_lift"](d)
     gold = _oracle(d, ORACLE_SQL["quality_dup_lift"])
-    _assert_equal(mine, gold, "quality_dup_lift")
+    assert_frames_equal(mine, gold, "quality_dup_lift")
     assert int(mine["n_docs"].sum()) == 250
     assert int(mine["n_dups"].sum()) >= 28  # the copy family
     assert ((mine["dup_rate"] >= 0) & (mine["dup_rate"] <= 1)).all()
@@ -136,7 +120,7 @@ def test_quality_dup_lift_all_same_text(ray_session, tmp_path):
                     ["s0"] * 40)
     mine = QUERIES["quality_dup_lift"](d)
     gold = _oracle(d, ORACLE_SQL["quality_dup_lift"])
-    _assert_equal(mine, gold, "quality_dup_lift-same")
+    assert_frames_equal(mine, gold, "quality_dup_lift-same")
     assert mine["decile"].tolist() == [9]
     assert mine["dup_rate"].tolist() == [1.0]
 

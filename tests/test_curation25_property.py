@@ -13,6 +13,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 _WEEK_US = 7 * 86_400_000_000
 
@@ -58,23 +59,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 7])
 def test_value_psi_matches_oracle(ray_session, tmp_path, seed):
     rs = np.random.RandomState(seed)
@@ -85,7 +69,7 @@ def test_value_psi_matches_oracle(ray_session, tmp_path, seed):
     d = _write_events(tmp_path, f"psi{seed}", weeks, values)
     mine = QUERIES["value_psi_weekly"](d)
     gold = _oracle(d, ORACLE_SQL["value_psi_weekly"])
-    _assert_equal(mine, gold, "value_psi_weekly")
+    assert_frames_equal(mine, gold, "value_psi_weekly")
     by = mine.set_index("week")["psi"]
     assert by.iloc[0] == 0.0           # reference week vs itself
     assert by.iloc[-1] > by.iloc[1]    # the shifted week spikes
@@ -99,7 +83,7 @@ def test_value_psi_identical_weeks(ray_session, tmp_path):
     d = _write_events(tmp_path, "same", weeks, vals + vals)
     mine = QUERIES["value_psi_weekly"](d)
     gold = _oracle(d, ORACLE_SQL["value_psi_weekly"])
-    _assert_equal(mine, gold, "value_psi_weekly-same")
+    assert_frames_equal(mine, gold, "value_psi_weekly-same")
     assert mine["psi"].tolist() == [0.0, 0.0]
 
 
@@ -111,7 +95,7 @@ def test_value_psi_disjoint_week_clamp(ray_session, tmp_path):
     d = _write_events(tmp_path, "clamp", weeks, vals)
     mine = QUERIES["value_psi_weekly"](d)
     gold = _oracle(d, ORACLE_SQL["value_psi_weekly"])
-    _assert_equal(mine, gold, "value_psi_weekly-clamp")
+    assert_frames_equal(mine, gold, "value_psi_weekly-clamp")
     assert mine["psi"].iloc[1] > 1.0   # massive drift
 
 
@@ -124,7 +108,7 @@ def test_glove_cooc_matches_oracle(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, f"cooc{seed}", texts)
     mine = QUERIES["glove_cooc_topk"](d)
     gold = _oracle(d, ORACLE_SQL["glove_cooc_topk"])
-    _assert_equal(mine, gold, "glove_cooc_topk")
+    assert_frames_equal(mine, gold, "glove_cooc_topk")
     assert len(mine) == 50
     assert (mine["tok_a"] <= mine["tok_b"]).all()
     ws = mine["weight"].to_numpy(np.int64)
@@ -137,7 +121,7 @@ def test_glove_cooc_exact_weights(ray_session, tmp_path):
     d = _write_docs(tmp_path, "tiny", ["a b c d e a", "x y"])
     mine = QUERIES["glove_cooc_topk"](d)
     gold = _oracle(d, ORACLE_SQL["glove_cooc_topk"])
-    _assert_equal(mine, gold, "glove_cooc_topk-tiny")
+    assert_frames_equal(mine, gold, "glove_cooc_topk-tiny")
     m = mine.set_index(["tok_a", "tok_b"])["weight"]
     # (a,b): d=1 -> 12; plus (b, a@pos6) d=4 -> 3 => 15
     assert int(m.loc[("a", "b")]) == 15

@@ -12,8 +12,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-import pdf_oxide_ray.queries as Q
+from pdf_oxide_ray.ops import exchange
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -24,23 +25,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                         f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_orders(d, dates, prices, custkey=None):
@@ -100,7 +84,7 @@ def test_dow_seasonality_random(ray_session, tmp_path, seed):
     _write_orders(d, dates, prices)
     mine = QUERIES["dow_seasonality"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["dow_seasonality"])
-    _assert_equal(mine, gold, "dow_seasonality")
+    assert_frames_equal(mine, gold, "dow_seasonality")
     assert len(mine) == 7  # 400-day span covers every dow
 
 
@@ -113,7 +97,7 @@ def test_lineitem_fanout_zero_group(ray_session, tmp_path):
     _write_lineitem(d, keys)
     mine = QUERIES["lineitem_fanout_hist"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["lineitem_fanout_hist"])
-    _assert_equal(mine, gold, "lineitem_fanout_hist")
+    assert_frames_equal(mine, gold, "lineitem_fanout_hist")
     zero = mine[mine["n_items"] == 0]
     assert len(zero) == 1 and int(zero["n_orders"].iloc[0]) >= 15
     assert int(mine["n_orders"].sum()) == 40
@@ -123,13 +107,13 @@ def test_lineitem_fanout_above_gate_branch(ray_session, tmp_path,
                                            monkeypatch):
     """Force the distributed per-order reduce + histogram-partials
     path."""
-    monkeypatch.setattr(Q, "_REDUCE_GATE_ROWS", 1)
+    monkeypatch.setattr(exchange, "GATE_ROWS", 1)
     d = tmp_path / "fanout-gate"
     _write_orders(d, [pd.Timestamp("2024-01-01")] * 10, [100.0] * 10)
     _write_lineitem(d, [1, 1, 1, 2, 2, 3, 4, 4, 4, 4])
     mine = QUERIES["lineitem_fanout_hist"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["lineitem_fanout_hist"])
-    _assert_equal(mine, gold, "lineitem_fanout_hist-gate")
+    assert_frames_equal(mine, gold, "lineitem_fanout_hist-gate")
 
 
 @pytest.mark.parametrize("seed", [1, 23])
@@ -142,7 +126,7 @@ def test_markov_stationary_random(ray_session, tmp_path, seed):
     _write_events(d, rng.integers(0, 40, n), types)
     mine = QUERIES["event_markov_stationary"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["event_markov_stationary"])
-    _assert_equal(mine, gold, "event_markov_stationary")
+    assert_frames_equal(mine, gold, "event_markov_stationary")
     assert abs(mine["stat_prob"].sum() - 1.0) < 1e-6
 
 
@@ -156,7 +140,7 @@ def test_markov_absorbing_and_cycle(ray_session, tmp_path):
     _write_events(d, user, typ)
     mine = QUERIES["event_markov_stationary"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["event_markov_stationary"])
-    _assert_equal(mine, gold, "event_markov_stationary-forced")
+    assert_frames_equal(mine, gold, "event_markov_stationary-forced")
     # mass concentrates in the absorbing state
     end = mine.set_index("event_type")["stat_prob"]
     assert end["end"] > end["a"] and end["end"] > end["b"]
@@ -173,7 +157,7 @@ def test_markov_entry_only_state(ray_session, tmp_path):
     _write_events(d, user, typ)
     mine = QUERIES["event_markov_stationary"](str(d))
     gold = _oracle(str(d), ORACLE_SQL["event_markov_stationary"])
-    _assert_equal(mine, gold, "event_markov_stationary-entry-only")
+    assert_frames_equal(mine, gold, "event_markov_stationary-entry-only")
     probs = mine.set_index("event_type")["stat_prob"]
     assert set(probs.index) == {"start", "x"}
     assert probs["start"] == 0.0 and probs["x"] > 0.99

@@ -13,6 +13,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -23,23 +24,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                         f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_docs(tmp_path, tag, sources, texts):
@@ -78,7 +62,7 @@ def test_wasserstein_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, f"r{seed}", srcs, texts)
     mine = QUERIES["source_length_wasserstein"](d)
     gold = _oracle(d, ORACLE_SQL["source_length_wasserstein"])
-    _assert_equal(mine, gold, "source_length_wasserstein")
+    assert_frames_equal(mine, gold, "source_length_wasserstein")
     assert len(mine) == 3
 
 
@@ -92,7 +76,7 @@ def test_wasserstein_forced_shapes(ray_session, tmp_path):
     d = _write_docs(tmp_path, "forced", srcs, texts)
     mine = QUERIES["source_length_wasserstein"](d)
     gold = _oracle(d, ORACLE_SQL["source_length_wasserstein"])
-    _assert_equal(mine, gold, "wasserstein-forced")
+    assert_frames_equal(mine, gold, "wasserstein-forced")
     m = mine.set_index(["source_a", "source_b"])["w1"]
     assert m[("same1", "same2")] == 0.0
     assert m[("far1", "far2")] == 10.0
@@ -106,7 +90,7 @@ def test_wasserstein_single_source_and_one_point(ray_session, tmp_path):
                      ["x y", "p q", "r s"])
     mine = QUERIES["source_length_wasserstein"](d2)
     gold = _oracle(d2, ORACLE_SQL["source_length_wasserstein"])
-    _assert_equal(mine, gold, "wasserstein-onept")
+    assert_frames_equal(mine, gold, "wasserstein-onept")
     assert mine["w1"].iloc[0] == 0.0
 
 
@@ -119,7 +103,7 @@ def test_cluster_silhouette_random(ray_session, tmp_path, seed):
     d = _write_emb(tmp_path, f"r{seed}", mat)
     mine = QUERIES["cluster_silhouette"](d)
     gold = _oracle(d, ORACLE_SQL["cluster_silhouette"])
-    _assert_equal(mine, gold, "cluster_silhouette")
+    assert_frames_equal(mine, gold, "cluster_silhouette")
     assert int(mine["n"].sum()) == 150
     assert (mine["mean_sil"].abs() <= 1.0).all()
 

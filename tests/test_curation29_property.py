@@ -15,6 +15,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -25,23 +26,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                         f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_events(d, user_ids, offsets_s, types):
@@ -82,7 +66,7 @@ def test_bounce_rate_random(ray_session, tmp_path, seed):
                       rng.choice(["view", "click", "buy"], n))
     mine = QUERIES["bounce_rate"](d)
     gold = _oracle(d, ORACLE_SQL["bounce_rate"])
-    _assert_equal(mine, gold, "bounce_rate")
+    assert_frames_equal(mine, gold, "bounce_rate")
 
 
 def test_bounce_rate_exact_gap_and_bounces(ray_session, tmp_path):
@@ -95,7 +79,7 @@ def test_bounce_rate_exact_gap_and_bounces(ray_session, tmp_path):
                       ["view", "click", "buy", "view"])
     mine = QUERIES["bounce_rate"](d)
     gold = _oracle(d, ORACLE_SQL["bounce_rate"])
-    _assert_equal(mine, gold, "bounce_rate-forced")
+    assert_frames_equal(mine, gold, "bounce_rate-forced")
     m = mine.set_index("entry_type")
     # user1: session(view,click) + session(buy-bounce); user2: view-bounce
     assert int(m.loc["view", "n_sessions"]) == 2
@@ -112,7 +96,7 @@ def test_negative_sampling_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path / f"neg-{seed}", texts)
     mine = QUERIES["negative_sampling_table"](d)
     gold = _oracle(d, ORACLE_SQL["negative_sampling_table"])
-    _assert_equal(mine, gold, "negative_sampling_table")
+    assert_frames_equal(mine, gold, "negative_sampling_table")
     assert len(mine) == 50
     assert abs(mine["neg_prob"].sum() - 1.0) < 1e-9
 
@@ -124,12 +108,12 @@ def test_negative_sampling_ties_and_small_vocab(ray_session, tmp_path):
     d = _write_docs(tmp_path / "neg-tie", texts)
     mine = QUERIES["negative_sampling_table"](d)
     gold = _oracle(d, ORACLE_SQL["negative_sampling_table"])
-    _assert_equal(mine, gold, "negative_sampling-ties")
+    assert_frames_equal(mine, gold, "negative_sampling-ties")
     assert mine["token"].tolist() == sorted(mine["token"])[:50]
     d2 = _write_docs(tmp_path / "neg-small", ["a a a", "b b", "c"])
     mine2 = QUERIES["negative_sampling_table"](d2)
     gold2 = _oracle(d2, ORACLE_SQL["negative_sampling_table"])
-    _assert_equal(mine2, gold2, "negative_sampling-small")
+    assert_frames_equal(mine2, gold2, "negative_sampling-small")
     assert mine2["token"].tolist() == ["a", "b", "c"]
 
 
@@ -144,7 +128,7 @@ def test_funnel_latency_random(ray_session, tmp_path, seed):
                                  p=[0.5, 0.2, 0.3]))
     mine = QUERIES["funnel_latency"](d)
     gold = _oracle(d, ORACLE_SQL["funnel_latency"])
-    _assert_equal(mine, gold, "funnel_latency")
+    assert_frames_equal(mine, gold, "funnel_latency")
 
 
 def test_funnel_latency_forced(ray_session, tmp_path):
@@ -158,7 +142,7 @@ def test_funnel_latency_forced(ray_session, tmp_path):
         ["view", "purchase", "view", "purchase", "view", "purchase"])
     mine = QUERIES["funnel_latency"](d)
     gold = _oracle(d, ORACLE_SQL["funnel_latency"])
-    _assert_equal(mine, gold, "funnel_latency-forced")
+    assert_frames_equal(mine, gold, "funnel_latency-forced")
     assert int(mine["n_converted"].iloc[0]) == 2
     assert mine["p50_s"].iloc[0] == 0.0
     assert mine["p99_s"].iloc[0] == 90.0
@@ -167,5 +151,5 @@ def test_funnel_latency_forced(ray_session, tmp_path):
                        ["view", "view"])
     mine2 = QUERIES["funnel_latency"](d2)
     gold2 = _oracle(d2, ORACLE_SQL["funnel_latency"])
-    _assert_equal(mine2, gold2, "funnel_latency-none")
+    assert_frames_equal(mine2, gold2, "funnel_latency-none")
     assert int(mine2["n_converted"].iloc[0]) == 0

@@ -12,7 +12,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-import pdf_oxide_ray.queries as Q
+from pdf_oxide_ray.ops import exchange
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
 
 
@@ -104,9 +104,9 @@ def test_dup_audits_random(ray_session, tmp_path, seed):
 
 def test_dup_audits_above_gate_branch(ray_session, tmp_path,
                                       monkeypatch):
-    """Force the distributed per-key census (block partials, driver
+    """Force the distributed per-key census (bucket partials, driver
     sums)."""
-    monkeypatch.setattr(Q, "_REDUCE_GATE_ROWS", 1)
+    monkeypatch.setattr(exchange, "GATE_ROWS", 1)
     d = _write_docs(tmp_path, "gate", _FORCED)
     for name in ("casefold_dup_gain", "bow_dup_census"):
         mine = QUERIES[name](d)

@@ -14,6 +14,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -22,23 +23,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW documents AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_docs(d, sources, langs, texts):
@@ -65,7 +49,7 @@ def test_repetition_census_random(ray_session, tmp_path, seed):
                     ["en"] * 160, texts)
     mine = QUERIES["repetition_census"](d)
     gold = _oracle(d, ORACLE_SQL["repetition_census"])
-    _assert_equal(mine, gold, "repetition_census")
+    assert_frames_equal(mine, gold, "repetition_census")
 
 
 def test_repetition_census_forced(ray_session, tmp_path):
@@ -82,7 +66,7 @@ def test_repetition_census_forced(ray_session, tmp_path):
                     texts)
     mine = QUERIES["repetition_census"](d)
     gold = _oracle(d, ORACLE_SQL["repetition_census"])
-    _assert_equal(mine, gold, "repetition_census-forced")
+    assert_frames_equal(mine, gold, "repetition_census-forced")
     r = mine.iloc[0]
     assert int(r["n_docs"]) == 5 and int(r["n_scored"]) == 3
     assert int(r["n_fail_top2"]) >= 1  # the bomb
@@ -103,7 +87,7 @@ def test_ccnet_buckets_random(ray_session, tmp_path, seed):
                     ["s0"] * len(texts), langs, texts)
     mine = QUERIES["ccnet_buckets"](d)
     gold = _oracle(d, ORACLE_SQL["ccnet_buckets"])
-    _assert_equal(mine, gold, "ccnet_buckets")
+    assert_frames_equal(mine, gold, "ccnet_buckets")
     # every lang's buckets sum back to its doc count
     tot = mine.groupby("lang")["n_docs"].sum()
     assert (tot == 60).all()
@@ -118,7 +102,7 @@ def test_ccnet_buckets_degenerate_and_na(ray_session, tmp_path):
     d = _write_docs(tmp_path / "ccn-forced", ["s0"] * 6, langs, texts)
     mine = QUERIES["ccnet_buckets"](d)
     gold = _oracle(d, ORACLE_SQL["ccnet_buckets"])
-    _assert_equal(mine, gold, "ccnet_buckets-forced")
+    assert_frames_equal(mine, gold, "ccnet_buckets-forced")
     m = mine.set_index(["lang", "bucket"])["n_docs"]
     assert int(m.loc[("xx", "tail")]) == 3
     assert ("xx", "head") not in m.index

@@ -14,6 +14,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -22,23 +23,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW documents AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_docs(d, texts):
@@ -67,7 +51,7 @@ def test_substring_pairs_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path / f"sub-{seed}", texts)
     mine = QUERIES["substring_dup_pairs"](d)
     gold = _oracle(d, ORACLE_SQL["substring_dup_pairs"])
-    _assert_equal(mine, gold, "substring_dup_pairs")
+    assert_frames_equal(mine, gold, "substring_dup_pairs")
 
 
 def test_substring_pairs_forced(ray_session, tmp_path):
@@ -84,7 +68,7 @@ def test_substring_pairs_forced(ray_session, tmp_path):
     d = _write_docs(tmp_path / "sub-forced", texts)
     mine = QUERIES["substring_dup_pairs"](d)
     gold = _oracle(d, ORACLE_SQL["substring_dup_pairs"])
-    _assert_equal(mine, gold, "substring_dup_pairs-forced")
+    assert_frames_equal(mine, gold, "substring_dup_pairs-forced")
     pairs = set(zip(mine["id_a"], mine["id_b"]))
     assert (0, 1) in pairs
     assert not any(a >= 3 or b >= 3 for a, b in pairs)
@@ -101,7 +85,7 @@ def test_threshold_curve_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path / f"curve-{seed}", texts)
     mine = QUERIES["winnow_threshold_curve"](d)
     gold = _oracle(d, ORACLE_SQL["winnow_threshold_curve"])
-    _assert_equal(mine, gold, "winnow_threshold_curve")
+    assert_frames_equal(mine, gold, "winnow_threshold_curve")
     # predicted pairs are monotonically nonincreasing in threshold
     assert (np.diff(mine.sort_values("threshold")["n_pred"]
                     .to_numpy()) <= 0).all()
@@ -111,7 +95,7 @@ def test_threshold_curve_empty(ray_session, tmp_path):
     d = _write_docs(tmp_path / "curve-empty", [])
     mine = QUERIES["winnow_threshold_curve"](d)
     gold = _oracle(d, ORACLE_SQL["winnow_threshold_curve"])
-    _assert_equal(mine, gold, "winnow_threshold_curve-empty")
+    assert_frames_equal(mine, gold, "winnow_threshold_curve-empty")
     assert len(mine) == 8
     assert (mine["n_pred"] == 0).all()
     assert mine["precision"].isna().all()

@@ -14,6 +14,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -24,23 +25,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                         f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_docs(d, texts):
@@ -80,7 +64,7 @@ def test_stride_recall_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path / f"asr-{seed}", texts)
     mine = QUERIES["anchor_stride_recall"](d)
     gold = _oracle(d, ORACLE_SQL["anchor_stride_recall"])
-    _assert_equal(mine, gold, "anchor_stride_recall")
+    assert_frames_equal(mine, gold, "anchor_stride_recall")
     m = mine.set_index("stride")["n_pairs"]
     assert m.loc[1] >= m.loc[4] >= m.loc[8] >= m.loc[16]
     assert mine.set_index("stride")["recall"].loc[1] == 1.0
@@ -100,7 +84,7 @@ def test_stride_recall_misaligned(ray_session, tmp_path):
     d = _write_docs(tmp_path / "asr-forced", texts)
     mine = QUERIES["anchor_stride_recall"](d)
     gold = _oracle(d, ORACLE_SQL["anchor_stride_recall"])
-    _assert_equal(mine, gold, "anchor_stride_recall-forced")
+    assert_frames_equal(mine, gold, "anchor_stride_recall-forced")
     m = mine.set_index("stride")["n_pairs"]
     assert m.loc[1] == 2          # (0,1) and (2,3)
     assert m.loc[16] == 1         # only the identical twins survive
@@ -110,7 +94,7 @@ def test_stride_recall_empty(ray_session, tmp_path):
     d = _write_docs(tmp_path / "asr-empty", [])
     mine = QUERIES["anchor_stride_recall"](d)
     gold = _oracle(d, ORACLE_SQL["anchor_stride_recall"])
-    _assert_equal(mine, gold, "anchor_stride_recall-empty")
+    assert_frames_equal(mine, gold, "anchor_stride_recall-empty")
     assert len(mine) == 4 and (mine["n_pairs"] == 0).all()
 
 
@@ -122,7 +106,7 @@ def test_join_estimate_below_k_exact(ray_session, tmp_path):
                     rng.integers(0, 40, 300), np.arange(40))
     mine = QUERIES["join_size_estimate"](d)
     gold = _oracle(d, ORACLE_SQL["join_size_estimate"])
-    _assert_equal(mine, gold, "join_size_estimate-small")
+    assert_frames_equal(mine, gold, "join_size_estimate-small")
     r = mine.iloc[0]
     assert int(r["k_used"]) < 64
     assert r["rel_err"] == 0.0
@@ -137,7 +121,7 @@ def test_join_estimate_at_k(ray_session, tmp_path, seed):
                     rng.integers(0, 3000, 3000))
     mine = QUERIES["join_size_estimate"](d)
     gold = _oracle(d, ORACLE_SQL["join_size_estimate"])
-    _assert_equal(mine, gold, "join_size_estimate")
+    assert_frames_equal(mine, gold, "join_size_estimate")
     r = mine.iloc[0]
     assert int(r["k_used"]) == 64
     # KMV with k=64 is a coarse estimator; sanity bound only
@@ -148,5 +132,5 @@ def test_join_estimate_empty(ray_session, tmp_path):
     d = _write_join(tmp_path / "jse-empty", [], [])
     mine = QUERIES["join_size_estimate"](d)
     gold = _oracle(d, ORACLE_SQL["join_size_estimate"])
-    _assert_equal(mine, gold, "join_size_estimate-empty")
+    assert_frames_equal(mine, gold, "join_size_estimate-empty")
     assert int(mine["exact_rows"].iloc[0]) == 0

@@ -14,6 +14,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -22,23 +23,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW documents AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_docs(d, ids, texts):
@@ -78,7 +62,7 @@ def test_heldout_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path / f"ho-{seed}", ids, texts)
     mine = QUERIES["heldout_perplexity"](d)
     gold = _oracle(d, ORACLE_SQL["heldout_perplexity"])
-    _assert_equal(mine, gold, "heldout_perplexity")
+    assert_frames_equal(mine, gold, "heldout_perplexity")
     assert set(mine["split"]) == {"test", "val"}
     # mean log-prob is negative wherever bigrams were scored
     scored = mine[mine["n_bigrams"] > 0]
@@ -96,7 +80,7 @@ def test_heldout_unseen_continuations(ray_session, tmp_path):
     d = _write_docs(tmp_path / "ho-unseen", ids, texts)
     mine = QUERIES["heldout_perplexity"](d)
     gold = _oracle(d, ORACLE_SQL["heldout_perplexity"])
-    _assert_equal(mine, gold, "heldout_perplexity-unseen")
+    assert_frames_equal(mine, gold, "heldout_perplexity-unseen")
     val = mine.set_index("split").loc["val"]
     assert int(val["n_bigrams"]) == 4
     assert val["backoff_rate"] == 1.0
@@ -111,7 +95,7 @@ def test_heldout_empty_train_split(ray_session, tmp_path):
     d = _write_docs(tmp_path / "ho-notrain", ids, texts)
     mine = QUERIES["heldout_perplexity"](d)
     gold = _oracle(d, ORACLE_SQL["heldout_perplexity"])
-    _assert_equal(mine, gold, "heldout_perplexity-notrain")
+    assert_frames_equal(mine, gold, "heldout_perplexity-notrain")
     scored = mine[mine["n_bigrams"] > 0]
     assert (scored["backoff_rate"] == 1.0).all()
     assert (scored["mean_lp"] == 0.0).all()
@@ -121,5 +105,5 @@ def test_heldout_empty_corpus(ray_session, tmp_path):
     d = _write_docs(tmp_path / "ho-empty", [], [])
     mine = QUERIES["heldout_perplexity"](d)
     gold = _oracle(d, ORACLE_SQL["heldout_perplexity"])
-    _assert_equal(mine, gold, "heldout_perplexity-empty")
+    assert_frames_equal(mine, gold, "heldout_perplexity-empty")
     assert len(mine) == 2 and (mine["n_docs"] == 0).all()

@@ -12,6 +12,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -20,23 +21,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW embeddings AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_emb(d, mat):
@@ -65,7 +49,7 @@ def test_pq_random(ray_session, tmp_path, seed):
                    rng.normal(0, 1, (200, 64)))
     mine = QUERIES["pq_distortion"](d)
     gold = _oracle(d, ORACLE_SQL["pq_distortion"])
-    _assert_equal(mine, gold, "pq_distortion")
+    assert_frames_equal(mine, gold, "pq_distortion")
     assert len(mine) == 4
     assert (mine["n_vectors"] == 200).all()
     assert (mine["mse"] > 0).all()
@@ -81,7 +65,7 @@ def test_pq_exact_copies_zero_error(ray_session, tmp_path):
     d = _write_emb(tmp_path / "pq-copies", mat)
     mine = QUERIES["pq_distortion"](d)
     gold = _oracle(d, ORACLE_SQL["pq_distortion"])
-    _assert_equal(mine, gold, "pq_distortion-copies")
+    assert_frames_equal(mine, gold, "pq_distortion-copies")
     assert (mine["mse"] == 0.0).all()
 
 
@@ -93,7 +77,7 @@ def test_pq_tiny_corpus(ray_session, tmp_path):
     d = _write_emb(tmp_path / "pq-tiny", rng.normal(0, 1, (9, 64)))
     mine = QUERIES["pq_distortion"](d)
     gold = _oracle(d, ORACLE_SQL["pq_distortion"])
-    _assert_equal(mine, gold, "pq_distortion-tiny")
+    assert_frames_equal(mine, gold, "pq_distortion-tiny")
     assert (mine["n_vectors"] == 9).all()
 
 
@@ -101,5 +85,5 @@ def test_pq_empty(ray_session, tmp_path):
     d = _write_emb(tmp_path / "pq-empty", np.zeros((0, 64)))
     mine = QUERIES["pq_distortion"](d)
     gold = _oracle(d, ORACLE_SQL["pq_distortion"])
-    _assert_equal(mine, gold, "pq_distortion-empty")
+    assert_frames_equal(mine, gold, "pq_distortion-empty")
     assert len(mine) == 0

@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -22,23 +23,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW embeddings AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_emb(d, mat, ids=None):
@@ -63,7 +47,7 @@ def test_adc_random(ray_session, tmp_path, seed):
                    rng.normal(0, 1, (150, 64)))
     mine = QUERIES["pq_adc_recall"](d)
     gold = _oracle(d, ORACLE_SQL["pq_adc_recall"])
-    _assert_equal(mine, gold, "pq_adc_recall")
+    assert_frames_equal(mine, gold, "pq_adc_recall")
     assert len(mine) == 5
     # the query itself is always its own exact nearest neighbor, and
     # ADC finds the self-match (distance to own codes is minimal), so
@@ -83,7 +67,7 @@ def test_adc_clustered(ray_session, tmp_path):
     d = _write_emb(tmp_path / "adc-clustered", mat)
     mine = QUERIES["pq_adc_recall"](d)
     gold = _oracle(d, ORACLE_SQL["pq_adc_recall"])
-    _assert_equal(mine, gold, "pq_adc_recall-clustered")
+    assert_frames_equal(mine, gold, "pq_adc_recall-clustered")
     assert (mine["recall"] > 0).all()
 
 
@@ -94,7 +78,7 @@ def test_adc_tiny_corpus(ray_session, tmp_path):
     d = _write_emb(tmp_path / "adc-tiny", rng.normal(0, 1, (3, 64)))
     mine = QUERIES["pq_adc_recall"](d)
     gold = _oracle(d, ORACLE_SQL["pq_adc_recall"])
-    _assert_equal(mine, gold, "pq_adc_recall-tiny")
+    assert_frames_equal(mine, gold, "pq_adc_recall-tiny")
     assert len(mine) == 3
 
 
@@ -105,5 +89,5 @@ def test_adc_no_queries(ray_session, tmp_path):
                    ids=np.arange(100, 120))
     mine = QUERIES["pq_adc_recall"](d)
     gold = _oracle(d, ORACLE_SQL["pq_adc_recall"])
-    _assert_equal(mine, gold, "pq_adc_recall-noq")
+    assert_frames_equal(mine, gold, "pq_adc_recall-noq")
     assert len(mine) == 0

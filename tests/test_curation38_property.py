@@ -14,6 +14,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -22,23 +23,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW documents AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_docs(d, texts, ids=None, sources=None):
@@ -66,7 +50,7 @@ def test_coverage_curve_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path / f"cov-{seed}", texts)
     mine = QUERIES["ngram_coverage_curve"](d)
     gold = _oracle(d, ORACLE_SQL["ngram_coverage_curve"])
-    _assert_equal(mine, gold, "ngram_coverage_curve")
+    assert_frames_equal(mine, gold, "ngram_coverage_curve")
     # coverage is monotone in N and capped at 1
     m = mine.sort_values("n_top")
     cov = m["coverage"].to_numpy()
@@ -81,14 +65,14 @@ def test_coverage_tie_at_boundary(ray_session, tmp_path):
     d = _write_docs(tmp_path / "cov-ties", texts)
     mine = QUERIES["ngram_coverage_curve"](d)
     gold = _oracle(d, ORACLE_SQL["ngram_coverage_curve"])
-    _assert_equal(mine, gold, "ngram_coverage_curve-ties")
+    assert_frames_equal(mine, gold, "ngram_coverage_curve-ties")
 
 
 def test_coverage_empty(ray_session, tmp_path):
     d = _write_docs(tmp_path / "cov-empty", [])
     mine = QUERIES["ngram_coverage_curve"](d)
     gold = _oracle(d, ORACLE_SQL["ngram_coverage_curve"])
-    _assert_equal(mine, gold, "ngram_coverage_curve-empty")
+    assert_frames_equal(mine, gold, "ngram_coverage_curve-empty")
     assert len(mine) == 3 and (mine["covered"] == 0).all()
 
 
@@ -101,7 +85,7 @@ def test_nfc_census_random_ascii(ray_session, tmp_path, seed):
                     sources=[f"s{i % 3}" for i in range(60)])
     mine = QUERIES["unicode_nfc_census"](d)
     gold = _oracle(d, ORACLE_SQL["unicode_nfc_census"])
-    _assert_equal(mine, gold, "unicode_nfc_census")
+    assert_frames_equal(mine, gold, "unicode_nfc_census")
     assert (mine["n_changed"] == 0).all()  # pure ASCII never changes
 
 
@@ -116,7 +100,7 @@ def test_nfc_census_forced(ray_session, tmp_path):
                     sources=["s0", "s0", "s1", "s1"])
     mine = QUERIES["unicode_nfc_census"](d)
     gold = _oracle(d, ORACLE_SQL["unicode_nfc_census"])
-    _assert_equal(mine, gold, "unicode_nfc_census-forced")
+    assert_frames_equal(mine, gold, "unicode_nfc_census-forced")
     m = mine.set_index("source")
     assert int(m.loc["s0", "n_changed"]) == 1
     assert int(m.loc["s0", "char_delta"]) == 2

@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -22,23 +23,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW embeddings AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_emb(d, mat, ids=None):
@@ -63,7 +47,7 @@ def test_semantic_decontam_random(ray_session, tmp_path, seed):
                    rng.normal(0, 1, (180, 64)))
     mine = QUERIES["semantic_decontam"](d)
     gold = _oracle(d, ORACLE_SQL["semantic_decontam"])
-    _assert_equal(mine, gold, "semantic_decontam")
+    assert_frames_equal(mine, gold, "semantic_decontam")
     assert len(mine) == 5
     assert (mine["max_sim"] <= 1.0).all()
 
@@ -82,7 +66,7 @@ def test_semantic_decontam_planted(ray_session, tmp_path):
     d = _write_emb(tmp_path / "sd-planted", mat)
     mine = QUERIES["semantic_decontam"](d)
     gold = _oracle(d, ORACLE_SQL["semantic_decontam"])
-    _assert_equal(mine, gold, "semantic_decontam-planted")
+    assert_frames_equal(mine, gold, "semantic_decontam-planted")
     m = mine.set_index("query_id")
     assert 3 not in m.index           # zero-norm eval excluded
     assert int(m.loc[0, "n_hits"]) >= 2
@@ -96,7 +80,7 @@ def test_semantic_decontam_no_corpus(ray_session, tmp_path):
                    rng.normal(0, 1, (5, 64)))
     mine = QUERIES["semantic_decontam"](d)
     gold = _oracle(d, ORACLE_SQL["semantic_decontam"])
-    _assert_equal(mine, gold, "semantic_decontam-nocorpus")
+    assert_frames_equal(mine, gold, "semantic_decontam-nocorpus")
     assert (mine["n_hits"] == 0).all()
     assert mine["max_sim"].isna().all()
 
@@ -107,5 +91,5 @@ def test_semantic_decontam_no_queries(ray_session, tmp_path):
                    ids=np.arange(50, 70))
     mine = QUERIES["semantic_decontam"](d)
     gold = _oracle(d, ORACLE_SQL["semantic_decontam"])
-    _assert_equal(mine, gold, "semantic_decontam-noq")
+    assert_frames_equal(mine, gold, "semantic_decontam-noq")
     assert len(mine) == 0

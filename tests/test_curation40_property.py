@@ -15,6 +15,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -25,23 +26,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                         f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_emb(d, mat, labels):
@@ -78,7 +62,7 @@ def test_auc_random(ray_session, tmp_path, seed):
     d = _write_emb(tmp_path / f"auc-{seed}", mat, labels)
     mine = QUERIES["norm_label_auc"](d)
     gold = _oracle(d, ORACLE_SQL["norm_label_auc"])
-    _assert_equal(mine, gold, "norm_label_auc")
+    assert_frames_equal(mine, gold, "norm_label_auc")
     assert 0.0 <= float(mine["auc"].iloc[0]) <= 1.0
 
 
@@ -92,7 +76,7 @@ def test_auc_separating_and_tied(ray_session, tmp_path):
     d = _write_emb(tmp_path / "auc-sep", mat, labels)
     mine = QUERIES["norm_label_auc"](d)
     gold = _oracle(d, ORACLE_SQL["norm_label_auc"])
-    _assert_equal(mine, gold, "norm_label_auc-sep")
+    assert_frames_equal(mine, gold, "norm_label_auc-sep")
     assert float(mine["auc"].iloc[0]) == 1.0
 
     same = np.tile(base[0], (30, 1))
@@ -100,7 +84,7 @@ def test_auc_separating_and_tied(ray_session, tmp_path):
                     np.r_[np.zeros(15), np.full(15, 9)])
     mine2 = QUERIES["norm_label_auc"](d2)
     gold2 = _oracle(d2, ORACLE_SQL["norm_label_auc"])
-    _assert_equal(mine2, gold2, "norm_label_auc-ties")
+    assert_frames_equal(mine2, gold2, "norm_label_auc-ties")
     assert float(mine2["auc"].iloc[0]) == 0.5
 
 
@@ -110,7 +94,7 @@ def test_auc_single_class(ray_session, tmp_path):
                    np.zeros(25))
     mine = QUERIES["norm_label_auc"](d)
     gold = _oracle(d, ORACLE_SQL["norm_label_auc"])
-    _assert_equal(mine, gold, "norm_label_auc-oneclass")
+    assert_frames_equal(mine, gold, "norm_label_auc-oneclass")
     assert np.isnan(mine["auc"].iloc[0])
 
 
@@ -122,7 +106,7 @@ def test_welch_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path / f"wt-{seed}", sources, lens)
     mine = QUERIES["welch_ttest"](d)
     gold = _oracle(d, ORACLE_SQL["welch_ttest"])
-    _assert_equal(mine, gold, "welch_ttest")
+    assert_frames_equal(mine, gold, "welch_ttest")
     assert len(mine) == 6  # 4 choose 2
 
 
@@ -136,7 +120,7 @@ def test_welch_forced(ray_session, tmp_path):
     d = _write_docs(tmp_path / "wt-forced", sources, lens)
     mine = QUERIES["welch_ttest"](d)
     gold = _oracle(d, ORACLE_SQL["welch_ttest"])
-    _assert_equal(mine, gold, "welch_ttest-forced")
+    assert_frames_equal(mine, gold, "welch_ttest-forced")
     m = mine.set_index(["source_a", "source_b"])
     assert m.loc[("s0", "s1"), "t_stat"] == 0.0
     assert np.isnan(m.loc[("s0", "s2"), "t_stat"])

@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -22,23 +23,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW embeddings AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_emb(d, mat, ids=None):
@@ -63,7 +47,7 @@ def test_mmr_random(ray_session, tmp_path, seed):
                    rng.normal(0, 1, (120, 64)))
     mine = QUERIES["mmr_rerank"](d)
     gold = _oracle(d, ORACLE_SQL["mmr_rerank"])
-    _assert_equal(mine, gold, "mmr_rerank")
+    assert_frames_equal(mine, gold, "mmr_rerank")
     assert len(mine) == 25
     # no duplicates within a query's list
     for qid, g in mine.groupby("query_id"):
@@ -89,7 +73,7 @@ def test_mmr_diversifies_near_dup_pool(ray_session, tmp_path):
     d = _write_emb(tmp_path / "mmr-dup", mat)
     mine = QUERIES["mmr_rerank"](d)
     gold = _oracle(d, ORACLE_SQL["mmr_rerank"])
-    _assert_equal(mine, gold, "mmr_rerank-dup")
+    assert_frames_equal(mine, gold, "mmr_rerank-dup")
     picks0 = mine[mine["query_id"] == 0].sort_values("position")
     # plain top-5 would be the query + four direction-1 clones; after
     # the first pick saturates clone similarity (penalty ~= relevance),
@@ -104,7 +88,7 @@ def test_mmr_pool_smaller_than_k(ray_session, tmp_path):
     d = _write_emb(tmp_path / "mmr-tiny", rng.normal(0, 1, (3, 64)))
     mine = QUERIES["mmr_rerank"](d)
     gold = _oracle(d, ORACLE_SQL["mmr_rerank"])
-    _assert_equal(mine, gold, "mmr_rerank-tiny")
+    assert_frames_equal(mine, gold, "mmr_rerank-tiny")
     assert set(mine.groupby("query_id").size()) == {3}
 
 
@@ -114,5 +98,5 @@ def test_mmr_no_queries(ray_session, tmp_path):
                    ids=np.arange(100, 110))
     mine = QUERIES["mmr_rerank"](d)
     gold = _oracle(d, ORACLE_SQL["mmr_rerank"])
-    _assert_equal(mine, gold, "mmr_rerank-noq")
+    assert_frames_equal(mine, gold, "mmr_rerank-noq")
     assert len(mine) == 0

@@ -15,6 +15,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -23,23 +24,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW documents AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_docs(d, texts):
@@ -66,7 +50,7 @@ def test_param_grid_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path / f"wpg-{seed}", texts)
     mine = QUERIES["winnow_param_grid"](d)
     gold = _oracle(d, ORACLE_SQL["winnow_param_grid"])
-    _assert_equal(mine, gold, "winnow_param_grid")
+    assert_frames_equal(mine, gold, "winnow_param_grid")
     base = mine[(mine["k"] == 16) & (mine["window"] == 8)].iloc[0]
     if int(base["n_pairs"]):
         assert base["jaccard_base"] == 1.0
@@ -88,7 +72,7 @@ def test_param_grid_run_length_sensitivity(ray_session, tmp_path):
     d = _write_docs(tmp_path / "wpg-runlen", texts)
     mine = QUERIES["winnow_param_grid"](d)
     gold = _oracle(d, ORACLE_SQL["winnow_param_grid"])
-    _assert_equal(mine, gold, "winnow_param_grid-runlen")
+    assert_frames_equal(mine, gold, "winnow_param_grid-runlen")
     m = mine.set_index(["k", "window"])
     # identical docs: C(4,2) = 6 pairs everywhere; the 20-char run
     # only pairs under the fine config
@@ -100,7 +84,7 @@ def test_param_grid_empty(ray_session, tmp_path):
     d = _write_docs(tmp_path / "wpg-empty", [])
     mine = QUERIES["winnow_param_grid"](d)
     gold = _oracle(d, ORACLE_SQL["winnow_param_grid"])
-    _assert_equal(mine, gold, "winnow_param_grid-empty")
+    assert_frames_equal(mine, gold, "winnow_param_grid-empty")
     assert len(mine) == 3 and (mine["n_pairs"] == 0).all()
     assert mine["jaccard_base"].isna().all()
 
@@ -114,4 +98,4 @@ def test_default_params_unchanged(ray_session):
     con.execute(f"CREATE VIEW documents AS SELECT * FROM "
                 f"read_parquet('{sf}/documents.parquet')")
     gold = con.execute(ORACLE_SQL["winnow_dup_pairs"]).fetchdf()
-    _assert_equal(mine, gold, "winnow_dup_pairs-default")
+    assert_frames_equal(mine, gold, "winnow_dup_pairs-default")

@@ -11,6 +11,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -19,23 +20,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW documents AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_docs(d, texts):
@@ -61,7 +45,7 @@ def test_rrf_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path / f"rrf-{seed}", texts)
     mine = QUERIES["rrf_fusion"](d)
     gold = _oracle(d, ORACLE_SQL["rrf_fusion"])
-    _assert_equal(mine, gold, "rrf_fusion")
+    assert_frames_equal(mine, gold, "rrf_fusion")
     assert len(mine) == 10
     # fused scores are nonincreasing by position
     m = mine.sort_values("position")
@@ -78,7 +62,7 @@ def test_rrf_consensus_doc_wins(ray_session, tmp_path):
     d = _write_docs(tmp_path / "rrf-consensus", texts)
     mine = QUERIES["rrf_fusion"](d)
     gold = _oracle(d, ORACLE_SQL["rrf_fusion"])
-    _assert_equal(mine, gold, "rrf_fusion-consensus")
+    assert_frames_equal(mine, gold, "rrf_fusion-consensus")
     top = mine.sort_values("position").iloc[0]
     assert int(top["doc_id"]) == 0
     assert top["rrf_score"] == 2 * round(1e6 / 61) / 1e6
@@ -88,5 +72,5 @@ def test_rrf_empty(ray_session, tmp_path):
     d = _write_docs(tmp_path / "rrf-empty", [])
     mine = QUERIES["rrf_fusion"](d)
     gold = _oracle(d, ORACLE_SQL["rrf_fusion"])
-    _assert_equal(mine, gold, "rrf_fusion-empty")
+    assert_frames_equal(mine, gold, "rrf_fusion-empty")
     assert len(mine) == 0

@@ -12,6 +12,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -20,23 +21,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW events AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_events(d, user_ids, ts_us):
@@ -63,7 +47,7 @@ def test_gap_grid_random(ray_session, tmp_path, seed):
     d = _write_events(tmp_path / f"sgg-{seed}", users, ts)
     mine = QUERIES["session_gap_grid"](d)
     gold = _oracle(d, ORACLE_SQL["session_gap_grid"])
-    _assert_equal(mine, gold, "session_gap_grid")
+    assert_frames_equal(mine, gold, "session_gap_grid")
     m = mine.sort_values("gap_minutes")
     # wider timeouts can only merge sessions
     assert (np.diff(m["n_sessions"].to_numpy()) <= 0).all()
@@ -80,7 +64,7 @@ def test_gap_grid_threshold_boundary(ray_session, tmp_path):
     d = _write_events(tmp_path / "sgg-bound", users, ts)
     mine = QUERIES["session_gap_grid"](d)
     gold = _oracle(d, ORACLE_SQL["session_gap_grid"])
-    _assert_equal(mine, gold, "session_gap_grid-bound")
+    assert_frames_equal(mine, gold, "session_gap_grid-bound")
     m = mine.set_index("gap_minutes")
     assert int(m.loc[10, "n_sessions"]) == 4  # u2 splits
     assert int(m.loc[30, "n_sessions"]) == 3
@@ -91,5 +75,5 @@ def test_gap_grid_empty(ray_session, tmp_path):
     d = _write_events(tmp_path / "sgg-empty", [], [])
     mine = QUERIES["session_gap_grid"](d)
     gold = _oracle(d, ORACLE_SQL["session_gap_grid"])
-    _assert_equal(mine, gold, "session_gap_grid-empty")
+    assert_frames_equal(mine, gold, "session_gap_grid-empty")
     assert len(mine) == 3 and (mine["n_sessions"] == 0).all()

@@ -13,6 +13,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -21,23 +22,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
     con.execute(f"CREATE VIEW documents AS SELECT * FROM "
                 f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write_docs(d, ids, texts):
@@ -76,7 +60,7 @@ def test_decontam_ab_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path / f"dab-{seed}", ids, texts)
     mine = QUERIES["decontam_lm_ab"](d)
     gold = _oracle(d, ORACLE_SQL["decontam_lm_ab"])
-    _assert_equal(mine, gold, "decontam_lm_ab")
+    assert_frames_equal(mine, gold, "decontam_lm_ab")
     m = mine.set_index("variant")
     assert int(m.loc["decontam", "n_train_docs"]) \
         <= int(m.loc["raw", "n_train_docs"])
@@ -98,7 +82,7 @@ def test_decontam_ab_planted_leak(ray_session, tmp_path):
     d = _write_docs(tmp_path / "dab-leak", ids, texts)
     mine = QUERIES["decontam_lm_ab"](d)
     gold = _oracle(d, ORACLE_SQL["decontam_lm_ab"])
-    _assert_equal(mine, gold, "decontam_lm_ab-leak")
+    assert_frames_equal(mine, gold, "decontam_lm_ab-leak")
     m = mine.set_index("variant")
     assert int(m.loc["raw", "n_train_docs"]) \
         - int(m.loc["decontam", "n_train_docs"]) == 5
@@ -112,5 +96,5 @@ def test_decontam_ab_empty(ray_session, tmp_path):
     d = _write_docs(tmp_path / "dab-empty", [], [])
     mine = QUERIES["decontam_lm_ab"](d)
     gold = _oracle(d, ORACLE_SQL["decontam_lm_ab"])
-    _assert_equal(mine, gold, "decontam_lm_ab-empty")
+    assert_frames_equal(mine, gold, "decontam_lm_ab-empty")
     assert len(mine) == 2 and (mine["n_train_docs"] == 0).all()

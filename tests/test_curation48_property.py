@@ -13,6 +13,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
@@ -22,23 +23,6 @@ def _oracle(sf_dir: str, sql: str) -> pd.DataFrame:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
                     f"read_parquet('{p}')")
     return con.execute(sql).fetchdf()
-
-
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
 
 
 def _write(d, custkeys, prices, nations):
@@ -72,7 +56,7 @@ def test_jackknife_random(ray_session, tmp_path, seed):
     d = _write(tmp_path / f"jk-{seed}", cust, prices, nations)
     mine = QUERIES["jackknife_variance"](d)
     gold = _oracle(d, ORACLE_SQL["jackknife_variance"])
-    _assert_equal(mine, gold, "jackknife_variance")
+    assert_frames_equal(mine, gold, "jackknife_variance")
     assert int(mine["n_groups"].iloc[0]) == 7
 
 
@@ -92,7 +76,7 @@ def test_jackknife_clustered_inflation(ray_session, tmp_path):
     d = _write(tmp_path / "jk-clustered", cust, prices, nations)
     mine = QUERIES["jackknife_variance"](d)
     gold = _oracle(d, ORACLE_SQL["jackknife_variance"])
-    _assert_equal(mine, gold, "jackknife_variance-clustered")
+    assert_frames_equal(mine, gold, "jackknife_variance-clustered")
     r = mine.iloc[0]
     assert r["se_jackknife"] > 3 * r["se_naive"]
 
@@ -103,7 +87,7 @@ def test_jackknife_single_group(ray_session, tmp_path):
                [10.0, 20.0, 30.0, 40.0, 50.0], nations)
     mine = QUERIES["jackknife_variance"](d)
     gold = _oracle(d, ORACLE_SQL["jackknife_variance"])
-    _assert_equal(mine, gold, "jackknife_variance-one")
+    assert_frames_equal(mine, gold, "jackknife_variance-one")
     assert np.isnan(mine["se_jackknife"].iloc[0])
 
 
@@ -118,5 +102,5 @@ def test_jackknife_overflow_prices(ray_session, tmp_path):
     d = _write(tmp_path / "jk-overflow", cust, prices, nations)
     mine = QUERIES["jackknife_variance"](d)
     gold = _oracle(d, ORACLE_SQL["jackknife_variance"])
-    _assert_equal(mine, gold, "jackknife_variance-overflow")
+    assert_frames_equal(mine, gold, "jackknife_variance-overflow")
     assert mine["se_naive"].iloc[0] == 0.0  # constant prices

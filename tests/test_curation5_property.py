@@ -101,12 +101,12 @@ def test_soft_dedup_above_gate_path(ray_session, tmp_path, monkeypatch):
     """Force the distributed branch (hash groupby stays a Ray exchange,
     docs x dup-groups route through the bucketed join) and require the
     exact same frame as the broadcast branch / the oracle."""
-    import pdf_oxide_ray.queries_curation5 as C5
     import pdf_oxide_ray.stages.joins as J
+    from pdf_oxide_ray.ops import exchange
 
     sf_dir = _write_docs(tmp_path, 11)
     gold = _oracle(sf_dir, ORACLE_SQL["soft_dedup_weights"])
-    monkeypatch.setattr(C5, "_REDUCE_GATE_ROWS", 1)
+    monkeypatch.setattr(exchange, "GATE_ROWS", 1)
     monkeypatch.setattr(J, "_ADAPTIVE_BROADCAST_MAX_ROWS", 0)
     _assert_equal(QUERIES["soft_dedup_weights"](sf_dir), gold,
                   "soft_dedup_above_gate")

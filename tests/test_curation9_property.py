@@ -14,6 +14,7 @@ import pandas as pd
 import pytest
 
 from pdf_oxide_ray.queries import ORACLE_SQL, QUERIES
+from tests.frames import assert_frames_equal
 
 
 def _write_docs(tmp_path, seed: int, n_doc: int,
@@ -81,23 +82,6 @@ def _oracle(sf_dir: str, sql: str, table: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
-def _assert_equal(a: pd.DataFrame, b: pd.DataFrame, name: str):
-    cols = sorted(a.columns)
-    a = a[cols].sort_values(cols).reset_index(drop=True)
-    b = b[sorted(b.columns)].sort_values(sorted(b.columns)) \
-        .reset_index(drop=True)
-    assert list(a.columns) == list(b.columns), name
-    assert len(a) == len(b), f"{name}: {len(a)} vs {len(b)} rows"
-    for c in a.columns:
-        if a[c].dtype.kind == "f" or b[c].dtype.kind == "f":
-            av = a[c].to_numpy(np.float64)
-            bv = b[c].to_numpy(np.float64)
-            both_nan = np.isnan(av) & np.isnan(bv)
-            assert bool(np.all(both_nan | (av == bv))), f"{name}.{c}"
-        else:
-            assert a[c].tolist() == b[c].tolist(), f"{name}.{c}"
-
-
 @pytest.mark.parametrize("seed", [0, 7])
 def test_doc_family_matches_oracle_random(ray_session, tmp_path, seed):
     d = _write_docs(tmp_path, seed, 400, chains=False)
@@ -105,7 +89,7 @@ def test_doc_family_matches_oracle_random(ray_session, tmp_path, seed):
                  "good_turing"):
         mine = QUERIES[name](d)
         gold = _oracle(d, ORACLE_SQL[name], "documents")
-        _assert_equal(mine, gold, name)
+        assert_frames_equal(mine, gold, name)
 
 
 def test_prefix_chains_span_sorted_batches(ray_session, tmp_path):
@@ -115,7 +99,7 @@ def test_prefix_chains_span_sorted_batches(ray_session, tmp_path):
     d = _write_docs(tmp_path, 3, 5000, chains=True)
     mine = QUERIES["prefix_containment"](d)
     gold = _oracle(d, ORACLE_SQL["prefix_containment"], "documents")
-    _assert_equal(mine, gold, "prefix_containment")
+    assert_frames_equal(mine, gold, "prefix_containment")
     assert int(mine["n_prefix"].sum()) > 0  # chains actually exist
     assert int(mine["n_dup_eq"].sum()) > 0
 
@@ -128,7 +112,7 @@ def test_weighted_median_matches_oracle_random(ray_session, tmp_path,
     d = _write_lineitem(tmp_path, seed, 3000)
     mine = QUERIES["weighted_median_price"](d)
     gold = _oracle(d, ORACLE_SQL["weighted_median_price"], "lineitem")
-    _assert_equal(mine, gold, "weighted_median_price")
+    assert_frames_equal(mine, gold, "weighted_median_price")
 
 
 def test_good_turing_invariants(ray_session, tmp_path):

@@ -101,14 +101,15 @@ def test_new_op_matches_oracle_on_random_corpus(ray_session, tmp_path,
                                   "event_type_pivot", "length_cdf",
                                   "revenue_rollup", "top_customers"])
 def test_above_gate_distributed_path(ray_session, monkeypatch, name):
-    """Force the above-_REDUCE_GATE_ROWS branch (distributed reduce,
-    driver never sees the full key space) and check it returns the same
-    result as the small-data path."""
+    """Force the above-gate branch of the keyed combine (distributed
+    reduce, driver never sees the full key space) and check it returns
+    the same result as the small-data path."""
     import pdf_oxide_ray.queries as Q
+    from pdf_oxide_ray.ops import exchange
 
     sf = "/root/testdata/sf0.001"
     small = Q.QUERIES[name](sf)
-    monkeypatch.setattr(Q, "_REDUCE_GATE_ROWS", 1)
+    monkeypatch.setattr(exchange, "GATE_ROWS", 1)
     big = Q.QUERIES[name](sf)
     a = small.sort_values(list(small.columns)).reset_index(drop=True)
     b = big[small.columns].sort_values(list(small.columns)) \

@@ -1,6 +1,7 @@
 """The query-plan kit (`pdf_oxide_ray/ops/`): both percentile_disc rank
-rules against a brute-force sorted array, and the sorted-batch pass
-against a direct pandas computation."""
+rules against a brute-force sorted array, the sorted-batch pass
+against a direct pandas computation, and the gated keyed combine's
+bucketed path against its driver path."""
 
 import math
 from fractions import Fraction
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdf_oxide_ray.ops import exchange
+from pdf_oxide_ray.ops.exchange import _key_buckets, combine_by_key, n_buckets
 from pdf_oxide_ray.ops.ordered import ordered_pass
 from pdf_oxide_ray.ops.quantile import (disc_by_group, disc_pick, disc_rank,
                                         disc_rank_exact)
@@ -139,3 +142,94 @@ def test_ordered_pass_on_empty_input(ray_session):
         .filter(lambda r: False).sort(["g", "v"])
     got, first, last = _runs_per_group(ds, 4)
     assert got == {} and first.empty and last.empty
+
+
+def _per_key(d: pd.DataFrame) -> pd.DataFrame:
+    """Key-local and not decomposable: a key split over two calls
+    would come back as two rows with partial distinct counts."""
+    out = d.groupby(["a", "b"], as_index=False) \
+        .agg(total=("v", "sum"), n_distinct=("v", "nunique"))
+    out["set_keys"] = len(out)
+    return out
+
+
+def _sorted(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values(["a", "b"]).reset_index(drop=True)
+
+
+@st.composite
+def _partial_blocks(draw):
+    """2-5 blocks of (a, b, v) rows; ``a`` mixes integral and
+    fractional floats, so one key's rows can sit in an all-integral
+    block and in a mixed one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(2, 5))):
+        n = int(rng.integers(1, 30))
+        a = rng.choice([0.0, 1.0, 2.0, 2.5, -3.0], n)
+        if rng.random() < 0.5:
+            a = np.floor(a)
+        blocks.append(pd.DataFrame({
+            "a": a, "b": rng.choice(["x", "y", "zz"], n),
+            "v": rng.integers(0, 6, n)}))
+    return blocks
+
+
+@settings(max_examples=12, deadline=None)
+@given(_partial_blocks())
+def test_combine_above_gate_matches_driver(ray_session, blocks):
+    import ray.data as rd
+
+    want = _sorted(combine_by_key(rd.from_pandas(blocks), ["a", "b"],
+                                  _per_key)).drop(columns="set_keys")
+    old = exchange.GATE_ROWS
+    exchange.GATE_ROWS = 1
+    try:
+        got = combine_by_key(rd.from_pandas(blocks), ["a", "b"], _per_key)
+    finally:
+        exchange.GATE_ROWS = old
+    pd.testing.assert_frame_equal(_sorted(got).drop(columns="set_keys"),
+                                  want, check_dtype=False)
+    assert want.equals(_sorted(_per_key(pd.concat(blocks)))
+                       .drop(columns="set_keys"))
+
+
+def test_combine_spreads_a_constant_first_key_column(ray_session,
+                                                     monkeypatch):
+    import ray.data as rd
+
+    df = pd.DataFrame({"a": np.int64(7), "b": [f"k{i}" for i in range(40)],
+                       "v": np.arange(40)})
+    assert len(np.unique(_key_buckets(df, ["a", "b"], 64))) > 1
+    monkeypatch.setattr(exchange, "GATE_ROWS", 1)
+    got = combine_by_key(rd.from_pandas([df[:20], df[20:]]), ["a", "b"],
+                         _per_key)
+    assert len(got) == 40 and got["set_keys"].max() < 40
+    pd.testing.assert_frame_equal(
+        _sorted(got).drop(columns="set_keys"),
+        _sorted(_per_key(df)).drop(columns="set_keys"), check_dtype=False)
+
+
+@pytest.mark.parametrize("gate", [None, 1])
+def test_combine_on_zero_rows_never_calls_fn(ray_session, monkeypatch,
+                                             gate):
+    import ray.data as rd
+
+    if gate is not None:
+        monkeypatch.setattr(exchange, "GATE_ROWS", gate)
+
+    def boom(d):
+        raise AssertionError("fn called on zero rows")
+
+    ds = rd.from_pandas(pd.DataFrame({"k": [1, 2]})) \
+        .filter(lambda r: False)
+    out = combine_by_key(ds, ["k"], boom)
+    assert out.empty and len(out.columns) == 0
+
+
+def test_bucket_count_keeps_every_bucket_under_the_gate():
+    g = exchange.GATE_ROWS
+    assert n_buckets(1) == 64
+    assert n_buckets(64 * g) == 64
+    assert n_buckets(64 * g + 1) == 65
+    assert n_buckets(1000 * g) == 1000

@@ -279,15 +279,25 @@ def test_q2_q11_shapes_random(ray_session, tmp_path, seed):
                                   "value_winsor_mean",
                                   "priority_month_chi2",
                                   "benford_screen",
-                                  "user_type_breadth"])
+                                  "user_type_breadth",
+                                  "returned_revenue", "novelty_curve",
+                                  "template_prefixes",
+                                  "split_contamination", "rfm_segments",
+                                  "heaps_law_curve",
+                                  "user_acquisition_curve",
+                                  "reorder_survival", "glove_cooc_topk",
+                                  "negative_sampling_table",
+                                  "funnel_latency",
+                                  "weekly_active_users",
+                                  "table_profile"])
 def test_relational_above_gate_path(ray_session, monkeypatch, name):
     """Force the distributed-reduce branch (gate=1) and require the
     identical result as the driver-combine path."""
-    import pdf_oxide_ray.queries as Q
+    from pdf_oxide_ray.ops import exchange
 
     sf = "/root/testdata/sf0.001"
     small = QUERIES[name](sf)
-    monkeypatch.setattr(Q, "_REDUCE_GATE_ROWS", 1)
+    monkeypatch.setattr(exchange, "GATE_ROWS", 1)
     big = QUERIES[name](sf)
     pd.testing.assert_frame_equal(
         small.sort_values(list(small.columns)).reset_index(drop=True),
@@ -325,13 +335,13 @@ def test_dup_pagerank_paths_agree(ray_session, monkeypatch):
     """The driver numpy iteration and the distributed two-exchange
     iteration must produce identical int64 ranks (2 iterations to keep
     the distributed loop's exchange overhead testable)."""
-    import pdf_oxide_ray.queries as Q
     import pdf_oxide_ray.queries_relational as QR
+    from pdf_oxide_ray.ops import exchange
 
     sf = "/root/testdata/sf0.01"
     monkeypatch.setattr(QR, "_PR_ITERS", 2)
     small = QUERIES["dup_pagerank"](sf)
-    monkeypatch.setattr(Q, "_REDUCE_GATE_ROWS", 1)
+    monkeypatch.setattr(exchange, "GATE_ROWS", 1)
     big = QUERIES["dup_pagerank"](sf)
     pd.testing.assert_frame_equal(small.reset_index(drop=True),
                                   big.reset_index(drop=True))
@@ -466,11 +476,11 @@ def test_relational2_above_gate_path(ray_session, monkeypatch, name):
     require the identical result as the driver-combine path — for
     bigram_pmi this exercises the distributed >=min-count filter and
     the needed-unigrams-only driver collection."""
-    import pdf_oxide_ray.queries as Q
+    from pdf_oxide_ray.ops import exchange
 
     sf = "/root/testdata/sf0.001"
     small = QUERIES[name](sf)
-    monkeypatch.setattr(Q, "_REDUCE_GATE_ROWS", 1)
+    monkeypatch.setattr(exchange, "GATE_ROWS", 1)
     big = QUERIES[name](sf)
     pd.testing.assert_frame_equal(
         small.sort_values(list(small.columns)).reset_index(drop=True),

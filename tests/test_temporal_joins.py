@@ -56,100 +56,6 @@ def test_range_count_join(ray_session):
     assert out["n_in_range"].tolist() == [2, 1]
 
 
-def _duck_asof(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-    import duckdb
-
-    con = duckdb.connect()
-    con.register("l", left)
-    con.register("r", right)
-    return con.execute("""
-        SELECT l.user_id, l.ts, r.ts AS ts_right,
-               l.event_id, r.event_id AS event_id_right
-        FROM l ASOF JOIN r
-          ON l.user_id = r.user_id AND r.ts <= l.ts""").fetchdf()
-
-
-def test_salted_asof_matches_unsalted_and_duckdb_hot_key(ray_session):
-    """One synthetic hot key (1e5 left rows) plus normal keys: the
-    time-bucket-salted asof must match both the unsalted operator and
-    the DuckDB ASOF twin — including matches that cross bucket
-    boundaries (the carry stitch)."""
-    import numpy as np
-
-    from pdf_oxide_ray.stages.joins import salted_asof_join
-
-    rs = np.random.RandomState(11)
-    n_hot = 100_000
-    base = pd.Timestamp("2024-01-01").value // 1000  # us
-    # hot key 7: left rows spread over ~40 days; right rows SPARSE
-    # (every ~6h), so many lefts match rights from earlier day-buckets
-    lts = base + rs.randint(0, 40 * 86_400_000_000, n_hot)
-    left = pd.DataFrame({
-        "user_id": np.int64(7),
-        "event_id": np.arange(n_hot, dtype=np.int64),
-        "ts": pd.to_datetime(lts, unit="us")})
-    rts = base + np.arange(0, 40 * 86_400_000_000, 21_600_000_000)
-    right_hot = pd.DataFrame({
-        "user_id": np.int64(7),
-        "event_id": 10_000_000 + np.arange(len(rts), dtype=np.int64),
-        "ts": pd.to_datetime(rts, unit="us")})
-    # a normal key whose only right row is far in an earlier bucket
-    left2 = pd.DataFrame({"user_id": np.int64(3),
-                          "event_id": np.int64([500_000]),
-                          "ts": [pd.Timestamp("2024-02-05 12:00")]})
-    right2 = pd.DataFrame({"user_id": np.int64(3),
-                           "event_id": np.int64([600_000]),
-                           "ts": [pd.Timestamp("2024-01-02 00:00")]})
-    lpd = pd.concat([left, left2], ignore_index=True)
-    rpd = pd.concat([right_hot, right2], ignore_index=True)
-
-    out = salted_asof_join(
-        rd.from_pandas(lpd), rd.from_pandas(rpd), on="user_id",
-        left_ts="ts", right_ts="ts", left_cols=["event_id"],
-        right_cols=["event_id"]).to_pandas()
-    gold = _duck_asof(lpd, rpd)
-    cols = ["user_id", "event_id", "ts", "ts_right", "event_id_right"]
-    a = out[cols].sort_values(["event_id"]).reset_index(drop=True)
-    b = gold[cols].sort_values(["event_id"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-
-
-def test_salted_range_count_matches_unsalted(ray_session):
-    """Salted band-count must equal the unsalted operator on a skewed
-    corpus (hot key + boundary-straddling windows)."""
-    import numpy as np
-
-    from pdf_oxide_ray.stages.joins import salted_range_count_join
-
-    rs = np.random.RandomState(5)
-    n = 20_000
-    base = pd.Timestamp("2024-01-01").value // 1000
-    lpd = pd.DataFrame({
-        "user_id": rs.choice(np.int64([7, 7, 7, 1, 2]), n),
-        "event_id": np.arange(n, dtype=np.int64),
-        "ts": pd.to_datetime(
-            base + rs.randint(0, 3 * 86_400_000_000, n), unit="us")})
-    rpd = pd.DataFrame({
-        "user_id": rs.choice(np.int64([7, 7, 1, 2, 3]), n),
-        "event_id": np.arange(n, dtype=np.int64),
-        "ts": pd.to_datetime(
-            base + rs.randint(0, 3 * 86_400_000_000, n), unit="us")})
-    kw = dict(on="user_id", left_ts="ts", right_ts="ts",
-              left_id="event_id", lower=-pd.Timedelta(hours=1),
-              upper=pd.Timedelta(0))
-    plain = range_count_join(rd.from_pandas(lpd), rd.from_pandas(rpd),
-                             **kw).to_pandas()
-    salted = salted_range_count_join(rd.from_pandas(lpd),
-                                     rd.from_pandas(rpd), **kw) \
-        .to_pandas()
-    cols = ["user_id", "event_id", "n_in_range"]
-    pd.testing.assert_frame_equal(
-        plain[cols].sort_values(["user_id", "event_id"])
-        .reset_index(drop=True),
-        salted[cols].sort_values(["user_id", "event_id"])
-        .reset_index(drop=True))
-
-
 def test_temporal_join_overflow_fallback_paths(ray_session, monkeypatch):
     """Force the banded-key overflow guard so the per-key-segment
     fallback runs; results must equal the banded path."""
