@@ -44,7 +44,6 @@ def main(argv: list[str] | None = None) -> int:
     p_flag.add_argument("--output", required=True)
     p_flag.add_argument("--no-markdown", action="store_true")
     p_flag.add_argument("--no-spans", action="store_true")
-    p_flag.add_argument("--batch-size", type=int, default=128)
 
     p_ext = sub.add_parser("extract",
                            help="resumable sharded extraction phase")
@@ -103,7 +102,6 @@ def main(argv: list[str] | None = None) -> int:
     p_pdf.add_argument("--output", required=True)
     p_pdf.add_argument("--no-markdown", action="store_true")
     p_pdf.add_argument("--no-spans", action="store_true")
-    p_pdf.add_argument("--batch-size", type=int, default=64)
 
     p_jl = sub.add_parser("ingest-jsonl",
                           help="parse a directory/glob of .jsonl files "
@@ -179,8 +177,7 @@ def main(argv: list[str] | None = None) -> int:
             summary = run_flagship_job(
                 args.input, args.output,
                 want_markdown=not args.no_markdown,
-                keep_spans=not args.no_spans,
-                batch_size=args.batch_size)
+                keep_spans=not args.no_spans)
             print(json.dumps(summary))
         elif args.cmd == "extract":
             from .pipelines.flagship import run_extraction_partitioned
@@ -268,8 +265,7 @@ def main(argv: list[str] | None = None) -> int:
 
             ds = extract_pdf_dir(args.input,
                                  want_markdown=not args.no_markdown,
-                                 keep_spans=not args.no_spans,
-                                 batch_size=args.batch_size)
+                                 keep_spans=not args.no_spans)
             ds.write_parquet(args.output)
             import ray.data as rd
 

@@ -3,9 +3,9 @@ annotate each turn with its conversation offsets, write or return the rows.
 
 One plan serves both entry points (``_flagship_plan``):
 
-``read_transcripts -> map_batches(ExtractTurns, tasks) -> materialize() ->
-gather (conv_id, turn_idx, n_chars, status) on the driver ->
-offset_index.compute_offsets_table -> ray.put ->
+``read_transcripts -> map_batches(ExtractTurns, one task per read block)
+-> materialize() -> gather (conv_id, turn_idx, n_chars, status) on the
+driver -> offset_index.compute_offsets_table -> ray.put ->
 map_batches(AnnotateOffsetsBroadcast)``.
 
 ``run_flagship_job`` writes the annotated rows to parquet and returns the
@@ -18,7 +18,11 @@ The Ray-Data re-expression of the reference's EP3 batch loop
 JSON summary -> the job summary and partition manifests.
 
 Scale notes:
-* extraction is stateless per row on Ray's shared task pool; no shuffle;
+* extraction is stateless per row on Ray's shared task pool; no shuffle.
+  Each read block is one extract call (``batch_size=None``), so
+  ``_plan_num_blocks`` is the one unit of parallelism; the call cuts its
+  output by payload bytes (``stages.extract.BATCH_BYTES``), not by a row
+  count, so short turns do not pay Ray Data's per-batch cost per few KB;
 * the fat rows (text, markdown, spans) never cross an exchange: only the
   skinny (conv_id, turn_idx, n_chars, status) table reaches the driver,
   and the offsets lookup goes back to the workers as one ``ray.put``;
@@ -50,7 +54,6 @@ from ..stages.extract import ExtractTurns
 from ..state import offset_index
 from ..state.manifest import is_partition_complete, write_manifest
 
-DEFAULT_BATCH_SIZE = 128  # rows per batch: payloads are ~1-4 KB documents
 TARGET_BLOCK_BYTES = 64 * 1024 * 1024  # cap block size at scale
 
 
@@ -137,9 +140,10 @@ def _cast_transcript_types(batch: pa.Table) -> pa.Table:
     return batch
 
 
-def extract_dataset(ds, *, want_markdown: bool = True, keep_spans: bool = True,
-                    batch_size: int = DEFAULT_BATCH_SIZE):
-    """transcripts Dataset -> extracted Dataset (zero-copy Arrow batches).
+def extract_dataset(ds, *, want_markdown: bool = True,
+                    keep_spans: bool = True):
+    """transcripts Dataset -> extracted Dataset (zero-copy Arrow batches),
+    one extract call per input block.
 
     TASK-based ``map_batches`` with a callable-instance UDF:
     the warm tokenizer/font-cache state lives in module-level per-worker
@@ -152,13 +156,12 @@ def extract_dataset(ds, *, want_markdown: bool = True, keep_spans: bool = True,
     return ds.map_batches(
         ExtractTurns(want_markdown=want_markdown, keep_spans=keep_spans),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None,
         num_cpus=1,
     )
 
 
-def _flagship_plan(input_path: str, want_markdown: bool, keep_spans: bool,
-                   batch_size: int):
+def _flagship_plan(input_path: str, want_markdown: bool, keep_spans: bool):
     """The one flagship plan: extract, then annotate every turn with its
     conversation offsets. Returns the lazy annotated Dataset and a summary
     of the first two phases:
@@ -182,7 +185,7 @@ def _flagship_plan(input_path: str, want_markdown: bool, keep_spans: bool,
     t0 = time.perf_counter()
     extracted = extract_dataset(
         read_transcripts(input_path), want_markdown=want_markdown,
-        keep_spans=keep_spans, batch_size=batch_size).materialize()
+        keep_spans=keep_spans).materialize()
     rows = extracted.count()
     t_extract = time.perf_counter() - t0
 
@@ -207,25 +210,23 @@ def _flagship_plan(input_path: str, want_markdown: bool, keep_spans: bool,
 
 
 def run_flagship(input_path: str, *, want_markdown: bool = True,
-                 keep_spans: bool = True,
-                 batch_size: int = DEFAULT_BATCH_SIZE):
+                 keep_spans: bool = True):
     """Annotated per-turn Dataset sorted by ``(conv_id, turn_idx)``.
     Extraction and offsets run now; the annotate and sort steps stay lazy
     (consume with write_parquet/iter_batches)."""
-    annotated, _ = _flagship_plan(input_path, want_markdown, keep_spans,
-                                  batch_size)
+    annotated, _ = _flagship_plan(input_path, want_markdown, keep_spans)
     return annotated.sort(["conv_id", "turn_idx"])
 
 
 def run_flagship_job(input_path: str, out_dir: str, *,
-                     want_markdown: bool = True, keep_spans: bool = True,
-                     batch_size: int = DEFAULT_BATCH_SIZE) -> dict:
+                     want_markdown: bool = True,
+                     keep_spans: bool = True) -> dict:
     """Production flagship: the annotated rows of ``run_flagship``, written
     to ``out_dir`` as parquet in block order. Returns a summary dict with
     the row and error counts and the seconds of each phase."""
     t0 = time.perf_counter()
     annotated, phases = _flagship_plan(input_path, want_markdown,
-                                       keep_spans, batch_size)
+                                       keep_spans)
     t2 = time.perf_counter()
     annotated.write_parquet(out_dir)
     t_write = time.perf_counter() - t2
@@ -277,8 +278,7 @@ def plan_shards(input_path: str, num_shards: int) -> list[dict]:
 def run_extraction_partitioned(input_path: str, out_dir: str, *,
                                num_shards: int = 8,
                                want_markdown: bool = True,
-                               keep_spans: bool = True,
-                               batch_size: int = DEFAULT_BATCH_SIZE) -> dict:
+                               keep_spans: bool = True) -> dict:
     """Resumable extract phase: per-shard parquet + manifest; skip complete
     shards on rerun. Returns summary with per-shard stats."""
     os.makedirs(out_dir, exist_ok=True)
@@ -300,7 +300,7 @@ def run_extraction_partitioned(input_path: str, out_dir: str, *,
 
             ds = ds.map_batches(_filter, batch_format="pyarrow")
         ds = extract_dataset(ds, want_markdown=want_markdown,
-                             keep_spans=keep_spans, batch_size=batch_size)
+                             keep_spans=keep_spans)
         ds = ds.map_batches(_add_row_hash, batch_format="pyarrow")
         part_path = os.path.join(out_dir, f"part_id={pid}")
         # stale partial output from a crashed/invalidated run must not leak
@@ -347,7 +347,6 @@ def run_extraction_partitioned(input_path: str, out_dir: str, *,
 
 
 def run_export(input_path: str, out_dir: str, fmt: str = "text", *,
-               batch_size: int = DEFAULT_BATCH_SIZE,
                sink: str = "parquet") -> dict:
     """Per-format export job — the distributed analogue of the
     reference's export_to_{text,markdown,html} bins
@@ -366,8 +365,7 @@ def run_export(input_path: str, out_dir: str, fmt: str = "text", *,
     tune_for_pipeline()
     ds = read_transcripts(input_path)
     extracted = extract_dataset(ds, want_markdown=(fmt == "markdown"),
-                                keep_spans=(fmt == "html"),
-                                batch_size=batch_size)
+                                keep_spans=(fmt == "html"))
 
     def render(b: pa.Table) -> pa.Table:
         if fmt == "text":

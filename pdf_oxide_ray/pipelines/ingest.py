@@ -30,8 +30,7 @@ import pyarrow as pa
 from ..functions.dedup import content_hash
 from ..ops.exchange import _bucket_of
 from ..state.manifest import write_manifest
-from .flagship import (DEFAULT_BATCH_SIZE, extract_dataset,
-                       read_transcripts, tune_for_pipeline)
+from .flagship import extract_dataset, read_transcripts, tune_for_pipeline
 
 _INGEST_BUCKETS = 32
 
@@ -48,7 +47,6 @@ def _existing_part_ids(out_dir: str) -> list[int]:
 def run_incremental_ingest(new_input: str, out_dir: str, *,
                            want_markdown: bool = True,
                            keep_spans: bool = True,
-                           batch_size: int = DEFAULT_BATCH_SIZE,
                            num_buckets: int = _INGEST_BUCKETS) -> dict:
     """Extract ``new_input`` and append the non-duplicate turns to
     ``out_dir``. Returns a summary dict (rows seen / kept / dropped,
@@ -63,7 +61,7 @@ def run_incremental_ingest(new_input: str, out_dir: str, *,
 
     extracted = extract_dataset(
         read_transcripts(new_input), want_markdown=want_markdown,
-        keep_spans=keep_spans, batch_size=batch_size).materialize()
+        keep_spans=keep_spans).materialize()
     n_new = extracted.count()
     if n_new == 0:
         return {"part_id": None, "rows_seen": 0, "rows_kept": 0,

@@ -23,11 +23,11 @@ algebra on the driver-held edge list (bounded by true-dup counts, the
 same gate `q_winnow_dup_pairs` documents).
 
 `activity_tier_migration`: per-batch (user, week, n) int partials ->
-ONE user-week-bounded reduce; transitions are one vectorized
-adjacent-row scan over the (user, week)-sorted frame (consecutive
-weeks only); the output key space is <= 9 cells. Past the partial-row
-gate the reduce and scan co-locate per user bucket (a user lives in
-exactly one bucket — the `rfm_segments` fallback shape).
+ONE `_reduce_partials` keyed on `(user_id, mix)` (the week index),
+user-week-bounded and gated like every other; transitions are one
+vectorized adjacent-row scan over the (user, week)-sorted frame
+(consecutive weeks only) on the driver, so the driver holds one row
+per active user-week; the output key space is <= 9 cells.
 
 `user_acquisition_curve`: per-batch (user, min-ts) partials meet in
 the gated keyed combine, where each user set folds to its first-day

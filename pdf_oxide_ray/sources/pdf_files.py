@@ -57,7 +57,7 @@ def read_pdf_files(paths: str | list[str]):
 
 
 def extract_pdf_dir(paths: str | list[str], *, want_markdown: bool = True,
-                    keep_spans: bool = True, batch_size: int = 64):
+                    keep_spans: bool = True):
     """Raw PDF files -> extracted Dataset (lazy; consume with
     ``write_parquet`` / ``iter_batches``). Identical output schema to
     the flagship's extraction phase, so every downstream corpus query
@@ -66,4 +66,4 @@ def extract_pdf_dir(paths: str | list[str], *, want_markdown: bool = True,
 
     ds = read_pdf_files(paths)
     return extract_dataset(ds, want_markdown=want_markdown,
-                           keep_spans=keep_spans, batch_size=batch_size)
+                           keep_spans=keep_spans)

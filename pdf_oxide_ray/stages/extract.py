@@ -1,5 +1,6 @@
 """Ray Data extraction stage: the reference's per-document body as a
-task-based ``map_batches`` over zero-copy Arrow batches.
+task-based ``map_batches`` over whole read blocks, cut into output tables
+by payload bytes.
 
 Reference parity: this stage computes, per row, exactly what
 ``PdfDocument::open`` + ``extract_text``/``to_markdown`` compute per file in
@@ -13,6 +14,13 @@ Design (SURVEY.md §4):
   compiled regexes / the AGL subset are imported once per worker process
   (module import), mirroring the reference's per-document caches promoted to
   per-worker warm state (``document.rs:50``, ``text.rs:446-458``);
+* ``batch_size=None``: each call gets one whole read block, so the read
+  blocks stay the one unit of parallelism. The call yields one output
+  table per ~``BATCH_BYTES`` of ``text`` payload, not per fixed row
+  count: payloads range from one-sentence chat turns (~60 B) to
+  multi-page PDFs, and a fixed 128-row batch cut a block of short turns
+  into ~150 batches, each paying Ray Data's per-batch cost and each a
+  chunk of every materialized column;
 * ``batch_format="pyarrow"``: zero-copy in; output built via
   ``pa.Table.from_arrays`` (no pandas round-trip for the wide ``spans``
   list<struct> column);
@@ -25,8 +33,11 @@ from __future__ import annotations
 
 import gc
 import time
+from collections.abc import Iterator
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # The extraction kernel allocates millions of short-lived objects per
 # batch; CPython's default gen0 threshold (700) makes collection overhead
@@ -48,6 +59,11 @@ def _tune_worker_gc() -> None:
 from ..core.payload import extract_payload
 from ..gen.transcripts import SPAN_TYPE
 
+# Payload bytes per yielded table. On chat_hot (58 B turns), any budget
+# from 64 KiB to 4 MiB gave the same job time on a 1-CPU host; at 1 MiB a
+# table of production-mix turns (~1.75 KB mean) holds ~600 rows.
+BATCH_BYTES = 1 << 20
+
 EXTRACTED_FIELDS = [
     ("kind", pa.string()),
     ("extracted_text", pa.large_string()),
@@ -61,11 +77,29 @@ EXTRACTED_FIELDS = [
 ]
 
 
+def byte_slices(text: pa.ChunkedArray | pa.Array) -> list[tuple[int, int]]:
+    """``(start, stop)`` row ranges that cut ``text`` in order into runs of
+    at most ``BATCH_BYTES`` payload bytes. A row is added to the current
+    run unless that would pass the budget, so a row larger than the budget
+    is a run by itself. Zero rows give one empty range."""
+    nbytes = pc.binary_length(text).fill_null(0).to_numpy()
+    cum = np.cumsum(nbytes, dtype=np.int64)
+    out: list[tuple[int, int]] = []
+    start, taken = 0, 0
+    while start < len(cum):
+        stop = int(np.searchsorted(cum, taken + BATCH_BYTES, side="right"))
+        stop = max(stop, start + 1)
+        out.append((start, stop))
+        start, taken = stop, int(cum[stop - 1])
+    return out or [(0, 0)]
+
+
 class ExtractTurns:
-    """Extract stage: transcripts batch -> extracted batch.
+    """Extract stage: transcripts block -> extracted tables, one per
+    ``byte_slices`` run, in row order.
 
     Use as ``ds.map_batches(ExtractTurns(...), batch_format="pyarrow",
-    batch_size=B, num_cpus=1)`` (``pipelines.flagship.extract_dataset``).
+    batch_size=None, num_cpus=1)`` (``pipelines.flagship.extract_dataset``).
     """
 
     def __init__(self, want_markdown: bool = True, keep_spans: bool = True):
@@ -75,8 +109,12 @@ class ExtractTurns:
         self.want_markdown = want_markdown
         self.keep_spans = keep_spans
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, block: pa.Table) -> Iterator[pa.Table]:
         _tune_worker_gc()
+        for start, stop in byte_slices(block.column("text")):
+            yield self._extract(block.slice(start, stop - start))
+
+    def _extract(self, batch: pa.Table) -> pa.Table:
         texts = batch.column("text").to_pylist()
         kinds: list[str] = []
         extracted: list[str] = []

@@ -271,6 +271,46 @@ def test_q2_q11_shapes_random(ray_session, tmp_path, seed):
         _assert_equal(mine, gold, name)
 
 
+# Queries whose partials arrive as one block at sf0.001, where a combine
+# per block and one per key bucket agree. Their scanned tables are
+# rewritten as several files (so several blocks), shuffled so that a
+# key's rows span files, and made dense in what the query counts:
+# returned_revenue keeps a top-20 per key set, which drops a partial only
+# where a block holds more than 20 customers, so every order moves into
+# the report's quarter and every line is returned; split_contamination's
+# documents get exact-duplicate texts under other doc ids (so other
+# splits), without which n_dup_with_train is 0 whatever the combine.
+_SEVERAL_BLOCKS = {"returned_revenue": ["lineitem", "orders"],
+                   "split_contamination": ["documents"]}
+
+
+def _several_blocks_sf(src: str, dst: str, tables: list[str]) -> str:
+    rs = np.random.default_rng(0)
+    for f in os.listdir(src):
+        table = f.removesuffix(".parquet")
+        if table not in tables:
+            os.symlink(os.path.join(src, f), os.path.join(dst, f))
+            continue
+        df = pd.read_parquet(os.path.join(src, f))
+        if table == "orders":
+            df["o_orderdate"] = (pd.Timestamp("1997-01-01") + pd.to_timedelta(
+                rs.integers(0, 90, len(df)), "D")).astype("datetime64[us]")
+        if table == "lineitem":
+            df["l_returnflag"] = "R"
+        if table == "documents":
+            dup = df.sample(frac=0.5, random_state=1)
+            dup["doc_id"] = df["doc_id"].max() + 1 + np.arange(len(dup))
+            dup["text"] = df["text"].sample(
+                len(dup), replace=True, random_state=2).to_numpy()
+            df = pd.concat([df, dup], ignore_index=True)
+        df = df.iloc[rs.permutation(len(df))]
+        os.makedirs(os.path.join(dst, f))
+        for i, part in enumerate(np.array_split(df, 4)):
+            part.to_parquet(os.path.join(dst, f, f"part-{i}.parquet"),
+                            index=False)
+    return dst
+
+
 @pytest.mark.parametrize("name", ["order_count_distribution",
                                   "large_orders", "retention_cohorts",
                                   "source_dup_stats",
@@ -290,12 +330,15 @@ def test_q2_q11_shapes_random(ray_session, tmp_path, seed):
                                   "funnel_latency",
                                   "weekly_active_users",
                                   "table_profile"])
-def test_relational_above_gate_path(ray_session, monkeypatch, name):
+def test_relational_above_gate_path(ray_session, monkeypatch, tmp_path,
+                                    name):
     """Force the distributed-reduce branch (gate=1) and require the
     identical result as the driver-combine path."""
     from pdf_oxide_ray.ops import exchange
 
     sf = "/root/testdata/sf0.001"
+    if name in _SEVERAL_BLOCKS:
+        sf = _several_blocks_sf(sf, str(tmp_path), _SEVERAL_BLOCKS[name])
     small = QUERIES[name](sf)
     monkeypatch.setattr(exchange, "GATE_ROWS", 1)
     big = QUERIES[name](sf)

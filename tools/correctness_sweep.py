@@ -46,7 +46,8 @@ def main() -> int:
     sf_dir = argv[0] if argv else "/root/testdata/sf0.01"
     import ray
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=16, include_dashboard=False)
+        ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+                 include_dashboard=False)
     import __ray_entry__ as e
     qs, sqls = e.queries(), e.oracle_sql()
 
