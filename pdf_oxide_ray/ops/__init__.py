@@ -6,7 +6,9 @@ re-entering the registry import).
 * ``quantile`` — the percentile_disc rank in its float64 and exact
   integer arithmetics, and the pick off a reduced value histogram.
 * ``ordered`` — the sorted-batch pass with a driver-side seam stitch.
-* ``exchange`` — the gated keyed combine over per-batch partials
-  (driver below ``GATE_ROWS``, hash buckets above), plus the bucket
-  hash and the scoped-parallelism context the other exchanges share.
+* ``exchange`` — ``exchange_by_key``, the one hash-bucketed exchange:
+  a Dataset (or a union of tagged sides) hashed on its key tuple into
+  ``BUCKETS`` buckets, a key-local ``fn`` per bucket, a lazy Dataset
+  out; and ``combine_by_key``, the gated keyed combine over per-batch
+  partials (driver below ``GATE_ROWS``, ``exchange_by_key`` above).
 """

@@ -58,11 +58,15 @@ TARGET_BLOCK_BYTES = 64 * 1024 * 1024  # cap block size at scale
 
 
 def tune_for_pipeline() -> None:
-    """Session-level knobs for the shuffles downstream of extraction
-    (``run_flagship``'s sort, the ingest dedup groupby). Measured at sf0.1
-    on 32 cpus: push-based sort shuffle cut a conv_id groupby exchange
-    from ~50s to ~6s self-time (the pull-based exchange drowned in
-    per-object overhead at 256 blocks x 256 partitions)."""
+    """Switch the session to the push-based sort shuffle. It is a
+    session-wide ``DataContext`` write, so only the two jobs that run
+    an exchange call it: ``run_flagship``'s lazy ``(conv_id, turn_idx)``
+    sort and ``run_incremental_ingest``'s dedup groupby. The one
+    measurement behind it (sf0.1, 32 cpus: ~50 s -> ~6 s self-time, the
+    pull-based exchange drowning in per-object overhead at 256 blocks x
+    256 partitions) was taken on a conv_id groupby exchange that the
+    flagship no longer has; neither remaining exchange has been
+    measured with and without it."""
     from ray.data import DataContext
     from ray.data.context import ShuffleStrategy
 
@@ -181,7 +185,6 @@ def _flagship_plan(input_path: str, want_markdown: bool, keep_spans: bool):
     """
     import ray
 
-    tune_for_pipeline()
     t0 = time.perf_counter()
     extracted = extract_dataset(
         read_transcripts(input_path), want_markdown=want_markdown,
@@ -215,6 +218,7 @@ def run_flagship(input_path: str, *, want_markdown: bool = True,
     Extraction and offsets run now; the annotate and sort steps stay lazy
     (consume with write_parquet/iter_batches)."""
     annotated, _ = _flagship_plan(input_path, want_markdown, keep_spans)
+    tune_for_pipeline()
     return annotated.sort(["conv_id", "turn_idx"])
 
 
@@ -362,7 +366,6 @@ def run_export(input_path: str, out_dir: str, fmt: str = "text", *,
         raise ValueError(f"unknown export format {fmt!r}")
     if sink not in ("parquet", "jsonl"):
         raise ValueError(f"unknown sink {sink!r}")
-    tune_for_pipeline()
     ds = read_transcripts(input_path)
     extracted = extract_dataset(ds, want_markdown=(fmt == "markdown"),
                                 keep_spans=(fmt == "html"))

@@ -28,11 +28,9 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.dedup import content_hash
-from ..ops.exchange import _bucket_of
+from ..ops.exchange import exchange_by_key
 from ..state.manifest import write_manifest
 from .flagship import extract_dataset, read_transcripts, tune_for_pipeline
-
-_INGEST_BUCKETS = 32
 
 
 def _existing_part_ids(out_dir: str) -> list[int]:
@@ -46,8 +44,7 @@ def _existing_part_ids(out_dir: str) -> list[int]:
 
 def run_incremental_ingest(new_input: str, out_dir: str, *,
                            want_markdown: bool = True,
-                           keep_spans: bool = True,
-                           num_buckets: int = _INGEST_BUCKETS) -> dict:
+                           keep_spans: bool = True) -> dict:
     """Extract ``new_input`` and append the non-duplicate turns to
     ``out_dir``. Returns a summary dict (rows seen / kept / dropped,
     the new part_id, wall seconds)."""
@@ -105,10 +102,6 @@ def run_incremental_ingest(new_input: str, out_dir: str, *,
 
         sides.append(old.map_batches(tag_old, batch_format="pandas"))
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = _bucket_of(b["h"], num_buckets)
-        return b
-
     def survivors(g: pd.DataFrame) -> pd.DataFrame:
         """Per bucket: new rows whose hash is absent from the snapshot;
         within the new shard itself, first (conv_id, turn_idx) per hash
@@ -120,10 +113,7 @@ def run_incremental_ingest(new_input: str, out_dir: str, *,
         new = new[~new["h"].isin(seen)].drop_duplicates("h", keep="first")
         return new[["conv_id", "turn_idx"]]
 
-    base = sides[0] if len(sides) == 1 else sides[0].union(sides[1])
-    keep = base.map_batches(add_bucket, batch_format="pandas") \
-        .groupby("__bucket").map_groups(survivors, batch_format="pandas") \
-        .to_pandas()
+    keep = exchange_by_key(sides, ["h"], survivors).to_pandas()
     kept_ids = frozenset(zip(keep["conv_id"], keep["turn_idx"])) \
         if not keep.empty else frozenset()
 

@@ -13,10 +13,9 @@ Stages (all streaming; shuffle budget below):
    score >= threshold, benchmark 8-gram decontamination (benchmark
    grams broadcast once via ``ray.put``; eval sets are small by
    definition), content hash, whitespace token count, md5-nibble split
-   assignment (train/val/test, reorder-stable), and the dedup bucket
-   key ``hash_bucket = crc(hash) % B``.
-3. **Dedup exchange** — ONE bucketed ``groupby(bucket).map_groups``
-   keeps the min-doc_id row per content hash. This is the pipeline's
+   assignment (train/val/test, reorder-stable).
+3. **Dedup exchange** — ONE ``exchange_by_key`` on the content hash
+   keeps the min-doc_id row per hash. This is the pipeline's
    single all-to-all and it carries the payload ONCE (unlike the
    flagship's skinny-offsets doctrine, every downstream consumer here
    needs the full text anyway, so hash-partitioning the records is the
@@ -41,8 +40,7 @@ import pandas as pd
 
 def run_training_prep(input_path: str, out_dir: str, *,
                       quality_p: float | None = None,
-                      benchmark_texts: list[str] | None = None,
-                      num_buckets: int = 64) -> dict:
+                      benchmark_texts: list[str] | None = None) -> dict:
     """documents parquet (doc_id, text, source) -> split-partitioned
     training corpus. Returns a summary dict (counts per stage)."""
     import ray
@@ -51,7 +49,7 @@ def run_training_prep(input_path: str, out_dir: str, *,
     from .. import queries as Q
     from ..functions import dedup as fdedup
     from ..functions import textops as ftext
-    from ..ops.exchange import _scoped_parallelism
+    from ..ops.exchange import exchange_by_key
 
     p = Q._QUALITY_FILTER_P if quality_p is None else quality_p
 
@@ -109,9 +107,7 @@ def run_training_prep(input_path: str, out_dir: str, *,
             "n_tokens": ftext.token_count_ws(b["text"])
             .to_numpy(np.int64),
             "content_hash": h.to_numpy(object),
-            "split": split,
-            "__bucket": (pd.util.hash_array(h.to_numpy(object))
-                         % num_buckets).astype(np.int64)})
+            "split": split})
 
     feat = ds.map_batches(filter_and_feature,
                           batch_format="pandas").materialize()
@@ -125,12 +121,10 @@ def run_training_prep(input_path: str, out_dir: str, *,
         g = g.sort_values(["content_hash", "doc_id"], kind="mergesort")
         first = np.r_[True, g["content_hash"].to_numpy(object)[1:]
                       != g["content_hash"].to_numpy(object)[:-1]]
-        return g[first].drop(columns=["__bucket"])
+        return g[first]
 
-    with _scoped_parallelism(num_buckets):
-        unique = feat.groupby("__bucket") \
-            .map_groups(dedup_bucket, batch_format="pandas") \
-            .materialize()
+    unique = exchange_by_key(feat, ["content_hash"], dedup_bucket) \
+        .materialize()
     n_unique = unique.count()
     unique.write_parquet(out_dir, partition_cols=["split"])
 

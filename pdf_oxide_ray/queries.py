@@ -25,7 +25,7 @@ from .functions import dedup as fdedup
 from .functions import similarity as fsim
 from .functions import textops as ftext
 from .ops import exchange as _xc
-from .ops.exchange import _bucket_of, _scoped_parallelism, combine_by_key
+from .ops.exchange import combine_by_key, exchange_by_key
 from .ops.quantile import disc_pick, disc_rank
 from .stages.joins import _get_broadcast, broadcast_join, bucketed_hash_join
 
@@ -326,17 +326,12 @@ def q_ordered_assembly(sf_dir: str) -> pd.DataFrame:
 def q_user_sessions(sf_dir: str) -> pd.DataFrame:
     """Session windows: per-user session count with a 30-minute
     inactivity gap — the streaming-window shape on a keyed, ordered
-    log. Shuffle: ONE groupby over ``user_id % 64`` buckets (per-user
+    log. Shuffle: ONE ``exchange_by_key`` on user_id (per-user
     map_groups paid pandas overhead per tiny group); inside a bucket
     the gap scan is a single vectorized diff over the (user, ts)-sorted
     rows with user-boundary masking."""
     ds = _pq(sf_dir, "events", ["user_id", "ts", "event_id"])
     gap_us = 30 * 60 * 1_000_000
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (b["user_id"] % 64).astype(np.int64)
-        return b
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"],
@@ -351,11 +346,7 @@ def q_user_sessions(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"user_id": u, "brk": brk.astype(np.int64)}) \
             .groupby("user_id", as_index=False)["brk"].sum()
 
-    with _scoped_parallelism(64):
-        out = ds.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas") \
-            .to_pandas()
+    out = exchange_by_key(ds, ["user_id"], per_bucket).to_pandas()
     if out.empty:
         return _empty_typed(user_id="int64", n_sessions="int64")
     out["n_sessions"] = out.pop("brk") + 1
@@ -369,7 +360,7 @@ def q_session_intervals(sf_dir: str) -> pd.DataFrame:
     30-minute inactivity gap — where ``user_sessions`` reports only
     counts. The canonical islands shape (LAG -> break flag -> running
     SUM island id -> per-island rollup) runs VECTORIZED inside the
-    same ``user_id % 64`` bucket exchange: one sorted diff marks
+    same user_id bucket exchange: one sorted diff marks
     breaks, one cumsum numbers islands, one groupby((user, island))
     rolls up — no per-user group calls. Output cardinality is
     #sessions; at corpus scale the consumer is a sink, exactly like
@@ -377,11 +368,6 @@ def q_session_intervals(sf_dir: str) -> pd.DataFrame:
     the twin's window ORDER BY."""
     ds = _pq(sf_dir, "events", ["user_id", "ts", "event_id"])
     gap_us = 30 * 60 * 1_000_000
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (b["user_id"] % 64).astype(np.int64)
-        return b
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -414,11 +400,7 @@ def q_session_intervals(sf_dir: str) -> pd.DataFrame:
             .view("datetime64[us]"),
             "n_events": isl["n_events"].to_numpy(np.int64)})
 
-    with _scoped_parallelism(64):
-        out = ds.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas") \
-            .to_pandas()
+    out = exchange_by_key(ds, ["user_id"], per_bucket).to_pandas()
     if out.empty:
         return _empty_typed(user_id="int64", session_idx="int64",
                             session_start="datetime64[us]",
@@ -462,14 +444,13 @@ def q_join_lineitem_orders(sf_dir: str) -> pd.DataFrame:
     priority, via AQE-style strategy selection: the skinny orders
     key-map broadcasts below the 5M-row stats gate (zero shuffle at
     test scale), and the partitioned bucketed hash join takes over
-    above it (num_buckets=32 is the skew knob)."""
+    above it."""
     from .stages.joins import adaptive_join
 
     li = _pq(sf_dir, "lineitem",
              ["l_orderkey", "l_extendedprice", "l_discount"])
     orders = _pq(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    joined = adaptive_join(li, orders, "l_orderkey", "o_orderkey",
-                           num_buckets=32)
+    joined = adaptive_join(li, orders, "l_orderkey", "o_orderkey")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         rev_i = _cents(b["l_extendedprice"]).to_numpy() \
@@ -779,9 +760,8 @@ def q_dup_components(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"a": b["id_a"].astype("int64"),
                              "b": b["id_b"].astype("int64")})
 
-    with _scoped_parallelism(16):
-        edges = _winnow_pair_counts_ds(sf_dir) \
-            .map_batches(edges_of, batch_format="pandas").materialize()
+    edges = _winnow_pair_counts_ds(sf_dir) \
+        .map_batches(edges_of, batch_format="pandas").materialize()
     return _connected_components(edges)
 
 
@@ -789,8 +769,6 @@ def _connected_components(edges) -> pd.DataFrame:
     """Distributed min-label propagation over a Dataset of int64 edges
     (a, b). Returns (doc_id, component) sorted by doc_id — see
     q_dup_components for the per-iteration shuffle budget."""
-    _CC_BUCKETS = 64
-
     n_edges = edges.count()
     if n_edges == 0:
         return _empty_typed(doc_id="int64", component="int64")
@@ -831,8 +809,7 @@ def _connected_components(edges) -> pd.DataFrame:
                               b["a"].to_numpy(np.int64)])
         return pd.DataFrame({
             "key": key, "dst": dst, "lab": np.int64(-1),
-            "is_lab": np.int64(0),
-            "__bucket": _bucket_of(pd.Series(key), _CC_BUCKETS)})
+            "is_lab": np.int64(0)})
 
     def init_labels(b: pd.DataFrame) -> pd.DataFrame:
         nodes = np.unique(np.concatenate([b["a"].to_numpy(np.int64),
@@ -846,8 +823,7 @@ def _connected_components(edges) -> pd.DataFrame:
             else b["lab"].astype("int64")
         return pd.DataFrame({
             "key": key.to_numpy(np.int64), "dst": np.int64(-1),
-            "lab": lab.to_numpy(np.int64), "is_lab": np.int64(1),
-            "__bucket": _bucket_of(key, _CC_BUCKETS)})
+            "lab": lab.to_numpy(np.int64), "is_lab": np.int64(1)})
 
     def propagate(g: pd.DataFrame) -> pd.DataFrame:
         """One bucket: merge labels onto out-edges, emit pre-reduced
@@ -864,26 +840,23 @@ def _connected_components(edges) -> pd.DataFrame:
 
     sym = edges.map_batches(sym_msgs, batch_format="pandas").materialize()
 
-    with _scoped_parallelism(16):
-        labels = edges.map_batches(init_labels, batch_format="pandas") \
+    labels = edges.map_batches(init_labels, batch_format="pandas") \
+        .groupby("node").min("lab") \
+        .map_batches(as_label_rows, batch_format="pandas") \
+        .materialize()
+    prev_sum = None
+    for _ in range(_CC_MAX_ITERS):
+        nxt = exchange_by_key([sym, labels], ["key"], propagate) \
             .groupby("node").min("lab") \
             .map_batches(as_label_rows, batch_format="pandas") \
             .materialize()
-        prev_sum = None
-        for _ in range(_CC_MAX_ITERS):
-            nxt = sym.union(labels) \
-                .groupby("__bucket").map_groups(propagate,
-                                                batch_format="pandas") \
-                .groupby("node").min("lab") \
-                .map_batches(as_label_rows, batch_format="pandas") \
-                .materialize()
-            tot = nxt.sum("lab")
-            labels = nxt
-            if tot == prev_sum:  # monotone ↓: fixpoint reached
-                break
-            prev_sum = tot
-        else:
-            raise RuntimeError("dup_components did not converge")
+        tot = nxt.sum("lab")
+        labels = nxt
+        if tot == prev_sum:  # monotone ↓: fixpoint reached
+            break
+        prev_sum = tot
+    else:
+        raise RuntimeError("dup_components did not converge")
 
     out = labels.to_pandas()
     return pd.DataFrame({"doc_id": out["key"].astype("int64"),
@@ -1300,7 +1273,7 @@ def q_length_deciles(sf_dir: str) -> pd.DataFrame:
 def q_running_revenue(sf_dir: str) -> pd.DataFrame:
     """Per-customer running order total — the analytic window function
     (SUM OVER PARTITION ... ORDER BY) Ray Data lacks natively, expressed
-    as a BUCKETED window: shuffle on bucket = custkey % 64 (every row
+    as a BUCKETED window: ``exchange_by_key`` on custkey (every row
     of a customer lands in one bucket), then one vectorized pandas
     sort + groupby(custkey).cumsum per bucket — 64 group calls instead
     of one per customer (measured 3.1s -> sub-second at sf0.1; a
@@ -1312,10 +1285,6 @@ def q_running_revenue(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "orders",
              ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = (b["o_custkey"] % 64).astype(np.int64)
-        return b
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["o_custkey", "o_orderdate", "o_orderkey"],
                           kind="mergesort")
@@ -1326,11 +1295,7 @@ def q_running_revenue(sf_dir: str) -> pd.DataFrame:
                              "o_custkey": g["o_custkey"].to_numpy(),
                              "running_total": run})
 
-    with _scoped_parallelism(32):
-        out = ds.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas") \
-            .to_pandas()
+    out = exchange_by_key(ds, ["o_custkey"], per_bucket).to_pandas()
     if out.empty:
         return _empty_typed(o_orderkey="int64", o_custkey="int64",
                             running_total="float64")
@@ -1397,10 +1362,9 @@ def q_pack_blocks(sf_dir: str) -> pd.DataFrame:
             "block_id": before // _PACK_BLOCK_TOKENS,
             "offset_in_block": before % _PACK_BLOCK_TOKENS})
 
-    with _scoped_parallelism(32):
-        out = skinny.map_batches(add_rng, batch_format="pandas") \
-            .groupby("rng").map_groups(pack_range, batch_format="pandas") \
-            .to_pandas()
+    out = skinny.map_batches(add_rng, batch_format="pandas") \
+        .groupby("rng").map_groups(pack_range, batch_format="pandas") \
+        .to_pandas()
     if out.empty:
         return _empty_typed(doc_id="int64", n_tokens="int64",
                             block_id="int64", offset_in_block="int64")
@@ -1477,10 +1441,8 @@ def q_dedup_exact(sf_dir: str) -> pd.DataFrame:
         batch_format="pandas")
     from ray.data.aggregate import Min
 
-    with _scoped_parallelism(32):  # skinny (hash, id) exchange; 200
-        # partitions drown a kilorow groupby in per-partition overhead
-        out = hashed.groupby("content_hash").aggregate(
-            Min("doc_id", alias_name="doc_id")).to_pandas()
+    out = hashed.groupby("content_hash").aggregate(
+        Min("doc_id", alias_name="doc_id")).to_pandas()
     if out.empty:
         return _empty_typed(doc_id="int64")
     return out[["doc_id"]].astype({"doc_id": "int64"})
@@ -1547,14 +1509,13 @@ def q_minhash_dedup(sf_dir: str) -> pd.DataFrame:
 
     import ray
 
-    with _scoped_parallelism(32):
-        # candidate pairs: ONE shuffle (bucket groupby); the pair list is
-        # ints only and bounded by 16x the true near-dup pair count, so
-        # pulling it to the driver for dedup is safe at any corpus size
-        # where the output itself is consumable
-        pair_df = band_rows.groupby("bucket").map_groups(
-            pairs_in_bucket, batch_format="pandas").to_pandas() \
-            .drop_duplicates()
+    # candidate pairs: ONE shuffle (bucket groupby); the pair list is
+    # ints only and bounded by 16x the true near-dup pair count, so
+    # pulling it to the driver for dedup is safe at any corpus size
+    # where the output itself is consumable
+    pair_df = band_rows.groupby("bucket").map_groups(
+        pairs_in_bucket, batch_format="pandas").to_pandas() \
+        .drop_duplicates()
     if pair_df.empty:
         return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
                              "cluster_root": pd.Series(dtype="int64")})
@@ -1592,29 +1553,26 @@ def q_minhash_dedup(sf_dir: str) -> pd.DataFrame:
     else:
         # scale fallback: join texts onto the pairs with bucketed hash
         # joins — no driver materialization of any text set
-        with _scoped_parallelism(32):
-            cdocs = cdocs.materialize()  # consumed twice below
-            docs_a = cdocs.map_batches(
-                lambda b: b.rename(columns={"text": "text_a"}),
-                batch_format="pandas")
-            with_a = bucketed_hash_join(cand_ds, docs_a, "id_a", "doc_id",
-                                        num_buckets=32) \
-                .map_batches(lambda b: b[["id_a", "id_b", "text_a"]]
-                             .astype({"id_b": "int64"}),
-                             batch_format="pandas")
-            docs_b = cdocs.map_batches(
-                lambda b: b.rename(columns={"text": "text_b"}),
-                batch_format="pandas")
-            with_b = bucketed_hash_join(with_a, docs_b, "id_b", "doc_id",
-                                        num_buckets=32)
+        cdocs = cdocs.materialize()  # consumed twice below
+        docs_a = cdocs.map_batches(
+            lambda b: b.rename(columns={"text": "text_a"}),
+            batch_format="pandas")
+        with_a = bucketed_hash_join(cand_ds, docs_a, "id_a", "doc_id") \
+            .map_batches(lambda b: b[["id_a", "id_b", "text_a"]]
+                         .astype({"id_b": "int64"}),
+                         batch_format="pandas")
+        docs_b = cdocs.map_batches(
+            lambda b: b.rename(columns={"text": "text_b"}),
+            batch_format="pandas")
+        with_b = bucketed_hash_join(with_a, docs_b, "id_b", "doc_id")
 
-            def verify(b: pd.DataFrame) -> pd.DataFrame:
-                keep = [fdedup.jaccard(ta, tb) >= 0.8
-                        for ta, tb in zip(b["text_a"], b["text_b"])]
-                return b.loc[keep, ["id_a", "id_b"]]
+        def verify(b: pd.DataFrame) -> pd.DataFrame:
+            keep = [fdedup.jaccard(ta, tb) >= 0.8
+                    for ta, tb in zip(b["text_a"], b["text_b"])]
+            return b.loc[keep, ["id_a", "id_b"]]
 
-            edges = with_b.map_batches(
-                verify, batch_format="pandas").to_pandas()
+        edges = with_b.map_batches(
+            verify, batch_format="pandas").to_pandas()
     comp = fdedup.connected_components(
         list(zip(edges["id_a"].tolist(), edges["id_b"].tolist())))
     if not comp:
@@ -2065,11 +2023,9 @@ def q_asof_purchase_click(sf_dir: str) -> pd.DataFrame:
              ["event_id", "ts", "user_id", "event_type"]).materialize()
     purchases = ev.filter(expr="event_type == 'purchase'")
     clicks = ev.filter(expr="event_type == 'click'")
-    with _scoped_parallelism(32):  # skinny exchange; 200 partitions is
-        # pure overhead at this group cardinality
-        out = asof_join(purchases, clicks, on="user_id", left_ts="ts",
-                        right_ts="ts", left_cols=["event_id"],
-                        right_cols=["event_id"]).to_pandas()
+    out = asof_join(purchases, clicks, on="user_id", left_ts="ts",
+                    right_ts="ts", left_cols=["event_id"],
+                    right_cols=["event_id"]).to_pandas()
     out = out.rename(columns={"ts": "purchase_ts", "ts_right": "click_ts",
                               "event_id": "purchase_id",
                               "event_id_right": "click_id"})
@@ -2089,11 +2045,10 @@ def q_range_purchase_views(sf_dir: str) -> pd.DataFrame:
              ["event_id", "ts", "user_id", "event_type"]).materialize()
     purchases = ev.filter(expr="event_type == 'purchase'")
     views = ev.filter(expr="event_type == 'view'")
-    with _scoped_parallelism(32):
-        out = range_count_join(
-            purchases, views, on="user_id", left_ts="ts", right_ts="ts",
-            left_id="event_id", lower=-pd.Timedelta(hours=1),
-            upper=pd.Timedelta(0), count_name="n_views_1h").to_pandas()
+    out = range_count_join(
+        purchases, views, on="user_id", left_ts="ts", right_ts="ts",
+        left_id="event_id", lower=-pd.Timedelta(hours=1),
+        upper=pd.Timedelta(0), count_name="n_views_1h").to_pandas()
     out = out.rename(columns={"event_id": "purchase_id"})
     if out.empty:
         return _empty_typed(purchase_id="int64", n_views_1h="int64")
@@ -2751,11 +2706,10 @@ def q_semantic_dedup(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame(
             {"vec_id": g["vec_id"].to_numpy(np.int64)[~has_earlier_dup]})
 
-    with _scoped_parallelism(32):
-        out = ds.map_batches(tag, batch_format="pandas") \
-            .groupby("cluster").map_groups(per_cluster,
-                                           batch_format="pandas") \
-            .to_pandas()
+    out = ds.map_batches(tag, batch_format="pandas") \
+        .groupby("cluster").map_groups(per_cluster,
+                                       batch_format="pandas") \
+        .to_pandas()
     if out.empty:
         return _empty_typed(vec_id="int64")
     return out.astype({"vec_id": "int64"}) \
@@ -3001,13 +2955,12 @@ def q_curate_corpus(sf_dir: str) -> pd.DataFrame:
             "quality": q[m]})
 
     kept = ds.map_batches(keep, batch_format="pandas")
-    with _scoped_parallelism(32):
-        # identical texts carry identical n_tokens/quality, so Min works
-        # as "any" for the non-key columns
-        out = kept.groupby("content_hash").aggregate(
-            Min("doc_id", alias_name="doc_id"),
-            Min("n_tokens", alias_name="n_tokens"),
-            Min("quality", alias_name="quality")).to_pandas()
+    # identical texts carry identical n_tokens/quality, so Min works
+    # as "any" for the non-key columns
+    out = kept.groupby("content_hash").aggregate(
+        Min("doc_id", alias_name="doc_id"),
+        Min("n_tokens", alias_name="n_tokens"),
+        Min("quality", alias_name="quality")).to_pandas()
     return out[["doc_id", "n_tokens", "quality"]] \
         .astype({"doc_id": "int64", "n_tokens": "int64",
                  "quality": "float64"}) \

@@ -22,7 +22,7 @@ import numpy as np
 import pandas as pd
 
 from .ops.quantile import disc_by_group
-from .ops.exchange import _scoped_parallelism, combine_by_key
+from .ops.exchange import combine_by_key, exchange_by_key
 from .queries import (ORACLE_SQL, _cents, _empty_typed, _pq, _reduce_partials,
                       register)
 from .stages.joins import _get_broadcast
@@ -48,23 +48,18 @@ def _md5_words(values, starts: tuple[int, ...], mod: int) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# windowed per-key analytics (bucketed-window pattern: shuffle on
-# key % NBUCKETS, vectorized pandas window inside each bucket)
+# windowed per-key analytics (bucketed-window pattern: one
+# exchange_by_key on the key, vectorized pandas window inside each bucket)
 # ---------------------------------------------------------------------------
-
-_WINDOW_BUCKETS = 64
 
 
 def q_event_deltas(sf_dir: str) -> pd.DataFrame:
     """LAG analytic: per-user microsecond gap to the previous event
     (ordered by ts, event_id; first event = -1). Ray Data has no window
-    functions; the bucketed window (user_id % 64 -> one in-bucket
-    vectorized pass) gives the same result with one skinny shuffle."""
+    functions; the bucketed window (``exchange_by_key`` on user_id ->
+    one in-bucket vectorized pass) gives the same result with one
+    skinny shuffle."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = (b["user_id"] % _WINDOW_BUCKETS).astype(np.int64)
-        return b
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -78,11 +73,7 @@ def q_event_deltas(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"event_id": g["event_id"].to_numpy(np.int64),
                              "delta_us": delta})
 
-    with _scoped_parallelism(32):
-        out = ds.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas") \
-            .to_pandas()
+    out = exchange_by_key(ds, ["user_id"], per_bucket).to_pandas()
     if out.empty:  # zero-block column-less frame: mirror the twin's 0 rows
         return _empty_typed(event_id="int64", delta_us="int64")
     return out.astype({"event_id": "int64", "delta_us": "int64"})
@@ -94,10 +85,6 @@ def q_rolling_value_sum(sf_dir: str) -> pd.DataFrame:
     order: values ride integer micro-units and the frame sum is a cumsum
     difference (cs[i] - cs[i-5]) on int64."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = (b["user_id"] % _WINDOW_BUCKETS).astype(np.int64)
-        return b
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -118,11 +105,7 @@ def q_rolling_value_sum(sf_dir: str) -> pd.DataFrame:
             "event_id": g["event_id"].to_numpy(np.int64),
             "roll_value": roll.astype(np.float64) / 1e6})
 
-    with _scoped_parallelism(32):
-        out = ds.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas") \
-            .to_pandas()
+    out = exchange_by_key(ds, ["user_id"], per_bucket).to_pandas()
     if out.empty:  # zero-block column-less frame: mirror the twin's 0 rows
         return _empty_typed(event_id="int64", roll_value="float64")
     return out.astype({"event_id": "int64", "roll_value": "float64"})
@@ -210,7 +193,7 @@ def q_region_revenue(sf_dir: str) -> pd.DataFrame:
                     "l_discount"])
     orders = _pq(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     joined = adaptive_join(lineitem, orders, left_on="l_orderkey",
-                           right_on="o_orderkey", num_buckets=32)
+                           right_on="o_orderkey")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         lk = _get_broadcast(ref)
@@ -239,9 +222,6 @@ def q_priority_semi_counts(sf_dir: str) -> pd.DataFrame:
     qualifying l_orderkeys are deduped per batch (skinny partial), both
     sides ride one bucketed exchange, membership is tested per bucket,
     and only per-priority partial counts leave the groups."""
-    from .ops.exchange import _bucket_of
-
-    _SEMI_BUCKETS = 32
     qual = _pq(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
 
     def probe_partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -256,12 +236,8 @@ def q_priority_semi_counts(sf_dir: str) -> pd.DataFrame:
                              "pri": b["o_orderpriority"].to_numpy(),
                              "side": 1})
 
-    tagged = qual.map_batches(probe_partial, batch_format="pandas") \
-        .union(orders.map_batches(fact_tag, batch_format="pandas"))
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = _bucket_of(b["k"], _SEMI_BUCKETS)
-        return b
+    tagged = [qual.map_batches(probe_partial, batch_format="pandas"),
+              orders.map_batches(fact_tag, batch_format="pandas")]
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         side = g["side"].to_numpy(np.int64)
@@ -272,11 +248,8 @@ def q_priority_semi_counts(sf_dir: str) -> pd.DataFrame:
                              "n_orders": 1}) \
             .groupby("o_orderpriority", as_index=False).sum()
 
-    with _scoped_parallelism(_SEMI_BUCKETS):
-        parts = tagged.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas")
-        out = _reduce_partials(parts, ["o_orderpriority"], ["n_orders"])
+    parts = exchange_by_key(tagged, ["k"], per_bucket)
+    out = _reduce_partials(parts, ["o_orderpriority"], ["n_orders"])
     return out.astype({"n_orders": "int64"})
 
 
@@ -312,7 +285,7 @@ def q_nation_trade_volume(sf_dir: str) -> pd.DataFrame:
     orders = _pq(sf_dir, "orders", ["o_orderkey", "o_custkey",
                                     "o_orderdate"])
     joined = adaptive_join(lineitem, orders, left_on="l_orderkey",
-                           right_on="o_orderkey", num_buckets=32)
+                           right_on="o_orderkey")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         lk = _get_broadcast(ref)
@@ -353,16 +326,13 @@ def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
     ride ONE skinny tagged-union exchange on orderkey; because the
     GROUP BY key IS the join key, each order's revenue is exact inside
     its bucket, so every bucket emits only its local top-10 and the
-    driver reduces 32 x 10 rows. No global sort, no driver
+    driver reduces 64 x 10 rows. No global sort, no driver
     materialization of per-order revenue."""
     import os
 
     import pyarrow.parquet as pq
     import ray
 
-    from .ops.exchange import _bucket_of
-
-    _BUCKETS = 32
     cutoff = np.datetime64(_Q3_CUTOFF)
     cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                          columns=["c_custkey", "c_mktsegment"]).to_pandas()
@@ -404,12 +374,8 @@ def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
             .strftime("%Y-%m-%d").to_numpy(),
             "side": 1})
 
-    tagged = lineitem.map_batches(line_partial, batch_format="pandas") \
-        .union(orders.map_batches(order_tag, batch_format="pandas"))
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = _bucket_of(b["k"], _BUCKETS)
-        return b
+    tagged = [lineitem.map_batches(line_partial, batch_format="pandas"),
+              orders.map_batches(order_tag, batch_format="pandas")]
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         side = g["side"].to_numpy(np.int64)
@@ -420,11 +386,7 @@ def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
                               kind="mergesort").head(10)
         return hit
 
-    with _scoped_parallelism(_BUCKETS):
-        parts = tagged.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas") \
-            .to_pandas()
+    parts = exchange_by_key(tagged, ["k"], per_bucket).to_pandas()
     if parts.empty:  # zero-block column-less frame: twin returns 0 rows
         return _empty_typed(l_orderkey="int64", o_date=object,
                             revenue="float64")
@@ -459,9 +421,6 @@ def q_returned_revenue(sf_dir: str) -> pd.DataFrame:
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from .ops.exchange import _bucket_of
-
-    _BUCKETS = 32
     lo = np.datetime64(_Q10_FROM, "us")
     hi = np.datetime64(_Q10_TO, "us")
 
@@ -490,12 +449,8 @@ def q_returned_revenue(sf_dir: str) -> pd.DataFrame:
                              "cust": b["o_custkey"].to_numpy(np.int64),
                              "side": 1})
 
-    tagged = lineitem.map_batches(line_partial, batch_format="pandas") \
-        .union(orders.map_batches(order_tag, batch_format="pandas"))
-
-    def bucket_orderkey(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = _bucket_of(b["k"], _BUCKETS)
-        return b
+    tagged = [lineitem.map_batches(line_partial, batch_format="pandas"),
+              orders.map_batches(order_tag, batch_format="pandas")]
 
     def per_order_bucket(g: pd.DataFrame) -> pd.DataFrame:
         side = g["side"].to_numpy(np.int64)
@@ -511,14 +466,10 @@ def q_returned_revenue(sf_dir: str) -> pd.DataFrame:
                                ascending=[False, True],
                                kind="mergesort").head(20)
 
-    with _scoped_parallelism(_BUCKETS):
-        cust_parts = tagged \
-            .map_batches(bucket_orderkey, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_order_bucket,
-                                            batch_format="pandas")
-        # the per-cust partials meet in the gated keyed combine; each
-        # key set keeps its local top-20
-        parts = combine_by_key(cust_parts, ["cust"], top20)
+    cust_parts = exchange_by_key(tagged, ["k"], per_order_bucket)
+    # the per-cust partials meet in the gated keyed combine; each
+    # key set keeps its local top-20
+    parts = combine_by_key(cust_parts, ["cust"], top20)
     if parts.empty:  # zero-block column-less frame: twin returns 0 rows
         return _empty_typed(c_custkey="int64", c_name=object,
                             revenue="float64", c_acctbal="float64",
@@ -658,10 +609,9 @@ def q_deterministic_shuffle(sf_dir: str) -> pd.DataFrame:
             "doc_id": g["doc_id"].to_numpy(np.int64),
             "shuffle_pos": base + np.arange(len(g), dtype=np.int64)})
 
-    with _scoped_parallelism(64):
-        out = skinny.groupby("rng").map_groups(rank_range,
-                                               batch_format="pandas") \
-            .to_pandas()
+    out = skinny.groupby("rng").map_groups(rank_range,
+                                           batch_format="pandas") \
+        .to_pandas()
     if out.empty:  # zero-block column-less frame: mirror the twin's 0 rows
         return _empty_typed(doc_id="int64", shuffle_pos="int64")
     return out.astype({"doc_id": "int64", "shuffle_pos": "int64"})
@@ -1144,36 +1094,31 @@ def q_user_reconcile(sf_dir: str) -> pd.DataFrame:
     """FULL OUTER reconciliation of event activity vs the customer
     dimension — the one join mode no other query exercises. Plan: events
     pre-aggregate to per-batch (key, n) partials (skinny); both sides
-    bucket-tag on hash(key) and move through ONE union + groupby(bucket)
-    shuffle; inside a bucket the partials sum EXACTLY (co-partitioning
+    tag and move through ONE union + ``exchange_by_key`` shuffle on the
+    key; inside a bucket the partials sum EXACTLY (co-partitioning
     puts every partial of a key in its bucket) before the outer merge
     with the customer rows, so the bucket output is final — no second
     reduce, no driver combine. Left-only keys (activity without a
     customer record) report is_customer=false; right-only keys report
-    n_events=0. Bucket count is the usual skew knob."""
-    from .ops.exchange import _bucket_of
-
+    n_events=0."""
     ev = _pq(sf_dir, "events", ["user_id"])
     cust = _pq(sf_dir, "customer", ["c_custkey"])
-    nb = 32
 
     def ev_partial(b: pd.DataFrame) -> pd.DataFrame:
         vc = b["user_id"].value_counts()
         d = pd.DataFrame({"key": vc.index.to_numpy(np.int64),
                           "n": vc.to_numpy(np.int64)})
         d["side"] = "e"
-        d["__bucket"] = _bucket_of(d["key"], nb)
         return d
 
     def cust_tag(b: pd.DataFrame) -> pd.DataFrame:
         d = pd.DataFrame({"key": b["c_custkey"].to_numpy(np.int64)})
         d["n"] = np.int64(0)
         d["side"] = "c"
-        d["__bucket"] = _bucket_of(d["key"], nb)
         return d
 
-    both = ev.map_batches(ev_partial, batch_format="pandas").union(
-        cust.map_batches(cust_tag, batch_format="pandas"))
+    both = [ev.map_batches(ev_partial, batch_format="pandas"),
+            cust.map_batches(cust_tag, batch_format="pandas")]
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         e = g[g["side"] == "e"].groupby("key", as_index=False)["n"].sum()
@@ -1183,9 +1128,7 @@ def q_user_reconcile(sf_dir: str) -> pd.DataFrame:
         m["is_customer"] = m["is_customer"].fillna(False).astype(bool)
         return m[["key", "n_events", "is_customer"]]
 
-    with _scoped_parallelism(32):
-        out = both.groupby("__bucket").map_groups(
-            combine, batch_format="pandas").to_pandas()
+    out = exchange_by_key(both, ["key"], combine).to_pandas()
     if out.empty:  # zero-block column-less frame: mirror the twin's 0 rows
         return _empty_typed(key="int64", n_events="int64", is_customer=bool)
     return out.astype({"key": "int64", "n_events": "int64"}) \

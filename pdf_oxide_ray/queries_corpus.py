@@ -59,7 +59,7 @@ import pandas as pd
 from .functions import dedup as fdedup
 from .functions import textops as _ftext
 from .ops import exchange as _xc
-from .ops.exchange import _scoped_parallelism, combine_by_key
+from .ops.exchange import combine_by_key
 from .ops.quantile import disc_index, disc_rank
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
@@ -248,12 +248,11 @@ def q_source_dup_stats(sf_dir: str) -> pd.DataFrame:
     # 100-TB path: dup groups never leave the cluster as one table
     from ray.data.aggregate import Min, Sum
 
-    with _scoped_parallelism(64):
-        dup_ds = m.groupby("h").aggregate(
-            Min("min_id", alias_name="min_id"),
-            Sum("cnt", alias_name="cnt")) \
-            .map_batches(lambda b: b[b["cnt"] > 1][["h", "min_id"]],
-                         batch_format="pandas").materialize()
+    dup_ds = m.groupby("h").aggregate(
+        Min("min_id", alias_name="min_id"),
+        Sum("cnt", alias_name="cnt")) \
+        .map_batches(lambda b: b[b["cnt"] > 1][["h", "min_id"]],
+                     batch_format="pandas").materialize()
 
     def tpart(b: pd.DataFrame) -> pd.DataFrame:
         g = pd.DataFrame({"source": b["source"].to_numpy(object),
@@ -466,11 +465,10 @@ def q_revenue_concentration(sf_dir: str) -> pd.DataFrame:
     # distributed path: sorted blocks report (rows, sum); boundaries only
     from ray.data.aggregate import Sum
 
-    with _scoped_parallelism(64):
-        pc_sorted = parts.groupby("o_custkey").aggregate(
-            Sum("rev_c", alias_name="rev_c")) \
-            .sort(["rev_c", "o_custkey"], descending=[True, False]) \
-            .materialize()
+    pc_sorted = parts.groupby("o_custkey").aggregate(
+        Sum("rev_c", alias_name="rev_c")) \
+        .sort(["rev_c", "o_custkey"], descending=[True, False]) \
+        .materialize()
     refs = pc_sorted.to_arrow_refs()
 
     @ray.remote

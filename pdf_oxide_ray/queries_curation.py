@@ -51,7 +51,7 @@ import pandas as pd
 from . import queries as _qmod
 from .functions import textops as ftext
 from .functions import dedup as fdedup
-from .ops.exchange import _scoped_parallelism, combine_by_key
+from .ops.exchange import combine_by_key
 from .queries import _cents, _empty_typed, _pq, _reduce_partials, register
 from .functions.textops import halfaway6 as _halfaway6
 
@@ -266,14 +266,13 @@ def q_hapax_stats(sf_dir: str) -> pd.DataFrame:
                              "n_hapax": np.int64(1)}) \
             .groupby("code", as_index=False).sum()
 
-    with _scoped_parallelism(32):
-        per_tok = ds.map_batches(tok_partial, batch_format="pandas") \
-            .groupby("token").aggregate(Sum("n", alias_name="tot"),
-                                        Min("code", alias_name="cmin"),
-                                        Max("code", alias_name="cmax"))
-        hp = _reduce_partials(
-            per_tok.map_batches(hapax_fold, batch_format="pandas"),
-            ["code"], ["n_hapax"])
+    per_tok = ds.map_batches(tok_partial, batch_format="pandas") \
+        .groupby("token").aggregate(Sum("n", alias_name="tot"),
+                                    Min("code", alias_name="cmin"),
+                                    Max("code", alias_name="cmax"))
+    hp = _reduce_partials(
+        per_tok.map_batches(hapax_fold, batch_format="pandas"),
+        ["code"], ["n_hapax"])
     out = pd.DataFrame({"source": sources,
                         "code": np.arange(len(sources), dtype=np.int64)})
     out = out.merge(src, on="source", how="left") \
@@ -502,16 +501,15 @@ def q_dedup_cluster_sizes(sf_dir: str) -> pd.DataFrame:
         return _empty_typed(cluster_size="int64", n_clusters="int64")
     from ray.data.aggregate import Sum
 
-    with _scoped_parallelism(32):
-        red = m.groupby("content_hash").aggregate(
-            Sum("n", alias_name="k"))
-        hist = red.map_batches(
-            lambda b: pd.DataFrame({"cluster_size":
-                                    b["k"].astype("int64"),
-                                    "n_clusters": np.int64(1)})
-            .groupby("cluster_size", as_index=False).sum(),
-            batch_format="pandas")
-        out = _reduce_partials(hist, ["cluster_size"], ["n_clusters"])
+    red = m.groupby("content_hash").aggregate(
+        Sum("n", alias_name="k"))
+    hist = red.map_batches(
+        lambda b: pd.DataFrame({"cluster_size":
+                                b["k"].astype("int64"),
+                                "n_clusters": np.int64(1)})
+        .groupby("cluster_size", as_index=False).sum(),
+        batch_format="pandas")
+    out = _reduce_partials(hist, ["cluster_size"], ["n_clusters"])
     return out.astype({"cluster_size": "int64", "n_clusters": "int64"}) \
         .sort_values("cluster_size").reset_index(drop=True)
 

@@ -64,7 +64,6 @@ import pandas as pd
 from .functions import textops as ftext
 from .ops.ordered import ordered_pass
 from .ops.quantile import disc_by_group
-from .ops.exchange import _scoped_parallelism
 from .queries import (_empty_typed, _pq, _reduce_partials, _winnow_fps_ctes,
                       register)
 
@@ -109,11 +108,10 @@ def q_dup_coverage(sf_dir: str) -> pd.DataFrame:
                              "n_shared": shared.astype(np.int64)}) \
             .groupby("doc_id", as_index=False).sum()
 
-    with _scoped_parallelism(_COV_BUCKETS):
-        per = ds.map_batches(explode, batch_format="pandas") \
-            .groupby("bucket").map_groups(cover_in_bucket,
-                                          batch_format="pandas")
-        out = _reduce_partials(per, ["doc_id"], ["n_fp", "n_shared"])
+    per = ds.map_batches(explode, batch_format="pandas") \
+        .groupby("bucket").map_groups(cover_in_bucket,
+                                      batch_format="pandas")
+    out = _reduce_partials(per, ["doc_id"], ["n_fp", "n_shared"])
     if out.empty:
         return _empty_typed(doc_id="int64", n_fp="int64",
                             n_shared="int64", coverage="float64")

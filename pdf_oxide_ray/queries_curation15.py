@@ -130,11 +130,12 @@ def q_dedup_method_agreement(sf_dir: str) -> pd.DataFrame:
     """Pair-set agreement between the winnowing and char-3-gram
     near-dup detectors — module docstring. The intersection is a
     bucketed (id_a, id_b) exchange: each detector's pair Dataset is
-    tagged (w/g indicator), unioned, hashed to 64 buckets, and each
+    tagged (w/g indicator), unioned, hashed to buckets by
+    ``exchange_by_key``, and each
     bucket emits only three scalar counts — the full pair sets never
     reach the driver (a dup-heavy corpus's pair list is not
     driver-sized)."""
-    from .ops.exchange import _scoped_parallelism
+    from .ops.exchange import exchange_by_key
     from .queries import (_WINNOW_PAIR_THRESHOLD, _ngram_dup_pairs_ds,
                           _winnow_pair_counts_ds)
 
@@ -160,12 +161,6 @@ def q_dedup_method_agreement(sf_dir: str) -> pd.DataFrame:
                              "id_b": b["id_b"].to_numpy(np.int64),
                              "w": np.int64(0), "g": np.int64(1)})
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["bucket"] = (b["id_a"].to_numpy(np.int64) * 1000003
-                       + b["id_b"].to_numpy(np.int64)) % 64
-        return b
-
     def per_bucket(gr: pd.DataFrame) -> pd.DataFrame:
         s = gr.groupby(["id_a", "id_b"], as_index=False)[["w", "g"]] \
             .sum()
@@ -174,15 +169,12 @@ def q_dedup_method_agreement(sf_dir: str) -> pd.DataFrame:
                              "ng": [np.int64((s["g"] > 0).sum())],
                              "nb": [np.int64(both.sum())]})
 
-    with _scoped_parallelism(32):
-        u = _winnow_pair_counts_ds(sf_dir) \
-            .map_batches(w_tag, batch_format="pandas") \
-            .union(_ngram_dup_pairs_ds(sf_dir)
-                   .map_batches(g_tag, batch_format="pandas"))
-        parts = u.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("bucket").map_groups(per_bucket,
-                                          batch_format="pandas") \
-            .to_pandas()  # <= 64 scalar rows: driver-contract final
+    sides = [_winnow_pair_counts_ds(sf_dir)
+             .map_batches(w_tag, batch_format="pandas"),
+             _ngram_dup_pairs_ds(sf_dir)
+             .map_batches(g_tag, batch_format="pandas")]
+    parts = exchange_by_key(sides, ["id_a", "id_b"], per_bucket) \
+        .to_pandas()  # <= 64 scalar rows: driver-contract final
     nw = int(parts["nw"].sum()) if len(parts) else 0
     ng = int(parts["ng"].sum()) if len(parts) else 0
     nb = int(parts["nb"].sum()) if len(parts) else 0

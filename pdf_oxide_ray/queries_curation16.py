@@ -60,7 +60,6 @@ import pandas as pd
 
 from .functions import dedup as fdedup
 from .functions.textops import TOK_SQL
-from .ops.exchange import _scoped_parallelism
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
@@ -230,9 +229,8 @@ def q_dedup_prf(sf_dir: str) -> pd.DataFrame:
                              "n": np.int64(1)}) \
             .groupby("h", as_index=False).sum()
 
-    with _scoped_parallelism(32):
-        per_hash = _reduce_partials(
-            ds.map_batches(hpart, batch_format="pandas"), ["h"], ["n"])
+    per_hash = _reduce_partials(
+        ds.map_batches(hpart, batch_format="pandas"), ["h"], ["n"])
     if per_hash.empty:
         m = np.array([], dtype=np.int64)
     else:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .ops.exchange import _scoped_parallelism, combine_by_key
+from .ops.exchange import combine_by_key
 from .queries import (_WINNOW_PAIR_THRESHOLD, _connected_components,
                       _empty_typed, _pq, _reduce_partials,
                       _winnow_pair_counts_ds, register)
@@ -59,8 +59,7 @@ def q_dup_transitivity_gap(sf_dir: str) -> pd.DataFrame:
     docstring."""
     import ray
 
-    with _scoped_parallelism(16):
-        pc = _winnow_pair_counts_ds(sf_dir).to_pandas()
+    pc = _winnow_pair_counts_ds(sf_dir).to_pandas()
     empty = _empty_typed(component="int64", m="int64",
                          n_implied="int64", n_found="int64",
                          completeness="float64")

@@ -49,7 +49,6 @@ import numpy as np
 import pandas as pd
 
 from .functions import textops as ftext
-from .ops.exchange import _scoped_parallelism
 from .queries import (_empty_typed, _pq, _reduce_partials, _winnow_fps_ctes,
                       register)
 
@@ -112,12 +111,11 @@ def q_source_fp_overlap(sf_dir: str) -> pd.DataFrame:
             return pd.concat([per_src, pair], ignore_index=True)
         return per_src
 
-    with _scoped_parallelism(_FPO_BUCKETS):
-        per = ds.map_batches(explode, batch_format="pandas") \
-            .groupby("bucket").map_groups(pairs_in_bucket,
-                                          batch_format="pandas")
-        agg = _reduce_partials(per, ["kind", "source_a", "source_b"],
-                               ["n"])
+    per = ds.map_batches(explode, batch_format="pandas") \
+        .groupby("bucket").map_groups(pairs_in_bucket,
+                                      batch_format="pandas")
+    agg = _reduce_partials(per, ["kind", "source_a", "source_b"],
+                           ["n"])
     empty = _empty_typed(source_a=object, source_b=object,
                          n_shared="int64", n_a="int64", n_b="int64",
                          jaccard="float64")

@@ -28,7 +28,7 @@ rfm_segments / hourly_top_event / lineitem_value_corr reduce
 per-batch partials to customer- / hour- / constant-sized frames;
 heaps_law_curve is ONE vocabulary-keyed combine (the `unigram_logprob`
 scale) folded to a bounded bucket histogram; session_overlap_peak is
-TWO bucketed exchanges (user_id % 64 sessionize, then ts-day sweep
+TWO bucketed exchanges (user_id buckets sessionize, then ts-day sweep
 buckets) with only per-bucket (delta, max-prefix) triples reaching the
 driver — the distributed-prefix-sum recipe, never a global sort.
 
@@ -48,7 +48,7 @@ import numpy as np
 import pandas as pd
 
 from .functions import dedup as fdedup
-from .ops.exchange import _scoped_parallelism, combine_by_key
+from .ops.exchange import combine_by_key, exchange_by_key
 from .ops.quantile import disc_by_group, disc_rank
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
@@ -523,18 +523,13 @@ def q_session_overlap_peak(sf_dir: str) -> pd.DataFrame:
     ts at first max) from one bucket-local sorted scan; the driver
     folds the bounded day sequence with the classic two-level
     prefix-sum recombination peak = max_b(offset_b + max_prefix_b).
-    TWO skinny exchanges total (user_id % 64, then day); at 1e12-event
+    TWO skinny exchanges total (user_id buckets, then day); at 1e12-event
     scale shrink the bucket width so per-bucket endpoint counts fit a
     block. Output: one row (n_sessions, peak, peak_ts = earliest
     instant the peak is reached); empty input -> zero rows on both
     sides."""
     ds = _pq(sf_dir, "events", ["user_id", "ts", "event_id"])
     gap_us = 30 * 60 * 1_000_000
-
-    def add_ubucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (b["user_id"] % 64).astype(np.int64)
-        return b
 
     def endpoints(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"],
@@ -574,13 +569,10 @@ def q_session_overlap_peak(sf_dir: str) -> pd.DataFrame:
             "max_prefix": [int(run[imax])],
             "ts_at_max": [int(ts[imax])]})
 
-    with _scoped_parallelism(64):
-        days = ds.map_batches(add_ubucket, batch_format="pandas") \
-            .groupby("__bucket") \
-            .map_groups(endpoints, batch_format="pandas") \
-            .map_batches(add_tbucket, batch_format="pandas") \
-            .groupby("__tb").map_groups(per_day, batch_format="pandas") \
-            .to_pandas()
+    days = exchange_by_key(ds, ["user_id"], endpoints) \
+        .map_batches(add_tbucket, batch_format="pandas") \
+        .groupby("__tb").map_groups(per_day, batch_format="pandas") \
+        .to_pandas()
     if days.empty:
         return _empty_typed(n_sessions="int64", peak="int64",
                             peak_ts="datetime64[us]")
@@ -896,7 +888,7 @@ def q_reorder_gap_percentiles(sf_dir: str) -> pd.DataFrame:
     """Repeat-purchase latency: per market segment, exact p50/p90 of the
     per-customer gap (days) between CONSECUTIVE orders — the retention
     diagnostic next to ``retention_cohorts``. Plan: ONE
-    ``custkey % 64`` bucket exchange; inside a bucket the gaps are one
+    custkey bucket exchange; inside a bucket the gaps are one
     vectorized sorted diff with customer-boundary masking (the
     ``user_sessions`` scan); segments come from the broadcast customer
     dim (sorted-key searchsorted, the fk_audit idiom — ray.put once,
@@ -916,11 +908,6 @@ def q_reorder_gap_percentiles(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "orders", ["o_custkey", "o_orderdate",
                                 "o_orderkey"])
     day = 86_400_000_000
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (b["o_custkey"] % 64).astype(np.int64)
-        return b
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["o_custkey", "o_orderdate", "o_orderkey"],
@@ -943,12 +930,8 @@ def q_reorder_gap_percentiles(sf_dir: str) -> pd.DataFrame:
                              "cnt": np.int64(1)}) \
             .groupby(["segment", "gap"], as_index=False).sum()
 
-    with _scoped_parallelism(64):
-        hist = _reduce_partials(
-            ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas"),
-            ["segment", "gap"], ["cnt"])
+    hist = _reduce_partials(exchange_by_key(ds, ["o_custkey"], per_bucket),
+                            ["segment", "gap"], ["cnt"])
     if hist.empty:
         return _empty_typed(segment=object, n="int64",
                             p50_days="int64", p90_days="int64")

@@ -23,7 +23,7 @@ chain entropy:
 
 Distributed plans (shuffle budgets — also in SCALE.md):
 
-`median_user_value_by_type`: ONE bucketed exchange (user_id % 64);
+`median_user_value_by_type`: ONE bucketed exchange on user_id;
 each bucket computes its users' medians vectorized (sorted take at
 the disc index) and emits (event_type, median-cents, n_users)
 HISTOGRAM partials — bounded by types x cent-grid per bucket; the
@@ -51,11 +51,10 @@ import pandas as pd
 
 from .functions.markov_sql import markov_chain_cte
 from .ops.quantile import disc_pick, disc_rank_exact
-from .ops.exchange import _scoped_parallelism
+from .ops.exchange import exchange_by_key
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
-_MM_BUCKETS = 64
 _ER_PREC = 10 ** 9           # stationary grid (matches curation26)
 _ER_ITERS = 24
 
@@ -67,10 +66,9 @@ def q_median_user_value_by_type(sf_dir: str) -> pd.DataFrame:
     module docstring."""
     ds = _pq(sf_dir, "events", ["user_id", "event_type", "value"])
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
+    def project(b: pd.DataFrame) -> pd.DataFrame:
         raw = b["value"].to_numpy(np.float64) * 100.0
         return pd.DataFrame({
-            "__bucket": (b["user_id"] % _MM_BUCKETS).astype(np.int64),
             "user_id": b["user_id"].to_numpy(np.int64),
             "event_type": b["event_type"].to_numpy(object),
             "c": np.copysign(np.floor(np.abs(raw) + 0.5), raw)
@@ -91,11 +89,9 @@ def q_median_user_value_by_type(sf_dir: str) -> pd.DataFrame:
             "m": med, "n_users": np.int64(1)}) \
             .groupby(["event_type", "m"], as_index=False).sum()
 
-    with _scoped_parallelism(32):
-        part = ds.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas")
-        h = _reduce_partials(part, ["event_type", "m"], ["n_users"])
+    part = exchange_by_key(ds.map_batches(project, batch_format="pandas"),
+                           ["user_id"], per_bucket)
+    h = _reduce_partials(part, ["event_type", "m"], ["n_users"])
     empty = _empty_typed(event_type=object, n_users="int64",
                          median_of_medians="float64")
     if h.empty:

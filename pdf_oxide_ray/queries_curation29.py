@@ -22,7 +22,7 @@ conversion latency:
 
 Distributed plans (shuffle budgets — also in SCALE.md):
 
-`bounce_rate`: ONE bucketed exchange (user % 64); in-bucket sessions
+`bounce_rate`: ONE bucketed exchange on user_id; in-bucket sessions
 are one vectorized gap scan; partials are (entry_type, n_sessions,
 n_bounces, n_events) — #types rows per bucket; driver does two
 divisions.
@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .ops.exchange import _scoped_parallelism, combine_by_key
+from .ops.exchange import combine_by_key, exchange_by_key
 from .ops.quantile import disc_pick, disc_rank
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
@@ -64,10 +64,6 @@ def q_bounce_rate(sf_dir: str) -> pd.DataFrame:
     docstring."""
     ds = _pq(sf_dir, "events", ["user_id", "ts", "event_id",
                                 "event_type"])
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = (b["user_id"] % 64).astype(np.int64)
-        return b
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         cols = {"entry_type": object, "n_sessions": "int64",
@@ -92,12 +88,9 @@ def q_bounce_rate(sf_dir: str) -> pd.DataFrame:
             "n_events": cnt.astype(np.int64)}) \
             .groupby("entry_type", as_index=False).sum()
 
-    with _scoped_parallelism(32):
-        part = ds.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas")
-        agg = _reduce_partials(part, ["entry_type"],
-                               ["n_sessions", "n_bounces", "n_events"])
+    part = exchange_by_key(ds, ["user_id"], per_bucket)
+    agg = _reduce_partials(part, ["entry_type"],
+                           ["n_sessions", "n_bounces", "n_events"])
     empty = _empty_typed(entry_type=object, n_sessions="int64",
                          n_bounces="int64", bounce_rate="float64",
                          avg_session_events="float64")

@@ -14,7 +14,7 @@ text profiling:
 
 Distributed plans (shuffle budgets — also in SCALE.md):
 
-`audience_overlap`: ONE bucketed exchange (user % 64); each bucket
+`audience_overlap`: ONE bucketed exchange on user_id; each bucket
 OR-folds its users' type BITMASKS (types fit one int64), histograms
 the distinct masks, and decodes each mask once into per-pair /
 per-type partial counts — partials are bounded by #types² per
@@ -37,7 +37,7 @@ import pandas as pd
 from .functions.bitmask import (BITS, encode_codes, mask_cols, n_words,
                                 or_by_key)
 from .ops.quantile import disc_pick, disc_rank
-from .ops.exchange import _scoped_parallelism
+from .ops.exchange import exchange_by_key
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
@@ -48,9 +48,8 @@ def q_audience_overlap(sf_dir: str) -> pd.DataFrame:
     docstring."""
     ds = _pq(sf_dir, "events", ["user_id", "event_type"])
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
+    def project(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
-            "__bucket": (b["user_id"] % 64).astype(np.int64),
             "user_id": b["user_id"].to_numpy(np.int64),
             "event_type": b["event_type"].to_numpy(object)}) \
             .drop_duplicates(["user_id", "event_type"])
@@ -81,11 +80,9 @@ def q_audience_overlap(sf_dir: str) -> pd.DataFrame:
                     rows.append((types[i], types[j], int(c)))
         return pd.DataFrame(rows, columns=["ta", "tb", "n"])
 
-    with _scoped_parallelism(32):
-        part = ds.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas")
-        agg = _reduce_partials(part, ["ta", "tb"], ["n"])
+    part = exchange_by_key(ds.map_batches(project, batch_format="pandas"),
+                           ["user_id"], per_bucket)
+    agg = _reduce_partials(part, ["ta", "tb"], ["n"])
     empty = _empty_typed(type_a=object, type_b=object,
                          users_a="int64", users_b="int64",
                          users_both="int64", jaccard="float64")

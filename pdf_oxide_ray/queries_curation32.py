@@ -49,7 +49,6 @@ import pandas as pd
 
 from .functions.textops import halfaway6
 from .ops.quantile import disc_pick, disc_rank
-from .ops.exchange import _scoped_parallelism
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
@@ -252,10 +251,9 @@ def q_ccnet_buckets(sf_dir: str) -> pd.DataFrame:
         out["cnt"] = out["cnt"].astype(np.int64)
         return out
 
-    with _scoped_parallelism(32):
-        h = _reduce_partials(
-            ds.map_batches(score_hist, batch_format="pandas"),
-            ["lang", "scored", "sc6"], ["cnt"])
+    h = _reduce_partials(
+        ds.map_batches(score_hist, batch_format="pandas"),
+        ["lang", "scored", "sc6"], ["cnt"])
     if h.empty:
         return empty
     rows = []

@@ -46,7 +46,6 @@ import zlib
 import numpy as np
 import pandas as pd
 
-from .ops.exchange import _scoped_parallelism
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
@@ -106,11 +105,10 @@ def q_substring_dup_pairs(sf_dir: str) -> pd.DataFrame:
             .drop_duplicates() \
             .assign(n=np.int64(1))
 
-    with _scoped_parallelism(32):
-        per_bucket = ds.map_batches(explode, batch_format="pandas") \
-            .groupby("bucket").map_groups(pairs_in_bucket,
-                                          batch_format="pandas")
-        agg = _reduce_partials(per_bucket, ["id_a", "id_b"], ["n"])
+    per_bucket = ds.map_batches(explode, batch_format="pandas") \
+        .groupby("bucket").map_groups(pairs_in_bucket,
+                                      batch_format="pandas")
+    agg = _reduce_partials(per_bucket, ["id_a", "id_b"], ["n"])
     if agg.empty:
         return _empty_typed(id_a="int64", id_b="int64")
     return agg[["id_a", "id_b"]].astype("int64") \
@@ -157,9 +155,8 @@ def q_winnow_threshold_curve(sf_dir: str) -> pd.DataFrame:
                              "n": np.int64(1)}) \
             .groupby("h", as_index=False).sum()
 
-    with _scoped_parallelism(32):
-        per_hash = _reduce_partials(
-            ds.map_batches(hpart, batch_format="pandas"), ["h"], ["n"])
+    per_hash = _reduce_partials(
+        ds.map_batches(hpart, batch_format="pandas"), ["h"], ["n"])
     m = per_hash["n"].to_numpy(np.int64) if len(per_hash) else \
         np.array([], dtype=np.int64)
     n_truth = int((m * (m - 1) // 2).sum())

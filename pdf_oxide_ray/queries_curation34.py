@@ -49,7 +49,7 @@ import zlib
 import numpy as np
 import pandas as pd
 
-from .ops.exchange import _scoped_parallelism
+from .ops.exchange import exchange_by_key
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
@@ -131,12 +131,11 @@ def q_anchor_stride_recall(sf_dir: str) -> pd.DataFrame:
         return pd.concat(frames, ignore_index=True) \
             .groupby(["id_a", "id_b"], as_index=False).max()
 
-    with _scoped_parallelism(32):
-        per_bucket = ds.map_batches(explode, batch_format="pandas") \
-            .groupby("bucket").map_groups(pairs_in_bucket,
-                                          batch_format="pandas")
-        agg = _reduce_partials(per_bucket, ["id_a", "id_b"],
-                               ["p1", "p4", "p8", "p16"])
+    per_bucket = ds.map_batches(explode, batch_format="pandas") \
+        .groupby("bucket").map_groups(pairs_in_bucket,
+                                      batch_format="pandas")
+    agg = _reduce_partials(per_bucket, ["id_a", "id_b"],
+                           ["p1", "p4", "p8", "p16"])
     if agg.empty:
         n = {1: 0, 4: 0, 8: 0, 16: 0}
     else:
@@ -205,7 +204,6 @@ def q_join_size_estimate(sf_dir: str) -> pd.DataFrame:
     """KMV join-cardinality estimate vs exact — module docstring."""
     import ray
 
-    from .ops.exchange import _bucket_of
     from .stages.joins import _get_broadcast
 
     lineitem = _pq(sf_dir, "lineitem", ["l_orderkey"])
@@ -248,25 +246,15 @@ def q_join_size_estimate(sf_dir: str) -> pd.DataFrame:
                              "nl": np.int64(0),
                              "no": g["size"].to_numpy(np.int64)})
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["bucket"] = _bucket_of(b["key"], 32)
-        return b
-
     def bucket_sum(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("key", as_index=False)[["nl", "no"]].sum()
         return pd.DataFrame({
             "prod": [np.int64((s["nl"].to_numpy(np.int64)
                                * s["no"].to_numpy(np.int64)).sum())]})
 
-    with _scoped_parallelism(32):
-        tagged = lineitem.map_batches(l_part, batch_format="pandas") \
-            .union(orders.map_batches(o_part, batch_format="pandas"))
-        parts = tagged.map_batches(add_bucket,
-                                   batch_format="pandas") \
-            .groupby("bucket").map_groups(bucket_sum,
-                                          batch_format="pandas") \
-            .to_pandas()
+    sides = [lineitem.map_batches(l_part, batch_format="pandas"),
+             orders.map_batches(o_part, batch_format="pandas")]
+    parts = exchange_by_key(sides, ["key"], bucket_sum).to_pandas()
     exact = int(parts["prod"].sum()) if len(parts) else 0
 
     if k_used == 0:

@@ -35,7 +35,7 @@ import pandas as pd
 from .functions.lm_ab import (lm_chain as _lm_chain,
                               lm_from_counts as _lm_from_counts,
                               nibble_split as _nibble_split)
-from .ops.exchange import _scoped_parallelism
+from .ops.exchange import exchange_by_key
 from .queries import _pq, _reduce_partials, register
 
 
@@ -45,7 +45,6 @@ def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
     import ray
 
     from .functions import dedup as fdedup
-    from .ops.exchange import _bucket_of
     from .stages.joins import _get_broadcast
 
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
@@ -56,13 +55,10 @@ def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
         if not len(b):
             return pd.DataFrame({
                 "doc_id": pd.Series([], dtype="int64"),
-                "text": pd.Series([], dtype=object),
-                "bucket": pd.Series([], dtype="int64")})
-        h = fdedup.content_hash(b["text"])
+                "text": pd.Series([], dtype=object)})
         return pd.DataFrame({
             "doc_id": b["doc_id"].to_numpy(np.int64),
-            "text": b["text"].fillna("").to_numpy(object),
-            "bucket": _bucket_of(h, 64)})
+            "text": b["text"].fillna("").to_numpy(object)})
 
     def keep_min(g: pd.DataFrame) -> pd.DataFrame:
         h = fdedup.content_hash(g["text"])
@@ -71,15 +67,10 @@ def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
         return g.drop_duplicates("__h", keep="first") \
             [["doc_id", "text"]]
 
-    with _scoped_parallelism(32):
-        train = ds.map_batches(train_rows,
-                               batch_format="pandas").materialize()
-        if train.count():
-            winners = train.groupby("bucket") \
-                .map_groups(keep_min, batch_format="pandas") \
-                .materialize()
-        else:
-            winners = train
+    train = ds.map_batches(train_rows, batch_format="pandas").materialize()
+    # equal texts share a bucket, so the per-hash min is key-local
+    winners = exchange_by_key(train, ["text"], keep_min).materialize() \
+        if train.count() else train
 
     def counts_of(dset) -> pd.DataFrame:
         def cnt(b: pd.DataFrame) -> pd.DataFrame:

@@ -46,7 +46,6 @@ import pandas as pd
 from .functions.textops import TOK_SQL as _TOK_SQL
 from .functions.textops import halfaway6 as _halfaway6
 from .ops import exchange as _xc
-from .ops.exchange import _scoped_parallelism
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
@@ -390,11 +389,10 @@ def q_soft_dedup_weights(sf_dir: str) -> pd.DataFrame:
     # 100-TB path: dup clusters never materialize on the driver
     from ray.data.aggregate import Sum
 
-    with _scoped_parallelism(64):
-        dup_ds = m.groupby("h").aggregate(
-            Sum("cnt", alias_name="cnt")) \
-            .map_batches(lambda b: b[b["cnt"] > 1],
-                         batch_format="pandas").materialize()
+    dup_ds = m.groupby("h").aggregate(
+        Sum("cnt", alias_name="cnt")) \
+        .map_batches(lambda b: b[b["cnt"] > 1],
+                     batch_format="pandas").materialize()
 
     def dockey(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

@@ -78,7 +78,6 @@ import pandas as pd
 
 from .ops.ordered import ordered_pass
 from .ops.quantile import disc_pick, disc_rank_exact
-from .ops.exchange import _scoped_parallelism
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
@@ -220,9 +219,8 @@ def q_prefix_containment(sf_dir: str) -> pd.DataFrame:
     if ds.count() == 0:
         return empty
     parts = ds.map_batches(dcount, batch_format="pandas")
-    with _scoped_parallelism(32):
-        dist = parts.groupby("text").aggregate(Sum("c", alias_name="c"))
-        sorted_ds = dist.sort("text")
+    dist = parts.groupby("text").aggregate(Sum("c", alias_name="c"))
+    sorted_ds = dist.sort("text")
 
     def fold(b: pd.DataFrame) -> pd.DataFrame:
         # kind 0 = prefix of its in-batch successor (the last text's

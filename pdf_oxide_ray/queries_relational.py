@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 
 from .ops import exchange as _xc
-from .ops.exchange import _scoped_parallelism, combine_by_key
+from .ops.exchange import combine_by_key, exchange_by_key
 from .ops.quantile import disc_by_group, disc_pick, disc_rank
 from .queries import _cents, _empty_typed, _pq, _reduce_partials, register
 from .stages.joins import _get_broadcast
@@ -320,10 +320,6 @@ def q_retention_cohorts(sf_dir: str) -> pd.DataFrame:
         # user counts all resolve inside the bucket (a user lives in
         # exactly ONE bucket, so per-bucket cell counts sum without
         # double-counting). The driver only ever sees cell partials.
-        from .ops.exchange import _bucket_of
-
-        nb = 64
-
         def tag_first(b: pd.DataFrame) -> pd.DataFrame:
             b = b.copy()
             b["side"] = np.int64(0)
@@ -335,10 +331,6 @@ def q_retention_cohorts(sf_dir: str) -> pd.DataFrame:
                 "day": b["ts"].to_numpy("datetime64[D]")
                 .astype(np.int64),
                 "side": np.int64(1)})
-
-        def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-            b["__bucket"] = _bucket_of(b["user_id"], nb)
-            return b
 
         def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
             side = g["side"].to_numpy(np.int64)
@@ -354,13 +346,11 @@ def q_retention_cohorts(sf_dir: str) -> pd.DataFrame:
             return cells.groupby(["cohort", "off"], as_index=False) \
                 .agg(n_users=("user_id", "size"))
 
-        with _scoped_parallelism(nb):
-            cells = m.map_batches(tag_first, batch_format="pandas") \
-                .union(ev.map_batches(tag_ev, batch_format="pandas")) \
-                .map_batches(add_bucket, batch_format="pandas") \
-                .groupby("__bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
-            out = _reduce_partials(cells, ["cohort", "off"], ["n_users"])
+        cells = exchange_by_key(
+            [m.map_batches(tag_first, batch_format="pandas"),
+             ev.map_batches(tag_ev, batch_format="pandas")],
+            ["user_id"], per_bucket)
+        out = _reduce_partials(cells, ["cohort", "off"], ["n_users"])
     out["cohort_day"] = np.datetime_as_string(
         out["cohort"].to_numpy(np.int64).astype("datetime64[D]"), unit="D")
     return out.rename(columns={"off": "day_offset"}) \
@@ -441,22 +431,14 @@ def q_unigram_logprob(sf_dir: str) -> pd.DataFrame:
 # event-type transition matrix (per-user Markov counts)
 # ---------------------------------------------------------------------------
 
-_TRANSITION_BUCKETS = 64
-
-
 def q_event_transitions(sf_dir: str) -> pd.DataFrame:
     """First-order Markov transition counts over each user's event
     stream ordered by (ts, event_id) — the bucketed-window pattern
-    (user_id % 64 -> one vectorized in-bucket pass, cf.
+    (``exchange_by_key`` on user_id -> one vectorized in-bucket pass, cf.
     ``q_event_deltas``), then a tiny (prev, next) count reduce: the
     wide exchange carries events once; the second shuffle carries one
-    row per (type-pair, bucket), bounded by #types² x buckets."""
+    row per (type-pair, bucket), bounded by #types² x ``BUCKETS``."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = (b["user_id"] % _TRANSITION_BUCKETS) \
-            .astype(np.int64)
-        return b
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -472,11 +454,8 @@ def q_event_transitions(sf_dir: str) -> pd.DataFrame:
             .groupby(["prev_type", "next_type"], as_index=False) \
             .size().rename(columns={"size": "n"})
 
-    with _scoped_parallelism(32):
-        part = ds.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas")
-        out = _reduce_partials(part, ["prev_type", "next_type"], ["n"])
+    part = exchange_by_key(ds, ["user_id"], per_bucket)
+    out = _reduce_partials(part, ["prev_type", "next_type"], ["n"])
     if out.empty:
         return _empty_typed(prev_type=object, next_type=object, n="int64")
     return out.astype({"n": "int64"}) \
@@ -493,7 +472,7 @@ _RANGE_WINDOW_US = 3_600_000_000  # 1 hour in microseconds
 def q_rolling_time_window(sf_dir: str) -> pd.DataFrame:
     """Per-user sum of ``value`` over the trailing ONE HOUR of events —
     a RANGE-interval window (vs ``rolling_value_sum``'s ROWS frame).
-    Bucketed-window pattern (user_id % 64 → one vectorized in-bucket
+    Bucketed-window pattern (user_id buckets → one vectorized in-bucket
     pass); the frame sum is a cumsum difference between two
     ``searchsorted`` boundaries on int64 microseconds. SQL RANGE frames
     include ALL ts-peer rows of the current row (not just preceding
@@ -501,11 +480,6 @@ def q_rolling_time_window(sf_dir: str) -> pd.DataFrame:
     — exact tie parity with the DuckDB window. Values ride int64
     micro-units so the difference is order-exact."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = (b["user_id"] % _TRANSITION_BUCKETS) \
-            .astype(np.int64)
-        return b
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -555,11 +529,7 @@ def q_rolling_time_window(sf_dir: str) -> pd.DataFrame:
             "event_id": g["event_id"].to_numpy(np.int64),
             "hour_value": roll.astype(np.float64) / 1e6})
 
-    with _scoped_parallelism(32):
-        out = ds.map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas") \
-            .to_pandas()
+    out = exchange_by_key(ds, ["user_id"], per_bucket).to_pandas()
     if out.empty:
         return _empty_typed(event_id="int64", hour_value="float64")
     return out.astype({"event_id": "int64", "hour_value": "float64"}) \
@@ -752,15 +722,17 @@ def q_value_quantile_sketch(sf_dir: str) -> pd.DataFrame:
     reproduces the sketch bit-for-bit. Also pinned in
     tests/test_pinned_rows_only.py plus the error-bound property
     test in tests/test_queries.py."""
-    from .ops.exchange import _bucket_of
-
     ds = _pq(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def tag(b: pd.DataFrame) -> pd.DataFrame:
         b = b.dropna(subset=["value"])
+        # the sketch's own bucket rule, twinned in SQL: Fibonacci hash
+        # of the row id, top 32 bits, mod _QSK_BUCKETS
+        fib = (b["event_id"].to_numpy(np.int64).astype(np.uint64)
+               * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(32))
         return pd.DataFrame({
             "event_type": b["event_type"].to_numpy(object),
-            "bucket": _bucket_of(b["event_id"], _QSK_BUCKETS),
+            "bucket": (fib % np.uint64(_QSK_BUCKETS)).astype(np.int64),
             "value": b["value"].to_numpy(np.float64)})
 
     def coreset(g: pd.DataFrame) -> pd.DataFrame:
@@ -778,10 +750,9 @@ def q_value_quantile_sketch(sf_dir: str) -> pd.DataFrame:
             "prev_rank": np.concatenate([[np.int64(0)], idx[:-1] + 1]),
             "n_b": np.int64(n_b)})
 
-    with _scoped_parallelism(_QSK_BUCKETS):
-        summ = ds.map_batches(tag, batch_format="pandas") \
-            .groupby(["event_type", "bucket"]) \
-            .map_groups(coreset, batch_format="pandas").to_pandas()
+    summ = ds.map_batches(tag, batch_format="pandas") \
+        .groupby(["event_type", "bucket"]) \
+        .map_groups(coreset, batch_format="pandas").to_pandas()
     empty = _empty_typed(event_type=object, p="float64",
                          value="float64")
     if summ.empty:
@@ -857,9 +828,6 @@ def q_value_trend_by_type(sf_dir: str) -> pd.DataFrame:
 # incremental dedup: big-big ANTI join vs a corpus snapshot
 # ---------------------------------------------------------------------------
 
-_INCR_BUCKETS = 32
-
-
 def q_incremental_dedup(sf_dir: str) -> pd.DataFrame:
     """Incremental ingestion dedup: drop new documents (top half of
     doc_ids) whose exact text already exists in the snapshot (bottom
@@ -872,7 +840,6 @@ def q_incremental_dedup(sf_dir: str) -> pd.DataFrame:
     twin anti-joins on the raw text (same relation on any corpus
     without hash collisions, like ``dedup_exact``)."""
     from .functions import dedup as fdedup
-    from .ops.exchange import _bucket_of
 
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
     half = ds.count() // 2
@@ -888,10 +855,6 @@ def q_incremental_dedup(sf_dir: str) -> pd.DataFrame:
                             "doc_id": ids[~old], "side": 1})
         return pd.concat([snap, new], ignore_index=True)
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = _bucket_of(b["h"], _INCR_BUCKETS)
-        return b
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         side = g["side"].to_numpy(np.int64)
         seen = set(g.loc[side == 0, "h"])
@@ -899,12 +862,8 @@ def q_incremental_dedup(sf_dir: str) -> pd.DataFrame:
         keep = new[~new["h"].isin(seen)]
         return keep[["doc_id"]]
 
-    with _scoped_parallelism(_INCR_BUCKETS):
-        out = ds.map_batches(tag, batch_format="pandas") \
-            .map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas") \
-            .to_pandas()
+    out = exchange_by_key(ds.map_batches(tag, batch_format="pandas"),
+                          ["h"], per_bucket).to_pandas()
     if out.empty:
         return _empty_typed(doc_id="int64")
     return out.astype({"doc_id": "int64"}) \
@@ -990,14 +949,8 @@ def q_cross_source_dups(sf_dir: str) -> pd.DataFrame:
             .groupby(["h", "source"], as_index=False) \
             .size().rename(columns={"size": "n"})
 
-    from .ops.exchange import _bucket_of
-
     empty = _empty_typed(source_a=object, source_b=object,
                          n_pairs="int64")
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = _bucket_of(b["h"], 32)
-        return b
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # combine batch partials, then ONLY hashes seen under >= 2
@@ -1026,13 +979,9 @@ def q_cross_source_dups(sf_dir: str) -> pd.DataFrame:
             "source_b": pa.array([b for (_a, b) in rows], pa.string()),
             "n_pairs": pa.array(list(rows.values()), pa.int64())})
 
-    with _scoped_parallelism(32):
-        parts = ds.map_batches(tag, batch_format="pandas") \
-            .map_batches(add_bucket, batch_format="pandas") \
-            .groupby("__bucket").map_groups(pairs_in_bucket,
-                                            batch_format="pandas")
-        out = _reduce_partials(parts, ["source_a", "source_b"],
-                               ["n_pairs"])
+    parts = exchange_by_key(ds.map_batches(tag, batch_format="pandas"),
+                            ["h"], pairs_in_bucket)
+    out = _reduce_partials(parts, ["source_a", "source_b"], ["n_pairs"])
     if out.empty:
         return empty
     return out.astype({"n_pairs": "int64"}) \
@@ -1155,9 +1104,6 @@ def q_table_profile(sf_dir: str) -> pd.DataFrame:
 # referential-integrity audit (cross-table data-quality gate)
 # ---------------------------------------------------------------------------
 
-_FK_BUCKETS = 32
-
-
 def _orphan_count(vals: np.ndarray, keys: np.ndarray) -> int:
     """Rows of ``vals`` absent from the SORTED UNIQUE int64 ``keys``
     (vectorized searchsorted — no per-call set re-hash)."""
@@ -1186,8 +1132,6 @@ def q_fk_audit(sf_dir: str, *,
     orphan-count partial."""
     import pyarrow.parquet as pq
     import ray
-
-    from .ops.exchange import _bucket_of
 
     gate = (_xc.GATE_ROWS if fact_broadcast_max is None
             else fact_broadcast_max)
@@ -1265,10 +1209,6 @@ def q_fk_audit(sf_dir: str, *,
             return pd.DataFrame({"k": u,
                                  "n": np.full(u.size, -1, np.int64)})
 
-        def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-            b["__bucket"] = _bucket_of(b["k"], _FK_BUCKETS)
-            return b
-
         def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
             n = g["n"].to_numpy(np.int64)
             keys = np.unique(g.loc[n < 0, "k"].to_numpy(np.int64))
@@ -1283,16 +1223,12 @@ def q_fk_audit(sf_dir: str, *,
                 orphans = int(li["n"].to_numpy(np.int64)[~hit].sum())
             return pd.DataFrame({"n_orphans": [orphans]})
 
-        with _scoped_parallelism(_FK_BUCKETS):
-            li = _pq(sf_dir, "lineitem", ["l_orderkey"]) \
-                .map_batches(li_keys, batch_format="pandas")
-            od = _pq(sf_dir, "orders", ["o_orderkey"]) \
-                .map_batches(ord_keys, batch_format="pandas")
-            bucketed = li.union(od) \
-                .map_batches(add_bucket, batch_format="pandas") \
-                .groupby("__bucket") \
-                .map_groups(per_bucket, batch_format="pandas") \
-                .to_pandas()
+        li = _pq(sf_dir, "lineitem", ["l_orderkey"]) \
+            .map_batches(li_keys, batch_format="pandas")
+        od = _pq(sf_dir, "orders", ["o_orderkey"]) \
+            .map_batches(ord_keys, batch_format="pandas")
+        bucketed = exchange_by_key([li, od], ["k"], per_bucket) \
+            .to_pandas()
         n_orph = int(bucketed["n_orphans"].sum()) \
             if not bucketed.empty else 0
         out = pd.concat([out, pd.DataFrame(
@@ -1409,9 +1345,6 @@ def q_weighted_sample(sf_dir: str) -> pd.DataFrame:
 
 _PR_Q = 10 ** 12  # total rank mass in integer units
 _PR_ITERS = 8
-_PR_BUCKETS = 16
-
-
 def q_dup_pagerank(sf_dir: str) -> pd.DataFrame:
     """PageRank centrality over the winnowing near-dup graph — ranks
     the 'template' documents whose text radiates through the most
@@ -1424,14 +1357,13 @@ def q_dup_pagerank(sf_dir: str) -> pd.DataFrame:
     so the twin unrolls the fixed iterations instead).
 
     Shuffle budget per iteration: TWO int-only exchanges (the
-    q_dup_components budget) — (1) bucketed by source node: each
+    q_dup_components budget) — (1) ``exchange_by_key`` on source node: each
     bucket joins its state rows (node, deg, rank) to its out-edges and
     pre-reduces contribution messages (85·r)//(100·d) per destination,
     plus one self-message carrying deg; (2) groupby(node) sum of
     messages -> new state. Nodes/edges are the skinny dup tail of the
     corpus, never the documents table."""
     from .queries import (_WINNOW_PAIR_THRESHOLD, _winnow_pair_counts_ds)
-    from .ops.exchange import _bucket_of
     import ray.data as rd
 
     def edges_of(b: pd.DataFrame) -> pd.DataFrame:
@@ -1441,9 +1373,8 @@ def q_dup_pagerank(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"src": np.concatenate([a, c]),
                              "dst": np.concatenate([c, a])})
 
-    with _scoped_parallelism(_PR_BUCKETS):
-        sym = _winnow_pair_counts_ds(sf_dir) \
-            .map_batches(edges_of, batch_format="pandas").materialize()
+    sym = _winnow_pair_counts_ds(sf_dir) \
+        .map_batches(edges_of, batch_format="pandas").materialize()
     empty = _empty_typed(doc_id="int64", rank_q="int64")
     if sym.count() == 0:
         return empty
@@ -1490,10 +1421,6 @@ def q_dup_pagerank(sf_dir: str) -> pd.DataFrame:
     edges_tagged = sym.map_batches(tag_edges,
                                    batch_format="pandas").materialize()
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["__bucket"] = _bucket_of(b["k"], _PR_BUCKETS)
-        return b
-
     def messages(g: pd.DataFrame) -> pd.DataFrame:
         side = g["side"].to_numpy(np.int64)
         st = g[side == 0]
@@ -1514,23 +1441,19 @@ def q_dup_pagerank(sf_dir: str) -> pd.DataFrame:
 
     from ray.data.aggregate import Sum
 
-    with _scoped_parallelism(_PR_BUCKETS):
-        for _ in range(_PR_ITERS):
-            tagged = state.map_batches(
-                lambda b: b.assign(dst=np.int64(0), side=np.int64(0)),
-                batch_format="pandas").union(edges_tagged)
-            summed = tagged \
-                .map_batches(add_bucket, batch_format="pandas") \
-                .groupby("__bucket").map_groups(messages,
-                                                batch_format="pandas") \
-                .groupby("node").aggregate(Sum("c", alias_name="c"),
-                                           Sum("deg", alias_name="deg"))
-            state = summed.map_batches(
-                lambda b: pd.DataFrame({
-                    "k": b["node"].to_numpy(np.int64),
-                    "deg": b["deg"].to_numpy(np.int64),
-                    "r": base + b["c"].to_numpy(np.int64)}),
-                batch_format="pandas").materialize()
+    for _ in range(_PR_ITERS):
+        tagged = state.map_batches(
+            lambda b: b.assign(dst=np.int64(0), side=np.int64(0)),
+            batch_format="pandas")
+        summed = exchange_by_key([tagged, edges_tagged], ["k"], messages) \
+            .groupby("node").aggregate(Sum("c", alias_name="c"),
+                                       Sum("deg", alias_name="deg"))
+        state = summed.map_batches(
+            lambda b: pd.DataFrame({
+                "k": b["node"].to_numpy(np.int64),
+                "deg": b["deg"].to_numpy(np.int64),
+                "r": base + b["c"].to_numpy(np.int64)}),
+            batch_format="pandas").materialize()
     out = state.to_pandas()
     if out.empty:
         return empty

@@ -39,7 +39,7 @@ plus two operator kinds no earlier family covered:
 Shuffle budget (SCALE.md doctrine): every query broadcasts its
 dimension/catalog sides once (``ray.put`` + per-worker cache), runs at
 most ONE bucketed fact x fact exchange (via ``adaptive_join`` /
-``_bucket_of`` buckets), and pre-aggregates per batch so the wide
+``exchange_by_key``), and pre-aggregates per batch so the wide
 exchange carries (key, partial) rows, never raw lineitems. Money and
 quantity rollups ride int64 cents end-to-end; correlated-average
 comparisons are integer cross-multiplies (``5 * qty_c * n < sum_qty_c``)
@@ -62,7 +62,7 @@ import numpy as np
 import pandas as pd
 
 from .ops import exchange as _xc
-from .ops.exchange import _bucket_of, _scoped_parallelism, combine_by_key
+from .ops.exchange import combine_by_key, exchange_by_key
 from .queries import _cents, _empty_typed, _pq, _reduce_partials, register
 from .stages.joins import (_get_broadcast, adaptive_join, broadcast_join,
                            isin_sorted)
@@ -159,7 +159,7 @@ def q_market_share(sf_dir: str) -> pd.DataFrame:
     orders = _pq(sf_dir, "orders", ["o_orderkey", "o_custkey",
                                     "o_orderdate"])
     joined = adaptive_join(li, orders, left_on="l_orderkey",
-                           right_on="o_orderkey", num_buckets=32)
+                           right_on="o_orderkey")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         lk = _get_broadcast(ref)
@@ -231,7 +231,7 @@ def q_product_profit(sf_dir: str) -> pd.DataFrame:
               "l_extendedprice", "l_discount"])
     orders = _pq(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
     joined = adaptive_join(li, orders, left_on="l_orderkey",
-                           right_on="o_orderkey", num_buckets=32)
+                           right_on="o_orderkey")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         lk = _get_broadcast(ref)
@@ -277,7 +277,7 @@ def q_late_shipments(sf_dir: str) -> pd.DataFrame:
     orders = _pq(sf_dir, "orders",
                  ["o_orderkey", "o_orderdate", "o_orderpriority"])
     joined = adaptive_join(li, orders, left_on="l_orderkey",
-                           right_on="o_orderkey", num_buckets=32)
+                           right_on="o_orderkey")
     lag = pd.Timedelta(days=_Q12_LATE_DAYS)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -481,7 +481,6 @@ def q_disjunctive_revenue(sf_dir: str) -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 
 _Q21_LATE_DAYS = 60
-_Q21_BUCKETS = 32
 
 
 def q_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
@@ -490,8 +489,8 @@ def q_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
     than 60 days after the order date (no commit/receipt dates in the
     schema). Plan: orders filtered to status 'F' join lineitem through
     ``adaptive_join`` (exchange #1); per-batch partials collapse to
-    distinct (orderkey, suppkey, late) rows; ONE bucketed groupby on
-    ``hash(orderkey) % 32`` (exchange #2 — the per-order exists /
+    distinct (orderkey, suppkey, late) rows; ONE ``exchange_by_key``
+    on orderkey (exchange #2 — the per-order exists /
     not-exists logic needs an order's suppliers co-located, the
     fact-vs-fact shape) evaluates the sole-late rule vectorized per
     bucket and emits per-supplier partial counts; the driver reduces
@@ -510,19 +509,16 @@ def q_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
     # frame from the schema), and an empty join falls through to the
     # out.empty return below
     joined = adaptive_join(li, orders, left_on="l_orderkey",
-                           right_on="o_orderkey",
-                           num_buckets=_Q21_BUCKETS)
+                           right_on="o_orderkey")
     lag = pd.Timedelta(days=_Q21_LATE_DAYS)
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         late = (b["l_shipdate"] > b["o_orderdate"] + lag) \
             .to_numpy(np.int64)
-        out = pd.DataFrame({"k": b["l_orderkey"].to_numpy(np.int64),
-                            "s": b["l_suppkey"].to_numpy(np.int64),
-                            "late": late}) \
+        return pd.DataFrame({"k": b["l_orderkey"].to_numpy(np.int64),
+                             "s": b["l_suppkey"].to_numpy(np.int64),
+                             "late": late}) \
             .groupby(["k", "s"], as_index=False)["late"].max()
-        out["__bucket"] = _bucket_of(out["k"], _Q21_BUCKETS)
-        return out
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # combine cross-batch partials, then the sole-late rule
@@ -534,11 +530,10 @@ def q_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
         return hit.groupby("s", as_index=False) \
             .agg(numwait=("s", "size"))
 
-    with _scoped_parallelism(_Q21_BUCKETS):
-        parts = joined.map_batches(partial, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas")
-        out = _reduce_partials(parts, ["s"], ["numwait"])
+    parts = exchange_by_key(
+        joined.map_batches(partial, batch_format="pandas"), ["k"],
+        per_bucket)
+    out = _reduce_partials(parts, ["s"], ["numwait"])
     if out.empty:
         return _empty_typed(s_name=object, numwait="int64")
     supp = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
@@ -553,7 +548,6 @@ def q_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
 # window functions: DENSE_RANK + NTILE within a partition key
 # ---------------------------------------------------------------------------
 
-_RANK_BUCKETS = 32
 _NTILE_K = 4
 
 
@@ -561,7 +555,7 @@ def q_customer_order_ranks(sf_dir: str) -> pd.DataFrame:
     """Per-customer order ranking: DENSE_RANK of order value (desc) and
     the NTILE(4) value quartile — the two window-function kinds
     (gapless rank, equal-height binning) no earlier query exercised.
-    Shuffle shape: ONE bucketed ``hash(custkey) % 32`` groupby (a
+    Shuffle shape: ONE ``exchange_by_key`` on custkey (a
     customer lives in exactly one bucket; NEVER one group per customer
     — per-key map_groups overhead at 10^8 customers was the measured
     killer in the temporal joins); ranking inside a bucket is one
@@ -575,12 +569,10 @@ def q_customer_order_ranks(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
     def tag(b: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "c": b["o_custkey"].to_numpy(np.int64),
             "k": b["o_orderkey"].to_numpy(np.int64),
             "p_c": _cents(b["o_totalprice"]).to_numpy()})
-        out["__bucket"] = _bucket_of(out["c"], _RANK_BUCKETS)
-        return out
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["c", "p_c", "k"],
@@ -602,11 +594,8 @@ def q_customer_order_ranks(sf_dir: str) -> pd.DataFrame:
                              "price_rank": rank,
                              "price_quartile": tile + 1})
 
-    with _scoped_parallelism(_RANK_BUCKETS):
-        out = ds.map_batches(tag, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas") \
-            .to_pandas()
+    out = exchange_by_key(ds.map_batches(tag, batch_format="pandas"),
+                          ["c"], per_bucket).to_pandas()
     if out.empty:
         return _empty_typed(o_orderkey="int64", price_rank="int64",
                             price_quartile="int64")
@@ -716,30 +705,29 @@ def q_bigram_pmi(sf_dir: str) -> pd.DataFrame:
         # (<= 2x survivors — never the vocabulary)
         from ray.data.aggregate import Sum
 
-        with _scoped_parallelism(32):
-            red = m.groupby(["kind", "gram"]) \
-                .aggregate(Sum("n", alias_name="n")).materialize()
-            totals = red.map_batches(
-                lambda b: b.groupby("kind", as_index=False)["n"].sum(),
-                batch_format="pandas") \
-                .to_pandas().groupby("kind")["n"].sum()
-            n_tok = float(totals.get(0, 0))
-            n_bi = float(totals.get(1, 0))
-            bi = red.map_batches(
-                lambda b: b[(b["kind"] == 1)
-                            & (b["n"] >= _PMI_MIN_COUNT)],
-                batch_format="pandas").to_pandas()
-            need = set()
-            for g in bi["gram"]:
-                x, _, y = g.partition(" ")
-                need.add(x)
-                need.add(y)
-            need_ref = ray.put(need)
-            uni = red.map_batches(
-                lambda b: b[(b["kind"] == 0)
-                            & b["gram"].isin(_get_broadcast(need_ref))],
-                batch_format="pandas").to_pandas()
-            lut = dict(zip(uni["gram"], uni["n"].astype(np.int64)))
+        red = m.groupby(["kind", "gram"]) \
+            .aggregate(Sum("n", alias_name="n")).materialize()
+        totals = red.map_batches(
+            lambda b: b.groupby("kind", as_index=False)["n"].sum(),
+            batch_format="pandas") \
+            .to_pandas().groupby("kind")["n"].sum()
+        n_tok = float(totals.get(0, 0))
+        n_bi = float(totals.get(1, 0))
+        bi = red.map_batches(
+            lambda b: b[(b["kind"] == 1)
+                        & (b["n"] >= _PMI_MIN_COUNT)],
+            batch_format="pandas").to_pandas()
+        need = set()
+        for g in bi["gram"]:
+            x, _, y = g.partition(" ")
+            need.add(x)
+            need.add(y)
+        need_ref = ray.put(need)
+        uni = red.map_batches(
+            lambda b: b[(b["kind"] == 0)
+                        & b["gram"].isin(_get_broadcast(need_ref))],
+            batch_format="pandas").to_pandas()
+        lut = dict(zip(uni["gram"], uni["n"].astype(np.int64)))
     if bi.empty:
         return empty
     parts = bi["gram"].str.split(" ", n=1, expand=True)
@@ -762,9 +750,6 @@ def q_bigram_pmi(sf_dir: str) -> pd.DataFrame:
 # TPC-H Q20-ish: dominant suppliers (two-level aggregate join)
 # ---------------------------------------------------------------------------
 
-_DOM_BUCKETS = 32
-
-
 def q_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
     """Suppliers who shipped more than an EIGHTH of some part's total
     quantity, with how many parts each dominates (TPC-H Q20's
@@ -772,8 +757,8 @@ def q_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
     1/8 share keeps the result non-degenerate on this corpus's
     ~100-supplier-per-part mixing). The
     aggregate-join-aggregate plan: per-batch (partkey, suppkey, qty_c)
-    partials collapse lineitems batch-side; ONE bucketed
-    ``hash(partkey) % 32`` groupby co-locates a part's suppliers, and
+    partials collapse lineitems batch-side; ONE ``exchange_by_key`` on
+    partkey co-locates a part's suppliers, and
     BOTH aggregate levels — per-(part, supp) quantity and the per-part
     total — compute inside the bucket (a part lives in exactly one
     bucket, so the dominance test ``8 * supp_qty > part_qty`` is an
@@ -786,12 +771,10 @@ def q_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
              ["l_partkey", "l_suppkey", "l_quantity"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"p": b["l_partkey"].to_numpy(np.int64),
-                            "s": b["l_suppkey"].to_numpy(np.int64),
-                            "q": _cents(b["l_quantity"]).to_numpy()}) \
+        return pd.DataFrame({"p": b["l_partkey"].to_numpy(np.int64),
+                             "s": b["l_suppkey"].to_numpy(np.int64),
+                             "q": _cents(b["l_quantity"]).to_numpy()}) \
             .groupby(["p", "s"], as_index=False)["q"].sum()
-        out["__bucket"] = _bucket_of(out["p"], _DOM_BUCKETS)
-        return out
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.groupby(["p", "s"], as_index=False)["q"].sum()
@@ -800,11 +783,9 @@ def q_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
         return hit.groupby("s", as_index=False) \
             .agg(n_parts=("p", "size"))
 
-    with _scoped_parallelism(_DOM_BUCKETS):
-        parts = li.map_batches(partial, batch_format="pandas") \
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas")
-        out = _reduce_partials(parts, ["s"], ["n_parts"])
+    parts = exchange_by_key(li.map_batches(partial, batch_format="pandas"),
+                            ["p"], per_bucket)
+    out = _reduce_partials(parts, ["s"], ["n_parts"])
     if out.empty:
         return _empty_typed(s_name=object, n_parts="int64")
     supp = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),

@@ -3,11 +3,12 @@
 * ``broadcast_join``: small side shipped ONCE via ``ray.put``; each actor
   reads it in ``__init__`` and merges per batch — no shuffle. This is the
   dimension-table path (customer, nation, ...).
-* ``bucketed_hash_join``: both sides large — add ``bucket = hash(key) % B``
-  to each side, tag, union, ``groupby(bucket)`` and merge matching buckets
-  pairwise inside ``map_groups`` (the portable partitioned hash join).
-  Skew note: salt hot keys into sub-buckets by raising B; the bucket count is
-  the knob, documented per call site.
+* ``bucketed_hash_join``: both sides large — tag each side, union, and
+  merge matching keys pairwise inside one ``exchange_by_key`` (the
+  portable partitioned hash join).
+* ``asof_join`` / ``range_count_join``: the temporal joins, the same
+  tagged union through ``exchange_by_key`` with a banded searchsorted
+  per bucket.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..ops.exchange import _bucket_of
+from ..ops.exchange import exchange_by_key
 
 
 # per-worker-process cache of fetched broadcast sides; ray.get of the same
@@ -96,13 +97,12 @@ def isin_sorted(vals: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def bucketed_hash_join(left_ds, right_ds, left_on: str, right_on: str,
-                       num_buckets: int = 32, how: str = "inner"):
+                       how: str = "inner"):
     """Partitioned hash join of two Datasets.
 
-    Only (bucket-tagged) projections of both sides move through the single
-    groupby shuffle; each bucket group is merged with pandas. Pick
-    ``num_buckets`` so one bucket of the LARGER side fits a worker's heap;
-    raise it to salt skewed keys.
+    Both sides, tagged with their side and join key, move through the
+    single ``exchange_by_key`` shuffle; each bucket is merged with
+    pandas. Skew: a hot key lands whole in one bucket.
     """
 
     left_schema = left_ds.schema()
@@ -116,9 +116,9 @@ def bucketed_hash_join(left_ds, right_ds, left_on: str, right_on: str,
 
     # the union's reindex pads each side's missing columns with NaN, which
     # promotes int/bool columns to float64 — restore ONLY the join keys'
-    # original dtypes (a float64 join key would otherwise hash through
-    # _bucket_of's string branch and miss every bucket; restoring every
-    # int column would crash on legitimately-nullable non-key ints)
+    # original dtypes (a float64 key would merge against int64 as
+    # mismatched dtypes; restoring every int column would crash on
+    # legitimately-nullable non-key ints)
     def _key_dtype(schema, key: str) -> dict:
         for name, typ in zip(schema.names, schema.types):
             if name != key:
@@ -138,15 +138,14 @@ def bucketed_hash_join(left_ds, right_ds, left_on: str, right_on: str,
     def tag(side: str, on: str):
         def _tag(batch: pd.DataFrame) -> pd.DataFrame:
             batch = batch.copy()
-            batch["__bucket"] = _bucket_of(batch[on], num_buckets)
+            batch["__key"] = batch[on]
             batch["__side"] = side
             # align both sides to the shared schema (union requirement)
-            return batch.reindex(columns=all_cols + ["__bucket", "__side"])
+            return batch.reindex(columns=all_cols + ["__key", "__side"])
         return _tag
 
     left = left_ds.map_batches(tag("l", left_on), batch_format="pandas")
     right = right_ds.map_batches(tag("r", right_on), batch_format="pandas")
-    both = left.union(right)
 
     def merge_bucket(group: pd.DataFrame) -> pd.DataFrame:
         lmask = group["__side"] == "l"
@@ -159,8 +158,7 @@ def bucketed_hash_join(left_ds, right_ds, left_on: str, right_on: str,
         return _arrow_if_empty(
             lg.merge(rg, how=how, left_on=left_on, right_on=right_on))
 
-    return both.groupby("__bucket").map_groups(merge_bucket,
-                                               batch_format="pandas")
+    return exchange_by_key([left, right], ["__key"], merge_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +167,9 @@ def bucketed_hash_join(left_ds, right_ds, left_on: str, right_on: str,
 #
 # Partitioning assumption (documented per the custom-operator guidance):
 # both implementations co-locate rows by the equi-key via ONE
-# groupby(key) shuffle of tagged skinny projections; within a group the
+# ``exchange_by_key`` of tagged skinny projections; within a bucket the
 # time logic is a vectorized searchsorted over the sorted right side.
-# Skew: a hot key lands whole in one group.
+# Skew: a hot key lands whole in one bucket.
 
 
 _ADAPTIVE_BROADCAST_MAX_ROWS = 5_000_000
@@ -179,7 +177,7 @@ _ADAPTIVE_BROADCAST_MAX_BYTES = 512 * 1024 * 1024  # replicated-side cap
 
 
 def adaptive_join(left_ds, right_ds, left_on: str, right_on: str,
-                  num_buckets: int = 32, how: str = "inner",
+                  how: str = "inner",
                   broadcast_max_rows: int | None = None,
                   broadcast_max_bytes: int | None = None):
     """AQE-style join strategy selection: when the RIGHT side's row
@@ -221,10 +219,7 @@ def adaptive_join(left_ds, right_ds, left_on: str, right_on: str,
         return broadcast_join(left_ds, right_df, on=left_on,
                               right_on=right_on, how=how)
     return bucketed_hash_join(left_ds, right_ds, left_on, right_on,
-                              num_buckets=num_buckets, how=how)
-
-
-_TEMPORAL_JOIN_BUCKETS = 64
+                              how=how)
 
 
 def _banded_bounds(key: np.ndarray, ts: np.ndarray, n_keys: int,
@@ -245,7 +240,7 @@ def asof_join(left_ds, right_ds, on: str, left_ts: str, right_ts: str,
     ``right_ts <= left_ts`` for the same key (DuckDB ASOF JOIN
     semantics; inner — left rows with no prior right row are dropped).
 
-    Shuffle shape: ONE groupby over ``hash(key) % 64`` buckets (not one
+    Shuffle shape: ONE ``exchange_by_key`` on the key (not one
     group per key — per-group pandas overhead across 10^4+ keys was the
     measured cost), with the in-bucket match a single banded searchsorted
     over all of the bucket's keys at once."""
@@ -255,7 +250,6 @@ def asof_join(left_ds, right_ds, on: str, left_ts: str, right_ts: str,
             out = batch[[on, ts_col] + cols].copy()
             out.columns = [on, "__ts"] + [f"__{side}_{c}" for c in cols]
             out["__side"] = side
-            out["__bucket"] = _bucket_of(out[on], _TEMPORAL_JOIN_BUCKETS)
             return out
         return _tag
 
@@ -265,13 +259,13 @@ def asof_join(left_ds, right_ds, on: str, left_ts: str, right_ts: str,
                               batch_format="pandas")
     l_out = [f"__l_{c}" for c in left_cols]
     r_out = [f"__r_{c}" for c in right_cols]
-    all_cols = [on, "__ts", "__side", "__bucket"] + l_out + r_out
+    all_cols = [on, "__ts", "__side"] + l_out + r_out
 
     def align(batch: pd.DataFrame) -> pd.DataFrame:
         return batch.reindex(columns=all_cols)
 
-    both = lt.map_batches(align, batch_format="pandas").union(
-        rt.map_batches(align, batch_format="pandas"))
+    both = [lt.map_batches(align, batch_format="pandas"),
+            rt.map_batches(align, batch_format="pandas")]
 
     # same-named timestamp columns get the suffix on the right side
     right_ts_out = right_ts + suffix if right_ts == left_ts else right_ts
@@ -326,8 +320,7 @@ def asof_join(left_ds, right_ds, on: str, left_ts: str, right_ts: str,
             out[c + suffix] = matched[f"__r_{c}"].to_numpy()
         return out
 
-    return both.groupby("__bucket").map_groups(per_bucket,
-                                               batch_format="pandas")
+    return exchange_by_key(both, [on], per_bucket)
 
 
 def range_count_join(left_ds, right_ds, on: str, left_ts: str,
@@ -335,7 +328,7 @@ def range_count_join(left_ds, right_ds, on: str, left_ts: str,
                      count_name: str = "n_in_range"):
     """For each left row, COUNT right rows of the same key with
     ``left_ts + lower <= right_ts < left_ts + upper`` (a band/interval
-    join realized as two searchsorted cuts). Same 64-bucket shuffle
+    join realized as two searchsorted cuts). Same bucketed shuffle
     shape as ``asof_join`` — one banded searchsorted per bucket, not
     one pandas group per key."""
 
@@ -351,17 +344,13 @@ def range_count_join(left_ds, right_ds, on: str, left_ts: str,
             cols = {on: batch[on], "__ts": batch[ts_col],
                     "__side": side}
             cols["__id"] = batch[idc] if idc else -1
-            out = pd.DataFrame(cols)
-            out["__bucket"] = _bucket_of(out[on],
-                                         _TEMPORAL_JOIN_BUCKETS)
-            return out
+            return pd.DataFrame(cols)
         return _tag
 
     lt = left_ds.map_batches(tag("l", left_ts, left_id),
                              batch_format="pandas")
     rt = right_ds.map_batches(tag("r", right_ts, None),
                               batch_format="pandas")
-    both = lt.union(rt)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         lmask = (g["__side"] == "l").to_numpy()
@@ -404,8 +393,7 @@ def range_count_join(left_ds, right_ds, on: str, left_ts: str,
                              left_id: lg["__id"].to_numpy(),
                              count_name: cnt})
 
-    return both.groupby("__bucket").map_groups(per_bucket,
-                                               batch_format="pandas")
+    return exchange_by_key([lt, rt], [on], per_bucket)
 
 
 def _ts_int(arr: np.ndarray) -> np.ndarray:

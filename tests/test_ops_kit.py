@@ -1,9 +1,13 @@
 """The query-plan kit (`pdf_oxide_ray/ops/`): both percentile_disc rank
 rules against a brute-force sorted array, the sorted-batch pass
-against a direct pandas computation, and the gated keyed combine's
-bucketed path against its driver path."""
+against a direct pandas computation, the keyed exchange against its
+key-local fn run per key on the driver, the gated keyed combine's
+bucketed path against its driver path, and a guard that keeps every
+hash-bucketed exchange inside `ops/exchange.py`."""
 
 import math
+import pathlib
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdf_oxide_ray.ops import exchange
-from pdf_oxide_ray.ops.exchange import _key_buckets, combine_by_key, n_buckets
+from pdf_oxide_ray.ops.exchange import (_key_buckets, combine_by_key,
+                                        exchange_by_key, n_buckets)
 from pdf_oxide_ray.ops.ordered import ordered_pass
 from pdf_oxide_ray.ops.quantile import (disc_by_group, disc_pick, disc_rank,
                                         disc_rank_exact)
@@ -233,3 +238,146 @@ def test_bucket_count_keeps_every_bucket_under_the_gate():
     assert n_buckets(64 * g) == 64
     assert n_buckets(64 * g + 1) == 65
     assert n_buckets(1000 * g) == 1000
+
+
+def _per_key_of(key):
+    """A key-local fn over ``key``: a key split over two calls would
+    come back as two rows with partial sums and distinct counts."""
+    def fn(d: pd.DataFrame) -> pd.DataFrame:
+        return d.groupby(key, as_index=False) \
+            .agg(n=("v", "size"), total=("v", "sum"),
+                 n_distinct=("v", "nunique"))
+    return fn
+
+
+def _joined_per_key(d: pd.DataFrame) -> pd.DataFrame:
+    """Key-local over a union of two tagged sides: per key, the left
+    row count times the right value sum (an inner join's aggregate)."""
+    left = d[d["side"] == "l"].groupby("k", as_index=False) \
+        .agg(n_l=("v", "size"))
+    right = d[d["side"] == "r"].groupby("k", as_index=False) \
+        .agg(s_r=("v", "sum"))
+    out = left.merge(right, on="k")
+    out["prod"] = out["n_l"] * out["s_r"]
+    return out
+
+
+def _per_key_on_driver(df, key, fn):
+    if not len(df):
+        return pd.DataFrame()
+    return pd.concat([fn(g) for _, g in df.groupby(key, sort=False)],
+                     ignore_index=True)
+
+
+def _canon(df: pd.DataFrame) -> pd.DataFrame:
+    cols = sorted(df.columns)
+    return df[cols].sort_values(cols, kind="mergesort") \
+        .reset_index(drop=True).astype("float64", errors="ignore")
+
+
+@st.composite
+def _exchange_blocks(draw):
+    """1-5 blocks of (a, b, v) rows: ``a`` mixes integral and
+    fractional floats, ``b`` is text, so one key's rows can sit in an
+    all-integral block and in a mixed one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = int(rng.integers(1, 30))
+        a = rng.choice([0.0, 1.0, 2.0, 2.5, -3.0, 7.25], n)
+        if rng.random() < 0.5:
+            a = np.floor(a)
+        blocks.append(pd.DataFrame({
+            "a": a, "b": rng.choice(["x", "y", "zz"], n),
+            "v": rng.integers(0, 6, n)}))
+    return blocks
+
+
+@settings(max_examples=12, deadline=None)
+@given(_exchange_blocks(), st.sampled_from([["a"], ["a", "b"]]))
+def test_exchange_matches_fn_per_key_on_driver(ray_session, blocks, key):
+    import ray.data as rd
+
+    fn = _per_key_of(key)
+    got = exchange_by_key(rd.from_pandas(blocks), key, fn).to_pandas()
+    want = _per_key_on_driver(pd.concat(blocks, ignore_index=True),
+                              key, fn)
+    pd.testing.assert_frame_equal(_canon(got), _canon(want))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_exchange_over_a_union_of_tagged_sides(ray_session, seed, n_blocks):
+    import ray.data as rd
+
+    rng = np.random.default_rng(seed)
+
+    def side(tag):
+        return [pd.DataFrame({"k": rng.integers(0, 9, m).astype(np.int64),
+                              "v": rng.integers(0, 50, m), "side": tag})
+                for m in rng.integers(1, 25, n_blocks)]
+
+    left, right = side("l"), side("r")
+    got = exchange_by_key([rd.from_pandas(left), rd.from_pandas(right)],
+                          ["k"], _joined_per_key).to_pandas()
+    want = _per_key_on_driver(pd.concat(left + right, ignore_index=True),
+                              ["k"], _joined_per_key)
+    if want.empty:
+        assert got.empty
+        return
+    pd.testing.assert_frame_equal(_canon(got), _canon(want))
+
+
+def test_exchange_on_zero_rows_gives_zero_rows(ray_session):
+    import ray.data as rd
+
+    def boom(d):
+        raise AssertionError("fn called on zero rows")
+
+    ds = rd.from_pandas(pd.DataFrame({"k": [1, 2], "v": [3, 4]})) \
+        .filter(lambda r: False)
+    assert len(exchange_by_key(ds, ["k"], boom).to_pandas()) == 0
+
+
+def test_a_query_leaves_the_session_context_as_it_was(ray_session,
+                                                      monkeypatch):
+    """An exchange query must not change session-wide DataContext
+    fields: the read-parallelism autodetect copies a non-default
+    ``min_parallelism`` into ``read_op_min_num_blocks`` for good, which
+    changes the block count of every later read in the session."""
+    from ray.data import DataContext
+    from ray.data.context import DEFAULT_READ_OP_MIN_NUM_BLOCKS
+
+    from pdf_oxide_ray.queries import QUERIES
+
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(ctx, "read_op_min_num_blocks",
+                        DEFAULT_READ_OP_MIN_NUM_BLOCKS)
+    before = (ctx.read_op_min_num_blocks, ctx.min_parallelism)
+    assert len(QUERIES["user_sessions"]("/root/testdata/sf0.001"))
+    assert (ctx.read_op_min_num_blocks, ctx.min_parallelism) == before
+
+
+_PKG = pathlib.Path(__file__).resolve().parent.parent / "pdf_oxide_ray"
+_OUTSIDE_THE_KIT = [
+    (re.compile(r"""["']__bucket["']|\b__bucket\s*="""),
+     "assigns a __bucket column"),
+    (re.compile(r"\b(_bucket_of|_key_buckets)\b"),
+     "uses the kit's bucket hash"),
+    (re.compile(r"\bmin_parallelism\b"), "mentions min_parallelism"),
+]
+
+
+def test_hash_bucket_exchanges_live_only_in_the_kit():
+    kit = _PKG / "ops" / "exchange.py"
+    bad = []
+    for path in sorted(_PKG.rglob("*.py")):
+        if path == kit:
+            continue
+        text = path.read_text()
+        for pat, what in _OUTSIDE_THE_KIT:
+            for m in pat.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                bad.append(f"{path.relative_to(_PKG)}:{line} {what}")
+    assert not bad, "route these through exchange_by_key:\n" + \
+        "\n".join(bad)

@@ -85,8 +85,7 @@ def test_bucketed_join_matches_pandas_merge(ray_session, seed, nullable):
 
     left, right = _frames(seed, nullable)
     got = bucketed_hash_join(
-        rd.from_pandas(left), rd.from_pandas(right), "k", "rk",
-        num_buckets=4).to_pandas()
+        rd.from_pandas(left), rd.from_pandas(right), "k", "rk").to_pandas()
     want = left.merge(right, left_on="k", right_on="rk")
     if want.empty:
         assert len(got) == 0
