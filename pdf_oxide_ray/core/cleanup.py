@@ -15,6 +15,22 @@ Re-implements the computation of
 This module is the reference's own "boilerplate strip" slot; the HTML
 boilerplate stripper (``htmlstrip.py``) extends the same slot per the fused
 north rule.
+
+No-op rule: every pass returns its input unchanged when it provably cannot
+change it, and otherwise runs exactly as the reference does, so the output
+is byte-identical either way. Most turns are clean (one-sentence chat
+turns, most rendered markdown), and each check costs one scan:
+
+* ``remove_page_artifacts``: one ``search`` of ``RE_ANY_ARTIFACT``, the
+  ``re.M`` alternation of the six artifact patterns. An alternation matches
+  at a position iff one of its alternatives does, so no match means each
+  of the six subs is the identity, and so is their sequence.
+* ``normalize_horizontal_whitespace``: without ``"  "`` the space-run sub
+  is the identity on every line, and splitting on ``"\\n"``, moving each
+  line's leading spaces aside and joining again rebuilds the text; only a
+  trailing ``"\\n"`` is dropped, so the text must not end with one.
+* ``normalize_whitespace``: without ``"\\n\\n\\n"`` there is no 3+ newline run
+  for the sub to replace.
 """
 
 from __future__ import annotations
@@ -29,21 +45,26 @@ RE_STANDALONE_NUM = re.compile(r"^\s*\d{1,3}\s*$", re.M)
 RE_DASH_SEP = re.compile(r"^[\s\-]{5,}$", re.M)
 RE_EQUALS_SEP = re.compile(r"^[\s=]{5,}$", re.M)
 RE_MULTI_SPACE = re.compile(r" {2,}")
+# the reference's artifact patterns, in its sub order
+ARTIFACT_PATTERNS = (RE_PAGE_NUM, RE_DASH_PAGE, RE_BRACKET_PAGE,
+                     RE_STANDALONE_NUM, RE_DASH_SEP, RE_EQUALS_SEP)
+RE_ANY_ARTIFACT = re.compile(
+    "|".join(f"(?:{p.pattern})" for p in ARTIFACT_PATTERNS), re.M)
 
 
 def normalize_whitespace(text: str) -> str:
     """3+ consecutive newlines -> exactly 3 (2 blank lines)."""
+    if "\n\n\n" not in text:
+        return text
     return RE_MULTI_NEWLINE.sub("\n\n\n", text)
 
 
 def remove_page_artifacts(text: str) -> str:
     """reference whitespace.rs:91-114 (same pattern order)."""
-    text = RE_PAGE_NUM.sub("", text)
-    text = RE_DASH_PAGE.sub("", text)
-    text = RE_BRACKET_PAGE.sub("", text)
-    text = RE_STANDALONE_NUM.sub("", text)
-    text = RE_DASH_SEP.sub("", text)
-    text = RE_EQUALS_SEP.sub("", text)
+    if RE_ANY_ARTIFACT.search(text) is None:
+        return text
+    for pattern in ARTIFACT_PATTERNS:
+        text = pattern.sub("", text)
     return text
 
 
@@ -51,6 +72,8 @@ def normalize_horizontal_whitespace(text: str) -> str:
     """Collapse 2+ spaces to 1, preserving leading indentation per line
     (reference whitespace.rs:284-320). Joins with '\\n' like the reference's
     line iterator (a sole trailing newline is dropped)."""
+    if "  " not in text and not text.endswith("\n"):
+        return text
     out: list[str] = []
     for line in text.split("\n"):
         stripped = line.lstrip(" ")

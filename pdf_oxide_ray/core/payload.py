@@ -73,9 +73,12 @@ def spans_to_records(spans: list[TextSpan],
     return out
 
 
-def extract_payload(text: str, want_markdown: bool = True) -> dict:
+def extract_payload(text: str, want_markdown: bool = True,
+                    keep_spans: bool = True) -> dict:
     """Extract one turn payload. Returns a dict with keys:
-    ``kind, extracted_text, markdown, spans, status, error``."""
+    ``kind, extracted_text, markdown, spans, n_spans, status, error``.
+    With ``keep_spans=False`` no span records are built: ``spans`` is
+    empty and ``n_spans`` still counts the spans."""
     kind = detect_payload_kind(text)
     try:
         if kind == PAYLOAD_PDF:
@@ -111,27 +114,30 @@ def extract_payload(text: str, want_markdown: bool = True) -> dict:
             # span offsets into the joined extracted text (north rule:
             # "per-turn extracted text and span offsets")
             all_spans: list[dict] = []
-            page_offset = 0
-            sep = len("\n\n---\n\n")
-            for ptext, spans in zip(page_texts, page_spans):
-                all_spans.extend(
-                    spans_to_records(spans, page_text=ptext,
-                                     page_offset=page_offset))
-                page_offset += len(ptext) + sep
+            if keep_spans:
+                page_offset = 0
+                sep = len("\n\n---\n\n")
+                for ptext, spans in zip(page_texts, page_spans):
+                    all_spans.extend(
+                        spans_to_records(spans, page_text=ptext,
+                                         page_offset=page_offset))
+                    page_offset += len(ptext) + sep
             extracted = "\n\n---\n\n".join(page_texts)
             md = "\n---\n\n".join(page_mds) if want_markdown else ""
             return {"kind": kind, "extracted_text": extracted, "markdown": md,
-                    "spans": all_spans, "status": "ok", "error": ""}
+                    "spans": all_spans,
+                    "n_spans": sum(len(s) for s in page_spans),
+                    "status": "ok", "error": ""}
         if kind == PAYLOAD_HTML:
             plain, md = strip_html(text)
             return {"kind": kind, "extracted_text": plain,
                     "markdown": md if want_markdown else "",
-                    "spans": [], "status": "ok", "error": ""}
+                    "spans": [], "n_spans": 0, "status": "ok", "error": ""}
         cleaned = cleanup_plain_text(remove_page_artifacts(text))
         return {"kind": kind, "extracted_text": cleaned,
                 "markdown": cleaned if want_markdown else "",
-                "spans": [], "status": "ok", "error": ""}
+                "spans": [], "n_spans": 0, "status": "ok", "error": ""}
     except Exception as exc:  # noqa: BLE001 - row-level error absorption
         return {"kind": kind, "extracted_text": "", "markdown": "",
-                "spans": [], "status": "error",
+                "spans": [], "n_spans": 0, "status": "error",
                 "error": f"{type(exc).__name__}: {exc}"[:500]}

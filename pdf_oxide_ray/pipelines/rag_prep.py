@@ -104,7 +104,8 @@ def build_rag_index(docs_path: str, out_dir: str, *,
     chunks = ds.map_batches(chunk, batch_format="pandas") \
         .materialize()
     n_chunks = chunks.count()
-    chunks.write_parquet(os.path.join(out_dir, "chunks"))
+    chunks.map_batches(_strip_pandas_meta, batch_format="pyarrow") \
+        .write_parquet(os.path.join(out_dir, "chunks"))
 
     def relabel(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

@@ -107,8 +107,13 @@ def ingest_jsonl_dir(paths: str | list[str], output: str) -> dict:
     the corpus is read once. Row/error counts come from parquet
     METADATA after the write (no data re-read). Returns
     {'rows': ok_rows, 'errors': error_rows}."""
-    read_jsonl_docs(paths).write_parquet(output,
-                                         partition_cols=["status"])
+    from ..pipelines.ann_index import _strip_pandas_meta
+
+    # rag_prep and training_prep read these files back through Ray, which
+    # cannot hash a schema that carries pandas metadata
+    read_jsonl_docs(paths) \
+        .map_batches(_strip_pandas_meta, batch_format="pyarrow") \
+        .write_parquet(output, partition_cols=["status"])
 
     import os
 

@@ -127,13 +127,14 @@ class ExtractTurns:
         durations: list[int] = []
         for text in texts:
             t0 = time.perf_counter_ns()
-            res = extract_payload(text or "", want_markdown=self.want_markdown)
+            res = extract_payload(text or "", want_markdown=self.want_markdown,
+                                  keep_spans=self.keep_spans)
             durations.append((time.perf_counter_ns() - t0) // 1000)
             kinds.append(res["kind"])
             extracted.append(res["extracted_text"])
             markdowns.append(res["markdown"])
-            spans.append(res["spans"] if self.keep_spans else [])
-            n_spans.append(len(res["spans"]))
+            spans.append(res["spans"])
+            n_spans.append(res["n_spans"])
             n_chars.append(len(res["extracted_text"]))
             statuses.append(res["status"])
             errors.append(res["error"])

@@ -1,7 +1,12 @@
 """Cleanup (R5) + markdown (R3/L6) tests, mirroring reference
 whitespace.rs:347-455 and heading_detector.rs:197-315 test cases."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pdf_oxide_ray.core.cleanup import (
+    RE_BRACKET_PAGE, RE_DASH_PAGE, RE_DASH_SEP, RE_EQUALS_SEP,
+    RE_MULTI_NEWLINE, RE_MULTI_SPACE, RE_PAGE_NUM, RE_STANDALONE_NUM,
     cleanup_markdown, cleanup_plain_text, normalize_horizontal_whitespace,
     normalize_whitespace, remove_page_artifacts,
 )
@@ -40,6 +45,55 @@ def test_cleanup_markdown_removes_artifacts_and_blanks():
     out = cleanup_markdown("x\n\n\n\n\nPage 1\n\n\n\n\ny")
     assert "Page 1" not in out
     assert "\n\n\n\n" not in out
+
+
+# The R5 passes without their no-op checks: each always runs its subs.
+
+def _ref_normalize_whitespace(text: str) -> str:
+    return RE_MULTI_NEWLINE.sub("\n\n\n", text)
+
+
+def _ref_remove_page_artifacts(text: str) -> str:
+    text = RE_PAGE_NUM.sub("", text)
+    text = RE_DASH_PAGE.sub("", text)
+    text = RE_BRACKET_PAGE.sub("", text)
+    text = RE_STANDALONE_NUM.sub("", text)
+    text = RE_DASH_SEP.sub("", text)
+    text = RE_EQUALS_SEP.sub("", text)
+    return text
+
+
+def _ref_normalize_horizontal_whitespace(text: str) -> str:
+    out: list[str] = []
+    for line in text.split("\n"):
+        stripped = line.lstrip(" ")
+        lead = len(line) - len(stripped)
+        out.append(" " * lead + RE_MULTI_SPACE.sub(" ", stripped))
+    if text.endswith("\n") and out and out[-1] == "":
+        out.pop()
+    return "\n".join(out)
+
+
+# heavy in what the artifact patterns and the no-op checks look at: line
+# breaks re.M and str.split see differently, unicode \s and \d, brackets
+_CLEANUP_ALPHABET = [" ", "\n", "\r", "\t", "\x0b", "\x0c", "\x1c", "\x85",
+                     "\u2028", "\u3000", *"0123456789", "\u0663", "-", "=",
+                     "[", "]", "(", ")", "Page", "x"]
+_cleanup_texts = st.lists(st.sampled_from(_CLEANUP_ALPHABET),
+                          max_size=40).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=_cleanup_texts)
+def test_cleanup_no_op_checks_are_exact(text):
+    assert remove_page_artifacts(text) == _ref_remove_page_artifacts(text)
+    assert normalize_horizontal_whitespace(text) == \
+        _ref_normalize_horizontal_whitespace(text)
+    assert normalize_whitespace(text) == _ref_normalize_whitespace(text)
+    assert cleanup_plain_text(text) == _ref_normalize_whitespace(
+        _ref_normalize_horizontal_whitespace(text))
+    assert cleanup_markdown(text) == _ref_normalize_whitespace(
+        _ref_remove_page_artifacts(text))
 
 
 def test_heading_rules():

@@ -10,6 +10,7 @@ import pyarrow.compute as pc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdf_oxide_ray.core import payload
 from pdf_oxide_ray.core.payload import extract_payload
 from pdf_oxide_ray.gen.transcripts import SPAN_TYPE, make_turn_payload
 from pdf_oxide_ray.stages import extract
@@ -58,6 +59,25 @@ def test_mixed_block_matches_per_row_extract_in_order(monkeypatch):
                                                    pa.list_(SPAN_TYPE)), i
         assert got.column("n_chars")[i].as_py() == len(want["extracted_text"])
         assert got.column("n_spans")[i].as_py() == len(want["spans"])
+
+
+def test_keep_spans_false_builds_no_span_records(monkeypatch):
+    rng = random.Random(7)
+    texts = [make_turn_payload(rng)[1] for _ in range(60)]
+    block = _block(texts)
+    kept = pa.concat_tables(ExtractTurns()(block))
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("span records built with keep_spans=False")
+
+    monkeypatch.setattr(payload, "spans_to_records", no_records)
+    dropped = pa.concat_tables(ExtractTurns(keep_spans=False)(block))
+    assert set(kept.column("kind").to_pylist()) == {"pdf", "html", "plain"}
+    assert pc.sum(kept.column("n_spans")).as_py() > 0
+    for name in kept.column_names:
+        if name not in ("spans", "duration_us"):
+            assert dropped.column(name).equals(kept.column(name)), name
+    assert dropped.column("spans").to_pylist() == [[]] * len(texts)
 
 
 def test_short_turns_come_out_as_one_table():

@@ -85,7 +85,8 @@ def _write_docs(path, doc_ids, texts):
 
 def test_embeddings_written_without_pandas_metadata(ray_session, tmp_path):
     """A reader in a fresh worker must not need Ray's pandas tensor
-    extension to parse the embeddings file's schema."""
+    extension to parse the embeddings file's schema; the chunk files
+    carry no pandas metadata either."""
     import pyarrow.parquet as pq
 
     docs = _write_docs(tmp_path / "docs.parquet", range(40),
@@ -93,12 +94,13 @@ def test_embeddings_written_without_pandas_metadata(ray_session, tmp_path):
                         for i in range(40)])
     out = str(tmp_path / "rag")
     build_rag_index(docs, out, n_lists=4)
-    emb_dir = os.path.join(out, "chunk_embeddings")
-    files = [f for f in os.listdir(emb_dir) if f.endswith(".parquet")]
-    assert files
-    for f in files:
-        meta = pq.read_schema(os.path.join(emb_dir, f)).metadata or {}
-        assert b"pandas" not in meta, f
+    for sub in ("chunk_embeddings", "chunks"):
+        d = os.path.join(out, sub)
+        files = [f for f in os.listdir(d) if f.endswith(".parquet")]
+        assert files, sub
+        for f in files:
+            meta = pq.read_schema(os.path.join(d, f)).metadata or {}
+            assert b"pandas" not in meta, (sub, f)
 
 
 def test_derived_63_bit_doc_id_is_rejected(ray_session, tmp_path):
