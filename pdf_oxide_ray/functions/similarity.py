@@ -18,6 +18,9 @@ import heapq
 import numpy as np
 import pandas as pd
 
+from ..ops.exchange import exchange_by_key
+from ..ops.pairs import key_runs, run_pairs
+
 
 def normalize_rows(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
@@ -91,21 +94,29 @@ def brute_force_topk(ds, query_matrix: np.ndarray, k: int = 10,
 # LSH-bucketed variant (scale path)
 # ---------------------------------------------------------------------------
 
-# Stacked plane matrices, built once per worker process per parameter set
+# Multi-table hyperplane LSH: _LSH_TABLES tables of _LSH_PLANES planes
+# each, seeded from _LSH_SEED; a bucket of more than _LSH_HOT_CAP
+# vectors is a dense family (see lsh_near_dup_pairs).
+_LSH_TAU = 0.99
+_LSH_PLANES = 12
+_LSH_TABLES = 48
+_LSH_SEED = 97
+_LSH_HOT_CAP = 128
+
+# Stacked plane matrices, built once per worker process per vector dim
 # (the batch_topk_fn closure-state pattern): one (dim, T*P) matmul per
 # batch instead of T small ones, and no per-batch RandomState rebuilds.
 _PLANES_CACHE: dict = {}
 
 
-def _stacked_planes(dim: int, n_planes: int, n_tables: int,
-                    seed: int) -> np.ndarray:
-    key = (dim, n_planes, n_tables, seed)
-    p = _PLANES_CACHE.get(key)
+def _stacked_planes(dim: int) -> np.ndarray:
+    p = _PLANES_CACHE.get(dim)
     if p is None:
         p = np.concatenate([
-            np.random.RandomState(seed + t).normal(size=(dim, n_planes))
-            for t in range(n_tables)], axis=1).astype(np.float64)
-        _PLANES_CACHE[key] = p
+            np.random.RandomState(_LSH_SEED + t).normal(
+                size=(dim, _LSH_PLANES))
+            for t in range(_LSH_TABLES)], axis=1).astype(np.float64)
+        _PLANES_CACHE[dim] = p
     return p
 
 
@@ -172,29 +183,26 @@ def ivf_topk(ds, query_matrix: np.ndarray, centroids: np.ndarray,
     return reduce_topk(candidates, k)
 
 
-def lsh_near_dup_pairs(ds, tau: float = 0.99, n_planes: int = 12,
-                       n_tables: int = 48, seed: int = 97,
-                       hot_bucket_cap: int = 128,
-                       n_shards: int = 64) -> pd.DataFrame:
-    """Multi-table hyperplane LSH near-dup pairs (OR-amplification).
+def lsh_near_dup_pairs(ds) -> pd.DataFrame:
+    """Multi-table hyperplane LSH near-dup pairs (OR-amplification):
+    the (id_a, id_b) pairs of cosine >= ``_LSH_TAU``.
 
     A single 12-bit table finds a cos>=0.99 pair with only ~0.57
     probability ((1 - acos(.99)/pi)^12), so the production design hashes
-    every vector into ``n_tables`` independent tables: the miss
+    every vector into ``_LSH_TABLES`` independent tables: the miss
     probability drops to (1-0.57)^48 ~ 1.5e-18, making equality with the
     exact all-pairs oracle near-certain on ANY corpus rather than
     contingent on collision luck.
 
     Scale shape: only skinny (vec_id, bucket) rows are exploded
-    (n_tables x corpus) and shuffled — never the vectors; candidate pair
-    generation shards buckets to ``n_shards`` groups (one map_groups task
-    per shard, pandas groupby inside, mirroring the winnowing pattern);
-    then ONLY candidate ids' vectors are gathered for the exact cosine
-    verify, so the verify set is bounded by true near-dups + collisions,
-    not the corpus.
+    (tables x corpus) and shuffled — never the vectors; candidate pairs
+    come from ONE bucket-keyed ``exchange_by_key`` with the kit's
+    within-key pair kernel; then ONLY candidate ids' vectors are
+    gathered for the exact cosine verify, so the verify set is bounded
+    by true near-dups + collisions, not the corpus.
 
-    Buckets larger than ``hot_bucket_cap`` (dense duplicate families that
-    would otherwise explode the candidate stream n_tables times over) are
+    Buckets larger than ``_LSH_HOT_CAP`` (dense duplicate families that
+    would otherwise explode the candidate stream once per table) are
     NOT dropped — that would break oracle equality exactly when dup
     clusters exist. Instead their memberships flow out as skinny marker
     rows, overlapping families are merged with union-find, and each
@@ -213,39 +221,30 @@ def lsh_near_dup_pairs(ds, tau: float = 0.99, n_planes: int = 12,
         if len(ids) and int(ids.min()) < 0:
             # the dense-marker encoding reuses the id_b sign bit
             raise ValueError("lsh_near_dup_pairs requires vec_id >= 0")
-        planes = _stacked_planes(vecs.shape[1], n_planes, n_tables, seed)
-        bits = (vecs @ planes) > 0
-        weights = (1 << np.arange(n_planes)).astype(np.int64)
-        sig = bits.reshape(len(ids), n_tables, n_planes) @ weights
-        bucket = ((np.arange(n_tables, dtype=np.int64)
-                   << np.int64(n_planes))[None, :] | sig).reshape(-1)
-        return pd.DataFrame({"vec_id": np.repeat(ids, n_tables),
-                             "bucket": bucket,
-                             "shard": bucket % np.int64(n_shards)})
+        bits = (vecs @ _stacked_planes(vecs.shape[1])) > 0
+        weights = (1 << np.arange(_LSH_PLANES)).astype(np.int64)
+        sig = bits.reshape(len(ids), _LSH_TABLES, _LSH_PLANES) @ weights
+        bucket = ((np.arange(_LSH_TABLES, dtype=np.int64)
+                   << np.int64(_LSH_PLANES))[None, :] | sig).reshape(-1)
+        return pd.DataFrame({"vec_id": np.repeat(ids, _LSH_TABLES),
+                             "bucket": bucket})
 
-    def pairs_in_shard(g: pd.DataFrame) -> pd.DataFrame:
-        out_a: list = []
-        out_b: list = []
-        for bucket, sub in g.groupby("bucket", sort=False):
-            ids = np.sort(sub["vec_id"].unique())
-            if len(ids) < 2:
-                continue
-            if len(ids) <= hot_bucket_cap:
-                ia, ib = np.triu_indices(len(ids), k=1)
-                out_a.extend(ids[ia].tolist())
-                out_b.extend(ids[ib].tolist())
-            else:  # dense family: skinny membership markers, not pairs
-                out_a.extend(ids.tolist())
-                out_b.extend([-int(bucket) - 1] * len(ids))
-        return pd.DataFrame({"id_a": pd.Series(out_a, dtype="int64"),
-                             "id_b": pd.Series(out_b, dtype="int64")})
+    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        f = g.drop_duplicates() \
+            .sort_values(["bucket", "vec_id"], kind="mergesort")
+        ids = f["vec_id"].to_numpy(np.int64)
+        bucket = f["bucket"].to_numpy(np.int64)
+        starts, counts = key_runs(bucket)
+        a, b = run_pairs(starts, counts, max_size=_LSH_HOT_CAP)
+        # dense family: skinny membership markers, not pairs
+        hot = np.repeat(counts > _LSH_HOT_CAP, counts)
+        return pd.DataFrame({"id_a": np.r_[ids[a], ids[hot]],
+                             "id_b": np.r_[ids[b], -bucket[hot] - 1]})
 
     empty = pd.DataFrame({"id_a": pd.Series(dtype="int64"),
                           "id_b": pd.Series(dtype="int64")})
-    raw = ds.map_batches(explode, batch_format="pandas") \
-        .groupby("shard").map_groups(pairs_in_shard,
-                                     batch_format="pandas") \
-        .to_pandas()
+    raw = exchange_by_key(ds.map_batches(explode, batch_format="pandas"),
+                          ["bucket"], pairs_in_bucket).to_pandas()
     if raw.empty:
         return empty
     dense = raw[raw["id_b"] < 0]
@@ -294,7 +293,7 @@ def lsh_near_dup_pairs(ds, tau: float = 0.99, n_planes: int = 12,
         va = np.stack([lookup[i] for i in cand["id_a"]])
         vb = np.stack([lookup[i] for i in cand["id_b"]])
         sims = np.einsum("ij,ij->i", va, vb)
-        frames.append(cand[sims >= tau])
+        frames.append(cand[sims >= _LSH_TAU])
     for g in groups:
         mat = np.stack([lookup[i] for i in g])
         # chunked band verify: never materialize the m x m matrix — a
@@ -306,7 +305,7 @@ def lsh_near_dup_pairs(ds, tau: float = 0.99, n_planes: int = 12,
         for s in range(0, m, chunk):
             ecol = min(s + chunk, m)
             sims = mat[s:ecol] @ mat.T            # (chunk, m)
-            ia, ib = np.nonzero(sims >= tau)
+            ia, ib = np.nonzero(sims >= _LSH_TAU)
             keep = (ia + s) < ib                  # upper triangle only
             frames.append(pd.DataFrame({"id_a": g[ia[keep] + s],
                                         "id_b": g[ib[keep]]}))

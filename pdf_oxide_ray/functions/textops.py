@@ -161,3 +161,16 @@ def winnow_fingerprints(text: str, k: int = 8, window: int = 4) -> np.ndarray:
     w = min(window, n)
     mins = np.lib.stride_tricks.sliding_window_view(h, w).min(axis=1)
     return np.unique(mins)
+
+
+def winnow_rows(texts: pd.Series, k: int, window: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """One row per (document, distinct winnow fingerprint) of a batch:
+    ``(rows, fps)``, where ``rows`` indexes ``texts`` positionally (a
+    caller takes its member column, ``doc_id`` or ``source``, at them)
+    and ``fps`` holds the uint64 fingerprints. NULL text has none."""
+    per = [winnow_fingerprints(t, k=k, window=window)
+           for t in texts.fillna("")]
+    rows = np.repeat(np.arange(len(per), dtype=np.int64),
+                     [len(f) for f in per])
+    return rows, np.concatenate([np.zeros(0, np.uint64), *per])

@@ -11,4 +11,8 @@ re-entering the registry import).
   ``BUCKETS`` buckets, a key-local ``fn`` per bucket, a lazy Dataset
   out; and ``combine_by_key``, the gated keyed combine over per-batch
   partials (driver below ``GATE_ROWS``, ``exchange_by_key`` above).
+* ``pairs`` — the within-key pair kernel (numpy only): ``key_runs``,
+  the runs of equal key tuples in key-sorted rows, and ``run_pairs``,
+  every member pair of each run up to a size cap — the dedup and
+  near-dup operators' per-key pairing after ``exchange_by_key``.
 """

@@ -26,6 +26,7 @@ from .functions import similarity as fsim
 from .functions import textops as ftext
 from .ops import exchange as _xc
 from .ops.exchange import combine_by_key, exchange_by_key
+from .ops.pairs import key_runs, run_pairs
 from .ops.quantile import disc_pick, disc_rank
 from .stages.joins import _get_broadcast, broadcast_join, bucketed_hash_join
 
@@ -651,57 +652,28 @@ def _winnow_pair_counts_ds(sf_dir: str, k: int = 16,
     (k, window) sensitivity grid. Only (fp, doc_id) int pairs cross
     the shuffle, never text."""
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-    num_buckets = 64
 
     def explode(b: pd.DataFrame) -> pd.DataFrame:
-        ids, fps = [], []
-        for doc_id, text in zip(b["doc_id"], b["text"].fillna("")):
-            f = ftext.winnow_fingerprints(text, k=k, window=window)
-            ids.extend([doc_id] * len(f))
-            fps.extend(f.tolist())
-        fp_arr = pd.Series(fps, dtype="uint64")
-        return pd.DataFrame({"doc_id": pd.Series(ids, dtype="int64"),
-                             "fp": fp_arr,
-                             "bucket": (fp_arr % num_buckets)
-                             .astype("int64")})
+        rows, fps = ftext.winnow_rows(b["text"], k, window)
+        return pd.DataFrame({"doc_id": b["doc_id"].to_numpy(np.int64)[rows],
+                             "fp": fps})
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # per-fingerprint pair generation, vectorized by GROUP-SIZE
-        # CLASS inside one bucket: sort the distinct (fp, doc) rows
-        # once, then for each co-occurrence size s in 2..16 reshape
-        # that size-class's members to (groups, s) and emit all pairs
-        # with one fancy-index — no per-fingerprint Python iteration
-        # (a loop over ~6k fp groups per bucket measured ~2 min of
-        # pure pandas group overhead at sf0.1)
-        f = g[["fp", "doc_id"]].drop_duplicates() \
+        # the pairs of each fingerprint's distinct docs, vectorized by
+        # run-size class (a loop over ~6k fp groups per bucket measured
+        # ~2 min of pure pandas group overhead at sf0.1); hot
+        # fingerprint guard: a fingerprint of > 16 docs is skipped
+        f = g.drop_duplicates() \
             .sort_values(["fp", "doc_id"], kind="mergesort")
-        fp = f["fp"].to_numpy()
         ids = f["doc_id"].to_numpy(np.int64)
-        starts = np.flatnonzero(np.r_[True, fp[1:] != fp[:-1]])
-        counts = np.diff(np.r_[starts, len(fp)])
-        out_a: list = []
-        out_b: list = []
-        for s in range(2, 17):  # hot fingerprint guard: skip > 16
-            sel = starts[counts == s]
-            if not sel.size:
-                continue
-            mat = ids[sel[:, None] + np.arange(s)]
-            ia, ib = np.triu_indices(s, k=1)
-            out_a.append(mat[:, ia].ravel())
-            out_b.append(mat[:, ib].ravel())
-        if not out_a:
-            return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                                 "id_b": pd.Series(dtype="int64"),
-                                 "n": pd.Series(dtype="int64")})
-        return pd.DataFrame({"id_a": np.concatenate(out_a),
-                             "id_b": np.concatenate(out_b)}) \
+        a, b = run_pairs(*key_runs(f["fp"]), max_size=16)
+        return pd.DataFrame({"id_a": ids[a], "id_b": ids[b]}) \
             .groupby(["id_a", "id_b"], as_index=False).size() \
             .rename(columns={"size": "n"})
 
-    per_bucket = ds.map_batches(explode, batch_format="pandas") \
-        .groupby("bucket").map_groups(pairs_in_bucket,
-                                      batch_format="pandas") \
-        .materialize()
+    per_bucket = exchange_by_key(
+        ds.map_batches(explode, batch_format="pandas"), ["fp"],
+        pairs_in_bucket).materialize()
     # final cross-bucket pair-count reduce, gated like _reduce_partials:
     # the per-bucket outputs are already reduced, so below the gate the
     # driver combine replaces a whole Ray exchange (returned as a
@@ -1466,55 +1438,41 @@ def q_minhash_dedup(sf_dir: str) -> pd.DataFrame:
     """
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 
-    num_band_buckets = 64
-
     def bands(b: pd.DataFrame) -> pd.DataFrame:
         br = fdedup.batch_minhash_band_rows(b["text"])
-        bh_arr = br["band_hash"]
-        # grouping by the raw (band_id, band_hash) would mean one
-        # map_groups group per band hash — nearly all singletons, measured
-        # pathological (same finding as the winnowing query); bucket the
-        # hash space and do the per-hash split vectorized inside a bucket
         return pd.DataFrame({
             "doc_id": b["doc_id"].to_numpy(np.int64)[br["row"]],
             "band_id": br["band_id"],
-            "band_hash": bh_arr,
-            "bucket": bh_arr % num_band_buckets})
+            "band_hash": br["band_hash"]})
 
     band_rows = ds.map_batches(bands, batch_format="pandas")
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # only hashes that repeat can produce pairs — cheap C-level prefilter
-        dup = g[g.duplicated(["band_id", "band_hash"], keep=False)]
-        out_a: list = []
-        out_b: list = []
-        for _, sub in dup.groupby(["band_id", "band_hash"], sort=False):
-            ids = np.sort(sub["doc_id"].unique())
-            if len(ids) < 2:
-                continue
-            if len(ids) > _MINHASH_HOT_BAND:
-                # hot band (a 65+-doc near-dup family): emit a STAR
-                # (min-id, other) instead of all pairs — O(n) edges that
-                # preserve union-find connectivity after verification, so
-                # the cluster output matches the all-pairs oracle while
-                # bounding the blow-up
-                out_a.extend([int(ids[0])] * (len(ids) - 1))
-                out_b.extend(ids[1:].tolist())
-                continue
-            ia, ib = np.triu_indices(len(ids), k=1)
-            out_a.extend(ids[ia].tolist())
-            out_b.extend(ids[ib].tolist())
-        return pd.DataFrame({"id_a": pd.Series(out_a, dtype="int64"),
-                             "id_b": pd.Series(out_b, dtype="int64")})
+        f = g.drop_duplicates().sort_values(
+            ["band_id", "band_hash", "doc_id"], kind="mergesort")
+        ids = f["doc_id"].to_numpy(np.int64)
+        starts, counts = key_runs(f["band_id"], f["band_hash"])
+        a, b = run_pairs(starts, counts, max_size=_MINHASH_HOT_BAND)
+        # hot band (a 65+-doc near-dup family): emit a STAR (min-id,
+        # other) instead of all pairs — O(n) edges that preserve
+        # union-find connectivity after verification, so the cluster
+        # output matches the all-pairs oracle while bounding the blow-up
+        hot = counts > _MINHASH_HOT_BAND
+        star_a = np.repeat(starts[hot], counts[hot] - 1)
+        in_hot = np.repeat(hot, counts)
+        in_hot[starts[hot]] = False
+        star_b = np.flatnonzero(in_hot)
+        return pd.DataFrame({"id_a": ids[np.r_[a, star_a]],
+                             "id_b": ids[np.r_[b, star_b]]})
 
     import ray
 
-    # candidate pairs: ONE shuffle (bucket groupby); the pair list is
+    # candidate pairs: ONE exchange on the band key; the pair list is
     # ints only and bounded by 16x the true near-dup pair count, so
     # pulling it to the driver for dedup is safe at any corpus size
     # where the output itself is consumable
-    pair_df = band_rows.groupby("bucket").map_groups(
-        pairs_in_bucket, batch_format="pandas").to_pandas() \
+    pair_df = exchange_by_key(band_rows, ["band_id", "band_hash"],
+                              pairs_in_bucket).to_pandas() \
         .drop_duplicates()
     if pair_df.empty:
         return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
@@ -1597,37 +1555,34 @@ def _ngram_dup_pairs_ds(sf_dir: str):
     sim) — the shared upstream of q_ngram_dup_pairs (driver-side
     report) and q_dedup_method_agreement (distributed pair-set
     intersection). Pairs are distinct by construction: each doc has
-    ONE simhash prefix, so a pair can only form in one bucket."""
+    ONE simhash prefix, so a pair can only form in one prefix run."""
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
     sh = ds.map_batches(fdedup.add_simhash, batch_format="pandas")
 
-    def bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["text"] = b["text"].fillna("")  # keep jaccard total on nulls
-        b["bucket"] = np.right_shift(b["simhash"].to_numpy(np.uint64),
-                                     np.uint64(48)).astype(np.int64)
-        return b[["doc_id", "text", "bucket"]]
+    def prefix(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "doc_id": b["doc_id"],
+            "text": b["text"].fillna(""),  # keep jaccard total on nulls
+            "prefix": np.right_shift(b["simhash"].to_numpy(np.uint64),
+                                     np.uint64(48)).astype(np.int64)})
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        ids = g["doc_id"].tolist()
-        txt = g["text"].tolist()
-        out = []
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                sim = fdedup.ngram_jaccard(txt[i], txt[j])
-                if sim >= 0.9:
-                    # raw |A∩B|/|A∪B| double: the oracle computes the same
-                    # integer division, so no rounding lottery (cf. the
-                    # integer-cents pattern in the money rollups)
-                    out.append((min(ids[i], ids[j]), max(ids[i], ids[j]),
-                                sim))
-        return pd.DataFrame(out, columns=["id_a", "id_b", "sim"]) if out else \
-            pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                          "id_b": pd.Series(dtype="int64"),
-                          "sim": pd.Series(dtype="float64")})
+        f = g.sort_values(["prefix", "doc_id"], kind="mergesort")
+        ids = f["doc_id"].to_numpy(np.int64)
+        txt = f["text"].to_numpy(object)
+        a, b = run_pairs(*key_runs(f["prefix"]))
+        # raw |A∩B|/|A∪B| double: the oracle computes the same integer
+        # division, so no rounding lottery (cf. the integer-cents
+        # pattern in the money rollups)
+        sim = np.fromiter((fdedup.ngram_jaccard(txt[i], txt[j])
+                           for i, j in zip(a, b)),
+                          dtype=np.float64, count=len(a))
+        keep = sim >= 0.9
+        return pd.DataFrame({"id_a": ids[a[keep]], "id_b": ids[b[keep]],
+                             "sim": sim[keep]})
 
-    return sh.map_batches(bucket, batch_format="pandas") \
-        .groupby("bucket").map_groups(pairs, batch_format="pandas")
+    return exchange_by_key(sh.map_batches(prefix, batch_format="pandas"),
+                           ["prefix"], pairs)
 
 
 def q_ngram_dup_pairs(sf_dir: str) -> pd.DataFrame:
@@ -1713,7 +1668,7 @@ def q_embedding_near_dups(sf_dir: str) -> pd.DataFrame:
     — not just when the pair set happens to be empty (pinned on planted
     duplicates in pytest)."""
     ds = _pq(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return fsim.lsh_near_dup_pairs(ds, tau=0.99)
+    return fsim.lsh_near_dup_pairs(ds)
 
 
 def q_embedding_sim_pairs(sf_dir: str) -> pd.DataFrame:

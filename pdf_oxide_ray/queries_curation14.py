@@ -19,7 +19,7 @@
 Distributed plans (shuffle budgets — also in SCALE.md):
 
 `dup_coverage`: explode per-doc DISTINCT (fp, doc_id) int pairs (text
-never leaves the extract batch) -> ONE bucketed exchange on fp%64 (the
+never leaves the extract batch) -> ONE fp-keyed ``exchange_by_key`` (the
 `winnow_dup_pairs` exchange); within a bucket the fp run-lengths give
 the shared flag vectorized; per-(doc, bucket) partial (n_fp, n_shared)
 counts reduce through ``_reduce_partials`` (doc-bounded, ints only).
@@ -62,13 +62,12 @@ import numpy as np
 import pandas as pd
 
 from .functions import textops as ftext
+from .ops.exchange import exchange_by_key
 from .ops.ordered import ordered_pass
+from .ops.pairs import key_runs
 from .ops.quantile import disc_by_group
 from .queries import (_empty_typed, _pq, _reduce_partials, _winnow_fps_ctes,
                       register)
-
-
-_COV_BUCKETS = 64
 
 
 # -------------------------------------------------------- dup coverage
@@ -80,37 +79,25 @@ def q_dup_coverage(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 
     def explode(b: pd.DataFrame) -> pd.DataFrame:
-        ids: list = []
-        fps: list = []
-        for doc_id, text in zip(b["doc_id"], b["text"].fillna("")):
-            f = np.unique(ftext.winnow_fingerprints(text, k=16,
-                                                    window=8))
-            ids.extend([doc_id] * len(f))
-            fps.extend(f.tolist())
-        fp_arr = pd.Series(fps, dtype="uint64")
-        return pd.DataFrame({"doc_id": pd.Series(ids, dtype="int64"),
-                             "fp": fp_arr,
-                             "bucket": (fp_arr % _COV_BUCKETS)
-                             .astype("int64")})
+        rows, fps = ftext.winnow_rows(b["text"], 16, 8)
+        return pd.DataFrame({"doc_id": b["doc_id"].to_numpy(np.int64)[rows],
+                             "fp": fps})
 
     def cover_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # rows are globally-distinct (fp, doc) pairs (per-doc np.unique
-        # + each doc lives in exactly one extract batch), so a fp's
-        # run length IS its distinct-doc count; flag runs >= 2 shared
+        # rows are globally-distinct (fp, doc) pairs (per-doc distinct
+        # fingerprints + each doc lives in exactly one extract batch),
+        # so a fp's run length IS its distinct-doc count; flag runs
+        # >= 2 shared
         f = g.sort_values("fp", kind="mergesort")
-        fp = f["fp"].to_numpy()
-        ids = f["doc_id"].to_numpy(np.int64)
-        starts = np.flatnonzero(np.r_[True, fp[1:] != fp[:-1]])
-        counts = np.diff(np.r_[starts, len(fp)])
-        shared = np.repeat(counts >= 2, counts)
-        return pd.DataFrame({"doc_id": ids,
+        _, counts = key_runs(f["fp"])
+        return pd.DataFrame({"doc_id": f["doc_id"].to_numpy(np.int64),
                              "n_fp": np.int64(1),
-                             "n_shared": shared.astype(np.int64)}) \
+                             "n_shared": np.repeat(counts >= 2, counts)
+                             .astype(np.int64)}) \
             .groupby("doc_id", as_index=False).sum()
 
-    per = ds.map_batches(explode, batch_format="pandas") \
-        .groupby("bucket").map_groups(cover_in_bucket,
-                                      batch_format="pandas")
+    per = exchange_by_key(ds.map_batches(explode, batch_format="pandas"),
+                          ["fp"], cover_in_bucket)
     out = _reduce_partials(per, ["doc_id"], ["n_fp", "n_shared"])
     if out.empty:
         return _empty_typed(doc_id="int64", n_fp="int64",

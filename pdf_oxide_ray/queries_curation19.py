@@ -22,7 +22,7 @@ engagement inequality, and PCA energy:
 Distributed plans (shuffle budgets — also in SCALE.md):
 
 `source_fp_overlap`: per-batch DISTINCT (fp, source) pairs (text never
-leaves the extract batch) -> ONE bucketed fp%64 exchange; in-bucket
+leaves the extract batch) -> ONE fp-keyed ``exchange_by_key``; in-bucket
 sorted run-lengths give per-fp source sets (group size <= #sources, no
 hot-fp guard needed), pair partials and per-source distinct counts
 both emit from the same pass; final reduce is C(#sources,2)-bounded.
@@ -49,11 +49,10 @@ import numpy as np
 import pandas as pd
 
 from .functions import textops as ftext
+from .ops.exchange import exchange_by_key
+from .ops.pairs import key_runs, run_pairs
 from .queries import (_empty_typed, _pq, _reduce_partials, _winnow_fps_ctes,
                       register)
-
-
-_FPO_BUCKETS = 64
 
 
 # ------------------------------------------------- source fp overlap
@@ -64,36 +63,16 @@ def q_source_fp_overlap(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["source", "text"])
 
     def explode(b: pd.DataFrame) -> pd.DataFrame:
-        srcs: list = []
-        fps: list = []
-        for source, text in zip(b["source"], b["text"].fillna("")):
-            f = np.unique(ftext.winnow_fingerprints(text, k=16,
-                                                    window=8))
-            srcs.extend([source] * len(f))
-            fps.extend(f.tolist())
-        fp_arr = pd.Series(fps, dtype="uint64")
-        out = pd.DataFrame({"source": pd.Series(srcs, dtype=object),
-                            "fp": fp_arr}).drop_duplicates()
-        out["bucket"] = (out["fp"] % _FPO_BUCKETS).astype("int64")
-        return out
+        rows, fps = ftext.winnow_rows(b["text"], 16, 8)
+        return pd.DataFrame({
+            "source": b["source"].to_numpy(object)[rows],
+            "fp": fps}).drop_duplicates()
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        f = g[["fp", "source"]].drop_duplicates() \
+        f = g.drop_duplicates() \
             .sort_values(["fp", "source"], kind="mergesort")
-        fp = f["fp"].to_numpy()
         src = f["source"].to_numpy(object)
-        starts = np.flatnonzero(np.r_[True, fp[1:] != fp[:-1]])
-        counts = np.diff(np.r_[starts, len(fp)])
-        rows_a: list = []
-        rows_b: list = []
-        for s in range(2, int(counts.max()) + 1 if len(counts) else 2):
-            sel = starts[counts == s]
-            if not sel.size:
-                continue
-            mat = src[sel[:, None] + np.arange(s)]
-            ia, ib = np.triu_indices(s, k=1)
-            rows_a.append(mat[:, ia].ravel())
-            rows_b.append(mat[:, ib].ravel())
+        a, b = run_pairs(*key_runs(f["fp"]))
         per_src = pd.DataFrame({"source": src, "one": np.int64(1)}) \
             .groupby("source", as_index=False).sum() \
             .rename(columns={"one": "n_fp"})
@@ -101,19 +80,16 @@ def q_source_fp_overlap(sf_dir: str) -> pd.DataFrame:
         per_src["source_b"] = ""
         per_src = per_src[["kind", "source", "source_b", "n_fp"]] \
             .rename(columns={"source": "source_a", "n_fp": "n"})
-        if rows_a:
-            pair = pd.DataFrame({"source_a": np.concatenate(rows_a),
-                                 "source_b": np.concatenate(rows_b),
-                                 "n": np.int64(1)}) \
-                .groupby(["source_a", "source_b"], as_index=False) \
-                .sum()
-            pair.insert(0, "kind", "pair")
-            return pd.concat([per_src, pair], ignore_index=True)
-        return per_src
+        if not len(a):
+            return per_src
+        pair = pd.DataFrame({"source_a": src[a], "source_b": src[b],
+                             "n": np.int64(1)}) \
+            .groupby(["source_a", "source_b"], as_index=False).sum()
+        pair.insert(0, "kind", "pair")
+        return pd.concat([per_src, pair], ignore_index=True)
 
-    per = ds.map_batches(explode, batch_format="pandas") \
-        .groupby("bucket").map_groups(pairs_in_bucket,
-                                      batch_format="pandas")
+    per = exchange_by_key(ds.map_batches(explode, batch_format="pandas"),
+                          ["fp"], pairs_in_bucket)
     agg = _reduce_partials(per, ["kind", "source_a", "source_b"],
                            ["n"])
     empty = _empty_typed(source_a=object, source_b=object,

@@ -257,14 +257,9 @@ def q_candidate_jaccard_hist(sf_dir: str) -> pd.DataFrame:
         pos = np.searchsorted(keys, d)
         pos[pos == len(keys)] = 0
         b = b[keys[pos] == d]
-        out_id: list = []
-        out_fp: list = []
-        for doc_id, text in zip(b["doc_id"], b["text"].fillna("")):
-            f = ftext.winnow_fingerprints(text, k=16, window=8)
-            out_id.extend([doc_id] * len(f))
-            out_fp.extend(f.tolist())
-        return pd.DataFrame({"doc_id": pd.Series(out_id, dtype="int64"),
-                             "fp": pd.Series(out_fp, dtype="uint64")})
+        rows, fps = ftext.winnow_rows(b["text"], 16, 8)
+        return pd.DataFrame({"doc_id": b["doc_id"].to_numpy(np.int64)[rows],
+                             "fp": fps})
 
     rows = _pq(sf_dir, "documents", ["doc_id", "text"]) \
         .map_batches(fp_rows, batch_format="pandas").to_pandas()

@@ -20,10 +20,10 @@ winnow detector's operating curve:
 Distributed plans (shuffle budgets — also in SCALE.md):
 
 `substring_dup_pairs`: per-batch DISTINCT (anchor, doc_id) explode ->
-ONE bucketed exchange (crc32(anchor) % 64); per-bucket pair
-generation groups by the anchor STRING (no hash-collision false
-pairs) under the 2..16 guard; a final (id_a, id_b) reduce distincts
-pairs across buckets. Pair list bounded by true-dup counts
+ONE anchor-keyed ``exchange_by_key``; per-bucket pair generation
+groups by the anchor STRING (no hash-collision false pairs) under
+the 2..16 guard; a final (id_a, id_b) reduce distincts pairs across
+buckets. Pair list bounded by true-dup counts
 (driver-contract final, the `winnow_dup_pairs` contract).
 
 `winnow_threshold_curve`: rides `_winnow_pair_counts_ds` (ONE
@@ -41,11 +41,11 @@ import.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 import pandas as pd
 
+from .ops.exchange import exchange_by_key
+from .ops.pairs import key_runs, run_pairs
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
@@ -70,44 +70,23 @@ def q_substring_dup_pairs(sf_dir: str) -> pd.DataFrame:
                     for i in range(len(text) - _SUB_L + 1)}
             ids.extend([doc_id] * len(uniq))
             subs.extend(uniq)
-        sub_s = pd.Series(subs, dtype=object)
-        return pd.DataFrame({
-            "doc_id": pd.Series(ids, dtype="int64"),
-            "sub": sub_s,
-            "bucket": np.fromiter(
-                (zlib.crc32(s.encode()) for s in subs),
-                dtype=np.uint32, count=len(subs))
-            .astype(np.int64) % 64})
+        return pd.DataFrame({"doc_id": pd.Series(ids, dtype="int64"),
+                             "sub": pd.Series(subs, dtype=object)})
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        f = g[["sub", "doc_id"]].drop_duplicates() \
+        # pairs group by the anchor STRING (no hash-collision false
+        # pairs); an anchor of > _SUB_HOT docs is skipped
+        f = g.drop_duplicates() \
             .sort_values(["sub", "doc_id"], kind="mergesort")
-        sub = f["sub"].to_numpy(object)
         ids = f["doc_id"].to_numpy(np.int64)
-        starts = np.flatnonzero(np.r_[True, sub[1:] != sub[:-1]])
-        counts = np.diff(np.r_[starts, len(sub)])
-        out_a: list = []
-        out_b: list = []
-        for s in range(2, _SUB_HOT + 1):
-            sel = starts[counts == s]
-            if not sel.size:
-                continue
-            mat = ids[sel[:, None] + np.arange(s)]
-            ia, ib = np.triu_indices(s, k=1)
-            out_a.append(mat[:, ia].ravel())
-            out_b.append(mat[:, ib].ravel())
-        if not out_a:
-            return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                                 "id_b": pd.Series(dtype="int64"),
-                                 "n": pd.Series(dtype="int64")})
-        return pd.DataFrame({"id_a": np.concatenate(out_a),
-                             "id_b": np.concatenate(out_b)}) \
+        a, b = run_pairs(*key_runs(f["sub"]), max_size=_SUB_HOT)
+        return pd.DataFrame({"id_a": ids[a], "id_b": ids[b]}) \
             .drop_duplicates() \
             .assign(n=np.int64(1))
 
-    per_bucket = ds.map_batches(explode, batch_format="pandas") \
-        .groupby("bucket").map_groups(pairs_in_bucket,
-                                      batch_format="pandas")
+    per_bucket = exchange_by_key(
+        ds.map_batches(explode, batch_format="pandas"), ["sub"],
+        pairs_in_bucket)
     agg = _reduce_partials(per_bucket, ["id_a", "id_b"], ["n"])
     if agg.empty:
         return _empty_typed(id_a="int64", id_b="int64")

@@ -44,12 +44,12 @@ exact and NULL error). Self-registers into ``queries.QUERIES`` /
 from __future__ import annotations
 
 import hashlib
-import zlib
 
 import numpy as np
 import pandas as pd
 
 from .ops.exchange import exchange_by_key
+from .ops.pairs import key_runs, run_pairs
 from .queries import _empty_typed, _pq, _reduce_partials, register
 
 
@@ -93,47 +93,25 @@ def q_anchor_stride_recall(sf_dir: str) -> pd.DataFrame:
             "sub": pd.Series(subs, dtype=object),
             "f4": pd.Series(f4, dtype="int64"),
             "f8": pd.Series(f8, dtype="int64"),
-            "f16": pd.Series(f16, dtype="int64"),
-            "bucket": np.fromiter(
-                (zlib.crc32(s.encode()) for s in subs),
-                dtype=np.uint32, count=len(subs))
-            .astype(np.int64) % 64})
+            "f16": pd.Series(f16, dtype="int64")})
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        cols = {"id_a": "int64", "id_b": "int64", "p1": "int64",
-                "p4": "int64", "p8": "int64", "p16": "int64"}
         f = g.groupby(["sub", "doc_id"], as_index=False) \
             [["f4", "f8", "f16"]].max() \
             .sort_values(["sub", "doc_id"], kind="mergesort")
-        sub = f["sub"].to_numpy(object)
         ids = f["doc_id"].to_numpy(np.int64)
         fl = f[["f4", "f8", "f16"]].to_numpy(np.int64)
-        starts = np.flatnonzero(np.r_[True, sub[1:] != sub[:-1]])
-        counts = np.diff(np.r_[starts, len(sub)])
-        frames = []
-        for s in range(2, _ASR_HOT + 1):
-            sel = starts[counts == s]
-            if not sel.size:
-                continue
-            grid = sel[:, None] + np.arange(s)
-            ia, ib = np.triu_indices(s, k=1)
-            a_idx = grid[:, ia].ravel()
-            b_idx = grid[:, ib].ravel()
-            frames.append(pd.DataFrame({
-                "id_a": ids[a_idx], "id_b": ids[b_idx],
-                "p1": np.int64(1),
-                "p4": fl[a_idx, 0] & fl[b_idx, 0],
-                "p8": fl[a_idx, 1] & fl[b_idx, 1],
-                "p16": fl[a_idx, 2] & fl[b_idx, 2]}))
-        if not frames:
-            return pd.DataFrame({c: pd.Series([], dtype=t)
-                                 for c, t in cols.items()})
-        return pd.concat(frames, ignore_index=True) \
+        a, b = run_pairs(*key_runs(f["sub"]), max_size=_ASR_HOT)
+        return pd.DataFrame({
+            "id_a": ids[a], "id_b": ids[b], "p1": np.int64(1),
+            "p4": fl[a, 0] & fl[b, 0],
+            "p8": fl[a, 1] & fl[b, 1],
+            "p16": fl[a, 2] & fl[b, 2]}) \
             .groupby(["id_a", "id_b"], as_index=False).max()
 
-    per_bucket = ds.map_batches(explode, batch_format="pandas") \
-        .groupby("bucket").map_groups(pairs_in_bucket,
-                                      batch_format="pandas")
+    per_bucket = exchange_by_key(
+        ds.map_batches(explode, batch_format="pandas"), ["sub"],
+        pairs_in_bucket)
     agg = _reduce_partials(per_bucket, ["id_a", "id_b"],
                            ["p1", "p4", "p8", "p16"])
     if agg.empty:

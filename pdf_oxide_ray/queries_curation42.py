@@ -11,13 +11,15 @@
   fingerprint, so the grid trades granularity against exchange
   volume.
 
-Distributed plan (shuffle budget — also in SCALE.md): each config
-rides its own `_winnow_pair_counts_ds` (ONE bucketed fp exchange,
-hot-fp guard, threshold filter); the three bounded pair frames are
-tagged with per-config flags and reduced by (id_a, id_b) — pair
-lists are bounded by true-dup counts (driver-contract, the family's
-documented gate) and the set algebra happens on flag sums, so a
-dup-heavy corpus scales the same way `dedup_method_agreement` does.
+Plan (also in SCALE.md): each config rides its own
+`_winnow_pair_counts_ds` (ONE fp-keyed exchange, hot-fp guard); the
+three pair-count frames come to the driver (``.to_pandas()``), where
+the threshold filter, the per-config flags and one (id_a, id_b)
+pivot run in pandas. The pair lists are bounded by true-dup counts
+under the hot-fp guard, but a dup-heavy corpus's lists are not
+driver-sized: unlike `dedup_method_agreement`, whose flag sums reduce
+through a bucketed exchange, this grid still holds every pair on the
+driver.
 
 Empty inputs return the twin's 3 config rows with zero counts and
 NULL jaccard. Self-registers into ``queries.QUERIES`` /

@@ -31,6 +31,7 @@ import pandas as pd
 
 from .ops import exchange as _xc
 from .ops.exchange import combine_by_key, exchange_by_key
+from .ops.pairs import key_runs, run_pairs
 from .ops.quantile import disc_by_group, disc_pick, disc_rank
 from .queries import _cents, _empty_typed, _pq, _reduce_partials, register
 from .stages.joins import _get_broadcast
@@ -953,21 +954,16 @@ def q_cross_source_dups(sf_dir: str) -> pd.DataFrame:
                          n_pairs="int64")
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # combine batch partials, then ONLY hashes seen under >= 2
-        # sources survive — the corpus-sized single-source tail dies
-        # inside the bucket and never reaches the driver
+        # combine batch partials; a hash seen under one source makes no
+        # pair, so the corpus-sized single-source tail dies inside the
+        # bucket and never reaches the driver
         g = g.groupby(["h", "source"], as_index=False)["n"].sum()
-        g = g[g.duplicated("h", keep=False)]
-        rows: dict = {}
-        for _, sub in g.groupby("h", sort=False):
-            src = sub["source"].to_numpy(object)
-            cnt = sub["n"].to_numpy(np.int64)
-            order = np.argsort(src)
-            src, cnt = src[order], cnt[order]
-            for i in range(len(src)):
-                for j in range(i + 1, len(src)):
-                    k = (src[i], src[j])
-                    rows[k] = rows.get(k, 0) + int(cnt[i]) * int(cnt[j])
+        src = g["source"].to_numpy(object)
+        cnt = g["n"].to_numpy(np.int64)
+        a, b = run_pairs(*key_runs(g["h"]))
+        rows = pd.DataFrame({"source_a": src[a], "source_b": src[b],
+                             "n_pairs": cnt[a] * cnt[b]}) \
+            .groupby(["source_a", "source_b"], as_index=False).sum()
         import pyarrow as pa
 
         # Arrow blocks always: an empty pandas frame with object/string
@@ -975,9 +971,9 @@ def q_cross_source_dups(sf_dir: str) -> pd.DataFrame:
         # on size 0 inputs") once per empty bucket — log spam at high
         # bucket counts; Arrow sizes are exact for zero rows too.
         return pa.table({
-            "source_a": pa.array([a for (a, _b) in rows], pa.string()),
-            "source_b": pa.array([b for (_a, b) in rows], pa.string()),
-            "n_pairs": pa.array(list(rows.values()), pa.int64())})
+            "source_a": pa.array(rows["source_a"], pa.string()),
+            "source_b": pa.array(rows["source_b"], pa.string()),
+            "n_pairs": pa.array(rows["n_pairs"], pa.int64())})
 
     parts = exchange_by_key(ds.map_batches(tag, batch_format="pandas"),
                             ["h"], pairs_in_bucket)

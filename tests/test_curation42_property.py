@@ -5,8 +5,10 @@ long enough for the fine config but below the coarse guarantee
 length, and the empty corpus (3 zero rows, NULL jaccard) — must
 match the DuckDB oracle bit-for-bit. Also guards the parameterized
 `_winnow_pair_counts_ds` refactor: default (16, 8) output is
-unchanged vs `winnow_dup_pairs`."""
+unchanged vs `winnow_dup_pairs`, and its 16-doc hot-fingerprint cap
+matches the twin at the boundary."""
 
+import itertools
 import os
 
 import duckdb
@@ -99,3 +101,25 @@ def test_default_params_unchanged(ray_session):
                 f"read_parquet('{sf}/documents.parquet')")
     gold = con.execute(ORACLE_SQL["winnow_dup_pairs"]).fetchdf()
     assert_frames_equal(mine, gold, "winnow_dup_pairs-default")
+
+
+def test_winnow_hot_fingerprint_cap(ray_session, tmp_path):
+    """Two families share a long passage each, with a distinct random
+    tail per doc: 16 docs (every passage fingerprint at the 16-doc cap,
+    so all C(16, 2) pairs) and 17 docs (every passage fingerprint over
+    the cap and skipped, so no pair). Engine and twin must agree."""
+    rng = np.random.default_rng(4)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz "))
+
+    def noise(n):
+        return "".join(rng.choice(letters, n))
+
+    fam16, fam17 = noise(400), noise(400)
+    texts = [noise(60) + fam16 + noise(60) for _ in range(16)]
+    texts += [noise(60) + fam17 + noise(60) for _ in range(17)]
+    d = _write_docs(tmp_path / "winnow-cap", texts)
+    mine = QUERIES["winnow_dup_pairs"](d)
+    gold = _oracle(d, ORACLE_SQL["winnow_dup_pairs"])
+    assert_frames_equal(mine, gold, "winnow_dup_pairs-cap")
+    assert set(zip(mine["id_a"], mine["id_b"])) == \
+        set(itertools.combinations(range(16), 2))

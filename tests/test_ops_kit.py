@@ -2,9 +2,11 @@
 rules against a brute-force sorted array, the sorted-batch pass
 against a direct pandas computation, the keyed exchange against its
 key-local fn run per key on the driver, the gated keyed combine's
-bucketed path against its driver path, and a guard that keeps every
-hash-bucketed exchange inside `ops/exchange.py`."""
+bucketed path against its driver path, the within-key pair kernel
+against ``itertools.combinations`` per key, and a guard that keeps
+every hash-bucketed exchange inside `ops/exchange.py`."""
 
+import itertools
 import math
 import pathlib
 import re
@@ -20,6 +22,7 @@ from pdf_oxide_ray.ops import exchange
 from pdf_oxide_ray.ops.exchange import (_key_buckets, combine_by_key,
                                         exchange_by_key, n_buckets)
 from pdf_oxide_ray.ops.ordered import ordered_pass
+from pdf_oxide_ray.ops.pairs import key_runs, run_pairs
 from pdf_oxide_ray.ops.quantile import (disc_by_group, disc_pick, disc_rank,
                                         disc_rank_exact)
 
@@ -358,6 +361,61 @@ def test_a_query_leaves_the_session_context_as_it_was(ray_session,
     assert (ctx.read_op_min_num_blocks, ctx.min_parallelism) == before
 
 
+# composite keys: an int64 column, object strings, and uint64 values
+# above 2**63 (which a float or int64 cast would merge or reorder)
+_BIG = [0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
+
+
+@st.composite
+def _sorted_keys(draw):
+    """(columns, key tuples): rows sorted by a key made of a non-empty
+    subset of the three columns; zero rows included."""
+    n = draw(st.integers(0, 40))
+    row = st.tuples(st.integers(-2, 2), st.sampled_from(["", "a", "ab", "b"]),
+                    st.sampled_from(_BIG))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    use = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1,
+                        max_size=3, unique=True))
+    keys = sorted(tuple(r[i] for i in use) for r in rows)
+    dtypes = {0: np.int64, 1: object, 2: np.uint64}
+    cols = [np.array([k[j] for k in keys], dtype=dtypes[i])
+            for j, i in enumerate(use)]
+    return cols, keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sorted_keys(), st.data())
+def test_run_pairs_match_combinations_per_key(case, data):
+    cols, keys = case
+    starts, counts = key_runs(*cols)
+    runs = []
+    pos = 0
+    for _, grp in itertools.groupby(keys):
+        c = len(list(grp))
+        runs.append((pos, c))
+        pos += c
+    assert list(zip(starts.tolist(), counts.tolist())) == runs
+    sizes = sorted({c for _, c in runs})
+    max_size = data.draw(st.sampled_from(
+        [None, 2] + sizes + [c - 1 for c in sizes]))
+    a, b = run_pairs(starts, counts, max_size)
+    assert a.dtype == b.dtype == np.int64
+    got = list(zip(a.tolist(), b.tolist()))
+    want = {p for s, c in runs if max_size is None or c <= max_size
+            for p in itertools.combinations(range(s, s + c), 2)}
+    assert len(got) == len(want) and set(got) == want
+
+
+def test_pair_kernel_on_zero_rows():
+    starts, counts = key_runs(np.zeros(0, np.uint64),
+                              np.zeros(0, dtype=object))
+    assert len(starts) == len(counts) == 0
+    for max_size in (None, 2):
+        a, b = run_pairs(starts, counts, max_size)
+        assert len(a) == len(b) == 0
+        assert a.dtype == b.dtype == np.int64
+
+
 _PKG = pathlib.Path(__file__).resolve().parent.parent / "pdf_oxide_ray"
 _OUTSIDE_THE_KIT = [
     (re.compile(r"""["']__bucket["']|\b__bucket\s*="""),
@@ -365,6 +423,9 @@ _OUTSIDE_THE_KIT = [
     (re.compile(r"\b(_bucket_of|_key_buckets)\b"),
      "uses the kit's bucket hash"),
     (re.compile(r"\bmin_parallelism\b"), "mentions min_parallelism"),
+    (re.compile(r"""\.groupby\(\s*["'](bucket|shard)["']\s*\)"""
+                r"""[\s\\]*\.map_groups\("""),
+     "groups a Dataset by a hand-made bucket column"),
 ]
 
 

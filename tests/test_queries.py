@@ -232,7 +232,7 @@ def test_lsh_near_dups_find_planted_pairs(ray_session):
         "vec_id": list(range(len(vecs))),
         "embedding": [v for v in vecs]})).repartition(8)
 
-    got = lsh_near_dup_pairs(ds, tau=0.99)
+    got = lsh_near_dup_pairs(ds)
 
     nv = normalize_rows(vecs)
     sims = nv @ nv.T
@@ -245,7 +245,7 @@ def test_lsh_near_dups_find_planted_pairs(ray_session):
 
 
 def test_lsh_near_dups_dense_family_exceeding_bucket_cap(ray_session):
-    """A duplicate family larger than hot_bucket_cap must still produce
+    """A duplicate family larger than _LSH_HOT_CAP must still produce
     the full all-pairs set (the dense-family union-verify path), not a
     silently truncated one."""
     import numpy as np
@@ -263,7 +263,7 @@ def test_lsh_near_dups_dense_family_exceeding_bucket_cap(ray_session):
         "vec_id": list(range(len(vecs))),
         "embedding": [v for v in vecs]})).repartition(8)
 
-    got = lsh_near_dup_pairs(ds, tau=0.99)
+    got = lsh_near_dup_pairs(ds)
     assert len(got) == 150 * 149 // 2
     assert got["id_a"].max() < 150 and got["id_b"].max() < 150
 

@@ -12,7 +12,8 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 import duckdb
 import pandas as pd
@@ -46,8 +47,13 @@ def main() -> int:
     sf_dir = argv[0] if argv else "/root/testdata/sf0.01"
     import ray
     if not ray.is_initialized():
+        # workers import the package too: put the repo root on their
+        # path, or a run from outside the repo fails every Ray task
+        path = os.pathsep.join(
+            p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
         ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
-                 include_dashboard=False)
+                 include_dashboard=False,
+                 runtime_env={"env_vars": {"PYTHONPATH": path}})
     import __ray_entry__ as e
     qs, sqls = e.queries(), e.oracle_sql()
 
