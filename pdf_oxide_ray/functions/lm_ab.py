@@ -1,22 +1,15 @@
 """Shared helpers for the LM-ablation family (LEAF module — query
 families import it without touching siblings, the
-`functions/markov_sql.py` pattern): the md5-nibble split rule, the
-`heldout_perplexity` LM construction from (kind, g, n) count frames,
-and the per-variant DuckDB LM CTE chain."""
+`functions/markov_sql.py` pattern): the `heldout_perplexity` LM
+construction from (kind, g, n) count frames, and the per-variant
+DuckDB LM CTE chain. The md5-nibble split rule they score on is
+`functions/textops.nibble_split`."""
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pandas as pd
 
-
-def nibble_split(doc_ids) -> np.ndarray:
-    nib = [hashlib.md5(str(d).encode()).hexdigest()[0]
-           for d in doc_ids]
-    return np.where(np.array(nib) == "0", "test",
-                    np.where(np.array(nib) == "1", "val", "train"))
 
 
 

@@ -50,6 +50,23 @@ TOK_SQL = (r"unnest(list_filter(regexp_split_to_array("
            r"coalesce(text, ''), '\s+'), x -> x <> ''))")
 
 
+def nibble_split(ids) -> np.ndarray:
+    """The deterministic train/val/test split: the first md5 hex nibble
+    of ``str(id)`` routes 1/16 to test ("0"), 1/16 to val ("1") and the
+    rest to train. It reads only the row key, so it is stable under any
+    partitioning or order."""
+    nib = np.array([hashlib.md5(str(d).encode()).hexdigest()[0]
+                    for d in ids], dtype="U1")
+    return np.where(nib == "0", "test",
+                    np.where(nib == "1", "val", "train"))
+
+
+def split_sql(col: str) -> str:
+    """DuckDB twin of ``nibble_split`` over column ``col``."""
+    return (f"CASE substr(md5(CAST({col} AS VARCHAR)), 1, 1) "
+            "WHEN '0' THEN 'test' WHEN '1' THEN 'val' ELSE 'train' END")
+
+
 def halfaway6(raw: np.ndarray) -> np.ndarray:
     """Quantize to the int 1e-6 grid with half-AWAY rounding (DuckDB
     ``round()``), the shared convention for every ln()-twinned value."""

@@ -9,8 +9,10 @@ re-entering the registry import).
 * ``exchange`` — ``exchange_by_key``, the one hash-bucketed exchange:
   a Dataset (or a union of tagged sides) hashed on its key tuple into
   ``BUCKETS`` buckets, a key-local ``fn`` per bucket, a lazy Dataset
-  out; and ``combine_by_key``, the gated keyed combine over per-batch
-  partials (driver below ``GATE_ROWS``, ``exchange_by_key`` above).
+  out; ``combine_by_key``, the gated keyed combine over per-batch
+  partials (driver below ``GATE_ROWS``, ``exchange_by_key`` above);
+  and ``sum_by``, the grouped sum: a per-block combine fused into the
+  caller's map task, then one ``combine_by_key`` reduce.
 * ``pairs`` — the within-key pair kernel (numpy only): ``key_runs``,
   the runs of equal key tuples in key-sorted rows, and ``run_pairs``,
   every member pair of each run up to a size cap — the dedup and

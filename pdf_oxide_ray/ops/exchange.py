@@ -23,6 +23,10 @@ Combining per batch before the exchange is the skew rule of FP-Hadoop
 (VLDB 2015): a hot key costs the exchange its partial count, not its
 rows. The bucket count comes from the row count, so no bucket holds
 more than the driver path accepts.
+
+``sum_by`` is that plan for the grouped sum, end to end: a per-block
+``groupby(by)[cols].sum()`` fused into the caller's map task, then one
+``combine_by_key`` reduce of the same sum.
 """
 
 from __future__ import annotations
@@ -135,3 +139,27 @@ def combine_by_key(partials, key: list[str],
     if not full:
         return out[0] if out else pd.DataFrame()
     return pd.concat(full, ignore_index=True)
+
+
+def sum_by(ds, by: list[str], cols: list[str]) -> pd.DataFrame:
+    """``cols`` summed per ``by`` key over every row of ``ds``: the one
+    grouped sum. Rows whose key holds a null drop out, as in pandas.
+
+    Each block is combined to one row per key (a task-pool map over
+    whole blocks, so Ray fuses it into the caller's own map task), and
+    the partials go through ``combine_by_key``: one sorted
+    ``groupby(by)[cols].sum()`` on the driver at or below
+    ``GATE_ROWS`` partial rows, bucketed above it. A count is the sum
+    of an ``np.int64(1)`` column.
+
+    Zero rows give ``by + cols`` as empty columns of dtype object.
+    """
+    def per_block(b: pd.DataFrame) -> pd.DataFrame:
+        return b.groupby(by, as_index=False, sort=False)[cols].sum()
+
+    out = combine_by_key(
+        ds.map_batches(per_block, batch_format="pandas", batch_size=None),
+        by, lambda d: d.groupby(by, as_index=False)[cols].sum())
+    if not len(out.columns):  # zero rows: groupby would raise
+        return pd.DataFrame({c: [] for c in by + cols})
+    return out

@@ -76,8 +76,6 @@ def run_training_prep(input_path: str, out_dir: str, *,
         bench |= grams_of(t)
     bench_ref = ray.put(frozenset(bench))
 
-    import hashlib
-
     from ..stages.joins import _get_broadcast
 
     def filter_and_feature(b: pd.DataFrame) -> pd.DataFrame:
@@ -95,10 +93,7 @@ def run_training_prep(input_path: str, out_dir: str, *,
             keep[dirty] = False
         b = b[keep]
         h = fdedup.content_hash(b["text"])
-        nib = b["doc_id"].map(
-            lambda d: hashlib.md5(str(d).encode()).hexdigest()[0])
-        split = np.where(nib == "0", "test",
-                         np.where(nib == "1", "val", "train"))
+        split = ftext.nibble_split(b["doc_id"])
         return pd.DataFrame({
             "doc_id": b["doc_id"].to_numpy(np.int64),
             "text": b["text"].to_numpy(object),

@@ -25,7 +25,7 @@ from .functions import dedup as fdedup
 from .functions import similarity as fsim
 from .functions import textops as ftext
 from .ops import exchange as _xc
-from .ops.exchange import combine_by_key, exchange_by_key
+from .ops.exchange import combine_by_key, exchange_by_key, sum_by
 from .ops.pairs import key_runs, run_pairs
 from .ops.quantile import disc_pick, disc_rank
 from .stages.joins import _get_broadcast, broadcast_join, bucketed_hash_join
@@ -71,31 +71,17 @@ def _empty_typed(**schema: str) -> pd.DataFrame:
                          for c, t in schema.items()})
 
 
-def _reduce_partials(partials, by: list[str],
-                     sum_cols: list[str]) -> pd.DataFrame:
-    """Final reduce over per-batch PARTIAL aggregates: sum ``sum_cols``
-    per ``by`` key through the gated keyed combine (driver below the
-    gate, bucketed above)."""
-    out = combine_by_key(
-        partials, by,
-        lambda d: d.groupby(by, as_index=False)[sum_cols].sum())
-    if not len(out.columns):  # zero rows: groupby would raise
-        return pd.DataFrame({c: [] for c in by + sum_cols})
-    return out
-
-
 # ---------------------------------------------------------------------------
-# grouped aggregates (partial-agg pattern: combine per batch, then a SMALL
-# groupby over partials — the wide shuffle carries one row per key per batch)
+# grouped aggregates (``sum_by``: a per-block combine fused into the map
+# task, then a SMALL keyed reduce — the wide shuffle carries one row per
+# key per block)
 # ---------------------------------------------------------------------------
 
 def q_turn_counts(sf_dir: str) -> pd.DataFrame:
     """events: count per user (groupby over per-batch partial counts)."""
     ds = _pq(sf_dir, "events", ["user_id"])
-    partial = ds.map_batches(
-        lambda b: b.groupby("user_id", as_index=False).agg(n=("user_id", "size")),
-        batch_format="pandas")
-    out = _reduce_partials(partial, ["user_id"], ["n"])
+    out = sum_by(ds.map_batches(lambda b: b.assign(n=np.int64(1)),
+                                batch_format="pandas"), ["user_id"], ["n"])
     out["n"] = out["n"].astype("int64")
     return out
 
@@ -111,20 +97,16 @@ def q_category_stats(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         # np.rint == DuckDB's half-even double->BIGINT cast (astype would
         # truncate a fractional quantity where the oracle rounds)
-        b = b.assign(qty_i=np.rint(np.nan_to_num(
-                         b["l_quantity"].to_numpy(np.float64)))
-                     .astype(np.int64),
-                     price_c=_cents(b["l_extendedprice"]),
-                     disc_c=_cents(b["l_discount"]))
-        return b.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            qty_i=("qty_i", "sum"),
-            price_c=("price_c", "sum"),
-            disc_c=("disc_c", "sum"),
-            n=("qty_i", "size"))
+        return b.assign(qty_i=np.rint(np.nan_to_num(
+                b["l_quantity"].to_numpy(np.float64)))
+            .astype(np.int64),
+            price_c=_cents(b["l_extendedprice"]),
+            disc_c=_cents(b["l_discount"]),
+            n=np.int64(1))
 
-    agg = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["l_returnflag", "l_linestatus"],
-                           ["qty_i", "price_c", "disc_c", "n"])
+    agg = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["l_returnflag", "l_linestatus"],
+                 ["qty_i", "price_c", "disc_c", "n"])
     agg["sum_qty"] = agg["qty_i"].astype(np.float64)
     agg["sum_price"] = agg["price_c"].astype(np.float64) / 100.0
     agg["avg_disc"] = (agg["disc_c"].astype(np.float64) / 100.0) / agg["n"]
@@ -144,11 +126,10 @@ def q_revenue_by_flag(sf_dir: str) -> pd.DataFrame:
         rev_i = _cents(b["l_extendedprice"]).to_numpy() \
             * (100 - _cents(b["l_discount"]).to_numpy())
         return pd.DataFrame({"l_returnflag": b["l_returnflag"],
-                             "rev_i": rev_i}) \
-            .groupby("l_returnflag", as_index=False).sum()
+                             "rev_i": rev_i})
 
-    out = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["l_returnflag"], ["rev_i"])
+    out = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["l_returnflag"], ["rev_i"])
     out["revenue"] = out["rev_i"].astype(np.float64) / 10000.0
     return out.drop(columns=["rev_i"])
 
@@ -160,15 +141,14 @@ def q_events_hourly(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         # sum exact integer micro-units (round(value*1e6)) so the grouped
         # average is order-independent; the oracle mirrors the same chain
-        b = b.assign(hour=b["ts"].dt.floor("h"),
-                     value_u=pd.Series(
-                         np.round(b["value"].to_numpy(np.float64) * 1e6)
-                         .astype(np.int64), index=b.index))
-        return b.groupby(["event_type", "hour"], as_index=False).agg(
-            n=("value_u", "size"), value_u=("value_u", "sum"))
+        return b.assign(hour=b["ts"].dt.floor("h"),
+                        value_u=pd.Series(
+                            np.round(b["value"].to_numpy(np.float64) * 1e6)
+                            .astype(np.int64), index=b.index),
+                        n=np.int64(1))
 
-    agg = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["event_type", "hour"], ["n", "value_u"])
+    agg = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["event_type", "hour"], ["n", "value_u"])
     agg["avg_value"] = (agg["value_u"].astype(np.float64) / 1e6) / agg["n"]
     agg["n"] = agg["n"].astype("int64")
     return agg.drop(columns=["value_u"])
@@ -193,17 +173,14 @@ def q_events_sliding(sf_dir: str) -> pd.DataFrame:
         m = len(pre)
         offsets = np.repeat(np.arange(4, dtype="timedelta64[us]")
                             * hop_us, m)
-        exploded = pd.DataFrame({
+        return pd.DataFrame({
             "event_type": np.tile(pre["event_type"].to_numpy(), 4),
             "window_start": np.tile(pre["bucket"].to_numpy(), 4) - offsets,
             "n": np.tile(pre["n"].to_numpy(), 4),
         })
-        return exploded.groupby(
-            ["event_type", "window_start"], as_index=False).agg(
-            n=("n", "sum"))
 
-    out = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["event_type", "window_start"], ["n"])
+    out = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["event_type", "window_start"], ["n"])
     out["n"] = out["n"].astype("int64")
     return out
 
@@ -212,7 +189,7 @@ def q_quantity_quantiles(sf_dir: str) -> pd.DataFrame:
     """Exact grouped INTERPOLATED quantiles (quantile_cont p50/p90 of
     l_quantity per returnflag) via the bounded value histogram — the
     same plan as ``q_length_deciles``, upgraded from percentile_disc to
-    linear interpolation: per-batch (flag, qty-cents) value_counts
+    linear interpolation: (flag, qty-cents) counts (``sum_by``)
     reduce to one row per distinct value per flag (quantity is a
     2-decimal bounded domain, so the histogram is corpus-size-free),
     and the driver reads sorted[floor(h)] / sorted[ceil(h)] off
@@ -225,15 +202,12 @@ def q_quantity_quantiles(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
 
     def hist(b: pd.DataFrame) -> pd.DataFrame:
-        vc = pd.DataFrame({
-            "l_returnflag": b["l_returnflag"],
-            "q_c": _cents(b["l_quantity"])}) \
-            .value_counts(sort=False).rename("cnt").reset_index()
-        vc["cnt"] = vc["cnt"].astype(np.int64)
-        return vc
+        return pd.DataFrame({"l_returnflag": b["l_returnflag"],
+                             "q_c": _cents(b["l_quantity"]),
+                             "cnt": np.int64(1)})
 
-    h = _reduce_partials(ds.map_batches(hist, batch_format="pandas"),
-                         ["l_returnflag", "q_c"], ["cnt"])
+    h = sum_by(ds.map_batches(hist, batch_format="pandas"),
+               ["l_returnflag", "q_c"], ["cnt"])
     if h.empty:
         return _empty_typed(l_returnflag=object, p50="float64",
                             p90="float64")
@@ -428,13 +402,10 @@ def q_join_customer_orders(sf_dir: str) -> pd.DataFrame:
     orders = _pq(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     joined = broadcast_join(orders, cust, on="o_custkey", right_on="c_custkey")
     partial = joined.map_batches(
-        lambda b: b.assign(price_c=_cents(b["o_totalprice"]))
-        .groupby("c_mktsegment", as_index=False).agg(
-            n_orders=("price_c", "size"),
-            price_c=("price_c", "sum")),
+        lambda b: b.assign(price_c=_cents(b["o_totalprice"]),
+                           n_orders=np.int64(1)),
         batch_format="pandas")
-    out = _reduce_partials(partial, ["c_mktsegment"],
-                           ["n_orders", "price_c"])
+    out = sum_by(partial, ["c_mktsegment"], ["n_orders", "price_c"])
     out["n_orders"] = out["n_orders"].astype("int64")
     out["total_price"] = out["price_c"].astype(np.float64) / 100.0
     return out.drop(columns=["price_c"])
@@ -457,10 +428,9 @@ def q_join_lineitem_orders(sf_dir: str) -> pd.DataFrame:
         rev_i = _cents(b["l_extendedprice"]).to_numpy() \
             * (100 - _cents(b["l_discount"]).to_numpy())
         return pd.DataFrame({"o_orderpriority": b["o_orderpriority"],
-                             "rev_i": rev_i, "n": 1}) \
-            .groupby("o_orderpriority", as_index=False).sum()
+                             "rev_i": rev_i, "n": np.int64(1)})
 
-    out = _reduce_partials(
+    out = sum_by(
         joined.map_batches(partial, batch_format="pandas"),
         ["o_orderpriority"], ["rev_i", "n"])
     out["n"] = out["n"].astype("int64")
@@ -479,12 +449,10 @@ def q_supplier_nation_region(sf_dir: str) -> pd.DataFrame:
     sup = _pq(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
     joined = broadcast_join(sup, dim, on="s_nationkey", right_on="n_nationkey")
     partial = joined.map_batches(
-        lambda b: b.assign(bal_c=_cents(b["s_acctbal"]))
-        .groupby("r_name", as_index=False).agg(
-            n_suppliers=("bal_c", "size"),
-            bal_c=("bal_c", "sum")),
+        lambda b: b.assign(bal_c=_cents(b["s_acctbal"]),
+                           n_suppliers=np.int64(1)),
         batch_format="pandas")
-    out = _reduce_partials(partial, ["r_name"], ["n_suppliers", "bal_c"])
+    out = sum_by(partial, ["r_name"], ["n_suppliers", "bal_c"])
     out["n_suppliers"] = out["n_suppliers"].astype("int64")
     out["total_acctbal"] = out["bal_c"].astype(np.float64) / 100.0
     return out.drop(columns=["bal_c"])
@@ -577,10 +545,9 @@ def q_customers_with_orders(sf_dir: str) -> pd.DataFrame:
     def semi(b: pd.DataFrame) -> pd.DataFrame:
         have = _get_broadcast(keys_ref)
         hit = b[isin_sorted(b["c_custkey"].to_numpy(), have)]
-        return hit.groupby("c_mktsegment", as_index=False).agg(
-            n=("c_custkey", "size"))
+        return hit.assign(n=np.int64(1))
 
-    out = _reduce_partials(
+    out = sum_by(
         _pq(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
         .map_batches(semi, batch_format="pandas"), ["c_mktsegment"], ["n"])
     out["n"] = out["n"].astype("int64")
@@ -623,10 +590,10 @@ def q_token_counts_bpe(sf_dir: str) -> pd.DataFrame:
 def q_doc_stats(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["lang", "n_chars"])
     partial = ds.map_batches(
-        lambda b: b.groupby("lang", as_index=False).agg(
-            n_docs=("n_chars", "size"), sum_chars=("n_chars", "sum")),
+        lambda b: b.rename(columns={"n_chars": "sum_chars"})
+        .assign(n_docs=np.int64(1)),
         batch_format="pandas")
-    out = _reduce_partials(partial, ["lang"], ["n_docs", "sum_chars"])
+    out = sum_by(partial, ["lang"], ["n_docs", "sum_chars"])
     out["avg_chars"] = out["sum_chars"].astype(np.float64) / out["n_docs"]
     out["n_docs"] = out["n_docs"].astype("int64")
     out["sum_chars"] = out["sum_chars"].astype("int64")
@@ -674,7 +641,7 @@ def _winnow_pair_counts_ds(sf_dir: str, k: int = 16,
     per_bucket = exchange_by_key(
         ds.map_batches(explode, batch_format="pandas"), ["fp"],
         pairs_in_bucket).materialize()
-    # final cross-bucket pair-count reduce, gated like _reduce_partials:
+    # final cross-bucket pair-count reduce, gated like combine_by_key:
     # the per-bucket outputs are already reduced, so below the gate the
     # driver combine replaces a whole Ray exchange (returned as a
     # one-block Dataset so both consumers keep their Dataset flow)
@@ -746,7 +713,7 @@ def _connected_components(edges) -> pd.DataFrame:
         return _empty_typed(doc_id="int64", component="int64")
     if n_edges <= _xc.GATE_ROWS:
         # Below the reduce gate the edge list is driver-sized (the same
-        # philosophy as _reduce_partials): per-iteration Ray exchanges
+        # philosophy as combine_by_key): per-iteration Ray exchanges
         # cost seconds each and a CHAIN-shaped component needs diameter
         # iterations — measured 164s at sf0.1 for a graph whose driver
         # CC takes milliseconds. Vectorized hook + shortcut (pointer
@@ -967,11 +934,10 @@ def q_props_rollup(sf_dir: str) -> pd.DataFrame:
         k = b["props"].fillna("").str.extract(r"(\d+)", expand=False) \
             .fillna("0").astype(np.int64)
         return pd.DataFrame({"event_type": b["event_type"], "k_sum": k,
-                             "n": 1}) \
-            .groupby("event_type", as_index=False).sum()
+                             "n": np.int64(1)})
 
-    out = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["event_type"], ["k_sum", "n"])
+    out = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["event_type"], ["k_sum", "n"])
     out["avg_k"] = (out["k_sum"].astype(np.float64)) / out["n"]
     out["k_sum"] = out["k_sum"].astype("int64")
     return out.drop(columns=["n"])
@@ -982,17 +948,11 @@ def q_split_assign(sf_dir: str) -> pd.DataFrame:
     first hex nibble of md5(doc_id) routes 1/16 to test, 1/16 to val,
     rest to train — stable under any partitioning/reordering because the
     hash depends only on the row key. Pure map, no shuffle."""
-    import hashlib
-
     ds = _pq(sf_dir, "documents", ["doc_id"])
 
     def assign(b: pd.DataFrame) -> pd.DataFrame:
-        nib = b["doc_id"].map(
-            lambda d: hashlib.md5(str(d).encode()).hexdigest()[0])
-        split = np.where(nib == "0", "test",
-                         np.where(nib == "1", "val", "train"))
         return pd.DataFrame({"doc_id": b["doc_id"].astype("int64"),
-                             "split": split})
+                             "split": ftext.nibble_split(b["doc_id"])})
 
     return ds.map_batches(assign, batch_format="pandas").to_pandas()
 
@@ -1001,19 +961,14 @@ def q_stratified_sample(sf_dir: str) -> pd.DataFrame:
     """Deterministic stratified sample: per-language doc counts of an
     exact 2/16 hash sample (md5 nibble in {0,1}) — the reproducible
     corpus-sampling op (no RNG, no shuffle; partial counts only)."""
-    import hashlib
-
     ds = _pq(sf_dir, "documents", ["doc_id", "lang"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        nib = b["doc_id"].map(
-            lambda d: hashlib.md5(str(d).encode()).hexdigest()[0])
-        hit = b[(nib == "0") | (nib == "1")]
-        return hit.groupby("lang", as_index=False).agg(
-            n_sampled=("doc_id", "size"))
+        hit = b[ftext.nibble_split(b["doc_id"]) != "train"]
+        return hit.assign(n_sampled=np.int64(1))
 
-    out = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["lang"], ["n_sampled"])
+    out = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["lang"], ["n_sampled"])
     out["n_sampled"] = out["n_sampled"].astype("int64")
     return out
 
@@ -1096,11 +1051,10 @@ def q_token_histogram(sf_dir: str) -> pd.DataFrame:
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         n = ftext.token_count_ws(b["text"])
-        return pd.DataFrame({"bucket": (n // 10) * 10}) \
-            .groupby("bucket", as_index=False).agg(n_docs=("bucket", "size"))
+        return pd.DataFrame({"bucket": (n // 10) * 10, "n_docs": np.int64(1)})
 
-    out = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["bucket"], ["n_docs"])
+    out = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["bucket"], ["n_docs"])
     return out.astype({"bucket": "int64", "n_docs": "int64"})
 
 
@@ -1166,13 +1120,11 @@ def q_tfidf_keywords(sf_dir: str) -> pd.DataFrame:
         pairs = pd.DataFrame({
             "doc_id": np.repeat(b["doc_id"].to_numpy(), lens),
             "term": flat}).drop_duplicates()
-        out = pairs.groupby("term", as_index=False).size()
-        return out.rename(columns={"size": "df"})
+        return pairs[["term"]].assign(df=np.int64(1))
 
     n_docs = ds.count()
-    df_tbl = _reduce_partials(ds.map_batches(df_partial,
-                                             batch_format="pandas"),
-                              ["term"], ["df"])
+    df_tbl = sum_by(ds.map_batches(df_partial, batch_format="pandas"),
+                    ["term"], ["df"])
     df_ref = ray.put(dict(zip(df_tbl["term"], df_tbl["df"])))
 
     def score(b: pd.DataFrame) -> pd.DataFrame:
@@ -1223,12 +1175,11 @@ def q_length_deciles(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["n_chars"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b["n_chars"].value_counts()
-        return pd.DataFrame({"v": vc.index.to_numpy(),
-                             "cnt": vc.to_numpy()})
+        return pd.DataFrame({"v": b["n_chars"].to_numpy(),
+                             "cnt": np.int64(1)})
 
-    hist = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                            ["v"], ["cnt"]).sort_values("v")
+    hist = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                  ["v"], ["cnt"]).sort_values("v")
     cum = hist["cnt"].cumsum().to_numpy()
     n = int(cum[-1]) if len(cum) else 0
     if n == 0:  # empty corpus: NULL per decile, matching the SQL twin
@@ -1304,15 +1255,12 @@ def q_pack_blocks(sf_dir: str) -> pd.DataFrame:
     skinny = ds.map_batches(counts, batch_format="pandas")
 
     def range_partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({"rng": b["doc_id"] // _PACK_RANGE,
-                          "sum_tokens": b["n_tokens"]})
-        return g.groupby("rng", as_index=False).agg(
-            sum_tokens=("sum_tokens", "sum"))
+        return pd.DataFrame({"rng": b["doc_id"] // _PACK_RANGE,
+                             "sum_tokens": b["n_tokens"]})
 
     skinny = skinny.materialize()  # two consumers (range sums + packing)
-    ranges = _reduce_partials(skinny.map_batches(range_partial,
-                                                 batch_format="pandas"),
-                              ["rng"], ["sum_tokens"]).sort_values("rng")
+    ranges = sum_by(skinny.map_batches(range_partial, batch_format="pandas"),
+                    ["rng"], ["sum_tokens"]).sort_values("rng")
     bases = dict(zip(ranges["rng"].to_numpy(np.int64),
                      np.concatenate([[0], ranges["sum_tokens"]
                                      .cumsum().to_numpy(np.int64)[:-1]])))
@@ -1875,13 +1823,12 @@ def q_heading_stats(sf_dir: str) -> pd.DataFrame:
             low_conf = reader.estimate_confidence(blocks) < 0.75
             for level in clf.classify(blocks):
                 rows.append((kind, level, int(low_conf)))
-        df = pd.DataFrame(rows, columns=["kind", "level", "low_conf"])
-        return df.groupby(["kind", "level"], as_index=False).agg(
-            n=("level", "size"), low_conf=("low_conf", "sum"))
+        return pd.DataFrame(rows, columns=["kind", "level", "low_conf"]) \
+            .assign(n=np.int64(1))
 
     partials = ds.select_columns(["kind", "spans"]) \
         .map_batches(per_batch, batch_format="pyarrow")
-    out = _reduce_partials(partials, ["kind", "level"], ["n", "low_conf"])
+    out = sum_by(partials, ["kind", "level"], ["n", "low_conf"])
     return out.astype({"n": "int64", "low_conf": "int64"}) \
         .sort_values(["kind", "level"]).reset_index(drop=True)
 
@@ -2247,12 +2194,11 @@ def q_chunk_dedup(sf_dir: str) -> pd.DataFrame:
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         _, _, chunks = _word_chunks(b["text"])
-        vc = chunks.value_counts()
-        return pd.DataFrame({"chunk": vc.index.to_numpy(dtype=object),
-                             "cnt": vc.to_numpy(np.int64)})
+        return pd.DataFrame({"chunk": chunks.to_numpy(dtype=object),
+                             "cnt": np.int64(1)})
 
-    counts = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                              ["chunk"], ["cnt"])
+    counts = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                    ["chunk"], ["cnt"])
     hot = frozenset(counts.loc[counts["cnt"] >= _CHUNK_HOT, "chunk"])
     hot_ref = ray.put(hot)
 
@@ -2322,15 +2268,14 @@ def q_label_centroid_sim(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)
         lab = b["label"].to_numpy(np.int64)
         d = q.shape[1]
-        g = pd.DataFrame({"label": np.repeat(lab, d),
-                          "dim": np.tile(np.arange(1, d + 1,
-                                                   dtype=np.int64),
-                                         len(lab)),
-                          "s": q.reshape(-1)})
-        return g.groupby(["label", "dim"], as_index=False).sum()
+        return pd.DataFrame({"label": np.repeat(lab, d),
+                             "dim": np.tile(np.arange(1, d + 1,
+                                                      dtype=np.int64),
+                                            len(lab)),
+                             "s": q.reshape(-1)})
 
-    agg = _reduce_partials(ds.map_batches(sums, batch_format="pandas"),
-                           ["label", "dim"], ["s"])
+    agg = sum_by(ds.map_batches(sums, batch_format="pandas"),
+                 ["label", "dim"], ["s"])
     if agg.empty:
         return _empty_typed(label_a="int64", label_b="int64",
                             cos_sim="float64")
@@ -2498,9 +2443,9 @@ def _kmeans_centroids(sf_dir: str) -> np.ndarray | None:
                 out[f"s{j}"] = sums[:, j]
             return pd.DataFrame(out)
 
-        agg = _reduce_partials(ds.map_batches(stats, batch_format="pandas"),
-                               ["cluster"], ["n"] + [f"s{j}"
-                                                     for j in range(dim)]) \
+        agg = sum_by(ds.map_batches(stats, batch_format="pandas"),
+                     ["cluster"], ["n"] + [f"s{j}"
+                                           for j in range(dim)]) \
             .sort_values("cluster")
         n = agg["n"].to_numpy(np.int64)
         sums = agg[[f"s{j}" for j in range(dim)]].to_numpy(np.int64)
@@ -2718,10 +2663,9 @@ def q_cluster_topics(sf_dir: str) -> pd.DataFrame:
         pairs = pd.DataFrame({
             "cluster": np.repeat(cl, toks.str.len().to_numpy(np.int64)),
             "token": [t for row in toks for t in row]})
-        return pairs.groupby(["cluster", "token"], as_index=False) \
-            .size().rename(columns={"size": "n"})
+        return pairs.assign(n=np.int64(1))
 
-    counts = _reduce_partials(
+    counts = sum_by(
         _pq(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(tok_counts, batch_format="pandas"),
         ["cluster", "token"], ["n"])
@@ -2770,11 +2714,9 @@ def q_cluster_purity(sf_dir: str) -> pd.DataFrame:
             c = _get_broadcast(ref)
             return pd.DataFrame({
                 "cluster": _kmeans_argmin(_kmeans_quant(b), c),
-                "label": b["label"].to_numpy()}) \
-                .groupby(["cluster", "label"], as_index=False) \
-                .size().rename(columns={"size": "n"})
+                "label": b["label"].to_numpy(), "n": np.int64(1)})
 
-        counts = _reduce_partials(
+        counts = sum_by(
             ds.map_batches(partial, batch_format="pandas"),
             ["cluster", "label"], ["n"])
     agg = counts.groupby("cluster", as_index=False).agg(
@@ -2831,7 +2773,7 @@ _QUALITY_FILTER_P = 0.75  # keep docs at/above the corpus P75 quality
 def _quality_threshold(ds, p: float) -> float | None:
     """Exact corpus percentile of the heuristic quality score via the
     bounded value histogram (same plan as ``q_length_deciles``):
-    per-batch score value_counts reduce to one row per distinct score —
+    per-score counts (``sum_by``) reduce to one row per distinct score —
     far smaller than the corpus (scores are low-cardinality rationals of
     doc stats) — and the threshold is read off cumulative counts with
     the percentile_disc index rule sorted[ceil(n*p)-1]. Shared by
@@ -2839,12 +2781,12 @@ def _quality_threshold(ds, p: float) -> float | None:
     index rule can never drift between them. None on an empty corpus."""
 
     def hist(b: pd.DataFrame) -> pd.DataFrame:
-        vc = ftext.quality_score(b["text"]).value_counts()
-        return pd.DataFrame({"q": vc.index.to_numpy(np.float64),
-                             "cnt": vc.to_numpy(np.int64)})
+        return pd.DataFrame({
+            "q": ftext.quality_score(b["text"]).to_numpy(np.float64),
+            "cnt": np.int64(1)})
 
-    h = _reduce_partials(ds.map_batches(hist, batch_format="pandas"),
-                         ["q"], ["cnt"]).sort_values("q")
+    h = sum_by(ds.map_batches(hist, batch_format="pandas"),
+               ["q"], ["cnt"]).sort_values("q")
     cum = h["cnt"].cumsum().to_numpy()
     n = int(cum[-1]) if len(cum) else 0
     if n == 0:
@@ -2856,8 +2798,8 @@ def q_quality_filter(sf_dir: str) -> pd.DataFrame:
     """Top-quartile quality selection: keep docs whose heuristic quality
     score >= the corpus P75 — the select-the-best-slice op every
     training-data pipeline runs after scoring. EXACT percentile via the
-    bounded value histogram (same plan as ``q_length_deciles``): per-batch
-    score value_counts reduce to one row per distinct score — far smaller
+    bounded value histogram (same plan as ``q_length_deciles``): per-score
+    counts (``sum_by``) reduce to one row per distinct score — far smaller
     than the corpus (scores are low-cardinality rationals of doc stats) —
     and the threshold is read off cumulative counts with the
     percentile_disc index rule sorted[ceil(n*p)-1]. Scores are
@@ -3274,11 +3216,9 @@ ORACLE_SQL = {
                         regexp_extract(props, '\d+'), ''), '0') AS BIGINT))
                     AS DOUBLE) / COUNT(*) AS avg_k
         FROM events GROUP BY event_type""",
-    "split_assign": """
+    "split_assign": f"""
         SELECT doc_id,
-               CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
-                    WHEN '0' THEN 'test' WHEN '1' THEN 'val'
-                    ELSE 'train' END AS split
+               {ftext.split_sql('doc_id')} AS split
         FROM documents""",
     "stratified_sample": """
         SELECT lang, COUNT(*) AS n_sampled FROM documents

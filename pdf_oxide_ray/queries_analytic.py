@@ -22,9 +22,8 @@ import numpy as np
 import pandas as pd
 
 from .ops.quantile import disc_by_group
-from .ops.exchange import combine_by_key, exchange_by_key
-from .queries import (ORACLE_SQL, _cents, _empty_typed, _pq, _reduce_partials,
-                      register)
+from .ops.exchange import combine_by_key, exchange_by_key, sum_by
+from .queries import ORACLE_SQL, _cents, _empty_typed, _pq, register
 from .stages.joins import _get_broadcast
 
 
@@ -205,12 +204,10 @@ def q_region_revenue(sf_dir: str) -> pd.DataFrame:
         rev_c = (_cents(b["l_extendedprice"]).to_numpy()
                  * (100 - _cents(b["l_discount"]).to_numpy()))
         return pd.DataFrame({"n_name": name[keep].to_numpy(),
-                             "rev_c": rev_c}) \
-            .groupby("n_name", as_index=False).agg(rev_c=("rev_c", "sum"))
+                             "rev_c": rev_c})
 
-    out = _reduce_partials(joined.map_batches(partial,
-                                              batch_format="pandas"),
-                           ["n_name"], ["rev_c"])
+    out = sum_by(joined.map_batches(partial, batch_format="pandas"),
+                 ["n_name"], ["rev_c"])
     out["revenue"] = out["rev_c"].astype(np.float64) / 10000.0
     return out.drop(columns=["rev_c"]).astype({"revenue": "float64"})
 
@@ -245,11 +242,10 @@ def q_priority_semi_counts(sf_dir: str) -> pd.DataFrame:
         fact = g[side == 1]
         hit = fact[np.isin(fact["k"].to_numpy(np.int64), have)]
         return pd.DataFrame({"o_orderpriority": hit["pri"].to_numpy(),
-                             "n_orders": 1}) \
-            .groupby("o_orderpriority", as_index=False).sum()
+                             "n_orders": np.int64(1)})
 
     parts = exchange_by_key(tagged, ["k"], per_bucket)
-    out = _reduce_partials(parts, ["o_orderpriority"], ["n_orders"])
+    out = sum_by(parts, ["o_orderpriority"], ["n_orders"])
     return out.astype({"n_orders": "int64"})
 
 
@@ -299,14 +295,11 @@ def q_nation_trade_volume(sf_dir: str) -> pd.DataFrame:
             .to_numpy(np.int64)
         return pd.DataFrame({"supp_nation": s_nat[keep].to_numpy(),
                              "cust_nation": c_nat[keep].to_numpy(),
-                             "o_year": year, "rev_c": rev_c}) \
-            .groupby(["supp_nation", "cust_nation", "o_year"],
-                     as_index=False).agg(rev_c=("rev_c", "sum"))
+                             "o_year": year, "rev_c": rev_c})
 
-    out = _reduce_partials(joined.map_batches(partial,
-                                              batch_format="pandas"),
-                           ["supp_nation", "cust_nation", "o_year"],
-                           ["rev_c"])
+    out = sum_by(joined.map_batches(partial, batch_format="pandas"),
+                 ["supp_nation", "cust_nation", "o_year"],
+                 ["rev_c"])
     out["volume"] = out["rev_c"].astype(np.float64) / 10000.0
     return out.drop(columns=["rev_c"]).astype(
         {"o_year": "int64", "volume": "float64"})
@@ -544,12 +537,12 @@ def q_source_length_quantiles(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["source", "n_chars"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({"source": b["source"].to_numpy(),
-                          "v": b["n_chars"].to_numpy(np.int64), "cnt": 1})
-        return g.groupby(["source", "v"], as_index=False).sum()
+        return pd.DataFrame({"source": b["source"].to_numpy(),
+                             "v": b["n_chars"].to_numpy(np.int64),
+                             "cnt": np.int64(1)})
 
-    hist = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                            ["source", "v"], ["cnt"])
+    hist = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                  ["source", "v"], ["cnt"])
     rows = [(source, *qs) for source, _, *qs
             in disc_by_group(hist, "source", "v", _GROUP_QUANTILE_PS)]
     return pd.DataFrame(rows, columns=["source", "p50_chars", "p90_chars",
@@ -591,12 +584,10 @@ def q_deterministic_shuffle(sf_dir: str) -> pd.DataFrame:
         .materialize()  # two consumers: range counts + in-range rank
 
     def range_counts(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"rng": b["rng"], "n": 1}) \
-            .groupby("rng", as_index=False).sum()
+        return pd.DataFrame({"rng": b["rng"], "n": np.int64(1)})
 
-    ranges = _reduce_partials(skinny.map_batches(range_counts,
-                                                 batch_format="pandas"),
-                              ["rng"], ["n"]).sort_values("rng")
+    ranges = sum_by(skinny.map_batches(range_counts, batch_format="pandas"),
+                    ["rng"], ["n"]).sort_values("rng")
     bases = dict(zip(ranges["rng"].to_numpy(np.int64),
                      np.concatenate([[0], ranges["n"].cumsum()
                                      .to_numpy(np.int64)[:-1]])))
@@ -776,9 +767,8 @@ def q_bloom_filter_orders(sf_dir: str) -> pd.DataFrame:
             if len(keys) else np.empty(0, np.int64)
         return pd.DataFrame({"pos": pos, "one": 1})
 
-    bits_df = _reduce_partials(cust.map_batches(build_partial,
-                                                batch_format="pandas"),
-                               ["pos"], ["one"])
+    bits_df = sum_by(cust.map_batches(build_partial, batch_format="pandas"),
+                     ["pos"], ["one"])
     bloom = np.zeros(_BLOOM_BITS, np.bool_)
     bloom[bits_df["pos"].to_numpy(np.int64)] = True
     ref = ray.put(bloom)
@@ -792,11 +782,10 @@ def q_bloom_filter_orders(sf_dir: str) -> pd.DataFrame:
         ok = bl[w0] & bl[w1] & bl[w2]
         return pd.DataFrame({"o_orderstatus":
                              b["o_orderstatus"].to_numpy()[ok],
-                             "n_pass": 1}) \
-            .groupby("o_orderstatus", as_index=False).sum()
+                             "n_pass": np.int64(1)})
 
-    out = _reduce_partials(orders.map_batches(probe, batch_format="pandas"),
-                           ["o_orderstatus"], ["n_pass"])
+    out = sum_by(orders.map_batches(probe, batch_format="pandas"),
+                 ["o_orderstatus"], ["n_pass"])
     return out.astype({"n_pass": "int64"})
 
 
@@ -829,20 +818,18 @@ def q_cms_topk_props(sf_dir: str) -> pd.DataFrame:
                                 .digest()[:4], "big") % _CMS_W
                  for v in k),
                 dtype=np.int64, count=len(k))
-            frames.append(pd.DataFrame({"row": i, "pos": pos, "cnt": 1}))
-        return pd.concat(frames).groupby(["row", "pos"],
-                                         as_index=False).sum()
+            frames.append(pd.DataFrame({"row": i, "pos": pos,
+                                        "cnt": np.int64(1)}))
+        return pd.concat(frames)
 
     def distinct_partial(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"k_val": np.unique(extract_k(b)), "one": 1})
 
     ds = ds.materialize()  # two consumers: cells + distinct probe set
-    cells = _reduce_partials(ds.map_batches(cells_partial,
-                                            batch_format="pandas"),
-                             ["row", "pos"], ["cnt"])
-    probes = _reduce_partials(ds.map_batches(distinct_partial,
-                                             batch_format="pandas"),
-                              ["k_val"], ["one"])["k_val"] \
+    cells = sum_by(ds.map_batches(cells_partial, batch_format="pandas"),
+                   ["row", "pos"], ["cnt"])
+    probes = sum_by(ds.map_batches(distinct_partial, batch_format="pandas"),
+                    ["k_val"], ["one"])["k_val"] \
         .to_numpy(np.int64)
 
     cell = np.zeros((_CMS_D, _CMS_W), np.int64)
@@ -1005,12 +992,10 @@ def q_revenue_rollup(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "r_name": nat.map(lk["nat_region"]),
             "n_name": nat.map(lk["nat_name"]),
-            "cents": _cents(b["o_totalprice"])}) \
-            .groupby(["r_name", "n_name"], as_index=False)["cents"].sum()
+            "cents": _cents(b["o_totalprice"])})
 
-    fine = _reduce_partials(orders.map_batches(partial,
-                                               batch_format="pandas"),
-                            ["r_name", "n_name"], ["cents"])
+    fine = sum_by(orders.map_batches(partial, batch_format="pandas"),
+                  ["r_name", "n_name"], ["cents"])
     if fine.empty:  # SQL ROLLUP on an empty table: one all-NULL row
         return pd.DataFrame({"r_name": [None], "n_name": [None],
                              "revenue": [np.nan]})
@@ -1031,21 +1016,21 @@ _PIVOT_TYPES = ("click", "error", "purchase", "signup", "view")
 def q_event_type_pivot(sf_dir: str) -> pd.DataFrame:
     """Pivot (long -> wide): one count column per event type per user —
     conditional aggregation, the shape Ray Data has no native operator
-    for. Per-batch crosstab partials (one row per user per batch, columns
-    fixed by the known type domain) reduce in one skinny shuffle; no
-    row-explosion, no second pass. An unknown type domain would first run
+    for. One 0/1 column per type (columns fixed by the known type domain)
+    summed per user in one grouped sum; no row-explosion, no second
+    pass. An unknown type domain would first run
     the distinct_event_types plan to fix the columns."""
     ds = _pq(sf_dir, "events", ["user_id", "event_type"])
     cols = [f"n_{t}" for t in _PIVOT_TYPES]
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        ct = pd.crosstab(b["user_id"], b["event_type"]) \
-            .reindex(columns=list(_PIVOT_TYPES), fill_value=0)
-        ct.columns = cols
-        return ct.reset_index()
+        b = b[b["event_type"].notna()]
+        return b[["user_id"]].assign(**{
+            c: (b["event_type"] == t).to_numpy(np.int64)
+            for c, t in zip(cols, _PIVOT_TYPES)})
 
-    out = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["user_id"], cols)
+    out = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["user_id"], cols)
     return out.astype({"user_id": "int64", **{c: "int64" for c in cols}}) \
         .sort_values("user_id").reset_index(drop=True)
 
@@ -1065,12 +1050,11 @@ def q_length_cdf(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["doc_id", "n_chars"]).materialize()
 
     def hist(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b["n_chars"].value_counts()
-        return pd.DataFrame({"v": vc.index.to_numpy(np.int64),
-                             "cnt": vc.to_numpy(np.int64)})
+        return pd.DataFrame({"v": b["n_chars"].dropna().to_numpy(np.int64),
+                             "cnt": np.int64(1)})
 
-    h = _reduce_partials(ds.map_batches(hist, batch_format="pandas"),
-                         ["v"], ["cnt"]).sort_values("v")
+    h = sum_by(ds.map_batches(hist, batch_format="pandas"),
+               ["v"], ["cnt"]).sort_values("v")
     vals = h["v"].to_numpy(np.int64)
     cd = h["cnt"].cumsum().to_numpy(np.int64)
     n = int(cd[-1]) if len(cd) else 0

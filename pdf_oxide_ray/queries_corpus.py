@@ -59,9 +59,9 @@ import pandas as pd
 from .functions import dedup as fdedup
 from .functions import textops as _ftext
 from .ops import exchange as _xc
-from .ops.exchange import combine_by_key
+from .ops.exchange import combine_by_key, sum_by
 from .ops.quantile import disc_index, disc_rank
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 # The whitespace tokenizer shared with unigram_logprob / tfidf_keywords:
 # str.split() on the engine side == this fragment on the DuckDB side.
@@ -93,14 +93,12 @@ def q_token_zipf_fit(sf_dir: str) -> pd.DataFrame:
 
     def tok_counts(b: pd.DataFrame) -> pd.DataFrame:
         toks = b["text"].fillna("").str.split()
-        c = pd.Series([t for row in toks for t in row],
-                      dtype=object).value_counts()
-        return pd.DataFrame({"token": c.index.astype(object),
-                             "n": c.to_numpy(np.int64)})
+        return pd.DataFrame({"token": pd.Series(
+            [t for row in toks for t in row], dtype=object),
+            "n": np.int64(1)})
 
-    vocab = _reduce_partials(ds.map_batches(tok_counts,
-                                            batch_format="pandas"),
-                             ["token"], ["n"])
+    vocab = sum_by(ds.map_batches(tok_counts, batch_format="pandas"),
+                   ["token"], ["n"])
     if vocab.empty:
         # twin's aggregate over zero terms: one (0, NULL, NULL) row
         return pd.DataFrame({"n_terms": pd.Series([0], dtype="int64"),
@@ -143,13 +141,12 @@ def q_source_gini(sf_dir: str) -> pd.DataFrame:
 
     def cells(b: pd.DataFrame) -> pd.DataFrame:
         b = b.dropna(subset=["n_chars"])
-        g = pd.DataFrame({"source": b["source"].to_numpy(object),
-                          "v": b["n_chars"].to_numpy(np.int64),
-                          "c": np.int64(1)})
-        return g.groupby(["source", "v"], as_index=False).sum()
+        return pd.DataFrame({"source": b["source"].to_numpy(object),
+                             "v": b["n_chars"].to_numpy(np.int64),
+                             "c": np.int64(1)})
 
-    hist = _reduce_partials(ds.map_batches(cells, batch_format="pandas"),
-                            ["source", "v"], ["c"])
+    hist = sum_by(ds.map_batches(cells, batch_format="pandas"),
+                  ["source", "v"], ["c"])
     if hist.empty:
         return _empty_typed(source=object, n_docs="int64", gini="float64")
     rows = []
@@ -236,12 +233,11 @@ def q_source_dup_stats(sf_dir: str) -> pd.DataFrame:
                 # sentinel would warn (float->int64 cast overflow)
                 is_dup[hit] = (b["doc_id"].to_numpy(np.int64)[hit]
                                > kp[hit].astype(np.int64).to_numpy())
-            g = pd.DataFrame({"source": b["source"].to_numpy(object),
-                              "n_docs": np.int64(1),
-                              "n_dups": is_dup.astype(np.int64)})
-            return g.groupby("source", as_index=False).sum()
+            return pd.DataFrame({"source": b["source"].to_numpy(object),
+                                 "n_docs": np.int64(1),
+                                 "n_dups": is_dup.astype(np.int64)})
 
-        return _finish(_reduce_partials(
+        return _finish(sum_by(
             ds.map_batches(spart, batch_format="pandas"),
             ["source"], ["n_docs", "n_dups"]))
 
@@ -255,13 +251,11 @@ def q_source_dup_stats(sf_dir: str) -> pd.DataFrame:
                      batch_format="pandas").materialize()
 
     def tpart(b: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({"source": b["source"].to_numpy(object),
-                          "n_docs": np.int64(1)})
-        return g.groupby("source", as_index=False).sum()
+        return pd.DataFrame({"source": b["source"].to_numpy(object),
+                             "n_docs": np.int64(1)})
 
-    totals = _reduce_partials(ds.map_batches(tpart,
-                                             batch_format="pandas"),
-                              ["source"], ["n_docs"])
+    totals = sum_by(ds.map_batches(tpart, batch_format="pandas"),
+                    ["source"], ["n_docs"])
     if totals.empty:
         return empty
     if dup_ds.count() == 0:  # zero dup groups: to_pandas() would drop
@@ -278,16 +272,14 @@ def q_source_dup_stats(sf_dir: str) -> pd.DataFrame:
                            dup_ds, left_on="h", right_on="h")
 
     def dpart(b: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({
+        return pd.DataFrame({
             "source": b["source"].to_numpy(object),
             "n_dups": (b["doc_id"].to_numpy(np.int64)
                        > b["min_id"].to_numpy(np.int64))
             .astype(np.int64)})
-        return g.groupby("source", as_index=False).sum()
 
-    dups = _reduce_partials(joined.map_batches(dpart,
-                                               batch_format="pandas"),
-                            ["source"], ["n_dups"])
+    dups = sum_by(joined.map_batches(dpart, batch_format="pandas"),
+                  ["source"], ["n_dups"])
     agg = totals.merge(dups, on="source", how="left")
     agg["n_dups"] = agg["n_dups"].fillna(0).astype(np.int64)
     return _finish(agg)
@@ -316,12 +308,10 @@ def q_df_histogram(sf_dir: str) -> pd.DataFrame:
         pairs = pd.DataFrame({"i": e.index.to_numpy(),
                               "token": e.to_numpy(object)}) \
             .drop_duplicates()
-        c = pairs["token"].value_counts()
-        return pd.DataFrame({"token": c.index.astype(object),
-                             "df": c.to_numpy(np.int64)})
+        return pairs[["token"]].assign(df=np.int64(1))
 
-    vocab = _reduce_partials(ds.map_batches(dfp, batch_format="pandas"),
-                             ["token"], ["df"])
+    vocab = sum_by(ds.map_batches(dfp, batch_format="pandas"),
+                   ["token"], ["df"])
     if vocab.empty:
         return _empty_typed(df="int64", n_tokens="int64")
     h = vocab["df"].value_counts().sort_index()
@@ -345,13 +335,12 @@ def q_lang_source_mi(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["lang", "source"])
 
     def cellp(b: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({"lang": b["lang"].to_numpy(object),
-                          "source": b["source"].to_numpy(object),
-                          "n": np.int64(1)})
-        return g.groupby(["lang", "source"], as_index=False).sum()
+        return pd.DataFrame({"lang": b["lang"].to_numpy(object),
+                             "source": b["source"].to_numpy(object),
+                             "n": np.int64(1)})
 
-    cells = _reduce_partials(ds.map_batches(cellp, batch_format="pandas"),
-                             ["lang", "source"], ["n"])
+    cells = sum_by(ds.map_batches(cellp, batch_format="pandas"),
+                   ["lang", "source"], ["n"])
     if cells.empty:
         return _empty_typed(n_docs="int64", mi="float64")
     n = cells["n"].to_numpy(np.int64)
@@ -395,12 +384,11 @@ def q_bpe_pair_counts(sf_dir: str) -> pd.DataFrame:
         a = np.array(list(joined))
         bi = np.char.add(a[:-1], a[1:])
         mask = (a[:-1] != "\x00") & (a[1:] != "\x00")
-        c = pd.Series(bi[mask]).value_counts()
-        return pd.DataFrame({"pair": c.index.astype(object),
-                             "n": c.to_numpy(np.int64)})
+        return pd.DataFrame({"pair": bi[mask].astype(object),
+                             "n": np.int64(1)})
 
-    agg = _reduce_partials(ds.map_batches(pp, batch_format="pandas"),
-                           ["pair"], ["n"])
+    agg = sum_by(ds.map_batches(pp, batch_format="pandas"),
+                 ["pair"], ["n"])
     if agg.empty:
         return _empty_typed(pair=object, n="int64")
     return agg.sort_values(["n", "pair"], ascending=[False, True],
@@ -436,9 +424,8 @@ def q_revenue_concentration(sf_dir: str) -> pd.DataFrame:
     from .queries import _cents
 
     def part(b: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({"o_custkey": b["o_custkey"].to_numpy(np.int64),
-                          "rev_c": _cents(b["o_totalprice"]).to_numpy()})
-        return g.groupby("o_custkey", as_index=False).sum()
+        return pd.DataFrame({"o_custkey": b["o_custkey"].to_numpy(np.int64),
+                             "rev_c": _cents(b["o_totalprice"]).to_numpy()})
 
     parts = ds.map_batches(part, batch_format="pandas").materialize()
     npart = parts.count()
@@ -573,7 +560,7 @@ def q_source_vocab_overlap(sf_dir: str) -> pd.DataFrame:
 
     ds = _pq(sf_dir, "documents", ["text", "source"])
 
-    src = _reduce_partials(
+    src = sum_by(
         ds.map_batches(
             lambda b: b[["source"]].drop_duplicates()
             .assign(n=np.int64(1)),
@@ -660,11 +647,10 @@ def q_source_length_ks(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "source": b["source"].to_numpy(object),
             "n_chars": b["n_chars"].to_numpy(np.int64),
-            "c": np.int64(1)}) \
-            .groupby(["source", "n_chars"], as_index=False).sum()
+            "c": np.int64(1)})
 
-    h = _reduce_partials(ds.map_batches(hist, batch_format="pandas"),
-                         ["source", "n_chars"], ["c"])
+    h = sum_by(ds.map_batches(hist, batch_format="pandas"),
+               ["source", "n_chars"], ["c"])
     if h.empty:
         return _empty_typed(source=object, n_docs="int64", ks="float64")
     vals = np.sort(h["n_chars"].unique())

@@ -51,8 +51,8 @@ import pandas as pd
 from . import queries as _qmod
 from .functions import textops as ftext
 from .functions import dedup as fdedup
-from .ops.exchange import combine_by_key
-from .queries import _cents, _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import combine_by_key, sum_by
+from .queries import _cents, _empty_typed, _pq, register
 from .functions.textops import halfaway6 as _halfaway6
 
 # ---------------------------------------------------------------------------
@@ -76,10 +76,10 @@ def q_mixture_weights(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "source": b["source"].to_numpy(object),
             "n_tokens": ftext.token_count_ws(b["text"]).to_numpy(
-                np.int64)}).groupby("source", as_index=False).sum()
+                np.int64)})
 
-    v = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                         ["source"], ["n_tokens"])
+    v = sum_by(ds.map_batches(partial, batch_format="pandas"),
+               ["source"], ["n_tokens"])
     if v.empty:
         return _empty_typed(source=object, n_tokens="int64",
                             share="float64", weight="float64")
@@ -137,12 +137,11 @@ def q_novelty_curve(sf_dir: str) -> pd.DataFrame:
     if nov.empty:
         return empty
     nov = nov.groupby("bucket", as_index=False)["n_novel"].sum()
-    docs = _reduce_partials(
+    docs = sum_by(
         ds.map_batches(
             lambda b: pd.DataFrame(
                 {"bucket": b["doc_id"].to_numpy(np.int64)
-                 // _NOVELTY_BUCKET, "n_docs": np.int64(1)})
-            .groupby("bucket", as_index=False).sum(),
+                 // _NOVELTY_BUCKET, "n_docs": np.int64(1)}),
             batch_format="pandas"),
         ["bucket"], ["n_docs"])
     out = docs.merge(nov, on="bucket", how="left").fillna({"n_novel": 0}) \
@@ -227,12 +226,12 @@ def q_hapax_stats(sf_dir: str) -> pd.DataFrame:
 
     ds = _pq(sf_dir, "documents", ["source", "text"])
 
-    src = _reduce_partials(
+    src = sum_by(
         ds.map_batches(
             lambda b: pd.DataFrame({
                 "source": b["source"].to_numpy(object),
                 "n_tokens": ftext.token_count_ws(b["text"]).to_numpy(
-                    np.int64)}).groupby("source", as_index=False).sum(),
+                    np.int64)}),
             batch_format="pandas"),
         ["source"], ["n_tokens"])
     empty = _empty_typed(source=object, n_tokens="int64",
@@ -263,14 +262,13 @@ def q_hapax_stats(sf_dir: str) -> pd.DataFrame:
             return pd.DataFrame({"code": pd.Series([], dtype="int64"),
                                  "n_hapax": pd.Series([], dtype="int64")})
         return pd.DataFrame({"code": hap["cmin"].to_numpy(np.int64),
-                             "n_hapax": np.int64(1)}) \
-            .groupby("code", as_index=False).sum()
+                             "n_hapax": np.int64(1)})
 
     per_tok = ds.map_batches(tok_partial, batch_format="pandas") \
         .groupby("token").aggregate(Sum("n", alias_name="tot"),
                                     Min("code", alias_name="cmin"),
                                     Max("code", alias_name="cmax"))
-    hp = _reduce_partials(
+    hp = sum_by(
         per_tok.map_batches(hapax_fold, batch_format="pandas"),
         ["code"], ["n_hapax"])
     out = pd.DataFrame({"source": sources,
@@ -328,11 +326,10 @@ def q_promo_part_suppliers(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "p": b["l_partkey"].to_numpy(np.int64)[keep],
             "s": b["l_suppkey"].to_numpy(np.int64)[keep],
-            "q": _cents(b["l_quantity"]).to_numpy()[keep]}) \
-            .groupby(["p", "s"], as_index=False).sum()
+            "q": _cents(b["l_quantity"]).to_numpy()[keep]})
 
-    ps = _reduce_partials(li.map_batches(partial, batch_format="pandas"),
-                          ["p", "s"], ["q"])
+    ps = sum_by(li.map_batches(partial, batch_format="pandas"),
+                ["p", "s"], ["q"])
     if ps.empty:
         return empty
     grp = ps.groupby("p")["q"]
@@ -449,10 +446,9 @@ def q_contamination_by_source(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "source": b["source"].to_numpy(object),
             "n_docs": np.int64(1),
-            "n_contaminated": hit}) \
-            .groupby("source", as_index=False).sum()
+            "n_contaminated": hit})
 
-    out = _reduce_partials(
+    out = sum_by(
         _pq(sf_dir, "documents", ["source", "text"])
         .map_batches(partial, batch_format="pandas"),
         ["source"], ["n_docs", "n_contaminated"])
@@ -484,7 +480,7 @@ def q_dedup_cluster_sizes(sf_dir: str) -> pd.DataFrame:
     groupby(content_hash) sum (the ``dedup_exact`` exchange: 128-bit
     hash + count, never text), then each fully-reduced block emits its
     bounded (cluster_size, n_clusters) histogram partial and
-    ``_reduce_partials`` folds them — the driver holds #distinct-sizes
+    ``sum_by`` folds them — the driver holds #distinct-sizes
     rows, never the hash vocabulary. Hash stands in for text equality
     (SHA-256/128-bit — same collision assumption ``dedup_exact``
     documents)."""
@@ -506,10 +502,9 @@ def q_dedup_cluster_sizes(sf_dir: str) -> pd.DataFrame:
     hist = red.map_batches(
         lambda b: pd.DataFrame({"cluster_size":
                                 b["k"].astype("int64"),
-                                "n_clusters": np.int64(1)})
-        .groupby("cluster_size", as_index=False).sum(),
+                                "n_clusters": np.int64(1)}),
         batch_format="pandas")
-    out = _reduce_partials(hist, ["cluster_size"], ["n_clusters"])
+    out = sum_by(hist, ["cluster_size"], ["n_clusters"])
     return out.astype({"cluster_size": "int64", "n_clusters": "int64"}) \
         .sort_values("cluster_size").reset_index(drop=True)
 
@@ -594,10 +589,9 @@ def q_length_quality_grid(sf_dir: str) -> pd.DataFrame:
             "len_bucket": b["n_chars"].to_numpy(np.int64)
             // _LEN_BUCKET_CHARS,
             "rep_bucket": rb,
-            "n_docs": np.int64(1)}) \
-            .groupby(["len_bucket", "rep_bucket"], as_index=False).sum()
+            "n_docs": np.int64(1)})
 
-    out = _reduce_partials(
+    out = sum_by(
         _pq(sf_dir, "documents", ["text", "n_chars"])
         .map_batches(partial, batch_format="pandas"),
         ["len_bucket", "rep_bucket"], ["n_docs"])
@@ -634,10 +628,10 @@ def q_token_budget_epochs(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "source": b["source"].to_numpy(object),
             "n_tokens": ftext.token_count_ws(b["text"]).to_numpy(
-                np.int64)}).groupby("source", as_index=False).sum()
+                np.int64)})
 
-    v = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                         ["source"], ["n_tokens"])
+    v = sum_by(ds.map_batches(partial, batch_format="pandas"),
+               ["source"], ["n_tokens"])
     if v.empty:
         return _empty_typed(source=object, n_tokens="int64",
                             weight="float64", epochs="float64")

@@ -20,7 +20,7 @@
 Distributed plans (shuffle budgets — also in SCALE.md):
 
 `subsample_weights` / `vocab_coverage`: ONE vocab-bounded
-(word, count) reduce via `_reduce_partials`; the ordering/cumsum folds
+(word, count) reduce via `sum_by`; the ordering/cumsum folds
 run on the reduced vocab frame (vocab-sized driver hot set — at web
 scale cut with a distributed top-k / pre-aggregated count classes
 first). All downstream math is driver-side over ≤ vocab rows.
@@ -55,9 +55,9 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 
-from .ops.exchange import combine_by_key
+from .ops.exchange import combine_by_key, sum_by
 from .ops.quantile import disc_index, disc_rank
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _WORD_RE = re.compile(r"[0-9a-z_]+")
@@ -80,7 +80,7 @@ def _vocab_counts(sf_dir: str) -> pd.DataFrame:
                              "c": pd.Series(list(toks.values()),
                                             dtype="int64")})
 
-    return _reduce_partials(
+    return sum_by(
         ds.map_batches(wcount, batch_format="pandas"), ["w"], ["c"])
 
 
@@ -145,8 +145,8 @@ def q_char_coverage(sf_dir: str) -> pd.DataFrame:
                              "c": pd.Series(list(cnt.values()),
                                             dtype="int64")})
 
-    cs = _reduce_partials(ds.map_batches(ccount, batch_format="pandas"),
-                          ["ch"], ["c"])
+    cs = sum_by(ds.map_batches(ccount, batch_format="pandas"),
+                ["ch"], ["c"])
     empty = _empty_typed(ch=object, c="int64", frac="float64",
                          cum_frac="float64")
     if cs.empty:
@@ -233,12 +233,10 @@ def q_order_backlog(sf_dir: str) -> pd.DataFrame:
 
     def placed(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"day": b["o_orderdate"].dt.floor("D")
-                             .to_numpy(), "n": np.int64(1)}) \
-            .groupby("day", as_index=False).sum()
+                             .to_numpy(), "n": np.int64(1)})
 
-    pl = _reduce_partials(orders.map_batches(placed,
-                                             batch_format="pandas"),
-                          ["day"], ["n"])
+    pl = sum_by(orders.map_batches(placed, batch_format="pandas"),
+                ["day"], ["n"])
     empty = _empty_typed(day="datetime64[us]", n_placed="int64",
                          n_completed="int64", backlog="int64")
     if pl.empty:

@@ -24,7 +24,7 @@ documented all-pairs BASELINE, size-gated like `all_pairs_cosine`
 silent quadratic): the quantized matrix (N×64 int8-range int64 +
 labels + ids) broadcasts ONCE via `ray.put` (~0.5 KB/vector), and each
 batch computes a (batch × N) int64 matmul + masked row maxima — zero
-shuffle; the per-label reduce is label-bounded via `_reduce_partials`.
+shuffle; the per-label reduce is label-bounded via `sum_by`.
 At web scale the same per-batch kernel runs against per-IVF-cell
 broadcast shards instead of the full matrix.
 
@@ -41,7 +41,7 @@ import numpy as np
 import pandas as pd
 
 from .functions.retrieval_sql import PAIR_SQL
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _PAIR_GATE_ROWS = 2_000_000  # same gate as all_pairs_cosine

@@ -24,7 +24,7 @@ Distributed plans (shuffle budgets — also in SCALE.md):
 `geo_mean_by_type`: one type-bounded (type, n, Σlp6) partial reduce.
 
 `bpe_train_steps`: the only exchange is the vocab-bounded word census
-via `_reduce_partials`; the merge loop touches vocab rows × 10 steps
+via `sum_by`; the merge loop touches vocab rows × 10 steps
 on the driver (documented hot set — the census, not the corpus).
 
 `kcenter_coreset`: the quantized matrix rides the same documented
@@ -49,7 +49,8 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import halfaway6
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import sum_by
+from .queries import _empty_typed, _pq, register
 
 
 _WORD_RE = re.compile(r"[0-9a-z_]+")
@@ -73,12 +74,10 @@ def q_geo_mean_by_type(sf_dir: str) -> pd.DataFrame:
         lp6 = halfaway6(np.log(v[keep]))
         return pd.DataFrame({"event_type": b["event_type"]
                              .to_numpy(object)[keep],
-                             "n": np.int64(1), "s": lp6}) \
-            .groupby("event_type", as_index=False).sum()
+                             "n": np.int64(1), "s": lp6})
 
-    agg = _reduce_partials(ds.map_batches(partial,
-                                          batch_format="pandas"),
-                           ["event_type"], ["n", "s"])
+    agg = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["event_type"], ["n", "s"])
     if agg.empty:
         return _empty_typed(event_type=object, n="int64",
                             gmean="float64")
@@ -121,7 +120,7 @@ def q_bpe_train_steps(sf_dir: str) -> pd.DataFrame:
                              "c": pd.Series(list(toks.values()),
                                             dtype="int64")})
 
-    vocab = _reduce_partials(
+    vocab = sum_by(
         ds.map_batches(wcount, batch_format="pandas"), ["w"], ["c"])
     empty = _empty_typed(step="int64", left=object, right=object,
                          pair_count="int64", corpus_symbols="int64")

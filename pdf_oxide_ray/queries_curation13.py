@@ -39,8 +39,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .ops.exchange import sum_by
 from .ops.ordered import ordered_pass
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _SKEW_BUCKETS = 64
@@ -58,26 +59,22 @@ def q_exchange_skew_census(sf_dir: str) -> pd.DataFrame:
     def parts(b: pd.DataFrame) -> pd.DataFrame:
         u = b["user_id"].to_numpy(np.int64)
         bk = (u * _KNUTH) % (2 ** 32) % _SKEW_BUCKETS
-        rows = pd.DataFrame({"bucket": bk, "n_rows": np.int64(1)}) \
-            .groupby("bucket", as_index=False).sum()
-        return rows
+        return pd.DataFrame({"bucket": bk, "n_rows": np.int64(1)})
 
     def key_parts(b: pd.DataFrame) -> pd.DataFrame:
         u = np.unique(b["user_id"].to_numpy(np.int64))
         bk = (u * _KNUTH) % (2 ** 32) % _SKEW_BUCKETS
         return pd.DataFrame({"bucket": bk, "u": u, "one": np.int64(1)})
 
-    rows = _reduce_partials(ds.map_batches(parts,
-                                           batch_format="pandas"),
-                            ["bucket"], ["n_rows"])
+    rows = sum_by(ds.map_batches(parts, batch_format="pandas"),
+                  ["bucket"], ["n_rows"])
     empty = _empty_typed(bucket="int64", n_rows="int64",
                          n_keys="int64")
     if rows.empty:
         return empty
     # distinct (bucket, user) pairs — key-cardinality-bounded reduce
-    ku = _reduce_partials(ds.map_batches(key_parts,
-                                         batch_format="pandas"),
-                          ["bucket", "u"], ["one"])
+    ku = sum_by(ds.map_batches(key_parts, batch_format="pandas"),
+                ["bucket", "u"], ["one"])
     keys = ku.groupby("bucket", as_index=False) \
         .agg(n_keys=("u", "size"))
     out = rows.merge(keys, on="bucket")

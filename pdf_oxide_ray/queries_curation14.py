@@ -22,7 +22,7 @@ Distributed plans (shuffle budgets — also in SCALE.md):
 never leaves the extract batch) -> ONE fp-keyed ``exchange_by_key`` (the
 `winnow_dup_pairs` exchange); within a bucket the fp run-lengths give
 the shared flag vectorized; per-(doc, bucket) partial (n_fp, n_shared)
-counts reduce through ``_reduce_partials`` (doc-bounded, ints only).
+counts reduce through ``sum_by`` (doc-bounded, ints only).
 Coverage is ONE final int/int double division per doc — bit-exact in
 any reduce order. No hot-fp guard needed: counting never pairs.
 
@@ -56,18 +56,15 @@ Empty inputs return the twins' empty shapes. Self-registers into
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 
 from .functions import textops as ftext
-from .ops.exchange import exchange_by_key
+from .ops.exchange import exchange_by_key, sum_by
 from .ops.ordered import ordered_pass
 from .ops.pairs import key_runs
 from .ops.quantile import disc_by_group
-from .queries import (_empty_typed, _pq, _reduce_partials, _winnow_fps_ctes,
-                      register)
+from .queries import _empty_typed, _pq, _winnow_fps_ctes, register
 
 
 # -------------------------------------------------------- dup coverage
@@ -93,12 +90,11 @@ def q_dup_coverage(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"doc_id": f["doc_id"].to_numpy(np.int64),
                              "n_fp": np.int64(1),
                              "n_shared": np.repeat(counts >= 2, counts)
-                             .astype(np.int64)}) \
-            .groupby("doc_id", as_index=False).sum()
+                             .astype(np.int64)})
 
     per = exchange_by_key(ds.map_batches(explode, batch_format="pandas"),
                           ["fp"], cover_in_bucket)
-    out = _reduce_partials(per, ["doc_id"], ["n_fp", "n_shared"])
+    out = sum_by(per, ["doc_id"], ["n_fp", "n_shared"])
     if out.empty:
         return _empty_typed(doc_id="int64", n_fp="int64",
                             n_shared="int64", coverage="float64")
@@ -203,21 +199,15 @@ def q_split_balance(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        nib = b["doc_id"].map(
-            lambda d: hashlib.md5(str(d).encode()).hexdigest()[0])
-        split = np.where(nib == "0", "test",
-                         np.where(nib == "1", "val", "train"))
+        split = ftext.nibble_split(b["doc_id"])
         nc = b["n_chars"].to_numpy(np.int64)
         g = pd.DataFrame({"source": b["source"].to_numpy(object),
                           "split": split, "n": np.int64(1),
                           "s1": nc, "s2": nc * nc})
-        g = g[g["split"] != "val"]
-        return g.groupby(["source", "split"], as_index=False)[
-            ["n", "s1", "s2"]].sum()
+        return g[g["split"] != "val"]
 
-    a = _reduce_partials(ds.map_batches(partial,
-                                        batch_format="pandas"),
-                         ["source", "split"], ["n", "s1", "s2"])
+    a = sum_by(ds.map_batches(partial, batch_format="pandas"),
+               ["source", "split"], ["n", "s1", "s2"])
     empty = _empty_typed(source=object, n_train="int64",
                          n_test="int64", mean_train="float64",
                          mean_test="float64", welch_z="float64")
@@ -251,12 +241,10 @@ def q_split_balance(sf_dir: str) -> pd.DataFrame:
         .sort_values("source").reset_index(drop=True)
 
 
-register("split_balance", q_split_balance, """
+register("split_balance", q_split_balance, f"""
     WITH s AS (
       SELECT source,
-             CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
-                  WHEN '0' THEN 'test' WHEN '1' THEN 'val'
-                  ELSE 'train' END AS split,
+             {ftext.split_sql('doc_id')} AS split,
              n_chars
       FROM documents),
     a AS (
@@ -295,11 +283,10 @@ def q_user_event_entropy(sf_dir: str) -> pd.DataFrame:
                              .to_numpy(np.int64),
                              "event_type": b["event_type"]
                              .to_numpy(object),
-                             "n": np.int64(1)}) \
-            .groupby(["user_id", "event_type"], as_index=False).sum()
+                             "n": np.int64(1)})
 
-    c = _reduce_partials(ds.map_batches(counts, batch_format="pandas"),
-                         ["user_id", "event_type"], ["n"])
+    c = sum_by(ds.map_batches(counts, batch_format="pandas"),
+               ["user_id", "event_type"], ["n"])
     if c.empty:
         return _empty_typed(user_id="int64", n_events="int64",
                             n_types="int64", entropy="float64")

@@ -50,7 +50,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import sum_by
+from .queries import _empty_typed, _pq, register
 
 
 _DECAY_HALFLIFE_DAYS = 7
@@ -84,11 +85,10 @@ def q_decayed_event_popularity(sf_dir: str) -> pd.DataFrame:
                        _DECAY_MAX_K)
         return pd.DataFrame({"event_type": b["event_type"]
                              .to_numpy(object),
-                             "k": k, "n": np.int64(1)}) \
-            .groupby(["event_type", "k"], as_index=False).sum()
+                             "k": k, "n": np.int64(1)})
 
-    h = _reduce_partials(ds.map_batches(k_part, batch_format="pandas"),
-                         ["event_type", "k"], ["n"])
+    h = sum_by(ds.map_batches(k_part, batch_format="pandas"),
+               ["event_type", "k"], ["n"])
     if h.empty:
         return empty
     rows = []
@@ -288,12 +288,10 @@ def q_supplier_reliability(sf_dir: str) -> pd.DataFrame:
             "s_suppkey": b["l_suppkey"].to_numpy(np.int64),
             "n_items": np.int64(1),
             "n_returned": (b["l_returnflag"].to_numpy(object) == "R")
-            .astype(np.int64)}) \
-            .groupby("s_suppkey", as_index=False).sum()
+            .astype(np.int64)})
 
-    a = _reduce_partials(ds.map_batches(partial,
-                                        batch_format="pandas"),
-                         ["s_suppkey"], ["n_items", "n_returned"])
+    a = sum_by(ds.map_batches(partial, batch_format="pandas"),
+               ["s_suppkey"], ["n_items", "n_returned"])
     if a.empty:
         return _empty_typed(s_suppkey="int64", n_items="int64",
                             n_returned="int64", return_rate="float64",

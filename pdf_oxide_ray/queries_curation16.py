@@ -24,7 +24,7 @@ Distributed plans (shuffle budgets — also in SCALE.md):
 
 `token_heavy_hitters`: pass 1 = per-batch MG(512) summaries (≤ K+1
 rows per block — the "" row carries the block's token total) reduced
-via `_reduce_partials`; merging truncated summaries by plain addition
+via `sum_by`; merging truncated summaries by plain addition
 keeps the MG bound because each block's truncation deducts at most
 n_block/(K+1) per token, so deductions telescope to ≤ N/(K+1). The
 candidate set after the rule is ≤ ~K tokens. Pass 2 = broadcast
@@ -53,14 +53,13 @@ Empty inputs return the twins' empty shapes. Self-registers into
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 
 from .functions import dedup as fdedup
-from .functions.textops import TOK_SQL
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .functions.textops import TOK_SQL, nibble_split, split_sql
+from .ops.exchange import sum_by
+from .queries import _empty_typed, _pq, register
 
 
 _HH_K = 512          # Misra-Gries summary size per block
@@ -96,7 +95,7 @@ def q_token_heavy_hitters(sf_dir: str) -> pd.DataFrame:
             [out, pd.DataFrame({"tok": [""], "c": [total]})],
             ignore_index=True)
 
-    merged = _reduce_partials(
+    merged = sum_by(
         ds.map_batches(mg_part, batch_format="pandas"), ["tok"], ["c"])
     if merged.empty:
         return empty
@@ -116,13 +115,11 @@ def q_token_heavy_hitters(sf_dir: str) -> pd.DataFrame:
 
     def recount(b: pd.DataFrame) -> pd.DataFrame:
         cs = _get_broadcast(cand_ref)
-        vc = b["text"].fillna("").str.split().explode().dropna() \
-            .value_counts()
-        vc = vc[vc.index.isin(cs)]
-        return pd.DataFrame({"tok": vc.index.to_numpy(object),
-                             "n_tok": vc.to_numpy(np.int64)})
+        toks = b["text"].fillna("").str.split().explode().dropna()
+        return pd.DataFrame({"tok": toks[toks.isin(cs)].to_numpy(object),
+                             "n_tok": np.int64(1)})
 
-    exact = _reduce_partials(
+    exact = sum_by(
         ds.map_batches(recount, batch_format="pandas"),
         ["tok"], ["n_tok"])
     if exact.empty:
@@ -144,20 +141,6 @@ register("token_heavy_hitters", q_token_heavy_hitters, f"""
 
 # -------------------------------------------- near-dup split leakage
 
-def _split_of(doc_ids: pd.Series) -> np.ndarray:
-    """The `split_assign` rule (first md5 hex nibble of str(doc_id)):
-    1/16 test, 1/16 val, rest train — row-local, partition-stable."""
-    nib = doc_ids.map(
-        lambda d: hashlib.md5(str(d).encode()).hexdigest()[0])
-    return np.where(nib == "0", "test",
-                    np.where(nib == "1", "val", "train"))
-
-
-_SPLIT_SQL = ("CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1) "
-              "WHEN '0' THEN 'test' WHEN '1' THEN 'val' "
-              "ELSE 'train' END")
-
-
 def q_near_dup_split_safety(sf_dir: str) -> pd.DataFrame:
     """Winnow near-dup pairs per (split, split) cell — module
     docstring. A pair with split_lo <> split_hi is leakage."""
@@ -168,8 +151,8 @@ def q_near_dup_split_safety(sf_dir: str) -> pd.DataFrame:
                          n_pairs="int64", share="float64")
     if w.empty:
         return empty
-    sa = pd.Series(_split_of(w["id_a"]), dtype=object)
-    sb = pd.Series(_split_of(w["id_b"]), dtype=object)
+    sa = pd.Series(nibble_split(w["id_a"]), dtype=object)
+    sb = pd.Series(nibble_split(w["id_b"]), dtype=object)
     cells = pd.DataFrame({
         "split_lo": np.minimum(sa.to_numpy(object),
                                sb.to_numpy(object)),
@@ -189,7 +172,7 @@ def _split_safety_oracle_sql() -> str:
 
     return f"""
     WITH w AS ({_O["winnow_dup_pairs"]}),
-    s AS (SELECT doc_id, {_SPLIT_SQL} AS split FROM documents),
+    s AS (SELECT doc_id, {split_sql('doc_id')} AS split FROM documents),
     p AS (SELECT LEAST(sa.split, sb.split) AS split_lo,
                  GREATEST(sa.split, sb.split) AS split_hi
           FROM w JOIN s sa ON sa.doc_id = w.id_a
@@ -226,10 +209,9 @@ def q_dedup_prf(sf_dir: str) -> pd.DataFrame:
     def hpart(b: pd.DataFrame) -> pd.DataFrame:
         b = b[b["text"].fillna("").str.len() > 0]
         return pd.DataFrame({"h": fdedup.content_hash(b["text"]),
-                             "n": np.int64(1)}) \
-            .groupby("h", as_index=False).sum()
+                             "n": np.int64(1)})
 
-    per_hash = _reduce_partials(
+    per_hash = sum_by(
         ds.map_batches(hpart, batch_format="pandas"), ["h"], ["n"])
     if per_hash.empty:
         m = np.array([], dtype=np.int64)

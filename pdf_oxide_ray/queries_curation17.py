@@ -23,7 +23,7 @@ algebra on the driver-held edge list (bounded by true-dup counts, the
 same gate `q_winnow_dup_pairs` documents).
 
 `activity_tier_migration`: per-batch (user, week, n) int partials ->
-ONE `_reduce_partials` keyed on `(user_id, mix)` (the week index),
+ONE `sum_by` keyed on `(user_id, mix)` (the week index),
 user-week-bounded and gated like every other; transitions are one
 vectorized adjacent-row scan over the (user, week)-sorted frame
 (consecutive weeks only) on the driver, so the driver holds one row
@@ -43,10 +43,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .ops.exchange import combine_by_key
+from .ops.exchange import combine_by_key, sum_by
 from .queries import (_WINNOW_PAIR_THRESHOLD, _connected_components,
-                      _empty_typed, _pq, _reduce_partials,
-                      _winnow_pair_counts_ds, register)
+                     _empty_typed, _pq, _winnow_pair_counts_ds, register)
 
 
 _DAY_US = 86_400_000_000
@@ -135,12 +134,10 @@ def q_activity_tier_migration(sf_dir: str) -> pd.DataFrame:
                // _WEEK_US)
         return pd.DataFrame({"user_id": b["user_id"]
                              .to_numpy(np.int64),
-                             "mix": mix, "n": np.int64(1)}) \
-            .groupby(["user_id", "mix"], as_index=False).sum()
+                             "mix": mix, "n": np.int64(1)})
 
-    um = _reduce_partials(ds.map_batches(partial,
-                                         batch_format="pandas"),
-                          ["user_id", "mix"], ["n"])
+    um = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                ["user_id", "mix"], ["n"])
     empty = _empty_typed(tier_from=object, tier_to=object,
                          n_trans="int64")
     if um.empty:

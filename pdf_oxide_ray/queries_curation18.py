@@ -28,13 +28,13 @@ instead of four times.
 
 `nation_value_percentiles`: customer (custkey -> nationkey) rides
 `adaptive_join` (broadcast under its byte+row gate, bucketed above);
-nation names broadcast (25 rows); per-batch (nation, price-cents)
-value_counts partials -> ONE reduce bounded by nations x distinct
+nation names broadcast (25 rows); (nation, price-cents) counts
+through `sum_by` -> ONE reduce bounded by nations x distinct
 cents (min(n_orders, price domain)); percentiles read off cumulative
 counts with the percentile_disc index rule ``sorted[ceil(n*p)-1]``.
 
-`top_decile_share_by_source`: per-batch (source, n_chars) value
-counts -> ONE source x distinct-length bounded reduce; p90 (disc
+`top_decile_share_by_source`: (source, n_chars) counts through
+`sum_by` -> ONE source x distinct-length bounded reduce; p90 (disc
 rule) and the >= p90 conditional char sum both read off that one
 histogram — int64 sums, one final division.
 
@@ -50,9 +50,9 @@ import pandas as pd
 
 from .functions import dedup as fdedup
 from .functions.textops import TOK_SQL
-from .ops.exchange import combine_by_key
+from .ops.exchange import combine_by_key, sum_by
 from .ops.quantile import disc_by_group, disc_pick, disc_rank
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 # ------------------------------------------------------ corpus datacard
@@ -216,14 +216,10 @@ def q_nation_value_percentiles(sf_dir: str) -> pd.DataFrame:
         p = b["o_totalprice"].to_numpy(np.float64) * 100
         pc = np.copysign(np.floor(np.abs(p) + 0.5), p) \
             .astype(np.int64)
-        vc = pd.DataFrame({"nation": name, "pc": pc}) \
-            .value_counts(sort=False).rename("cnt").reset_index()
-        vc["cnt"] = vc["cnt"].astype(np.int64)
-        return vc
+        return pd.DataFrame({"nation": name, "pc": pc, "cnt": np.int64(1)})
 
-    h = _reduce_partials(joined.map_batches(hist,
-                                            batch_format="pandas"),
-                         ["nation", "pc"], ["cnt"])
+    h = sum_by(joined.map_batches(hist, batch_format="pandas"),
+               ["nation", "pc"], ["cnt"])
     if h.empty:
         return empty
     rows = [(nation, n, *(float(q) / 100.0 for q in qs))
@@ -256,13 +252,10 @@ def q_top_decile_share_by_source(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["source", "n_chars"])
 
     def hist(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b[["source", "n_chars"]].value_counts(sort=False) \
-            .rename("cnt").reset_index()
-        vc["cnt"] = vc["cnt"].astype(np.int64)
-        return vc
+        return b.assign(cnt=np.int64(1))
 
-    h = _reduce_partials(ds.map_batches(hist, batch_format="pandas"),
-                         ["source", "n_chars"], ["cnt"])
+    h = sum_by(ds.map_batches(hist, batch_format="pandas"),
+               ["source", "n_chars"], ["cnt"])
     if h.empty:
         return _empty_typed(source=object, n_docs="int64",
                             p90_chars="float64", top_share="float64")

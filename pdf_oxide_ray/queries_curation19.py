@@ -49,10 +49,9 @@ import numpy as np
 import pandas as pd
 
 from .functions import textops as ftext
-from .ops.exchange import exchange_by_key
+from .ops.exchange import exchange_by_key, sum_by
 from .ops.pairs import key_runs, run_pairs
-from .queries import (_empty_typed, _pq, _reduce_partials, _winnow_fps_ctes,
-                      register)
+from .queries import _empty_typed, _pq, _winnow_fps_ctes, register
 
 
 # ------------------------------------------------- source fp overlap
@@ -73,25 +72,18 @@ def q_source_fp_overlap(sf_dir: str) -> pd.DataFrame:
             .sort_values(["fp", "source"], kind="mergesort")
         src = f["source"].to_numpy(object)
         a, b = run_pairs(*key_runs(f["fp"]))
-        per_src = pd.DataFrame({"source": src, "one": np.int64(1)}) \
-            .groupby("source", as_index=False).sum() \
-            .rename(columns={"one": "n_fp"})
-        per_src.insert(0, "kind", "src")
-        per_src["source_b"] = ""
-        per_src = per_src[["kind", "source", "source_b", "n_fp"]] \
-            .rename(columns={"source": "source_a", "n_fp": "n"})
-        if not len(a):
-            return per_src
-        pair = pd.DataFrame({"source_a": src[a], "source_b": src[b],
-                             "n": np.int64(1)}) \
-            .groupby(["source_a", "source_b"], as_index=False).sum()
-        pair.insert(0, "kind", "pair")
-        return pd.concat([per_src, pair], ignore_index=True)
+        return pd.DataFrame({
+            "kind": np.repeat(["src", "pair"], [len(src), len(a)])
+            .astype(object),
+            "source_a": np.concatenate([src, src[a]]),
+            "source_b": np.concatenate([np.full(len(src), "", object),
+                                        src[b]]),
+            "n": np.int64(1)})
 
     per = exchange_by_key(ds.map_batches(explode, batch_format="pandas"),
                           ["fp"], pairs_in_bucket)
-    agg = _reduce_partials(per, ["kind", "source_a", "source_b"],
-                           ["n"])
+    agg = sum_by(per, ["kind", "source_a", "source_b"],
+                 ["n"])
     empty = _empty_typed(source_a=object, source_b=object,
                          n_shared="int64", n_a="int64", n_b="int64",
                          jaccard="float64")
@@ -142,11 +134,10 @@ def q_user_activity_gini(sf_dir: str) -> pd.DataFrame:
     def upart(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"user_id": b["user_id"]
                              .to_numpy(np.int64),
-                             "n": np.int64(1)}) \
-            .groupby("user_id", as_index=False).sum()
+                             "n": np.int64(1)})
 
-    u = _reduce_partials(ds.map_batches(upart, batch_format="pandas"),
-                         ["user_id"], ["n"])
+    u = sum_by(ds.map_batches(upart, batch_format="pandas"),
+               ["user_id"], ["n"])
     if u.empty:  # the twin's empty shape is ONE row of zeros + NULL
         return pd.DataFrame({
             "n_users": pd.Series([0], dtype="int64"),
@@ -226,9 +217,8 @@ def q_embedding_pca_evr(sf_dir: str) -> pd.DataFrame:
         out.loc[0, "n_rows"] = np.int64(len(arr))  # count rides row 0
         return pd.concat([out, first], ignore_index=True)
 
-    agg = _reduce_partials(emb.map_batches(partial,
-                                           batch_format="pandas"),
-                           ["i", "j"], ["q", "n_rows"])
+    agg = sum_by(emb.map_batches(partial, batch_format="pandas"),
+                 ["i", "j"], ["q", "n_rows"])
     if agg.empty:
         return _empty_typed(rank="int64", eigenvalue="float64",
                             evr="float64", cum_evr="float64")

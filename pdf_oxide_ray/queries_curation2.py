@@ -41,31 +41,21 @@ order, then the shared half-away 1e-6 grid. Self-registers into
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
 import pandas as pd
 
 from .functions import dedup as fdedup
-from .ops.exchange import combine_by_key, exchange_by_key
+from .functions.textops import nibble_split, split_sql
+from .ops.exchange import combine_by_key, exchange_by_key, sum_by
 from .ops.quantile import disc_by_group, disc_rank
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 # ---------------------------------------------------------------------------
 # split contamination: exact-text leakage across the deterministic split
 # ---------------------------------------------------------------------------
-
-
-def _split_of(doc_ids: pd.Series) -> np.ndarray:
-    """The `split_assign` rule: first md5 hex nibble of str(doc_id)
-    routes 1/16 to test, 1/16 to val, rest to train (stable under any
-    partitioning because it depends only on the row key)."""
-    nib = doc_ids.map(
-        lambda d: hashlib.md5(str(d).encode()).hexdigest()[0])
-    return np.where(nib == "0", "test",
-                    np.where(nib == "1", "val", "train"))
 
 
 def q_split_contamination(sf_dir: str) -> pd.DataFrame:
@@ -82,7 +72,7 @@ def q_split_contamination(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "h": fdedup.content_hash(b["text"]),
-            "split": _split_of(b["doc_id"])}) \
+            "split": nibble_split(b["doc_id"])}) \
             .groupby(["h", "split"], as_index=False) \
             .size().rename(columns={"size": "n"})
 
@@ -125,12 +115,10 @@ def q_split_contamination(sf_dir: str) -> pd.DataFrame:
     return out.astype({"n_docs": "int64", "n_dup_with_train": "int64"})
 
 
-register("split_contamination", q_split_contamination, """
+register("split_contamination", q_split_contamination, f"""
     WITH s AS (
       SELECT text,
-             CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
-                  WHEN '0' THEN 'test' WHEN '1' THEN 'val'
-                  ELSE 'train' END AS split
+             {split_sql('doc_id')} AS split
       FROM documents),
     tr AS (SELECT DISTINCT text FROM s WHERE split = 'train')
     SELECT s.split,
@@ -262,11 +250,10 @@ def q_hourly_top_event(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"hour": h,
                              "event_type":
                                  b["event_type"].to_numpy(object),
-                             "n": np.int64(1)}) \
-            .groupby(["hour", "event_type"], as_index=False).sum()
+                             "n": np.int64(1)})
 
-    agg = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["hour", "event_type"], ["n"])
+    agg = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["hour", "event_type"], ["n"])
     if agg.empty:
         return _empty_typed(hour="datetime64[us]", event_type=object,
                             n="int64")
@@ -331,8 +318,7 @@ def q_heaps_law_curve(sf_dir: str) -> pd.DataFrame:
     def count_partial(b: pd.DataFrame) -> pd.DataFrame:
         f = tok_frame(b)
         return pd.DataFrame({"bucket": f["doc_id"].to_numpy(np.int64)
-                             // B, "n_tokens": np.int64(1)}) \
-            .groupby("bucket", as_index=False).sum()
+                             // B, "n_tokens": np.int64(1)})
 
     def first_partial(b: pd.DataFrame) -> pd.DataFrame:
         f = tok_frame(b)
@@ -342,7 +328,7 @@ def q_heaps_law_curve(sf_dir: str) -> pd.DataFrame:
     empty = _empty_typed(bucket="int64", n_tokens="int64",
                          n_new_vocab="int64", cum_tokens="int64",
                          cum_vocab="int64", vocab_rate="float64")
-    tc = _reduce_partials(
+    tc = sum_by(
         ds.map_batches(count_partial, batch_format="pandas"),
         ["bucket"], ["n_tokens"])
     if tc.empty:
@@ -446,8 +432,8 @@ def q_lineitem_value_corr(sf_dir: str) -> pd.DataFrame:
                  for c in keys[i:]]
     cols = (["n"] + [f"s_{k}" for k in keys]
             + [f"p_{pk}_{h}" for pk in prod_keys for h in ("hi", "lo")])
-    agg = _reduce_partials(ds.map_batches(moments, batch_format="pandas"),
-                           ["k"], cols)
+    agg = sum_by(ds.map_batches(moments, batch_format="pandas"),
+                 ["k"], cols)
     if agg.empty:
         tot = {c: 0 for c in cols}
     else:
@@ -632,8 +618,8 @@ def q_doc_perplexity(sf_dir: str) -> pd.DataFrame:
     """Per-document mean bigram log-probability under the corpus's own
     MLE bigram LM — the perplexity-style fluency filter (the CCNet /
     Gopher quality-screen shape; `unigram_logprob` is its order-1
-    sibling). Two streamed passes: (1) bigram counts via per-batch
-    value_counts partials (bigram-vocabulary-bounded reduce, the
+    sibling). Two streamed passes: (1) bigram counts via one grouped
+    sum (bigram-vocabulary-bounded reduce, the
     `bigram_pmi` exchange scale; left-context totals derive from the
     reduced table — no second corpus pass); (2) the bigram->lp6 map
     broadcasts once (`ray.put` + per-worker cache) and each doc scores
@@ -652,11 +638,10 @@ def q_doc_perplexity(sf_dir: str) -> pd.DataFrame:
         toks = b["text"].fillna("").str.split()
         grams = [f"{r[i]} {r[i + 1]}" for r in toks
                  for i in range(len(r) - 1)]
-        c = pd.Series(grams, dtype=object).value_counts()
-        return pd.DataFrame({"bg": c.index.astype(object),
-                             "nb": c.to_numpy(np.int64)})
+        return pd.DataFrame({"bg": pd.Series(grams, dtype=object),
+                             "nb": np.int64(1)})
 
-    vocab = _reduce_partials(
+    vocab = sum_by(
         ds.map_batches(big_counts, batch_format="pandas"),
         ["bg"], ["nb"])
     empty = _empty_typed(doc_id="int64", n_bigrams="int64",
@@ -757,10 +742,9 @@ def q_ship_latency_percentiles(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "month": od.astype("datetime64[M]").astype("datetime64[us]")
             .astype(np.int64),
-            "lat": lat, "cnt": np.int64(1)}) \
-            .groupby(["month", "lat"], as_index=False).sum()
+            "lat": lat, "cnt": np.int64(1)})
 
-    hist = _reduce_partials(
+    hist = sum_by(
         joined.map_batches(partial, batch_format="pandas"),
         ["month", "lat"], ["cnt"])
     if hist.empty:
@@ -803,8 +787,9 @@ def q_label_scatter(sf_dir: str) -> pd.DataFrame:
     ``embedding_norm_stats`` (norm sanity): scatter_l = sum_i ||q_i -
     mu_l||^2 = (n * sum||q||^2 - ||sum q||^2) / n on the shared int8
     quantization grid, so both sides are exact integers until ONE final
-    divide. Pure map + label-dimension partial reduce (n, sum q^2, and
-    one per-dim component sum column — dims are schema-fixed); the
+    divide. Pure map + one grouped sum over (label, col) cells: col
+    -2 counts the vectors, -1 sums q^2 and 0..dims-1 are the component
+    sums, so the dimension count never has to be known up front; the
     numerator recombines in Python big ints (per-row q2 <= dims*127^2
     ~ 1e6 keeps the int64 reduce safe to ~9e12 rows)."""
     ds = _pq(sf_dir, "embeddings", ["label", "embedding"])
@@ -812,8 +797,8 @@ def q_label_scatter(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         if not len(b):  # zero-row block: np.stack needs >= 1 array
             return pd.DataFrame({"label": pd.Series([], dtype="int64"),
-                                 "q2": pd.Series([], dtype="int64"),
-                                 "n": pd.Series([], dtype="int64")})
+                                 "col": pd.Series([], dtype="int64"),
+                                 "s": pd.Series([], dtype="int64")})
         mat = np.stack(b["embedding"].to_numpy()).astype(np.float64)
         ma = np.abs(mat).max(axis=1) if mat.shape[1] else \
             np.zeros(len(mat))
@@ -822,27 +807,28 @@ def q_label_scatter(sf_dir: str) -> pd.DataFrame:
         q = np.copysign(np.floor(np.abs(x) + 0.5), x)
         q[ma == 0] = 0.0
         q = q.astype(np.int64)
-        f = pd.DataFrame(q, columns=[f"s{i}"
-                                     for i in range(q.shape[1])])
-        f.insert(0, "label", b["label"].to_numpy(np.int64))
-        f["q2"] = (q * q).sum(axis=1)
-        f["n"] = np.int64(1)
-        return f.groupby("label", as_index=False).sum()
+        cells = np.column_stack([np.ones(len(q), np.int64),
+                                 (q * q).sum(axis=1), q])
+        return pd.DataFrame({
+            "label": np.repeat(b["label"].to_numpy(np.int64),
+                               cells.shape[1]),
+            "col": np.tile(np.arange(-2, cells.shape[1] - 2,
+                                     dtype=np.int64), len(q)),
+            "s": cells.reshape(-1)})
 
-    m = ds.map_batches(partial, batch_format="pandas").materialize()
-    if m.count() == 0:
+    agg = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["label", "col"], ["s"])
+    if agg.empty:
         return _empty_typed(label="int64", n_vecs="int64",
                             sum_norm2="int64", scatter="float64")
-    agg = m.to_pandas()
-    dim_cols = [c for c in agg.columns if c.startswith("s")]
-    agg = agg.groupby("label", as_index=False).sum() \
-        .sort_values("label").reset_index(drop=True)
+    wide = agg.pivot(index="label", columns="col", values="s") \
+        .sort_index()
     rows = []
-    for _, r in agg.iterrows():
-        n, q2 = int(r["n"]), int(r["q2"])
-        ss2 = sum(int(r[c]) ** 2 for c in dim_cols)
+    for label, r in wide.iterrows():
+        n, q2 = int(r[-2]), int(r[-1])
+        ss2 = sum(int(v) ** 2 for v in r[r.index >= 0])
         num = n * q2 - ss2
-        rows.append((int(r["label"]), n, q2,
+        rows.append((int(label), n, q2,
                      float(num) / np.float64(n)))
     return pd.DataFrame(rows, columns=["label", "n_vecs", "sum_norm2",
                                        "scatter"]) \
@@ -927,11 +913,10 @@ def q_reorder_gap_percentiles(sf_dir: str) -> pd.DataFrame:
         segs = _get_broadcast(seg_ref)
         seg = segs[np.searchsorted(keys, cu)]
         return pd.DataFrame({"segment": seg, "gap": gaps,
-                             "cnt": np.int64(1)}) \
-            .groupby(["segment", "gap"], as_index=False).sum()
+                             "cnt": np.int64(1)})
 
-    hist = _reduce_partials(exchange_by_key(ds, ["o_custkey"], per_bucket),
-                            ["segment", "gap"], ["cnt"])
+    hist = sum_by(exchange_by_key(ds, ["o_custkey"], per_bucket),
+                  ["segment", "gap"], ["cnt"])
     if hist.empty:
         return _empty_typed(segment=object, n="int64",
                             p50_days="int64", p90_days="int64")

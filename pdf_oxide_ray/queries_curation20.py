@@ -40,8 +40,9 @@ import math
 import numpy as np
 import pandas as pd
 
+from .ops.exchange import sum_by
 from .ops.quantile import disc_rank
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _DAY_US = 86_400_000_000
@@ -59,12 +60,10 @@ def q_theil_sen_daily_trend(sf_dir: str) -> pd.DataFrame:
             "day": b["o_orderdate"].to_numpy("datetime64[us]")
             .astype(np.int64) // _DAY_US,
             "c": np.copysign(np.floor(np.abs(p) + 0.5), p)
-            .astype(np.int64)}) \
-            .groupby("day", as_index=False).sum()
+            .astype(np.int64)})
 
-    d = _reduce_partials(ds.map_batches(partial,
-                                        batch_format="pandas"),
-                         ["day"], ["c"])
+    d = sum_by(ds.map_batches(partial, batch_format="pandas"),
+               ["day"], ["c"])
     if d.empty:
         return pd.DataFrame({
             "n_days": pd.Series([0], dtype="int64"),
@@ -132,18 +131,14 @@ def q_spearman_qty_price(sf_dir: str) -> pd.DataFrame:
     def cells(b: pd.DataFrame) -> pd.DataFrame:
         q = b["l_quantity"].to_numpy(np.float64) * 100
         p = b["l_extendedprice"].to_numpy(np.float64) * 100
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "q": np.copysign(np.floor(np.abs(q) + 0.5), q)
             .astype(np.int64),
             "p": np.copysign(np.floor(np.abs(p) + 0.5), p)
-            .astype(np.int64)}).value_counts(sort=False) \
-            .rename("cnt").reset_index()
-        out["cnt"] = out["cnt"].astype(np.int64)
-        return out
+            .astype(np.int64), "cnt": np.int64(1)})
 
-    cell = _reduce_partials(ds.map_batches(cells,
-                                           batch_format="pandas"),
-                            ["q", "p"], ["cnt"])
+    cell = sum_by(ds.map_batches(cells, batch_format="pandas"),
+                  ["q", "p"], ["cnt"])
     if cell.empty:
         return pd.DataFrame({"n": pd.Series([0], dtype="int64"),
                              "rho": [np.nan]})

@@ -38,29 +38,15 @@ Empty inputs return the twins' empty shapes. Self-registers into
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 
-from .functions.textops import halfaway6
-from .ops.exchange import combine_by_key
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .functions.textops import halfaway6, nibble_split, split_sql
+from .ops.exchange import combine_by_key, sum_by
+from .queries import _empty_typed, _pq, register
 
 
 _DAY_US = 86_400_000_000
-
-_SPLIT_SQL = ("CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1) "
-              "WHEN '0' THEN 'test' WHEN '1' THEN 'val' "
-              "ELSE 'train' END")
-
-
-def _split_of(doc_ids: pd.Series) -> np.ndarray:
-    nib = doc_ids.map(
-        lambda d: hashlib.md5(str(d).encode()).hexdigest()[0])
-    return np.where(nib == "0", "test",
-                    np.where(nib == "1", "val", "train"))
-
 
 # ------------------------------------------------ fuzzy decontam rate
 
@@ -75,15 +61,13 @@ def q_fuzzy_decontam_rate(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["doc_id", "source"])
 
     def tr_part(b: pd.DataFrame) -> pd.DataFrame:
-        sp = _split_of(b["doc_id"])
+        sp = nibble_split(b["doc_id"])
         b = b[sp == "train"]
         return pd.DataFrame({"source": b["source"].to_numpy(object),
-                             "n_train": np.int64(1)}) \
-            .groupby("source", as_index=False).sum()
+                             "n_train": np.int64(1)})
 
-    tr = _reduce_partials(ds.map_batches(tr_part,
-                                         batch_format="pandas"),
-                          ["source"], ["n_train"])
+    tr = sum_by(ds.map_batches(tr_part, batch_format="pandas"),
+                ["source"], ["n_train"])
     empty = _empty_typed(source=object, n_train="int64",
                          n_contam="int64", contam_rate="float64")
     if tr.empty:
@@ -94,8 +78,8 @@ def q_fuzzy_decontam_rate(sf_dir: str) -> pd.DataFrame:
     if pairs.empty:
         contam = np.array([], dtype=np.int64)
     else:
-        sa = _split_of(pairs["id_a"])
-        sb = _split_of(pairs["id_b"])
+        sa = nibble_split(pairs["id_a"])
+        sb = nibble_split(pairs["id_b"])
         a = pairs["id_a"].to_numpy(np.int64)
         b_ = pairs["id_b"].to_numpy(np.int64)
         contam = np.unique(np.concatenate([
@@ -115,12 +99,10 @@ def q_fuzzy_decontam_rate(sf_dir: str) -> pd.DataFrame:
             b = b[keys[pos] == d]
             return pd.DataFrame({"source": b["source"]
                                  .to_numpy(object),
-                                 "n_contam": np.int64(1)}) \
-                .groupby("source", as_index=False).sum()
+                                 "n_contam": np.int64(1)})
 
-        ct = _reduce_partials(ds.map_batches(src_of_ids,
-                                             batch_format="pandas"),
-                              ["source"], ["n_contam"])
+        ct = sum_by(ds.map_batches(src_of_ids, batch_format="pandas"),
+                    ["source"], ["n_contam"])
     out = tr.merge(ct, on="source", how="left")
     out["n_train"] = out["n_train"].astype("int64")
     out["n_contam"] = out["n_contam"].fillna(0).astype("int64")
@@ -134,7 +116,7 @@ def _fuzzy_decontam_oracle_sql() -> str:
 
     return f"""
     WITH w AS ({_O["winnow_dup_pairs"]}),
-    sp AS (SELECT doc_id, source, {_SPLIT_SQL} AS split
+    sp AS (SELECT doc_id, source, {split_sql('doc_id')} AS split
            FROM documents),
     contam AS (
       SELECT a.doc_id FROM w

@@ -30,7 +30,7 @@ dedup-calibration diagnostics:
 Distributed plans (shuffle budgets — also in SCALE.md):
 
 `tokens_chars_ols`: per-batch per-source int64 moment partials →
-ONE source-bounded `_reduce_partials`; the normal equations run on
+ONE source-bounded `sum_by`; the normal equations run on
 the driver over the source-bounded frame in Python big ints (no
 overflow at any scale; int64 partials hold to ~9e12 docs/source at
 1e3 chars/doc — SCALE.md documents the bound).
@@ -59,7 +59,8 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import TOK_SQL
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import sum_by
+from .queries import _empty_typed, _pq, register
 
 
 # --------------------------------------------------- tokens_chars_ols
@@ -77,12 +78,11 @@ def q_tokens_chars_ols(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "source": b["source"].to_numpy(object),
             "n": np.int64(1), "sx": x, "sy": y,
-            "sxx": x * x, "sxy": x * y, "syy": y * y}) \
-            .groupby("source", as_index=False).sum()
+            "sxx": x * x, "sxy": x * y, "syy": y * y})
 
-    p = _reduce_partials(ds.map_batches(parts, batch_format="pandas"),
-                         ["source"],
-                         ["n", "sx", "sy", "sxx", "sxy", "syy"])
+    p = sum_by(ds.map_batches(parts, batch_format="pandas"),
+               ["source"],
+               ["n", "sx", "sy", "sxx", "sxy", "syy"])
     empty = _empty_typed(source=object, n_docs="int64",
                          slope="float64", intercept="float64",
                          r2="float64")
@@ -158,11 +158,10 @@ def q_source_js_matrix(sf_dir: str) -> pd.DataFrame:
             "source": b["source"].to_numpy(object),
             "token": b["text"].fillna("").str.split()}) \
             .explode("token").dropna(subset=["token"])
-        d["n"] = np.int64(1)
-        return d.groupby(["token", "source"], as_index=False)["n"].sum()
+        return d.assign(n=np.int64(1))
 
-    p = _reduce_partials(ds.map_batches(parts, batch_format="pandas"),
-                         ["token", "source"], ["n"])
+    p = sum_by(ds.map_batches(parts, batch_format="pandas"),
+               ["token", "source"], ["n"])
     empty = _empty_typed(source_a=object, source_b=object,
                          js="float64")
     if p.empty:

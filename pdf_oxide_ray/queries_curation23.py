@@ -43,20 +43,17 @@ Empty inputs return the twins' empty shapes. Self-registers into
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 
 from .functions.retrieval_sql import PAIR_SQL
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .functions.textops import nibble_split, split_sql
+from .ops.exchange import sum_by
+from .queries import _empty_typed, _pq, register
 
 
 _HUB_K = 10
 
-_SPLITV_SQL = ("CASE substr(md5(CAST(vec_id AS VARCHAR)), 1, 1) "
-               "WHEN '0' THEN 'test' WHEN '1' THEN 'val' "
-               "ELSE 'train' END")
 
 
 def _vd(x: str) -> str:
@@ -73,10 +70,7 @@ def q_split_embedding_drift(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "embeddings", ["vec_id", "label", "embedding"])
 
     def sums(b: pd.DataFrame) -> pd.DataFrame:
-        nib = b["vec_id"].map(
-            lambda v: hashlib.md5(str(v).encode()).hexdigest()[0])
-        split = np.where(nib == "0", "test",
-                         np.where(nib == "1", "val", "train"))
+        split = nibble_split(b["vec_id"])
         keep = split != "val"
         if not keep.any():
             return pd.DataFrame({
@@ -93,7 +87,7 @@ def q_split_embedding_drift(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)
         lab = b["label"].to_numpy(np.int64)
         d = q.shape[1]
-        g = pd.DataFrame({
+        return pd.DataFrame({
             "label": np.repeat(lab, d),
             "split": np.repeat(split.astype(object), d),
             "dim": np.tile(np.arange(1, d + 1, dtype=np.int64),
@@ -102,11 +96,9 @@ def q_split_embedding_drift(sf_dir: str) -> pd.DataFrame:
             # piggybacked count: every dim row carries 1 per vector,
             # so after the reduce any dim's c is that cell's n
             "c": np.int64(1)})
-        return g.groupby(["label", "split", "dim"],
-                         as_index=False)[["s", "c"]].sum()
 
-    agg = _reduce_partials(ds.map_batches(sums, batch_format="pandas"),
-                           ["label", "split", "dim"], ["s", "c"])
+    agg = sum_by(ds.map_batches(sums, batch_format="pandas"),
+                 ["label", "split", "dim"], ["s", "c"])
     empty = _empty_typed(label="int64", n_train="int64",
                          n_test="int64", drift="float64")
     if agg.empty:
@@ -138,7 +130,7 @@ def q_split_embedding_drift(sf_dir: str) -> pd.DataFrame:
 register("split_embedding_drift", q_split_embedding_drift, f"""
     WITH sp AS (
       SELECT CAST(label AS BIGINT) AS label, embedding,
-             {_SPLITV_SQL} AS split
+             {split_sql('vec_id')} AS split
       FROM embeddings),
     q AS (
       SELECT label, split, i.i AS dim,
@@ -206,12 +198,10 @@ def q_hubness_census(sf_dir: str) -> pd.DataFrame:
         key[np.arange(len(bids)), cols] = np.int64(-(2 ** 62))
         top = np.argpartition(-key, k - 1, axis=1)[:, :k]
         nbr = ids[top.reshape(-1)]
-        return pd.DataFrame({"nbr": nbr, "one": np.int64(1)}) \
-            .groupby("nbr", as_index=False).sum()
+        return pd.DataFrame({"nbr": nbr, "one": np.int64(1)})
 
-    occ = _reduce_partials(ds.map_batches(batch_topk,
-                                          batch_format="pandas"),
-                           ["nbr"], ["one"])
+    occ = sum_by(ds.map_batches(batch_topk, batch_format="pandas"),
+                 ["nbr"], ["one"])
     counts = np.zeros(n, dtype=np.int64)
     pos = np.searchsorted(ids_s, occ["nbr"].to_numpy(np.int64))
     counts[pos] = occ["one"].to_numpy(np.int64)

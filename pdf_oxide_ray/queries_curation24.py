@@ -49,9 +49,10 @@ import hashlib
 import numpy as np
 import pandas as pd
 
+from .ops.exchange import sum_by
 from .ops.ordered import ordered_pass
 from .ops.quantile import disc_pick, disc_rank
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _DP_B = 10.0          # Laplace scale (counts at epsilon = 0.1)
@@ -148,11 +149,10 @@ def q_dp_source_counts(sf_dir: str) -> pd.DataFrame:
 
     def parts(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"source": b["source"].to_numpy(object),
-                             "n": np.int64(1)}) \
-            .groupby("source", as_index=False).sum()
+                             "n": np.int64(1)})
 
-    p = _reduce_partials(ds.map_batches(parts, batch_format="pandas"),
-                         ["source"], ["n"])
+    p = sum_by(ds.map_batches(parts, batch_format="pandas"),
+               ["source"], ["n"])
     empty = _empty_typed(source=object, n_true="int64",
                          n_noisy6="float64")
     if p.empty:
@@ -202,12 +202,12 @@ def q_quality_dup_lift(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["text"])
 
     def hist(b: pd.DataFrame) -> pd.DataFrame:
-        vc = ftext.quality_score(b["text"]).value_counts()
-        return pd.DataFrame({"q": vc.index.to_numpy(np.float64),
-                             "cnt": vc.to_numpy(np.int64)})
+        return pd.DataFrame({
+            "q": ftext.quality_score(b["text"]).to_numpy(np.float64),
+            "cnt": np.int64(1)})
 
-    h = _reduce_partials(ds.map_batches(hist, batch_format="pandas"),
-                         ["q"], ["cnt"]).sort_values("q")
+    h = sum_by(ds.map_batches(hist, batch_format="pandas"),
+               ["q"], ["cnt"]).sort_values("q")
     empty = _empty_typed(decile="int64", n_docs="int64",
                          n_dups="int64", dup_rate="float64")
     if h.empty:
@@ -224,10 +224,9 @@ def q_quality_dup_lift(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)
         return pd.DataFrame({
             "h": fdedup.content_hash(b["text"]).to_numpy(object),
-            "decile": dec, "c": np.int64(1)}) \
-            .groupby(["h", "decile"], as_index=False)["c"].sum()
+            "decile": dec, "c": np.int64(1)})
 
-    per_hash = _reduce_partials(
+    per_hash = sum_by(
         ds.map_batches(parts, batch_format="pandas"),
         ["h", "decile"], ["c"])
     m = per_hash["c"].to_numpy(np.int64)

@@ -38,9 +38,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .ops.exchange import combine_by_key
+from .ops.exchange import combine_by_key, sum_by
 from .ops.quantile import disc_pick, disc_rank
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _DAY_US = 86_400_000_000
@@ -63,11 +63,10 @@ def q_value_psi_weekly(sf_dir: str) -> pd.DataFrame:
         raw = b["value"].to_numpy(np.float64) * 1e6
         v6 = np.copysign(np.floor(np.abs(raw) + 0.5), raw) \
             .astype(np.int64)
-        return pd.DataFrame({"wk": wk, "v6": v6, "n": np.int64(1)}) \
-            .groupby(["wk", "v6"], as_index=False).sum()
+        return pd.DataFrame({"wk": wk, "v6": v6, "n": np.int64(1)})
 
-    h = _reduce_partials(ds.map_batches(hist, batch_format="pandas"),
-                         ["wk", "v6"], ["n"])
+    h = sum_by(ds.map_batches(hist, batch_format="pandas"),
+               ["wk", "v6"], ["n"])
     empty = _empty_typed(week="int64", n_events="int64",
                          psi="float64")
     if h.empty:

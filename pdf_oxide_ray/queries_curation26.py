@@ -48,8 +48,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .ops.exchange import combine_by_key
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import combine_by_key, sum_by
+from .queries import _empty_typed, _pq, register
 
 
 _MARKOV_PREC = 10 ** 9      # probability grid: 1e-9
@@ -70,11 +70,10 @@ def q_dow_seasonality(sf_dir: str) -> pd.DataFrame:
         cents = np.copysign(np.floor(np.abs(raw) + 0.5), raw) \
             .astype(np.int64)
         return pd.DataFrame({"dow": (days + 4) % 7, "cents": cents,
-                             "n_orders": np.int64(1)}) \
-            .groupby("dow", as_index=False).sum()
+                             "n_orders": np.int64(1)})
 
-    g = _reduce_partials(ds.map_batches(part, batch_format="pandas"),
-                         ["dow"], ["cents", "n_orders"])
+    g = sum_by(ds.map_batches(part, batch_format="pandas"),
+               ["dow"], ["cents", "n_orders"])
     empty = _empty_typed(dow="int64", n_orders="int64",
                          avg_price="float64", season_idx="float64")
     if g.empty:

@@ -42,10 +42,10 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import token_count_ws
+from .ops.exchange import sum_by
 from .queries import (_empty_typed, _get_broadcast, _kmeans_centroids,
-                      _kmeans_centroids_from_df, _embeddings_local,
-                      _kmeans_cte_chain, _KMEANS_SCALE, _pq, _reduce_partials,
-                      register)
+                     _kmeans_centroids_from_df, _embeddings_local,
+                     _kmeans_cte_chain, _KMEANS_SCALE, _pq, register)
 
 
 _SIL_PREC = 10 ** 9          # per-point silhouette grid: 1e-9
@@ -65,11 +65,10 @@ def q_source_length_wasserstein(sf_dir: str) -> pd.DataFrame:
     def part(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"source": b["source"].to_numpy(object),
                              "t": token_count_ws(b["text"]).to_numpy(),
-                             "n": np.int64(1)}) \
-            .groupby(["source", "t"], as_index=False).sum()
+                             "n": np.int64(1)})
 
-    h = _reduce_partials(ds.map_batches(part, batch_format="pandas"),
-                         ["source", "t"], ["n"])
+    h = sum_by(ds.map_batches(part, batch_format="pandas"),
+               ["source", "t"], ["n"])
     empty = _empty_typed(source_a=object, source_b=object, w1="float64")
     if h.empty:
         return empty
@@ -195,8 +194,8 @@ def q_cluster_silhouette(sf_dir: str) -> pd.DataFrame:
             mat = np.stack(b["embedding"].to_numpy()).astype(np.float64)
             return _sil_partial(np.rint(mat * S).astype(np.int64), ci)
 
-        agg = _reduce_partials(ds.map_batches(part, batch_format="pandas"),
-                               ["cluster"], ["n", "s9"])
+        agg = sum_by(ds.map_batches(part, batch_format="pandas"),
+                     ["cluster"], ["n", "s9"])
     agg = agg.sort_values("cluster").reset_index(drop=True)
     n = agg["n"].to_numpy(np.int64).astype(np.float64)
     return pd.DataFrame({

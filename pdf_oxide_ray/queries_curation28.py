@@ -51,8 +51,8 @@ import pandas as pd
 
 from .functions.markov_sql import markov_chain_cte
 from .ops.quantile import disc_pick, disc_rank_exact
-from .ops.exchange import exchange_by_key
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import exchange_by_key, sum_by
+from .queries import _empty_typed, _pq, register
 
 
 _ER_PREC = 10 ** 9           # stationary grid (matches curation26)
@@ -86,12 +86,11 @@ def q_median_user_value_by_type(sf_dir: str) -> pd.DataFrame:
         med = g["c"].to_numpy(np.int64)[target]
         return pd.DataFrame({
             "event_type": g["event_type"].to_numpy(object)[first],
-            "m": med, "n_users": np.int64(1)}) \
-            .groupby(["event_type", "m"], as_index=False).sum()
+            "m": med, "n_users": np.int64(1)})
 
     part = exchange_by_key(ds.map_batches(project, batch_format="pandas"),
                            ["user_id"], per_bucket)
-    h = _reduce_partials(part, ["event_type", "m"], ["n_users"])
+    h = sum_by(part, ["event_type", "m"], ["n_users"])
     empty = _empty_typed(event_type=object, n_users="int64",
                          median_of_medians="float64")
     if h.empty:
@@ -134,11 +133,10 @@ def q_revenue_drawdown(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "day": b["o_orderdate"].dt.floor("D").to_numpy(),
             "rev": np.copysign(np.floor(np.abs(raw) + 0.5), raw)
-            .astype(np.int64)}) \
-            .groupby("day", as_index=False).sum()
+            .astype(np.int64)})
 
-    d = _reduce_partials(ds.map_batches(part, batch_format="pandas"),
-                         ["day"], ["rev"])
+    d = sum_by(ds.map_batches(part, batch_format="pandas"),
+               ["day"], ["rev"])
     empty = _empty_typed(n_days="int64", max_drawdown="float64",
                          peak_day="datetime64[us]",
                          trough_day="datetime64[us]")

@@ -47,9 +47,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .ops.exchange import combine_by_key, exchange_by_key
+from .ops.exchange import combine_by_key, exchange_by_key, sum_by
 from .ops.quantile import disc_pick, disc_rank
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _SESSION_GAP_US = 1_800_000_000     # 30 minutes (user_sessions rule)
@@ -85,12 +85,11 @@ def q_bounce_rate(sf_dir: str) -> pd.DataFrame:
             "entry_type": et[starts],
             "n_sessions": np.int64(1),
             "n_bounces": (cnt == 1).astype(np.int64),
-            "n_events": cnt.astype(np.int64)}) \
-            .groupby("entry_type", as_index=False).sum()
+            "n_events": cnt.astype(np.int64)})
 
     part = exchange_by_key(ds, ["user_id"], per_bucket)
-    agg = _reduce_partials(part, ["entry_type"],
-                           ["n_sessions", "n_bounces", "n_events"])
+    agg = sum_by(part, ["entry_type"],
+                 ["n_sessions", "n_bounces", "n_events"])
     empty = _empty_typed(entry_type=object, n_sessions="int64",
                          n_bounces="int64", bounce_rate="float64",
                          avg_session_events="float64")

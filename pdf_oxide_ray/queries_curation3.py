@@ -39,8 +39,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import sum_by
+from .queries import _empty_typed, _pq, register
 from .functions.textops import TOK_SQL as _TOK_SQL
+from .functions.textops import nibble_split, split_sql
 from .functions.textops import halfaway6 as _halfaway6
 
 
@@ -69,15 +71,10 @@ def q_split_token_kl(sf_dir: str) -> pd.DataFrame:
     SUM promotes to HUGEINT); KL divides identical integers. Twin-side
     bound: a·t6 stays under BIGINT while per-token train counts are
     < ~3e11 (t6 ≤ ~3e7); DuckDB errors loudly, never wraps."""
-    # deferred: a top-level import of the sibling family would recurse
-    # through queries.py while queries_curation2 is still initializing
-    # when a worker deserializes `partial`
-    from .queries_curation2 import _split_of as split_of
-
     ds = _pq(sf_dir, "documents", ["doc_id", "text", "lang"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        split = split_of(b["doc_id"])
+        split = nibble_split(b["doc_id"])
         keep = split != "test"
         f = pd.DataFrame({
             "lang": b["lang"].to_numpy(object)[keep],
@@ -91,13 +88,10 @@ def q_split_token_kl(sf_dir: str) -> pd.DataFrame:
                 "token": pd.Series([], dtype=object),
                 "a": pd.Series([], dtype="int64"),
                 "b": pd.Series([], dtype="int64")})
-        f["a"] = np.int64(1) - f["b"].to_numpy(np.int64)
-        return f.groupby(["lang", "token"],
-                         as_index=False)[["a", "b"]].sum()
+        return f.assign(a=np.int64(1) - f["b"].to_numpy(np.int64))
 
-    vocab = _reduce_partials(ds.map_batches(partial,
-                                            batch_format="pandas"),
-                             ["lang", "token"], ["a", "b"])
+    vocab = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                   ["lang", "token"], ["a", "b"])
     empty = _empty_typed(lang=object, shared_vocab="int64",
                          train_mass="int64", val_mass="int64",
                          kl="float64")
@@ -129,9 +123,7 @@ def q_split_token_kl(sf_dir: str) -> pd.DataFrame:
 register("split_token_kl", q_split_token_kl, f"""
     WITH tagged AS (
       SELECT lang,
-             CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
-               WHEN '0' THEN 'test' WHEN '1' THEN 'val'
-               ELSE 'train' END AS split,
+             {split_sql('doc_id')} AS split,
              {_TOK_SQL} AS token
       FROM documents),
     c AS (
@@ -185,12 +177,10 @@ def q_quota_allocation(sf_dir: str) -> pd.DataFrame:
     def cellp(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"lang": b["lang"].to_numpy(object),
                              "source": b["source"].to_numpy(object),
-                             "n": np.int64(1)}) \
-            .groupby(["lang", "source"], as_index=False).sum()
+                             "n": np.int64(1)})
 
-    cells = _reduce_partials(ds.map_batches(cellp,
-                                            batch_format="pandas"),
-                             ["lang", "source"], ["n"])
+    cells = sum_by(ds.map_batches(cellp, batch_format="pandas"),
+                   ["lang", "source"], ["n"])
     empty = _empty_typed(lang=object, source=object, n_docs="int64",
                          val_quota="int64", test_quota="int64",
                          train_quota="int64")
@@ -286,13 +276,12 @@ def q_rank_normalize_by_source(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["source", "n_chars"])
 
     def histp(b: pd.DataFrame) -> pd.DataFrame:
-        c = b["n_chars"].value_counts()
-        return pd.DataFrame({"n_chars": c.index.astype(np.int64),
-                             "c": c.to_numpy(np.int64)})
+        return pd.DataFrame({
+            "n_chars": b["n_chars"].dropna().to_numpy(np.int64),
+            "c": np.int64(1)})
 
-    hist = _reduce_partials(ds.map_batches(histp,
-                                           batch_format="pandas"),
-                            ["n_chars"], ["c"])
+    hist = sum_by(ds.map_batches(histp, batch_format="pandas"),
+                  ["n_chars"], ["c"])
     empty = _empty_typed(source=object, n_docs="int64",
                          mean_cume="float64")
     if hist.empty:
@@ -307,12 +296,10 @@ def q_rank_normalize_by_source(sf_dir: str) -> pd.DataFrame:
         ls, cl = _get_broadcast(lut_ref)
         r = cl[np.searchsorted(ls, b["n_chars"].to_numpy(np.int64))]
         return pd.DataFrame({"source": b["source"].to_numpy(object),
-                             "n": np.int64(1), "s": r}) \
-            .groupby("source", as_index=False).sum()
+                             "n": np.int64(1), "s": r})
 
-    per_src = _reduce_partials(ds.map_batches(srcp,
-                                              batch_format="pandas"),
-                               ["source"], ["n", "s"])
+    per_src = sum_by(ds.map_batches(srcp, batch_format="pandas"),
+                     ["source"], ["n", "s"])
     rows = []
     for _, r in per_src.sort_values("source").iterrows():
         n_s, acc = int(r["n"]), int(r["s"])

@@ -37,8 +37,8 @@ import pandas as pd
 from .functions.bitmask import (BITS, encode_codes, mask_cols, n_words,
                                 or_by_key)
 from .ops.quantile import disc_pick, disc_rank
-from .ops.exchange import exchange_by_key
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import exchange_by_key, sum_by
+from .queries import _empty_typed, _pq, register
 
 
 # ------------------------------------------------------ audience_overlap
@@ -82,7 +82,7 @@ def q_audience_overlap(sf_dir: str) -> pd.DataFrame:
 
     part = exchange_by_key(ds.map_batches(project, batch_format="pandas"),
                            ["user_id"], per_bucket)
-    agg = _reduce_partials(part, ["ta", "tb"], ["n"])
+    agg = sum_by(part, ["ta", "tb"], ["n"])
     empty = _empty_typed(type_a=object, type_b=object,
                          users_a="int64", users_b="int64",
                          users_both="int64", jaccard="float64")
@@ -141,11 +141,10 @@ def q_sentence_length_profile(sf_dir: str) -> pd.DataFrame:
         keep = nt > 0
         return pd.DataFrame({"source": seg["source"]
                              .to_numpy(object)[keep],
-                             "nt": nt[keep], "cnt": np.int64(1)}) \
-            .groupby(["source", "nt"], as_index=False).sum()
+                             "nt": nt[keep], "cnt": np.int64(1)})
 
-    h = _reduce_partials(ds.map_batches(part, batch_format="pandas"),
-                         ["source", "nt"], ["cnt"])
+    h = sum_by(ds.map_batches(part, batch_format="pandas"),
+               ["source", "nt"], ["cnt"])
     empty = _empty_typed(source=object, n_sentences="int64",
                          mean_sentence_tokens="float64",
                          p90_sentence_tokens="int64")

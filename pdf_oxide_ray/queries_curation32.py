@@ -48,8 +48,9 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import halfaway6
+from .ops.exchange import sum_by
 from .ops.quantile import disc_pick, disc_rank
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _TOP2_FAIL_6 = 200_000    # top-2-gram char share > 0.20 fails
@@ -102,13 +103,13 @@ def q_repetition_census(sf_dir: str) -> pd.DataFrame:
         out = pd.DataFrame(rows, columns=cols).drop(columns=["_pad"])
         for c in out.columns[1:]:
             out[c] = out[c].astype("int64")
-        return out.groupby("source", as_index=False).sum()
+        return out
 
-    g = _reduce_partials(ds.map_batches(part, batch_format="pandas"),
-                         ["source"],
-                         ["n_docs", "n_scored2", "s_top2",
-                          "n_fail_top2", "n_scored3", "s_dup3",
-                          "n_fail_dup3"])
+    g = sum_by(ds.map_batches(part, batch_format="pandas"),
+               ["source"],
+               ["n_docs", "n_scored2", "s_top2",
+                "n_fail_top2", "n_scored3", "s_dup3",
+                "n_fail_dup3"])
     empty = _empty_typed(source=object, n_docs="int64",
                          n_scored="int64", n_fail_top2="int64",
                          n_fail_dup3="int64", mean_top2="float64",
@@ -207,11 +208,10 @@ def q_ccnet_buckets(sf_dir: str) -> pd.DataFrame:
         toks = b["text"].fillna("").str.split()
         grams = [f"{r[i]} {r[i + 1]}" for r in toks
                  for i in range(len(r) - 1)]
-        c = pd.Series(grams, dtype=object).value_counts()
-        return pd.DataFrame({"bg": c.index.astype(object),
-                             "nb": c.to_numpy(np.int64)})
+        return pd.DataFrame({"bg": pd.Series(grams, dtype=object),
+                             "nb": np.int64(1)})
 
-    vocab = _reduce_partials(
+    vocab = sum_by(
         ds.map_batches(big_counts, batch_format="pandas"),
         ["bg"], ["nb"])
     empty = _empty_typed(lang=object, bucket=object, n_docs="int64")
@@ -244,14 +244,12 @@ def q_ccnet_buckets(sf_dir: str) -> pd.DataFrame:
         v = s.astype(np.float64) / np.maximum(n, 1)
         sc6 = np.copysign(np.floor(np.abs(v) + 0.5), v) \
             .astype(np.int64)
-        df = pd.DataFrame({"lang": b["lang"].to_numpy(object),
-                           "scored": (n > 0).astype(np.int64),
-                           "sc6": np.where(n > 0, sc6, np.int64(0))})
-        out = df.value_counts(sort=False).rename("cnt").reset_index()
-        out["cnt"] = out["cnt"].astype(np.int64)
-        return out
+        return pd.DataFrame({"lang": b["lang"].to_numpy(object),
+                             "scored": (n > 0).astype(np.int64),
+                             "sc6": np.where(n > 0, sc6, np.int64(0)),
+                             "cnt": np.int64(1)})
 
-    h = _reduce_partials(
+    h = sum_by(
         ds.map_batches(score_hist, batch_format="pandas"),
         ["lang", "scored", "sc6"], ["cnt"])
     if h.empty:

@@ -44,9 +44,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .ops.exchange import exchange_by_key
+from .ops.exchange import exchange_by_key, sum_by
 from .ops.pairs import key_runs, run_pairs
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _SUB_L = 32          # exact-substring anchor length (chars)
@@ -87,7 +87,7 @@ def q_substring_dup_pairs(sf_dir: str) -> pd.DataFrame:
     per_bucket = exchange_by_key(
         ds.map_batches(explode, batch_format="pandas"), ["sub"],
         pairs_in_bucket)
-    agg = _reduce_partials(per_bucket, ["id_a", "id_b"], ["n"])
+    agg = sum_by(per_bucket, ["id_a", "id_b"], ["n"])
     if agg.empty:
         return _empty_typed(id_a="int64", id_b="int64")
     return agg[["id_a", "id_b"]].astype("int64") \
@@ -131,10 +131,9 @@ def q_winnow_threshold_curve(sf_dir: str) -> pd.DataFrame:
     def hpart(b: pd.DataFrame) -> pd.DataFrame:
         b = b[b["text"].fillna("").str.len() > 0]
         return pd.DataFrame({"h": fdedup.content_hash(b["text"]),
-                             "n": np.int64(1)}) \
-            .groupby("h", as_index=False).sum()
+                             "n": np.int64(1)})
 
-    per_hash = _reduce_partials(
+    per_hash = sum_by(
         ds.map_batches(hpart, batch_format="pandas"), ["h"], ["n"])
     m = per_hash["n"].to_numpy(np.int64) if len(per_hash) else \
         np.array([], dtype=np.int64)

@@ -48,9 +48,9 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from .ops.exchange import exchange_by_key
+from .ops.exchange import exchange_by_key, sum_by
 from .ops.pairs import key_runs, run_pairs
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _ASR_L = 32
@@ -112,8 +112,8 @@ def q_anchor_stride_recall(sf_dir: str) -> pd.DataFrame:
     per_bucket = exchange_by_key(
         ds.map_batches(explode, batch_format="pandas"), ["sub"],
         pairs_in_bucket)
-    agg = _reduce_partials(per_bucket, ["id_a", "id_b"],
-                           ["p1", "p4", "p8", "p16"])
+    agg = sum_by(per_bucket, ["id_a", "id_b"],
+                 ["p1", "p4", "p8", "p16"])
     if agg.empty:
         n = {1: 0, 4: 0, 8: 0, 16: 0}
     else:
@@ -251,21 +251,14 @@ def q_join_size_estimate(sf_dir: str) -> pd.DataFrame:
             d = b[col].dropna().astype(np.int64).to_numpy()
             pos = np.searchsorted(keys, d)
             pos[pos == len(keys)] = 0
-            hit = d[keys[pos] == d]
-            if not len(hit):
-                return pd.DataFrame({"key": pd.Series([],
-                                                      dtype="int64"),
-                                     "n": pd.Series([],
-                                                    dtype="int64")})
-            vc = pd.Series(hit).value_counts()
-            return pd.DataFrame({"key": vc.index.to_numpy(np.int64),
-                                 "n": vc.to_numpy(np.int64)})
+            return pd.DataFrame({"key": d[keys[pos] == d],
+                                 "n": np.int64(1)})
         return part
 
-    cl = _reduce_partials(
+    cl = sum_by(
         lineitem.map_batches(counts_for("l_orderkey"),
                              batch_format="pandas"), ["key"], ["n"])
-    co = _reduce_partials(
+    co = sum_by(
         orders.map_batches(counts_for("o_orderkey"),
                            batch_format="pandas"), ["key"], ["n"])
     lut_l = dict(zip(cl["key"], cl["n"])) if len(cl) else {}

@@ -31,19 +31,13 @@ NULL means). Self-registers into ``queries.QUERIES`` /
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pandas as pd
 
-from .queries import _pq, _reduce_partials, register
-
-
-def _nibble_split(doc_ids) -> np.ndarray:
-    nib = [hashlib.md5(str(d).encode()).hexdigest()[0]
-           for d in doc_ids]
-    return np.where(np.array(nib) == "0", "test",
-                    np.where(np.array(nib) == "1", "val", "train"))
+from .functions.lm_ab import lm_from_counts
+from .functions.textops import nibble_split, split_sql
+from .ops.exchange import sum_by
+from .queries import _pq, register
 
 
 def q_heldout_perplexity(sf_dir: str) -> pd.DataFrame:
@@ -55,62 +49,30 @@ def q_heldout_perplexity(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 
     def train_counts(b: pd.DataFrame) -> pd.DataFrame:
-        split = _nibble_split(b["doc_id"].to_numpy(np.int64))
+        split = nibble_split(b["doc_id"].to_numpy(np.int64))
         toks = b.loc[split == "train", "text"].fillna("").str.split()
         grams = [f"{r[i]} {r[i + 1]}" for r in toks
                  for i in range(len(r) - 1)]
         unis = [w for r in toks for w in r]
-        bg = pd.Series(grams, dtype=object).value_counts()
-        un = pd.Series(unis, dtype=object).value_counts()
-        return pd.concat([
-            pd.DataFrame({"kind": "b", "g": bg.index.to_numpy(object),
-                          "n": bg.to_numpy(np.int64)}),
-            pd.DataFrame({"kind": "u", "g": un.index.to_numpy(object),
-                          "n": un.to_numpy(np.int64)})],
-            ignore_index=True)
+        return pd.DataFrame({
+            "kind": pd.Series(["b"] * len(grams) + ["u"] * len(unis),
+                              dtype=object),
+            "g": pd.Series(grams + unis, dtype=object), "n": np.int64(1)})
 
-    vocab = _reduce_partials(
+    vocab = sum_by(
         ds.map_batches(train_counts, batch_format="pandas"),
         ["kind", "g"], ["n"])
     empty_cols = {"split": object, "n_docs": "int64",
                   "n_bigrams": "int64", "backoff_rate": "float64",
                   "mean_lp": "float64"}
 
-    bg = vocab[vocab["kind"] == "b"] if len(vocab) else vocab
-    un = vocab[vocab["kind"] == "u"] if len(vocab) else vocab
-    n_train_tokens = int(un["n"].sum()) if len(un) else 0
-    v_train = int(len(un))
-    denom = n_train_tokens + v_train
-
-    if len(bg):
-        left = bg["g"].str.split(" ", n=1).str[0]
-        nl = bg.groupby(left.to_numpy(object))["n"].transform("sum") \
-            .to_numpy(np.int64)
-        raw = np.log(bg["n"].to_numpy(np.float64)
-                     / nl.astype(np.float64)) * 1e6
-        bg_lp6 = np.copysign(np.floor(np.abs(raw) + 0.5), raw) \
-            .astype(np.int64)
-        bg_lut = dict(zip(bg["g"], bg_lp6))
-    else:
-        bg_lut = {}
-    if denom > 0:
-        uc = un["n"].to_numpy(np.int64) if len(un) else \
-            np.array([], dtype=np.int64)
-        raw = np.log((uc + 1).astype(np.float64)
-                     / np.float64(denom)) * 1e6
-        un_lp6 = np.copysign(np.floor(np.abs(raw) + 0.5), raw) \
-            .astype(np.int64)
-        un_lut = dict(zip(un["g"], un_lp6)) if len(un) else {}
-        r0 = np.log(1.0 / np.float64(denom)) * 1e6
-        unk_lp6 = int(np.copysign(np.floor(np.abs(r0) + 0.5), r0))
-    else:
-        un_lut, unk_lp6 = {}, 0
+    bg_lut, un_lut, unk_lp6 = lm_from_counts(vocab)
 
     lut_ref = ray.put((bg_lut, un_lut, unk_lp6))
 
     def score(b: pd.DataFrame) -> pd.DataFrame:
         bgl, unl, unk = _get_broadcast(lut_ref)
-        split = _nibble_split(b["doc_id"].to_numpy(np.int64))
+        split = nibble_split(b["doc_id"].to_numpy(np.int64))
         rows = {"split": [], "n_docs": [], "n_bigrams": [],
                 "n_backoff": [], "s_lp6": []}
         for sp in ("val", "test"):
@@ -138,10 +100,10 @@ def q_heldout_perplexity(sf_dir: str) -> pd.DataFrame:
             out[c] = out[c].astype("int64")
         return out
 
-    g = _reduce_partials(ds.map_batches(score, batch_format="pandas"),
-                         ["split"],
-                         ["n_docs", "n_bigrams", "n_backoff",
-                          "s_lp6"])
+    g = sum_by(ds.map_batches(score, batch_format="pandas"),
+               ["split"],
+               ["n_docs", "n_bigrams", "n_backoff",
+                "s_lp6"])
     if g.empty:
         g = pd.DataFrame({"split": ["test", "val"],
                           "n_docs": np.int64(0),
@@ -163,12 +125,10 @@ def q_heldout_perplexity(sf_dir: str) -> pd.DataFrame:
         .sort_values("split").reset_index(drop=True)
 
 
-register("heldout_perplexity", q_heldout_perplexity, r"""
+register("heldout_perplexity", q_heldout_perplexity, rf"""
     WITH base AS (
       SELECT doc_id,
-             CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
-                  WHEN '0' THEN 'test' WHEN '1' THEN 'val'
-                  ELSE 'train' END AS split,
+             {split_sql('doc_id')} AS split,
              list_filter(regexp_split_to_array(coalesce(text, ''),
                                                '\s+'),
                          x -> x <> '') AS t

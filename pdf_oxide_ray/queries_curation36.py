@@ -36,8 +36,8 @@ import numpy as np
 import pandas as pd
 
 from .functions.pq_sql import PQ_D, PQ_ITERS, PQ_K, PQ_M, pq_chain
-from .queries import (_KMEANS_SCALE, _empty_typed, _pq, _reduce_partials,
-                      register)
+from .ops.exchange import sum_by
+from .queries import _KMEANS_SCALE, _empty_typed, _pq, register
 
 
 _PQ_M, _PQ_D, _PQ_K, _PQ_ITERS = PQ_M, PQ_D, PQ_K, PQ_ITERS
@@ -96,7 +96,7 @@ def train_pq_codebooks(sf_dir: str) -> list[np.ndarray] | None:
                 frames.append(pd.DataFrame(out))
             return pd.concat(frames, ignore_index=True)
 
-        agg = _reduce_partials(
+        agg = sum_by(
             ds.map_batches(stats, batch_format="pandas"),
             ["sub", "cluster"], ["n"] + sum_cols)
         for s in range(_PQ_M):
@@ -147,8 +147,8 @@ def q_pq_distortion(sf_dir: str) -> pd.DataFrame:
         out["sd"] = out["sd"].astype("int64")
         return out
 
-    g = _reduce_partials(ds.map_batches(dist, batch_format="pandas"),
-                         ["sub"], ["n", "sd"])
+    g = sum_by(ds.map_batches(dist, batch_format="pandas"),
+               ["sub"], ["n", "sd"])
     if g.empty:
         return empty
     n = g["n"].to_numpy(np.int64)

@@ -31,8 +31,7 @@ import numpy as np
 import pandas as pd
 
 from .functions.pq_sql import PQ_D, PQ_ITERS, PQ_K, PQ_M, pq_chain
-from .queries import (_KMEANS_SCALE, _empty_typed, _pq, _reduce_partials,
-                      register)
+from .queries import _KMEANS_SCALE, _empty_typed, _pq, register
 
 
 _N_Q = 5   # query vectors: vec_id < 5

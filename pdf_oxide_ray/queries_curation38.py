@@ -33,13 +33,14 @@ Empty inputs return the twins' shapes (the coverage curve keeps its
 
 from __future__ import annotations
 
-import hashlib
 import unicodedata
 
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .functions.textops import nibble_split, split_sql
+from .ops.exchange import sum_by
+from .queries import _empty_typed, _pq, register
 
 
 _COV_NS = (100, 1000, 10000)
@@ -53,23 +54,18 @@ def q_ngram_coverage_curve(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 
     def counts(b: pd.DataFrame) -> pd.DataFrame:
-        nib = [hashlib.md5(str(d).encode()).hexdigest()[0]
-               for d in b["doc_id"].to_numpy(np.int64)]
-        split = np.where(np.array(nib) == "0", "test",
-                         np.where(np.array(nib) == "1", "val",
-                                  "train"))
+        split = nibble_split(b["doc_id"].to_numpy(np.int64))
         frames = []
         for sp in ("train", "val"):
             toks = b.loc[split == sp, "text"].fillna("").str.split()
             grams = [f"{r[i]} {r[i + 1]}" for r in toks
                      for i in range(len(r) - 1)]
-            c = pd.Series(grams, dtype=object).value_counts()
             frames.append(pd.DataFrame({
-                "sp": sp, "g": c.index.to_numpy(object),
-                "n": c.to_numpy(np.int64)}))
+                "sp": sp, "g": pd.Series(grams, dtype=object),
+                "n": np.int64(1)}))
         return pd.concat(frames, ignore_index=True)
 
-    vocab = _reduce_partials(
+    vocab = sum_by(
         ds.map_batches(counts, batch_format="pandas"),
         ["sp", "g"], ["n"])
     tr = vocab[vocab["sp"] == "train"] if len(vocab) else vocab
@@ -99,12 +95,10 @@ def q_ngram_coverage_curve(sf_dir: str) -> pd.DataFrame:
                  "val_bigrams": "int64", "covered": "int64"})
 
 
-register("ngram_coverage_curve", q_ngram_coverage_curve, r"""
+register("ngram_coverage_curve", q_ngram_coverage_curve, rf"""
     WITH base AS (
       SELECT doc_id,
-             CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
-                  WHEN '0' THEN 'test' WHEN '1' THEN 'val'
-                  ELSE 'train' END AS split,
+             {split_sql('doc_id')} AS split,
              list_filter(regexp_split_to_array(coalesce(text, ''),
                                                '\s+'),
                          x -> x <> '') AS t
@@ -163,12 +157,11 @@ def q_unicode_nfc_census(sf_dir: str) -> pd.DataFrame:
             "source": b["source"].to_numpy(object),
             "n_docs": np.int64(1),
             "n_changed": changed.to_numpy().astype(np.int64),
-            "char_delta": delta}) \
-            .groupby("source", as_index=False).sum()
+            "char_delta": delta})
 
-    g = _reduce_partials(ds.map_batches(part, batch_format="pandas"),
-                         ["source"],
-                         ["n_docs", "n_changed", "char_delta"])
+    g = sum_by(ds.map_batches(part, batch_format="pandas"),
+               ["source"],
+               ["n_docs", "n_changed", "char_delta"])
     if g.empty:
         return _empty_typed(source=object, n_docs="int64",
                             n_changed="int64", char_delta="int64")

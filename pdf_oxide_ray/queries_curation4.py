@@ -43,8 +43,9 @@ import numpy as np
 import pandas as pd
 
 from .ops import exchange as _xc
+from .ops.exchange import sum_by
 from .ops.quantile import disc_pick, disc_rank
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _TOKENS_SQL = (r"list_filter(regexp_split_to_array("
@@ -182,12 +183,11 @@ def q_padding_waste(sf_dir: str) -> pd.DataFrame:
             return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
                                  "n": pd.Series([], dtype="int64"),
                                  "tok": pd.Series([], dtype="int64")})
-        f = pd.DataFrame({"bucket": (n_tok - 1) // 64,
-                          "n": np.int64(1), "tok": n_tok})
-        return f.groupby("bucket", as_index=False).sum()
+        return pd.DataFrame({"bucket": (n_tok - 1) // 64,
+                             "n": np.int64(1), "tok": n_tok})
 
-    agg = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["bucket"], ["n", "tok"])
+    agg = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["bucket"], ["n", "tok"])
     empty = _empty_typed(bucket="int64", cap="int64", n_docs="int64",
                          sum_tokens="int64", waste="int64",
                          efficiency="float64")
@@ -246,15 +246,14 @@ def q_token_fertility(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["lang", "text", "n_chars"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        f = pd.DataFrame({
+        return pd.DataFrame({
             "lang": b["lang"].to_numpy(object),
             "n": np.int64(1),
             "tok": ftext.token_count_ws(b["text"]).to_numpy(np.int64),
             "chars": b["n_chars"].to_numpy(np.int64)})
-        return f.groupby("lang", as_index=False).sum()
 
-    agg = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["lang"], ["n", "tok", "chars"])
+    agg = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["lang"], ["n", "tok", "chars"])
     empty = _empty_typed(lang=object, n_docs="int64",
                          total_tokens="int64", total_chars="int64",
                          fertility="float64")
@@ -325,12 +324,10 @@ def q_curriculum_schedule(sf_dir: str) -> pd.DataFrame:
             .to_numpy(np.float64)
         raw = sum_len / n_tok[keep].astype(np.float64)
         t6 = _halfaway6(raw)
-        vc = pd.Series(t6).value_counts()
-        return pd.DataFrame({"t6": vc.index.to_numpy(np.int64),
-                             "cnt": vc.to_numpy(np.int64)})
+        return pd.DataFrame({"t6": t6.astype(np.int64), "cnt": np.int64(1)})
 
-    hist = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                            ["t6"], ["cnt"])
+    hist = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                  ["t6"], ["cnt"])
     empty = _empty_typed(decile="int64", intro_epoch="int64",
                          n_docs="int64", mean_difficulty="float64")
     if hist.empty:

@@ -41,7 +41,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import sum_by
+from .queries import _empty_typed, _pq, register
 
 
 _AUC_POS_MIN = 5   # label >= 5 is the positive class
@@ -63,13 +64,10 @@ def q_norm_label_auc(sf_dir: str) -> pd.DataFrame:
         s6 = (ints * ints).sum(1)
         pos = (b["label"].to_numpy(np.int64) >= _AUC_POS_MIN) \
             .astype(np.int64)
-        df = pd.DataFrame({"s6": s6, "pos": pos})
-        out = df.value_counts(sort=False).rename("cnt").reset_index()
-        out["cnt"] = out["cnt"].astype(np.int64)
-        return out
+        return pd.DataFrame({"s6": s6, "pos": pos, "cnt": np.int64(1)})
 
-    h = _reduce_partials(ds.map_batches(part, batch_format="pandas"),
-                         ["s6", "pos"], ["cnt"])
+    h = sum_by(ds.map_batches(part, batch_format="pandas"),
+               ["s6", "pos"], ["cnt"])
     if h.empty:
         return _empty_typed(n_pos="int64", n_neg="int64",
                             auc="float64")
@@ -139,11 +137,10 @@ def q_welch_ttest(sf_dir: str) -> pd.DataFrame:
         x = b["n_chars"].to_numpy(np.int64)
         return pd.DataFrame({"source": b["source"].to_numpy(object),
                              "n": np.int64(1), "sx": x,
-                             "sxx": x * x}) \
-            .groupby("source", as_index=False).sum()
+                             "sxx": x * x})
 
-    g = _reduce_partials(ds.map_batches(part, batch_format="pandas"),
-                         ["source"], ["n", "sx", "sxx"])
+    g = sum_by(ds.map_batches(part, batch_format="pandas"),
+               ["source"], ["n", "sx", "sxx"])
     empty = _empty_typed(source_a=object, source_b=object,
                          n_a="int64", n_b="int64", t_stat="float64",
                          df="float64")

@@ -11,15 +11,13 @@
   fingerprint, so the grid trades granularity against exchange
   volume.
 
-Plan (also in SCALE.md): each config rides its own
-`_winnow_pair_counts_ds` (ONE fp-keyed exchange, hot-fp guard); the
-three pair-count frames come to the driver (``.to_pandas()``), where
-the threshold filter, the per-config flags and one (id_a, id_b)
-pivot run in pandas. The pair lists are bounded by true-dup counts
-under the hot-fp guard, but a dup-heavy corpus's lists are not
-driver-sized: unlike `dedup_method_agreement`, whose flag sums reduce
-through a bucketed exchange, this grid still holds every pair on the
-driver.
+Plan (also in SCALE.md; the `dedup_method_agreement` plan): each
+config rides its own `_winnow_pair_counts_ds` (ONE fp-keyed exchange,
+hot-fp guard) and becomes a tagged side of (id_a, id_b) pairs over the
+threshold with flag columns f0..f2. One (id_a, id_b) exchange unions
+the three sides; each bucket emits one row per config of its pair
+count and its overlap with the baseline, so the driver sums at most
+64 x 3 rows and no pair list ever reaches it.
 
 Empty inputs return the twin's 3 config rows with zero counts and
 NULL jaccard. Self-registers into ``queries.QUERIES`` /
@@ -31,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _WINNOW_PAIR_THRESHOLD, _empty_typed, register
+from .queries import _WINNOW_PAIR_THRESHOLD, register
 
 
 _WPG_CONFIGS = ((16, 8), (12, 6), (24, 12))  # (k, window); 0 = base
@@ -40,45 +38,43 @@ _WPG_CONFIGS = ((16, 8), (12, 6), (24, 12))  # (k, window); 0 = base
 def q_winnow_param_grid(sf_dir: str) -> pd.DataFrame:
     """Pair counts + baseline agreement per (k, window) — module
     docstring."""
+    from .ops.exchange import exchange_by_key
     from .queries import _winnow_pair_counts_ds
 
-    flags = []
-    for (k, w) in _WPG_CONFIGS:
-        pc = _winnow_pair_counts_ds(sf_dir, k=k, window=w) \
-            .to_pandas()
-        if len(pc):
-            pc = pc[pc["sum(n)"] >= _WINNOW_PAIR_THRESHOLD]
-            flags.append(pd.DataFrame({
-                "id_a": pc["id_a"].astype("int64"),
-                "id_b": pc["id_b"].astype("int64"),
-                "cfg": np.int64(len(flags))}))
-        else:
-            flags.append(pd.DataFrame({
-                "id_a": pd.Series([], dtype="int64"),
-                "id_b": pd.Series([], dtype="int64"),
-                "cfg": pd.Series([], dtype="int64")}))
-    u = pd.concat(flags, ignore_index=True)
-    if len(u):
-        piv = u.assign(v=np.int64(1)) \
-            .pivot_table(index=["id_a", "id_b"], columns="cfg",
-                         values="v", aggfunc="max", fill_value=0) \
-            .reindex(columns=range(len(_WPG_CONFIGS)), fill_value=0)
-        base = piv[0].to_numpy(np.int64)
-    else:
-        piv = None
-        base = np.array([], dtype=np.int64)
-    n_base = int(base.sum())
+    flags = [f"f{i}" for i in range(len(_WPG_CONFIGS))]
+    counts = [f"n_{i}" for i in range(len(flags))] \
+        + [f"n_inter_{i}" for i in range(len(flags))]
+
+    def tagger(i: int):
+        def tag(b: pd.DataFrame) -> pd.DataFrame:
+            if len(b):
+                b = b[b["sum(n)"] >= _WINNOW_PAIR_THRESHOLD]
+            ids = b[["id_a", "id_b"]].to_numpy(np.int64) if len(b) \
+                else np.empty((0, 2), np.int64)
+            return pd.DataFrame({"id_a": ids[:, 0], "id_b": ids[:, 1],
+                                 **{f: np.int64(j == i)
+                                    for j, f in enumerate(flags)}})
+        return tag
+
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        on = g.groupby(["id_a", "id_b"])[flags].max().to_numpy(np.int64)
+        return pd.DataFrame([np.concatenate([
+            on.sum(axis=0), (on & on[:, :1]).sum(axis=0)])],
+            columns=counts)
+
+    sides = [_winnow_pair_counts_ds(sf_dir, k=k, window=w)
+             .map_batches(tagger(i), batch_format="pandas")
+             for i, (k, w) in enumerate(_WPG_CONFIGS)]
+    parts = exchange_by_key(sides, ["id_a", "id_b"], per_bucket) \
+        .to_pandas()  # <= 64 rows: the driver-contract final
+    tot = parts[counts].sum().to_numpy(np.int64) if len(parts) \
+        else np.zeros(len(counts), np.int64)
+    n, inter = tot[:len(flags)], tot[len(flags):]
     rows = []
     for i, (k, w) in enumerate(_WPG_CONFIGS):
-        if piv is not None:
-            c = piv[i].to_numpy(np.int64)
-            n_pairs = int(c.sum())
-            inter = int((c & base).sum())
-        else:
-            n_pairs = inter = 0
-        union = n_pairs + n_base - inter
-        rows.append((k, w, n_pairs, inter,
-                     float(inter) / union if union else np.nan))
+        union = int(n[i] + n[0] - inter[i])
+        rows.append((k, w, int(n[i]), int(inter[i]),
+                     float(inter[i]) / union if union else np.nan))
     return pd.DataFrame(rows, columns=["k", "window", "n_pairs",
                                        "n_inter_base",
                                        "jaccard_base"]) \

@@ -33,10 +33,10 @@ import numpy as np
 import pandas as pd
 
 from .functions.lm_ab import (lm_chain as _lm_chain,
-                              lm_from_counts as _lm_from_counts,
-                              nibble_split as _nibble_split)
-from .ops.exchange import exchange_by_key
-from .queries import _pq, _reduce_partials, register
+                              lm_from_counts as _lm_from_counts)
+from .functions.textops import nibble_split, split_sql
+from .ops.exchange import exchange_by_key, sum_by
+from .queries import _pq, register
 
 
 def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
@@ -50,7 +50,7 @@ def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 
     def train_rows(b: pd.DataFrame) -> pd.DataFrame:
-        split = _nibble_split(b["doc_id"].to_numpy(np.int64))
+        split = nibble_split(b["doc_id"].to_numpy(np.int64))
         b = b[split == "train"]
         if not len(b):
             return pd.DataFrame({
@@ -79,17 +79,12 @@ def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
             grams = [f"{r[i]} {r[i + 1]}" for r in toks
                      for i in range(len(r) - 1)]
             unis = [w for r in toks for w in r]
-            bg = pd.Series(grams, dtype=object).value_counts()
-            un = pd.Series(unis, dtype=object).value_counts()
-            return pd.concat([
-                pd.DataFrame({"kind": "b",
-                              "g": bg.index.to_numpy(object),
-                              "n": bg.to_numpy(np.int64)}),
-                pd.DataFrame({"kind": "u",
-                              "g": un.index.to_numpy(object),
-                              "n": un.to_numpy(np.int64)})],
-                ignore_index=True)
-        return _reduce_partials(
+            return pd.DataFrame({
+                "kind": pd.Series(["b"] * len(grams)
+                                  + ["u"] * len(unis), dtype=object),
+                "g": pd.Series(grams + unis, dtype=object),
+                "n": np.int64(1)})
+        return sum_by(
             dset.map_batches(cnt, batch_format="pandas"),
             ["kind", "g"], ["n"])
 
@@ -101,7 +96,7 @@ def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
 
     def score(b: pd.DataFrame) -> pd.DataFrame:
         lms = _get_broadcast(lut_ref)
-        split = _nibble_split(b["doc_id"].to_numpy(np.int64))
+        split = nibble_split(b["doc_id"].to_numpy(np.int64))
         toks = b.loc[split == "val", "text"].fillna("").str.split()
         rows = {"variant": [], "n_bigrams": [], "n_backoff": [],
                 "s_lp6": []}
@@ -126,9 +121,9 @@ def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
             out[c] = out[c].astype("int64")
         return out
 
-    g = _reduce_partials(ds.map_batches(score, batch_format="pandas"),
-                         ["variant"],
-                         ["n_bigrams", "n_backoff", "s_lp6"])
+    g = sum_by(ds.map_batches(score, batch_format="pandas"),
+               ["variant"],
+               ["n_bigrams", "n_backoff", "s_lp6"])
     if g.empty:
         g = pd.DataFrame({"variant": ["dedup", "raw"],
                           "n_bigrams": np.int64(0),
@@ -154,9 +149,7 @@ def _ab_oracle_sql() -> str:
     return rf"""
     WITH base AS (
       SELECT doc_id,
-             CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
-                  WHEN '0' THEN 'test' WHEN '1' THEN 'val'
-                  ELSE 'train' END AS split,
+             {split_sql('doc_id')} AS split,
              coalesce(text, '') AS txt,
              list_filter(regexp_split_to_array(coalesce(text, ''),
                                                '\s+'),

@@ -29,8 +29,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .ops.exchange import sum_by
 from .ops.ordered import ordered_pass
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _SGG_THRS_US = (600_000_000, 1_800_000_000, 3_600_000_000)
@@ -68,7 +69,7 @@ def q_session_gap_grid(sf_dir: str) -> pd.DataFrame:
     uds = _pq(sf_dir, "events", ["user_id"])
     n_events = uds.count()
     if n_events:
-        uu = _reduce_partials(
+        uu = sum_by(
             uds.map_batches(
                 lambda b: pd.DataFrame(
                     {"user_id": b["user_id"].drop_duplicates()

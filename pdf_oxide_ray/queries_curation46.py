@@ -32,7 +32,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _pq, _reduce_partials, register
+from .functions.textops import split_sql
+from .ops.exchange import sum_by
+from .queries import _pq, register
 
 
 _DAB_EVAL_K = 64   # eval set: the 64 lowest-doc_id val docs
@@ -49,14 +51,14 @@ def q_decontam_lm_ab(sf_dir: str) -> pd.DataFrame:
     module docstring."""
     import ray
 
-    from .functions.lm_ab import (lm_from_counts as _lm_from_counts,
-                                  nibble_split as _nibble_split)
+    from .functions.lm_ab import lm_from_counts as _lm_from_counts
+    from .functions.textops import nibble_split
     from .stages.joins import _get_broadcast
 
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 
     def val_rows(b: pd.DataFrame) -> pd.DataFrame:
-        split = _nibble_split(b["doc_id"].to_numpy(np.int64))
+        split = nibble_split(b["doc_id"].to_numpy(np.int64))
         b = b[split == "val"]
         return pd.DataFrame({
             "doc_id": b["doc_id"].to_numpy(np.int64),
@@ -76,7 +78,7 @@ def q_decontam_lm_ab(sf_dir: str) -> pd.DataFrame:
     def counts(variant_decontam: bool):
         def cnt(b: pd.DataFrame) -> pd.DataFrame:
             grams = _get_broadcast(grams_ref)
-            split = _nibble_split(b["doc_id"].to_numpy(np.int64))
+            split = nibble_split(b["doc_id"].to_numpy(np.int64))
             texts = b.loc[split == "train", "text"].fillna("")
             if variant_decontam and grams:
                 keep = [not (_ngrams(t.split(), _DAB_N) & grams)
@@ -87,25 +89,16 @@ def q_decontam_lm_ab(sf_dir: str) -> pd.DataFrame:
             gr = [f"{r[i]} {r[i + 1]}" for r in toks
                   for i in range(len(r) - 1)]
             un = [w for r in toks for w in r]
-            bg = pd.Series(gr, dtype=object).value_counts()
-            uc = pd.Series(un, dtype=object).value_counts()
-            out = pd.concat([
-                pd.DataFrame({"kind": "b",
-                              "g": bg.index.to_numpy(object),
-                              "n": bg.to_numpy(np.int64)}),
-                pd.DataFrame({"kind": "u",
-                              "g": uc.index.to_numpy(object),
-                              "n": uc.to_numpy(np.int64)}),
-                pd.DataFrame({"kind": "d", "g": "",
-                              "n": np.full(1, len(texts),
-                                           dtype=np.int64)})],
-                ignore_index=True)
-            return out
+            return pd.DataFrame({
+                "kind": ["b"] * len(gr) + ["u"] * len(un) + ["d"],
+                "g": gr + un + [""],
+                "n": np.append(np.ones(len(gr) + len(un), np.int64),
+                               np.int64(len(texts)))})
         return cnt
 
     results = []
     for name, dec in (("raw", False), ("decontam", True)):
-        vocab = _reduce_partials(
+        vocab = sum_by(
             ds.map_batches(counts(dec), batch_format="pandas"),
             ["kind", "g"], ["n"])
         n_train = int(vocab.loc[vocab["kind"] == "d", "n"].sum()) \
@@ -141,9 +134,7 @@ def _dab_oracle_sql() -> str:
     return rf"""
     WITH base AS (
       SELECT doc_id,
-             CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
-                  WHEN '0' THEN 'test' WHEN '1' THEN 'val'
-                  ELSE 'train' END AS split,
+             {split_sql('doc_id')} AS split,
              list_filter(regexp_split_to_array(coalesce(text, ''),
                                                '\s+'),
                          x -> x <> '') AS t

@@ -31,9 +31,10 @@ import numpy as np
 import pandas as pd
 
 from .functions.lm_ab import (lm_chain as _lm_chain,
-                              lm_from_counts as _lm_from_counts,
-                              nibble_split as _nibble_split)
-from .queries import _pq, _quality_threshold, _reduce_partials, register
+                              lm_from_counts as _lm_from_counts)
+from .functions.textops import nibble_split, split_sql
+from .ops.exchange import sum_by
+from .queries import _pq, _quality_threshold, register
 
 
 _QAB_P = 0.75
@@ -50,7 +51,7 @@ def q_quality_lm_ab(sf_dir: str) -> pd.DataFrame:
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
 
     def train_only(b: pd.DataFrame) -> pd.DataFrame:
-        split = _nibble_split(b["doc_id"].to_numpy(np.int64))
+        split = nibble_split(b["doc_id"].to_numpy(np.int64))
         b = b[split == "train"]
         return b[["doc_id", "text"]] if len(b) else \
             pd.DataFrame({"doc_id": pd.Series([], dtype="int64"),
@@ -63,7 +64,7 @@ def q_quality_lm_ab(sf_dir: str) -> pd.DataFrame:
 
     def counts(filtered: bool):
         def cnt(b: pd.DataFrame) -> pd.DataFrame:
-            split = _nibble_split(b["doc_id"].to_numpy(np.int64))
+            split = nibble_split(b["doc_id"].to_numpy(np.int64))
             texts = b.loc[split == "train", "text"]
             if filtered and thr is not None and len(texts):
                 q = ftext.quality_score(texts).to_numpy(np.float64)
@@ -73,25 +74,17 @@ def q_quality_lm_ab(sf_dir: str) -> pd.DataFrame:
             gr = [f"{r[i]} {r[i + 1]}" for r in toks
                   for i in range(len(r) - 1)]
             un = [w for r in toks for w in r]
-            bg = pd.Series(gr, dtype=object).value_counts()
-            uc = pd.Series(un, dtype=object).value_counts()
-            return pd.concat([
-                pd.DataFrame({"kind": "b",
-                              "g": bg.index.to_numpy(object),
-                              "n": bg.to_numpy(np.int64)}),
-                pd.DataFrame({"kind": "u",
-                              "g": uc.index.to_numpy(object),
-                              "n": uc.to_numpy(np.int64)}),
-                pd.DataFrame({"kind": "d", "g": "",
-                              "n": np.full(1, len(texts),
-                                           dtype=np.int64)})],
-                ignore_index=True)
+            return pd.DataFrame({
+                "kind": ["b"] * len(gr) + ["u"] * len(un) + ["d"],
+                "g": gr + un + [""],
+                "n": np.append(np.ones(len(gr) + len(un), np.int64),
+                               np.int64(len(texts)))})
         return cnt
 
     lms = {}
     ntr = {}
     for name, filt in (("raw", False), ("quality", True)):
-        vocab = _reduce_partials(
+        vocab = sum_by(
             ds.map_batches(counts(filt), batch_format="pandas"),
             ["kind", "g"], ["n"])
         ntr[name] = int(vocab.loc[vocab["kind"] == "d", "n"].sum()) \
@@ -102,7 +95,7 @@ def q_quality_lm_ab(sf_dir: str) -> pd.DataFrame:
 
     def score(b: pd.DataFrame) -> pd.DataFrame:
         pair = _get_broadcast(lut_ref)
-        split = _nibble_split(b["doc_id"].to_numpy(np.int64))
+        split = nibble_split(b["doc_id"].to_numpy(np.int64))
         toks = b.loc[split == "val", "text"].fillna("").str.split()
         rows = {"variant": [], "n_bigrams": [], "n_backoff": [],
                 "s_lp6": []}
@@ -127,9 +120,9 @@ def q_quality_lm_ab(sf_dir: str) -> pd.DataFrame:
             out[c] = out[c].astype("int64")
         return out
 
-    g = _reduce_partials(ds.map_batches(score, batch_format="pandas"),
-                         ["variant"],
-                         ["n_bigrams", "n_backoff", "s_lp6"])
+    g = sum_by(ds.map_batches(score, batch_format="pandas"),
+               ["variant"],
+               ["n_bigrams", "n_backoff", "s_lp6"])
     if g.empty:
         g = pd.DataFrame({"variant": ["quality", "raw"],
                           "n_bigrams": np.int64(0),
@@ -154,9 +147,7 @@ def q_quality_lm_ab(sf_dir: str) -> pd.DataFrame:
 register("quality_lm_ab", q_quality_lm_ab, rf"""
     WITH base AS (
       SELECT doc_id, text,
-             CASE substr(md5(CAST(doc_id AS VARCHAR)), 1, 1)
-                  WHEN '0' THEN 'test' WHEN '1' THEN 'val'
-                  ELSE 'train' END AS split,
+             {split_sql('doc_id')} AS split,
              list_filter(regexp_split_to_array(coalesce(text, ''),
                                                '\s+'),
                          x -> x <> '') AS t

@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .queries import _cents, _pq, _reduce_partials, register
+from .ops.exchange import sum_by
+from .queries import _cents, _pq, register
 
 
 def q_jackknife_variance(sf_dir: str) -> pd.DataFrame:
@@ -57,12 +58,10 @@ def q_jackknife_variance(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "nation": b["c_nationkey"].to_numpy(np.int64),
             "n": np.int64(1), "s": c,
-            "s2h": c2 >> 20, "s2l": c2 & np.int64(0xFFFFF)}) \
-            .groupby("nation", as_index=False).sum()
+            "s2h": c2 >> 20, "s2l": c2 & np.int64(0xFFFFF)})
 
-    g = _reduce_partials(joined.map_batches(part,
-                                            batch_format="pandas"),
-                         ["nation"], ["n", "s", "s2h", "s2l"])
+    g = sum_by(joined.map_batches(part, batch_format="pandas"),
+               ["nation"], ["n", "s", "s2h", "s2l"])
     if g.empty:
         return empty
     n_i = g["n"].to_numpy(np.int64)

@@ -46,7 +46,8 @@ import pandas as pd
 from .functions.textops import TOK_SQL as _TOK_SQL
 from .functions.textops import halfaway6 as _halfaway6
 from .ops import exchange as _xc
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import sum_by
+from .queries import _empty_typed, _pq, register
 
 
 _TOKENS_SQL = (r"list_filter(regexp_split_to_array("
@@ -105,7 +106,7 @@ def q_gopher_rules(sf_dir: str) -> pd.DataFrame:
         fm = pos & ((mwl < 3.0) | (mwl > 10.0))
         fs = nstop < 2
         fa = pos & (ar < 0.8)
-        g = pd.DataFrame({
+        return pd.DataFrame({
             "source": b["source"].to_numpy(object),
             "n_docs": np.int64(1),
             "fail_wordcount": fw.astype(np.int64),
@@ -113,9 +114,8 @@ def q_gopher_rules(sf_dir: str) -> pd.DataFrame:
             "fail_stopwords": fs.astype(np.int64),
             "fail_alpharatio": fa.astype(np.int64),
             "n_pass": (~(fw | fm | fs | fa)).astype(np.int64)})
-        return g.groupby("source", as_index=False).sum()
 
-    agg = _reduce_partials(
+    agg = sum_by(
         ds.map_batches(partial, batch_format="pandas"),
         ["source"], ["n_docs", "fail_wordcount", "fail_meanlen",
                      "fail_stopwords", "fail_alpharatio", "n_pass"])
@@ -201,21 +201,13 @@ def q_dsir_weights(sf_dir: str) -> pd.DataFrame:
 
     def wc(b: pd.DataFrame) -> pd.DataFrame:
         toks = b["text"].fillna("").str.split()
-        is_t = (b["lang"] == "en").to_numpy(bool)
-        allw: list[str] = []
-        tgtw: list[str] = []
-        for r, t in zip(toks, is_t):
-            allw.extend(r)
-            if t:
-                tgtw.extend(r)
-        cr = pd.Series(allw, dtype=object).value_counts()
-        ct = pd.Series(tgtw, dtype=object).value_counts()
-        f = pd.DataFrame({"w": cr.index.astype(object),
-                          "cr": cr.to_numpy(np.int64)})
-        f["ct"] = f["w"].map(ct).fillna(0).astype(np.int64)
-        return f
+        is_t = (b["lang"] == "en").to_numpy(np.int64)
+        return pd.DataFrame({
+            "w": pd.Series([w for r in toks for w in r], dtype=object),
+            "cr": np.int64(1),
+            "ct": np.repeat(is_t, toks.str.len().to_numpy(np.int64))})
 
-    vocab = _reduce_partials(
+    vocab = sum_by(
         ds.map_batches(wc, batch_format="pandas"), ["w"], ["ct", "cr"])
     empty = _empty_typed(source=object, n_docs="int64",
                          n_selected="int64", mean_weight="float64")
@@ -223,11 +215,10 @@ def q_dsir_weights(sf_dir: str) -> pd.DataFrame:
         src = _pq(sf_dir, "documents", ["source"])
 
         def cpart(b: pd.DataFrame) -> pd.DataFrame:
-            g = pd.DataFrame({"source": b["source"].to_numpy(object),
-                              "n": np.int64(1)})
-            return g.groupby("source", as_index=False).sum()
+            return pd.DataFrame({"source": b["source"].to_numpy(object),
+                                 "n": np.int64(1)})
 
-        counts = _reduce_partials(
+        counts = sum_by(
             src.map_batches(cpart, batch_format="pandas"),
             ["source"], ["n"])
         if counts.empty:
@@ -255,12 +246,11 @@ def q_dsir_weights(sf_dir: str) -> pd.DataFrame:
         toks = b["text"].fillna("").str.split()
         w6 = np.fromiter((sum(lut[w] for w in r) for r in toks),
                          dtype=np.int64, count=len(toks))
-        g = pd.DataFrame({"source": b["source"].to_numpy(object),
-                          "n": np.int64(1), "w6": w6,
-                          "npos": (w6 > 0).astype(np.int64)})
-        return g.groupby("source", as_index=False).sum()
+        return pd.DataFrame({"source": b["source"].to_numpy(object),
+                             "n": np.int64(1), "w6": w6,
+                             "npos": (w6 > 0).astype(np.int64)})
 
-    agg = _reduce_partials(
+    agg = sum_by(
         ds.map_batches(score, batch_format="pandas"),
         ["source"], ["n", "w6", "npos"])
     if agg.empty:
@@ -375,14 +365,13 @@ def q_soft_dedup_weights(sf_dir: str) -> pd.DataFrame:
             cmap = _get_broadcast(cmap_ref)
             h = fdedup.content_hash(b["text"])
             c = h.map(cmap).fillna(1).astype(np.int64).to_numpy()
-            g = pd.DataFrame({
+            return pd.DataFrame({
                 "source": b["source"].to_numpy(object), "c": c,
                 "n": np.int64(1),
                 "tok": ftext.token_count_ws(b["text"])
                 .to_numpy(np.int64)})
-            return g.groupby(["source", "c"], as_index=False).sum()
 
-        return _finish(_reduce_partials(
+        return _finish(sum_by(
             ds.map_batches(spart, batch_format="pandas"),
             ["source", "c"], ["n", "tok"]))
 
@@ -406,12 +395,11 @@ def q_soft_dedup_weights(sf_dir: str) -> pd.DataFrame:
 
     def jpart(b: pd.DataFrame) -> pd.DataFrame:
         c = b["cnt"].fillna(1).astype(np.int64).to_numpy()
-        g = pd.DataFrame({"source": b["source"].to_numpy(object),
-                          "c": c, "n": np.int64(1),
-                          "tok": b["tok"].to_numpy(np.int64)})
-        return g.groupby(["source", "c"], as_index=False).sum()
+        return pd.DataFrame({"source": b["source"].to_numpy(object),
+                             "c": c, "n": np.int64(1),
+                             "tok": b["tok"].to_numpy(np.int64)})
 
-    return _finish(_reduce_partials(
+    return _finish(sum_by(
         joined.map_batches(jpart, batch_format="pandas"),
         ["source", "c"], ["n", "tok"]))
 

@@ -40,7 +40,8 @@ import numpy as np
 import pandas as pd
 
 from .functions.textops import halfaway6 as _halfaway6
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import sum_by
+from .queries import _empty_typed, _pq, register
 
 
 # the lang_id heuristic's SQL twin fragments (queries.py lang_id oracle):
@@ -103,10 +104,9 @@ def q_lang_confusion(sf_dir: str) -> pd.DataFrame:
             "lang": b["lang"].to_numpy(object),
             "lang_pred": ftext.detect_language(b["text"])
             .to_numpy(object),
-            "n": np.int64(1)}) \
-            .groupby(["lang", "lang_pred"], as_index=False).sum()
+            "n": np.int64(1)})
 
-    cells = _reduce_partials(
+    cells = sum_by(
         ds.map_batches(partial, batch_format="pandas"),
         ["lang", "lang_pred"], ["n"])
     empty = _empty_typed(lang=object, lang_pred=object, n_docs="int64",
@@ -172,10 +172,9 @@ def q_neyman_allocation(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         x = ftext.token_count_ws(b["text"]).to_numpy(np.int64)
         return pd.DataFrame({"source": b["source"].to_numpy(object),
-                             "n": np.int64(1), "sx": x, "sx2": x * x}) \
-            .groupby("source", as_index=False).sum()
+                             "n": np.int64(1), "sx": x, "sx2": x * x})
 
-    agg = _reduce_partials(
+    agg = sum_by(
         ds.map_batches(partial, batch_format="pandas"),
         ["source"], ["n", "sx", "sx2"])
     empty = _empty_typed(source=object, n_docs="int64",
@@ -279,13 +278,12 @@ def q_chao1_vocab(sf_dir: str) -> pd.DataFrame:
             return pd.DataFrame({"source": pd.Series([], dtype=object),
                                  "token": pd.Series([], dtype=object),
                                  "cnt": pd.Series([], dtype="int64")})
-        g = pd.DataFrame({"source": b["source"].loc[s.index]
-                          .to_numpy(object),
-                          "token": s.to_numpy(object),
-                          "cnt": np.int64(1)})
-        return g.groupby(["source", "token"], as_index=False).sum()
+        return pd.DataFrame({"source": b["source"].loc[s.index]
+                             .to_numpy(object),
+                             "token": s.to_numpy(object),
+                             "cnt": np.int64(1)})
 
-    vocab = _reduce_partials(
+    vocab = sum_by(
         ds.map_batches(partial, batch_format="pandas"),
         ["source", "token"], ["cnt"])
     empty = _empty_typed(source=object, v_obs="int64", f1="int64",

@@ -28,14 +28,14 @@ sort order, so a last→first adjacency in key order IS a cross-batch
 seam. Boundary rows are 2/batch and interior partials are
 key-cardinality × batches, a documented driver-side hot set (stitch
 hierarchically per range partition beyond ~5M rows, the
-`_reduce_partials` gate). (The sibling transition-matrix censor over
+`sum_by` gate). (The sibling transition-matrix censor over
 the same ordered stream already exists as `event_transitions`,
 queries_relational.py:475 — this family deliberately does not shadow
 it.)
 
 `oov_rate`: two streamed token passes (re-tokenizing beats
 materializing a corpus-sized token column); exchange 1 = the
-vocabulary-sized (word, count) partial reduce via `_reduce_partials`;
+vocabulary-sized (word, count) partial reduce via `sum_by`;
 top-V is a driver-side sort of the reduced vocab (vocab-sized, not
 corpus-sized; at web scale cut with a distributed top-k first); the
 V-word set rides the closure (tiny); exchange 2 = the source-sized
@@ -66,8 +66,9 @@ import pandas as pd
 
 from .functions.retrieval_sql import BM25_K, BM25_SQL, BM25_TERMS
 from .functions.textops import halfaway6
+from .ops.exchange import sum_by
 from .ops.ordered import ordered_pass
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _WORD_RE = re.compile(r"[0-9a-z_]+")
@@ -227,7 +228,7 @@ def q_oov_rate(sf_dir: str) -> pd.DataFrame:
             pd.DataFrame({"w": pd.Series([], dtype=object),
                           "c": pd.Series([], dtype="int64")})
 
-    vocab_df = _reduce_partials(
+    vocab_df = sum_by(
         ds.map_batches(wcount, batch_format="pandas"), ["w"], ["c"])
     empty = _empty_typed(source=object, n_tokens="int64",
                          n_oov="int64", oov_rate="float64")
@@ -239,23 +240,16 @@ def q_oov_rate(sf_dir: str) -> pd.DataFrame:
     vocab = frozenset(vocab_df["w"].head(_OOV_V))
 
     def oov(b: pd.DataFrame) -> pd.DataFrame:
-        srcs, n_tok, n_oov = [], [], []
-        agg: dict[str, list[int]] = {}
-        for s, t in zip(b["source"], b["text"].fillna("")):
-            ws = _WORD_RE.findall(t.lower())
-            cur = agg.setdefault(s, [0, 0])
-            cur[0] += len(ws)
-            cur[1] += sum(1 for w in ws if w not in vocab)
-        for s, (nt, no) in agg.items():
-            srcs.append(s)
-            n_tok.append(nt)
-            n_oov.append(no)
-        return pd.DataFrame({"source": pd.Series(srcs, dtype=object),
-                             "n_tokens": pd.Series(n_tok, dtype="int64"),
-                             "n_oov": pd.Series(n_oov, dtype="int64")})
+        ws = [_WORD_RE.findall(t.lower()) for t in b["text"].fillna("")]
+        return pd.DataFrame({
+            "source": b["source"].to_numpy(object),
+            "n_tokens": np.fromiter((len(w) for w in ws), np.int64,
+                                    count=len(ws)),
+            "n_oov": np.fromiter((sum(1 for x in w if x not in vocab)
+                                  for w in ws), np.int64, count=len(ws))})
 
-    per = _reduce_partials(ds.map_batches(oov, batch_format="pandas"),
-                           ["source"], ["n_tokens", "n_oov"])
+    per = sum_by(ds.map_batches(oov, batch_format="pandas"),
+                 ["source"], ["n_tokens", "n_oov"])
     if per.empty:
         return empty
     per["oov_rate"] = per["n_oov"].to_numpy(np.float64) \
@@ -320,8 +314,8 @@ def q_bm25_search(sf_dir: str) -> pd.DataFrame:
             "df2": np.int64((b["tf2"] > 0).sum()),
             "df3": np.int64((b["tf3"] > 0).sum())}, index=[0])
 
-    g = _reduce_partials(skinny.map_batches(glob, batch_format="pandas"),
-                         ["k"], ["n", "sdl", "df1", "df2", "df3"])
+    g = sum_by(skinny.map_batches(glob, batch_format="pandas"),
+               ["k"], ["n", "sdl", "df1", "df2", "df3"])
     empty = _empty_typed(doc_id="int64", dl="int64", score="float64")
     if g.empty or int(g["n"].iloc[0]) == 0:
         return empty

@@ -24,7 +24,7 @@ training-data pipeline needs beside the per-document filters:
 Distributed plans (shuffle budgets — also in SCALE.md):
 
 `boilerplate_ngrams`: two streamed token passes. Exchange 1 = the
-gram-census (gram, df) partial reduce via `_reduce_partials` (df
+gram-census (gram, df) partial reduce via `sum_by` (df
 partials are per-batch doc counts — rows are whole docs, so batch
 partials sum exactly); the df >= DF_MIN head is vocabulary-shaped
 (grams repeated across >= DF_MIN docs, not corpus-shaped) and rides
@@ -47,13 +47,13 @@ swap for a bucketed semi-join on text hash. Fixed batch_size keeps
 the stitch path exercised at every scale.
 
 `good_turing`: one streamed token pass; exchange = the vocab-sized
-(word, count) reduce via `_reduce_partials`; the count-of-counts fold
+(word, count) reduce via `sum_by`; the count-of-counts fold
 is over the vocab frame (vocab-sized, documented driver hot set — at
 web scale insert a distributed (c, 1) pre-aggregation first) and the
 r -> r+1 join is over the tiny count-class table.
 
 `weighted_median_price`: per-batch (flag, price) weight partials ->
-`_reduce_partials` — the exchange is bounded by distinct prices x
+`sum_by` — the exchange is bounded by distinct prices x
 flags (a bounded value histogram, the repo's exact-percentile rule),
 never the weight-expanded multiset; per-flag cumsum + the
 percentile_disc index rule `cum >= ceil(W*p)` on the driver over the
@@ -76,9 +76,10 @@ import re
 import numpy as np
 import pandas as pd
 
+from .ops.exchange import sum_by
 from .ops.ordered import ordered_pass
 from .ops.quantile import disc_pick, disc_rank_exact
-from .queries import _empty_typed, _pq, _reduce_partials, register
+from .queries import _empty_typed, _pq, register
 
 
 _WORD_RE = re.compile(r"[0-9a-z_]+")
@@ -114,7 +115,7 @@ def q_boilerplate_ngrams(sf_dir: str) -> pd.DataFrame:
                              "df": pd.Series(list(agg.values()),
                                              dtype="int64")})
 
-    census = _reduce_partials(
+    census = sum_by(
         ds.map_batches(df_partial, batch_format="pandas"), ["g"], ["df"])
     empty = _empty_typed(source=object, n_docs="int64", n_pos="int64",
                          n_boiler="int64", boiler_rate="float64")
@@ -126,32 +127,20 @@ def q_boilerplate_ngrams(sf_dir: str) -> pd.DataFrame:
         from .stages.joins import _get_broadcast
 
         bset = _get_broadcast(boiler_ref)
-        agg: dict[str, list[int]] = {}
-        for s, t in zip(b["source"], b["text"].fillna("")):
+        n_pos, n_boiler = [], []
+        for t in b["text"].fillna(""):
             ws = _WORD_RE.findall(t.lower())
-            cur = agg.setdefault(s, [0, 0, 0])
-            cur[0] += 1
-            for i in range(len(ws) - n + 1):
-                cur[1] += 1
-                if " ".join(ws[i:i + n]) in bset:
-                    cur[2] += 1
-        if not agg:
-            return pd.DataFrame({"source": pd.Series([], dtype=object),
-                                 "n_docs": pd.Series([], dtype="int64"),
-                                 "n_pos": pd.Series([], dtype="int64"),
-                                 "n_boiler": pd.Series([], dtype="int64")})
-        return pd.DataFrame(
-            {"source": pd.Series(list(agg), dtype=object),
-             "n_docs": pd.Series([v[0] for v in agg.values()],
-                                 dtype="int64"),
-             "n_pos": pd.Series([v[1] for v in agg.values()],
-                                dtype="int64"),
-             "n_boiler": pd.Series([v[2] for v in agg.values()],
-                                   dtype="int64")})
+            grams = [" ".join(ws[i:i + n]) for i in range(len(ws) - n + 1)]
+            n_pos.append(len(grams))
+            n_boiler.append(sum(1 for g in grams if g in bset))
+        return pd.DataFrame({"source": b["source"].to_numpy(object),
+                             "n_docs": np.int64(1),
+                             "n_pos": np.array(n_pos, dtype=np.int64),
+                             "n_boiler": np.array(n_boiler,
+                                                  dtype=np.int64)})
 
-    per = _reduce_partials(ds.map_batches(src_partial,
-                                          batch_format="pandas"),
-                           ["source"], ["n_docs", "n_pos", "n_boiler"])
+    per = sum_by(ds.map_batches(src_partial, batch_format="pandas"),
+                 ["source"], ["n_docs", "n_pos", "n_boiler"])
     if per.empty:
         return empty
     n_pos = per["n_pos"].to_numpy(np.float64)
@@ -255,25 +244,15 @@ def q_prefix_containment(sf_dir: str) -> pd.DataFrame:
         from .stages.joins import _get_broadcast
 
         pre_s, dup_s = _get_broadcast(sets_ref)
-        agg: dict[str, list[int]] = {}
-        for s, t in zip(b["source"], b["text"].fillna("")):
-            h = _md5(t)
-            cur = agg.setdefault(s, [0, 0, 0])
-            cur[0] += 1
-            cur[1] += 1 if h in dup_s else 0
-            cur[2] += 1 if h in pre_s else 0
-        return pd.DataFrame(
-            {"source": pd.Series(list(agg), dtype=object),
-             "n_docs": pd.Series([v[0] for v in agg.values()],
-                                 dtype="int64"),
-             "n_dup_eq": pd.Series([v[1] for v in agg.values()],
-                                   dtype="int64"),
-             "n_prefix": pd.Series([v[2] for v in agg.values()],
-                                   dtype="int64")})
+        h = [_md5(t) for t in b["text"].fillna("")]
+        return pd.DataFrame({
+            "source": b["source"].to_numpy(object),
+            "n_docs": np.int64(1),
+            "n_dup_eq": np.array([x in dup_s for x in h], dtype=np.int64),
+            "n_prefix": np.array([x in pre_s for x in h], dtype=np.int64)})
 
-    per = _reduce_partials(ds.map_batches(src_partial,
-                                          batch_format="pandas"),
-                           ["source"], ["n_docs", "n_dup_eq", "n_prefix"])
+    per = sum_by(ds.map_batches(src_partial, batch_format="pandas"),
+                 ["source"], ["n_docs", "n_dup_eq", "n_prefix"])
     if per.empty:
         return empty
     per["prefix_rate"] = per["n_prefix"].to_numpy(np.float64) \
@@ -327,7 +306,7 @@ def q_good_turing(sf_dir: str) -> pd.DataFrame:
                              "c": pd.Series(list(toks.values()),
                                             dtype="int64")})
 
-    vocab = _reduce_partials(
+    vocab = sum_by(
         ds.map_batches(wcount, batch_format="pandas"), ["w"], ["c"])
     empty = _empty_typed(r="int64", n_r="int64", r_star="float64")
     if vocab.empty:
@@ -369,17 +348,14 @@ def q_weighted_median_price(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         w = np.rint(np.nan_to_num(
             b["l_quantity"].to_numpy(np.float64))).astype(np.int64)
-        g = pd.DataFrame({"l_returnflag": b["l_returnflag"]
-                          .to_numpy(object),
-                          "price": b["l_extendedprice"]
-                          .to_numpy(np.float64),
-                          "w": w})
-        return g.groupby(["l_returnflag", "price"], as_index=False) \
-            .agg(w=("w", "sum"))
+        return pd.DataFrame({"l_returnflag": b["l_returnflag"]
+                             .to_numpy(object),
+                             "price": b["l_extendedprice"]
+                             .to_numpy(np.float64),
+                             "w": w})
 
-    hist = _reduce_partials(ds.map_batches(partial,
-                                           batch_format="pandas"),
-                            ["l_returnflag", "price"], ["w"])
+    hist = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                  ["l_returnflag", "price"], ["w"])
     empty = _empty_typed(l_returnflag=object, total_qty="int64",
                          wmedian_price="float64", wp90_price="float64")
     if hist.empty:

@@ -30,10 +30,10 @@ import numpy as np
 import pandas as pd
 
 from .ops import exchange as _xc
-from .ops.exchange import combine_by_key, exchange_by_key
+from .ops.exchange import combine_by_key, exchange_by_key, sum_by
 from .ops.pairs import key_runs, run_pairs
 from .ops.quantile import disc_by_group, disc_pick, disc_rank
-from .queries import _cents, _empty_typed, _pq, _reduce_partials, register
+from .queries import _cents, _empty_typed, _pq, register
 from .stages.joins import _get_broadcast
 
 
@@ -111,11 +111,10 @@ def q_top_supplier_revenue(sf_dir: str) -> pd.DataFrame:
         rev = _cents(b["l_extendedprice"]).to_numpy() \
             * (100 - _cents(b["l_discount"]).to_numpy())
         return pd.DataFrame({"l_suppkey": b["l_suppkey"].to_numpy(np.int64),
-                             "rev_i": rev}) \
-            .groupby("l_suppkey", as_index=False).sum()
+                             "rev_i": rev})
 
-    per = _reduce_partials(li.map_batches(partial, batch_format="pandas"),
-                           ["l_suppkey"], ["rev_i"])
+    per = sum_by(li.map_batches(partial, batch_format="pandas"),
+                 ["l_suppkey"], ["rev_i"])
     if per.empty:
         return _empty_typed(s_suppkey="int64", s_name=object,
                             total_revenue="float64")
@@ -242,12 +241,10 @@ def q_idle_rich_customers(sf_dir: str) -> pd.DataFrame:
         bal_c = _cents(b["c_acctbal"])
         keep = (bal_c.to_numpy(np.int64) * n_pos > sum_c) \
             & ~b["c_custkey"].isin(_get_broadcast(active_ref)).to_numpy()
-        hit = b[keep].assign(bal_c=bal_c[keep])
-        return hit.groupby("c_mktsegment", as_index=False).agg(
-            n_cust=("bal_c", "size"), bal_c=("bal_c", "sum"))
+        return b[keep].assign(bal_c=bal_c[keep], n_cust=np.int64(1))
 
-    out = _reduce_partials(cust.map_batches(partial, batch_format="pandas"),
-                           ["c_mktsegment"], ["n_cust", "bal_c"])
+    out = sum_by(cust.map_batches(partial, batch_format="pandas"),
+                 ["c_mktsegment"], ["n_cust", "bal_c"])
     if out.empty:
         return empty
     out["n_cust"] = out["n_cust"].astype("int64")
@@ -344,14 +341,13 @@ def q_retention_cohorts(sf_dir: str) -> pd.DataFrame:
                 "off": evb["day"].to_numpy(np.int64) - cohort,
                 "user_id": evb["user_id"].to_numpy(np.int64)}) \
                 .drop_duplicates()
-            return cells.groupby(["cohort", "off"], as_index=False) \
-                .agg(n_users=("user_id", "size"))
+            return cells.assign(n_users=np.int64(1))
 
         cells = exchange_by_key(
             [m.map_batches(tag_first, batch_format="pandas"),
              ev.map_batches(tag_ev, batch_format="pandas")],
             ["user_id"], per_bucket)
-        out = _reduce_partials(cells, ["cohort", "off"], ["n_users"])
+        out = sum_by(cells, ["cohort", "off"], ["n_users"])
     out["cohort_day"] = np.datetime_as_string(
         out["cohort"].to_numpy(np.int64).astype("datetime64[D]"), unit="D")
     return out.rename(columns={"off": "day_offset"}) \
@@ -367,8 +363,8 @@ def q_retention_cohorts(sf_dir: str) -> pd.DataFrame:
 def q_unigram_logprob(sf_dir: str) -> pd.DataFrame:
     """Per-document mean unigram log-probability under the corpus's own
     unigram LM — the classic cheap fluency/quality signal for training
-    -data curation. Two streamed passes: (1) vocab counts via per-batch
-    ``value_counts`` partials (the reduce is vocab-bounded, Heaps-law
+    -data curation. Two streamed passes: (1) vocab counts via one
+    grouped sum (the reduce is vocab-bounded, Heaps-law
     small relative to the corpus; the same shape as ``tfidf_keywords``'
     df table), (2) broadcast the token->logprob map once and score each
     doc in a pure map. Exactness: ln(count/total) is quantized to an
@@ -381,14 +377,12 @@ def q_unigram_logprob(sf_dir: str) -> pd.DataFrame:
 
     def tok_counts(b: pd.DataFrame) -> pd.DataFrame:
         toks = b["text"].fillna("").str.split()
-        c = pd.Series([t for row in toks for t in row],
-                      dtype=object).value_counts()
-        return pd.DataFrame({"token": c.index.astype(object),
-                             "n": c.to_numpy(np.int64)})
+        return pd.DataFrame({"token": pd.Series(
+            [t for row in toks for t in row], dtype=object),
+            "n": np.int64(1)})
 
-    vocab = _reduce_partials(ds.map_batches(tok_counts,
-                                            batch_format="pandas"),
-                             ["token"], ["n"])
+    vocab = sum_by(ds.map_batches(tok_counts, batch_format="pandas"),
+                   ["token"], ["n"])
     empty = _empty_typed(doc_id="int64", n_tokens="int64",
                          logprob="float64")
     if vocab.empty:
@@ -451,12 +445,10 @@ def q_event_transitions(sf_dir: str) -> pd.DataFrame:
                                  "n": pd.Series([], dtype="int64")})
         same = user[1:] == user[:-1]
         return pd.DataFrame({"prev_type": typ[:-1][same],
-                             "next_type": typ[1:][same]}) \
-            .groupby(["prev_type", "next_type"], as_index=False) \
-            .size().rename(columns={"size": "n"})
+                             "next_type": typ[1:][same], "n": np.int64(1)})
 
     part = exchange_by_key(ds, ["user_id"], per_bucket)
-    out = _reduce_partials(part, ["prev_type", "next_type"], ["n"])
+    out = sum_by(part, ["prev_type", "next_type"], ["n"])
     if out.empty:
         return _empty_typed(prev_type=object, next_type=object, n="int64")
     return out.astype({"n": "int64"}) \
@@ -557,12 +549,10 @@ def q_source_token_entropy(sf_dir: str) -> pd.DataFrame:
         pairs = pd.DataFrame({
             "source": np.repeat(src, toks.str.len().to_numpy(np.int64)),
             "token": [t for row in toks for t in row]})
-        return pairs.groupby(["source", "token"], as_index=False) \
-            .size().rename(columns={"size": "n"})
+        return pairs.assign(n=np.int64(1))
 
-    st = _reduce_partials(ds.map_batches(tok_counts,
-                                         batch_format="pandas"),
-                          ["source", "token"], ["n"])
+    st = sum_by(ds.map_batches(tok_counts, batch_format="pandas"),
+                ["source", "token"], ["n"])
     if st.empty:
         return _empty_typed(source=object, n_tokens="int64",
                             n_types="int64", entropy="float64")
@@ -599,14 +589,12 @@ def _typed_hist(sf_dir: str) -> pd.DataFrame:
         raw = b["value"].to_numpy(np.float64) * 1e6
         v6 = np.copysign(np.floor(np.abs(raw) + 0.5), raw) \
             .astype(np.int64)
-        g = pd.DataFrame({"event_type": b["event_type"].to_numpy(object),
-                          "v6": v6})
-        return g.groupby(["event_type", "v6"], as_index=False) \
-            .size().rename(columns={"size": "cnt"})
+        return pd.DataFrame({"event_type": b["event_type"].to_numpy(object),
+                             "v6": v6, "cnt": np.int64(1)})
 
     ds = _pq(sf_dir, "events", ["event_type", "value"])
-    return _reduce_partials(ds.map_batches(hist, batch_format="pandas"),
-                            ["event_type", "v6"], ["cnt"])
+    return sum_by(ds.map_batches(hist, batch_format="pandas"),
+                  ["event_type", "v6"], ["cnt"])
 
 
 def q_value_mad_by_type(sf_dir: str) -> pd.DataFrame:
@@ -800,13 +788,12 @@ def q_value_trend_by_type(sf_dir: str) -> pd.DataFrame:
         vy = b["value"].to_numpy(np.float64) * 1e6
         y = np.copysign(np.floor(np.abs(vy) + 0.5), vy) \
             .astype(np.int64)  # half-away, matches DuckDB round()
-        g = pd.DataFrame({"event_type": b["event_type"].to_numpy(object),
-                          "n": np.int64(1), "sx": x, "sy": y,
-                          "sxy": x * y, "sxx": x * x})
-        return g.groupby("event_type", as_index=False).sum()
+        return pd.DataFrame({"event_type": b["event_type"].to_numpy(object),
+                             "n": np.int64(1), "sx": x, "sy": y,
+                             "sxy": x * y, "sxx": x * x})
 
-    agg = _reduce_partials(ds.map_batches(moments, batch_format="pandas"),
-                           ["event_type"], ["n", "sx", "sy", "sxy", "sxx"])
+    agg = sum_by(ds.map_batches(moments, batch_format="pandas"),
+                 ["event_type"], ["n", "sx", "sy", "sxy", "sxx"])
     if agg.empty:
         return _empty_typed(event_type=object, n="int64",
                             slope="float64")
@@ -896,14 +883,13 @@ def q_value_hour_correlation(sf_dir: str) -> pd.DataFrame:
         # np.round's half-even diverges from DuckDB round()
         v = b["value"].to_numpy(np.float64) * 100
         y = np.copysign(np.floor(np.abs(v) + 0.5), v).astype(np.int64)
-        g = pd.DataFrame({"event_type": b["event_type"].to_numpy(object),
-                          "n": np.int64(1), "sx": x, "sy": y,
-                          "sxy": x * y, "sxx": x * x, "syy": y * y})
-        return g.groupby("event_type", as_index=False).sum()
+        return pd.DataFrame({"event_type": b["event_type"].to_numpy(object),
+                             "n": np.int64(1), "sx": x, "sy": y,
+                             "sxy": x * y, "sxx": x * x, "syy": y * y})
 
-    agg = _reduce_partials(ds.map_batches(moments, batch_format="pandas"),
-                           ["event_type"],
-                           ["n", "sx", "sy", "sxy", "sxx", "syy"])
+    agg = sum_by(ds.map_batches(moments, batch_format="pandas"),
+                 ["event_type"],
+                 ["n", "sx", "sy", "sxy", "sxx", "syy"])
     if agg.empty:
         return _empty_typed(event_type=object, n="int64", r="float64")
     rs = []
@@ -961,9 +947,6 @@ def q_cross_source_dups(sf_dir: str) -> pd.DataFrame:
         src = g["source"].to_numpy(object)
         cnt = g["n"].to_numpy(np.int64)
         a, b = run_pairs(*key_runs(g["h"]))
-        rows = pd.DataFrame({"source_a": src[a], "source_b": src[b],
-                             "n_pairs": cnt[a] * cnt[b]}) \
-            .groupby(["source_a", "source_b"], as_index=False).sum()
         import pyarrow as pa
 
         # Arrow blocks always: an empty pandas frame with object/string
@@ -971,13 +954,13 @@ def q_cross_source_dups(sf_dir: str) -> pd.DataFrame:
         # on size 0 inputs") once per empty bucket — log spam at high
         # bucket counts; Arrow sizes are exact for zero rows too.
         return pa.table({
-            "source_a": pa.array(rows["source_a"], pa.string()),
-            "source_b": pa.array(rows["source_b"], pa.string()),
-            "n_pairs": pa.array(rows["n_pairs"], pa.int64())})
+            "source_a": pa.array(src[a], pa.string()),
+            "source_b": pa.array(src[b], pa.string()),
+            "n_pairs": pa.array(cnt[a] * cnt[b], pa.int64())})
 
     parts = exchange_by_key(ds.map_batches(tag, batch_format="pandas"),
                             ["h"], pairs_in_bucket)
-    out = _reduce_partials(parts, ["source_a", "source_b"], ["n_pairs"])
+    out = sum_by(parts, ["source_a", "source_b"], ["n_pairs"])
     if out.empty:
         return empty
     return out.astype({"n_pairs": "int64"}) \
@@ -1024,7 +1007,7 @@ def q_weekly_active_users(sf_dir: str) -> pd.DataFrame:
         d = np.unique(b["ts"].to_numpy("datetime64[D]").astype(np.int64))
         return pd.DataFrame({"day": d, "one": np.int64(1)})
 
-    event_days = _reduce_partials(
+    event_days = sum_by(
         ev.map_batches(day_partial, batch_format="pandas"),
         ["day"], ["one"])
     # a user's pairs land in one key set, so per-set day counts sum
@@ -1189,7 +1172,7 @@ def q_fk_audit(sf_dir: str, *,
                .map_batches(cust_partial, batch_format="pandas")) \
         .union(_pq(sf_dir, "supplier", ["s_nationkey"])
                .map_batches(supp_partial, batch_format="pandas"))
-    out = _reduce_partials(parts, ["relation"], ["n_orphans"])
+    out = sum_by(parts, ["relation"], ["n_orphans"])
 
     if not orders_bcast:
         # bucketed anti-join for lineitem.l_orderkey -> orders: skinny
@@ -1263,14 +1246,13 @@ def q_event_anomaly_hours(sf_dir: str) -> pd.DataFrame:
     (zero variance) yield NULL on both sides."""
 
     def cells(b: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({"event_type": b["event_type"].to_numpy(object),
-                          "hr": b["ts"].dt.hour.to_numpy(np.int64)})
-        return g.groupby(["event_type", "hr"], as_index=False) \
-            .size().rename(columns={"size": "n"})
+        return pd.DataFrame({"event_type": b["event_type"].to_numpy(object),
+                             "hr": b["ts"].dt.hour.to_numpy(np.int64),
+                             "n": np.int64(1)})
 
     ds = _pq(sf_dir, "events", ["event_type", "ts"])
-    c = _reduce_partials(ds.map_batches(cells, batch_format="pandas"),
-                         ["event_type", "hr"], ["n"])
+    c = sum_by(ds.map_batches(cells, batch_format="pandas"),
+               ["event_type", "hr"], ["n"])
     if c.empty:
         return _empty_typed(event_type=object, hr="int64",
                             n_events="int64", z="float64")
@@ -1376,12 +1358,10 @@ def q_dup_pagerank(sf_dir: str) -> pd.DataFrame:
         return empty
 
     def deg_partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("src", as_index=False) \
-            .agg(d=("dst", "size"))
+        return b[["src"]].assign(d=np.int64(1))
 
-    deg = _reduce_partials(sym.map_batches(deg_partial,
-                                           batch_format="pandas"),
-                           ["src"], ["d"])
+    deg = sum_by(sym.map_batches(deg_partial, batch_format="pandas"),
+                 ["src"], ["d"])
     n_nodes = len(deg)
     base = (15 * _PR_Q) // (100 * n_nodes)
 
@@ -1526,16 +1506,15 @@ def q_value_skew_by_type(sf_dir: str) -> pd.DataFrame:
             .astype(np.int64)
         v2 = v * v
         hi, lo = v2 >> 16, v2 & 0xFFFF
-        g = pd.DataFrame({"event_type": b["event_type"].to_numpy(object),
-                          "n": np.int64(1), "s1": v, "s2": v2,
-                          "s3h": v * hi, "s3l": v * lo,
-                          "s4a": hi * hi, "s4b": hi * lo,
-                          "s4c": lo * lo})
-        return g.groupby("event_type", as_index=False).sum()
+        return pd.DataFrame({"event_type": b["event_type"].to_numpy(object),
+                             "n": np.int64(1), "s1": v, "s2": v2,
+                             "s3h": v * hi, "s3l": v * lo,
+                             "s4a": hi * hi, "s4b": hi * lo,
+                             "s4c": lo * lo})
 
     cols = ["n", "s1", "s2", "s3h", "s3l", "s4a", "s4b", "s4c"]
-    agg = _reduce_partials(ds.map_batches(moments, batch_format="pandas"),
-                           ["event_type"], cols)
+    agg = sum_by(ds.map_batches(moments, batch_format="pandas"),
+                 ["event_type"], cols)
     if agg.empty:
         return _empty_typed(event_type=object, n="int64",
                             skew="float64", kurt="float64")
@@ -1607,7 +1586,7 @@ def q_user_type_breadth(sf_dir: str) -> pd.DataFrame:
     from .functions import bitmask as bm
 
     types_ds = _pq(sf_dir, "events", ["event_type"])
-    tmap = _reduce_partials(
+    tmap = sum_by(
         types_ds.map_batches(
             lambda b: b.drop_duplicates(subset=["event_type"])
             .assign(n=np.int64(1)),
@@ -1662,11 +1641,10 @@ def q_priority_month_chi2(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "prio": b["o_orderpriority"].to_numpy(object),
             "month": b["o_orderdate"].dt.month.to_numpy(np.int64),
-            "o": np.int64(1)}).groupby(["prio", "month"],
-                                       as_index=False).sum()
+            "o": np.int64(1)})
 
-    c = _reduce_partials(ds.map_batches(cells, batch_format="pandas"),
-                         ["prio", "month"], ["o"])
+    c = sum_by(ds.map_batches(cells, batch_format="pandas"),
+               ["prio", "month"], ["o"])
     empty = _empty_typed(chi2="float64", cramers_v="float64",
                          dof="int64", n="int64")
     if c.empty:
@@ -1719,11 +1697,10 @@ def q_benford_screen(sf_dir: str) -> pd.DataFrame:
         c = _cents(b["o_totalprice"]).to_numpy()
         c = c[c > 0]
         d = pd.Series(c).astype(str).str[0].astype(np.int64)
-        return pd.DataFrame({"digit": d, "n": np.int64(1)}) \
-            .groupby("digit", as_index=False).sum()
+        return pd.DataFrame({"digit": d, "n": np.int64(1)})
 
-    agg = _reduce_partials(ds.map_batches(digits, batch_format="pandas"),
-                           ["digit"], ["n"])
+    agg = sum_by(ds.map_batches(digits, batch_format="pandas"),
+                 ["digit"], ["n"])
     if agg.empty:
         return _empty_typed(digit="int64", n="int64", share="float64",
                             benford="float64", dev="float64")
@@ -1764,7 +1741,7 @@ def q_loyal_users(sf_dir: str) -> pd.DataFrame:
     from .functions import bitmask as bm
 
     types_ds = _pq(sf_dir, "events", ["event_type"])
-    tmap = _reduce_partials(
+    tmap = sum_by(
         types_ds.map_batches(
             lambda b: b.drop_duplicates(subset=["event_type"])
             .assign(n=np.int64(1)),

@@ -62,8 +62,8 @@ import numpy as np
 import pandas as pd
 
 from .ops import exchange as _xc
-from .ops.exchange import combine_by_key, exchange_by_key
-from .queries import _cents, _empty_typed, _pq, _reduce_partials, register
+from .ops.exchange import combine_by_key, exchange_by_key, sum_by
+from .queries import _cents, _empty_typed, _pq, register
 from .stages.joins import (_get_broadcast, adaptive_join, broadcast_join,
                            isin_sorted)
 
@@ -175,12 +175,10 @@ def q_market_share(sf_dir: str) -> pd.DataFrame:
         year = pd.to_datetime(b["o_orderdate"]).dt.year.to_numpy(np.int64)
         return pd.DataFrame({"o_year": year,
                              "num_i": np.where(is_target, vol, 0),
-                             "den_i": vol}) \
-            .groupby("o_year", as_index=False).sum()
+                             "den_i": vol})
 
-    agg = _reduce_partials(joined.map_batches(partial,
-                                              batch_format="pandas"),
-                           ["o_year"], ["num_i", "den_i"])
+    agg = sum_by(joined.map_batches(partial, batch_format="pandas"),
+                 ["o_year"], ["num_i", "den_i"])
     if agg.empty:
         return _empty_typed(o_year="int64", mkt_share="float64")
     agg["mkt_share"] = agg["num_i"].astype(np.float64) \
@@ -242,12 +240,10 @@ def q_product_profit(sf_dir: str) -> pd.DataFrame:
         year = pd.to_datetime(b["o_orderdate"]).dt.year.to_numpy(np.int64)
         return pd.DataFrame({
             "nation": b["l_suppkey"].map(lk["supp_nat"]).to_numpy(),
-            "o_year": year, "rev_i": rev_i}) \
-            .groupby(["nation", "o_year"], as_index=False).sum()
+            "o_year": year, "rev_i": rev_i})
 
-    out = _reduce_partials(joined.map_batches(partial,
-                                              batch_format="pandas"),
-                           ["nation", "o_year"], ["rev_i"])
+    out = sum_by(joined.map_batches(partial, batch_format="pandas"),
+                 ["nation", "o_year"], ["rev_i"])
     if out.empty:
         return _empty_typed(nation=object, o_year="int64",
                             profit="float64")
@@ -287,13 +283,11 @@ def q_late_shipments(sf_dir: str) -> pd.DataFrame:
             .isin(["1-URGENT", "2-HIGH"]).to_numpy(np.int64)
         return pd.DataFrame({"l_returnflag": b["l_returnflag"].to_numpy(),
                              "high_line_count": high,
-                             "low_line_count": 1 - high}) \
-            .groupby("l_returnflag", as_index=False).sum()
+                             "low_line_count": 1 - high})
 
-    out = _reduce_partials(joined.map_batches(partial,
-                                              batch_format="pandas"),
-                           ["l_returnflag"],
-                           ["high_line_count", "low_line_count"])
+    out = sum_by(joined.map_batches(partial, batch_format="pandas"),
+                 ["l_returnflag"],
+                 ["high_line_count", "low_line_count"])
     if out.empty:
         return _empty_typed(l_returnflag=object, high_line_count="int64",
                             low_line_count="int64")
@@ -383,12 +377,10 @@ def q_small_qty_revenue(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"l_partkey": b["l_partkey"]
                              .to_numpy(np.int64),
                              "n": np.int64(1),
-                             "sq_c": _cents(b["l_quantity"]).to_numpy()}) \
-            .groupby("l_partkey", as_index=False).sum()
+                             "sq_c": _cents(b["l_quantity"]).to_numpy()})
 
-    per_part = _reduce_partials(li1.map_batches(qty_partial,
-                                                batch_format="pandas"),
-                                ["l_partkey"], ["n", "sq_c"])
+    per_part = sum_by(li1.map_batches(qty_partial, batch_format="pandas"),
+                      ["l_partkey"], ["n", "sq_c"])
     if per_part.empty:
         return pd.DataFrame({"avg_yearly": [np.nan]})
     per_part = per_part.sort_values("l_partkey")
@@ -527,13 +519,12 @@ def q_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
         n_supp = grp["s"].transform("size").to_numpy()
         n_late = grp["late"].transform("sum").to_numpy()
         hit = g[(g["late"].to_numpy() == 1) & (n_supp > 1) & (n_late == 1)]
-        return hit.groupby("s", as_index=False) \
-            .agg(numwait=("s", "size"))
+        return hit[["s"]].assign(numwait=np.int64(1))
 
     parts = exchange_by_key(
         joined.map_batches(partial, batch_format="pandas"), ["k"],
         per_bucket)
-    out = _reduce_partials(parts, ["s"], ["numwait"])
+    out = sum_by(parts, ["s"], ["numwait"])
     if out.empty:
         return _empty_typed(s_name=object, numwait="int64")
     supp = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
@@ -624,11 +615,10 @@ def q_hourly_gapfill(sf_dir: str) -> pd.DataFrame:
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"event_type": b["event_type"].to_numpy(object),
                              "hour": b["ts"].dt.floor("h").to_numpy(),
-                             "n": np.int64(1)}) \
-            .groupby(["event_type", "hour"], as_index=False).sum()
+                             "n": np.int64(1)})
 
-    agg = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["event_type", "hour"], ["n"])
+    agg = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["event_type", "hour"], ["n"])
     if agg.empty:
         return _empty_typed(event_type=object,
                             hour="datetime64[us]", n="int64")
@@ -780,12 +770,11 @@ def q_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
         g = g.groupby(["p", "s"], as_index=False)["q"].sum()
         tot = g.groupby("p")["q"].transform("sum").to_numpy()
         hit = g[8 * g["q"].to_numpy() > tot]
-        return hit.groupby("s", as_index=False) \
-            .agg(n_parts=("p", "size"))
+        return hit[["s"]].assign(n_parts=np.int64(1))
 
     parts = exchange_by_key(li.map_batches(partial, batch_format="pandas"),
                             ["p"], per_bucket)
-    out = _reduce_partials(parts, ["s"], ["n_parts"])
+    out = sum_by(parts, ["s"], ["n_parts"])
     if out.empty:
         return _empty_typed(s_name=object, n_parts="int64")
     supp = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
@@ -887,16 +876,14 @@ def q_revenue_cube(sf_dir: str) -> pd.DataFrame:
                  ["o_orderstatus", "o_orderpriority", "o_totalprice"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame({"status": b["o_orderstatus"],
-                          "priority": b["o_orderpriority"],
-                          "n": np.int64(1),
-                          "rev_c": _cents(b["o_totalprice"])})
-        return g.groupby(["status", "priority"], as_index=False).sum()
+        return pd.DataFrame({"status": b["o_orderstatus"],
+                             "priority": b["o_orderpriority"],
+                             "n": np.int64(1),
+                             "rev_c": _cents(b["o_totalprice"])})
 
-    fine = _reduce_partials(orders.map_batches(partial,
-                                               batch_format="pandas"),
-                            by=["status", "priority"],
-                            sum_cols=["n", "rev_c"])
+    fine = sum_by(orders.map_batches(partial, batch_format="pandas"),
+                  by=["status", "priority"],
+                  cols=["n", "rev_c"])
     if not len(fine):
         return pd.DataFrame({"status": ["ALL"], "priority": ["ALL"],
                              "n": np.int64([0]),
@@ -1010,12 +997,10 @@ def q_fuzzy_part_pairs(sf_dir: str) -> pd.DataFrame:
     part = _pq(sf_dir, "part", ["p_name"])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("p_name", as_index=False) \
-            .agg(c=("p_name", "size"))
+        return b.assign(c=np.int64(1))
 
-    vocab = _reduce_partials(part.map_batches(partial,
-                                              batch_format="pandas"),
-                             by=["p_name"], sum_cols=["c"])
+    vocab = sum_by(part.map_batches(partial, batch_format="pandas"),
+                   by=["p_name"], cols=["c"])
     empty = _empty_typed(name_a="object", name_b="object",
                          dist="int64", support="int64")
     if not len(vocab):
@@ -1126,9 +1111,8 @@ def q_embedding_gram(sf_dir: str) -> pd.DataFrame:
                              "j": (ju + 1).astype(np.int64),
                              "g_q": q[iu, ju]})
 
-    out = _reduce_partials(emb.map_batches(partial,
-                                           batch_format="pandas"),
-                           by=["i", "j"], sum_cols=["g_q"])
+    out = sum_by(emb.map_batches(partial, batch_format="pandas"),
+                 by=["i", "j"], cols=["g_q"])
     if not len(out):
         return _empty_typed(i="int64", j="int64", gram="float64")
     out["gram"] = out.pop("g_q").astype(np.float64) / 1e6
@@ -1171,11 +1155,10 @@ def q_hourly_ffill(sf_dir: str) -> pd.DataFrame:
             "hour": b["ts"].dt.floor("h").to_numpy(),
             "s_m": np.copysign(np.floor(np.abs(m) + 0.5), m)
             .astype(np.int64),
-            "n": np.int64(1)}) \
-            .groupby(["event_type", "hour"], as_index=False).sum()
+            "n": np.int64(1)})
 
-    agg = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                           ["event_type", "hour"], ["s_m", "n"])
+    agg = sum_by(ds.map_batches(partial, batch_format="pandas"),
+                 ["event_type", "hour"], ["s_m", "n"])
     if agg.empty:
         return _empty_typed(event_type=object, hour="datetime64[us]",
                             val_ffill="float64")
@@ -1216,11 +1199,10 @@ def q_daily_trending(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "event_type": b["event_type"].to_numpy(object),
             "day": b["ts"].dt.floor("D").to_numpy(),
-            "n": np.int64(1)}) \
-            .groupby(["event_type", "day"], as_index=False).sum()
+            "n": np.int64(1)})
 
-    c = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                         ["event_type", "day"], ["n"])
+    c = sum_by(ds.map_batches(partial, batch_format="pandas"),
+               ["event_type", "day"], ["n"])
     if c.empty:
         return _empty_typed(day="datetime64[us]", event_type=object,
                             n="int64", rnk="int64", delta="int64")
@@ -1262,11 +1244,10 @@ def q_hourly_autocorr(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "event_type": b["event_type"].to_numpy(object),
             "h": b["ts"].dt.floor("h").to_numpy(),
-            "n": np.int64(1)}) \
-            .groupby(["event_type", "h"], as_index=False).sum()
+            "n": np.int64(1)})
 
-    c = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                         ["event_type", "h"], ["n"])
+    c = sum_by(ds.map_batches(partial, batch_format="pandas"),
+               ["event_type", "h"], ["n"])
     if c.empty:
         return _empty_typed(event_type=object, n_pairs="int64",
                             r24="float64")
@@ -1326,11 +1307,10 @@ def q_daily_trend_test(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "event_type": b["event_type"].to_numpy(object),
             "day": b["ts"].dt.floor("D").to_numpy(),
-            "n": np.int64(1)}) \
-            .groupby(["event_type", "day"], as_index=False).sum()
+            "n": np.int64(1)})
 
-    c = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                         ["event_type", "day"], ["n"])
+    c = sum_by(ds.map_batches(partial, batch_format="pandas"),
+               ["event_type", "day"], ["n"])
     empty = _empty_typed(event_type=object, s_stat="int64",
                          n_days="int64", z="float64")
     if c.empty:
@@ -1383,11 +1363,10 @@ def q_daily_changepoint(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({
             "event_type": b["event_type"].to_numpy(object),
             "day": b["ts"].dt.floor("D").to_numpy(),
-            "n": np.int64(1)}) \
-            .groupby(["event_type", "day"], as_index=False).sum()
+            "n": np.int64(1)})
 
-    c = _reduce_partials(ds.map_batches(partial, batch_format="pandas"),
-                         ["event_type", "day"], ["n"])
+    c = sum_by(ds.map_batches(partial, batch_format="pandas"),
+               ["event_type", "day"], ["n"])
     if c.empty:
         return _empty_typed(event_type=object,
                             cp_day="datetime64[us]", shift="float64")
@@ -1529,7 +1508,7 @@ def q_part_value_share(sf_dir: str) -> pd.DataFrame:
 
     Scale shape: ONE streamed pass — the nation's supplier keys ride a
     broadcast sorted-int64 array, each batch pre-aggregates (partkey,
-    value_c) partials, and the reduce goes through ``_reduce_partials``
+    value_c) partials, and the reduce goes through ``sum_by``
     (bounded by catalog cardinality). The global total is the SUM of
     the reduced per-part table itself (no second pass), and the share
     gate is the integer compare ``value_c * {den} > total_c`` computed
@@ -1561,11 +1540,10 @@ def q_part_value_share(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"p_partkey": b["l_partkey"]
                              .to_numpy(np.int64)[keep],
                              "value_c": _cents(b["l_extendedprice"])
-                             .to_numpy()[keep]}) \
-            .groupby("p_partkey", as_index=False).sum()
+                             .to_numpy()[keep]})
 
-    v = _reduce_partials(li.map_batches(partial, batch_format="pandas"),
-                         ["p_partkey"], ["value_c"])
+    v = sum_by(li.map_batches(partial, batch_format="pandas"),
+               ["p_partkey"], ["value_c"])
     if v.empty:
         return empty
     # big-int gate over catalog-sized rows: value_c * den can exceed

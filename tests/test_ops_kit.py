@@ -2,9 +2,11 @@
 rules against a brute-force sorted array, the sorted-batch pass
 against a direct pandas computation, the keyed exchange against its
 key-local fn run per key on the driver, the gated keyed combine's
-bucketed path against its driver path, the within-key pair kernel
-against ``itertools.combinations`` per key, and a guard that keeps
-every hash-bucketed exchange inside `ops/exchange.py`."""
+bucketed path against its driver path, the grouped sum against a
+whole-frame pandas groupby, the within-key pair kernel against
+``itertools.combinations`` per key, the split rule against its DuckDB
+twin, and a guard that keeps every hash-bucketed exchange inside
+`ops/exchange.py`."""
 
 import itertools
 import math
@@ -19,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdf_oxide_ray.ops import exchange
+from pdf_oxide_ray.functions.textops import nibble_split, split_sql
 from pdf_oxide_ray.ops.exchange import (_key_buckets, combine_by_key,
-                                        exchange_by_key, n_buckets)
+                                        exchange_by_key, n_buckets, sum_by)
 from pdf_oxide_ray.ops.ordered import ordered_pass
 from pdf_oxide_ray.ops.pairs import key_runs, run_pairs
 from pdf_oxide_ray.ops.quantile import (disc_by_group, disc_pick, disc_rank,
@@ -235,6 +238,85 @@ def test_combine_on_zero_rows_never_calls_fn(ray_session, monkeypatch,
     assert out.empty and len(out.columns) == 0
 
 
+@st.composite
+def _sum_case(draw):
+    """A frame of int64, object-string (with None) and datetime (with
+    NaT) keys cut into 1-5 blocks at random rows (empty blocks
+    included), a key tuple, and whether the gate is forced to 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    t = pd.Series(pd.to_datetime(rng.integers(0, 3, n), unit="D"))
+    t[rng.random(n) < 0.1] = pd.NaT
+    df = pd.DataFrame({
+        "k": rng.integers(-2, 3, n).astype(np.int64),
+        "s": rng.choice(np.array(["x", "y", "zz", None], dtype=object), n),
+        "t": t.astype("datetime64[us]"),
+        "v": rng.integers(-5, 6, n).astype(np.int64),
+        "w": rng.integers(0, 2**40, n).astype(np.int64)})
+    cuts = sorted(int(c) for c in rng.integers(0, n + 1,
+                                                draw(st.integers(0, 4))))
+    blocks = [df.iloc[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    by = draw(st.sampled_from([["k"], ["k", "s"], ["t"], ["s", "t", "k"]]))
+    return df, blocks, by, draw(st.booleans())
+
+
+def _by_key(df: pd.DataFrame, by: list) -> pd.DataFrame:
+    out = df.sort_values(by).reset_index(drop=True)
+    for c in by:
+        if out[c].dtype.kind == "M":
+            out[c] = out[c].astype("datetime64[us]")
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(_sum_case())
+def test_sum_by_matches_a_whole_frame_groupby(ray_session, case):
+    import ray.data as rd
+
+    df, blocks, by, force_gate = case
+    old = exchange.GATE_ROWS
+    exchange.GATE_ROWS = 1 if force_gate else old
+    try:
+        got = sum_by(rd.from_pandas(blocks), by, ["v", "w"])
+    finally:
+        exchange.GATE_ROWS = old
+    want = df.groupby(by, as_index=False)[["v", "w"]].sum()
+    assert list(got.columns) == by + ["v", "w"]
+    if not force_gate:  # the driver path keeps pandas' sorted order
+        assert got[by].astype(str).equals(want[by].astype(str))
+    pd.testing.assert_frame_equal(_by_key(got, by), _by_key(want, by),
+                                  check_dtype=False)
+    assert got["v"].dtype == got["w"].dtype == np.int64
+
+
+@pytest.mark.parametrize("gate", [None, 1])
+def test_sum_by_on_zero_rows(ray_session, monkeypatch, gate):
+    import ray.data as rd
+
+    if gate is not None:
+        monkeypatch.setattr(exchange, "GATE_ROWS", gate)
+    ds = rd.from_pandas(pd.DataFrame({"k": [1, 2], "s": ["a", "b"],
+                                      "v": [3, 4]})) \
+        .filter(lambda r: False)
+    pd.testing.assert_frame_equal(
+        sum_by(ds, ["k", "s"], ["v"]),
+        pd.DataFrame({"k": [], "s": [], "v": []}))
+
+
+def test_split_rule_matches_its_sql_twin():
+    import duckdb
+
+    ids = pd.DataFrame({"doc_id": np.arange(-50, 2000, dtype=np.int64)})
+    con = duckdb.connect()
+    con.register("ids", ids)
+    sql = con.execute(f"SELECT {split_sql('doc_id')} AS split FROM ids "
+                      "ORDER BY doc_id").df()["split"].to_numpy(object)
+    py = nibble_split(ids["doc_id"])
+    assert (py == sql).all()
+    assert set(py) == {"train", "val", "test"}
+    assert len(nibble_split([])) == 0
+
+
 def test_bucket_count_keeps_every_bucket_under_the_gate():
     g = exchange.GATE_ROWS
     assert n_buckets(1) == 64
@@ -423,6 +505,8 @@ _OUTSIDE_THE_KIT = [
     (re.compile(r"\b(_bucket_of|_key_buckets)\b"),
      "uses the kit's bucket hash"),
     (re.compile(r"\bmin_parallelism\b"), "mentions min_parallelism"),
+    (re.compile(r"\b_reduce_partials\b"),
+     "names the removed _reduce_partials (a grouped sum is sum_by)"),
     (re.compile(r"""\.groupby\(\s*["'](bucket|shard)["']\s*\)"""
                 r"""[\s\\]*\.map_groups\("""),
      "groups a Dataset by a hand-made bucket column"),
@@ -440,5 +524,4 @@ def test_hash_bucket_exchanges_live_only_in_the_kit():
             for m in pat.finditer(text):
                 line = text.count("\n", 0, m.start()) + 1
                 bad.append(f"{path.relative_to(_PKG)}:{line} {what}")
-    assert not bad, "route these through exchange_by_key:\n" + \
-        "\n".join(bad)
+    assert not bad, "route these through the kit:\n" + "\n".join(bad)

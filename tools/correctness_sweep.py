@@ -1,6 +1,9 @@
 """Driver-style correctness sweep: run every queries() entry and its DuckDB
 oracle side-by-side at a given sf, compare row count + schema + value hash
 (columns sorted by name, rows sorted by all columns — mirrors the driver).
+Every ``ok`` line ends with the query's own value hash, so a diff of two
+sweep logs (say, a parent commit's and a change's) covers the rows-only
+entries too.
 
 Usage: python tools/correctness_sweep.py [sf_dir] [--only name1,name2,...]
 """
@@ -27,6 +30,18 @@ def value_hash(df: pd.DataFrame) -> str:
     df = df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
     payload = df.to_csv(index=False, float_format="%.17g").encode()
     return hashlib.md5(payload).hexdigest()
+
+
+def own_hash(df: pd.DataFrame) -> str:
+    """``value_hash`` of a query's own result, for a diff of two sweep
+    logs; object columns that do not sort (lists, dicts) hash by their
+    text form."""
+    try:
+        return value_hash(df)
+    except TypeError:
+        return value_hash(df.assign(**{
+            c: df[c].astype(str) for c in df.columns
+            if df[c].dtype == object}))
 
 
 def normalize(obj) -> pd.DataFrame:
@@ -81,9 +96,18 @@ def main() -> int:
         dt = time.perf_counter() - t0
         sql = sqls.get(name)
         if sql is None:
-            print(f"ok   {name}: rows={len(mine)} ({dt:.2f}s) [rows-only]")
+            print(f"ok   {name}: rows={len(mine)} ({dt:.2f}s) [rows-only] "
+                  f"{own_hash(mine)}")
             continue
-        gold = con.execute(sql).df()
+        try:
+            gold = con.execute(sql).df()
+        except duckdb.Error as exc:
+            # one twin that cannot run (say, out of spill space) must not
+            # end the sweep: the rest still get checked and hashed
+            print(f"FAIL {name}: oracle raised {type(exc).__name__}: {exc} "
+                  f"{own_hash(mine)}")
+            n_fail += 1
+            continue
         problems = []
         if len(mine) != len(gold):
             problems.append(f"rows {len(mine)} vs {len(gold)}")
@@ -108,7 +132,8 @@ def main() -> int:
             print(f"FAIL {name}: {'; '.join(problems)}")
             n_fail += 1
         else:
-            print(f"ok   {name}: rows={len(mine)} ({dt:.2f}s) [hash match]")
+            print(f"ok   {name}: rows={len(mine)} ({dt:.2f}s) [hash match] "
+                  f"{own_hash(mine)}")
     print(f"\n{'ALL GREEN' if n_fail == 0 else f'{n_fail} FAILURES'}")
     ray.shutdown()
     return 1 if n_fail else 0
