@@ -39,7 +39,7 @@ from .decoders import decode_stream
 from .fonts import FontInfo
 from .interpret import TextExtractor, TextSpan
 from .markdown import convert_page_from_spans
-from .objects import Name, ParseError, Ref, Stream, parse_object, skip_ws
+from .objects import ParseError, Ref, Stream, parse_object, skip_ws
 from .spans_post import postprocess_spans
 
 MAX_RESOLVE_DEPTH = 100  # reference document.rs:21

@@ -29,7 +29,7 @@ both), since real corpora draw fonts from a small shared family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cmap import parse_tounicode_cmap
 from .objects import Stream as _Stream

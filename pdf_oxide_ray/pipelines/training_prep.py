@@ -32,8 +32,6 @@ queries (`quality_filter`, `decontaminate`, `dedup_exact`,
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 

@@ -51,8 +51,6 @@ import, like ``queries_relational``.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 

@@ -21,6 +21,9 @@ web-scale pipeline shapes a 100 TB pretraining run leans on:
 * `session_overlap_peak` — peak concurrent user sessions (30-min-gap
   sessionization -> interval sweep-line), the classic interval-overlap
   shape, parallelized with the textbook two-level prefix-sum split.
+* `doc_perplexity`       — per-doc mean bigram log-probability under
+  the corpus's own MLE bigram LM (`functions/lm_ab`), the
+  perplexity-filter shape.
 
 Shuffle budget (SCALE.md doctrine): split_contamination's skinny
 (hash, split, n) partials meet in the gated keyed combine on the hash;
@@ -30,7 +33,10 @@ heaps_law_curve is ONE vocabulary-keyed combine (the `unigram_logprob`
 scale) folded to a bounded bucket histogram; session_overlap_peak is
 TWO bucketed exchanges (user_id buckets sessionize, then ts-day sweep
 buckets) with only per-bucket (delta, max-prefix) triples reaching the
-driver — the distributed-prefix-sum recipe, never a global sort.
+driver — the distributed-prefix-sum recipe, never a global sort;
+doc_perplexity is the bigram-only `lm_ab.count_pass` (one
+bigram-vocabulary-bounded reduce) and a map scoring each doc against
+the broadcast LM.
 
 Exactness: money rides int64 cents; every product that could wrap the
 int64 reduce is 24-bit hi/lo split and recombined in Python big ints;
@@ -47,6 +53,8 @@ import numpy as np
 import pandas as pd
 
 from .functions import dedup as fdedup
+from .functions.lm_ab import (BIGRAMS_SQL, TOKENS_SQL, count_pass,
+                              lm_chain, lm_from_counts, score_texts)
 from .functions.textops import nibble_split, split_sql
 from .ops.exchange import combine_by_key, exchange_by_key, sum_by
 from .ops.quantile import disc_by_group, disc_rank
@@ -616,60 +624,33 @@ register("session_overlap_peak", q_session_overlap_peak, """
 
 def q_doc_perplexity(sf_dir: str) -> pd.DataFrame:
     """Per-document mean bigram log-probability under the corpus's own
-    MLE bigram LM — the perplexity-style fluency filter (the CCNet /
-    Gopher quality-screen shape; `unigram_logprob` is its order-1
-    sibling). Two streamed passes: (1) bigram counts via one grouped
-    sum (bigram-vocabulary-bounded reduce, the
+    MLE bigram LM (`functions/lm_ab`) — the perplexity-style fluency
+    filter (the CCNet / Gopher quality-screen shape; `unigram_logprob`
+    is its order-1 sibling). Two streamed passes: (1) the bigram-only
+    count pass, one grouped sum (bigram-vocabulary-bounded reduce, the
     `bigram_pmi` exchange scale; left-context totals derive from the
-    reduced table — no second corpus pass); (2) the bigram->lp6 map
-    broadcasts once (`ray.put` + per-worker cache) and each doc scores
-    in a pure map. Exactness: ln(nb/nl) quantizes to the int 1e-6 grid
-    on BOTH sides, so a doc's score is an int64 sum over its bigram
-    occurrences divided by its bigram count — order-independent.
-    Unseen bigrams cannot occur (the LM trains on the same corpus);
-    docs with <2 tokens score NULL on both sides."""
+    reduced table — no second corpus pass); (2) the LM broadcasts once
+    (`ray.put` + per-worker cache) and each doc scores in a pure map.
+    Exactness: ln(nb/nl) quantizes to the int 1e-6 grid on BOTH sides,
+    so a doc's score is an int64 sum over its bigram occurrences
+    divided by its bigram count — order-independent. Unseen bigrams
+    cannot occur (the LM trains on the same corpus); docs with <2
+    tokens score NULL on both sides."""
     import ray
 
     from .stages.joins import _get_broadcast
 
     ds = _pq(sf_dir, "documents", ["doc_id", "text"])
-
-    def big_counts(b: pd.DataFrame) -> pd.DataFrame:
-        toks = b["text"].fillna("").str.split()
-        grams = [f"{r[i]} {r[i + 1]}" for r in toks
-                 for i in range(len(r) - 1)]
-        return pd.DataFrame({"bg": pd.Series(grams, dtype=object),
-                             "nb": np.int64(1)})
-
-    vocab = sum_by(
-        ds.map_batches(big_counts, batch_format="pandas"),
-        ["bg"], ["nb"])
-    empty = _empty_typed(doc_id="int64", n_bigrams="int64",
-                         logprob="float64")
-    if vocab.empty:
-        ids = _pq(sf_dir, "documents", ["doc_id"]).to_pandas()
-        if ids.empty:
-            return empty
-        return pd.DataFrame({"doc_id": ids["doc_id"].astype("int64"),
-                             "n_bigrams": np.int64(0),
-                             "logprob": np.nan}) \
-            .sort_values("doc_id").reset_index(drop=True)
-    left = vocab["bg"].str.split(" ", n=1).str[0]
-    nl = vocab.groupby(left.to_numpy(object))["nb"].transform("sum") \
-        .to_numpy(np.int64)
-    raw = np.log(vocab["nb"].to_numpy(np.float64)
-                 / nl.astype(np.float64)) * 1e6
-    lp6 = np.copysign(np.floor(np.abs(raw) + 0.5), raw).astype(np.int64)
-    lut_ref = ray.put(dict(zip(vocab["bg"], lp6)))
+    counts, n_docs = count_pass(ds, unigrams=False)
+    if not n_docs:
+        return _empty_typed(doc_id="int64", n_bigrams="int64",
+                            logprob="float64")
+    lm_ref = ray.put(lm_from_counts(counts))
 
     def score(b: pd.DataFrame) -> pd.DataFrame:
-        lut = _get_broadcast(lut_ref)
-        toks = b["text"].fillna("").str.split()
-        n = np.maximum(toks.str.len().to_numpy(np.int64) - 1, 0)
-        s = np.fromiter(
-            (sum(lut[f"{r[i]} {r[i + 1]}"] for i in range(len(r) - 1))
-             for r in toks), dtype=np.int64, count=len(toks))
-        v = s.astype(np.float64) / np.maximum(n, 1)
+        sc = score_texts(b["text"], _get_broadcast(lm_ref))
+        n = sc[:, 0]
+        v = sc[:, 2].astype(np.float64) / np.maximum(n, 1)
         lp = np.where(n > 0,
                       np.copysign(np.floor(np.abs(v) + 0.5), v) / 1e6,
                       np.nan)
@@ -680,32 +661,14 @@ def q_doc_perplexity(sf_dir: str) -> pd.DataFrame:
         .sort_values("doc_id").reset_index(drop=True)
 
 
-register("doc_perplexity", q_doc_perplexity, r"""
+register("doc_perplexity", q_doc_perplexity, f"""
     WITH toks AS (
-      SELECT doc_id,
-             list_filter(regexp_split_to_array(coalesce(text, ''),
-                                               '\s+'),
-                         x -> x <> '') AS t
-      FROM documents),
-    big AS (
-      SELECT doc_id,
-             unnest(CASE WHEN len(t) < 2 THEN []
-                         ELSE list_transform(range(1, len(t)),
-                                             i -> t[i] || ' ' || t[i+1])
-                    END) AS bg
-      FROM toks),
-    bcnt AS (SELECT bg, COUNT(*) AS nb FROM big GROUP BY bg),
-    lcnt AS (SELECT split_part(bg, ' ', 1) AS w1,
-                    CAST(SUM(nb) AS BIGINT) AS nl
-             FROM bcnt GROUP BY 1),
-    lp AS (
-      SELECT bg,
-             CAST(round(ln(CAST(nb AS DOUBLE) / CAST(nl AS DOUBLE))
-                        * 1000000) AS BIGINT) AS lp6
-      FROM bcnt JOIN lcnt ON split_part(bcnt.bg, ' ', 1) = lcnt.w1),
+      SELECT doc_id, {TOKENS_SQL} AS t FROM documents),
+    held AS (SELECT doc_id, {BIGRAMS_SQL} AS bg FROM toks),
+    {lm_chain("lm_", "toks")},
     per_doc AS (
-      SELECT b.doc_id, COUNT(*) AS n_bigrams, SUM(l.lp6) AS s
-      FROM big b JOIN lp l USING (bg) GROUP BY b.doc_id)
+      SELECT doc_id, COUNT(*) AS n_bigrams, SUM(lp6) AS s
+      FROM lm_scored GROUP BY doc_id)
     SELECT d.doc_id,
            CAST(COALESCE(p.n_bigrams, 0) AS BIGINT) AS n_bigrams,
            ROUND(CAST(p.s AS DOUBLE) / p.n_bigrams, 0) / 1000000.0

@@ -42,7 +42,7 @@ import pandas as pd
 
 from .ops.exchange import sum_by
 from .ops.quantile import disc_rank
-from .queries import _empty_typed, _pq, register
+from .queries import _pq, register
 
 
 _DAY_US = 86_400_000_000

@@ -24,9 +24,10 @@ Distributed plans (shuffle budgets — also in SCALE.md):
 doc-local) -> (source, counters) int partials -> ONE
 dimension-bounded reduce; driver finals divide int sums.
 
-`ccnet_buckets`: pass 1 = the `doc_perplexity` bigram-vocabulary
-reduce (bigram-bounded exchange); the lp6 map broadcasts once
-(`ray.put` + per-worker cache); pass 2 = per-batch (lang, score6)
+`ccnet_buckets`: pass 1 = the `doc_perplexity` LM from
+`functions/lm_ab` (the bigram-only `count_pass`, a bigram-bounded
+reduce); the LM broadcasts once (`ray.put` + per-worker cache) and
+`score_texts` scores each doc; pass 2 = per-batch (lang, score6)
 value-counts partials -> ONE reduce bounded by #langs x the 1e-6
 score grid (scores live in a few log-units, so the grid is bounded
 by construction like the value histograms); driver reads terciles
@@ -47,6 +48,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .functions.lm_ab import (BIGRAMS_SQL, TOKENS_SQL, count_pass,
+                              lm_chain, lm_from_counts, score_texts)
 from .functions.textops import halfaway6
 from .ops.exchange import sum_by
 from .ops.quantile import disc_pick, disc_rank
@@ -203,45 +206,13 @@ def q_ccnet_buckets(sf_dir: str) -> pd.DataFrame:
     from .stages.joins import _get_broadcast
 
     ds = _pq(sf_dir, "documents", ["lang", "text"])
-
-    def big_counts(b: pd.DataFrame) -> pd.DataFrame:
-        toks = b["text"].fillna("").str.split()
-        grams = [f"{r[i]} {r[i + 1]}" for r in toks
-                 for i in range(len(r) - 1)]
-        return pd.DataFrame({"bg": pd.Series(grams, dtype=object),
-                             "nb": np.int64(1)})
-
-    vocab = sum_by(
-        ds.map_batches(big_counts, batch_format="pandas"),
-        ["bg"], ["nb"])
-    empty = _empty_typed(lang=object, bucket=object, n_docs="int64")
-    if vocab.empty:
-        langs = _pq(sf_dir, "documents", ["lang"]).to_pandas()
-        if langs.empty:
-            return empty
-        out = langs.groupby("lang", as_index=False).size() \
-            .rename(columns={"size": "n_docs"})
-        out["bucket"] = "na"
-        return out[["lang", "bucket", "n_docs"]] \
-            .astype({"n_docs": "int64"}) \
-            .sort_values(["lang", "bucket"]).reset_index(drop=True)
-    left = vocab["bg"].str.split(" ", n=1).str[0]
-    nl = vocab.groupby(left.to_numpy(object))["nb"].transform("sum") \
-        .to_numpy(np.int64)
-    raw = np.log(vocab["nb"].to_numpy(np.float64)
-                 / nl.astype(np.float64)) * 1e6
-    lp6 = np.copysign(np.floor(np.abs(raw) + 0.5), raw) \
-        .astype(np.int64)
-    lut_ref = ray.put(dict(zip(vocab["bg"], lp6)))
+    counts, _ = count_pass(ds, unigrams=False)
+    lm_ref = ray.put(lm_from_counts(counts))
 
     def score_hist(b: pd.DataFrame) -> pd.DataFrame:
-        lut = _get_broadcast(lut_ref)
-        toks = b["text"].fillna("").str.split()
-        n = np.maximum(toks.str.len().to_numpy(np.int64) - 1, 0)
-        s = np.fromiter(
-            (sum(lut[f"{r[i]} {r[i + 1]}"] for i in range(len(r) - 1))
-             for r in toks), dtype=np.int64, count=len(toks))
-        v = s.astype(np.float64) / np.maximum(n, 1)
+        sc = score_texts(b["text"], _get_broadcast(lm_ref))
+        n = sc[:, 0]
+        v = sc[:, 2].astype(np.float64) / np.maximum(n, 1)
         sc6 = np.copysign(np.floor(np.abs(v) + 0.5), v) \
             .astype(np.int64)
         return pd.DataFrame({"lang": b["lang"].to_numpy(object),
@@ -253,7 +224,7 @@ def q_ccnet_buckets(sf_dir: str) -> pd.DataFrame:
         ds.map_batches(score_hist, batch_format="pandas"),
         ["lang", "scored", "sc6"], ["cnt"])
     if h.empty:
-        return empty
+        return _empty_typed(lang=object, bucket=object, n_docs="int64")
     rows = []
     for lang, g in h.groupby("lang", sort=True):
         na = int(g.loc[g["scored"] == 0, "cnt"].sum())
@@ -284,30 +255,12 @@ def q_ccnet_buckets(sf_dir: str) -> pd.DataFrame:
 
 register("ccnet_buckets", q_ccnet_buckets, rf"""
     WITH toks AS (
-      SELECT doc_id AS rid, lang,
-             list_filter(regexp_split_to_array(coalesce(text, ''),
-                                               '\s+'),
-                         x -> x <> '') AS t
-      FROM documents),
-    big AS (
-      SELECT rid, unnest(CASE WHEN len(t) < 2 THEN []
-                              ELSE list_transform(range(1, len(t)),
-                                                  i -> t[i] || ' '
-                                                       || t[i+1])
-                         END) AS bg
-      FROM toks),
-    bcnt AS (SELECT bg, COUNT(*) AS nb FROM big GROUP BY bg),
-    lcnt AS (SELECT split_part(bg, ' ', 1) AS w1,
-                    CAST(SUM(nb) AS BIGINT) AS nl
-             FROM bcnt GROUP BY 1),
-    lp AS (
-      SELECT bg,
-             CAST(round(ln(CAST(nb AS DOUBLE) / CAST(nl AS DOUBLE))
-                        * 1000000) AS BIGINT) AS lp6
-      FROM bcnt JOIN lcnt ON split_part(bcnt.bg, ' ', 1) = lcnt.w1),
+      SELECT doc_id AS rid, lang, {TOKENS_SQL} AS t FROM documents),
+    held AS (SELECT rid, {BIGRAMS_SQL} AS bg FROM toks),
+    {lm_chain("lm_", "toks")},
     per_doc AS (
-      SELECT b.rid, COUNT(*) AS n_bigrams, SUM(l.lp6) AS s
-      FROM big b JOIN lp l USING (bg) GROUP BY b.rid),
+      SELECT rid, COUNT(*) AS n_bigrams, SUM(lp6) AS s
+      FROM lm_scored GROUP BY rid),
     scored AS (
       SELECT k.lang,
              CAST(round(CAST(p.s AS DOUBLE) / p.n_bigrams, 0)

@@ -50,7 +50,7 @@ import pandas as pd
 
 from .ops.exchange import exchange_by_key, sum_by
 from .ops.pairs import key_runs, run_pairs
-from .queries import _empty_typed, _pq, register
+from .queries import _pq, register
 
 
 _ASR_L = 32

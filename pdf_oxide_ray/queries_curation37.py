@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .functions.pq_sql import PQ_D, PQ_ITERS, PQ_K, PQ_M, pq_chain
+from .functions.pq_sql import PQ_D, PQ_ITERS, PQ_M, pq_chain
 from .queries import _KMEANS_SCALE, _empty_typed, _pq, register
 
 

@@ -38,6 +38,7 @@ import unicodedata
 import numpy as np
 import pandas as pd
 
+from .functions.lm_ab import BIGRAMS_SQL, TOKENS_SQL, bigrams
 from .functions.textops import nibble_split, split_sql
 from .ops.exchange import sum_by
 from .queries import _empty_typed, _pq, register
@@ -58,8 +59,7 @@ def q_ngram_coverage_curve(sf_dir: str) -> pd.DataFrame:
         frames = []
         for sp in ("train", "val"):
             toks = b.loc[split == sp, "text"].fillna("").str.split()
-            grams = [f"{r[i]} {r[i + 1]}" for r in toks
-                     for i in range(len(r) - 1)]
+            grams = bigrams(toks)
             frames.append(pd.DataFrame({
                 "sp": sp, "g": pd.Series(grams, dtype=object),
                 "n": np.int64(1)}))
@@ -97,19 +97,10 @@ def q_ngram_coverage_curve(sf_dir: str) -> pd.DataFrame:
 
 register("ngram_coverage_curve", q_ngram_coverage_curve, rf"""
     WITH base AS (
-      SELECT doc_id,
-             {split_sql('doc_id')} AS split,
-             list_filter(regexp_split_to_array(coalesce(text, ''),
-                                               '\s+'),
-                         x -> x <> '') AS t
+      SELECT doc_id, {split_sql('doc_id')} AS split, {TOKENS_SQL} AS t
       FROM documents),
     bg AS (
-      SELECT split,
-             unnest(CASE WHEN len(t) < 2 THEN []
-                         ELSE list_transform(range(1, len(t)),
-                                             i -> t[i] || ' '
-                                                  || t[i+1])
-                    END) AS g
+      SELECT split, {BIGRAMS_SQL} AS g
       FROM base WHERE split IN ('train', 'val')),
     tr AS (SELECT g, count(*) AS n FROM bg WHERE split = 'train'
            GROUP BY g),

@@ -14,10 +14,11 @@ matters:
 Distributed plan (shuffle budget — also in SCALE.md): the split is
 row-local; the dedup winner selection is ONE bucketed content-hash
 exchange carrying the payload once (the `training_prep` dedup
-shape); each variant's bigram/unigram counts ride the
-vocabulary-bounded reduces; BOTH variants' lp6 maps broadcast
-together and the val corpus is scored in ONE pass emitting
-per-(variant) scalar partials -> a 2-row reduce.
+shape); each variant's counts are one `lm_ab.count_pass`
+(vocabulary-bounded reduce, which also counts the variant's train
+docs); BOTH variants' LMs broadcast together and the val corpus is
+scored in ONE pass emitting per-variant `score_sums` partials -> a
+2-row reduce, finished by `lm_ab.ab_frame` (twin: `lm_ab.ab_sql`).
 
 Exactness: identical to `heldout_perplexity` (per-occurrence lp6 on
 the int 1e-6 grid, order-free sums, denom guard); the dedup winner
@@ -32,11 +33,15 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .functions.lm_ab import (lm_chain as _lm_chain,
-                              lm_from_counts as _lm_from_counts)
+from .functions.lm_ab import (BIGRAMS_SQL, SUMS, TOKENS_SQL, ab_frame,
+                              ab_sql, count_pass, lm_from_counts,
+                              score_sums)
 from .functions.textops import nibble_split, split_sql
 from .ops.exchange import exchange_by_key, sum_by
 from .queries import _pq, register
+
+
+_VARIANTS = ("raw", "dedup")
 
 
 def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
@@ -68,92 +73,32 @@ def q_dedup_lm_ab(sf_dir: str) -> pd.DataFrame:
             [["doc_id", "text"]]
 
     train = ds.map_batches(train_rows, batch_format="pandas").materialize()
+    counts = {"raw": count_pass(train)}
     # equal texts share a bucket, so the per-hash min is key-local
-    winners = exchange_by_key(train, ["text"], keep_min).materialize() \
-        if train.count() else train
-
-    def counts_of(dset) -> pd.DataFrame:
-        def cnt(b: pd.DataFrame) -> pd.DataFrame:
-            toks = b["text"].fillna("").str.split() if len(b) else \
-                pd.Series([], dtype=object)
-            grams = [f"{r[i]} {r[i + 1]}" for r in toks
-                     for i in range(len(r) - 1)]
-            unis = [w for r in toks for w in r]
-            return pd.DataFrame({
-                "kind": pd.Series(["b"] * len(grams)
-                                  + ["u"] * len(unis), dtype=object),
-                "g": pd.Series(grams + unis, dtype=object),
-                "n": np.int64(1)})
-        return sum_by(
-            dset.map_batches(cnt, batch_format="pandas"),
-            ["kind", "g"], ["n"])
-
-    n_raw = train.count()
-    n_ded = winners.count()
-    lm_raw = _lm_from_counts(counts_of(train))
-    lm_ded = _lm_from_counts(counts_of(winners))
-    lut_ref = ray.put((lm_raw, lm_ded))
+    counts["dedup"] = \
+        count_pass(exchange_by_key(train, ["text"], keep_min)) \
+        if counts["raw"][1] else counts["raw"]
+    lm_ref = ray.put({v: lm_from_counts(c) for v, (c, _) in counts.items()})
 
     def score(b: pd.DataFrame) -> pd.DataFrame:
-        lms = _get_broadcast(lut_ref)
         split = nibble_split(b["doc_id"].to_numpy(np.int64))
-        toks = b.loc[split == "val", "text"].fillna("").str.split()
-        rows = {"variant": [], "n_bigrams": [], "n_backoff": [],
-                "s_lp6": []}
-        for name, lm in zip(("raw", "dedup"), lms):
-            bgl, unl, unk = lm
-            nb = nbo = 0
-            s = 0
-            for r in toks:
-                for i in range(len(r) - 1):
-                    nb += 1
-                    lp = bgl.get(f"{r[i]} {r[i + 1]}")
-                    if lp is None:
-                        nbo += 1
-                        lp = unl.get(r[i + 1], unk)
-                    s += int(lp)
-            rows["variant"].append(name)
-            rows["n_bigrams"].append(nb)
-            rows["n_backoff"].append(nbo)
-            rows["s_lp6"].append(s)
-        out = pd.DataFrame(rows)
-        for c in ("n_bigrams", "n_backoff", "s_lp6"):
-            out[c] = out[c].astype("int64")
-        return out
+        texts = b.loc[split == "val", "text"]
+        return pd.DataFrame(
+            [(v, *score_sums(texts, lm))
+             for v, lm in _get_broadcast(lm_ref).items()],
+            columns=["variant", *SUMS])
 
     g = sum_by(ds.map_batches(score, batch_format="pandas"),
-               ["variant"],
-               ["n_bigrams", "n_backoff", "s_lp6"])
-    if g.empty:
-        g = pd.DataFrame({"variant": ["dedup", "raw"],
-                          "n_bigrams": np.int64(0),
-                          "n_backoff": np.int64(0),
-                          "s_lp6": np.int64(0)})
-    g = g.set_index("variant")
-    rows = []
-    for name, n_train in (("raw", n_raw), ("dedup", n_ded)):
-        nb = int(g.loc[name, "n_bigrams"]) if name in g.index else 0
-        nbo = int(g.loc[name, "n_backoff"]) if name in g.index else 0
-        s = int(g.loc[name, "s_lp6"]) if name in g.index else 0
-        rows.append((name, int(n_train), nb,
-                     float(nbo) / nb if nb else np.nan,
-                     (float(s) / nb) / 1e6 if nb else np.nan))
-    return pd.DataFrame(rows, columns=["variant", "n_train_docs",
-                                       "n_bigrams", "backoff_rate",
-                                       "mean_lp"]) \
-        .astype({"n_train_docs": "int64", "n_bigrams": "int64"}) \
-        .sort_values("variant").reset_index(drop=True)
+               ["variant"], SUMS).set_index("variant") \
+        .reindex(_VARIANTS, fill_value=0)
+    return ab_frame((v, counts[v][1], *g.loc[v, SUMS[1:]])
+                    for v in _VARIANTS)
 
 
-def _ab_oracle_sql() -> str:
-    return rf"""
+register("dedup_lm_ab", q_dedup_lm_ab, f"""
     WITH base AS (
-      SELECT doc_id,
-             {split_sql('doc_id')} AS split,
-             coalesce(text, '') AS txt,
-             list_filter(regexp_split_to_array(coalesce(text, ''),
-                                               '\s+'),
-                         x -> x <> '') AS t
+      SELECT doc_id, {split_sql('doc_id')} AS split,
+             coalesce(text, '') AS txt, {TOKENS_SQL} AS t
       FROM documents),
     traw AS (SELECT doc_id, t FROM base WHERE split = 'train'),
     tded AS (
@@ -162,43 +107,5 @@ def _ab_oracle_sql() -> str:
             WHERE split = 'train' GROUP BY txt) w
         ON w.keep = b.doc_id
       WHERE b.split = 'train'),
-    held AS (
-      SELECT unnest(CASE WHEN len(t) < 2 THEN []
-                         ELSE list_transform(range(1, len(t)),
-                                             i -> t[i] || ' '
-                                                  || t[i+1])
-                    END) AS bg
-      FROM base WHERE split = 'val'),
-    {_lm_chain("r_", "traw")},
-    {_lm_chain("d_", "tded")},
-    nt AS (SELECT (SELECT CAST(count(*) AS BIGINT) FROM traw)
-                    AS n_raw,
-                  (SELECT CAST(count(*) AS BIGINT) FROM tded)
-                    AS n_ded),
-    agg AS (
-      SELECT 'raw' AS variant, nt.n_raw AS n_train_docs,
-             CAST(count(s.lp6) AS BIGINT) AS n_bigrams,
-             CAST(coalesce(SUM(s.backoff), 0) AS BIGINT)
-               AS n_backoff,
-             SUM(s.lp6) AS s
-      FROM nt LEFT JOIN r_scored s ON TRUE
-      GROUP BY nt.n_raw
-      UNION ALL
-      SELECT 'dedup', nt.n_ded,
-             CAST(count(s.lp6) AS BIGINT),
-             CAST(coalesce(SUM(s.backoff), 0) AS BIGINT),
-             SUM(s.lp6)
-      FROM nt LEFT JOIN d_scored s ON TRUE
-      GROUP BY nt.n_ded)
-    SELECT variant, n_train_docs, n_bigrams,
-           CASE WHEN n_bigrams > 0
-                THEN CAST(n_backoff AS DOUBLE) / n_bigrams
-           END AS backoff_rate,
-           CASE WHEN n_bigrams > 0
-                THEN (CAST(CAST(s AS VARCHAR) AS DOUBLE)
-                      / n_bigrams) / 1000000.0
-           END AS mean_lp
-    FROM agg ORDER BY variant"""
-
-
-register("dedup_lm_ab", q_dedup_lm_ab, _ab_oracle_sql())
+    held AS (SELECT {BIGRAMS_SQL} AS bg FROM base WHERE split = 'val'),
+    {ab_sql([("raw", "r_", "traw"), ("dedup", "d_", "tded")])}""")

@@ -43,7 +43,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .functions.textops import TOK_SQL as _TOK_SQL
 from .functions.textops import halfaway6 as _halfaway6
 from .ops import exchange as _xc
 from .ops.exchange import sum_by

@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
 import pandas as pd
 
 DOC_COLUMNS = ["doc_id", "text", "lang", "source", "n_chars",
