@@ -1,68 +1,45 @@
 """Content-stream parser (M5).
 
 Re-implements the computation of the reference content-stream parser
-(``/root/reference/src/content/parser.rs:56-133``): postfix operand
-collection -> operator, resilient single-byte skip on parse failure, and the
-inline-image ``BI ... ID ... EI`` special case.
+(``src/content/parser.rs:56-133``): postfix operand collection -> operator,
+resilient single-byte skip on parse failure, and the inline-image
+``BI ... ID ... EI`` special case. It steps the object parser's tokenizer
+(``objects.TOKEN``, reference ``src/lexer.rs:34``) and reads operands with
+``objects.parse_token``, with one ``ParseMemo`` per stream.
 
 Operators are returned as ``(name, operands)`` tuples; the interpreter
 (``interpret.py``) dispatches on the name the way the reference dispatches on
-its ``Operator`` enum (``/root/reference/src/content/operators.rs:16-451``).
+its ``Operator`` enum (``src/content/operators.rs:16-451``).
 """
 
 from __future__ import annotations
 
-import re
-
-from .objects import (Name, ParseError, parse_hex_string,
-                      parse_literal_string, parse_number, parse_object,
-                      skip_ws)
-
-_NUM_START = set(b"0123456789+-.")
-
-# fast scanner for show-text arrays ("[ (a) -250 (b) ] TJ" is the hottest
-# construct in real content streams): numbers / ( / < / ] in one regex
-_ARR_ELEM = re.compile(rb"[\x00\t\n\x0c\r ]*(?:([+-]?[0-9.]+)|(.)?)", re.S)
-
-# Characters that may start an operator keyword
-# (reference is_operator_start, content/parser.rs:136-140)
-_OP_START = set(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ'\"*")
-
-_OP_CHARS = set(b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ'\"*0123456789")
+from .objects import (ARR, INLINE_ID, INT, KEYWORDS, KW, NUM, OTHER, TOKEN,
+                      Name, ParseError, ParseMemo, find, number, parse_object,
+                      parse_token)
 
 
-def _parse_operator_name(data: bytes, pos: int) -> tuple[str, int]:
-    start = pos
-    n = len(data)
-    while pos < n and data[pos] in _OP_CHARS:
-        pos += 1
-    if pos == start:
-        raise ParseError("not an operator")
-    return data[start:pos].decode("latin-1"), pos
-
-
-def _parse_inline_image(data: bytes, pos: int) -> tuple[tuple, int]:
+def _parse_inline_image(data: bytes, pos: int,
+                        memo: ParseMemo) -> tuple[tuple, int]:
     """Parse ``BI <dict> ID <binary> EI`` (reference parse_inline_image)."""
     d: dict = {}
-    n = len(data)
     while True:
-        pos = skip_ws(data, pos)
-        if pos >= n:
+        m = TOKEN.match(data, pos)
+        if m is None:
             raise ParseError("unterminated inline image dict")
-        if data[pos : pos + 2] == b"ID":
-            pos += 2
-            break
-        key, pos = parse_object(data, pos)
-        val, pos = parse_object(data, pos)
+        if m.lastindex == KW:
+            sep = INLINE_ID.match(data, m.start(KW))
+            if sep is not None:
+                pos = sep.end()
+                break
+        key, pos = parse_token(data, m, memo)
+        val, pos = parse_object(data, pos, memo)
         if isinstance(key, Name):
             d[str(key)] = val
-    if pos < n and data[pos] in b" \r\n":
-        pos += 1
-    end = data.find(b"EI", pos)
+    end = find(data, b"EI", pos, memo)
     if end < 0:
         raise ParseError("unterminated inline image data")
-    img = data[pos:end]
-    return ("BI", [d, img]), end + 2
+    return ("BI", [d, data[pos:end]]), end + 2
 
 
 def parse_content_stream(data: bytes) -> list[tuple[str, list]]:
@@ -70,109 +47,51 @@ def parse_content_stream(data: bytes) -> list[tuple[str, list]]:
 
     Mirrors the resilience of the reference parser: a byte that can't be
     parsed is skipped and parsing continues
-    (``/root/reference/src/content/parser.rs:78-87``).
+    (``src/content/parser.rs:78-87``). A keyword is a run of letters, digits
+    and ``' " *`` that starts with no digit; ``true``/``false``/``null``
+    are operands. Numbers skip ``parse_object``'s ``N G R`` lookahead:
+    content streams contain no indirect references (PDF spec 7.8.2).
     """
     ops: list[tuple[str, list]] = []
-    pos = 0
-    n = len(data)
     operands: list = []
-    while pos < n:
-        pos = skip_ws(data, pos)
-        if pos >= n:
-            break
-        b = data[pos]
-        if b in _OP_START:
-            # Try operand keywords first (true/false/null start with letters)
-            if data[pos : pos + 4] == b"true" and _ends_token(data, pos + 4):
-                operands.append(True)
-                pos += 4
-                continue
-            if data[pos : pos + 5] == b"false" and _ends_token(data, pos + 5):
-                operands.append(False)
-                pos += 5
-                continue
-            if data[pos : pos + 4] == b"null" and _ends_token(data, pos + 4):
-                operands.append(None)
-                pos += 4
-                continue
+    memo = ParseMemo()
+    match = TOKEN.match
+    pos = 0
+    while True:
+        m = match(data, pos)
+        if m is None:
+            return ops
+        i = m.lastindex
+        if i == INT or i == NUM:
             try:
-                name, npos = _parse_operator_name(data, pos)
-            except ParseError:
-                pos += 1
+                operands.append(number(m.group(i), m.start(i)))
+            except ValueError:
+                pos = m.start(i) + 1
                 operands = []
                 continue
-            if name == "BI":
+            pos = m.end()
+        elif i == KW:
+            kw = m.group(KW)
+            pos = m.end()
+            if kw in KEYWORDS:
+                operands.append(KEYWORDS[kw])
+                continue
+            if kw == b"BI":
                 try:
-                    op, pos = _parse_inline_image(data, npos)
+                    op, pos = _parse_inline_image(data, pos, memo)
                     ops.append(op)
                 except ParseError:
-                    pos = npos
-                operands = []
-                continue
-            ops.append((name, operands))
+                    pass
+            else:
+                ops.append((kw.decode("latin-1"), operands))
             operands = []
-            pos = npos
-        elif b in _NUM_START:
-            # content streams contain no indirect references (PDF spec
-            # 7.8.2), so numbers skip parse_object's "N G R" lookahead
-            try:
-                num, pos = parse_number(data, pos)
-                operands.append(num)
-            except (ParseError, ValueError):
-                pos += 1
-                operands = []
-        elif b == 0x5B:  # '[' — fast path for TJ-style arrays
-            try:
-                arr, pos = _parse_simple_array(data, pos)
-                operands.append(arr)
-            except ParseError:
-                pos += 1
-                operands = []
+        elif i == OTHER:  # no number, keyword or object starts with it
+            pos = m.start(OTHER) + 1
+            operands = []
         else:
             try:
-                obj, pos = parse_object(data, pos)
+                obj, pos = parse_token(data, m, memo, i == ARR)
                 operands.append(obj)
             except ParseError:
-                pos += 1
+                pos = m.start(i) + 1
                 operands = []
-    return ops
-
-
-def _parse_simple_array(data: bytes, pos: int) -> tuple[list, int]:
-    """Array of numbers / strings (the TJ shape) without per-element
-    parse_object dispatch; nested/unusual elements fall back to
-    parse_object. Semantics identical to parse_object's array branch."""
-    pos += 1  # consume '['
-    arr: list = []
-    n = len(data)
-    while True:
-        m = _ARR_ELEM.match(data, pos)
-        num, other = m.group(1), m.group(2)
-        if num is not None:
-            pos = m.end()
-            if b"." in num:
-                arr.append(float(num))
-            elif num in (b"+", b"-"):
-                raise ParseError(f"bad number at {pos}")
-            else:
-                arr.append(int(num))
-            continue
-        if other is None:
-            raise ParseError("unterminated array")
-        pos = m.end() - 1
-        b = other[0]
-        if b == 0x5D:  # ']'
-            return arr, pos + 1
-        if b == 0x28:  # '('
-            s, pos = parse_literal_string(data, pos)
-            arr.append(s)
-        elif b == 0x3C and not (pos + 1 < n and data[pos + 1] == 0x3C):
-            s, pos = parse_hex_string(data, pos)
-            arr.append(s)
-        else:
-            obj, pos = parse_object(data, pos)
-            arr.append(obj)
-
-
-def _ends_token(data: bytes, pos: int) -> bool:
-    return pos >= len(data) or data[pos] not in _OP_CHARS

@@ -16,6 +16,8 @@ import zlib
 
 import numpy as np
 
+from .objects import WHITESPACE
+
 MAX_DECODED_SIZE = 100 * 1024 * 1024  # bytes; reference decoders/mod.rs:46
 MAX_EXPANSION_RATIO = 100  # reference decoders/mod.rs:47
 
@@ -72,7 +74,7 @@ def ascii85_decode(data: bytes) -> bytes:
         s = s[2:]
     if s.endswith(b"~>"):
         s = s[:-2]
-    s = s.translate(None, b" \t\r\n\x0c\x00")
+    s = s.translate(None, WHITESPACE)
     if s and b"z" not in s:
         arr = np.frombuffer(s, dtype=np.uint8)
         if len(arr) % 5 != 1 and not ((arr < 33) | (arr > 117)).any():

@@ -34,7 +34,6 @@ from __future__ import annotations
 import re
 
 from .assemble import assemble_text
-from .content import parse_content_stream  # noqa: F401  (re-export for stages)
 from .decoders import decode_stream
 from .fonts import FontInfo
 from .interpret import TextExtractor, TextSpan

@@ -1,35 +1,30 @@
-"""PDF object model + tokenizer + recursive-descent parser.
+"""PDF object model, the kernel's one tokenizer, and the object parser.
 
-Re-implements (from public PDF 32000-1:2008 semantics) the computation of the
-reference's lexer/object-parser pair:
+One tokenizer serves both parsers, as the reference lexes PDF bytes once into
+one ``Token`` enum (reference ``src/lexer.rs:34``). ``TOKEN`` is one compiled
+alternation, stepped once per token: it skips whitespace and comments, its
+groups capture numbers, name bodies, keywords and plain literal-string bodies,
+and ``m.lastindex`` names the class that matched. ``parse_token`` (the
+reference object parser, ``src/parser.rs:48-560``) and
+``content.parse_content_stream`` (``src/content/parser.rs:56-91``) both read
+it. Each lexical class (whitespace, comment, delimiter, regular byte, number)
+is written once below; every other pattern, the ``N G R`` lookahead included,
+is built from them.
 
-* reference lexer: ``/root/reference/src/lexer.rs:34-468`` (numbers, literal
-  ``(...)`` strings with escapes, hex ``<...>`` strings, names with ``#xx``
-  escapes, keywords, delimiters)
-* reference object parser: ``/root/reference/src/parser.rs:48-560``
-  (recursive descent over tokens -> Object; literal-string escape decoding,
-  hex decoding)
+The object model maps the reference's ``Object`` enum (``src/object.rs:8-35``)
+onto Python natives: Null ``None``, Boolean ``bool``, Integer ``int``, Real
+``float``, String ``bytes``, Name ``Name`` (a str), Array ``list``,
+Dictionary ``dict`` (str keys, no ``/``), Stream ``Stream(dict, data)`` with
+the still-encoded data, Reference ``Ref(num, gen)``. All parsing operates on
+``bytes``; payload strings are encoded utf-8 first.
 
-The object model maps the reference's ``Object`` enum
-(``/root/reference/src/object.rs:8-35``) onto Python natives:
-
-=============  ======================================
-reference      here
-=============  ======================================
-Null           ``None``
-Boolean        ``bool``
-Integer        ``int``
-Real           ``float``
-String         ``bytes``
-Name           ``Name`` (str subclass)
-Array          ``list``
-Dictionary     ``dict`` (str keys, no leading ``/``)
-Stream         ``Stream(dict, data: bytes)``
-Reference      ``Ref(num, gen)``
-=============  ======================================
-
-All parsing operates on ``bytes`` (PDF is a byte-oriented format; payload
-strings are encoded utf-8 before parsing).
+A content stream is parsed with one ``ParseMemo``. The content parser skips
+one byte after a failed operand and lexes again, so without it every
+unterminated string or failed array would be scanned again from each later
+byte, which is quadratic. The memo is exact because a parse is a pure
+function of the bytes and its start offset: it keeps the failures of arrays
+and dictionaries by start, the offsets from which a ``find`` came up empty,
+and the literal strings that never close (see ``_unclosed_strings``).
 """
 
 from __future__ import annotations
@@ -41,27 +36,56 @@ from typing import NamedTuple
 WHITESPACE = b"\x00\t\n\x0c\r "
 DELIMITERS = b"()<>[]{}/%"
 
-# C-backed scanners for the hot paths (semantics identical to the byte
-# loops they replace; measured ~30% of extraction time was lexing)
-_WS_RE = re.compile(rb"(?:[\x00\t\n\x0c\r ]+|%[^\r\n]*)+")
-_REGULAR_RE = re.compile(rb"[^\x00\t\n\x0c\r ()<>\[\]{}/%]*")
-_NUM_RE = re.compile(rb"[+-]?[0-9.]*")
-# one-shot "ws+ gen ws* R" lookahead for indirect references: replaces a
-# skip_ws + parse_number + skip_ws chain that re-parsed the NEXT array
-# element for every integer (doubling number parsing in /Widths-style
-# int arrays). Comments are legal whitespace here; 'R' must end a token.
-# The alternation branches are single-char ws OR a comment (no inner +):
-# a nested (?:ws+|...)+ backtracks exponentially on a long whitespace
-# run that is NOT followed by 'gen R' (measured 12.8 s at 28 spaces).
-# The gen->R separator is * not +, matching the old skip_ws-may-be-empty
-# behavior so malformed-but-accepted refs like "1 0R" still parse.
-_REF_TAIL_RE = re.compile(
-    rb"(?:[\x00\t\n\x0c\r ]|%[^\r\n]*)+([0-9]+)"
-    rb"(?:[\x00\t\n\x0c\r ]|%[^\r\n]*)*R"
-    rb"(?=[\x00\t\n\x0c\r ()<>\[\]{}/%]|\Z)")
+
+def _byte_class(chars: bytes, negate: bool = False) -> bytes:
+    return b"[" + b"^" * negate + re.escape(chars) + b"]"
+
+
+_WS = _byte_class(WHITESPACE)
+_REGULAR = _byte_class(WHITESPACE + DELIMITERS, negate=True)
+_BOUNDARY = rb"(?=" + _byte_class(WHITESPACE + DELIMITERS) + rb"|\Z)"
+_COMMENT = rb"%[^\r\n]*"
+# a comment can end anywhere on its line only where a pattern backtracks
+# into it; the possessive gap never does
+_GAP = rb"(?:" + _WS + rb"+|" + _COMMENT + rb")*+"
+_NUMBER = rb"[+-][0-9.]*|[0-9.]+"
+_INTEGER = rb"[+-]?[0-9]++(?!\.)"  # a number with no dot
+# content-stream keyword (reference is_operator_start, content/parser.rs:136)
+_OPERATOR = rb"[A-Za-z'\"*][A-Za-z0-9'\"*]*"
+
+# what ``m.lastindex`` of a ``TOKEN`` match reports for each token class;
+# COMMENT is set (``m.start(COMMENT) >= 0``) when a comment came before it
+COMMENT, INT, NUM, NAME, STR, KW, OTHER, ARR, ARR_END, DICT, DICT_END, \
+    DELIM = range(1, 13)
+TOKEN = re.compile(
+    rb"(?:" + _WS + rb"+|(?=(%))" + _COMMENT + rb")*+"
+    rb"(?:(" + _INTEGER + rb")|(" + _NUMBER + rb")"
+    rb"|/(" + _REGULAR + rb"*)"
+    rb"|\(([^()\\]*)\)"                 # literal string without escapes
+    rb"|(" + _OPERATOR + rb")"
+    rb"|(" + _REGULAR + rb")"           # any other regular byte
+    rb"|(\[)|(\])|(<<)|(>>)"
+    rb"|(" + _byte_class(DELIMITERS) + rb"))")
+_GAP_MATCH = re.compile(_GAP).match
+_REGULAR_RUN = re.compile(_REGULAR + rb"*").match
+_DIGITS = re.compile(rb"[0-9]+")
+_IS_BOUNDARY = re.compile(_BOUNDARY).match
+# "ws+ gen ws* R" after a non-negative integer, when no comment sits in the
+# gaps; a comment sets group 2 or 3 and hands over to _ref_across_comments
+_REF_TAIL = re.compile(
+    rb"(?=" + _byte_class(WHITESPACE + b"%") + rb")" + _WS + rb"*+"
+    rb"(?:([0-9]++)" + _WS + rb"*+(?:R" + _BOUNDARY + rb"|(%))|(%))")
+_EOL = re.compile(rb"(?:\r\n|[\r\n])?").match
 _LIT_SPECIAL_RE = re.compile(rb"[()\\]")
-_REGULAR_TABLE = [b not in WHITESPACE and b not in DELIMITERS
-                  for b in range(256)]
+_OCTAL = re.compile(rb"[0-7]{1,3}")
+_ESCAPES = {0x6E: 0x0A, 0x72: 0x0D, 0x74: 0x09, 0x62: 0x08, 0x66: 0x0C}
+# escapes consume the byte after the backslash; octal digits and a CRLF
+# continuation's LF are no parens, so this steps like parse_literal_string
+_LIT_EVENT = re.compile(rb"\\[\s\S]?|[()]")
+# ``ID`` and the one space or EOL byte before inline image data
+# (reference content/parser.rs parse_inline_image)
+INLINE_ID = re.compile(rb"ID[ \r\n]?")
+KEYWORDS = {b"true": True, b"false": False, b"null": None}
 
 
 class Name(str):
@@ -72,7 +96,7 @@ class Name(str):
 
 class Ref(NamedTuple):
     """Indirect object reference (``N G R``); mirrors ``ObjectRef``
-    (``/root/reference/src/object.rs:38-44``)."""
+    (``src/object.rs:38-44``)."""
 
     num: int
     gen: int
@@ -90,32 +114,81 @@ class ParseError(ValueError):
     pass
 
 
-def _is_regular(b: int) -> bool:
-    return _REGULAR_TABLE[b]
+class ParseMemo:
+    """What the failed parses of one content stream showed (see above)."""
+
+    __slots__ = ("failed", "absent", "lit_from", "lit_open")
+
+    def __init__(self) -> None:
+        self.failed: dict = {}   # (start, operand) -> ParseError message
+        self.absent: dict = {}   # needle -> offset from which find misses
+        self.lit_from = -1       # start of the first string that never closed
+        self.lit_open: set = set()  # '(' offsets from it that never close
 
 
 def skip_ws(data: bytes, pos: int) -> int:
-    """Skip whitespace and ``%`` comments (to end of line). Fast path for
-    the overwhelmingly common SINGLE-whitespace separator (space or a
-    lone newline) avoids the regex."""
-    n = len(data)
-    if pos < n and data[pos] in WHITESPACE:
-        nxt = pos + 1
-        if nxt >= n or (data[nxt] not in WHITESPACE and data[nxt] != 0x25):
-            return nxt
-    m = _WS_RE.match(data, pos)
-    return m.end() if m else pos
+    """Skip whitespace and ``%`` comments (to end of line)."""
+    if 0 <= pos <= len(data):
+        return _GAP_MATCH(data, pos).end()
+    # a /Length past either end: past the end stays put, and a negative
+    # offset indexes from the end (IndexError below -len(data))
+    if pos > 0:
+        return pos
+    if data[pos] in WHITESPACE and data[pos + 1] not in WHITESPACE + b"%":
+        return pos + 1
+    return _GAP_MATCH(data, 0).end() or pos
 
 
-def parse_literal_string(data: bytes, pos: int) -> tuple[bytes, int]:
+def find(data: bytes, needle: bytes, pos: int, memo: ParseMemo | None) -> int:
+    """``data.find(needle, pos)``, remembering a miss: no later start can
+    find what an earlier one did not."""
+    if memo is None:
+        return data.find(needle, pos)
+    if pos >= memo.absent.get(needle, pos + 1):
+        return -1
+    at = data.find(needle, pos)
+    if at < 0:
+        memo.absent[needle] = pos
+    return at
+
+
+def _unclosed_strings(data: bytes, start: int) -> set:
+    """Offsets of the ``(`` bytes from ``start`` on whose literal strings
+    run off the end, given that the one at ``start`` does.
+
+    Every ``(`` after ``start`` is a paren or an escaped byte of that scan,
+    and the scan is between tokens right after it, so a scan from there runs
+    in step with this one at a depth offset: it closes at the first later
+    ``)`` that takes this scan's depth below its depth after that ``(``."""
+    depth = 0
+    lows: list = []    # depth after each ')'
+    opens: list = []   # (offset, depth after it, number of ')' before it)
+    for m in _LIT_EVENT.finditer(data, start):
+        tok = m.group()
+        if tok == b")":
+            depth -= 1
+            lows.append(depth)
+        elif tok.endswith(b"("):  # a paren, or an escaped one: no depth
+            depth += tok == b"("
+            opens.append((m.end() - 1, depth, len(lows)))
+    floor = [depth] * (len(lows) + 1)
+    for k in range(len(lows) - 1, -1, -1):
+        floor[k] = min(lows[k], floor[k + 1])
+    return {t for t, d, k in opens if floor[k] >= d}
+
+
+def parse_literal_string(data: bytes, pos: int,
+                         memo: ParseMemo | None = None) -> tuple[bytes, int]:
     """Parse ``(...)`` literal string with escapes and balanced parens.
 
     Escape semantics follow the reference's ``decode_literal_string_escapes``
-    (``/root/reference/src/parser.rs:169``): ``\\n \\r \\t \\b \\f \\( \\) \\\\``,
+    (``src/parser.rs:169``): ``\\n \\r \\t \\b \\f \\( \\) \\\\``,
     1-3 digit octal, backslash-newline line continuation, unknown escape ->
     literal char.
     """
-    assert data[pos] == 0x28  # '('
+    if memo is not None and pos >= memo.lit_from >= 0 and pos in memo.lit_open:
+        raise ParseError("unterminated literal string")
+    start = pos
     pos += 1
     out = bytearray()
     depth = 1
@@ -125,69 +198,46 @@ def parse_literal_string(data: bytes, pos: int) -> tuple[bytes, int]:
         m = _LIT_SPECIAL_RE.search(data, pos)
         if m is None:
             break
-        if m.start() > pos:
-            out += data[pos:m.start()]
-            pos = m.start()
+        out += data[pos:m.start()]
+        pos = m.start()
         b = data[pos]
         if b == 0x5C:  # backslash
             pos += 1
             if pos >= n:
                 break
             e = data[pos]
-            if e == 0x6E:  # n
-                out.append(0x0A)
-                pos += 1
-            elif e == 0x72:  # r
-                out.append(0x0D)
-                pos += 1
-            elif e == 0x74:  # t
-                out.append(0x09)
-                pos += 1
-            elif e == 0x62:  # b
-                out.append(0x08)
-                pos += 1
-            elif e == 0x66:  # f
-                out.append(0x0C)
-                pos += 1
-            elif e in (0x28, 0x29, 0x5C):  # ( ) \
-                out.append(e)
-                pos += 1
-            elif 0x30 <= e <= 0x37:  # octal, 1-3 digits
-                val = 0
-                cnt = 0
-                while pos < n and cnt < 3 and 0x30 <= data[pos] <= 0x37:
-                    val = val * 8 + (data[pos] - 0x30)
-                    pos += 1
-                    cnt += 1
-                out.append(val & 0xFF)
+            if 0x30 <= e <= 0x37:  # octal, 1-3 digits
+                o = _OCTAL.match(data, pos)
+                out.append(int(o.group(), 8) & 0xFF)
+                pos = o.end()
             elif e in (0x0A, 0x0D):  # line continuation
                 pos += 1
                 if e == 0x0D and pos < n and data[pos] == 0x0A:
                     pos += 1
-            else:  # unknown escape -> literal
-                out.append(e)
+            else:  # \n \r \t \b \f, else the byte itself
+                out.append(_ESCAPES.get(e, e))
                 pos += 1
         elif b == 0x28:  # '('
             depth += 1
             out.append(b)
             pos += 1
-        elif b == 0x29:  # ')'
+        else:  # ')'
             depth -= 1
             if depth == 0:
                 return bytes(out), pos + 1
             out.append(b)
             pos += 1
-        else:
-            out.append(b)
-            pos += 1
+    if memo is not None and not 0 <= memo.lit_from < start:
+        memo.lit_from = start
+        memo.lit_open = _unclosed_strings(data, start)
     raise ParseError("unterminated literal string")
 
 
-def parse_hex_string(data: bytes, pos: int) -> tuple[bytes, int]:
+def parse_hex_string(data: bytes, pos: int,
+                     memo: ParseMemo | None = None) -> tuple[bytes, int]:
     """Parse ``<...>`` hex string; odd final digit is padded with 0
-    (reference ``decode_hex``, ``/root/reference/src/parser.rs:517``)."""
-    assert data[pos] == 0x3C  # '<'
-    end = data.find(b">", pos + 1)
+    (reference ``decode_hex``, ``src/parser.rs:517``)."""
+    end = find(data, b">", pos + 1, memo)
     if end < 0:
         raise ParseError("unterminated hex string")
     digits = data[pos + 1 : end].translate(None, WHITESPACE)
@@ -200,26 +250,24 @@ def parse_hex_string(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 _NAME_CACHE: dict[bytes, "Name"] = {}
+_KEYS: dict[bytes, str] = {}  # the same, as the plain str of a dict key
 
 
-def parse_name(data: bytes, pos: int) -> tuple[Name, int]:
-    """Parse ``/Name`` with ``#xx`` escapes (reference lexer name rules,
-    ``/root/reference/src/lexer.rs``). Escape-free names are interned in
-    a bounded module cache — PDF name vocabulary (/Type /Page /Font ...)
-    is tiny and highly repetitive."""
-    assert data[pos] == 0x2F  # '/'
-    pos += 1
-    m = _REGULAR_RE.match(data, pos)
-    end = m.end()
-    tok = data[pos:end]
-    if b"#" not in tok:  # fast path: no escapes
+def _name(data: bytes, m: re.Match) -> Name:
+    """The name of a ``NAME`` token, with ``#xx`` escapes (reference lexer
+    name rules, ``src/lexer.rs``). Escape-free names are interned in a
+    bounded module cache — PDF name vocabulary (/Type /Page /Font ...) is
+    tiny and highly repetitive."""
+    tok = m.group(NAME)
+    if b"#" not in tok:
         nm = _NAME_CACHE.get(tok)
         if nm is None:
             nm = Name(tok.decode("latin-1"))
             if len(_NAME_CACHE) < 4096:
                 _NAME_CACHE[tok] = nm
-        return nm, end
+        return nm
     out = bytearray()
+    pos, end = m.span(NAME)
     n = len(data)
     while pos < end:
         b = data[pos]
@@ -232,133 +280,164 @@ def parse_name(data: bytes, pos: int) -> tuple[Name, int]:
                 pass
         out.append(b)
         pos += 1
-    return Name(out.decode("latin-1")), end
+    return Name(out.decode("latin-1"))
 
 
-_NUM_CHARS = b"0123456789+-."
-
-
-def parse_number(data: bytes, pos: int) -> tuple[int | float, int]:
-    start = pos
-    tok = _NUM_RE.match(data, pos).group()
-    pos = start + len(tok)
-    if not tok or tok in (b"+", b"-", b"."):
+def number(tok: bytes, start: int) -> int | float:
+    """The value of a number token that starts at ``start``."""
+    if tok in (b"+", b"-", b"."):
         raise ParseError(f"bad number at {start}")
-    if b"." in tok:
-        return float(tok), pos
-    return int(tok), pos
+    return float(tok) if b"." in tok else int(tok)
 
 
-def parse_object(data: bytes, pos: int) -> tuple[object, int]:
-    """Parse one PDF object starting at ``pos`` (after any whitespace).
+def _ref_across_comments(data: bytes, pos: int) -> tuple[int, int] | None:
+    """(gen, end) of the ``N G R`` lookahead at ``pos`` when a comment sits
+    in a gap. The rule is that of a backtracking ``gap+ ([0-9]+) gap* R``,
+    where a comment in a gap may end anywhere on its line: every offset up
+    to the end of the gap can end it, and the farthest are tried first. So
+    the last digit run that is followed by an ``R`` wins; inside a comment
+    only its last digit is the generation."""
+    far = _GAP_MATCH(data, pos).end()
+    runs = [(m.end() - 1, m.end()) for m in _DIGITS.finditer(data, pos, far)]
+    m = _DIGITS.match(data, far)
+    if m is not None:
+        runs.append((far, m.end()))
+    for start, end in reversed(runs):
+        r_far = _GAP_MATCH(data, end).end()
+        r = data.rfind(b"R", end, r_far + 1)
+        while r >= 0:
+            if _IS_BOUNDARY(data, r + 1):
+                return int(data[start:end]), r + 1
+            r = data.rfind(b"R", end, r)
+    return None
 
-    Returns ``(object, next_pos)``. Handles ``N G R`` references and
-    ``dict + stream`` when the stream keyword follows a dictionary.
-    Mirrors the reference recursive-descent parser
-    (``/root/reference/src/parser.rs:48``).
-    """
-    n = len(data)
-    if pos < n and data[pos] == 0x20 and \
-            (pos + 1 >= n or (data[pos + 1] not in WHITESPACE
-                              and data[pos + 1] != 0x25)):
-        pos += 1  # single-space fast path
-    else:
-        m = _WS_RE.match(data, pos)
-        if m is not None:
-            pos = m.end()
-    if pos >= n:
+
+def parse_object(data: bytes, pos: int,
+                 memo: ParseMemo | None = None) -> tuple[object, int]:
+    """Parse one PDF object starting at ``pos`` (after any whitespace);
+    returns ``(object, next_pos)`` as ``parse_token`` does."""
+    m = TOKEN.match(data, pos)
+    if m is None:
         raise ParseError("eof")
-    b = data[pos]
+    return parse_token(data, m, memo)
 
-    if b == 0x28:  # (
-        return parse_literal_string(data, pos)
-    if b == 0x2F:  # /
-        return parse_name(data, pos)
-    if b == 0x5B:  # [
-        pos += 1
-        arr: list = []
-        while True:
-            pos = skip_ws(data, pos)
-            if pos >= n:
-                raise ParseError("unterminated array")
-            if data[pos] == 0x5D:  # ]
-                return arr, pos + 1
-            obj, pos = parse_object(data, pos)
-            arr.append(obj)
-    if b == 0x3C:  # < : hex string or dict
-        if pos + 1 < n and data[pos + 1] == 0x3C:  # <<
-            pos += 2
+
+def parse_token(data: bytes, m: re.Match, memo: ParseMemo | None = None,
+                operand: bool = False) -> tuple[object, int]:
+    """The object that starts with the ``TOKEN`` match ``m``, and the offset
+    after it (reference ``src/parser.rs:48``). ``N G R`` reads as a
+    ``Ref``, and a dictionary followed by ``stream`` as a ``Stream``.
+
+    ``memo`` is the ``ParseMemo`` of a content stream. ``operand`` marks an
+    array that is a content-stream operand: an element with no comment
+    before it reads its number without the ``N G R`` lookahead (a lone ``.``
+    goes to ``float``), and a ``]`` or the end after a comment fails it."""
+    i = m.lastindex
+    if i == NAME:
+        return _name(data, m), m.end()
+    if i == INT:
+        num = int(m.group(INT))
+        if num >= 0:
+            tail = _REF_TAIL.match(data, m.end())
+            if tail is not None:
+                if tail.lastindex == 1:
+                    return Ref(num, int(tail.group(1))), tail.end()
+                tail = _ref_across_comments(data, m.end())
+                if tail is not None:
+                    return Ref(num, tail[0]), tail[1]
+        return num, m.end()
+    if i == NUM:
+        return number(m.group(NUM), m.start(NUM)), m.end()
+    if i == STR:
+        return m.group(STR), m.end()
+    if i == ARR or i == DICT:
+        start = m.start(i)
+        if memo is not None and (start, operand) in memo.failed:
+            raise ParseError(memo.failed[start, operand])
+        match = TOKEN.match
+        pos = m.end()
+        try:
+            if i == ARR:
+                arr: list = []
+                while True:
+                    m = match(data, pos)
+                    if m is None:
+                        raise ParseError("unterminated array")
+                    i = m.lastindex
+                    bare = operand and m.start(COMMENT) < 0
+                    if i == ARR_END and (bare or not operand):
+                        return arr, m.end()
+                    if bare and (i == INT or i == NUM):
+                        tok = m.group(i)
+                        arr.append(float(tok) if tok == b"."
+                                   else number(tok, m.start(i)))
+                        pos = m.end()
+                        continue
+                    obj, pos = parse_token(data, m, memo)
+                    arr.append(obj)
             d: dict = {}
             while True:
-                pos = skip_ws(data, pos)
-                if pos + 1 < n and data[pos] == 0x3E and data[pos + 1] == 0x3E:  # >>
-                    pos += 2
-                    break
-                if pos >= n:
+                m = match(data, pos)
+                if m is None:
                     raise ParseError("unterminated dict")
-                if data[pos] != 0x2F:  # keys are always names
+                i = m.lastindex
+                if i == DICT_END:
+                    break
+                if i != NAME:
                     raise ParseError("dict key is not a name")
-                key, pos = parse_name(data, pos)
-                val, pos = parse_object(data, pos)
-                d[str(key)] = val
-            # check for stream keyword
+                tok = m.group(NAME)
+                key = _KEYS.get(tok)
+                if key is None:
+                    key = str(_name(data, m))
+                    if b"#" not in tok and len(_KEYS) < 4096:
+                        _KEYS[tok] = key
+                m = match(data, m.end())
+                if m is None:
+                    raise ParseError("eof")
+                d[key], pos = parse_token(data, m, memo)
+            pos = m.end()
             spos = skip_ws(data, pos)
-            if data[spos : spos + 6] == b"stream":
-                spos += 6
-                if data[spos : spos + 2] == b"\r\n":
-                    spos += 2
-                elif spos < n and data[spos] in (0x0A, 0x0D):
-                    spos += 1
-                length = d.get("Length")
-                if isinstance(length, int):
-                    sdata = data[spos : spos + length]
-                    epos = skip_ws(data, spos + length)
-                else:
-                    end = data.find(b"endstream", spos)
-                    if end < 0:
-                        raise ParseError("unterminated stream")
-                    sdata = data[spos:end]
-                    # strip at most one trailing EOL added before endstream
-                    if sdata.endswith(b"\r\n"):
-                        sdata = sdata[:-2]
-                    elif sdata.endswith(b"\n") or sdata.endswith(b"\r"):
-                        sdata = sdata[:-1]
-                    epos = end
-                if data[epos : epos + 9] != b"endstream":
-                    # Length mismatch: fall back to scanning
-                    end = data.find(b"endstream", spos)
-                    if end < 0:
-                        raise ParseError("missing endstream")
-                    sdata = data[spos:end]
-                    if sdata.endswith(b"\r\n"):
-                        sdata = sdata[:-2]
-                    elif sdata.endswith(b"\n") or sdata.endswith(b"\r"):
-                        sdata = sdata[:-1]
-                    epos = end
-                return Stream(d, bytes(sdata)), epos + 9
-            return d, pos
-        return parse_hex_string(data, pos)
-
-    if b in _NUM_CHARS:
-        num, npos = parse_number(data, pos)
-        # possible "N G R" reference
-        if isinstance(num, int) and num >= 0:
-            m = _REF_TAIL_RE.match(data, npos)
-            if m is not None:
-                return Ref(num, int(m.group(1))), m.end()
-        return num, npos
-
-    # keyword: true / false / null
-    if _is_regular(b):
-        start = pos
-        while pos < n and _is_regular(data[pos]):
-            pos += 1
-        kw = data[start:pos]
-        if kw == b"true":
-            return True, pos
-        if kw == b"false":
-            return False, pos
-        if kw == b"null":
-            return None, pos
+            if not data.startswith(b"stream", spos):
+                return d, pos
+            return _stream(data, d, spos + 6, memo)
+        except ParseError as exc:
+            if memo is not None:
+                memo.failed[start, operand] = exc.args[0]
+            raise
+    if i == KW or i == OTHER:
+        start = m.start(i)
+        kw = _REGULAR_RUN(data, start).group()
+        if kw in KEYWORDS:
+            return KEYWORDS[kw], start + len(kw)
         raise ParseError(f"unexpected keyword {kw!r} at {start}")
-    raise ParseError(f"unexpected byte {b:#x} at {pos}")
+    start = m.start(i)
+    b = data[start]
+    if b == 0x28:  # (
+        return parse_literal_string(data, start, memo)
+    if b == 0x3C:  # <
+        return parse_hex_string(data, start, memo)
+    raise ParseError(f"unexpected byte {b:#x} at {start}")
+
+
+def _stream(data: bytes, d: dict, spos: int,
+            memo: ParseMemo | None) -> tuple[Stream, int]:
+    """The stream whose dictionary ``d`` is followed by ``stream`` ending
+    just before ``spos``: ``/Length`` bytes when ``endstream`` follows
+    them, else up to ``endstream`` less one trailing EOL."""
+    spos = _EOL(data, spos).end()
+    length = d.get("Length")
+    if isinstance(length, int):
+        sdata = data[spos : spos + length]
+        epos = skip_ws(data, spos + length)
+        if data[epos : epos + 9] == b"endstream":
+            return Stream(d, bytes(sdata)), epos + 9
+    end = find(data, b"endstream", spos, memo)
+    if end < 0:
+        raise ParseError("missing endstream" if isinstance(length, int)
+                         else "unterminated stream")
+    sdata = data[spos:end]
+    if sdata.endswith(b"\r\n"):
+        sdata = sdata[:-2]
+    elif sdata.endswith((b"\n", b"\r")):
+        sdata = sdata[:-1]
+    return Stream(d, bytes(sdata)), end + 9

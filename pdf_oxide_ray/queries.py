@@ -3088,14 +3088,14 @@ ORACLE_SQL = {
                ROUND(quantile_cont(l_quantity, 0.5), 6) AS p50,
                ROUND(quantile_cont(l_quantity, 0.9), 6) AS p90
         FROM lineitem GROUP BY l_returnflag""",
-    "normalize_text": """
+    "normalize_text": r"""
         SELECT doc_id,
                md5(trim(regexp_replace(lower(text), '\s+', ' ', 'g')))
                  AS norm_md5,
                CAST(length(trim(regexp_replace(lower(text), '\s+', ' ',
                                                'g'))) AS BIGINT) AS norm_len
         FROM documents""",
-    "redact_pii": """
+    "redact_pii": r"""
         WITH r AS (
           SELECT doc_id,
                  CAST(length(text) - length(regexp_replace(text,

@@ -3,9 +3,13 @@ deterministic on arbitrary input (row-level error absorption — a poison
 payload cannot fail a 10^12-row job; mirrors the reference's 100%-success
 goal, README.md:21)."""
 
+import time
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdf_oxide_ray.core.content import parse_content_stream
 from pdf_oxide_ray.core.payload import detect_payload_kind, extract_payload
 
 REQUIRED_KEYS = {"kind", "extracted_text", "markdown", "spans", "status",
@@ -110,3 +114,49 @@ def test_mutated_real_pdfs_absorbed(seed, cut, flips):
     assert set(r1) >= REQUIRED_KEYS
     assert r1["status"] in ("ok", "error")
     assert r1 == r2
+
+
+# A content stream of stray delimiters: each failed operand used to be
+# scanned again from every later byte (25 s for 8,000 '(' before the
+# per-stream ParseMemo); each bound is over 10x below those old times.
+@pytest.mark.parametrize("data,bound_s", [
+    (b"(" * 8000, 2.0),
+    (b"\\(" * 10_000, 2.0),
+    (b"[(" * 8000, 2.0),
+    (b"[" * 400 + b"(x) 1 " * 5000 + b"}", 1.0),
+], ids=["open_parens", "escaped_parens", "array_strings", "nested_arrays"])
+def test_stray_delimiter_floods_parse_in_linear_time(data, bound_s):
+    t0 = time.perf_counter()
+    assert parse_content_stream(data) == []
+    assert time.perf_counter() - t0 < bound_s
+
+
+def _one_page_pdf(content: bytes) -> str:
+    objs = [b"<< /Type /Catalog /Pages 2 0 R >>",
+            b"<< /Type /Pages /Kids [3 0 R] /Count 1 >>",
+            b"<< /Type /Page /Parent 2 0 R /MediaBox [0 0 612 792] "
+            b"/Resources << /Font << /F1 5 0 R >> >> /Contents 4 0 R >>",
+            b"<< /Length %d >>\nstream\n%s\nendstream" % (len(content),
+                                                         content),
+            b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>"]
+    out = b"%PDF-1.4\n"
+    offsets = []
+    for num, body in enumerate(objs, 1):
+        offsets.append(len(out))
+        out += b"%d 0 obj\n%s\nendobj\n" % (num, body)
+    xref = len(out)
+    out += b"xref\n0 %d\n0000000000 65535 f \n" % (len(objs) + 1)
+    out += b"".join(b"%010d 00000 n \n" % off for off in offsets)
+    out += b"trailer\n<< /Size %d /Root 1 0 R >>\nstartxref\n%d\n%%%%EOF" % (
+        len(objs) + 1, xref)
+    return out.decode("latin-1")
+
+
+def test_page_ending_in_open_parens_extracts_fast():
+    """6.9 s before the ParseMemo, for a 4 KB tail of '('."""
+    pdf = _one_page_pdf(b"BT /F1 12 Tf 72 700 Td (Hello) Tj ET " + b"(" * 4000)
+    t0 = time.perf_counter()
+    res = extract_payload(pdf)
+    assert time.perf_counter() - t0 < 1.0
+    assert res["status"] == "ok"
+    assert res["extracted_text"] == "Hello"

@@ -1,6 +1,8 @@
 """Object/lexer layer tests (mirrors reference src/object.rs:352-544 and
 parser tests)."""
 
+import re
+
 import pytest
 
 from pdf_oxide_ray.core.objects import (
@@ -114,3 +116,69 @@ def test_ref_lookahead_linear_on_whitespace_runs():
 
 def test_ref_with_comment_separators():
     assert parse(b"[1 % c\n 0 % c\n R]") == [Ref(1, 0)]
+
+
+def test_number_ends_where_a_keyword_starts():
+    assert parse_object(b"12Tf", 0) == (12, 2)
+    assert parse_object(b"-.5/N", 0) == (-0.5, 3)
+
+
+def test_comments_inside_containers():
+    assert parse_object(b"[1 %c\n 2 %c\n]", 0) == ([1, 2], 13)
+    assert parse(b"<< /A %c\n 1 %c\n /B 2 >>") == {"A": 1, "B": 2}
+
+
+def test_keyword_is_the_whole_regular_run():
+    with pytest.raises(ParseError, match=r"^unexpected keyword b'null\.' at 0$"):
+        parse(b"null.")
+    assert parse_object(b"true)", 0) == (True, 4)
+    with pytest.raises(ParseError, match=r"^unexpected keyword b'Tj\.' at 1$"):
+        parse(b" Tj.")
+
+
+def test_bad_numbers():
+    with pytest.raises(ParseError, match="^bad number at 0$"):
+        parse(b"+")
+    # float() rejects these: a ValueError, not a ParseError
+    for data in (b"-.", b"1.2.3"):
+        with pytest.raises(ValueError, match="could not convert") as exc:
+            parse(data)
+        assert exc.type is ValueError
+
+
+def test_reference_tails():
+    assert parse_object(b"1 0R", 0) == (Ref(1, 0), 4)
+    assert parse_object(b"1 0 R.", 0) == (1, 1)
+    assert parse_object(b"1 0 Rx", 0) == (1, 1)
+    # a comment in a gap may end anywhere on its line, and the farthest
+    # generation that an R follows is taken
+    assert parse_object(b"1 %x12 R", 0) == (Ref(1, 2), 8)
+    assert parse_object(b"1 0 %R R", 0) == (Ref(1, 0), 8)
+
+
+def test_ref_lookahead_linear_on_percent_runs():
+    # the former backtracking lookahead tried every split of a run of '%'
+    # into comments (2^k ways): 40 of them never finished
+    import time
+
+    t0 = time.perf_counter()
+    assert parse(b"<< /A 1 " + b"%" * 40 + b"\n>>") == {"A": 1}
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_unterminated_input():
+    for data, msg in [(b"<", "unterminated hex string"),
+                      (b"(abc", "unterminated literal string"),
+                      (b"[1 2", "unterminated array"),
+                      (b"<< /A 1", "unterminated dict"),
+                      (b"<< 1 2 >>", "dict key is not a name"),
+                      (b"<< >>stream\nab", "unterminated stream"),
+                      (b"", "eof")]:
+        with pytest.raises(ParseError, match=f"^{re.escape(msg)}$"):
+            parse(data)
+
+
+def test_stray_delimiters():
+    for b in b")]>{}":
+        with pytest.raises(ParseError, match=f"^unexpected byte {b:#x} at 1$"):
+            parse(b" " + bytes([b]))

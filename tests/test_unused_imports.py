@@ -45,6 +45,21 @@ def _unused(path: pathlib.Path) -> list:
             for name, line in bound.items() if name not in used]
 
 
+def test_modules_compile_without_warnings():
+    """An invalid escape like ``'\\s'`` in a plain string warns on every
+    import and is an error in later Pythons."""
+    bad = []
+    for path in _files():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                compile(path.read_text(), str(path), "exec")
+            except (SyntaxError, SyntaxWarning, DeprecationWarning) as exc:
+                bad.append(f"{path.relative_to(_ROOT)}: {exc}")
+    assert not bad, "\n".join(bad)
+
+
 def test_no_unused_module_level_imports():
     bad = [u for p in _files() for u in _unused(p)]
     assert not bad, "unused imports:\n" + "\n".join(bad)
