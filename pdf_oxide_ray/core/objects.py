@@ -24,7 +24,9 @@ unterminated string or failed array would be scanned again from each later
 byte, which is quadratic. The memo is exact because a parse is a pure
 function of the bytes and its start offset: it keeps the failures of arrays
 and dictionaries by start, the offsets from which a ``find`` came up empty,
-and the literal strings that never close (see ``_unclosed_strings``).
+and the literal strings that never close (see ``_unclosed_strings``). One
+exception keeps a flood of ``[`` linear: an array that failed for lying
+deeper than ``MAX_NESTING`` stays failed in that stream at any depth.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ _LIT_EVENT = re.compile(rb"\\[\s\S]?|[()]")
 # (reference content/parser.rs parse_inline_image)
 INLINE_ID = re.compile(rb"ID[ \r\n]?")
 KEYWORDS = {b"true": True, b"false": False, b"null": None}
+# a deeper array or dictionary fails alone instead of overflowing the stack
+# (the reference caps object-load recursion at 100, ``src/document.rs:21``)
+MAX_NESTING = 100
 
 
 class Name(str):
@@ -323,7 +328,7 @@ def parse_object(data: bytes, pos: int,
 
 
 def parse_token(data: bytes, m: re.Match, memo: ParseMemo | None = None,
-                operand: bool = False) -> tuple[object, int]:
+                operand: bool = False, depth: int = 0) -> tuple[object, int]:
     """The object that starts with the ``TOKEN`` match ``m``, and the offset
     after it (reference ``src/parser.rs:48``). ``N G R`` reads as a
     ``Ref``, and a dictionary followed by ``stream`` as a ``Stream``.
@@ -331,7 +336,9 @@ def parse_token(data: bytes, m: re.Match, memo: ParseMemo | None = None,
     ``memo`` is the ``ParseMemo`` of a content stream. ``operand`` marks an
     array that is a content-stream operand: an element with no comment
     before it reads its number without the ``N G R`` lookahead (a lone ``.``
-    goes to ``float``), and a ``]`` or the end after a comment fails it."""
+    goes to ``float``), and a ``]`` or the end after a comment fails it.
+    ``depth`` counts the arrays and dictionaries around ``m``; one at
+    ``MAX_NESTING`` fails."""
     i = m.lastindex
     if i == NAME:
         return _name(data, m), m.end()
@@ -354,6 +361,8 @@ def parse_token(data: bytes, m: re.Match, memo: ParseMemo | None = None,
         start = m.start(i)
         if memo is not None and (start, operand) in memo.failed:
             raise ParseError(memo.failed[start, operand])
+        if depth >= MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} at {start}")
         match = TOKEN.match
         pos = m.end()
         try:
@@ -373,7 +382,7 @@ def parse_token(data: bytes, m: re.Match, memo: ParseMemo | None = None,
                                    else number(tok, m.start(i)))
                         pos = m.end()
                         continue
-                    obj, pos = parse_token(data, m, memo)
+                    obj, pos = parse_token(data, m, memo, False, depth + 1)
                     arr.append(obj)
             d: dict = {}
             while True:
@@ -394,7 +403,7 @@ def parse_token(data: bytes, m: re.Match, memo: ParseMemo | None = None,
                 m = match(data, m.end())
                 if m is None:
                     raise ParseError("eof")
-                d[key], pos = parse_token(data, m, memo)
+                d[key], pos = parse_token(data, m, memo, False, depth + 1)
             pos = m.end()
             spos = skip_ws(data, pos)
             if not data.startswith(b"stream", spos):

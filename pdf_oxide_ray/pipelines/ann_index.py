@@ -15,9 +15,11 @@ Design (Ray-Data-first, 100 TB notes):
   (`train_ivf_centroids` — the standard big-corpus recipe); ONE
   streamed `map_batches` assigns every vector (centroids broadcast
   once) and `write_parquet(partition_cols=["list_id"])` lands the
-  corpus partitioned by list — resumable, never one giant file. The
-  manifest is the commit point (the `state/manifest.py` doctrine):
-  a complete manifest short-circuits a rebuild.
+  corpus partitioned by list, never one giant file. The build swaps
+  `assignments/` in, the update moves its files in one by one, and the
+  manifest commits LAST (`state/manifest.py`): one with the same
+  `n_lists` short-circuits a rebuild, any other is removed before the
+  rebuild writes, and a missing or torn one means a rebuild.
 * **Query**: centroids load driver-side (small); only the PROBED
   lists' partitions are read (directory-level pruning — at 100 TB
   this is the difference between scanning 1/n_lists·n_probe of the
@@ -28,12 +30,13 @@ Design (Ray-Data-first, 100 TB notes):
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 
 import numpy as np
 import pandas as pd
+
+from ..state.manifest import (add_files, partition_rows, read_json,
+                              replace_dir, reuse_manifest, write_json)
 
 
 def _strip_pandas_meta(t):
@@ -57,11 +60,9 @@ def build_ivf_index(input_path: str, out_dir: str, *,
         train_ivf_centroids
 
     man_path = os.path.join(out_dir, "_manifest.json")
-    if os.path.exists(man_path):
-        with open(man_path) as f:
-            man = json.load(f)
-        if man.get("n_lists") == n_lists:
-            return man
+    man = reuse_manifest(man_path, n_lists=n_lists)
+    if man is not None:
+        return man
 
     ds = rd.read_parquet(input_path, columns=["vec_id", "embedding"])
     sample = ds.limit(sample_rows).to_pandas()
@@ -69,10 +70,10 @@ def build_ivf_index(input_path: str, out_dir: str, *,
         os.makedirs(out_dir, exist_ok=True)
         man = {"n_vectors": 0, "n_lists": n_lists, "dim": 0,
                "list_sizes": {}}
-        with open(man_path, "w") as f:
-            json.dump(man, f)
+        write_json(man_path, man)
         return man
-    mat = np.stack(sample["embedding"].to_numpy())
+    # sorted: the quantizer must not depend on the order blocks arrive in
+    mat = np.stack(sample.sort_values("vec_id")["embedding"].to_numpy())
     centroids = train_ivf_centroids(mat, n_lists=n_lists, seed=seed)
     cent_ref = ray.put(centroids)
 
@@ -91,36 +92,15 @@ def build_ivf_index(input_path: str, out_dir: str, *,
         .rename(columns={"ivf_list": "list_id"}),
         batch_format="pandas") \
         .map_batches(_strip_pandas_meta, batch_format="pyarrow")
-    # write to a temp dir and swap it in (the run_extraction_partitioned
-    # recipe): files a crashed earlier build left in assignments/ would
-    # otherwise be counted and read as part of this build
+    # a fresh copy, swapped in: files a crashed earlier build left in
+    # assignments/ must not be counted or read as part of this build
     adir = os.path.join(out_dir, "assignments")
-    tmp_dir = os.path.join(out_dir, ".assignments.tmp")
-    if os.path.isdir(tmp_dir):
-        shutil.rmtree(tmp_dir)
-    assigned.write_parquet(tmp_dir, partition_cols=["list_id"])
-    if os.path.isdir(adir):
-        shutil.rmtree(adir)
-    os.replace(tmp_dir, adir)
-
-    # list sizes from parquet METADATA (no data re-read)
-    import pyarrow.dataset as pads
-
-    sizes = {}
-    n_total = 0
-    for name in sorted(os.listdir(adir)):
-        if not name.startswith("list_id="):
-            continue
-        lid = name.split("=", 1)[1]
-        n = sum(f.count_rows() for f in
-                pads.dataset(os.path.join(adir, name))
-                .get_fragments())
-        sizes[lid] = n
-        n_total += n
-    man = {"n_vectors": n_total, "n_lists": n_lists,
+    replace_dir(adir, lambda tmp: assigned.write_parquet(
+        tmp, partition_cols=["list_id"]))
+    sizes = partition_rows(adir)
+    man = {"n_vectors": sum(sizes.values()), "n_lists": n_lists,
            "dim": int(mat.shape[1]), "list_sizes": sizes}
-    with open(man_path, "w") as f:
-        json.dump(man, f)  # manifest last: the commit point
+    write_json(man_path, man)
     return man
 
 
@@ -186,7 +166,8 @@ def update_ivf_index(input_path: str, out_dir: str) -> dict:
     partition files next to the existing ones; vec_ids already in the
     index are skipped (idempotent re-ingest, the `incremental_dedup`
     anti-join shape with the existing id set broadcast as a sorted
-    int64 array). The manifest rewrites LAST (commit point). Returns
+    int64 array), so a rerun after a crash adds only what is missing.
+    The manifest rewrites LAST (commit point). Returns
     the updated manifest plus {'n_added': ...}.
 
     Scale shape: existing ids load as ONE skinny int64 column (ids
@@ -201,8 +182,9 @@ def update_ivf_index(input_path: str, out_dir: str) -> dict:
     from ..stages.joins import _get_broadcast
 
     man_path = os.path.join(out_dir, "_manifest.json")
-    with open(man_path) as f:
-        man = json.load(f)
+    man = read_json(man_path)
+    if man is None:
+        raise FileNotFoundError(f"no committed index at {out_dir}")
     cent_path = os.path.join(out_dir, "centroids.parquet")
     if not os.path.exists(cent_path):  # empty index: nothing frozen
         raise ValueError("index has no quantizer; run build first")
@@ -249,24 +231,9 @@ def update_ivf_index(input_path: str, out_dir: str) -> dict:
         .materialize()
     n_added = new_ds.count()
     if n_added:
-        new_ds.write_parquet(adir, partition_cols=["list_id"])
-
-    # recount from parquet metadata (no vector re-read)
-    import pyarrow.dataset as pads
-
-    sizes = {}
-    n_total = 0
-    for name in sorted(os.listdir(adir)):
-        if not name.startswith("list_id="):
-            continue
-        n = sum(f.count_rows() for f in
-                pads.dataset(os.path.join(adir, name))
-                .get_fragments())
-        sizes[name.split("=", 1)[1]] = n
-        n_total += n
-    man.update({"n_vectors": n_total, "list_sizes": sizes})
-    with open(man_path, "w") as f:
-        json.dump(man, f)  # commit point
-    man = dict(man)
-    man["n_added"] = int(n_added)
-    return man
+        add_files(adir, lambda tmp: new_ds.write_parquet(
+            tmp, partition_cols=["list_id"]))
+    sizes = partition_rows(adir)
+    man.update({"n_vectors": sum(sizes.values()), "list_sizes": sizes})
+    write_json(man_path, man)
+    return {**man, "n_added": int(n_added)}

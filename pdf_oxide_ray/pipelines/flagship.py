@@ -32,15 +32,15 @@ Scale notes:
   distributed plan, which should come with a benchmark workload of that
   size (SCALE.md);
 * resumability: ``run_extraction_partitioned`` shards the extract phase by
-  input file groups; each shard writes ``part_id=N`` + an atomic manifest
-  and reruns skip complete shards (``state/manifest.py``).
+  input file groups; each shard commits ``part_id=N`` and then its
+  manifest through the one commit protocol (``state/manifest.py``), and
+  reruns skip complete shards.
 """
 
 from __future__ import annotations
 
 import glob
 import os
-import shutil
 import time
 import zlib
 
@@ -52,7 +52,7 @@ import ray.data as rd
 from ..stages.assembly import TURN_SEPARATOR
 from ..stages.extract import ExtractTurns
 from ..state import offset_index
-from ..state.manifest import is_partition_complete, write_manifest
+from ..state.manifest import commit_partition, read_manifests
 
 TARGET_BLOCK_BYTES = 64 * 1024 * 1024  # cap block size at scale
 
@@ -288,9 +288,10 @@ def run_extraction_partitioned(input_path: str, out_dir: str, *,
     os.makedirs(out_dir, exist_ok=True)
     shards = plan_shards(input_path, num_shards)
     summary = {"shards": [], "skipped": 0, "rows": 0, "errors": 0}
+    done = {m["part_id"] for m in read_manifests(out_dir)}
     for shard in shards:
         pid = shard["part_id"]
-        if is_partition_complete(out_dir, pid):
+        if pid in done:
             summary["skipped"] += 1
             continue
         t0 = time.perf_counter()
@@ -306,47 +307,14 @@ def run_extraction_partitioned(input_path: str, out_dir: str, *,
         ds = extract_dataset(ds, want_markdown=want_markdown,
                              keep_spans=keep_spans)
         ds = ds.map_batches(_add_row_hash, batch_format="pyarrow")
-        part_path = os.path.join(out_dir, f"part_id={pid}")
-        # stale partial output from a crashed/invalidated run must not leak
-        # into the rerun: write fresh to a temp dir, swap, then manifest
-        # (the manifest is the commit point).
-        tmp_path = os.path.join(out_dir, f".part_id={pid}.tmp")
-        if os.path.isdir(tmp_path):
-            shutil.rmtree(tmp_path)
-        ds.write_parquet(tmp_path)
-        if os.path.isdir(part_path):
-            shutil.rmtree(part_path)
-        os.replace(tmp_path, part_path)
-        # cheap column-scan for manifest stats (reads 3 columns only)
-        stats = rd.read_parquet(part_path,
-                                columns=["status", "n_chars", "row_hash"])
-        agg = stats.map_batches(
-            lambda b: pa.table({
-                "rows": pa.array([b.num_rows], pa.int64()),
-                "errors": pa.array(
-                    [int(np.sum(np.asarray(b.column("status")) == "error"))],
-                    pa.int64()),
-                "n_chars": pa.array(
-                    [int(np.sum(b.column("n_chars").to_numpy()))], pa.int64()),
-                "hash_sum": pa.array(
-                    [int(np.sum(b.column("row_hash").to_numpy(),
-                                dtype=np.uint64))], pa.int64()),
-            }),
-            batch_format="pyarrow").to_pandas()
-        rows = int(agg["rows"].sum())
-        errors = int(agg["errors"].sum())
-        n_chars = int(agg["n_chars"].sum())
-        content_hash = int(agg["hash_sum"].sum()) & ((1 << 63) - 1)
-        wall = time.perf_counter() - t0
-        m = write_manifest(out_dir, pid,
-                           inputs=shard["files"] if shard["mode"] == "files"
-                           else [f"{f}#conv_hash%{shard['num_shards']}=={pid}"
-                                 for f in shard["files"]],
-                           rows=rows, errors=errors, n_chars=n_chars,
-                           content_hash=content_hash, wall_sec=wall)
+        m = commit_partition(
+            out_dir, pid, ds, t0=t0,
+            inputs=shard["files"] if shard["mode"] == "files"
+            else [f"{f}#conv_hash%{shard['num_shards']}=={pid}"
+                  for f in shard["files"]])
         summary["shards"].append(m)
-        summary["rows"] += rows
-        summary["errors"] += errors
+        summary["rows"] += m["rows"]
+        summary["errors"] += m["errors"]
     return summary
 
 

@@ -1,6 +1,8 @@
 """Incremental (day-2) ingestion: extract ONLY a new transcript shard,
 drop turns whose extracted text already exists in the corpus output, and
-append the survivors as a fresh ``part_id=N`` partition with a manifest.
+append the survivors as a fresh ``part_id=N`` partition through
+``state/manifest.commit_partition``. Only partitions with a complete
+manifest are the corpus; the next ingest rewrites one left without.
 
 This is the continuous-ingestion story a 100 TB corpus actually runs:
 yesterday's output is never re-extracted and never driver-materialized —
@@ -19,8 +21,6 @@ from __future__ import annotations
 
 import glob
 import os
-import re
-import shutil
 import time
 
 import numpy as np
@@ -29,17 +29,8 @@ import pyarrow as pa
 
 from ..functions.dedup import content_hash
 from ..ops.exchange import exchange_by_key
-from ..state.manifest import write_manifest
+from ..state.manifest import commit_partition, partition_dir, read_manifests
 from .flagship import extract_dataset, read_transcripts, tune_for_pipeline
-
-
-def _existing_part_ids(out_dir: str) -> list[int]:
-    out = []
-    for p in glob.glob(os.path.join(out_dir, "part_id=*")):
-        m = re.search(r"part_id=(\d+)$", p)
-        if m:
-            out.append(int(m.group(1)))
-    return sorted(out)
 
 
 def run_incremental_ingest(new_input: str, out_dir: str, *,
@@ -53,7 +44,7 @@ def run_incremental_ingest(new_input: str, out_dir: str, *,
     tune_for_pipeline()
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    existing_ids = _existing_part_ids(out_dir)
+    existing_ids = sorted(m["part_id"] for m in read_manifests(out_dir))
     next_pid = (existing_ids[-1] + 1) if existing_ids else 0
 
     extracted = extract_dataset(
@@ -84,10 +75,8 @@ def run_incremental_ingest(new_input: str, out_dir: str, *,
         .map_batches(tag_new, batch_format="pandas")
 
     sides = [new_keys]
-    old_files: list[str] = []
-    for i in existing_ids:
-        old_files += sorted(glob.glob(
-            os.path.join(out_dir, f"part_id={i}", "*.parquet")))
+    old_files = [f for i in existing_ids for f in sorted(glob.glob(
+        os.path.join(partition_dir(out_dir, i), "*.parquet")))]
     if old_files:
         old = rd.read_parquet(old_files,
                               columns=["extracted_text", "status"])
@@ -117,19 +106,6 @@ def run_incremental_ingest(new_input: str, out_dir: str, *,
     kept_ids = frozenset(zip(keep["conv_id"], keep["turn_idx"])) \
         if not keep.empty else frozenset()
 
-    if not kept_ids:
-        # everything deduplicated away: commit an empty partition so the
-        # increment is still recorded in lineage
-        pdir = os.path.join(out_dir, f"part_id={next_pid}")
-        os.makedirs(pdir, exist_ok=True)
-        wall = time.perf_counter() - t0
-        write_manifest(out_dir, next_pid, inputs=[new_input], rows=0,
-                       errors=0, n_chars=0, content_hash=0,
-                       wall_sec=wall)
-        return {"part_id": next_pid, "rows_seen": int(n_new),
-                "rows_kept": 0, "rows_dropped": int(n_new),
-                "wall_sec": round(wall, 3)}
-
     import ray
 
     ids_ref = ray.put(kept_ids)
@@ -145,33 +121,8 @@ def run_incremental_ingest(new_input: str, out_dir: str, *,
         return t.filter(pa.array(mask))
 
     surviving = extracted.map_batches(keep_rows, batch_format="pyarrow")
-    tmp_path = os.path.join(out_dir, f".part_id={next_pid}.tmp")
-    part_path = os.path.join(out_dir, f"part_id={next_pid}")
-    if os.path.isdir(tmp_path):
-        shutil.rmtree(tmp_path)
-    surviving.write_parquet(tmp_path)
-    if os.path.isdir(part_path):
-        shutil.rmtree(part_path)
-    os.replace(tmp_path, part_path)
-
-    stats = rd.read_parquet(part_path, columns=["status", "n_chars"]) \
-        .map_batches(
-            lambda b: pa.table({
-                "rows": pa.array([b.num_rows], pa.int64()),
-                "errors": pa.array(
-                    [int(np.sum(np.asarray(b.column("status"))
-                                == "error"))], pa.int64()),
-                "n_chars": pa.array(
-                    [int(np.sum(np.asarray(b.column("n_chars"))))],
-                    pa.int64())}),
-            batch_format="pyarrow") \
-        .to_pandas().sum()
-    wall = time.perf_counter() - t0
-    write_manifest(out_dir, next_pid, inputs=[new_input],
-                   rows=int(stats["rows"]), errors=int(stats["errors"]),
-                   n_chars=int(stats["n_chars"]), content_hash=0,
-                   wall_sec=wall)
+    m = commit_partition(out_dir, next_pid, surviving, inputs=[new_input],
+                         t0=t0)
     return {"part_id": next_pid, "rows_seen": int(n_new),
-            "rows_kept": int(stats["rows"]),
-            "rows_dropped": int(n_new) - int(stats["rows"]),
-            "wall_sec": round(wall, 3)}
+            "rows_kept": m["rows"], "rows_dropped": int(n_new) - m["rows"],
+            "wall_sec": m["wall_sec"]}

@@ -6,8 +6,8 @@ the embedder stage, ann_index) actually runs.
 
 Layout under ``out_dir``::
 
-    chunks.parquet            (chunk_id, doc_id, chunk_idx, text)
-    chunk_embeddings.parquet  (vec_id, embedding)   [build artifact]
+    chunks/                   (chunk_id, doc_id, chunk_idx, text)
+    chunk_embeddings/         (vec_id, embedding)   [build artifact]
     index/...                 (the `ann_index` layout)
     _rag_manifest.json        {n_docs, n_chunks, chunk_tokens, stride}
 
@@ -21,24 +21,28 @@ Design (Ray-Data-first, 100 TB notes):
   actor, the stateful-stage doctrine) emitting fixed-width
   list<float> vectors;
 * the index build reuses `build_ivf_index` verbatim (sample-trained
-  quantizer, partitioned assignment, manifest commit point) — two
-  artifacts, one recipe;
+  quantizer, partitioned assignment, manifest commit point);
 * search embeds the query driver-side (same deterministic embedder),
   probes the index (partition-pruned read), and joins chunk TEXT for
   only the k hits via a parquet predicate read — never the chunk
   store.
 
-The manifest commits LAST; a complete manifest short-circuits a
-rebuild (resume contract).
+`chunks/`, `chunk_embeddings/` and `index/` are each swapped in from a
+temp dir and `_rag_manifest.json` commits LAST (`state/manifest.py`). A
+manifest with the same chunking short-circuits a rebuild; a rebuild with
+other parameters removes it first, and without one a rerun replaces all
+three directories (resume contract).
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 import pandas as pd
+
+from ..state.manifest import (read_json, replace_dir, reuse_manifest,
+                              write_json)
 
 _CHUNK_ID_BITS = 16
 _DOC_ID_LIMIT = 1 << (63 - _CHUNK_ID_BITS)  # chunk_id must fit int64
@@ -56,12 +60,9 @@ def build_rag_index(docs_path: str, out_dir: str, *,
     from .ann_index import _strip_pandas_meta, build_ivf_index
 
     man_path = os.path.join(out_dir, "_rag_manifest.json")
-    if os.path.exists(man_path):
-        with open(man_path) as f:
-            man = json.load(f)
-        if (man.get("chunk_tokens") == chunk_tokens
-                and man.get("stride") == stride):
-            return man
+    man = reuse_manifest(man_path, chunk_tokens=chunk_tokens, stride=stride)
+    if man is not None:
+        return man
 
     os.makedirs(out_dir, exist_ok=True)
     ds = rd.read_parquet(docs_path, columns=["doc_id", "text"])
@@ -104,8 +105,9 @@ def build_rag_index(docs_path: str, out_dir: str, *,
     chunks = ds.map_batches(chunk, batch_format="pandas") \
         .materialize()
     n_chunks = chunks.count()
-    chunks.map_batches(_strip_pandas_meta, batch_format="pyarrow") \
-        .write_parquet(os.path.join(out_dir, "chunks"))
+    replace_dir(os.path.join(out_dir, "chunks"),
+                chunks.map_batches(_strip_pandas_meta,
+                                   batch_format="pyarrow").write_parquet)
 
     def relabel(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -128,16 +130,15 @@ def build_rag_index(docs_path: str, out_dir: str, *,
         .map_batches(relabel, batch_format="pandas") \
         .map_batches(_strip_pandas_meta, batch_format="pyarrow")
     emb_path = os.path.join(out_dir, "chunk_embeddings")
-    emb.write_parquet(emb_path)
+    replace_dir(emb_path, emb.write_parquet)
 
     n_docs = ds.count()
-    build_ivf_index(emb_path, os.path.join(out_dir, "index"),
-                    n_lists=n_lists)
+    replace_dir(os.path.join(out_dir, "index"),
+                lambda tmp: build_ivf_index(emb_path, tmp, n_lists=n_lists))
     man = {"n_docs": int(n_docs), "n_chunks": int(n_chunks),
            "chunk_tokens": chunk_tokens, "stride": stride,
            "embed_dim": embed_dim}
-    with open(man_path, "w") as f:
-        json.dump(man, f)  # commit point
+    write_json(man_path, man)
     return man
 
 
@@ -152,8 +153,9 @@ def rag_search(out_dir: str, query_text: str, *, k: int = 5,
     from ..functions.similarity import HashingEmbedder
     from .ann_index import query_ivf_index
 
-    with open(os.path.join(out_dir, "_rag_manifest.json")) as f:
-        man = json.load(f)
+    man = read_json(os.path.join(out_dir, "_rag_manifest.json"))
+    if man is None:
+        raise FileNotFoundError(f"no committed RAG index at {out_dir}")
     emb = HashingEmbedder(dim=int(man["embed_dim"]))
     qv = emb._embed(query_text)
     hits = query_ivf_index(os.path.join(out_dir, "index"),

@@ -20,7 +20,8 @@ Design (Ray-Data-first, mirrors ``sources/pdf_files.py``):
   STABLE 63-bit id derives from blake2b(source, '\\x1f', text) so reruns
   and re-partitions assign identical ids — no counter crosses blocks).
 * ``ingest_jsonl_dir`` writes the standard documents parquet layout
-  (sharded ``write_parquet``, resumable like every sink here).
+  (sharded ``write_parquet``) into a new output with one directory swap
+  (``state/manifest.replace_dir``); an output holding files raises.
 
 100 TB: no stage materializes the corpus; lines flow block -> parse
 -> parquet with streaming backpressure; there is no wide step.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import pandas as pd
 
@@ -103,26 +105,22 @@ def ingest_jsonl_dir(paths: str | list[str], output: str) -> dict:
     layout in ONE streaming pass: rows partition by ``status`` (good
     docs under ``status=ok/``, quarantined lines with their error
     message under ``status=error/``), so nothing is materialized and
-    the corpus is read once. Row/error counts come from parquet
-    METADATA after the write (no data re-read). Returns
-    {'rows': ok_rows, 'errors': error_rows}."""
+    the corpus is read once. ``output`` must not exist yet or be
+    empty; the documents appear there all at once, when the write is
+    complete. Row/error counts come from parquet METADATA after the
+    write (no data re-read). Returns {'rows': ok_rows, 'errors':
+    error_rows}."""
     from ..pipelines.ann_index import _strip_pandas_meta
+    from ..state.manifest import partition_rows, replace_dir
 
+    if os.path.isdir(output) and os.listdir(output):
+        raise FileExistsError(
+            f"{output} already holds files; ingest into a new directory")
     # rag_prep and training_prep read these files back through Ray, which
     # cannot hash a schema that carries pandas metadata
-    read_jsonl_docs(paths) \
-        .map_batches(_strip_pandas_meta, batch_format="pyarrow") \
-        .write_parquet(output, partition_cols=["status"])
-
-    import os
-
-    import pyarrow.dataset as pads
-
-    def _count(part: str) -> int:
-        p = os.path.join(output, f"status={part}")
-        if not os.path.isdir(p):
-            return 0
-        return sum(f.count_rows()
-                   for f in pads.dataset(p).get_fragments())
-
-    return {"rows": _count("ok"), "errors": _count("error")}
+    docs = read_jsonl_docs(paths) \
+        .map_batches(_strip_pandas_meta, batch_format="pyarrow")
+    replace_dir(output, lambda tmp: docs.write_parquet(
+        tmp, partition_cols=["status"]))
+    counts = partition_rows(output)
+    return {"rows": counts.get("ok", 0), "errors": counts.get("error", 0)}

@@ -20,8 +20,8 @@ Design (Ray-Data-first):
   per-payload anyway), not a per-row hot loop over records.
 * ``extract_pdf_dir`` then reuses the SAME ``extract_dataset`` stage as
   the flagship — one kernel, two sources; output is the standard
-  extracted schema (``write_parquet``-able, partition-resumable like
-  the flagship job).
+  extracted schema (``write_parquet``-able like the flagship job's;
+  neither write has a resume contract).
 
 100 TB: no stage materializes the corpus; bytes flow file-block ->
 decode -> extract with streaming backpressure, and the only wide step

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdf_oxide_ray.core.content import parse_content_stream
+from pdf_oxide_ray.core.objects import MAX_NESTING
 from pdf_oxide_ray.core.payload import detect_payload_kind, extract_payload
 
 REQUIRED_KEYS = {"kind", "extracted_text", "markdown", "spans", "status",
@@ -155,6 +156,32 @@ def _one_page_pdf(content: bytes) -> str:
 def test_page_ending_in_open_parens_extracts_fast():
     """6.9 s before the ParseMemo, for a 4 KB tail of '('."""
     pdf = _one_page_pdf(b"BT /F1 12 Tf 72 700 Td (Hello) Tj ET " + b"(" * 4000)
+    t0 = time.perf_counter()
+    res = extract_payload(pdf)
+    assert time.perf_counter() - t0 < 1.0
+    assert res["status"] == "ok"
+    assert res["extracted_text"] == "Hello"
+
+
+def test_nesting_cap_fails_only_the_deep_operand():
+    """An operand nested ``MAX_NESTING`` deep parses; one level deeper
+    fails alone, and the operators after it keep their operands."""
+    def nested(n):
+        return b"[" * n + b"1" + b"]" * n
+
+    value = 1
+    for _ in range(MAX_NESTING):
+        value = [value]
+    assert parse_content_stream(nested(MAX_NESTING) + b" Tj") == [
+        ("Tj", [value])]
+    assert parse_content_stream(nested(MAX_NESTING + 1) + b" (x) Tj") == [
+        ("Tj", [b"x"])]
+
+
+def test_page_ending_in_deep_nesting_keeps_its_text():
+    """3,000 '[' after the text raised RecursionError out of the parser,
+    and the whole page came back status=error without its text."""
+    pdf = _one_page_pdf(b"BT /F1 12 Tf 72 700 Td (Hello) Tj ET " + b"[" * 3000)
     t0 = time.perf_counter()
     res = extract_payload(pdf)
     assert time.perf_counter() - t0 < 1.0

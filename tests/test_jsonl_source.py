@@ -81,6 +81,22 @@ def test_ingest_one_pass_partitioned(ray_session, tmp_path):
             frag.path
 
 
+def test_ingest_twice_raises_instead_of_doubling(ray_session, tmp_path):
+    """A second ingest into the same output appended a second copy of
+    every row; it must raise and leave the first copy as it was."""
+    _write_jsonl(tmp_path / "in" / "a.jsonl",
+                 [json.dumps({"text": f"doc {i}"}) for i in range(50)])
+    out = str(tmp_path / "docs")
+    os.makedirs(out)  # an empty output directory is a new output
+    assert ingest_jsonl_dir(str(tmp_path / "in"), out) == \
+        {"rows": 50, "errors": 0}
+    with pytest.raises(FileExistsError):
+        ingest_jsonl_dir(str(tmp_path / "in"), out)
+    assert sum(f.count_rows()
+               for f in pads.dataset(out).get_fragments()) == 50
+    assert sorted(os.listdir(tmp_path)) == ["docs", "in"]  # no temp dir
+
+
 def test_cli_ingest_jsonl(tmp_path):
     _write_jsonl(tmp_path / "in" / "a.jsonl", GOOD + BAD[:1])
     out = str(tmp_path / "docs")
