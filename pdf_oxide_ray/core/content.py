@@ -14,6 +14,8 @@ its ``Operator`` enum (``src/content/operators.rs:16-451``).
 
 from __future__ import annotations
 
+import sys
+
 from .objects import (ARR, INLINE_ID, INT, KEYWORDS, KW, NUM, OTHER, TOKEN,
                       Name, ParseError, ParseMemo, find, number, parse_object,
                       parse_token)
@@ -42,12 +44,35 @@ def _parse_inline_image(data: bytes, pos: int,
     return ("BI", [d, data[pos:end]]), end + 2
 
 
+def _retry_from(data: bytes, start: int, end: int) -> int:
+    """Where lexing resumes after the number token ``data[start:end]``
+    failed to parse.
+
+    The reference skips one byte after a failed operand and lexes again.
+    From every later start inside this token that lexes the token's
+    suffix: after an optional sign the token is a maximal run of digits
+    and dots. A suffix fails exactly when it holds two or more dots, is a
+    lone dot, or is an int longer than Python's digit limit. So this
+    returns the first later start whose suffix parses, or ``end``: every
+    start it skips would fail in turn and clear the operands. The result
+    is the byte-by-byte one, in one step instead of one per byte, which
+    was quadratic in the run's length."""
+    tail = data[start + 1:end]
+    last = tail.rfind(b".")
+    if last < 0:
+        limit = sys.get_int_max_str_digits() or len(tail)
+        return end - min(len(tail), limit)
+    one_dot = tail.rfind(b".", 0, last) + 1  # first start with one dot left
+    return end if tail[one_dot:] == b"." else start + 1 + one_dot
+
+
 def parse_content_stream(data: bytes) -> list[tuple[str, list]]:
     """Parse a decoded content stream into ``[(op, operands), ...]``.
 
     Mirrors the resilience of the reference parser: a byte that can't be
     parsed is skipped and parsing continues
-    (``src/content/parser.rs:78-87``). A keyword is a run of letters, digits
+    (``src/content/parser.rs:78-87``); after a failed number it continues
+    where those skips would first succeed (``_retry_from``). A keyword is a run of letters, digits
     and ``' " *`` that starts with no digit; ``true``/``false``/``null``
     are operands. Numbers skip ``parse_object``'s ``N G R`` lookahead:
     content streams contain no indirect references (PDF spec 7.8.2).
@@ -66,7 +91,7 @@ def parse_content_stream(data: bytes) -> list[tuple[str, list]]:
             try:
                 operands.append(number(m.group(i), m.start(i)))
             except ValueError:
-                pos = m.start(i) + 1
+                pos = _retry_from(data, m.start(i), m.end(i))
                 operands = []
                 continue
             pos = m.end()

@@ -20,10 +20,11 @@ Design (Ray-Data-first, 100 TB notes):
   manifest commits LAST (`state/manifest.py`): one with the same
   `n_lists` short-circuits a rebuild, any other is removed before the
   rebuild writes, and a missing or torn one means a rebuild.
-* **Query**: centroids load driver-side (small); only the PROBED
-  lists' partitions are read (directory-level pruning — at 100 TB
-  this is the difference between scanning 1/n_lists·n_probe of the
-  corpus and all of it); scoring reuses `batch_topk_fn` +
+* **Query**: a missing or torn manifest means no index, so a build
+  stopped part way answers nothing. Centroids load driver-side (small);
+  only the PROBED lists' partitions are read (directory-level pruning —
+  at 100 TB this is the difference between scanning 1/n_lists·n_probe
+  of the corpus and all of it); scoring reuses `batch_topk_fn` +
   `reduce_topk` verbatim, so index-backed results are bit-identical
   to the in-memory `ivf_topk` path ((#queries × k)-bounded final).
 """
@@ -113,7 +114,9 @@ def query_ivf_index(out_dir: str, query_matrix: np.ndarray, *,
     functions score and merge, so the two paths cannot drift.
     Returns (query_id, rank [0-based], vec_id, score) with score
     rounded to 4 decimals AFTER ranking (the repo's embedding
-    convention); query_id is the row index into query_matrix."""
+    convention); query_id is the row index into query_matrix. A
+    directory without a complete ``_manifest.json`` holds no index and
+    answers nothing."""
     import ray
     import ray.data as rd
 
@@ -125,8 +128,12 @@ def query_ivf_index(out_dir: str, query_matrix: np.ndarray, *,
         "rank": pd.Series([], dtype="int64"),
         "vec_id": pd.Series([], dtype="int64"),
         "score": pd.Series([], dtype="float64")})
+    # no complete manifest, no index: a build stopped part way answers
+    # nothing rather than from half its files
+    man = read_json(os.path.join(out_dir, "_manifest.json"))
     cent_path = os.path.join(out_dir, "centroids.parquet")
-    if not os.path.exists(cent_path) or not len(query_matrix):
+    if man is None or not os.path.exists(cent_path) \
+            or not len(query_matrix):
         return empty
     cents = pd.read_parquet(cent_path)
     if cents.empty:

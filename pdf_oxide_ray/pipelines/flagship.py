@@ -4,13 +4,16 @@ annotate each turn with its conversation offsets, write or return the rows.
 One plan serves both entry points (``_flagship_plan``):
 
 ``read_transcripts -> map_batches(ExtractTurns, one task per read block)
--> materialize() -> gather (conv_id, turn_idx, n_chars, status) on the
-driver -> offset_index.compute_offsets_table -> ray.put ->
-map_batches(AnnotateOffsetsBroadcast)``.
+-> materialize() -> to_arrow_refs() -> offset_index.annotate_blocks``:
+one task per block gathers ``(conv_id, turn_idx, n_chars, status)``, the
+driver prefix-sums each conversation (``compute_offsets_table``), and one
+task per block appends its slice -> ``rd.from_arrow_refs``.
 
-``run_flagship_job`` writes the annotated rows to parquet and returns the
-phase timings; ``run_flagship`` returns them lazily, sorted by
-``(conv_id, turn_idx)`` so turns keep their in-conversation order.
+``run_flagship_job`` writes the annotated rows to parquet (blocks under
+``MIN_ROWS_PER_FILE`` rows share a file), committed through
+``state/manifest.replace_dir``, and returns the phase timings;
+``run_flagship`` returns them lazily, sorted by ``(conv_id, turn_idx)`` so
+turns keep their in-conversation order.
 
 The Ray-Data re-expression of the reference's EP3 batch loop
 (``src/bin/benchmark_all_pdfs.rs:41-230``): directory walk ->
@@ -25,10 +28,11 @@ Scale notes:
   count, so short turns do not pay Ray Data's per-batch cost per few KB;
 * the fat rows (text, markdown, spans) never cross an exchange: only the
   skinny (conv_id, turn_idx, n_chars, status) table reaches the driver,
-  and the offsets lookup goes back to the workers as one ``ray.put``;
-* the driver holds the skinny table and its lookup. On a 1-CPU host
-  ``compute_offsets_table`` took 2.2 s and +50 MB peak at 1M turns, and
-  17 s and +250 MB at 5M turns. A corpus beyond driver memory needs a new
+  and each block's slice of the offsets goes back to the task that
+  annotates that block;
+* the driver holds the skinny table and the offsets. On a 1-CPU host
+  ``compute_offsets_table`` took 0.3–0.4 s and +66 MB peak at 1M turns, and
+  2.2–2.7 s and +185 MB at 5M turns. A corpus beyond driver memory needs a new
   distributed plan, which should come with a benchmark workload of that
   size (SCALE.md);
 * resumability: ``run_extraction_partitioned`` shards the extract phase by
@@ -52,9 +56,14 @@ import ray.data as rd
 from ..stages.assembly import TURN_SEPARATOR
 from ..stages.extract import ExtractTurns
 from ..state import offset_index
-from ..state.manifest import commit_partition, read_manifests
+from ..state.manifest import (commit_partition, read_manifests,
+                              replace_dir)
 
 TARGET_BLOCK_BYTES = 64 * 1024 * 1024  # cap block size at scale
+# The job writes blocks smaller than this together, into one file: each
+# file pays its footer and starts its compression afresh (mix_full seed 1:
+# two files of 1,200 turns took 1,079,700 B, one file 1,050,200 B)
+MIN_ROWS_PER_FILE = 4096
 
 
 def tune_for_pipeline() -> None:
@@ -167,24 +176,20 @@ def extract_dataset(ds, *, want_markdown: bool = True,
 
 def _flagship_plan(input_path: str, want_markdown: bool, keep_spans: bool):
     """The one flagship plan: extract, then annotate every turn with its
-    conversation offsets. Returns the lazy annotated Dataset and a summary
-    of the first two phases:
+    conversation offsets. Returns the refs of the annotated blocks and a
+    summary of the first two phases:
 
     1. read -> extract (tasks) -> ``materialize()`` — the one checkpoint,
-       read twice below (without it Ray Data would re-run extraction for
-       each consumer);
-    2. gather the skinny ``(conv_id, turn_idx, n_chars, status)`` columns
-       on the driver, count the error rows, prefix-sum each conversation
-       in turn order (``compute_offsets_table``) and ``ray.put`` the
-       lookup;
-    3. (lazy) ``map_batches(AnnotateOffsetsBroadcast)`` over the fat
-       blocks — an in-place lookup, no exchange.
+       whose blocks the step below reads by ref;
+    2. ``offset_index.annotate_blocks``: one task per block gathers the
+       skinny ``(conv_id, turn_idx, n_chars, status)`` columns, the driver
+       counts the error rows and prefix-sums each conversation in turn
+       order, and one task per block appends its slice of the result to
+       that block — no exchange, no key lookup.
 
-    ``compute_offsets_table`` is looked up in ``offset_index`` at call
-    time so that a tracer can rebind it there.
+    The annotate tasks are running when this returns; the caller wraps
+    the refs in ``rd.from_arrow_refs``, which waits for them.
     """
-    import ray
-
     t0 = time.perf_counter()
     extracted = extract_dataset(
         read_transcripts(input_path), want_markdown=want_markdown,
@@ -193,20 +198,12 @@ def _flagship_plan(input_path: str, want_markdown: bool, keep_spans: bool):
     t_extract = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    skinny = extracted.select_columns(["conv_id", "turn_idx", "n_chars",
-                                       "status"])
-    skinny_tbl = pa.concat_tables(ray.get(skinny.to_arrow_refs()),
-                                  promote_options="default")
+    annotated, skinny = offset_index.annotate_blocks(
+        extracted.to_arrow_refs(), len(TURN_SEPARATOR))
     # zero rows: None, like a Dataset.sum over no blocks
-    errors = pc.sum(pc.equal(skinny_tbl.column("status"), "error")) \
-        .as_py() if rows else None
-    lookup = offset_index.compute_offsets_table(skinny_tbl,
-                                                len(TURN_SEPARATOR))
-    annotate = offset_index.AnnotateOffsetsBroadcast(ray.put(lookup))
+    errors = pc.sum(pc.equal(skinny.column("status"), "error")).as_py() \
+        if rows else None
     t_offsets = time.perf_counter() - t1
-
-    annotated = extracted.map_batches(annotate, batch_format="pyarrow",
-                                      batch_size=4096)
     return annotated, {"rows": rows, "errors": errors,
                        "sec_extract": round(t_extract, 3),
                        "sec_offsets": round(t_offsets, 3)}
@@ -215,24 +212,31 @@ def _flagship_plan(input_path: str, want_markdown: bool, keep_spans: bool):
 def run_flagship(input_path: str, *, want_markdown: bool = True,
                  keep_spans: bool = True):
     """Annotated per-turn Dataset sorted by ``(conv_id, turn_idx)``.
-    Extraction and offsets run now; the annotate and sort steps stay lazy
+    Extraction, offsets and annotation run now; the sort stays lazy
     (consume with write_parquet/iter_batches)."""
     annotated, _ = _flagship_plan(input_path, want_markdown, keep_spans)
     tune_for_pipeline()
-    return annotated.sort(["conv_id", "turn_idx"])
+    return rd.from_arrow_refs(annotated).sort(["conv_id", "turn_idx"])
 
 
 def run_flagship_job(input_path: str, out_dir: str, *,
                      want_markdown: bool = True,
                      keep_spans: bool = True) -> dict:
     """Production flagship: the annotated rows of ``run_flagship``, written
-    to ``out_dir`` as parquet in block order. Returns a summary dict with
+    to ``out_dir`` as parquet in block order. ``out_dir`` must not exist
+    yet or be empty; the rows appear there all at once, when the write is
+    complete (``state/manifest.replace_dir``). Returns a summary dict with
     the row and error counts and the seconds of each phase."""
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        raise FileExistsError(
+            f"{out_dir} already holds files; write the job to a new "
+            "directory")
     t0 = time.perf_counter()
     annotated, phases = _flagship_plan(input_path, want_markdown,
                                        keep_spans)
     t2 = time.perf_counter()
-    annotated.write_parquet(out_dir)
+    replace_dir(out_dir, lambda tmp: rd.from_arrow_refs(annotated)
+                .write_parquet(tmp, min_rows_per_file=MIN_ROWS_PER_FILE))
     t_write = time.perf_counter() - t2
     return {**phases, "out_dir": out_dir,
             "sec_annotate_write": round(t_write, 3),

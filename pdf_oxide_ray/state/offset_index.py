@@ -1,14 +1,23 @@
-"""Conversation offsets: every flagship row gets ``turn_offset``, its
-text's character offset in the ``TURN_SEPARATOR``-joined conversation text,
-and ``conv_turns``.
+"""Conversation offsets by block position: every flagship row gets
+``turn_offset``, its text's character offset in the ``TURN_SEPARATOR``-joined
+conversation text, and ``conv_turns``.
 
 The offsets need only the skinny columns ``(conv_id, turn_idx, n_chars)``,
-~24 B/turn, so the driver gathers them, sorts by ``(conv_id, turn_idx)``
-and takes one segmented prefix sum (``compute_offsets_table``). The lookup
-goes back to the workers as one ``ray.put``, and
-``AnnotateOffsetsBroadcast`` annotates the fat rows in place: the extracted
-text, markdown and spans never cross an exchange. A hot conversation costs
-its turn count, not its payload bytes.
+~24 B/turn. ``annotate_blocks`` works on the blocks of a materialized
+Dataset, by position:
+
+1. one task per block selects the skinny columns (and ``status``, for the
+   job's error count), and the driver concatenates them in block order;
+2. ``compute_offsets_table`` sorts them by ``(conv_id, turn_idx)``, takes
+   one segmented prefix sum and returns each row's figures in the skinny
+   table's row order, so row ``i`` of block ``b`` is row ``start_b + i``;
+3. one task per block appends its slice of the figures to the block it
+   came from.
+
+No key is hashed or looked up, and the extracted text, markdown and spans
+never leave their node. A hot conversation costs its turn count, not its
+payload bytes. The tasks keep Ray's default of one CPU: a zero-CPU task
+can start one more worker process.
 
 The driver's time and memory bound the corpus this serves; the measured
 cost and what lies beyond it are in SCALE.md.
@@ -18,71 +27,64 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
+SKINNY = ["conv_id", "turn_idx", "n_chars", "status"]
 
-def _row_keys(conv, tidx) -> np.ndarray:
-    """Vectorized 64-bit (conv_id, turn_idx) key: pandas' SipHash-based
-    string hash (fixed default key -> identical across processes) mixed
-    with the turn index. Collision bound: n^2 / 2^64 pairs — ~1e-6 at 5M
-    turns."""
-    import pandas as pd
 
-    conv_h = pd.util.hash_array(np.asarray(conv, dtype=object))
-    t = np.asarray(tidx, dtype=np.uint64)
-    return conv_h * np.uint64(0x9E3779B97F4A7C15) + t
+@ray.remote
+def _skinny(block: pa.Table) -> pa.Table:
+    # a block with no rows may have no columns either
+    return block.select(SKINNY) if block.num_rows else pa.table({})
+
+
+@ray.remote
+def _annotate(block: pa.Table, offsets: np.ndarray,
+              turns: np.ndarray) -> pa.Table:
+    block = block.append_column("turn_offset", pa.array(offsets, pa.int64()))
+    return block.append_column("conv_turns", pa.array(turns, pa.int32()))
 
 
 def compute_offsets_table(skinny: pa.Table, sep_len: int) -> dict:
-    """Vectorized groupby(conv_id)-sort(turn_idx)-prefix-sum over a driver-
-    side skinny table. Returns numpy arrays (sorted key -> offset/turns):
-    these ride ``ray.put`` as zero-copy plasma buffers, so workers map them
-    without deserialization (a python dict costs each worker ~1s of pickle
-    at 132k entries — measured anti-scaling with worker count)."""
-    conv = np.asarray(skinny.column("conv_id").to_pandas())
-    tidx = skinny.column("turn_idx").to_numpy()
-    nch = skinny.column("n_chars").to_numpy().astype(np.int64)
-    order = np.lexsort((tidx, conv))
-    conv_s, tidx_s, sizes = conv[order], tidx[order], nch[order] + sep_len
-    new_grp = np.empty(len(conv_s), dtype=bool)
-    new_grp[0:1] = True
-    new_grp[1:] = conv_s[1:] != conv_s[:-1]
-    csum = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    grp_base = np.maximum.accumulate(np.where(new_grp, csum, 0))
-    starts = csum - grp_base
-    grp_ids = np.cumsum(new_grp) - 1
-    counts = np.bincount(grp_ids)
-    conv_turns = counts[grp_ids]
-
-    keys = _row_keys(conv_s, tidx_s)
-    key_order = np.argsort(keys, kind="stable")
-    return {
-        "keys": keys[key_order],
-        "offsets": starts[key_order].astype(np.int64),
-        "turns": conv_turns[key_order].astype(np.int32),
-    }
+    """``offsets`` (int64) and ``turns`` (int32) of every row of ``skinny``,
+    in its row order: a row's offset is the summed ``n_chars + sep_len`` of
+    the turns before it in its conversation, sorted by ``turn_idx``. The
+    sort is stable, so rows that share a ``(conv_id, turn_idx)`` key keep
+    their order and each gets its own offset."""
+    codes = pc.dictionary_encode(
+        skinny.column("conv_id").combine_chunks(),
+        null_encoding="encode").indices.to_numpy()
+    order = np.lexsort((skinny.column("turn_idx").to_numpy(), codes))
+    sizes = skinny.column("n_chars").to_numpy().astype(np.int64)[order] \
+        + sep_len
+    before = np.cumsum(sizes) - sizes
+    # sorted by code, each conversation is one run starting at its first
+    counts = np.bincount(codes)
+    first = np.cumsum(counts) - counts
+    offsets = np.empty(len(order), np.int64)
+    offsets[order] = before - before[first][codes[order]]
+    return {"offsets": offsets, "turns": counts[codes].astype(np.int32)}
 
 
-class AnnotateOffsetsBroadcast:
-    """map_batches task fn: attach (turn_offset, conv_turns) to fat rows.
-    The numpy lookup arrays ride a ``ray.put`` ObjectRef — zero-copy plasma
-    read per worker; per-batch lookup is a vectorized searchsorted."""
-
-    def __init__(self, lookup_ref):
-        self.lookup_ref = lookup_ref
-        self._lookup = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self._lookup is None:
-            self._lookup = ray.get(self.lookup_ref)
-        lk = self._lookup
-        conv = np.asarray(batch.column("conv_id").to_pandas())
-        tidx = batch.column("turn_idx").to_numpy()
-        keys = _row_keys(conv, tidx)
-        pos = np.searchsorted(lk["keys"], keys)
-        pos = np.minimum(pos, len(lk["keys"]) - 1)
-        found = lk["keys"][pos] == keys
-        offs = np.where(found, lk["offsets"][pos], -1)
-        turns = np.where(found, lk["turns"][pos], 0).astype(np.int32)
-        batch = batch.append_column("turn_offset", pa.array(offs, pa.int64()))
-        return batch.append_column("conv_turns", pa.array(turns, pa.int32()))
+def annotate_blocks(refs: list,
+                    sep_len: int) -> tuple[list, pa.Table | None]:
+    """Refs of the blocks ``refs`` with ``turn_offset`` and ``conv_turns``
+    appended, in the same order, and the gathered skinny table (``None``
+    when no block has rows). Blocks without rows are left out: they hold
+    nothing to write. ``compute_offsets_table`` is looked up at call time,
+    so that a tracer can rebind it in this module."""
+    parts = ray.get([_skinny.remote(ref) for ref in refs])
+    kept = [(ref, part) for ref, part in zip(refs, parts) if part.num_rows]
+    if not kept:
+        return [], None
+    skinny = pa.concat_tables([part for _, part in kept],
+                              promote_options="default")
+    result = compute_offsets_table(skinny, sep_len)
+    out, start = [], 0
+    for ref, part in kept:
+        end = start + part.num_rows
+        out.append(_annotate.remote(ref, result["offsets"][start:end],
+                                    result["turns"][start:end]))
+        start = end
+    return out, skinny

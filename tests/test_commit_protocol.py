@@ -308,6 +308,27 @@ def test_crashed_rebuild_keeps_no_stale_manifest(name, params, baselines,
     assert _snapshot(out) == (*want[:2], [])
 
 
+def test_stopped_rebuild_answers_no_query(baselines, tmp_path, monkeypatch):
+    """An ``n_lists=8`` rebuild stopped after its ``assignments/`` swap has
+    removed the old manifest and written none: the directory holds no
+    index, so a query answers nothing instead of reading half a build."""
+    from pdf_oxide_ray.pipelines.ann_index import (build_ivf_index,
+                                                   query_ivf_index)
+
+    _, inp, base, _, _ = baselines("ann_build")
+    queries = pd.read_parquet(inp).head(4)["embedding"].tolist()
+    assert len(query_ivf_index(str(base), queries, k=3))
+    out = tmp_path / "out"
+    shutil.copytree(base, out)
+    _hook_replace(monkeypatch, out, ("data", 1, "after"))
+    with pytest.raises(Crash):
+        build_ivf_index(str(inp), str(out), n_lists=8)
+    monkeypatch.undo()
+    assert (out / "assignments").is_dir()
+    assert read_json(str(out / "_manifest.json")) is None
+    assert query_ivf_index(str(out), queries, k=3).empty
+
+
 def test_empty_shard_commits_an_empty_partition(ray_session, tmp_path):
     """A conv-hash shard that selects no conversation writes no files (Ray
     makes no directory for zero rows); it still commits, with rows 0."""

@@ -2,10 +2,13 @@
 offsets against an independent prefix sum, error accounting, and the
 incremental ingest job."""
 
+import glob
+import os
 import shutil
 
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
+import pytest
 
 from pdf_oxide_ray.gen.cache import golden_path, transcripts_path
 from pdf_oxide_ray.pipelines.flagship import run_flagship_job
@@ -76,6 +79,42 @@ def test_job_counts_poison_rows_without_failing(ray_session, tmp_path):
     poison = got[got["conv_id"] == "convB"]
     assert (poison["turn_offset"] >= 0).all()
     assert summary["errors"] == int((got["status"] == "error").sum())
+
+
+def test_rerun_into_same_dir_raises(ray_session, tmp_path):
+    """A second job into a directory that holds files raises before it
+    writes, and the first job's rows stay as they were."""
+    path = transcripts_path("sf0.001", with_golden=True)
+    out = str(tmp_path / "job")
+    summary = run_flagship_job(path, out, keep_spans=False)
+    before = pads.dataset(out).to_table()
+    with pytest.raises(FileExistsError):
+        run_flagship_job(path, out, keep_spans=False)
+    after = pads.dataset(out).to_table()
+    assert after.num_rows == summary["rows"]
+    assert after.equals(before)
+
+
+def _row_groups(out_dir):
+    """The row counts of each written file's row groups, sorted: blocks
+    finish in any order."""
+    out = []
+    for f in glob.glob(os.path.join(out_dir, "*.parquet")):
+        md = pq.ParquetFile(f).metadata
+        out.append([md.row_group(g).num_rows
+                    for g in range(md.num_row_groups)])
+    return sorted(out)
+
+
+def test_row_groups_repeat_across_runs(ray_session, tmp_path):
+    """The files and row groups follow the data (the extract's output
+    tables and ``MIN_ROWS_PER_FILE``), not run timing."""
+    path = transcripts_path("sf0.001", with_golden=True)
+    runs = []
+    for i in range(2):
+        run_flagship_job(path, str(tmp_path / f"job{i}"))
+        runs.append(_row_groups(str(tmp_path / f"job{i}")))
+    assert runs[0] == runs[1] == [[888]]
 
 
 def test_parallel_generation_byte_identical():

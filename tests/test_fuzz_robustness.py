@@ -3,6 +3,7 @@ deterministic on arbitrary input (row-level error absorption — a poison
 payload cannot fail a 10^12-row job; mirrors the reference's 100%-success
 goal, README.md:21)."""
 
+import sys
 import time
 
 import pytest
@@ -185,5 +186,30 @@ def test_page_ending_in_deep_nesting_keeps_its_text():
     t0 = time.perf_counter()
     res = extract_payload(pdf)
     assert time.perf_counter() - t0 < 1.0
+    assert res["status"] == "ok"
+    assert res["extracted_text"] == "Hello"
+
+
+# A run of digits and dots that fails as a number: each later start inside
+# it used to be lexed and parsed again (1.26-1.4 s for 10,000 '1.', 0.55 s
+# for 20,000 digits); each bound is over 10x below those old times. The
+# values are what the byte-by-byte retry gave: the first suffix that parses.
+@pytest.mark.parametrize("data,want", [
+    (b"1." * 10_000 + b" Tj", [1.0]),
+    (b"7" * 20_000 + b" Tj",
+     [int("7" * min(20_000, sys.get_int_max_str_digits() or 20_000))]),
+], ids=["dot_flood", "digit_run"])
+def test_number_floods_parse_in_linear_time(data, want):
+    t0 = time.perf_counter()
+    assert parse_content_stream(data) == [("Tj", want)]
+    assert time.perf_counter() - t0 < 0.05
+
+
+def test_page_ending_in_number_flood_keeps_its_text():
+    """1.36 s before the retry skipped to the first suffix that parses."""
+    pdf = _one_page_pdf(b"BT /F1 12 Tf 72 700 Td (Hello) Tj ET " + b"1." * 10_000)
+    t0 = time.perf_counter()
+    res = extract_payload(pdf)
+    assert time.perf_counter() - t0 < 0.1
     assert res["status"] == "ok"
     assert res["extracted_text"] == "Hello"

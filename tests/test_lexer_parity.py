@@ -11,6 +11,7 @@ import os
 import pathlib
 import re
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +81,19 @@ def test_parse_object_matches_reference(tokens, draw):
 @given(st.lists(st.sampled_from(ALPHABET), max_size=120))
 def test_parse_content_stream_matches_reference(tokens):
     data = _pdf_bytes(tokens)
+    assert _outcome(content.parse_content_stream, data) == \
+        _outcome(ref.parse_content_stream, data)
+
+
+# runs of digits and dots that fail as numbers, some longer than Python's
+# int digit limit: the content parser skips to the first suffix that parses
+NUMBER_RUNS = [b"1." * 300, b"12..3.4" * 50 + b"5 6 Td", b"+" + b"3" * 5000,
+               b"0" * 4301 + b"1 Tj", b"9" * 4500 + b".", b"." * 40 + b"1",
+               b"-1.2.3" * 30 + b"..", b"4.4" + b"4" * 4400 + b" T*"]
+
+
+@pytest.mark.parametrize("data", NUMBER_RUNS)
+def test_number_runs_match_reference(data):
     assert _outcome(content.parse_content_stream, data) == \
         _outcome(ref.parse_content_stream, data)
 

@@ -1,16 +1,15 @@
 """Conversation offsets on a skewed corpus: one 10^5-turn conversation
 and ~50 cold ones, shuffled across blocks, through the flagship's offsets
-path (driver-side ``compute_offsets_table`` + broadcast
-``AnnotateOffsetsBroadcast``), checked against a per-conversation running
-sum written here."""
+path (``annotate_blocks``: per-block skinny gather, driver-side
+``compute_offsets_table``, per-block annotate), checked against a
+per-conversation running sum written here."""
 
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
 from pdf_oxide_ray.stages.assembly import TURN_SEPARATOR
-from pdf_oxide_ray.state.offset_index import (AnnotateOffsetsBroadcast,
-                                              compute_offsets_table)
+from pdf_oxide_ray.state.offset_index import annotate_blocks
 
 HOT_TURNS = 100_000
 
@@ -28,6 +27,7 @@ def _skewed_table(seed: int = 7) -> pa.Table:
         "conv_id": pa.array([convs[i] for i in order]),
         "turn_idx": pa.array(np.asarray(tidx)[order], pa.int32()),
         "n_chars": pa.array(rng.randint(0, 400, len(convs)), pa.int64()),
+        "status": pa.array(["ok"] * len(convs)),
     })
 
 
@@ -52,11 +52,8 @@ def test_hot_conversation_offsets_match_running_sum(ray_session):
     ray = ray_session
     tbl = _skewed_table()
     ds = rd.from_arrow(tbl).repartition(8).materialize()
-    skinny = pa.concat_tables(ray.get(ds.to_arrow_refs()))
-    lookup = compute_offsets_table(skinny, len(TURN_SEPARATOR))
-    annotated = ds.map_batches(AnnotateOffsetsBroadcast(ray.put(lookup)),
-                               batch_format="pyarrow", batch_size=4096)
-    out = pa.concat_tables(ray.get(annotated.to_arrow_refs()))
+    annotated, _ = annotate_blocks(ds.to_arrow_refs(), len(TURN_SEPARATOR))
+    out = pa.concat_tables(ray.get(annotated))
 
     assert out.num_rows == tbl.num_rows
     want = _running_sums(tbl)
