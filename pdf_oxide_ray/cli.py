@@ -262,11 +262,13 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(summary))
         elif args.cmd == "extract-pdfs":
             from .sources.pdf_files import extract_pdf_dir
+            from .state.manifest import replace_dir, require_empty
 
+            require_empty(args.output)
             ds = extract_pdf_dir(args.input,
                                  want_markdown=not args.no_markdown,
                                  keep_spans=not args.no_spans)
-            ds.write_parquet(args.output)
+            replace_dir(args.output, ds.write_parquet)
             import ray.data as rd
 
             # summary counts stay distributed: per-batch (status, n)

@@ -31,6 +31,20 @@ turns, most rendered markdown), and each check costs one scan:
   trailing ``"\\n"`` is dropped, so the text must not end with one.
 * ``normalize_whitespace``: without ``"\\n\\n\\n"`` there is no 3+ newline run
   for the sub to replace.
+
+Linear subs: ``RE_DASH_PAGE``, ``RE_BRACKET_PAGE`` and ``RE_STANDALONE_NUM``
+start with ``^\\s*`` under ``re.M``, and that ``\\s*`` crosses newlines, so a
+``sub`` with them tries every line start of a run of blank lines and each
+try scans the rest of the run: quadratic in the run. The rest of each
+pattern starts with a character ``\\s`` does not match, so ``^\\s*`` must
+stop at the first non-space after the line start, and every line start of
+one whitespace run succeeds or fails alike. ``remove_page_artifacts`` subs
+with ``_linear_sub`` forms of the three: the leading ``\\s*+`` (possessive,
+the same match) and an alternative ``(\\s+)`` that, when the pattern fails
+at a line start, matches the rest of the run and puts it back (``\\1``),
+so the scan resumes after the run instead of at each later line start of
+it. A match ends where the reference's does, so the next scan starts at
+the same place too.
 """
 
 from __future__ import annotations
@@ -52,6 +66,19 @@ RE_ANY_ARTIFACT = re.compile(
     "|".join(f"(?:{p.pattern})" for p in ARTIFACT_PATTERNS), re.M)
 
 
+def _linear_sub(pattern: re.Pattern) -> tuple[re.Pattern, str]:
+    """``(p, repl)`` with ``p.sub(repl, t) == pattern.sub("", t)`` in time
+    linear in runs of blank lines, for a ``pattern`` of ``^\\s*`` and a
+    rest that starts with a non-space (module docstring)."""
+    rest = pattern.pattern.removeprefix(r"^\s*")
+    if rest == pattern.pattern:
+        return pattern, ""
+    return re.compile(rf"^(?:\s*+{rest}|(\s+))", re.M), r"\1"
+
+
+ARTIFACT_SUBS = tuple(_linear_sub(p) for p in ARTIFACT_PATTERNS)
+
+
 def normalize_whitespace(text: str) -> str:
     """3+ consecutive newlines -> exactly 3 (2 blank lines)."""
     if "\n\n\n" not in text:
@@ -63,8 +90,8 @@ def remove_page_artifacts(text: str) -> str:
     """reference whitespace.rs:91-114 (same pattern order)."""
     if RE_ANY_ARTIFACT.search(text) is None:
         return text
-    for pattern in ARTIFACT_PATTERNS:
-        text = pattern.sub("", text)
+    for pattern, repl in ARTIFACT_SUBS:
+        text = pattern.sub(repl, text)
     return text
 
 

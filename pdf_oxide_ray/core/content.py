@@ -20,6 +20,11 @@ from .objects import (ARR, INLINE_ID, INT, KEYWORDS, KW, NUM, OTHER, TOKEN,
                       Name, ParseError, ParseMemo, find, number, parse_object,
                       parse_token)
 
+# operator name per keyword: one interned str per operator, so the
+# interpreter's handler lookups compare by identity; bounded like
+# ``objects._KEYS``
+_OP_NAMES: dict[bytes, str] = {}
+
 
 def _parse_inline_image(data: bytes, pos: int,
                         memo: ParseMemo) -> tuple[tuple, int]:
@@ -108,7 +113,12 @@ def parse_content_stream(data: bytes) -> list[tuple[str, list]]:
                 except ParseError:
                     pass
             else:
-                ops.append((kw.decode("latin-1"), operands))
+                name = _OP_NAMES.get(kw)
+                if name is None:
+                    name = sys.intern(kw.decode("latin-1"))
+                    if len(_OP_NAMES) < 4096:
+                        _OP_NAMES[kw] = name
+                ops.append((name, operands))
             operands = []
         elif i == OTHER:  # no number, keyword or object starts with it
             pos = m.start(OTHER) + 1

@@ -45,7 +45,8 @@ class TextSpan:
 
 
 class _TjBuffer:
-    """reference TjBuffer (text.rs:104-161)."""
+    """reference TjBuffer (text.rs:104-161): the run of Tj strings that
+    make one span (a TJ array keeps its run in locals)."""
 
     __slots__ = ("text", "unicode", "start_matrix", "font_name", "font_size",
                  "char_space", "word_space", "horizontal_scaling", "mcid")
@@ -64,13 +65,10 @@ class _TjBuffer:
     def is_empty(self) -> bool:
         return not self.text
 
-    def append(self, data: bytes, fonts: dict[str, FontInfo],
-               decoded: str | None = None) -> None:
+    def append(self, data: bytes, fonts: dict[str, FontInfo]) -> None:
         self.text += data
-        if decoded is None:
-            font = fonts.get(self.font_name) if self.font_name else None
-            decoded = decode_text_to_unicode(data, font)
-        self.unicode.append(decoded)
+        font = fonts.get(self.font_name) if self.font_name else None
+        self.unicode.append(decode_text_to_unicode(data, font))
 
     @property
     def unicode_text(self) -> str:
@@ -104,148 +102,138 @@ class TextExtractor:
         (sort/dedup/merge) is applied by the caller via spans_post."""
         self.spans = []
         self.span_sequence_counter = 0
-        for op, operands in parse_content_stream(content_stream):
-            try:
-                self._execute(op, operands)
-            except Exception:  # noqa: BLE001 - resilient per-operator skip
-                continue
+        self._run(parse_content_stream(content_stream))
         self._flush_tj_span_buffer()
         return self.spans
 
     # -- operator dispatch ---------------------------------------------------
 
-    def _execute(self, op: str, args: list) -> None:  # noqa: C901
-        st = self.state_stack
-        # hottest operators first (Tj/TJ dominate real content streams)
-        if op == "Tj" and args:
+    def _run(self, ops: list[tuple[str, list]]) -> None:
+        """Execute each ``(op, operands)`` through its ``_HANDLERS`` entry.
+        An operator that raises is skipped, as in the reference. BT/ET/
+        BMC/path/shading/inline-image ops have no entry: no action
+        (reference text.rs:1866-1877 and the catch-all arm)."""
+        handlers = _HANDLERS
+        for op, args in ops:
+            handler = handlers.get(op)
+            if handler is not None:
+                try:
+                    handler(self, args)
+                except Exception:  # noqa: BLE001 - resilient per-operator skip
+                    continue
+
+    def _op_Tj(self, args: list) -> None:
+        if args and isinstance(args[-1], bytes):
             data = args[-1]
-            if isinstance(data, bytes):
-                if self.tj_span_buffer is None:
-                    self.tj_span_buffer = _TjBuffer(st.current(),
-                                                    self.current_mcid)
-                self.tj_span_buffer.append(data, self.fonts)
-                self._advance_position_for_string(data)
-            return
-        if op == "TJ" and args:
-            arr = args[-1]
-            if isinstance(arr, list):
-                self._process_tj_array(arr)
-            return
-        if op == "Tf" and len(args) >= 2:
-            cur = st.current()
+            if self.tj_span_buffer is None:
+                self.tj_span_buffer = _TjBuffer(self.state_stack.current(),
+                                                self.current_mcid)
+            self.tj_span_buffer.append(data, self.fonts)
+            self._advance_position_for_string(data)
+
+    def _op_TJ(self, args: list) -> None:
+        if args and isinstance(args[-1], list):
+            self._process_tj_array(args[-1])
+
+    def _op_Tf(self, args: list) -> None:
+        if len(args) >= 2:
+            cur = self.state_stack.current()
             cur.font_name = str(args[0])
             cur.font_size = float(args[1])
-        elif op == "Tm" and len(args) >= 6:
+
+    def _op_Tm(self, args: list) -> None:
+        if len(args) >= 6:
             self._flush_tj_span_buffer()
-            cur = st.current()
+            cur = self.state_stack.current()
             m = Matrix(*(float(v) for v in args[:6]))
             cur.text_matrix = m
             cur.text_line_matrix = m
-        elif op == "Td" and len(args) >= 2:
+
+    def _op_Td(self, args: list) -> None:
+        if len(args) >= 2:
             self._flush_tj_span_buffer()
-            cur = st.current()
-            tm = Matrix.translation(float(args[0]), float(args[1]))
-            cur.text_line_matrix = cur.text_line_matrix.multiply(tm)
-            cur.text_matrix = cur.text_line_matrix
-        elif op == "TD" and len(args) >= 2:
+            _next_line(self.state_stack.current(), float(args[0]),
+                       float(args[1]))
+
+    def _op_TD(self, args: list) -> None:
+        if len(args) >= 2:
             self._flush_tj_span_buffer()
-            cur = st.current()
+            cur = self.state_stack.current()
             cur.leading = -float(args[1])
-            tm = Matrix.translation(float(args[0]), float(args[1]))
-            cur.text_line_matrix = cur.text_line_matrix.multiply(tm)
-            cur.text_matrix = cur.text_line_matrix
-        elif op == "T*":
-            self._flush_tj_span_buffer()
-            cur = st.current()
-            tm = Matrix.translation(0.0, -cur.leading)
-            cur.text_line_matrix = cur.text_line_matrix.multiply(tm)
-            cur.text_matrix = cur.text_line_matrix
-        elif op == "'" and args:
-            # reference Quote arm (text.rs:1333): newline + char-mode show;
-            # in span mode the shown text is NOT added to spans (parity),
-            # but the text matrix still advances past it (show_text runs in
-            # the reference) so later spans on the line get a fresh x.
-            cur = st.current()
-            tm = Matrix.translation(0.0, -cur.leading)
-            cur.text_line_matrix = cur.text_line_matrix.multiply(tm)
-            cur.text_matrix = cur.text_line_matrix
+            _next_line(cur, float(args[0]), float(args[1]))
+
+    def _op_T_star(self, args: list) -> None:
+        self._flush_tj_span_buffer()
+        cur = self.state_stack.current()
+        _next_line(cur, 0.0, -cur.leading)
+
+    def _op_quote(self, args: list) -> None:
+        # reference Quote arm (text.rs:1333): newline + char-mode show;
+        # in span mode the shown text is NOT added to spans (parity),
+        # but the text matrix still advances past it (show_text runs in
+        # the reference) so later spans on the line get a fresh x.
+        if args:
+            cur = self.state_stack.current()
+            _next_line(cur, 0.0, -cur.leading)
             if isinstance(args[-1], bytes):
                 self._advance_position_for_string(args[-1])
-        elif op == '"' and len(args) >= 3:
-            cur = st.current()
+
+    def _op_dquote(self, args: list) -> None:
+        if len(args) >= 3:
+            cur = self.state_stack.current()
             cur.word_space = float(args[0])
             cur.char_space = float(args[1])
-            tm = Matrix.translation(0.0, -cur.leading)
-            cur.text_line_matrix = cur.text_line_matrix.multiply(tm)
-            cur.text_matrix = cur.text_line_matrix
+            _next_line(cur, 0.0, -cur.leading)
             if isinstance(args[-1], bytes):
                 self._advance_position_for_string(args[-1])
-        elif op == "Tc" and args:
-            st.current().char_space = float(args[0])
-        elif op == "Tw" and args:
-            st.current().word_space = float(args[0])
-        elif op == "Tz" and args:
-            st.current().horizontal_scaling = float(args[0])
-        elif op == "TL" and args:
-            st.current().leading = float(args[0])
-        elif op == "Ts" and args:
-            st.current().text_rise = float(args[0])
-        elif op == "Tr" and args:
-            st.current().render_mode = int(args[0])
-        elif op == "q":
-            st.save()
-        elif op == "Q":
-            st.restore()
-        elif op == "cm" and len(args) >= 6:
-            cur = st.current()
+
+    def _op_q(self, args: list) -> None:
+        self.state_stack.save()
+
+    def _op_Q(self, args: list) -> None:
+        self.state_stack.restore()
+
+    def _op_cm(self, args: list) -> None:
+        if len(args) >= 6:
+            cur = self.state_stack.current()
             m = Matrix(*(float(v) for v in args[:6]))
             cur.ctm = cur.ctm.multiply(m)
-        elif op == "rg" and len(args) >= 3:
-            st.current().fill_color_rgb = tuple(float(v) for v in args[:3])
-        elif op == "RG" and len(args) >= 3:
-            st.current().stroke_color_rgb = tuple(float(v) for v in args[:3])
-        elif op == "g" and args:
-            v = float(args[0])
-            st.current().fill_color_rgb = (v, v, v)
-        elif op == "G" and args:
-            v = float(args[0])
-            st.current().stroke_color_rgb = (v, v, v)
-        elif op == "k" and len(args) >= 4:
-            cur = st.current()
+
+    def _op_cmyk(self, args: list, fill: bool) -> None:
+        if len(args) >= 4:
+            cur = self.state_stack.current()
             c, m_, y, kk = (float(v) for v in args[:4])
-            cur.fill_color_cmyk = (c, m_, y, kk)
-            cur.fill_color_rgb = cmyk_to_rgb(c, m_, y, kk)
-        elif op == "K" and len(args) >= 4:
-            cur = st.current()
-            c, m_, y, kk = (float(v) for v in args[:4])
-            cur.stroke_color_cmyk = (c, m_, y, kk)
-            cur.stroke_color_rgb = cmyk_to_rgb(c, m_, y, kk)
-        elif op == "cs" and args:
-            cur = st.current()
-            cur.fill_color_space = str(args[0])
-            cur.fill_color_rgb = (0.0, 0.0, 0.0)
-            cur.fill_color_cmyk = None
-        elif op == "CS" and args:
-            cur = st.current()
-            cur.stroke_color_space = str(args[0])
-            cur.stroke_color_rgb = (0.0, 0.0, 0.0)
-            cur.stroke_color_cmyk = None
-        elif op in ("sc", "scn"):
-            self._set_color_components(args, fill=True)
-        elif op in ("SC", "SCN"):
-            self._set_color_components(args, fill=False)
-        elif op == "BDC" and len(args) >= 2:
-            props = args[1]
-            if isinstance(props, dict):
-                mcid = props.get("MCID")
-                if isinstance(mcid, int):
-                    self.current_mcid = mcid
-        elif op == "EMC":
-            self.current_mcid = None
-        elif op == "Do" and args:
+            if fill:
+                cur.fill_color_cmyk = (c, m_, y, kk)
+                cur.fill_color_rgb = cmyk_to_rgb(c, m_, y, kk)
+            else:
+                cur.stroke_color_cmyk = (c, m_, y, kk)
+                cur.stroke_color_rgb = cmyk_to_rgb(c, m_, y, kk)
+
+    def _op_color_space(self, args: list, fill: bool) -> None:
+        if args:
+            cur = self.state_stack.current()
+            if fill:
+                cur.fill_color_space = str(args[0])
+                cur.fill_color_rgb = (0.0, 0.0, 0.0)
+                cur.fill_color_cmyk = None
+            else:
+                cur.stroke_color_space = str(args[0])
+                cur.stroke_color_rgb = (0.0, 0.0, 0.0)
+                cur.stroke_color_cmyk = None
+
+    def _op_BDC(self, args: list) -> None:
+        if len(args) >= 2 and isinstance(args[1], dict):
+            mcid = args[1].get("MCID")
+            if isinstance(mcid, int):
+                self.current_mcid = mcid
+
+    def _op_EMC(self, args: list) -> None:
+        self.current_mcid = None
+
+    def _op_Do(self, args: list) -> None:
+        if args:
             self._process_xobject(str(args[0]))
-        # BT/ET/BMC/path/shading/inline-image ops: no action (reference
-        # text.rs:1866-1877 and the catch-all arm)
 
     def _set_color_components(self, args: list, fill: bool) -> None:
         comps = [float(v) for v in args if isinstance(v, (int, float))]
@@ -273,35 +261,87 @@ class TextExtractor:
     # -- TJ machinery --------------------------------------------------------
 
     def _process_tj_array(self, array: list) -> None:
-        """reference process_tj_array (text.rs:2194-2282)."""
-        # state and font are loop invariants: Tf/q/Q can't occur inside a
-        # TJ array, so the probe decode font == buffer font throughout
+        """reference process_tj_array (text.rs:2194-2282). Tf/q/Q/Tm can't
+        occur inside a TJ array, so the state, the font and the text
+        matrix's a-d are loop invariants: the matrix advances as local
+        ``e``/``f`` floats, and a buffer is its start position, its bytes
+        and its decoded pieces."""
         state = self.state_stack.current()
-        font = self.fonts.get(state.font_name or "")
+        name = state.font_name
+        # the probe decode and advance font, and the flushed span's font
+        font = self.fonts.get(name or "")
+        span_font = self.fonts.get(name) if name else None
+        bold = span_font.is_bold() if span_font is not None else False
+        size, cs, ws = state.font_size, state.char_space, state.word_space
+        hs = state.horizontal_scaling
+        tm = state.text_matrix
+        a, b, d, e, f = tm.a, tm.b, tm.d, tm.e, tm.f
+        d_abs = abs(d) or 1.0
+        eff_size = size * abs(d)
         threshold = self.space_insertion_threshold
-        buffer = _TjBuffer(state, self.current_mcid)
-        for element in array:
-            if isinstance(element, bytes):
-                # mid-word whitespace-only show-string repair; the probe
-                # decode is reused by append
-                unicode_text = decode_text_to_unicode(element, font) if font else None
-                if unicode_text and not unicode_text.strip():
-                    if buffer.unicode:
-                        utxt = buffer.unicode_text
-                        if utxt and utxt[-1].islower():
-                            self._advance_string(state, font, element)
+        mcid = self.current_mcid
+        width = self._string_width
+        start_e, start_f = e, f
+        raw = bytearray()
+        pieces: list[str] = []
+        last = ""  # the buffer's last decoded character
+        try:
+            for element in array:
+                if isinstance(element, bytes):
+                    if font:
+                        decoded = decode_text_to_unicode(element, font)
+                        # mid-word whitespace-only show-string repair
+                        if decoded and not decoded.strip() \
+                                and last.islower():
+                            adv = width(element, font, size, cs, ws,
+                                        hs) / d_abs
+                            e, f = e + adv * a, f + adv * b
                             continue
-                buffer.append(element, self.fonts, decoded=unicode_text)
-                self._advance_string(state, font, element)
-            elif isinstance(element, (int, float)):
-                offset = float(element)
-                if offset < threshold:
-                    self._flush_tj_buffer(buffer)
-                    self._insert_space_as_span()
-                    buffer = _TjBuffer(state, self.current_mcid)
-                self._advance_position_for_offset(offset)
-        if not buffer.is_empty():
-            self._flush_tj_buffer(buffer)
+                    else:
+                        decoded = decode_text_to_unicode(element, span_font)
+                    raw += element
+                    pieces.append(decoded)
+                    if decoded:
+                        last = decoded[-1]
+                    adv = width(element, font, size, cs, ws, hs) / d_abs
+                    e, f = e + adv * a, f + adv * b
+                elif isinstance(element, (int, float)):
+                    offset = float(element)
+                    if offset < threshold:
+                        if raw:
+                            self._add_span("".join(pieces), start_e,
+                                           start_f, width(bytes(raw),
+                                                          span_font, size,
+                                                          cs, ws, hs),
+                                           eff_size, name, bold, mcid)
+                        # reference insert_space_as_span (text.rs:2324-2368)
+                        space_width = ((250.0 * size / 1000.0 + ws)
+                                       * hs / 100.0)
+                        self._add_span(" ", e, f, space_width, eff_size,
+                                       name, False, mcid)
+                        adv = space_width / d_abs
+                        e, f = e + adv * a, f + adv * b
+                        start_e, start_f = e, f
+                        raw = bytearray()
+                        pieces = []
+                        last = ""
+                    # reference text.rs:2371-2385
+                    e += -offset / 1000.0 * size * hs / 100.0
+            if raw:
+                self._add_span("".join(pieces), start_e, start_f,
+                               width(bytes(raw), span_font, size, cs, ws,
+                                     hs),
+                               eff_size, name, bold, mcid)
+        finally:
+            state.text_matrix = Matrix(a, b, tm.c, d, e, f)
+
+    def _add_span(self, text: str, x: float, y: float, width: float,
+                  eff_size: float, font_name: str | None, bold: bool,
+                  mcid: int | None) -> None:
+        self.spans.append(TextSpan(
+            text, x, y, width, eff_size, font_name or "Unknown", eff_size,
+            bold, mcid, self.span_sequence_counter))
+        self.span_sequence_counter += 1
 
     def _string_width(self, text: bytes, font, font_size: float,
                       char_space: float, word_space: float,
@@ -329,10 +369,6 @@ class TextExtractor:
         """reference text.rs:2285-2321."""
         state = self.state_stack.current()
         font = self.fonts.get(state.font_name) if state.font_name else None
-        self._advance_string(state, font, text)
-
-    def _advance_string(self, state, font, text: bytes) -> None:
-        """Advance with pre-fetched state/font (hot TJ path)."""
         total = self._string_width(text, font, state.font_size,
                                    state.char_space, state.word_space,
                                    state.horizontal_scaling)
@@ -342,63 +378,20 @@ class TextExtractor:
         state.text_matrix = Matrix(tm.a, tm.b, tm.c, tm.d,
                                    tm.e + adv * tm.a, tm.f + adv * tm.b)
 
-    def _advance_position_for_offset(self, offset: float) -> None:
-        """reference text.rs:2371-2385."""
-        state = self.state_stack.current()
-        tx = -offset / 1000.0 * state.font_size * state.horizontal_scaling / 100.0
-        tm = state.text_matrix
-        state.text_matrix = Matrix(tm.a, tm.b, tm.c, tm.d, tm.e + tx, tm.f)
-
-    def _insert_space_as_span(self) -> None:
-        """reference insert_space_as_span (text.rs:2324-2368)."""
-        state = self.state_stack.current()
-        tm = state.text_matrix
-        eff_size = state.font_size * abs(tm.d)
-        space_width = ((250.0 * state.font_size / 1000.0 + state.word_space)
-                       * state.horizontal_scaling / 100.0)
-        self.spans.append(TextSpan(
-            text=" ", x=tm.e, y=tm.f, width=space_width, height=eff_size,
-            font_name=state.font_name or "Unknown", font_size=eff_size,
-            bold=False, mcid=self.current_mcid,
-            sequence=self.span_sequence_counter))
-        self.span_sequence_counter += 1
-        d_abs = abs(tm.d) or 1.0
-        adv = space_width / d_abs
-        state.text_matrix = Matrix(tm.a, tm.b, tm.c, tm.d,
-                                   tm.e + adv * tm.a, tm.f + adv * tm.b)
-
-    def _flush_buffer_common(self, buffer: _TjBuffer) -> None:
-        if buffer.is_empty():
-            return
-        total_width = self._calculate_tj_buffer_width(buffer)
-        eff_size = buffer.font_size * abs(buffer.start_matrix.d)
-        font = self.fonts.get(buffer.font_name) if buffer.font_name else None
-        bold = font.is_bold() if font is not None else False
-        self.spans.append(TextSpan(
-            text=buffer.unicode_text,
-            x=buffer.start_matrix.e, y=buffer.start_matrix.f,
-            width=total_width, height=eff_size,
-            font_name=buffer.font_name or "Unknown", font_size=eff_size,
-            bold=bold, mcid=buffer.mcid,
-            sequence=self.span_sequence_counter))
-        self.span_sequence_counter += 1
-
-    def _flush_tj_buffer(self, buffer: _TjBuffer) -> None:
-        """reference flush_tj_buffer (text.rs:2087-2140)."""
-        self._flush_buffer_common(buffer)
-
     def _flush_tj_span_buffer(self) -> None:
-        """reference flush_tj_span_buffer (text.rs:2391-2444)."""
-        if self.tj_span_buffer is not None:
-            buf, self.tj_span_buffer = self.tj_span_buffer, None
-            self._flush_buffer_common(buf)
-
-    def _calculate_tj_buffer_width(self, buffer: _TjBuffer) -> float:
-        """reference text.rs:2149-2183 (same formula as advance)."""
-        font = self.fonts.get(buffer.font_name) if buffer.font_name else None
-        return self._string_width(bytes(buffer.text), font, buffer.font_size,
-                                  buffer.char_space, buffer.word_space,
-                                  buffer.horizontal_scaling)
+        """reference flush_tj_span_buffer (text.rs:2391-2444); the width is
+        reference text.rs:2149-2183 (same formula as advance)."""
+        buf, self.tj_span_buffer = self.tj_span_buffer, None
+        if buf is None or buf.is_empty():
+            return
+        font = self.fonts.get(buf.font_name) if buf.font_name else None
+        self._add_span(
+            buf.unicode_text, buf.start_matrix.e, buf.start_matrix.f,
+            self._string_width(bytes(buf.text), font, buf.font_size,
+                               buf.char_space, buf.word_space,
+                               buf.horizontal_scaling),
+            buf.font_size * abs(buf.start_matrix.d), buf.font_name,
+            font.is_bold() if font is not None else False, buf.mcid)
 
     # -- XObjects ------------------------------------------------------------
 
@@ -424,13 +417,70 @@ class TextExtractor:
         self._xobject_depth += 1
         try:
             self.state_stack.save()
-            for op, operands in parse_content_stream(content):
-                try:
-                    self._execute(op, operands)
-                except Exception:  # noqa: BLE001
-                    continue
+            self._run(parse_content_stream(content))
             self._flush_tj_span_buffer()
             self.state_stack.restore()
         finally:
             self._xobject_depth -= 1
             self.fonts = saved_fonts
+
+
+def _next_line(state, tx: float, ty: float) -> None:
+    """Td/TD/T*/'/\" line move: Tlm = T(tx, ty) x Tlm, Tm = Tlm."""
+    state.text_line_matrix = state.text_line_matrix.multiply(
+        Matrix.translation(tx, ty))
+    state.text_matrix = state.text_line_matrix
+
+
+def _set_state(attr: str, conv):
+    def handler(self: TextExtractor, args: list) -> None:
+        if args:
+            setattr(self.state_stack.current(), attr, conv(args[0]))
+    return handler
+
+
+def _set_rgb(attr: str, n: int):
+    def handler(self: TextExtractor, args: list) -> None:
+        if len(args) >= n:
+            rgb = tuple(float(v) for v in args[:n])
+            setattr(self.state_stack.current(), attr,
+                    rgb if n == 3 else rgb * 3)
+    return handler
+
+
+# operator name -> handler (reference execute_operator, text.rs:1179-1919)
+_HANDLERS = {
+    "Tj": TextExtractor._op_Tj,
+    "TJ": TextExtractor._op_TJ,
+    "Tf": TextExtractor._op_Tf,
+    "Tm": TextExtractor._op_Tm,
+    "Td": TextExtractor._op_Td,
+    "TD": TextExtractor._op_TD,
+    "T*": TextExtractor._op_T_star,
+    "'": TextExtractor._op_quote,
+    '"': TextExtractor._op_dquote,
+    "Tc": _set_state("char_space", float),
+    "Tw": _set_state("word_space", float),
+    "Tz": _set_state("horizontal_scaling", float),
+    "TL": _set_state("leading", float),
+    "Ts": _set_state("text_rise", float),
+    "Tr": _set_state("render_mode", int),
+    "q": TextExtractor._op_q,
+    "Q": TextExtractor._op_Q,
+    "cm": TextExtractor._op_cm,
+    "rg": _set_rgb("fill_color_rgb", 3),
+    "RG": _set_rgb("stroke_color_rgb", 3),
+    "g": _set_rgb("fill_color_rgb", 1),
+    "G": _set_rgb("stroke_color_rgb", 1),
+    "k": lambda self, args: self._op_cmyk(args, True),
+    "K": lambda self, args: self._op_cmyk(args, False),
+    "cs": lambda self, args: self._op_color_space(args, True),
+    "CS": lambda self, args: self._op_color_space(args, False),
+    "sc": lambda self, args: self._set_color_components(args, True),
+    "scn": lambda self, args: self._set_color_components(args, True),
+    "SC": lambda self, args: self._set_color_components(args, False),
+    "SCN": lambda self, args: self._set_color_components(args, False),
+    "BDC": TextExtractor._op_BDC,
+    "EMC": TextExtractor._op_EMC,
+    "Do": TextExtractor._op_Do,
+}

@@ -373,6 +373,10 @@ def parse_token(data: bytes, m: re.Match, memo: ParseMemo | None = None,
                     if m is None:
                         raise ParseError("unterminated array")
                     i = m.lastindex
+                    if i == STR:
+                        arr.append(m.group(STR))
+                        pos = m.end()
+                        continue
                     bare = operand and m.start(COMMENT) < 0
                     if i == ARR_END and (bare or not operand):
                         return arr, m.end()

@@ -57,7 +57,7 @@ from ..stages.assembly import TURN_SEPARATOR
 from ..stages.extract import ExtractTurns
 from ..state import offset_index
 from ..state.manifest import (commit_partition, read_manifests,
-                              replace_dir)
+                              replace_dir, require_empty)
 
 TARGET_BLOCK_BYTES = 64 * 1024 * 1024  # cap block size at scale
 # The job writes blocks smaller than this together, into one file: each
@@ -227,10 +227,7 @@ def run_flagship_job(input_path: str, out_dir: str, *,
     yet or be empty; the rows appear there all at once, when the write is
     complete (``state/manifest.replace_dir``). Returns a summary dict with
     the row and error counts and the seconds of each phase."""
-    if os.path.isdir(out_dir) and os.listdir(out_dir):
-        raise FileExistsError(
-            f"{out_dir} already holds files; write the job to a new "
-            "directory")
+    require_empty(out_dir)
     t0 = time.perf_counter()
     annotated, phases = _flagship_plan(input_path, want_markdown,
                                        keep_spans)
@@ -333,11 +330,13 @@ def run_export(input_path: str, out_dir: str, fmt: str = "text", *,
     output format: ``parquet`` (production — column-pruned reads) or
     ``jsonl`` (``Dataset.write_json`` — the interchange format LM
     training loaders commonly consume); both stream per block, never
-    one giant file."""
+    one giant file. ``out_dir`` must not exist yet or be empty; the rows
+    appear there all at once, when the write is complete."""
     if fmt not in ("text", "markdown", "html"):
         raise ValueError(f"unknown export format {fmt!r}")
     if sink not in ("parquet", "jsonl"):
         raise ValueError(f"unknown sink {sink!r}")
+    require_empty(out_dir)
     ds = read_transcripts(input_path)
     extracted = extract_dataset(ds, want_markdown=(fmt == "markdown"),
                                 keep_spans=(fmt == "html"))
@@ -369,8 +368,6 @@ def run_export(input_path: str, out_dir: str, fmt: str = "text", *,
         })
 
     out = extracted.map_batches(render, batch_format="pyarrow")
-    if sink == "jsonl":
-        out.write_json(out_dir)
-    else:
-        out.write_parquet(out_dir)
+    replace_dir(out_dir, out.write_json if sink == "jsonl"
+                else out.write_parquet)
     return {"out_dir": out_dir, "format": fmt, "sink": sink}

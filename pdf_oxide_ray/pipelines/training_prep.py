@@ -22,8 +22,10 @@ Stages (all streaming; shuffle budget below):
    minimal-traffic plan — the alternative is a skinny winners exchange
    PLUS a big-big re-join, i.e. two corpus-sized shuffles).
 4. **Partitioned sink** — ``write_parquet(out_dir,
-   partition_cols=["split"])``: one directory per split, resumable and
-   loader-friendly; never one giant file.
+   partition_cols=["split"])``: one directory per split, loader-friendly,
+   never one giant file. ``out_dir`` must not exist yet or be empty; the
+   splits appear there all at once, when the write is complete
+   (``state/manifest.replace_dir``).
 
 The stage semantics are bit-identical to their standalone oracle-backed
 queries (`quality_filter`, `decontaminate`, `dedup_exact`,
@@ -48,7 +50,9 @@ def run_training_prep(input_path: str, out_dir: str, *,
     from ..functions import dedup as fdedup
     from ..functions import textops as ftext
     from ..ops.exchange import exchange_by_key
+    from ..state.manifest import replace_dir, require_empty
 
+    require_empty(out_dir)
     p = Q._QUALITY_FILTER_P if quality_p is None else quality_p
 
     ds = rd.read_parquet(input_path, columns=["doc_id", "text", "source"])
@@ -119,7 +123,8 @@ def run_training_prep(input_path: str, out_dir: str, *,
     unique = exchange_by_key(feat, ["content_hash"], dedup_bucket) \
         .materialize()
     n_unique = unique.count()
-    unique.write_parquet(out_dir, partition_cols=["split"])
+    replace_dir(out_dir, lambda tmp: unique.write_parquet(
+        tmp, partition_cols=["split"]))
 
     per_split = unique.map_batches(
         lambda b: b.groupby("split", as_index=False)

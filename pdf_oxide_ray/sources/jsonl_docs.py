@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 import pandas as pd
 
@@ -111,11 +110,9 @@ def ingest_jsonl_dir(paths: str | list[str], output: str) -> dict:
     write (no data re-read). Returns {'rows': ok_rows, 'errors':
     error_rows}."""
     from ..pipelines.ann_index import _strip_pandas_meta
-    from ..state.manifest import partition_rows, replace_dir
+    from ..state.manifest import partition_rows, replace_dir, require_empty
 
-    if os.path.isdir(output) and os.listdir(output):
-        raise FileExistsError(
-            f"{output} already holds files; ingest into a new directory")
+    require_empty(output)
     # rag_prep and training_prep read these files back through Ray, which
     # cannot hash a schema that carries pandas metadata
     docs = read_jsonl_docs(paths) \

@@ -22,11 +22,18 @@ Design (SURVEY.md §4):
   into ~150 batches, each paying Ray Data's per-batch cost and each a
   chunk of every materialized column;
 * ``batch_format="pyarrow"``: zero-copy in; output built via
-  ``pa.Table.from_arrays`` (no pandas round-trip for the wide ``spans``
-  list<struct> column);
-* row-level try/except inside ``extract_payload``: a poison payload yields a
-  ``status='error'`` row, never a task failure;
-* per-row wall time emitted (``duration_us``) for the skew/metrics rollups.
+  ``pa.Table`` (no pandas round-trip for the wide ``spans`` list<struct>
+  column);
+* two passes per output table. The plain-turn pass is columnar: one Arrow
+  compute mask (``_unchanged_plain``) marks the turns that
+  ``extract_payload`` provably returns unchanged as ``kind='plain'``, and
+  their output columns are built from ``text`` in bulk. Every other row
+  goes through ``extract_payload`` one at a time; its row-level
+  try/except turns a poison payload into a ``status='error'`` row, never a
+  task failure. The two parts are put back in row order;
+* ``duration_us``: a per-row loop turn's own wall time; a marked turn's
+  even integer share of the plain-turn pass (mask and column builds), so
+  the column still sums to the stage's kernel time.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from ..gen.transcripts import SPAN_TYPE
 # table of production-mix turns (~1.75 KB mean) holds ~600 rows.
 BATCH_BYTES = 1 << 20
 
-EXTRACTED_FIELDS = [
+EXTRACTED_SCHEMA = pa.schema([
     ("kind", pa.string()),
     ("extracted_text", pa.large_string()),
     ("markdown", pa.large_string()),
@@ -74,7 +81,7 @@ EXTRACTED_FIELDS = [
     ("status", pa.string()),
     ("error", pa.string()),
     ("duration_us", pa.int64()),
-]
+])
 
 
 def byte_slices(text: pa.ChunkedArray | pa.Array) -> list[tuple[int, int]]:
@@ -92,6 +99,43 @@ def byte_slices(text: pa.ChunkedArray | pa.Array) -> list[tuple[int, int]]:
         out.append((start, stop))
         start, taken = stop, int(cum[stop - 1])
     return out or [(0, 0)]
+
+
+# A turn that matches this regex may change under extraction:
+#   "%PDF"         extract_payload's sniff may read it as a PDF;
+#   "\n", "  "     a line break or space run the cleanup may touch; with
+#                  no "\n", ``^``/``$`` under ``re.M`` match only at the
+#                  ends of the text;
+#   three "<"      ``looks_like_html`` may read it as HTML.
+_MAY_CHANGE = "|".join(["%PDF", "\n", "  ", "<[^<]*<[^<]*<"])
+# An ASCII letter that no page-artifact pattern of ``core/cleanup.py`` can
+# match: not P, a, g or e (of "Page"), and no ASCII letter is in Python's
+# Unicode ``\s`` or ``\d``. A text with one and no "\n" is no artifact line.
+_NON_ARTIFACT_LETTER = "[b-dfh-zA-OQ-Z]"
+
+
+def _unchanged_plain(text: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """Bool mask of the rows whose ``extract_payload`` result is
+    ``kind='plain'``, ``status='ok'`` and ``extracted_text == text``: no
+    ``%PDF``, fewer than three ``<``, no newline, no two spaces in a row,
+    and a letter of ``_NON_ARTIFACT_LETTER``. Then every no-op check of
+    ``core/cleanup.py`` holds. A null row is never marked."""
+    mask = pc.and_(
+        pc.invert(pc.match_substring_regex(text, _MAY_CHANGE)),
+        pc.match_substring_regex(text, _NON_ARTIFACT_LETTER))
+    return np.asarray(mask.fill_null(False), dtype=bool)
+
+
+def _strings(value: str, n: int, typ: pa.DataType) -> pa.Array:
+    return pa.array([value] * n, typ)
+
+
+def _shares(total: int, n: int) -> pa.Array:
+    """``n`` integers within one of each other that sum to ``total``."""
+    q, r = divmod(total, n)
+    out = np.full(n, q, np.int64)
+    out[:r] += 1
+    return pa.array(out)
 
 
 class ExtractTurns:
@@ -115,7 +159,53 @@ class ExtractTurns:
             yield self._extract(block.slice(start, stop - start))
 
     def _extract(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
+        text = batch.column("text")
+        t0 = time.perf_counter_ns()
+        plain = _unchanged_plain(text)
+        marked, rest = np.flatnonzero(plain), np.flatnonzero(~plain)
+        parts: list[pa.Table] = []
+        if len(marked):
+            parts.append(self._plain_part(
+                text.take(marked) if len(rest) else text, t0))
+        if len(rest) or not len(marked):
+            parts.append(self._per_row_part(
+                (text.take(rest) if len(marked) else text).to_pylist()))
+        if len(parts) == 1:
+            out = parts[0]
+        else:
+            # the parts hold rows [marked..., rest...]; put them in order
+            order = np.empty(len(plain), np.int64)
+            order[np.concatenate([marked, rest])] = np.arange(len(plain))
+            out = pa.concat_tables(parts).take(order)
+        cols = {name: batch.column(name)
+                for name in ("conv_id", "turn_idx", "role", "tool", "ts")
+                if name in batch.column_names}
+        for name in out.column_names:
+            cols[name] = out.column(name)
+        return pa.table(cols)
+
+    def _plain_part(self, text: pa.ChunkedArray, t0: int) -> pa.Table:
+        """Output rows of turns that extraction returns unchanged; their
+        ``duration_us`` shares the wall time since ``t0``."""
+        n = len(text)
+        text = text.cast(pa.large_string())
+        cols = [
+            _strings("plain", n, pa.string()),
+            text,
+            text if self.want_markdown else _strings("", n, pa.large_string()),
+            pa.ListArray.from_arrays(pa.array(np.zeros(n + 1, np.int32)),
+                                     pa.array([], SPAN_TYPE),
+                                     type=pa.list_(SPAN_TYPE)),
+            pa.array(np.zeros(n, np.int32)),
+            pc.utf8_length(text),
+            _strings("ok", n, pa.string()),
+            _strings("", n, pa.string()),
+        ]
+        cols.append(_shares((time.perf_counter_ns() - t0) // 1000, n))
+        return pa.table(cols, schema=EXTRACTED_SCHEMA)
+
+    def _per_row_part(self, texts: list[str | None]) -> pa.Table:
+        """Output rows of ``extract_payload`` called on each turn."""
         kinds: list[str] = []
         extracted: list[str] = []
         markdowns: list[str] = []
@@ -138,18 +228,8 @@ class ExtractTurns:
             n_chars.append(len(res["extracted_text"]))
             statuses.append(res["status"])
             errors.append(res["error"])
-
-        cols: dict[str, pa.Array | pa.ChunkedArray] = {}
-        for name in ("conv_id", "turn_idx", "role", "tool", "ts"):
-            if name in batch.column_names:
-                cols[name] = batch.column(name)
-        cols["kind"] = pa.array(kinds, pa.string())
-        cols["extracted_text"] = pa.array(extracted, pa.large_string())
-        cols["markdown"] = pa.array(markdowns, pa.large_string())
-        cols["spans"] = pa.array(spans, pa.list_(SPAN_TYPE))
-        cols["n_spans"] = pa.array(n_spans, pa.int32())
-        cols["n_chars"] = pa.array(n_chars, pa.int64())
-        cols["status"] = pa.array(statuses, pa.string())
-        cols["error"] = pa.array(errors, pa.string())
-        cols["duration_us"] = pa.array(durations, pa.int64())
-        return pa.table(cols)
+        values = (kinds, extracted, markdowns, spans, n_spans, n_chars,
+                  statuses, errors, durations)
+        return pa.table([pa.array(v, f.type) for v, f in
+                         zip(values, EXTRACTED_SCHEMA)],
+                        schema=EXTRACTED_SCHEMA)

@@ -42,6 +42,17 @@ def _fresh_tmp_dir(path: str) -> str:
     return tmp
 
 
+def require_empty(path: str) -> None:
+    """Raise ``FileExistsError`` when directory ``path`` already holds
+    files. A writer that commits its whole output with ``replace_dir``
+    checks first, so a rerun into the same directory raises before it
+    writes instead of replacing (or, in Ray's append mode, doubling) the
+    rows there."""
+    if os.path.isdir(path) and os.listdir(path):
+        raise FileExistsError(
+            f"{path} already holds files; write to a new directory")
+
+
 def replace_dir(path: str, write) -> None:
     """Commit a new copy of directory ``path``: ``write(tmp)`` fills a fresh
     temp dir, which then takes the place of the old copy."""

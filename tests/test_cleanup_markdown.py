@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdf_oxide_ray.core.cleanup import (
-    RE_BRACKET_PAGE, RE_DASH_PAGE, RE_DASH_SEP, RE_EQUALS_SEP,
+    ARTIFACT_PATTERNS, ARTIFACT_SUBS, RE_BRACKET_PAGE, RE_DASH_PAGE, RE_DASH_SEP, RE_EQUALS_SEP,
     RE_MULTI_NEWLINE, RE_MULTI_SPACE, RE_PAGE_NUM, RE_STANDALONE_NUM,
     cleanup_markdown, cleanup_plain_text, normalize_horizontal_whitespace,
     normalize_whitespace, remove_page_artifacts,
@@ -94,6 +94,18 @@ def test_cleanup_no_op_checks_are_exact(text):
         _ref_normalize_horizontal_whitespace(text))
     assert cleanup_markdown(text) == _ref_normalize_whitespace(
         _ref_remove_page_artifacts(text))
+
+
+# the characters of the artifact patterns, with a Unicode digit and space
+_ARTIFACT_ALPHABET = [*" \n\t\r-=[]()0123456789", "Page", "\u0663", "\u3000"]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(text=st.lists(st.sampled_from(_ARTIFACT_ALPHABET),
+                     max_size=30).map("".join))
+def test_linear_artifact_subs_equal_the_reference_patterns(text):
+    for pattern, (linear, repl) in zip(ARTIFACT_PATTERNS, ARTIFACT_SUBS):
+        assert linear.sub(repl, text) == pattern.sub("", text), pattern
 
 
 def test_heading_rules():

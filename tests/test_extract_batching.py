@@ -14,7 +14,8 @@ from pdf_oxide_ray.core import payload
 from pdf_oxide_ray.core.payload import extract_payload
 from pdf_oxide_ray.gen.transcripts import SPAN_TYPE, make_turn_payload
 from pdf_oxide_ray.stages import extract
-from pdf_oxide_ray.stages.extract import BATCH_BYTES, ExtractTurns, byte_slices
+from pdf_oxide_ray.stages.extract import (BATCH_BYTES, ExtractTurns,
+                                          _unchanged_plain, byte_slices)
 
 
 def _block(texts: list[str | None], conv: str = "c0") -> pa.Table:
@@ -42,23 +43,91 @@ def test_mixed_block_matches_per_row_extract_in_order(monkeypatch):
     texts = [make_turn_payload(rng)[1] for _ in range(60)]
     kinds = {extract_payload(t)["kind"] for t in texts}
     assert {"pdf", "html", "plain"} <= kinds
+    # one-sentence turns (the plain-turn pass) and nulls, spread through
+    texts += _sentence_turns(20, 60) + [None] * 4 + ["Page 3", ""]
+    rng.shuffle(texts)
     block = _block(texts)
-    # a small budget so the block comes out as several tables
-    monkeypatch.setattr(extract, "BATCH_BYTES", _payload_bytes(block) // 5)
-    tables = list(ExtractTurns()(block))
-    assert len(tables) > 1
-    got = pa.concat_tables(tables)
-    assert got.column("turn_idx").to_pylist() == list(range(len(texts)))
-    assert got.column("conv_id").equals(block.column("conv_id"))
-    for i, text in enumerate(texts):
-        want = extract_payload(text)
-        for col in ("kind", "extracted_text", "markdown", "status", "error"):
-            assert got.column(col)[i].as_py() == want[col], (i, col)
-        # compared through the column type (float32 span geometry)
-        assert got.column("spans")[i] == pa.scalar(want["spans"],
-                                                   pa.list_(SPAN_TYPE)), i
-        assert got.column("n_chars")[i].as_py() == len(want["extracted_text"])
-        assert got.column("n_spans")[i].as_py() == len(want["spans"])
+    marked = _unchanged_plain(block.column("text"))
+    assert 20 <= marked.sum() < len(texts)
+    want = [extract_payload(text or "") for text in texts]
+    # a small budget so the block comes out as several tables, then a
+    # one-byte budget that cuts each payload off alone (empty ones join in)
+    for budget in (_payload_bytes(block) // 5, 1):
+        monkeypatch.setattr(extract, "BATCH_BYTES", budget)
+        tables = list(ExtractTurns()(block))
+        sizes = [t.num_rows for t in tables]
+        assert sizes == [b - a for a, b in byte_slices(block.column("text"))]
+        assert len(sizes) > 1
+        assert budget > 1 or sizes.count(1) > len(texts) // 2
+        # the one-byte budget mixes marked-only and per-row-only tables,
+        # which concatenate only with one schema
+        got = pa.concat_tables(tables)
+        assert got.column("turn_idx").to_pylist() == list(range(len(texts)))
+        assert got.column("conv_id").equals(block.column("conv_id"))
+        for i, res in enumerate(want):
+            for col in ("kind", "extracted_text", "markdown", "status",
+                        "error"):
+                assert got.column(col)[i].as_py() == res[col], (i, col)
+            # compared through the column type (float32 span geometry)
+            assert got.column("spans")[i] == pa.scalar(
+                res["spans"], pa.list_(SPAN_TYPE)), i
+            assert got.column("n_chars")[i].as_py() == \
+                len(res["extracted_text"])
+            assert got.column("n_spans")[i].as_py() == len(res["spans"])
+
+
+# fragments that sit at the edge of each condition of the plain-turn mask:
+# page artifacts, the PDF and HTML sniffs, line breaks Python's re.M does
+# and does not see, Unicode spaces and digits (Python's \s and \d are
+# Unicode), and letters in and out of "Page"
+_EDGE_FRAGMENTS = ["Page 12", "Page", "- 3 -", "[4]", "(7)", "-----", "=====",
+                   "%PDF", "%PDF-1.4", "<<<", "<", "<p>", ">", "\n", "\r",
+                   "\x0b", "\x0c", "\u2028", "\u00a0", "\u3000", "\u0663",
+                   "\u0661\u0662", " ", "  ", "\t", "a", "e", "g", "P", "x",
+                   "B", "Hello world", "12", "7", "-", "=", ""]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(
+    st.lists(st.sampled_from(_EDGE_FRAGMENTS), max_size=6).map("".join),
+    st.text(max_size=12), st.none()), max_size=20))
+def test_marked_turns_extract_to_themselves(texts):
+    marked = _unchanged_plain(pa.array(texts, pa.large_string()))
+    assert len(marked) == len(texts)
+    for text, mark in zip(texts, marked):
+        if mark:
+            assert text is not None
+            res = extract_payload(text)
+            assert (res["kind"], res["status"]) == ("plain", "ok"), text
+            assert res["extracted_text"] == text == res["markdown"]
+
+
+def test_plain_turn_mask_edges():
+    texts = ["Hello world", "Page 3", "Page 3 x", "- 3 -", "[4]", "a", "x",
+             "two  spaces", "line\nbreak", "trailing\n", "%PDF-1.4 x",
+             "a < b < c < d", "a < b", "\u0663 x", None, ""]
+    got = _unchanged_plain(pa.chunked_array([pa.array(texts[:8]),
+                                             pa.array(texts[8:])]))
+    assert got.tolist() == [True, False, True, False, False, False, True,
+                            False, False, False, False, False, True, True,
+                            False, False]
+
+
+def test_one_sentence_turns_skip_the_per_row_loop(monkeypatch):
+    calls = []
+    monkeypatch.setattr(extract, "extract_payload",
+                        lambda *a, **k: calls.append(a))
+    block = _block(_sentence_turns(2000, 60))
+    for wm in (True, False):
+        out = pa.concat_tables(ExtractTurns(want_markdown=wm)(block))
+        assert calls == []
+        assert out.column("extracted_text").to_pylist() == \
+            block.column("text").to_pylist()
+        assert out.column("markdown").to_pylist() == \
+            (block.column("text").to_pylist() if wm else [""] * 2000)
+        assert set(out.column("kind").to_pylist()) == {"plain"}
+        dur = out.column("duration_us").to_numpy()
+        assert dur.sum() > 0 and dur.max() - dur.min() <= 1
 
 
 def test_keep_spans_false_builds_no_span_records(monkeypatch):

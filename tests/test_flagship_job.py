@@ -11,7 +11,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from pdf_oxide_ray.gen.cache import golden_path, transcripts_path
-from pdf_oxide_ray.pipelines.flagship import run_flagship_job
+from pdf_oxide_ray.pipelines.flagship import run_export, run_flagship_job
 from pdf_oxide_ray.stages.assembly import TURN_SEPARATOR
 
 
@@ -92,6 +92,24 @@ def test_rerun_into_same_dir_raises(ray_session, tmp_path):
         run_flagship_job(path, out, keep_spans=False)
     after = pads.dataset(out).to_table()
     assert after.num_rows == summary["rows"]
+    assert after.equals(before)
+
+
+@pytest.mark.parametrize("sink", ["parquet", "jsonl"])
+def test_export_rerun_into_same_dir_raises(ray_session, tmp_path, sink):
+    """An export into a directory that holds files raises before it
+    writes; the first export's rows stay as they were (Ray's append mode
+    doubled them)."""
+    path = transcripts_path("sf0.001", with_golden=True)
+    out = str(tmp_path / f"export_{sink}")
+    run_export(path, out, "text", sink=sink)
+    fmt = "json" if sink == "jsonl" else "parquet"
+    before = pads.dataset(out, format=fmt).to_table()
+    with pytest.raises(FileExistsError):
+        run_export(path, out, "text", sink=sink)
+    after = pads.dataset(out, format=fmt).to_table()
+    assert after.num_rows == before.num_rows == pq.read_metadata(
+        path).num_rows
     assert after.equals(before)
 
 

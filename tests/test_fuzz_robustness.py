@@ -213,3 +213,18 @@ def test_page_ending_in_number_flood_keeps_its_text():
     assert time.perf_counter() - t0 < 0.1
     assert res["status"] == "ok"
     assert res["extracted_text"] == "Hello"
+
+
+@pytest.mark.parametrize("text", [
+    " \n" * 8000 + "x",
+    "\n" * 8000 + "x",
+    " \n" * 8000 + "x\n5",
+], ids=["space_lines", "newlines", "then_page_number"])
+def test_blank_line_runs_clean_in_linear_time(text):
+    """The page-artifact subs backtracked over every line start of a run
+    of blank lines: 0.93 s for ``" \\n" * 8000 + "x"`` before the linear
+    subs of ``core/cleanup.py``."""
+    t0 = time.perf_counter()
+    res = extract_payload(text)
+    assert time.perf_counter() - t0 < 0.05
+    assert res["status"] == "ok"

@@ -122,3 +122,18 @@ def test_tstar_uses_leading():
     content = b"BT /F1 12 Tf 14 TL 72 720 Td (a) Tj T* (b) Tj ET"
     spans = extract(content, post=False)
     assert spans[1].y == 706.0
+
+
+def test_tj_array_that_fails_midway_keeps_its_advance():
+    # an integer too large for float() raises inside the array: the
+    # operator is skipped from there, the spans it flushed stay, its
+    # pending run is dropped, and the text matrix keeps every advance
+    # made before it, so the next Tj starts where "B" ended
+    big = b"1" + b"0" * 400
+    cut = extract(b"BT /F1 10 Tf [(A) -500 (B) " + big + b" (C)] TJ (D) Tj ET",
+                  post=False)
+    whole = extract(b"BT /F1 10 Tf [(A) -500 (B)] TJ (D) Tj ET", post=False)
+    assert [s.text for s in cut] == ["A", " ", "D"]
+    assert [s.text for s in whole] == ["A", " ", "B", "D"]
+    assert (cut[-1].x, cut[-1].y) == (whole[-1].x, whole[-1].y)
+    assert cut[-1].x > whole[-2].x > 0

@@ -88,12 +88,23 @@ def test_cli_extract_pdfs(tmp_path):
     _write_pdf_dir(tmp_path, n=5)
     out_dir = str(tmp_path / "cli_out")
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    res = subprocess.run(
-        [sys.executable, "-m", "pdf_oxide_ray.cli", "extract-pdfs",
-         "--input", str(tmp_path / "pdfs"), "--output", out_dir,
-         "--no-spans"],
-        capture_output=True, text=True, cwd=repo, timeout=300)
+
+    def run():
+        return subprocess.run(
+            [sys.executable, "-m", "pdf_oxide_ray.cli", "extract-pdfs",
+             "--input", str(tmp_path / "pdfs"), "--output", out_dir,
+             "--no-spans"],
+            capture_output=True, text=True, cwd=repo, timeout=300)
+
+    res = run()
     assert res.returncode == 0, res.stderr[-2000:]
     summary = json.loads(res.stdout.strip().splitlines()[-1])
     assert summary["rows"] == 7  # 5 pdfs + malformed + zero-byte
     assert summary["errors"] == 1  # the malformed file, as a row
+    before = pq.read_table(out_dir)
+
+    # a rerun into the same output raises instead of appending 7 more rows
+    res = run()
+    assert res.returncode != 0
+    assert "FileExistsError" in res.stderr
+    assert pq.read_table(out_dir).equals(before)

@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow.dataset as pads
+import pytest
 
 from pdf_oxide_ray.functions import textops as ftext
 from pdf_oxide_ray.pipelines.training_prep import run_training_prep
@@ -38,6 +39,13 @@ def test_training_prep_end_to_end(ray_session, tmp_path):
     expect = np.where(nib == "0", "test",
                       np.where(nib == "1", "val", "train"))
     assert (back["split"].astype(str).to_numpy() == expect).all()
+
+    # a second run into the same directory raises before it writes; the
+    # first run's rows stay as they were (Ray's append mode doubled them)
+    before = pads.dataset(out, partitioning="hive").to_table()
+    with pytest.raises(FileExistsError):
+        run_training_prep(os.path.join(sf, "documents.parquet"), out)
+    assert pads.dataset(out, partitioning="hive").to_table().equals(before)
 
 
 def test_training_prep_decontaminates_and_is_deterministic(ray_session,
